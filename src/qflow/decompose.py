@@ -22,7 +22,7 @@ import math
 
 from .circuit import Instruction
 from .errors import QFlowError, UnsupportedBasisError
-from .euler import normalize_angle, snap_angle
+from .euler import snap_angle
 from .gates import BasisSet, LIBRARY
 
 __all__ = [

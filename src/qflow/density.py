@@ -10,16 +10,21 @@ two-qubit gates), then thermal relaxation on each operand for the gate's
 duration. A delay applies relaxation only, for cycles * cycle_time_ns.
 Measurement probabilities pass through each qubit's readout confusion.
 
+A terminal program (no condition, nothing after a qubit's measurement; see
+qflow.program) is evolved once, reset included as a Kraus channel, and its
+counts come from the final diagonal. Anything else runs per-shot
+trajectories: the prefix before the first measure, reset or condition is
+evolved once, then each shot collapses a copy with seeded outcomes.
+
 The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
-the same circuit with noise disabled; it is computed for circuits without
-classical conditions (trajectory mode has no single final rho mixed over
-branches worth comparing, so the field is omitted there).
+the same circuit with noise disabled. It needs that pure reference, so it is
+computed only for unitary programs (terminal, no reset); the field is
+omitted elsewhere.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 
 import numpy as np
@@ -27,12 +32,11 @@ import numpy as np
 from .circuit import Circuit
 from .device import DeviceConfig
 from .errors import SimulationError
-from .flatten import flatten
-from .gates import unitary_of
-from .noise import depolarizing_kraus, readout_matrix, thermal_relaxation_kraus
-from .results import RunResult, sample_counts
+from .noise import thermal_relaxation_kraus
+from .program import Program, evolve, run_shots, sample_terminal
+from .results import RunResult
 from .schedule import instruction_duration_ns
-from .statevector import _Program, _ClassicalState, apply_gate, sv_statevector
+from .statevector import apply_gate, sv_statevector
 
 __all__ = ["dm_run", "dm_evolve", "fidelity", "DEFAULT_DM_CAP"]
 
@@ -44,18 +48,41 @@ _RESET_KRAUS = (
 )
 
 
-def _dm_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QFLOW_QUBIT_CAP_DM")
-    return int(env) if env else DEFAULT_DM_CAP
-
-
 class _DensityState:
-    def __init__(self, n: int):
+    """rho of one run or trajectory, driven op by op by qflow.program; with a
+    device every gate, delay and reset is followed by its noise."""
+
+    def __init__(self, n: int, device: DeviceConfig | None, rho: np.ndarray | None = None):
         self.n = n
-        self.rho = np.zeros((1 << n, 1 << n), dtype=complex)
-        self.rho[0, 0] = 1.0
+        self.device = device
+        if rho is None:
+            rho = np.zeros((1 << n, 1 << n), dtype=complex)
+            rho[0, 0] = 1.0
+        self.rho = rho
+
+    def copy(self) -> "_DensityState":
+        return _DensityState(self.n, self.device, self.rho.copy())
+
+    def apply(self, op) -> None:
+        if op.gate:
+            self.apply_unitary(op.wires, op.matrix)
+        self._noise(op)
+
+    def reset(self, op, rng) -> None:
+        self.apply_kraus(_RESET_KRAUS, op.wires)
+        self._noise(op)
+
+    def _noise(self, op) -> None:
+        device = self.device
+        if device is None or op.opcode == "barrier":
+            return
+        p = device.error_of(op.opcode, op.wires)
+        if p > 0.0:
+            self.depolarize(op.wires, p)
+        dur = instruction_duration_ns(op.instr, op.wires, device)
+        if dur > 0.0:
+            for w in op.wires:
+                self.thermal(w, dur, device.t1_us[w] * 1000.0, device.t2_us[w] * 1000.0)
 
     def apply_unitary(self, wires, m):
         apply_gate(self.rho, self.n, wires, m)            # ket side (rows)
@@ -110,7 +137,13 @@ class _DensityState:
         p[p < 0.0] = 0.0
         return p / p.sum()
 
-    def measure(self, wire: int, rng) -> int:
+    def sample_all(self, rng) -> int:
+        return int(rng.choice(1 << self.n, p=self.probabilities()))
+
+    def measure(self, op, rng) -> int:
+        """Collapse onto a seeded outcome; with a device, then flip the
+        reported bit with the qubit's readout error."""
+        wire = op.wires[0]
         idx = np.arange(1 << self.n)
         one = (idx >> wire) & 1 == 1
         probs = np.real(np.diag(self.rho))
@@ -123,111 +156,24 @@ class _DensityState:
         self.rho = self.rho * np.outer(mask, mask)
         norm = max(p1 if bit else 1.0 - p1, 1e-300)
         self.rho /= norm
+        if self.device is not None:
+            p00, p11 = self.device.readout[wire]
+            if rng.random() >= (p11 if bit else p00):
+                bit ^= 1
         return bit
-
-
-def _gate_noise(state: _DensityState, device: DeviceConfig, instr, wires):
-    p = device.error_of(instr.opcode, wires)
-    if p > 0.0:
-        state.depolarize(wires, p)
-    dur = instruction_duration_ns(instr, wires, device)
-    if dur > 0.0:
-        for w in wires:
-            state.thermal(w, dur, device.t1_us[w] * 1000.0, device.t2_us[w] * 1000.0)
-
-
-def _evolve_single_pass(program: _Program, device: DeviceConfig | None) -> _DensityState:
-    state = _DensityState(program.n)
-    for instr, qw, cw in program.ops:
-        op = instr.opcode
-        if op == "barrier" or op == "measure":
-            continue  # measurement handled by readout on the final diagonal
-        if op == "delay":
-            if device is not None:
-                _gate_noise(state, device, instr, qw)
-            continue
-        if op == "reset":
-            state.apply_kraus(_RESET_KRAUS, qw)
-            if device is not None:
-                _gate_noise(state, device, instr, qw)
-            continue
-        state.apply_unitary(qw, unitary_of(op, instr.params))
-        if device is not None:
-            _gate_noise(state, device, instr, qw)
-    return state
-
-
-def _confused_clbit_distribution(
-    program: _Program, probs: np.ndarray, device: DeviceConfig | None
-) -> np.ndarray:
-    """Aggregate the qubit-basis distribution onto classical bits and push it
-    through per-qubit readout confusion."""
-    n_bits = program.n_bits
-    if program.measure_map:
-        idx = np.arange(probs.size)
-        c_int = np.zeros_like(idx)
-        for qw, cw in program.measure_map:
-            c_int |= ((idx >> qw) & 1) << cw
-        dist = np.bincount(c_int, weights=probs, minlength=1 << n_bits)
-        if device is not None:
-            t = dist.reshape((2,) * n_bits)
-            for qw, cw in program.measure_map:
-                m = readout_matrix(*device.readout[qw])
-                axis = n_bits - 1 - cw
-                t = np.tensordot(m, t, axes=([1], [axis]))
-                t = np.moveaxis(t, 0, axis)
-            dist = t.reshape(-1)
-        return dist
-    return probs
-
-
-def _run_dm_trajectory(program: _Program, device: DeviceConfig | None, rng) -> int:
-    state = _DensityState(program.n)
-    classical = _ClassicalState(program)
-    for instr, qw, cw in program.ops:
-        if not classical.satisfied(instr.condition):
-            continue
-        op = instr.opcode
-        if op == "barrier":
-            continue
-        if op == "delay":
-            if device is not None:
-                _gate_noise(state, device, instr, qw)
-            continue
-        if op == "measure":
-            bit = state.measure(qw[0], rng)
-            if device is not None:
-                p00, p11 = device.readout[qw[0]]
-                flip = rng.random() >= (p11 if bit else p00)
-                if flip:
-                    bit ^= 1
-            reg, index = instr.clbits[0]
-            classical.set_bit(reg, index, bit)
-            continue
-        if op == "reset":
-            state.apply_kraus(_RESET_KRAUS, qw)
-            if device is not None:
-                _gate_noise(state, device, instr, qw)
-            continue
-        state.apply_unitary(qw, unitary_of(op, instr.params))
-        if device is not None:
-            _gate_noise(state, device, instr, qw)
-    if program.measure_map:
-        return classical.clbit_int()
-    return int(rng.choice(1 << program.n, p=state.probabilities()))
 
 
 def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None,
               qubit_cap: int | None = None) -> np.ndarray:
     """Final density matrix of a condition-free circuit (measurements are
     not collapsed). Useful for analytic noise checks."""
-    program = _Program(circuit)
-    cap = _dm_cap(qubit_cap)
-    if program.n > cap:
-        raise SimulationError(f"{program.n} qubits exceeds density-matrix cap {cap}")
-    if any(i.condition is not None for i, _, _ in program.ops):
+    program = Program(circuit)
+    program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM")
+    if any(op.condition is not None for op in program.ops):
         raise SimulationError("dm_evolve does not evaluate classical conditions")
-    return _evolve_single_pass(program, device).rho
+    state = _DensityState(program.n, device)
+    evolve(program, state)
+    return state.rho
 
 
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
@@ -255,70 +201,41 @@ def dm_run(
     """Noisy (or noiseless) density-matrix run.
 
     With a device, gate errors, T1/T2 relaxation, delay decoherence, and
-    readout confusion all apply. compute_fidelity defaults to "device given
-    and circuit has no classical conditions"."""
+    readout confusion all apply. A terminal program (see qflow.program) is
+    evolved once and sampled from its final diagonal; anything else runs
+    per-shot trajectories. The fidelity needs a pure reference state, so it
+    exists only for unitary programs (no reset, condition or mid-circuit
+    measurement): compute_fidelity defaults to "device given and the program
+    is unitary", and compute_fidelity=True on any other program raises
+    SimulationError."""
     t0 = time.perf_counter()
-    program = _Program(circuit)
-    cap = _dm_cap(qubit_cap)
-    if program.n > cap:
-        raise SimulationError(f"{program.n} qubits exceeds density-matrix cap {cap}")
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    n = program.n
-    mem = 16 * (1 << (2 * n))
-
-    trajectories = not _dm_single_pass_ok(program)
-
+    program = Program(circuit)
+    program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots)
+    if compute_fidelity and not program.unitary:
+        raise SimulationError(
+            "fidelity is unavailable for circuits with reset, classical conditions "
+            "or mid-circuit measurement"
+        )
+    state = _DensityState(program.n, device)
     fid = None
-    if not trajectories:
-        state = _evolve_single_pass(program, device)
-        dist = _confused_clbit_distribution(program, state.probabilities(), device)
-        counts = sample_counts(dist, shots, seed, n_bits=program.n_bits)
-        want_fidelity = compute_fidelity
-        if want_fidelity is None:
-            want_fidelity = device is not None
-        if want_fidelity:
-            psi = sv_statevector(circuit, qubit_cap=max(cap, n))
-            fid = fidelity(state.rho, psi)
+    if program.terminal:
+        evolve(program, state)
+        readout = device.readout if device is not None else None
+        counts = sample_terminal(program, state.probabilities(), shots, seed, readout)
+        if compute_fidelity or (compute_fidelity is None and device is not None
+                                and program.unitary):
+            fid = fidelity(state.rho, sv_statevector(circuit, qubit_cap=program.n))
     else:
-        counts = {}
-        for _ in range(shots):
-            value = _run_dm_trajectory(program, device, rng)
-            key = format(value, f"0{max(program.n_bits, 1)}b")
-            counts[key] = counts.get(key, 0) + 1
-        counts = dict(sorted(counts.items()))
-        if compute_fidelity:
-            raise SimulationError(
-                "fidelity is unavailable for circuits needing per-shot trajectories"
-            )
+        counts = run_shots(program, state, shots, np.random.default_rng(seed))
 
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         backend="dm",
-        n_qubits=n,
+        n_qubits=program.n,
         shots=shots,
         seed=seed,
         counts=counts,
         fidelity=fid,
         wall_time_ms=wall,
-        mem_bytes_estimate=mem,
+        mem_bytes_estimate=16 * (1 << (2 * program.n)),
     )
-
-
-def _dm_single_pass_ok(program: _Program) -> bool:
-    """Reset is representable in a single density-matrix pass; measurement
-    followed by further operations on the same qubit is not (outcome
-    correlations would be lost)."""
-    measured: set[int] = set()
-    for instr, qw, cw in program.ops:
-        if instr.condition is not None:
-            return False
-        if instr.opcode == "measure":
-            if qw[0] in measured:
-                return False
-            measured.add(qw[0])
-        elif instr.opcode not in ("barrier", "delay"):
-            if any(w in measured for w in qw):
-                return False
-    return True

@@ -12,7 +12,9 @@ anything else raises NonCliffordError naming the gate and angle.
 Measurement follows the usual deterministic/random split: if some
 stabilizer anticommutes with Z_q the outcome is a fresh random bit and the
 tableau is updated by row sums; otherwise the scratch row accumulates the
-forced sign. Counts always come from per-shot trajectories.
+forced sign. Counts always come from per-shot trajectories driven by
+qflow.program: the gate prefix before the first measure, reset or condition
+runs once, and each shot replays the rest on a copy of that tableau.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from .circuit import Circuit
 from .decompose import _two_q_template
 from .errors import NonCliffordError, SimulationError
 from .euler import lattice_power
-from .flatten import flatten
 from .gates import LIBRARY
+from .program import Program, run_shots
 from .results import RunResult
-from .statevector import _ClassicalState, _Program
 
 __all__ = ["StabilizerTableau", "stab_run", "stab_evolve", "tableau_to_statevector",
            "DEFAULT_STAB_CAP", "STATEVECTOR_CAP"]
@@ -279,33 +280,49 @@ def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
 
 # -- running circuits ------------------------------------------------------------
 
-def _apply_instruction(tab: StabilizerTableau, instr, qw, rng, classical):
-    op = instr.opcode
-    if op in ("barrier", "delay"):
-        return
-    if op == "measure":
-        bit, _ = tab.measure(qw[0], rng)
-        reg, index = instr.clbits[0]
-        classical.set_bit(reg, index, bit)
-        return
-    if op == "reset":
-        tab.reset(qw[0], rng)
-        return
-    tab.apply(op, instr.params, qw)
+class _StabState:
+    """A tableau driven op by op by qflow.program."""
+
+    def __init__(self, tab: StabilizerTableau):
+        self.tab = tab
+
+    def copy(self) -> "_StabState":
+        return _StabState(self.tab.copy())
+
+    def apply(self, op) -> None:
+        if op.gate:
+            self.tab.apply(op.opcode, op.instr.params, op.wires)
+
+    def measure(self, op, rng) -> int:
+        return self.tab.measure(op.wires[0], rng)[0]
+
+    def reset(self, op, rng) -> None:
+        self.tab.reset(op.wires[0], rng)
+
+    def sample_all(self, rng) -> int:
+        """Measure every qubit in turn; this consumes the shot's tableau."""
+        value = 0
+        for q in range(self.tab.n):
+            value |= self.tab.measure(q, rng)[0] << q
+        return value
 
 
 def stab_evolve(circuit: Circuit, seed: int = 42) -> StabilizerTableau:
     """Run the gate portion of a Clifford circuit once (measure and reset use
     the seeded generator; conditions are rejected)."""
-    program = _Program(circuit)
+    program = Program(circuit)
     rng = np.random.default_rng(seed)
-    tab = StabilizerTableau(program.n)
-    classical = _ClassicalState(program)
-    for instr, qw, cw in program.ops:
-        if instr.condition is not None:
+    state = _StabState(StabilizerTableau(program.n))
+    for op in program.ops:
+        if op.condition is not None:
             raise SimulationError("stab_evolve does not evaluate classical conditions")
-        _apply_instruction(tab, instr, qw, rng, classical)
-    return tab
+        if op.opcode == "measure":
+            state.measure(op, rng)
+        elif op.opcode == "reset":
+            state.reset(op, rng)
+        else:
+            state.apply(op)
+    return state.tab
 
 
 def stab_run(
@@ -316,86 +333,28 @@ def stab_run(
 ) -> RunResult:
     """Clifford run with per-shot trajectory sampling.
 
-    When all measurements are terminal and nothing is conditioned, the gate
-    prefix runs once and each shot re-measures a copy of the final tableau;
-    otherwise every shot replays the full circuit.
+    The gate prefix before the first measure, reset or condition runs once;
+    each shot replays the rest of the circuit on a copy of that tableau, so
+    every reset and random measurement draws afresh per shot. A circuit
+    without measurements is sampled by measuring every qubit.
     """
     t0 = time.perf_counter()
-    program = _Program(circuit)
-    if program.n > qubit_cap:
-        raise SimulationError(f"{program.n} qubits exceeds stabilizer cap {qubit_cap}")
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    n_bits = max(program.n_bits, 1)
-    counts: dict[str, int] = {}
-
-    has_conditions = any(i.condition is not None for i, _, _ in program.ops)
-    if has_conditions or _has_mid_circuit(program):
-        for _ in range(shots):
-            tab = StabilizerTableau(program.n)
-            classical = _ClassicalState(program)
-            for instr, qw, cw in program.ops:
-                if not classical.satisfied(instr.condition):
-                    continue
-                _apply_instruction(tab, instr, qw, rng, classical)
-            value = classical.clbit_int() if program.measure_map else _sample_all(tab, rng)
-            key = format(value, f"0{n_bits}b")
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        base = StabilizerTableau(program.n)
-        classical0 = _ClassicalState(program)
-        for instr, qw, cw in program.ops:
-            if instr.opcode == "measure":
-                continue
-            _apply_instruction(base, instr, qw, rng, classical0)
-        for _ in range(shots):
-            tab = base.copy()
-            classical = _ClassicalState(program)
-            for instr, qw, cw in program.ops:
-                if instr.opcode == "measure":
-                    bit, _ = tab.measure(qw[0], rng)
-                    reg, index = instr.clbits[0]
-                    classical.set_bit(reg, index, bit)
-            value = classical.clbit_int() if program.measure_map else _sample_all(tab, rng)
-            key = format(value, f"0{n_bits}b")
-            counts[key] = counts.get(key, 0) + 1
-
+    program = Program(circuit)
+    program.check_limits("stabilizer", qubit_cap, DEFAULT_STAB_CAP, shots=shots)
+    state = _StabState(StabilizerTableau(program.n))
+    counts = run_shots(program, state, shots, np.random.default_rng(seed))
     wall = (time.perf_counter() - t0) * 1000.0
-    mem = int(base_mem(program.n))
     return RunResult(
         backend="stab",
         n_qubits=program.n,
         shots=shots,
         seed=seed,
-        counts=dict(sorted(counts.items())),
+        counts=counts,
         wall_time_ms=wall,
-        mem_bytes_estimate=mem,
+        mem_bytes_estimate=base_mem(program.n),
     )
 
 
 def base_mem(n: int) -> int:
     # x and z blocks plus the sign column
     return 2 * (2 * n + 1) * n + (2 * n + 1)
-
-
-def _sample_all(tab: StabilizerTableau, rng) -> int:
-    value = 0
-    probe = tab.copy()
-    for q in range(probe.n):
-        bit, _ = probe.measure(q, rng)
-        value |= bit << q
-    return value
-
-
-def _has_mid_circuit(program: _Program) -> bool:
-    measured: set[int] = set()
-    for instr, qw, cw in program.ops:
-        if instr.opcode == "measure":
-            if qw[0] in measured:
-                return True
-            measured.add(qw[0])
-        elif instr.opcode not in ("barrier", "delay"):
-            if any(w in measured for w in qw):
-                return True
-    return False

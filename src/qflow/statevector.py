@@ -5,35 +5,30 @@ The state is a complex array of length 2**n in little-endian wire order
 16 * 2**n bytes. Gate kernels update amplitude pairs in place over the first
 array axis, so the same kernels drive the density-matrix backend.
 
-Circuits whose measurements are all terminal (and that contain no reset or
-classical conditions) run in a single pass with counts drawn from the final
-probability vector; anything else runs shot-by-shot trajectories with seeded
-measurement collapse.
+A unitary program (measurements all terminal, no reset, no classical
+condition; see qflow.program) runs in a single pass with counts drawn from
+the final probability vector; anything else runs shot-by-shot trajectories
+with seeded measurement collapse, the gate prefix before the first
+measure, reset or condition evolved once and copied per shot.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
-from .circuit import Circuit, Instruction
+from .circuit import Circuit
 from .errors import SimulationError
-from .flatten import flatten
-from .gates import LIBRARY, unitary_of
-from .results import RunResult, sample_counts
+from .gates import unitary_of
+from .program import Program, evolve, run_shots, sample_terminal
+from .results import RunResult
 
 __all__ = ["sv_run", "sv_statevector", "DEFAULT_SV_CAP"]
 
 DEFAULT_SV_CAP = 26
 
-
-def _sv_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QFLOW_QUBIT_CAP_SV")
-    return int(env) if env else DEFAULT_SV_CAP
+_X = unitary_of("x")
 
 
 # -- kernels (operate on the first axis; state may be 1-D or 2-D) -------------
@@ -65,72 +60,7 @@ def apply_gate(state: np.ndarray, n: int, wires, m) -> None:
         apply_2q(state, n, wires[0], wires[1], m)
 
 
-# -- program preparation --------------------------------------------------------
-
-class _Program:
-    """Flattened circuit with wire-resolved instructions and run-mode facts."""
-
-    def __init__(self, circuit: Circuit):
-        flat = flatten(circuit)
-        self.n = flat.n_qubits
-        self.n_clbits = flat.n_clbits
-        qoff = flat.qubit_offsets()
-        coff = flat.clbit_offsets()
-        self.clbit_offsets = coff
-        self.creg_sizes = {r.name: r.size for r in flat.classical_registers()}
-        self.ops: list[tuple] = []  # (instr, qwires, cwires)
-        self.measure_map: list[tuple[int, int]] = []
-        needs_trajectories = False
-        measured: set[int] = set()
-        for instr in flat.instructions:
-            qw = tuple(qoff[r] + i for r, i in instr.qubits)
-            cw = tuple(coff[r] + i for r, i in instr.clbits)
-            self.ops.append((instr, qw, cw))
-            if instr.condition is not None:
-                needs_trajectories = True
-            if instr.opcode == "reset":
-                needs_trajectories = True
-            if instr.opcode == "measure":
-                if qw[0] in measured:
-                    needs_trajectories = True
-                measured.add(qw[0])
-                self.measure_map.append((qw[0], cw[0]))
-            elif instr.opcode not in ("barrier", "delay"):
-                if any(w in measured for w in qw):
-                    needs_trajectories = True
-        self.needs_trajectories = needs_trajectories
-        # counts are keyed over classical bits, or over all qubits when the
-        # circuit never measures
-        self.n_bits = self.n_clbits if self.measure_map else self.n
-
-    def clbit_int_from_basis(self, basis_index: int) -> int:
-        c = 0
-        for qw, cw in self.measure_map:
-            c |= ((basis_index >> qw) & 1) << cw
-        return c
-
-
-class _ClassicalState:
-    def __init__(self, program: _Program):
-        self.values = {name: 0 for name in program.creg_sizes}
-        self.offsets = program.clbit_offsets
-
-    def satisfied(self, condition) -> bool:
-        if condition is None:
-            return True
-        creg, want = condition
-        return self.values.get(creg, 0) == want
-
-    def set_bit(self, creg: str, index: int, bit: int):
-        old = self.values[creg]
-        self.values[creg] = (old & ~(1 << index)) | (bit << index)
-
-    def clbit_int(self) -> int:
-        total = 0
-        for creg, value in self.values.items():
-            total |= value << self.offsets[creg]
-        return total
-
+# -- state ---------------------------------------------------------------------
 
 def _measure_probability_one(state: np.ndarray, n: int, w: int) -> float:
     idx = np.arange(1 << n)
@@ -145,57 +75,56 @@ def _collapse(state: np.ndarray, n: int, w: int, bit: int, prob: float) -> None:
     state /= np.sqrt(prob)
 
 
-def _run_trajectory(program: _Program, rng: np.random.Generator) -> int:
-    n = program.n
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    classical = _ClassicalState(program)
-    for instr, qw, cw in program.ops:
-        if not classical.satisfied(instr.condition):
-            continue
-        op = instr.opcode
-        if op in ("barrier", "delay"):
-            continue
-        if op == "measure":
-            p1 = _measure_probability_one(state, n, qw[0])
-            bit = 1 if rng.random() < p1 else 0
-            _collapse(state, n, qw[0], bit, p1 if bit else 1.0 - p1)
-            reg, index = instr.clbits[0]
-            classical.set_bit(reg, index, bit)
-        elif op == "reset":
-            p1 = _measure_probability_one(state, n, qw[0])
-            bit = 1 if rng.random() < p1 else 0
-            _collapse(state, n, qw[0], bit, p1 if bit else 1.0 - p1)
-            if bit:
-                apply_1q(state, n, qw[0], unitary_of("x"))
-        else:
-            apply_gate(state, n, qw, unitary_of(op, instr.params))
-    if program.measure_map:
-        return classical.clbit_int()
-    probs = np.abs(state) ** 2
-    probs /= probs.sum()
-    return int(rng.choice(probs.size, p=probs))
+class _SVState:
+    """Amplitudes of one trajectory, driven op by op by qflow.program."""
+
+    def __init__(self, n: int, amps: np.ndarray | None = None):
+        self.n = n
+        if amps is None:
+            amps = np.zeros(1 << n, dtype=complex)
+            amps[0] = 1.0
+        self.amps = amps
+
+    def copy(self) -> "_SVState":
+        return _SVState(self.n, self.amps.copy())
+
+    def apply(self, op) -> None:
+        if op.gate:
+            apply_gate(self.amps, self.n, op.wires, op.matrix)
+
+    def measure(self, op, rng) -> int:
+        w = op.wires[0]
+        p1 = _measure_probability_one(self.amps, self.n, w)
+        bit = 1 if rng.random() < p1 else 0
+        _collapse(self.amps, self.n, w, bit, p1 if bit else 1.0 - p1)
+        return bit
+
+    def reset(self, op, rng) -> None:
+        if self.measure(op, rng):
+            apply_1q(self.amps, self.n, op.wires[0], _X)
+
+    def probabilities(self) -> np.ndarray:
+        return np.abs(self.amps) ** 2
+
+    def sample_all(self, rng) -> int:
+        probs = self.probabilities()
+        return int(rng.choice(probs.size, p=probs / probs.sum()))
 
 
 def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray:
     """Final amplitudes of the unitary part of a circuit (measurements are
     ignored; reset and classical conditions are rejected)."""
-    program = _Program(circuit)
-    cap = _sv_cap(qubit_cap)
-    if program.n > cap:
-        raise SimulationError(f"{program.n} qubits exceeds state-vector cap {cap}")
-    state = np.zeros(1 << program.n, dtype=complex)
-    state[0] = 1.0
-    for instr, qw, cw in program.ops:
-        if instr.condition is not None or instr.opcode == "reset":
+    program = Program(circuit)
+    program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV")
+    for op in program.ops:
+        if op.condition is not None or op.opcode == "reset":
             raise SimulationError(
                 "sv_statevector requires a purely unitary circuit "
-                f"(found '{instr.opcode}'{' with condition' if instr.condition else ''})"
+                f"(found '{op.opcode}'{' with condition' if op.condition else ''})"
             )
-        if instr.opcode in ("measure", "barrier", "delay"):
-            continue
-        apply_gate(state, program.n, qw, unitary_of(instr.opcode, instr.params))
-    return state
+    state = _SVState(program.n)
+    evolve(program, state)
+    return state.amps
 
 
 def sv_run(
@@ -206,54 +135,30 @@ def sv_run(
 ) -> RunResult:
     """Ideal state-vector run: evolve, then sample `shots` outcomes.
 
-    Delay is an identity here (no noise model); mid-circuit measurement,
-    reset, and `if` conditions trigger per-shot trajectory execution with
-    seeded collapse. Final amplitudes are attached for single-pass runs.
+    Delay is an identity here (no noise model). A unitary program (see
+    qflow.program) runs once and its counts come from the final
+    probabilities, with the final amplitudes attached; anything else runs
+    per-shot trajectories with seeded collapse.
     """
     t0 = time.perf_counter()
-    program = _Program(circuit)
-    cap = _sv_cap(qubit_cap)
-    if program.n > cap:
-        raise SimulationError(f"{program.n} qubits exceeds state-vector cap {cap}")
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    n = program.n
-    mem = 16 * (1 << n)
-
-    if not program.needs_trajectories:
-        state = np.zeros(1 << n, dtype=complex)
-        state[0] = 1.0
-        for instr, qw, cw in program.ops:
-            if instr.opcode in ("measure", "barrier", "delay"):
-                continue
-            apply_gate(state, n, qw, unitary_of(instr.opcode, instr.params))
-        probs = np.abs(state) ** 2
-        probs /= probs.sum()
-        draws = rng.multinomial(shots, probs)
-        counts: dict[str, int] = {}
-        for i in np.nonzero(draws)[0]:
-            basis = int(i)
-            key_val = program.clbit_int_from_basis(basis) if program.measure_map else basis
-            key = format(key_val, f"0{max(program.n_bits, 1)}b")
-            counts[key] = counts.get(key, 0) + int(draws[i])
-        amplitudes = state
+    program = Program(circuit)
+    program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots)
+    state = _SVState(program.n)
+    if program.unitary:
+        evolve(program, state)
+        counts = sample_terminal(program, state.probabilities(), shots, seed)
+        amplitudes = state.amps
     else:
-        counts = {}
-        for _ in range(shots):
-            value = _run_trajectory(program, rng)
-            key = format(value, f"0{max(program.n_bits, 1)}b")
-            counts[key] = counts.get(key, 0) + 1
+        counts = run_shots(program, state, shots, np.random.default_rng(seed))
         amplitudes = None
-
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         backend="sv",
-        n_qubits=n,
+        n_qubits=program.n,
         shots=shots,
         seed=seed,
-        counts=dict(sorted(counts.items())),
+        counts=counts,
         wall_time_ms=wall,
-        mem_bytes_estimate=mem,
+        mem_bytes_estimate=16 * (1 << program.n),
         amplitudes=amplitudes,
     )

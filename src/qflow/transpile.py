@@ -30,7 +30,7 @@ from .errors import TranspileError
 from .euler import zyz_from_cells
 from .flatten import flatten
 from .gates import BasisSet, LIBRARY
-from .layout import Layout, initial_mapping
+from .layout import initial_mapping
 from .metrics import circuit_depth
 from .routing import route
 from .schedule import schedule_asap
