@@ -23,6 +23,7 @@ opcodes acting on concrete wires; macro structure is not preserved.
 
 from __future__ import annotations
 
+import math
 import struct
 
 from .circuit import Circuit, Instruction, Register
@@ -82,7 +83,10 @@ class _Reader:
                 raise BinaryFormatError(f"varint overflow reading {what} at byte {self.off}")
 
     def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
+        value = struct.unpack("<d", self.take(8, what))[0]
+        if not math.isfinite(value):
+            raise BinaryFormatError(f"non-finite {what} {value} at byte {self.off - 8}")
+        return value
 
 
 def encode_binary(circuit: Circuit) -> bytes:

@@ -1,14 +1,18 @@
 """Density-matrix simulation with device noise.
 
-rho is a dense 2**n x 2**n complex matrix (16 * 4**n bytes). Unitaries act
-by the shared pair-update kernels on the ket side and conjugated on the bra
-side; Kraus channels sum the conjugated updates per operator.
+rho is held as a flat vector of 4**n complex numbers (16 * 4**n bytes), the
+row-major (2**n, 2**n) matrix read as a state of 2n qubits: ket bit w is
+qubit n+w and bra bit w is qubit w. A channel with Kraus operators K on some
+wires is then the one matrix sum K (x) conj(K) on (ket wires..., bra
+wires...), applied by the state-vector kernel.
 
 Per gate, with a device attached: unitary, then a depolarizing channel with
 the gate's error probability on its operands (joint two-qubit channel for
 two-qubit gates), then thermal relaxation on each operand for the gate's
 duration. A delay applies relaxation only, for cycles * cycle_time_ns.
-Measurement probabilities pass through each qubit's readout confusion.
+These compose into one superoperator per op, built once per run and shared
+by every trajectory. Measurement probabilities pass through each qubit's
+readout confusion.
 
 A terminal program (no condition, nothing after a qubit's measurement; see
 qflow.program) is evolved once, reset included as a Kraus channel, and its
@@ -17,7 +21,7 @@ trajectories: the prefix before the first measure, reset or condition is
 evolved once, then each shot collapses a copy with seeded outcomes.
 
 The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
-the same circuit with noise disabled. It needs that pure reference, so it is
+the same program with noise disabled. It needs that pure reference, so it is
 computed only for unitary programs (terminal, no reset); the field is
 omitted elsewhere.
 """
@@ -32,11 +36,11 @@ import numpy as np
 from .circuit import Circuit
 from .device import DeviceConfig
 from .errors import SimulationError
-from .noise import thermal_relaxation_kraus
+from .noise import depolarizing_kraus, thermal_relaxation_kraus
 from .program import Program, evolve, run_shots, sample_terminal
 from .results import RunResult
 from .schedule import instruction_duration_ns
-from .statevector import apply_gate, sv_statevector
+from .statevector import _SVState, apply_gate
 
 __all__ = ["dm_run", "dm_evolve", "fidelity", "DEFAULT_DM_CAP"]
 
@@ -48,92 +52,73 @@ _RESET_KRAUS = (
 )
 
 
+def _superop(kraus) -> np.ndarray:
+    return sum(np.kron(k, k.conj()) for k in kraus)
+
+
 class _DensityState:
     """rho of one run or trajectory, driven op by op by qflow.program; with a
-    device every gate, delay and reset is followed by its noise."""
+    device every gate, delay and reset is followed by its noise. Copies share
+    the cache of per-op superoperators."""
 
-    def __init__(self, n: int, device: DeviceConfig | None, rho: np.ndarray | None = None):
+    def __init__(self, n: int, device: DeviceConfig | None, rho: np.ndarray | None = None,
+                 superops: dict | None = None):
         self.n = n
         self.device = device
         if rho is None:
-            rho = np.zeros((1 << n, 1 << n), dtype=complex)
-            rho[0, 0] = 1.0
+            rho = np.zeros(1 << (2 * n), dtype=complex)
+            rho[0] = 1.0
         self.rho = rho
+        self.superops = {} if superops is None else superops
 
     def copy(self) -> "_DensityState":
-        return _DensityState(self.n, self.device, self.rho.copy())
+        return _DensityState(self.n, self.device, self.rho.copy(), self.superops)
+
+    def matrix(self) -> np.ndarray:
+        return self.rho.reshape(1 << self.n, 1 << self.n)
 
     def apply(self, op) -> None:
-        if op.gate:
-            self.apply_unitary(op.wires, op.matrix)
-        self._noise(op)
+        if op not in self.superops:
+            self.superops[op] = self._channel(op)
+        s = self.superops[op]
+        if s is not None:
+            wires = tuple(self.n + w for w in op.wires) + op.wires
+            apply_gate(self.rho, 2 * self.n, wires, s)
 
     def reset(self, op, rng) -> None:
-        self.apply_kraus(_RESET_KRAUS, op.wires)
-        self._noise(op)
+        self.apply(op)
 
-    def _noise(self, op) -> None:
+    def _channel(self, op) -> np.ndarray | None:
+        """The op's superoperator with its noise composed after it, or None
+        when the op leaves rho unchanged."""
+        s = None
+        if op.gate:
+            s = _superop([op.matrix])
+        elif op.opcode == "reset":
+            s = _superop(_RESET_KRAUS)
         device = self.device
         if device is None or op.opcode == "barrier":
-            return
+            return s
+        stages = []
+        k = len(op.wires)
         p = device.error_of(op.opcode, op.wires)
         if p > 0.0:
-            self.depolarize(op.wires, p)
+            stages.append(_superop(depolarizing_kraus(p, k)))
         dur = instruction_duration_ns(op.instr, op.wires, device)
-        if dur > 0.0:
-            for w in op.wires:
-                self.thermal(w, dur, device.t1_us[w] * 1000.0, device.t2_us[w] * 1000.0)
-
-    def apply_unitary(self, wires, m):
-        apply_gate(self.rho, self.n, wires, m)            # ket side (rows)
-        apply_gate(self.rho.T, self.n, wires, np.conj(m))  # bra side
-
-    def apply_kraus(self, ops, wires):
-        acc = np.zeros_like(self.rho)
-        for k in ops:
-            term = self.rho.copy()
-            apply_gate(term, self.n, wires, k)
-            apply_gate(term.T, self.n, wires, np.conj(k))
-            acc += term
-        self.rho = acc
-
-    def depolarize(self, wires, p: float):
-        """rho -> (1-p) rho + p * (I/2**k (x) tr_wires rho), done in place via
-        the partial trace rather than 4**k Kraus terms."""
-        if p <= 0.0:
-            return
-        n = self.n
-        t = self.rho.reshape((2,) * (2 * n))
-        if len(wires) == 1:
-            ka, ba = n - 1 - wires[0], 2 * n - 1 - wires[0]
-            tr = np.trace(t, axis1=ka, axis2=ba)
-            mixed = np.zeros_like(t)
-            view = np.moveaxis(mixed, (ka, ba), (0, 1))
-            view[0, 0] = tr / 2.0
-            view[1, 1] = tr / 2.0
-        else:
-            wa, wb = wires
-            ka, kb = n - 1 - wa, n - 1 - wb
-            baa, bab = 2 * n - 1 - wa, 2 * n - 1 - wb
-            labels = list(range(2 * n))
-            labels[baa] = labels[ka]
-            labels[bab] = labels[kb]
-            out_labels = [l for i, l in enumerate(labels) if i not in (ka, kb, baa, bab)]
-            tr = np.einsum(t, labels, out_labels)
-            mixed = np.zeros_like(t)
-            view = np.moveaxis(mixed, (ka, kb, baa, bab), (0, 1, 2, 3))
-            for i in (0, 1):
-                for j in (0, 1):
-                    view[i, j, i, j] = tr / 4.0
-        self.rho = ((1.0 - p) * self.rho + p * mixed.reshape(self.rho.shape))
-
-    def thermal(self, wire: int, t_ns: float, t1_ns: float, t2_ns: float):
-        if t_ns <= 0.0 or (math.isinf(t1_ns) and math.isinf(t2_ns)):
-            return
-        self.apply_kraus(thermal_relaxation_kraus(t_ns, t1_ns, t2_ns), (wire,))
+        for j, w in enumerate(op.wires if dur > 0.0 else ()):
+            t1_ns, t2_ns = device.t1_us[w] * 1000.0, device.t2_us[w] * 1000.0
+            if math.isinf(t1_ns) and math.isinf(t2_ns):
+                continue
+            # the one-qubit operators on operand j of the op (operand 0 is the high bit)
+            left, right = np.eye(1 << j), np.eye(1 << (k - 1 - j))
+            stages.append(_superop(np.kron(np.kron(left, a), right)
+                                   for a in thermal_relaxation_kraus(dur, t1_ns, t2_ns)))
+        for stage in stages:
+            s = stage if s is None else stage @ s
+        return s
 
     def probabilities(self) -> np.ndarray:
-        p = np.real(np.diag(self.rho)).copy()
+        p = np.real(np.diag(self.matrix())).copy()
         p[p < 0.0] = 0.0
         return p / p.sum()
 
@@ -144,18 +129,14 @@ class _DensityState:
         """Collapse onto a seeded outcome; with a device, then flip the
         reported bit with the qubit's readout error."""
         wire = op.wires[0]
-        idx = np.arange(1 << self.n)
-        one = (idx >> wire) & 1 == 1
-        probs = np.real(np.diag(self.rho))
-        p1 = float(probs[one].sum())
+        diag = np.real(np.diag(self.matrix()))
+        p1 = float(diag.reshape(-1, 2, 1 << wire)[:, 1].sum())
         p1 = min(max(p1, 0.0), 1.0)
         bit = 1 if rng.random() < p1 else 0
-        keep = one if bit else ~one
-        mask = np.zeros(1 << self.n, dtype=float)
-        mask[keep] = 1.0
-        self.rho = self.rho * np.outer(mask, mask)
-        norm = max(p1 if bit else 1.0 - p1, 1e-300)
-        self.rho /= norm
+        # zero the other outcome on the ket (qubit n+wire) and bra (qubit wire) side
+        for q in (self.n + wire, wire):
+            self.rho.reshape(-1, 2, 1 << q)[:, 1 - bit] = 0.0
+        self.rho /= max(p1 if bit else 1.0 - p1, 1e-300)
         if self.device is not None:
             p00, p11 = self.device.readout[wire]
             if rng.random() >= (p11 if bit else p00):
@@ -173,7 +154,7 @@ def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None,
         raise SimulationError("dm_evolve does not evaluate classical conditions")
     state = _DensityState(program.n, device)
     evolve(program, state)
-    return state.rho
+    return state.matrix()
 
 
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
@@ -224,7 +205,9 @@ def dm_run(
         counts = sample_terminal(program, state.probabilities(), shots, seed, readout)
         if compute_fidelity or (compute_fidelity is None and device is not None
                                 and program.unitary):
-            fid = fidelity(state.rho, sv_statevector(circuit, qubit_cap=program.n))
+            reference = _SVState(program.n)
+            evolve(program, reference)
+            fid = fidelity(state.matrix(), reference.amps)
     else:
         counts = run_shots(program, state, shots, np.random.default_rng(seed))
 

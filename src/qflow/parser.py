@@ -53,6 +53,11 @@ _TOKEN_RE = re.compile(
 
 _FUNC_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt"})
 
+# Nesting bound for parameter expressions. Each level is a few Python
+# frames of recursive descent, so this keeps deep input a QasmError well
+# before the interpreter's recursion limit.
+MAX_EXPR_DEPTH = 100
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -106,6 +111,7 @@ class _Parser:
         self.include_def_names: list[str] = []       # qelib1 macros, file order
         self.includes: list[str] = []
         self.instructions: list[Instruction] = []
+        self.expr_depth = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -519,10 +525,18 @@ class _Parser:
         return node
 
     def _parse_unary(self, formals) -> ParamExpr:
+        # every nested operand passes through here; a QasmError ends the parse,
+        # so the depth needs no unwinding on failure
+        if self.expr_depth >= MAX_EXPR_DEPTH:
+            self.error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        self.expr_depth += 1
         if self.peek().kind == "-":
             self.next()
-            return _fold(Neg(self._parse_unary(formals)))
-        return self._parse_power(formals)
+            node = _fold(Neg(self._parse_unary(formals)))
+        else:
+            node = self._parse_power(formals)
+        self.expr_depth -= 1
+        return node
 
     def _parse_power(self, formals) -> ParamExpr:
         node = self._parse_atom(formals)
@@ -534,7 +548,10 @@ class _Parser:
     def _parse_atom(self, formals) -> ParamExpr:
         tok = self.next()
         if tok.kind in ("real", "int"):
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise QasmError(f"number {tok.text} is out of range", tok.line, tok.col)
+            return Const(value)
         if tok.kind == "(":
             node = self._parse_expr(formals)
             self.expect(")")
@@ -561,16 +578,24 @@ def _fold(expr: ParamExpr, tok: _Token | None = None) -> ParamExpr:
         if isinstance(expr, BinOp) and isinstance(expr.left, Const) and isinstance(expr.right, Const):
             from .circuit import eval_expr
 
-            return Const(eval_expr(expr, {}))
+            return Const(_finite(eval_expr(expr, {})))
         if isinstance(expr, FuncCall) and isinstance(expr.arg, Const):
             from .circuit import eval_expr
 
-            return Const(eval_expr(expr, {}))
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            return Const(_finite(eval_expr(expr, {})))
+    except (ZeroDivisionError, ValueError, OverflowError, TypeError) as exc:
         line = tok.line if tok else None
         col = tok.col if tok else None
         raise QasmError(f"invalid constant expression: {exc}", line, col) from None
     return expr
+
+
+def _finite(value: float) -> float:
+    """A folded constant, which must be a finite real (math.isfinite raises
+    TypeError for the complex result of a negative base to a fractional power)."""
+    if not math.isfinite(value):
+        raise OverflowError(f"result {value} is not finite")
+    return value
 
 
 _QELIB1_CACHE: list[GateDef] | None = None

@@ -2,8 +2,9 @@
 
 The state is a complex array of length 2**n in little-endian wire order
 (qubit 0 is the least significant bit of a basis index); memory is exactly
-16 * 2**n bytes. Gate kernels update amplitude pairs in place over the first
-array axis, so the same kernels drive the density-matrix backend.
+16 * 2**n bytes. One kernel, apply_gate, applies a matrix to any wires of a
+flat state in place; the density-matrix backend drives it too, with rho as
+a vector of 2n qubits.
 
 A unitary program (measurements all terminal, no reset, no classical
 condition; see qflow.program) runs in a single pass with counts drawn from
@@ -31,47 +32,30 @@ DEFAULT_SV_CAP = 26
 _X = unitary_of("x")
 
 
-# -- kernels (operate on the first axis; state may be 1-D or 2-D) -------------
-
-def apply_1q(state: np.ndarray, n: int, w: int, m) -> None:
-    idx = np.arange(1 << n)
-    i0 = idx[(idx >> w) & 1 == 0]
-    i1 = i0 | (1 << w)
-    a = state[i0]
-    b = state[i1]
-    state[i0] = m[0][0] * a + m[0][1] * b
-    state[i1] = m[1][0] * a + m[1][1] * b
-
-
-def apply_2q(state: np.ndarray, n: int, wa: int, wb: int, m) -> None:
-    """m is local-ordered with the first operand (wa) as the high bit."""
-    idx = np.arange(1 << n)
-    base = idx[((idx >> wa) & 1 == 0) & ((idx >> wb) & 1 == 0)]
-    i = (base, base | (1 << wb), base | (1 << wa), base | (1 << wa) | (1 << wb))
-    v = [state[j] for j in i]
-    for row in range(4):
-        state[i[row]] = m[row][0] * v[0] + m[row][1] * v[1] + m[row][2] * v[2] + m[row][3] * v[3]
-
+# -- kernel ---------------------------------------------------------------------
 
 def apply_gate(state: np.ndarray, n: int, wires, m) -> None:
-    if len(wires) == 1:
-        apply_1q(state, n, wires[0], m)
-    else:
-        apply_2q(state, n, wires[0], wires[1], m)
+    """Apply the 2**k x 2**k matrix m to wires of a 1-D state of n qubits, in
+    place. m is local-ordered with the first wire as the high bit.
+
+    Axis a of the reshaped state is qubit n-1-a. The wires' axes are moved to
+    the front and one matmul of m against the (2**k, rest) block does the
+    work (measured faster than moving them last, most of all on low wires).
+    """
+    k = len(wires)
+    view = np.moveaxis(state.reshape((2,) * n), [n - 1 - w for w in wires], range(k))
+    view[...] = (m @ view.reshape(1 << k, -1)).reshape(view.shape)
 
 
 # -- state ---------------------------------------------------------------------
 
-def _measure_probability_one(state: np.ndarray, n: int, w: int) -> float:
-    idx = np.arange(1 << n)
-    sel = (idx >> w) & 1 == 1
-    return float(np.sum(np.abs(state[sel]) ** 2))
+def _measure_probability_one(state: np.ndarray, w: int) -> float:
+    # axis 1 of this view is qubit w
+    return float(np.sum(np.abs(state.reshape(-1, 2, 1 << w)[:, 1]) ** 2))
 
 
-def _collapse(state: np.ndarray, n: int, w: int, bit: int, prob: float) -> None:
-    idx = np.arange(1 << n)
-    kill = (idx >> w) & 1 != bit
-    state[kill] = 0.0
+def _collapse(state: np.ndarray, w: int, bit: int, prob: float) -> None:
+    state.reshape(-1, 2, 1 << w)[:, 1 - bit] = 0.0
     state /= np.sqrt(prob)
 
 
@@ -94,14 +78,14 @@ class _SVState:
 
     def measure(self, op, rng) -> int:
         w = op.wires[0]
-        p1 = _measure_probability_one(self.amps, self.n, w)
+        p1 = _measure_probability_one(self.amps, w)
         bit = 1 if rng.random() < p1 else 0
-        _collapse(self.amps, self.n, w, bit, p1 if bit else 1.0 - p1)
+        _collapse(self.amps, w, bit, p1 if bit else 1.0 - p1)
         return bit
 
     def reset(self, op, rng) -> None:
         if self.measure(op, rng):
-            apply_1q(self.amps, self.n, op.wires[0], _X)
+            apply_gate(self.amps, self.n, op.wires, _X)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the library.
 
-Everything here recomputes results by a different mechanism than the code
-under test: the dense unitary builder uses tensor contraction instead of the
-simulator's index-pair kernels (and is itself cross-checked against a
-literal basis-state embedding in test_gates), distances come from
+Everything here recomputes results without the code under test: the dense
+unitary builder contracts each gate into every column of the identity with
+tensordot, and embed_slow builds a gate's full matrix one basis state at a
+time, sharing no code with the simulator's in-place kernel (the two
+oracles are cross-checked in test_gates); distances come from
 Floyd-Warshall instead of BFS, and so on.
 """
 

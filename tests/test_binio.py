@@ -82,6 +82,16 @@ def test_out_of_range_register_index(bell):
         decode_binary(bytes(blob))
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("stmt, value", [("rx(0.5) q[0];", 0.5), ("delay q[0], 7;", 7.0)])
+def test_non_finite_parameter_is_rejected(stmt, value, bad):
+    blob = encode_binary(parse_qasm(f"OPENQASM 2.0; qreg q[1]; {stmt}"))
+    good = struct.pack("<d", value)
+    assert blob.count(good) == 1
+    with pytest.raises(BinaryFormatError, match="non-finite"):
+        decode_binary(blob.replace(good, struct.pack("<d", bad)))
+
+
 @given(
     n_qubits=st.integers(1, 4),
     seed=st.integers(0, 10_000),

@@ -1,0 +1,82 @@
+"""dm_evolve under a small JSON device against the closed forms stated in
+qflow.noise: depolarizing on one qubit and jointly on a pair, T1/T2 decay
+over a delay, and reset."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qflow.density import dm_evolve
+from qflow.device import load_device
+from qflow.parser import parse_qasm
+from qflow.statevector import sv_statevector
+
+HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+P0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def device(gate_errors=None, t1_us=None, t2_us=None):
+    """Two coupled qubits, zero gate durations, 10 ns cycles."""
+    raw = {"name": "closed_form", "num_qubits": 2, "basis_gates": ["ry", "id", "cx", "x"],
+           "coupling_map": [[0, 1], [1, 0]],
+           "gate_durations_ns": {"ry": 0.0, "id": 0.0, "cx": 0.0, "x": 0.0},
+           "cycle_time_ns": 10.0, "gate_errors": gate_errors or {}}
+    if t1_us is not None:
+        raw["t1_us"] = [t1_us, t1_us]
+        raw["t2_us"] = [t2_us, t2_us]
+    return load_device(json.dumps(raw))
+
+
+def pure(body: str) -> np.ndarray:
+    psi = sv_statevector(parse_qasm(HEADER + body))
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("wire", [0, 1])
+def test_one_qubit_depolarizing(wire):
+    p = 0.3
+    body = f"ry(0.7) q[0];\ncx q[0],q[1];\nry(0.3) q[1];\nid q[{wire}];\n"
+    rho = pure(body)
+    # axes (ket q1, ket q0, bra q1, bra q0); trace out the depolarized wire
+    t = rho.reshape(2, 2, 2, 2)
+    if wire == 0:
+        rest = np.einsum("ajbj->ab", t)
+        mixed = np.kron(rest, np.eye(2) / 2)
+    else:
+        rest = np.einsum("jajb->ab", t)
+        mixed = np.kron(np.eye(2) / 2, rest)
+    got = dm_evolve(parse_qasm(HEADER + body), device({"id": p}))
+    np.testing.assert_allclose(got, (1 - p) * rho + p * mixed, atol=1e-12)
+
+
+def test_joint_two_qubit_depolarizing():
+    p = 0.2
+    body = "ry(0.7) q[0];\nry(1.1) q[1];\ncx q[1],q[0];\n"
+    got = dm_evolve(parse_qasm(HEADER + body), device({"cx": p}))
+    np.testing.assert_allclose(got, (1 - p) * pure(body) + p * np.eye(4) / 4, atol=1e-12)
+
+
+@pytest.mark.parametrize("wire", [0, 1])
+def test_delay_decays_population_by_t1_and_coherence_by_t2(wire):
+    t1_ns, t2_ns, t_ns = 1000.0, 800.0, 500.0
+    theta = 2.0
+    got = dm_evolve(parse_qasm(HEADER + f"ry({theta}) q[{wire}];\ndelay q[{wire}], 50;\n"),
+                    device(t1_us=t1_ns / 1000, t2_us=t2_ns / 1000))
+    excited = math.sin(theta / 2) ** 2 * math.exp(-t_ns / t1_ns)
+    coherence = math.sin(theta / 2) * math.cos(theta / 2) * math.exp(-t_ns / t2_ns)
+    one = np.array([[1 - excited, coherence], [coherence, excited]], dtype=complex)
+    want = np.kron(P0, one) if wire == 0 else np.kron(one, P0)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("wire", [0, 1])
+def test_reset_of_one_gives_zero(wire):
+    got = dm_evolve(parse_qasm(HEADER + f"x q[0];\nx q[1];\nreset q[{wire}];\n"), device())
+    want = np.zeros((4, 4), dtype=complex)
+    keep = 3 & ~(1 << wire)
+    want[keep, keep] = 1.0
+    np.testing.assert_allclose(got, want, atol=1e-12)

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from qflow.circuit import Instruction
+from qflow.cli import main
 from qflow.errors import QasmError
-from qflow.parser import parse_qasm
+from qflow.parser import MAX_EXPR_DEPTH, parse_qasm
 
 from conftest import bell_qasm
 
@@ -149,3 +150,26 @@ class TestErrors:
     def test_determinism(self):
         src = bell_qasm()
         assert parse_qasm(src) == parse_qasm(src)
+
+
+@pytest.mark.parametrize("expr", ["1e400", "9" * 400, "1e300*1e300", "-1e300*1e300", "(-8)^0.5"],
+                         ids=["1e400", "400 nines", "product", "negated product", "complex"])
+def test_non_finite_parameter_is_a_qasm_error(expr):
+    # unchecked, these parse to inf (or a complex number) and fail later in math.cos
+    with pytest.raises(QasmError):
+        parse_qasm(f"OPENQASM 2.0; qreg q[1]; rx({expr}) q[0];")
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1",
+                                  "2" + "^2" * 3000], ids=["parentheses", "minus", "power"])
+def test_deeply_nested_expression_exits_as_parse_error(expr, tmp_path, capsys):
+    path = tmp_path / "deep.qasm"
+    path.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n")
+    assert main(["analyze", str(path)]) == 1
+    assert f"nested deeper than {MAX_EXPR_DEPTH}" in capsys.readouterr().err
+
+
+def test_nesting_below_the_bound_parses():
+    depth = MAX_EXPR_DEPTH - 1
+    c = parse_qasm(f"OPENQASM 2.0; qreg q[1]; rx({'(' * depth}1{')' * depth}) q[0];")
+    assert c.instructions[0].params == (1.0,)

@@ -15,6 +15,8 @@ from qflow.cli import main
 from qflow.density import dm_evolve, dm_run
 from qflow.device import load_bundled_device
 from qflow.errors import SimulationError
+from qflow.flatten import flatten
+from qflow.gates import unitary_of
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.stabilizer import stab_run
@@ -23,6 +25,7 @@ from qflow.transpile import transpile
 
 from conftest import (adder4_qasm, bell_qasm, corpus_sources, ghz_qasm, qft_qasm,
                       random_clifford_qasm, random_clifford_t_qasm, random_general_qasm)
+from oracles import NON_UNITARY, embed_slow
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "schemas" / "run_result.schema.json"
@@ -148,6 +151,36 @@ def test_noiseless_dm_evolve_is_the_pure_state(name, source):
     np.testing.assert_allclose(dm_evolve(c), np.outer(psi, psi.conj()), atol=1e-10)
 
 
+def _embedded_statevector(c) -> np.ndarray:
+    """|0...0> multiplied by one literal embedding per gate."""
+    flat = flatten(c)
+    offsets = flat.qubit_offsets()
+    psi = np.zeros(1 << flat.n_qubits, dtype=complex)
+    psi[0] = 1.0
+    for instr in flat.instructions:
+        if instr.opcode not in NON_UNITARY:
+            wires = [offsets[r] + i for r, i in instr.qubits]
+            psi = embed_slow(unitary_of(instr.opcode, instr.params), wires, flat.n_qubits) @ psi
+    return psi
+
+
+# random circuits whose two-qubit gates act in both wire orders
+_BOTH_ORDERS = [(f"general_n{n}_s{seed}", random_general_qasm(n, 40, seed))
+                for n, seed in ((4, 300), (5, 301), (6, 302))]
+
+
+@pytest.mark.parametrize("name, source", corpus_sources() + _BOTH_ORDERS)
+def test_statevector_matches_literal_embeddings(name, source):
+    c = parse_qasm(source, source_name=name)
+    np.testing.assert_allclose(sv_statevector(c), _embedded_statevector(c), atol=1e-10)
+
+
+def test_random_circuits_use_both_wire_orders():
+    for name, source in _BOTH_ORDERS:
+        pairs = [i.qubits for i in flatten(parse_qasm(source)).instructions if len(i.qubits) == 2]
+        assert {a[1] < b[1] for a, b in pairs} == {True, False}, name
+
+
 # -- regressions ---------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", sorted(RUNS))
@@ -193,6 +226,22 @@ def test_dm_with_device_runs_reset_without_fidelity(line5):
     assert sum(result.counts.values()) == 200
     with pytest.raises(SimulationError, match="fidelity"):
         dm_run(_transpiled_reuse(line5), device=line5, shots=10, compute_fidelity=True)
+
+
+def test_noisy_dm_run_flattens_once(line5, monkeypatch):
+    import qflow.program
+
+    physical, _ = transpile(circuit("qft3"), line5)
+    flatten_calls = []
+
+    def counting_flatten(c):
+        flatten_calls.append(c)
+        return flatten(c)
+
+    monkeypatch.setattr(qflow.program, "flatten", counting_flatten)
+    result = dm_run(physical, device=line5, seed=11, shots=64)
+    assert result.fidelity is not None
+    assert len(flatten_calls) == 1
 
 
 def test_cli_simulates_reset_circuit_on_device_and_refuses_its_fidelity(tmp_path, capsys, line5):
