@@ -97,8 +97,27 @@ _FUNCS = {
 }
 
 
-def eval_expr(expr: ParamExpr, env: dict[str, float]) -> float:
-    """Evaluate a parameter expression under formal-argument bindings."""
+def eval_expr(
+    expr: ParamExpr, env: dict[str, float], line: int | None = None, col: int | None = None
+) -> float:
+    """Evaluate a parameter expression under formal-argument bindings.
+
+    The result must be a finite real. Division by zero, a math domain or
+    range error, an infinite or NaN result and the complex result of a
+    negative base to a fractional power raise :class:`QasmError`, located
+    at ``line``/``col`` when given.
+    """
+    try:
+        value = _evaluate(expr, env)
+        # math.isfinite raises TypeError on a complex value
+        if not math.isfinite(value):
+            raise OverflowError(f"result {value} is not finite")
+    except (ZeroDivisionError, ValueError, OverflowError, TypeError) as exc:
+        raise QasmError(f"invalid constant expression: {exc}", line, col) from None
+    return value
+
+
+def _evaluate(expr: ParamExpr, env: dict[str, float]) -> float:
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, FormalRef):
@@ -107,10 +126,10 @@ def eval_expr(expr: ParamExpr, env: dict[str, float]) -> float:
         except KeyError:
             raise QasmError(f"unbound gate parameter '{expr.name}'") from None
     if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, env)
+        return -_evaluate(expr.operand, env)
     if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, env)
-        b = eval_expr(expr.right, env)
+        a = _evaluate(expr.left, env)
+        b = _evaluate(expr.right, env)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -123,7 +142,7 @@ def eval_expr(expr: ParamExpr, env: dict[str, float]) -> float:
             return a ** b
         raise QasmError(f"unknown operator '{expr.op}'")
     if isinstance(expr, FuncCall):
-        return _FUNCS[expr.fn](eval_expr(expr.arg, env))
+        return _FUNCS[expr.fn](_evaluate(expr.arg, env))
     raise TypeError(f"not a parameter expression: {expr!r}")
 
 

@@ -40,7 +40,9 @@ class UnsupportedBasisError(TranspileError):
 
 
 class RoutingError(TranspileError):
-    """Router made no progress within its cycle guard."""
+    """Router failure. The router's release valve always makes progress on a
+    connected device, so routing no longer raises this; it stays exported for
+    callers that catch it."""
 
 
 class SimulationError(QFlowError):

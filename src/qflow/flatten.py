@@ -4,7 +4,9 @@
 (or measure/barrier/reset/delay) acting on concrete wires: user gate macros
 are inlined recursively with exact parameter substitution, and register-wide
 statements like ``measure q -> c;`` or ``h q;`` are expanded per wire.
-Flattened circuits carry no gate definitions or includes.
+Flattened circuits carry no gate definitions or includes. Macro nesting
+(``MAX_EXPANSION_DEPTH``) and the output size (``MAX_EXPANSION_INSTRUCTIONS``)
+are bounded, and both bounds are checked before any instruction is emitted.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from .circuit import Circuit, Instruction, eval_expr
 from .errors import QasmError
 from .gates import LIBRARY
 
-__all__ = ["flatten", "MAX_EXPANSION_DEPTH"]
+__all__ = ["flatten", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
 
 MAX_EXPANSION_DEPTH = 1000
+# k nested doubling macros expand to 2**k instructions, so the output size
+# is bounded apart from the depth
+MAX_EXPANSION_INSTRUCTIONS = 2**20
 
 _SPECIAL = frozenset({"measure", "barrier", "reset", "delay"})
 
@@ -57,44 +62,68 @@ def flatten(circuit: Circuit) -> Circuit:
     defs = {gd.name: gd for gd in circuit.gate_defs}
     reg_sizes = {r.name: r.size for r in circuit.registers}
     out: list[Instruction] = []
+    # per macro: (instructions one call emits, macros on its longest chain)
+    shapes: dict[str, tuple[int, int]] = {}
 
-    def expand(root: Instruction):
-        stack: list[tuple[Instruction, int]] = [(root, 0)]
-        while stack:
-            instr, depth = stack.pop()
-            if depth > MAX_EXPANSION_DEPTH:
-                raise QasmError(
-                    f"gate expansion exceeded depth {MAX_EXPANSION_DEPTH} "
-                    f"while inlining '{instr.opcode}'"
-                )
-            gd = defs.get(instr.opcode)
-            if gd is None:
-                if instr.opcode not in LIBRARY and instr.opcode not in _SPECIAL:
-                    raise QasmError(f"undeclared gate '{instr.opcode}'")
-                if instr.opcode in LIBRARY and len(set(instr.qubits)) != len(instr.qubits):
-                    raise QasmError(f"duplicate qubit operand in '{instr.opcode}'")
-                out.append(instr)
+    def too_deep(name: str) -> QasmError:
+        return QasmError(
+            f"gate expansion exceeded depth {MAX_EXPANSION_DEPTH} while inlining '{name}'"
+        )
+
+    def shape(root: str) -> tuple[int, int]:
+        # post-order walk; the path bound also ends a recursive definition
+        path = [] if root in shapes else [root]
+        while path:
+            name = path[-1]
+            body = defs[name].body
+            child = next(
+                (b.opcode for b in body if b.opcode in defs and b.opcode not in shapes), None
+            )
+            if child is not None:
+                if len(path) >= MAX_EXPANSION_DEPTH:
+                    raise too_deep(child)
+                path.append(child)
                 continue
-            if gd.opaque:
-                raise QasmError(f"cannot expand opaque gate '{gd.name}' (no body)")
-            env = dict(zip(gd.params, instr.params))
-            for body in reversed(gd.body):
-                stack.append(
-                    (
-                        Instruction(
-                            body.opcode,
-                            tuple(eval_expr(e, env) for e in body.params),
-                            tuple(instr.qubits[i] for i in body.qubits),
-                            (),
-                            instr.condition,
-                        ),
-                        depth + 1,
-                    )
-                )
+            size = sum(shapes[b.opcode][0] if b.opcode in defs else 1 for b in body)
+            height = 1 + max((shapes[b.opcode][1] for b in body if b.opcode in defs), default=0)
+            if height > MAX_EXPANSION_DEPTH:
+                raise too_deep(name)
+            shapes[name] = (size, height)
+            path.pop()
+        return shapes[root]
 
-    for instr in circuit.instructions:
-        for concrete in _broadcast(instr, reg_sizes):
-            expand(concrete)
+    concrete = [c for instr in circuit.instructions for c in _broadcast(instr, reg_sizes)]
+    total = sum(shape(c.opcode)[0] if c.opcode in defs else 1 for c in concrete)
+    if total > MAX_EXPANSION_INSTRUCTIONS:
+        raise QasmError(
+            f"gate expansion would emit {total} instructions, "
+            f"more than {MAX_EXPANSION_INSTRUCTIONS}"
+        )
+
+    stack = concrete[::-1]
+    while stack:
+        instr = stack.pop()
+        gd = defs.get(instr.opcode)
+        if gd is None:
+            if instr.opcode not in LIBRARY and instr.opcode not in _SPECIAL:
+                raise QasmError(f"undeclared gate '{instr.opcode}'")
+            if instr.opcode in LIBRARY and len(set(instr.qubits)) != len(instr.qubits):
+                raise QasmError(f"duplicate qubit operand in '{instr.opcode}'")
+            out.append(instr)
+            continue
+        if gd.opaque:
+            raise QasmError(f"cannot expand opaque gate '{gd.name}' (no body)")
+        env = dict(zip(gd.params, instr.params))
+        for body in reversed(gd.body):
+            stack.append(
+                Instruction(
+                    body.opcode,
+                    tuple(eval_expr(e, env) for e in body.params),
+                    tuple(instr.qubits[i] for i in body.qubits),
+                    (),
+                    instr.condition,
+                )
+            )
 
     return Circuit(
         registers=circuit.registers,

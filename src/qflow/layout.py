@@ -56,12 +56,11 @@ def _interaction_graph(circuit: Circuit) -> list[set]:
     return partners
 
 
-def initial_mapping(circuit: Circuit, topology: Topology, seed: int = 0) -> Layout:
+def initial_mapping(circuit: Circuit, topology: Topology) -> Layout:
     """Choose an initial layout for a flattened, decomposed circuit.
 
     Falls back to the identity layout when the circuit has no two-qubit
-    gates. The seed is accepted for interface stability; the placement is
-    fully deterministic.
+    gates. The placement is deterministic.
     """
     n_logical = circuit.n_qubits
     n_physical = topology.n

@@ -29,6 +29,7 @@ from .circuit import (
     Neg,
     ParamExpr,
     Register,
+    eval_expr,
 )
 from .errors import QasmError
 from .gates import LIBRARY
@@ -572,30 +573,13 @@ class _Parser:
 
 def _fold(expr: ParamExpr, tok: _Token | None = None) -> ParamExpr:
     """Collapse constant subtrees; leave formal references symbolic."""
-    try:
-        if isinstance(expr, Neg) and isinstance(expr.operand, Const):
-            return Const(-expr.operand.value)
-        if isinstance(expr, BinOp) and isinstance(expr.left, Const) and isinstance(expr.right, Const):
-            from .circuit import eval_expr
-
-            return Const(_finite(eval_expr(expr, {})))
-        if isinstance(expr, FuncCall) and isinstance(expr.arg, Const):
-            from .circuit import eval_expr
-
-            return Const(_finite(eval_expr(expr, {})))
-    except (ZeroDivisionError, ValueError, OverflowError, TypeError) as exc:
-        line = tok.line if tok else None
-        col = tok.col if tok else None
-        raise QasmError(f"invalid constant expression: {exc}", line, col) from None
+    if isinstance(expr, Neg) and isinstance(expr.operand, Const):
+        return Const(-expr.operand.value)
+    if (isinstance(expr, BinOp) and isinstance(expr.left, Const) and isinstance(expr.right, Const)
+            or isinstance(expr, FuncCall) and isinstance(expr.arg, Const)):
+        line, col = (tok.line, tok.col) if tok else (None, None)
+        return Const(eval_expr(expr, {}, line, col))
     return expr
-
-
-def _finite(value: float) -> float:
-    """A folded constant, which must be a finite real (math.isfinite raises
-    TypeError for the complex result of a negative base to a fractional power)."""
-    if not math.isfinite(value):
-        raise OverflowError(f"result {value} is not finite")
-    return value
 
 
 _QELIB1_CACHE: list[GateDef] | None = None

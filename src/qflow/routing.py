@@ -14,10 +14,12 @@ with candidate swaps drawn from coupling edges incident to blocked-gate
 qubits and ties broken by lexicographic edge order. The decay counters reset
 whenever a gate executes.
 
-Two cycle guards keep the search live: within a no-progress stretch the
-router never re-enters a layout it has already visited (tracked by an
-incremental Zobrist hash, so oscillating swap pairs are excluded outright),
-and num_qubits**2 consecutive swaps without executing a gate abort routing.
+A release valve (SABRE, arXiv:1809.02573; LightSABRE, arXiv:2409.08368)
+guarantees progress: once as many swaps as the device has qubits pass with
+no gate executing, the router takes those swaps back and walks the first
+operand of the oldest blocked gate along a shortest path until the gate's
+operands are coupled. Every firing executes a gate, so routing ends on any
+connected device.
 
 Swaps appear in the routed circuit as literal ``swap`` gates; the transpile
 pipeline expands them into three cx.
@@ -27,11 +29,9 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from .circuit import Circuit, Instruction, Register
 from .device import Topology
-from .errors import RoutingError, TranspileError
+from .errors import TranspileError
 from .gates import LIBRARY
 from .layout import Layout
 
@@ -95,14 +95,12 @@ def _resolve(circuit: Circuit):
     return instrs, wires_of, succs, in_deg
 
 
-def route(
-    circuit: Circuit, layout: Layout, topology: Topology, seed: int = 0
-) -> tuple[Circuit, Layout]:
+def route(circuit: Circuit, layout: Layout, topology: Topology) -> tuple[Circuit, Layout]:
     """Route a decomposed circuit onto the topology.
 
     Returns the physical circuit (single quantum register over all physical
-    qubits, classical registers preserved) and the final layout. The seed is
-    accepted for interface stability; routing is fully deterministic.
+    qubits, classical registers preserved) and the final layout. Routing is
+    deterministic.
     """
     n_phys = topology.n
     instrs, wires_of, succs, in_deg = _resolve(circuit)
@@ -114,36 +112,41 @@ def route(
         p2l[phys] = logical
 
     qreg_name = physical_register_name(circuit)
+    operand = [(qreg_name, p) for p in range(n_phys)]
     out: list[Instruction] = []
 
-    # Zobrist table over (physical qubit, occupant) for layout-revisit checks;
-    # occupant index 0 means "unused", 1 + logical otherwise
-    zobrist = np.random.default_rng(0x5AB4E).integers(
-        1, 1 << 63, size=(n_phys, layout.n_logical + 1), dtype=np.uint64
-    )
-    layout_hash = np.uint64(0)
-    for phys in range(n_phys):
-        layout_hash ^= zobrist[phys][p2l[phys] + 1]
-
     def emit(instr: Instruction, wires):
-        qubits = tuple((qreg_name, l2p[w]) for w in wires)
+        qubits = tuple([operand[l2p[w]] for w in wires])
         out.append(Instruction(instr.opcode, instr.params, qubits, instr.clbits, instr.condition))
 
-    # lookahead scan pointer over two-qubit gate indices in program order
+    def exchange(a: int, b: int):
+        la, lb = p2l[a], p2l[b]
+        p2l[a], p2l[b] = lb, la
+        if la >= 0:
+            l2p[la] = b
+        if lb >= 0:
+            l2p[lb] = a
+
+    def swap(a: int, b: int):
+        out.append(Instruction("swap", (), (operand[a], operand[b])))
+        exchange(a, b)
+
+    # two-qubit gates in program order; the lookahead window starts at the
+    # cursor, which never passes an unfinished gate
     two_q_indices = [
         i
         for i, ins in enumerate(instrs)
         if len(wires_of[i]) == 2 and ins.opcode in LIBRARY
     ]
+    cursor = 0
     done = [False] * len(instrs)
 
     heap = [i for i in range(len(instrs)) if in_deg[i] == 0]
     heapq.heapify(heap)
     blocked: dict[int, None] = {}
     decay: dict[int, float] = {}
-    episode_layouts: set[int] = set()
-    swaps_since_progress = 0
-    guard = max(n_phys * n_phys, 16)
+    stalled = 0  # swaps since a gate last executed
+    moved = list(range(n_phys))  # where each physical qubit goes under a trial swap
 
     def mark_done(i: int):
         done[i] = True
@@ -159,8 +162,12 @@ def route(
         return dist[l2p[ws[0]]][l2p[ws[1]]] == 1
 
     def lookahead() -> list[tuple[int, int]]:
+        nonlocal cursor
+        while cursor < len(two_q_indices) and done[two_q_indices[cursor]]:
+            cursor += 1
         pairs = []
-        for i in two_q_indices:
+        for k in range(cursor, len(two_q_indices)):
+            i = two_q_indices[k]
             if done[i] or i in blocked:
                 continue
             pairs.append((l2p[wires_of[i][0]], l2p[wires_of[i][1]]))
@@ -169,6 +176,10 @@ def route(
         return pairs
 
     while heap or blocked:
+        for i in sorted(blocked):
+            if executable(i):
+                del blocked[i]
+                heapq.heappush(heap, i)
         progressed = False
         while heap:
             i = heapq.heappop(heap)
@@ -179,12 +190,10 @@ def route(
             else:
                 blocked[i] = None
         if progressed:
-            swaps_since_progress = 0
+            stalled = 0
             decay.clear()
-            episode_layouts.clear()
         if not blocked:
             continue
-        episode_layouts.add(int(layout_hash))
 
         # front layer = blocked two-qubit gates, in program order
         front = [(l2p[wires_of[i][0]], l2p[wires_of[i][1]]) for i in sorted(blocked)]
@@ -193,6 +202,22 @@ def route(
                 raise TranspileError(
                     f"no path between physical qubits {pa} and {pb}: disconnected topology"
                 )
+
+        if stalled >= n_phys:
+            # release valve: take back the swaps since the last executed
+            # gate, then walk the oldest blocked gate's first operand toward
+            # its second, one hop closer each step (lowest-index neighbour);
+            # the gate then executes, which resets the counter and the decay
+            for _ in range(stalled):
+                (_, a), (_, b) = out.pop().qubits
+                exchange(a, b)
+            wa, wb = wires_of[min(blocked)]
+            target = l2p[wb]
+            while dist[l2p[wa]][target] > 1:
+                p = l2p[wa]
+                step = dist[p][target] - 1
+                swap(p, next(nb for nb in topology.adjacency[p] if dist[nb][target] == step))
+            continue
 
         candidates = set()
         for pa, pb in front:
@@ -204,64 +229,20 @@ def route(
 
         def score(edge: tuple[int, int]) -> float:
             a, b = edge
-
-            def moved(p: int) -> int:
-                return b if p == a else a if p == b else p
-
+            moved[a], moved[b] = b, a
             total = 0.0
             for pa, pb in front:
-                total += dist[moved(pa)][moved(pb)]
+                total += dist[moved[pa]][moved[pb]]
             for pa, pb in future:
-                total += LOOKAHEAD_WEIGHT * dist[moved(pa)][moved(pb)]
+                total += LOOKAHEAD_WEIGHT * dist[moved[pa]][moved[pb]]
+            moved[a], moved[b] = a, b
             return total + decay.get(a, 0.0) + decay.get(b, 0.0)
 
-        def hash_after(a: int, b: int) -> np.uint64:
-            la, lb = p2l[a], p2l[b]
-            return (
-                layout_hash
-                ^ zobrist[a][la + 1]
-                ^ zobrist[a][lb + 1]
-                ^ zobrist[b][lb + 1]
-                ^ zobrist[b][la + 1]
-            )
-
-        best_edge = None
-        best_score = None
-        best_hash = None
-        for edge in sorted(candidates):
-            s = score(edge)
-            if best_score is not None and s >= best_score:
-                continue
-            h = hash_after(*edge)
-            if int(h) in episode_layouts:
-                continue  # would revisit a layout seen since the last progress
-            best_edge, best_score, best_hash = edge, s, h
-        if best_edge is None:
-            raise RoutingError(
-                "routing is stuck: every candidate swap revisits an explored layout"
-            )
-
-        a, b = best_edge
-        out.append(Instruction("swap", (), ((qreg_name, a), (qreg_name, b))))
-        la, lb = p2l[a], p2l[b]
-        p2l[a], p2l[b] = lb, la
-        if la >= 0:
-            l2p[la] = b
-        if lb >= 0:
-            l2p[lb] = a
-        layout_hash = best_hash
+        a, b = min(sorted(candidates), key=score)
+        swap(a, b)
         decay[a] = decay.get(a, 0.0) + DECAY_STEP
         decay[b] = decay.get(b, 0.0) + DECAY_STEP
-        swaps_since_progress += 1
-        if swaps_since_progress > guard:
-            raise RoutingError(
-                f"no routing progress after {swaps_since_progress} swaps"
-            )
-
-        for i in sorted(blocked):
-            if executable(i):
-                del blocked[i]
-                heapq.heappush(heap, i)
+        stalled += 1
 
     registers = [Register(qreg_name, "q", n_phys)]
     registers.extend(r for r in circuit.registers if r.kind == "c")

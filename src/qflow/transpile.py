@@ -4,7 +4,7 @@ Stages: flatten -> decompose to {u3, cx} -> initial mapping -> swap routing
 -> retarget to the device basis -> one-qubit peephole (opt level 1) ->
 ASAP scheduling. The output circuit uses only device basis gates plus
 measure/barrier/reset/delay, every two-qubit gate acts on a coupled pair,
-and the whole pipeline is deterministic for a fixed (circuit, device, seed).
+and the whole pipeline is deterministic for a fixed (circuit, device).
 
 Swaps cost exactly three cx (no two-qubit resynthesis). A cx whose operands
 are coupled only in the opposite direction is reversed with the standard
@@ -199,7 +199,8 @@ def transpile(
     Returns the physical circuit and a report (gate histogram, counts,
     depths, layouts, makespan). Raises :class:`TranspileError` when the
     circuit needs more qubits than the device has, the topology cannot host
-    it, or the basis is unsupported.
+    it, or the basis is unsupported. The output does not depend on ``seed``,
+    which is kept so that callers can pass one seed to every stage.
     """
     if opt_level not in (0, 1):
         raise TranspileError(f"unsupported opt_level {opt_level}")
@@ -222,8 +223,8 @@ def transpile(
     decomposed = flat.with_instructions(decomposed_instrs)
 
     topology = device.topology()
-    layout0 = initial_mapping(decomposed, topology, seed)
-    routed, layout_final = route(decomposed, layout0, topology, seed)
+    layout0 = initial_mapping(decomposed, topology)
+    routed, layout_final = route(decomposed, layout0, topology)
     n_swap = sum(1 for i in routed.instructions if i.opcode == "swap")
 
     physical = _retarget(routed, device, basis, family)

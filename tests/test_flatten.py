@@ -5,7 +5,8 @@ import pytest
 
 from qflow.circuit import Circuit, GateDef, Instruction, Register, BodyInstruction, Const
 from qflow.errors import QasmError
-from qflow.flatten import flatten
+from qflow.cli import main
+from qflow.flatten import MAX_EXPANSION_INSTRUCTIONS, flatten
 from qflow.gates import LIBRARY
 from qflow.parser import parse_qasm
 
@@ -134,4 +135,34 @@ def test_broadcast_collision_detected():
         instructions=(Instruction("cx", (), (("q", None), ("q", 1)),),),
     )
     with pytest.raises(QasmError, match="duplicate qubit"):
+        flatten(c)
+
+
+@pytest.mark.parametrize(
+    "body, arg",
+    [("a*a", "1e300"), ("1/a", "0"), ("a^a", "1000"), ("(0-a)^0.5", "2")],
+    ids=["infinite", "division by zero", "overflow", "complex"],
+)
+def test_hostile_macro_argument_is_a_qasm_error(body, arg, tmp_path, capsys):
+    # finite arguments that make a macro body non-finite or complex used to
+    # escape flatten as ValueError, ZeroDivisionError, OverflowError or TypeError
+    src = f"OPENQASM 2.0;\nqreg q[1];\ngate g(a) r {{ rx({body}) r; }}\ng({arg}) q[0];\n"
+    with pytest.raises(QasmError, match="invalid constant expression"):
+        flatten(parse_qasm(src))
+    path = tmp_path / "hostile.qasm"
+    path.write_text(src)
+    assert main(["simulate", "sv", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_expansion_size_is_bounded():
+    # 30 nested doubling macros would expand to 2**30 instructions
+    lines = ["OPENQASM 2.0;", "qreg q[1];", "gate g0 a { x a; }"]
+    lines += [f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}" for k in range(1, 31)]
+    c = parse_qasm("\n".join(lines + ["g30 q[0];"]))
+    with pytest.raises(QasmError, match=f"more than {MAX_EXPANSION_INSTRUCTIONS}"):
+        flatten(c)
+    # the budget counts the whole output, not one call
+    c = parse_qasm("\n".join(lines[:22] + ["g19 q[0];"] * 3))
+    with pytest.raises(QasmError, match=f"more than {MAX_EXPANSION_INSTRUCTIONS}"):
         flatten(c)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qflow.circuit import Instruction
 from qflow.device import Topology, load_device
@@ -32,6 +33,19 @@ def _decomposed(circ):
         else:
             out.append(instr)
     return flat.with_instructions(out)
+
+
+@st.composite
+def _connected_case(draw):
+    """A connected topology (random spanning tree plus random extra edges,
+    n <= 7) and cx gates (control, offset to target) on k <= n qubits."""
+    n = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    k = draw(st.integers(2, n))
+    gates = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(1, k - 1)), max_size=40))
+    return n, edges, k, gates
 
 
 class TestInitialMapping:
@@ -143,6 +157,35 @@ class TestRoute:
             for x in range(1 << k):
                 m[:, x] = u_out[rows, emb(x, li)]
             assert phase_distance(u_in, m) < 1e-8, seed
+
+    @pytest.mark.parametrize(
+        "device, seed, depth",
+        [("line5", 11, 200), ("line5", 13, 60), ("line5", 13, 200), ("line5", 22, 200),
+         ("line5", 27, 60), ("line5", 27, 200), ("line5", 37, 200), ("heavyhex7", 24, 200)],
+    )
+    def test_formerly_stuck_circuits_route(self, devices, device, seed, depth):
+        # the revisit-table router raised RoutingError on each of these
+        circ = parse_qasm(random_general_qasm(5, depth, seed))
+        phys, report = transpile(circ, devices[device])
+        check_transpiled(circ, phys, report, devices[device])
+
+    @given(case=_connected_case())
+    @example(case=(5, [(0, 1), (0, 2), (1, 4), (2, 3)], 5,
+                   [(3, 2), (4, 1), (4, 4), (2, 2), (1, 2), (4, 3), (0, 3), (4, 2), (3, 2),
+                    (2, 2), (2, 4), (3, 2), (3, 4), (1, 4), (0, 1)]))  # stuck the old router
+    @settings(max_examples=40, deadline=None)
+    def test_routes_on_any_connected_topology(self, case):
+        n, edges, k, gates = case
+        topo = Topology.from_edges(n, edges)
+        src = f"OPENQASM 2.0; qreg q[{k}];" + "".join(
+            f" cx q[{a}],q[{(a + d) % k}];" for a, d in gates
+        )
+        dec = _decomposed(parse_qasm(src))
+        routed, _ = route(dec, initial_mapping(dec, topo), topo)
+        assert sum(i.opcode == "cx" for i in routed.instructions) == len(gates)
+        for instr in routed.instructions:
+            if len(instr.qubits) == 2:
+                assert topo.distance(instr.qubits[0][1], instr.qubits[1][1]) == 1, instr
 
     def test_disconnected_topology_fails(self):
         c = _decomposed(parse_qasm("OPENQASM 2.0; qreg q[2]; cx q[0],q[1];"))
