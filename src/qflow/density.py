@@ -10,8 +10,9 @@ Per gate, with a device attached: unitary, then a depolarizing channel with
 the gate's error probability on its operands (joint two-qubit channel for
 two-qubit gates), then thermal relaxation on each operand for the gate's
 duration. A delay applies relaxation only, for cycles * cycle_time_ns.
-These compose into one superoperator per op, built once per run and shared
-by every trajectory. Measurement probabilities pass through each qubit's
+These compose into one superoperator per distinct (opcode, params, wires),
+built once per run and shared by every op that repeats it and by every
+trajectory. Measurement probabilities pass through each qubit's
 readout confusion.
 
 A terminal program (no condition, nothing after a qubit's measurement; see
@@ -59,7 +60,7 @@ def _superop(kraus) -> np.ndarray:
 class _DensityState:
     """rho of one run or trajectory, driven op by op by qflow.program; with a
     device every gate, delay and reset is followed by its noise. Copies share
-    the cache of per-op superoperators."""
+    the cache of superoperators, keyed by (opcode, params, wires)."""
 
     def __init__(self, n: int, device: DeviceConfig | None, rho: np.ndarray | None = None,
                  superops: dict | None = None):
@@ -78,9 +79,10 @@ class _DensityState:
         return self.rho.reshape(1 << self.n, 1 << self.n)
 
     def apply(self, op) -> None:
-        if op not in self.superops:
-            self.superops[op] = self._channel(op)
-        s = self.superops[op]
+        key = (op.opcode, op.instr.params, op.wires)
+        if key not in self.superops:
+            self.superops[key] = self._channel(op)
+        s = self.superops[key]
         if s is not None:
             wires = tuple(self.n + w for w in op.wires) + op.wires
             apply_gate(self.rho, 2 * self.n, wires, s)

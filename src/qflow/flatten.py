@@ -7,6 +7,8 @@ statements like ``measure q -> c;`` or ``h q;`` are expanded per wire.
 Flattened circuits carry no gate definitions or includes. Macro nesting
 (``MAX_EXPANSION_DEPTH``) and the output size (``MAX_EXPANSION_INSTRUCTIONS``)
 are bounded, and both bounds are checked before any instruction is emitted.
+A parameter expression that fails inside a macro body names that gate and
+the index (from 0) of the circuit instruction whose call expanded it.
 """
 
 from __future__ import annotations
@@ -114,16 +116,33 @@ def flatten(circuit: Circuit) -> Circuit:
         if gd.opaque:
             raise QasmError(f"cannot expand opaque gate '{gd.name}' (no body)")
         env = dict(zip(gd.params, instr.params))
-        for body in reversed(gd.body):
-            stack.append(
-                Instruction(
-                    body.opcode,
-                    tuple(eval_expr(e, env) for e in body.params),
-                    tuple(instr.qubits[i] for i in body.qubits),
-                    (),
-                    instr.condition,
+        try:
+            for body in reversed(gd.body):
+                stack.append(
+                    Instruction(
+                        body.opcode,
+                        tuple(eval_expr(e, env) for e in body.params),
+                        tuple(instr.qubits[i] for i in body.qubits),
+                        (),
+                        instr.condition,
+                    )
                 )
-            )
+        except QasmError as exc:
+            # the bottom of the stack still holds the concrete instructions
+            # not yet started (expansions are new objects); the one being
+            # expanded is the last started, in the circuit instruction
+            # whose broadcast holds it
+            pending = 0
+            while pending < len(stack) and stack[pending] is concrete[-1 - pending]:
+                pending += 1
+            started = len(concrete) - pending
+            for index, statement in enumerate(circuit.instructions):
+                started -= len(_broadcast(statement, reg_sizes))
+                if started <= 0:
+                    break
+            raise QasmError(
+                f"{exc.message} (in gate '{gd.name}', called by instruction {index})"
+            ) from None
 
     return Circuit(
         registers=circuit.registers,

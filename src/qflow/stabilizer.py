@@ -1,20 +1,26 @@
 """Stabilizer tableau simulation of Clifford circuits.
 
-The tableau is the standard binary-symplectic layout: rows 0..n-1 are
-destabilizers, rows n..2n-1 stabilizers, row 2n is scratch; each row holds
-x bits, z bits, and a sign bit. h, s, and cx update the tableau directly;
-every other Clifford gate is applied as a short generator word, e.g.
-sdg = s s s, x = h s s h, swap = three cx. Parameterized gates are accepted
+The tableau is the Aaronson-Gottesman layout (arXiv:quant-ph/0406196) packed
+by column: rows 0..n-1 are destabilizers and rows n..2n-1 stabilizers, and
+for each qubit q the Python int ``X[q]`` holds bit i = row i's x bit on q,
+``Z[q]`` its z bit, while the int ``R`` holds bit i = row i's sign. A gate
+on q therefore updates every row at once with a few integer operations:
+h swaps X[q] and Z[q], s xors X[q] into Z[q], the Paulis only flip signs,
+and cx, cz and swap combine two columns. Parameterized gates are accepted
 when their angles sit exactly on the pi/2 lattice (within 1e-9, the same
 snap tolerance the transpiler emits), so rz(k*pi/2) becomes a power of s;
 anything else raises NonCliffordError naming the gate and angle.
 
-Measurement follows the usual deterministic/random split: if some
-stabilizer anticommutes with Z_q the outcome is a fresh random bit and the
-tableau is updated by row sums; otherwise the scratch row accumulates the
-forced sign. Counts always come from per-shot trajectories driven by
-qflow.program: the gate prefix before the first measure, reset or condition
-runs once, and each shot replays the rest on a copy of that tableau.
+Measurement keeps the usual deterministic/random split. If stabilizer p
+anticommutes with Z_q, the outcome is a fresh random bit: one pass over the
+columns multiplies every other anticommuting row by row p, counting each
+row's phase exponent mod 4 in two bit-sliced ints, then moves row p to
+destabilizer p-n and makes it Z_q. Otherwise the outcome is the sign of the
+product of the stabilizers that the destabilizers anticommuting with Z_q
+select; a prefix xor over those rows gives that product's phase per column.
+Counts always come from per-shot trajectories driven by qflow.program: the
+gate prefix before the first measure, reset or condition runs once, and
+each shot replays the rest on a copy of that tableau.
 """
 
 from __future__ import annotations
@@ -40,90 +46,143 @@ STATEVECTOR_CAP = 12
 
 
 class StabilizerTableau:
-    """Aaronson-Gottesman tableau for n qubits."""
+    """Aaronson-Gottesman tableau for n qubits, packed by column."""
+
+    __slots__ = ("n", "X", "Z", "R")
 
     def __init__(self, n: int):
         self.n = n
-        self.x = np.zeros((2 * n + 1, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n + 1, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n + 1, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1          # destabilizer X_i
-            self.z[n + i, i] = 1      # stabilizer Z_i
+        self.X = [1 << q for q in range(n)]        # destabilizer q is X_q
+        self.Z = [1 << (n + q) for q in range(n)]  # stabilizer q is Z_q
+        self.R = 0
 
     def copy(self) -> "StabilizerTableau":
         t = StabilizerTableau.__new__(StabilizerTableau)
         t.n = self.n
-        t.x = self.x.copy()
-        t.z = self.z.copy()
-        t.r = self.r.copy()
+        t.X = self.X.copy()
+        t.Z = self.Z.copy()
+        t.R = self.R
         return t
 
-    # -- primitive updates ---------------------------------------------------
+    # -- Clifford gates: each conjugates every row at once ---------------------
 
     def h(self, q: int):
-        xq = self.x[:, q].copy()
-        zq = self.z[:, q]
-        self.r ^= xq & zq
-        self.x[:, q] = zq
-        self.z[:, q] = xq
+        x, z = self.X[q], self.Z[q]
+        self.R ^= x & z
+        self.X[q], self.Z[q] = z, x
 
     def s(self, q: int):
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
+        x = self.X[q]
+        self.R ^= x & self.Z[q]
+        self.Z[q] ^= x
+
+    def sdg(self, q: int):
+        x = self.X[q]
+        self.R ^= x & ~self.Z[q]
+        self.Z[q] ^= x
+
+    def sx(self, q: int):
+        z = self.Z[q]
+        self.R ^= z & ~self.X[q]
+        self.X[q] ^= z
+
+    def sxdg(self, q: int):
+        z = self.Z[q]
+        self.R ^= z & self.X[q]
+        self.X[q] ^= z
+
+    def x(self, q: int):
+        self.R ^= self.Z[q]
+
+    def y(self, q: int):
+        self.R ^= self.X[q] ^ self.Z[q]
+
+    def z(self, q: int):
+        self.R ^= self.X[q]
 
     def cx(self, c: int, t: int):
-        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
+        X, Z = self.X, self.Z
+        self.R ^= X[c] & Z[t] & ~(X[t] ^ Z[c])
+        X[t] ^= X[c]
+        Z[c] ^= Z[t]
 
-    def _rowsum(self, h: int, i: int):
-        """Row h := row h * row i with sign tracking (phases mod 4)."""
-        x1 = self.x[i].astype(np.int16)
-        z1 = self.z[i].astype(np.int16)
-        x2 = self.x[h].astype(np.int16)
-        z2 = self.z[h].astype(np.int16)
-        g = (
-            x1 * z1 * (z2 - x2)
-            + x1 * (1 - z1) * (z2 * (2 * x2 - 1))
-            + (1 - x1) * z1 * (x2 * (1 - 2 * z2))
-        )
-        total = 2 * int(self.r[h]) + 2 * int(self.r[i]) + int(g.sum())
-        self.r[h] = 1 if total % 4 == 2 else 0
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
+    def cz(self, a: int, b: int):
+        X, Z = self.X, self.Z
+        self.R ^= X[a] & X[b] & (Z[a] ^ Z[b])
+        Z[a] ^= X[b]
+        Z[b] ^= X[a]
+
+    def swap(self, a: int, b: int):
+        X, Z = self.X, self.Z
+        X[a], X[b] = X[b], X[a]
+        Z[a], Z[b] = Z[b], Z[a]
 
     # -- measurement -----------------------------------------------------------
 
     def measure(self, q: int, rng, force: int | None = None) -> tuple[int, bool]:
         """Measure qubit q in Z. Returns (outcome, was_random)."""
         n = self.n
-        p = -1
-        for i in range(n, 2 * n):
-            if self.x[i, q]:
-                p = i
-                break
-        if p >= 0:
-            for i in range(2 * n):
-                if i != p and self.x[i, q]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, q] = 1
+        X, Z = self.X, self.Z
+        xq = X[q]
+        stabs = xq >> n
+        if stabs:
+            # row p: the first stabilizer that anticommutes with Z_q
+            p = n + (stabs & -stabs).bit_length() - 1
+            bit = 1 << p
+            dest = 1 << (p - n)
+            keep = ~(bit | dest)
+            rows = xq ^ bit  # every other row that anticommutes with Z_q
+            # each row's phase exponent mod 4 as lo + 2*hi, per bit
+            lo = hi = 0
+            for j in range(n):
+                x, z = X[j], Z[j]
+                xp, zp = x & bit, z & bit
+                if xp or zp:
+                    # rows whose Pauli on j anticommutes with row p's, and
+                    # those where row p times the row gains -i there, not +i
+                    if not zp:              # row p has X
+                        odd = z & rows
+                        minus = odd & ~x
+                    elif not xp:            # row p has Z
+                        odd = x & rows
+                        minus = odd & z
+                    else:                   # row p has Y
+                        odd = (x ^ z) & rows
+                        minus = odd & x
+                    hi ^= minus ^ (lo & odd)
+                    lo ^= odd
+                # multiply the rows by row p, then copy row p to row p-n and clear it
+                X[j] = ((x ^ rows) & keep) | dest if xp else x & keep
+                Z[j] = ((z ^ rows) & keep) | dest if zp else z & keep
+            Z[q] |= bit
             outcome = int(rng.integers(2)) if force is None else force
-            self.r[p] = outcome
+            # every row but p-n commutes with row p, so its exponent is 2*hi:
+            # a sign flip where hi is set (row p-n is overwritten)
+            R = self.R
+            R ^= hi ^ (rows if R & bit else 0)
+            self.R = (R & keep) | (dest if R & bit else 0) | (bit if outcome else 0)
             return outcome, True
-        # deterministic: accumulate destabilizer rows into scratch
-        self.x[2 * n] = 0
-        self.z[2 * n] = 0
-        self.r[2 * n] = 0
-        for i in range(n):
-            if self.x[i, q]:
-                self._rowsum(2 * n, i + n)
-        return int(self.r[2 * n]), False
+        # deterministic: the outcome is the sign of the product of the
+        # stabilizers whose destabilizers anticommute with Z_q. Write a
+        # one-qubit Pauli as i^(xz) X^x Z^z. Multiplying row k onto a running
+        # product with bits x, z (giving x', z') gains i^(x_k z_k + xz - x'z'
+        # + 2 z_k x) on each qubit; over all rows this telescopes to the rows'
+        # Y count minus the product's, plus twice the pairs i < k with z_k x_i.
+        sel = (xq & ((1 << n) - 1)) << n
+        span = sel.bit_length() - (sel & -sel).bit_length() + 1
+        shifts = [1 << k for k in range((span - 1).bit_length())]
+        y_count = 0
+        cross = 0
+        for j in range(n):
+            xs = X[j] & sel
+            zs = Z[j] & sel
+            if xs and zs:
+                y_count += (xs & zs).bit_count() - (xs.bit_count() & zs.bit_count() & 1)
+                before = xs  # becomes the xor of the x bits at or below each bit
+                for shift in shifts:
+                    before ^= before << shift
+                cross ^= zs & (before << 1)
+        return ((self.R & sel).bit_count() + (y_count >> 1) + cross.bit_count()) & 1, False
 
     def reset(self, q: int, rng):
         outcome, _ = self.measure(q, rng)
@@ -132,48 +191,38 @@ class StabilizerTableau:
 
     # -- gate dispatch -----------------------------------------------------------
 
-    _WORDS = {
-        "id": (), "u0": (),
-        "h": ("h",), "s": ("s",), "sdg": ("s", "s", "s"),
-        "z": ("s", "s"), "x": ("h", "s", "s", "h"),
-        "y": ("h", "s", "s", "h", "s", "s"),
-        "sx": ("s", "s", "s", "h", "s", "s", "s"),
-        "sxdg": ("s", "h", "s"),
-    }
-
-    def _word_1q(self, word, q: int):
-        for prim in word:
-            if prim == "h":
-                self.h(q)
-            else:
-                self.s(q)
+    _GATES_1Q = {"id": lambda self, q: None, "u0": lambda self, q: None, "h": h, "s": s,
+                 "sdg": sdg, "sx": sx, "sxdg": sxdg, "x": x, "y": y, "z": z}
+    _GATES_2Q = {"cx": cx, "cz": cz, "swap": swap}
 
     def _z_power(self, k: int, q: int):
-        for _ in range(k % 4):
+        if k == 1:
             self.s(q)
+        elif k == 2:
+            self.z(q)
+        elif k == 3:
+            self.sdg(q)
+
+    def _y_power(self, k: int, q: int):
+        self.sdg(q)
+        self.h(q)
+        self._z_power(k, q)
+        self.h(q)
+        self.s(q)
 
     def apply(self, opcode: str, params: tuple, wires: tuple):
-        word = self._WORDS.get(opcode)
-        if word is not None:
-            self._word_1q(word, wires[0])
+        gate = self._GATES_1Q.get(opcode)
+        if gate is not None:
+            gate(self, wires[0])
             return
-        if opcode == "cx":
-            self.cx(wires[0], wires[1])
-            return
-        if opcode == "cz":
-            self.h(wires[1])
-            self.cx(wires[0], wires[1])
-            self.h(wires[1])
+        gate = self._GATES_2Q.get(opcode)
+        if gate is not None:
+            gate(self, wires[0], wires[1])
             return
         if opcode == "cy":
-            self._word_1q(("s", "s", "s"), wires[1])
+            self.sdg(wires[1])
             self.cx(wires[0], wires[1])
             self.s(wires[1])
-            return
-        if opcode == "swap":
-            self.cx(wires[0], wires[1])
-            self.cx(wires[1], wires[0])
-            self.cx(wires[0], wires[1])
             return
         if opcode in ("rz", "u1", "p"):
             self._z_power(self._lattice(opcode, params[0]), wires[0])
@@ -185,11 +234,7 @@ class StabilizerTableau:
             self.h(q)
             return
         if opcode == "ry":
-            q = wires[0]
-            k = self._lattice(opcode, params[0])
-            self._word_1q(("s", "s", "s", "h"), q)
-            self._z_power(k, q)
-            self._word_1q(("h", "s"), q)
+            self._y_power(self._lattice(opcode, params[0]), wires[0])
             return
         if opcode in ("u3", "u", "u2"):
             if opcode == "u2":
@@ -198,10 +243,7 @@ class StabilizerTableau:
                 theta, phi, lam = params
             q = wires[0]
             self._z_power(self._lattice(opcode, lam), q)
-            k = self._lattice(opcode, theta)
-            self._word_1q(("s", "s", "s", "h"), q)
-            self._z_power(k, q)
-            self._word_1q(("h", "s"), q)
+            self._y_power(self._lattice(opcode, theta), q)
             self._z_power(self._lattice(opcode, phi), q)
             return
         spec = LIBRARY.get(opcode)
@@ -252,23 +294,16 @@ def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
     psi = np.zeros(dim, dtype=complex)
     psi[seed_bits] = 1.0
     for row in range(n, 2 * n):
-        xmask = 0
-        zmask = 0
-        y_count = 0
-        for q in range(n):
-            if tab.x[row, q]:
-                xmask |= 1 << q
-            if tab.z[row, q]:
-                zmask |= 1 << q
-            if tab.x[row, q] and tab.z[row, q]:
-                y_count += 1
+        xmask = sum(((tab.X[q] >> row) & 1) << q for q in range(n))
+        zmask = sum(((tab.Z[q] >> row) & 1) << q for q in range(n))
+        y_count = (xmask & zmask).bit_count()
         parity = np.zeros(dim, dtype=np.int64)
         rest = zmask
         while rest:
             b = rest & -rest
             parity ^= (idx // b) & 1
             rest ^= b
-        phase = ((-1.0) ** int(tab.r[row])) * (1j ** (y_count % 4))
+        phase = ((-1.0) ** ((tab.R >> row) & 1)) * (1j ** (y_count % 4))
         s_psi = np.empty_like(psi)
         s_psi[idx ^ xmask] = phase * np.where(parity, -1.0, 1.0) * psi
         psi = 0.5 * (psi + s_psi)

@@ -1,5 +1,7 @@
 """Macro expansion and broadcast semantics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,23 @@ def test_hostile_macro_argument_is_a_qasm_error(body, arg, tmp_path, capsys):
     path.write_text(src)
     assert main(["simulate", "sv", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_macro_expression_error_names_the_gate_and_the_call(tmp_path, capsys):
+    src = ("OPENQASM 2.0;\nqreg q[2];\ngate g(a) r { rx(a*a) r; }\ngate outer(a) r { g(a) r; }\n"
+           "h q;\ng(1e300) q[0];\nouter(1e300) q[1];\n")
+    where = "(in gate 'g', called by instruction 1)"
+    with pytest.raises(QasmError, match=re.escape(where)):
+        flatten(parse_qasm(src))
+    # a call from inside another macro names the innermost gate and the top-level call
+    nested = src.replace("h q;\ng(1e300) q[0];\n", "")
+    with pytest.raises(QasmError, match=re.escape("(in gate 'g', called by instruction 0)")):
+        flatten(parse_qasm(nested))
+    path = tmp_path / "hostile.qasm"
+    path.write_text(src)
+    assert main(["simulate", "sv", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid constant expression: result inf is not finite {where}\n")
 
 
 def test_expansion_size_is_bounded():

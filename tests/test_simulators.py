@@ -17,6 +17,7 @@ from qflow.device import load_bundled_device
 from qflow.errors import SimulationError
 from qflow.flatten import flatten
 from qflow.gates import unitary_of
+from qflow.noise import depolarizing_kraus
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.stabilizer import stab_run
@@ -242,6 +243,23 @@ def test_noisy_dm_run_flattens_once(line5, monkeypatch):
     result = dm_run(physical, device=line5, seed=11, shots=64)
     assert result.fidelity is not None
     assert len(flatten_calls) == 1
+
+
+def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):
+    import qflow.density
+
+    built = []
+
+    def counting_kraus(p, n_qubits=1):
+        built.append(n_qubits)
+        return depolarizing_kraus(p, n_qubits)
+
+    monkeypatch.setattr(qflow.density, "depolarizing_kraus", counting_kraus)
+    text = (HEADER + "qreg q[2];\ncreg c[2];\nsx q[0];\nsx q[0];\nsx q[0];\ncx q[0],q[1];\n"
+            "cx q[0],q[1];\nsx q[1];\nsx q[0];\nmeasure q -> c;\n")
+    dm_run(parse_qasm(text), device=line5, shots=10)
+    # sx on q[0], cx on (q[0], q[1]) and sx on q[1]
+    assert sorted(built) == [1, 1, 2]
 
 
 def test_cli_simulates_reset_circuit_on_device_and_refuses_its_fidelity(tmp_path, capsys, line5):
