@@ -39,7 +39,7 @@ from .flatten import flatten
 from .gates import BasisSet, GateSpec, LIBRARY, gate_manifest, unitary_of
 from .layout import Layout, initial_mapping
 from .metrics import MetricsReport, analyze, circuit_depth
-from .noise import NoiseChannel, depolarizing_kraus, thermal_relaxation_kraus
+from .noise import depolarizing_kraus, thermal_relaxation_kraus
 from .parser import parse_qasm
 from .printer import print_qasm
 from .results import RunResult, sample_counts
@@ -62,7 +62,7 @@ __all__ = [
     "transpile", "peephole_1q", "TranspileReport",
     "sv_run", "sv_statevector", "dm_run", "dm_evolve", "fidelity",
     "stab_run", "stab_evolve", "tableau_to_statevector", "StabilizerTableau",
-    "NoiseChannel", "depolarizing_kraus", "thermal_relaxation_kraus",
+    "depolarizing_kraus", "thermal_relaxation_kraus",
     "RunResult", "sample_counts",
     "MetricsReport", "analyze", "circuit_depth",
     "QFlowError", "QasmError", "BinaryFormatError", "DeviceConfigError",

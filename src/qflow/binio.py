@@ -18,7 +18,15 @@ Layout, all multi-byte integers little-endian, varints LEB128 unsigned:
                      if flagged: (varint classical register index, varint value)
 
 Circuits are flattened before encoding, so the stream contains only builtin
-opcodes acting on concrete wires; macro structure is not preserved.
+opcodes acting on concrete wires; macro structure is not preserved. A flat
+circuit (a transpiler output) is checked but not rebuilt by that step.
+
+Both directions work on the bytes directly. The encoder writes each
+distinct opcode/flags/param-count header and operand list once and reuses
+its bytes. The decoder reads one-byte varints inline, unpacks all of an
+instruction's parameters with one ``struct`` call, validates each distinct
+opcode index and (register, wire) operand once, and builds an error message
+only when it raises one.
 """
 
 from __future__ import annotations
@@ -52,43 +60,6 @@ def _write_uvarint(buf: bytearray, value: int):
             return
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def fail(self, what: str):
-        raise BinaryFormatError(f"truncated stream: {what} at byte {self.off}")
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.data):
-            self.fail(what)
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def uvarint(self, what: str) -> int:
-        result = 0
-        shift = 0
-        while True:
-            if self.off >= len(self.data):
-                self.fail(what)
-            byte = self.data[self.off]
-            self.off += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 63:
-                raise BinaryFormatError(f"varint overflow reading {what} at byte {self.off}")
-
-    def f64(self, what: str) -> float:
-        value = struct.unpack("<d", self.take(8, what))[0]
-        if not math.isfinite(value):
-            raise BinaryFormatError(f"non-finite {what} {value} at byte {self.off - 8}")
-        return value
-
-
 def encode_binary(circuit: Circuit) -> bytes:
     """Serialize a circuit. The circuit is flattened first, so
     ``decode_binary(encode_binary(c))`` equals ``flatten(c)``. Encoding is
@@ -107,143 +78,298 @@ def encode_binary(circuit: Circuit) -> bytes:
     reg_index = {reg.name: i for i, reg in enumerate(flat.registers)}
     for reg in flat.registers:
         intern(reg.name)
+
+    # the instruction records go to their own buffer first, since the string
+    # table ahead of them is complete only once every opcode is interned;
+    # opcode/flags/param-count headers and operand lists repeat, so each
+    # distinct one is encoded once
+    body = bytearray()
+    heads: dict[tuple, bytes] = {}
+    operand_lists: dict[tuple, bytes] = {}
+    packers: dict[int, object] = {}
+
+    def encode_head(opcode: str, conditioned: bool, n_params: int) -> bytes:
+        head = bytearray()
+        _write_uvarint(head, intern(opcode))
+        head.append(1 if conditioned else 0)
+        _write_uvarint(head, n_params)
+        return heads.setdefault((opcode, conditioned, n_params), bytes(head))
+
+    def encode_operands(operands: tuple) -> bytes:
+        out = bytearray()
+        _write_uvarint(out, len(operands))
+        for reg, wire in operands:
+            _write_uvarint(out, reg_index[reg])
+            _write_uvarint(out, wire)
+        return operand_lists.setdefault(operands, bytes(out))
+
     for instr in flat.instructions:
-        intern(instr.opcode)
+        params = instr.params
+        condition = instr.condition
+        n_params = len(params)
+        head = heads.get((instr.opcode, condition is not None, n_params))
+        body += head or encode_head(instr.opcode, condition is not None, n_params)
+        if n_params:
+            pack = packers.get(n_params)
+            if pack is None:
+                pack = packers[n_params] = struct.Struct(f"<{n_params}d").pack
+            body += pack(*params)
+        body += operand_lists.get(instr.qubits) or encode_operands(instr.qubits)
+        body += operand_lists.get(instr.clbits) or encode_operands(instr.clbits)
+        if condition is not None:
+            creg, value = condition
+            _write_uvarint(body, reg_index[creg])
+            _write_uvarint(body, value)
 
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<H", FORMAT_VERSION)
-
     _write_uvarint(buf, len(strings))
     for s in strings:
         raw = s.encode("utf-8")
         _write_uvarint(buf, len(raw))
         buf += raw
-
     _write_uvarint(buf, len(flat.registers))
     for reg in flat.registers:
         _write_uvarint(buf, index[reg.name])
         buf.append(0 if reg.kind == "q" else 1)
         _write_uvarint(buf, reg.size)
-
     _write_uvarint(buf, len(flat.instructions))
-    for instr in flat.instructions:
-        _write_uvarint(buf, index[instr.opcode])
-        buf.append(1 if instr.condition is not None else 0)
-        _write_uvarint(buf, len(instr.params))
-        for p in instr.params:
-            buf += struct.pack("<d", float(p))
-        _write_uvarint(buf, len(instr.qubits))
-        for reg, wire in instr.qubits:
-            _write_uvarint(buf, reg_index[reg])
-            _write_uvarint(buf, wire)
-        _write_uvarint(buf, len(instr.clbits))
-        for reg, wire in instr.clbits:
-            _write_uvarint(buf, reg_index[reg])
-            _write_uvarint(buf, wire)
-        if instr.condition is not None:
-            creg, value = instr.condition
-            _write_uvarint(buf, reg_index[creg])
-            _write_uvarint(buf, value)
+    buf += body
     return bytes(buf)
+
+
+# -- decoding ------------------------------------------------------------------
+#
+# Field names for error messages are templates over the instruction number
+# {k}, formatted only when an error is raised.
+
+def _truncated(what: str, k: int, off: int) -> BinaryFormatError:
+    return BinaryFormatError(f"truncated stream: {what.format(k=k)} at byte {off}")
+
+
+def _uvarint(data: bytes, off: int, what: str, k: int = 0) -> tuple[int, int]:
+    """The LEB128 varint at ``off`` and the offset past it."""
+    result = 0
+    shift = 0
+    end = len(data)
+    while True:
+        if off >= end:
+            raise _truncated(what, k, off)
+        byte = data[off]
+        off += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, off
+        shift += 7
+        if shift > 63:
+            raise BinaryFormatError(
+                f"varint overflow reading {what.format(k=k)} at byte {off}"
+            )
+
+
+def _take(data: bytes, off: int, n: int, what: str, k: int = 0) -> tuple[bytes, int]:
+    if off + n > len(data):
+        raise _truncated(what, k, off)
+    return data[off : off + n], off + n
+
+
+def _check_params(data: bytes, off: int, n_params: int, k: int):
+    """Raise for the first parameter, in order, that runs past the end of
+    the stream or is not finite."""
+    for pos in range(off, off + 8 * n_params, 8):
+        if pos + 8 > len(data):
+            raise _truncated("instruction {k} param", k, pos)
+        (value,) = struct.unpack_from("<d", data, pos)
+        if not math.isfinite(value):
+            raise BinaryFormatError(f"non-finite instruction {k} param {value} at byte {pos}")
+
+
+def _opcode_entry(strings: list, idx: int, k: int) -> tuple:
+    """(opcode, qubit count, parameter count) of a valid opcode string
+    index; the counts are None for measure/barrier/reset/delay."""
+    if idx >= len(strings):
+        raise BinaryFormatError(f"string-table index {idx} out of range for instruction {k}")
+    opcode = strings[idx]
+    spec = LIBRARY.get(opcode)
+    if spec is not None:
+        return opcode, spec.arity, spec.param_count
+    if opcode in _SPECIAL:
+        return opcode, None, None
+    raise BinaryFormatError(f"instruction {k}: unknown opcode '{opcode}'")
+
+
+def _operand(registers: list, ridx: int, want_kind: str) -> Register:
+    if ridx >= len(registers):
+        raise BinaryFormatError(f"register index {ridx} out of range")
+    reg = registers[ridx]
+    if reg.kind != want_kind:
+        raise BinaryFormatError(
+            f"operand register '{reg.name}' has kind '{reg.kind}', want '{want_kind}'"
+        )
+    return reg
+
+
+def _wire(reg: Register, wire: int) -> tuple:
+    if wire >= reg.size:
+        raise BinaryFormatError(f"wire index {wire} out of range for {reg.name}[{reg.size}]")
+    return (reg.name, wire)
+
+
+def _read_operands(
+    data: bytes, off: int, count: int, registers: list, want_kind: str, seen: dict
+) -> tuple[tuple, int]:
+    """``count`` (register, wire) operands from ``off``. ``seen`` maps the
+    two bytes of an operand whose register and wire indices are one-byte
+    varints to the operand they were validated as."""
+    end = len(data)
+    ops = []
+    for _ in range(count):
+        if off + 1 < end:
+            ridx = data[off]
+            wire = data[off + 1]
+            if ridx < 0x80 and wire < 0x80:
+                key = ridx << 7 | wire
+                op = seen.get(key)
+                if op is None:
+                    op = seen[key] = _wire(_operand(registers, ridx, want_kind), wire)
+                ops.append(op)
+                off += 2
+                continue
+        ridx, off = _uvarint(data, off, "operand register index")
+        reg = _operand(registers, ridx, want_kind)
+        wire, off = _uvarint(data, off, "operand wire index")
+        ops.append(_wire(reg, wire))
+    return tuple(ops), off
 
 
 def decode_binary(data: bytes) -> Circuit:
     """Parse an NWQB byte stream back into a (flattened) circuit.
 
     Validates the magic, version, and every string-table, register, and wire
-    index; truncation errors report the failing byte offset."""
-    r = _Reader(data)
-    magic = r.take(4, "magic")
+    index; truncation errors report the failing byte offset. Each distinct
+    opcode index and (register, wire) operand is validated once and then
+    reused, one-byte varints are read inline, and all parameters of an
+    instruction are unpacked at once.
+    """
+    data = bytes(data)
+    end = len(data)
+    magic, off = _take(data, 0, 4, "magic")
     if magic != MAGIC:
         raise BinaryFormatError(f"bad magic {magic.hex()} (want {MAGIC.hex()})")
-    version = struct.unpack("<H", r.take(2, "version"))[0]
+    raw, off = _take(data, off, 2, "version")
+    version = struct.unpack("<H", raw)[0]
     if version != FORMAT_VERSION:
         raise BinaryFormatError(f"unsupported format version {version}")
 
-    n_strings = r.uvarint("string table count")
+    n_strings, off = _uvarint(data, off, "string table count")
     strings = []
     for k in range(n_strings):
-        length = r.uvarint(f"string {k} length")
-        raw = r.take(length, f"string {k}")
+        length, off = _uvarint(data, off, "string {k} length", k)
+        raw, off = _take(data, off, length, "string {k}", k)
         try:
             strings.append(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise BinaryFormatError(f"string {k} is not valid UTF-8: {exc}") from None
 
-    def string_at(idx: int, what: str) -> str:
-        if idx >= len(strings):
-            raise BinaryFormatError(f"string-table index {idx} out of range for {what}")
-        return strings[idx]
-
-    n_regs = r.uvarint("register count")
+    n_regs, off = _uvarint(data, off, "register count")
     registers = []
     for k in range(n_regs):
-        name = string_at(r.uvarint(f"register {k} name"), f"register {k}")
-        kind_byte = r.take(1, f"register {k} kind")[0]
+        idx, off = _uvarint(data, off, "register {k} name", k)
+        if idx >= len(strings):
+            raise BinaryFormatError(f"string-table index {idx} out of range for register {k}")
+        name = strings[idx]
+        raw, off = _take(data, off, 1, "register {k} kind", k)
+        kind_byte = raw[0]
         if kind_byte not in (0, 1):
             raise BinaryFormatError(f"register {k} has invalid kind {kind_byte}")
-        size = r.uvarint(f"register {k} size")
+        size, off = _uvarint(data, off, "register {k} size", k)
         if size < 1:
             raise BinaryFormatError(f"register '{name}' has invalid size {size}")
         registers.append(Register(name, "q" if kind_byte == 0 else "c", size))
     if len({reg.name for reg in registers}) != len(registers):
         raise BinaryFormatError("duplicate register name")
 
-    def read_operands(count_what: str, want_kind: str) -> tuple:
-        count = r.uvarint(count_what)
-        ops = []
-        for _ in range(count):
-            ridx = r.uvarint("operand register index")
-            if ridx >= len(registers):
-                raise BinaryFormatError(f"register index {ridx} out of range")
-            reg = registers[ridx]
-            if reg.kind != want_kind:
-                raise BinaryFormatError(
-                    f"operand register '{reg.name}' has kind '{reg.kind}', want '{want_kind}'"
-                )
-            wire = r.uvarint("operand wire index")
-            if wire >= reg.size:
-                raise BinaryFormatError(
-                    f"wire index {wire} out of range for {reg.name}[{reg.size}]"
-                )
-            ops.append((reg.name, wire))
-        return tuple(ops)
-
-    n_instrs = r.uvarint("instruction count")
+    opcodes: dict[int, tuple] = {}
+    unpackers: dict[int, object] = {}
+    qubits_seen: dict[int, tuple] = {}
+    clbits_seen: dict[int, tuple] = {}
+    isfinite = math.isfinite
+    n_instrs, off = _uvarint(data, off, "instruction count")
     instructions = []
     for k in range(n_instrs):
-        opcode = string_at(r.uvarint(f"instruction {k} opcode"), f"instruction {k}")
-        if opcode not in LIBRARY and opcode not in _SPECIAL:
-            raise BinaryFormatError(f"instruction {k}: unknown opcode '{opcode}'")
-        flags = r.take(1, f"instruction {k} flags")[0]
-        n_params = r.uvarint(f"instruction {k} param count")
-        params = tuple(r.f64(f"instruction {k} param") for _ in range(n_params))
+        if off < end and data[off] < 0x80:
+            idx = data[off]
+            off += 1
+        else:
+            idx, off = _uvarint(data, off, "instruction {k} opcode", k)
+        entry = opcodes.get(idx)
+        if entry is None:
+            entry = opcodes[idx] = _opcode_entry(strings, idx, k)
+        opcode, arity, param_count = entry
+
+        if off >= end:
+            raise _truncated("instruction {k} flags", k, off)
+        flags = data[off]
+        off += 1
+
+        if off < end and data[off] < 0x80:
+            n_params = data[off]
+            off += 1
+        else:
+            n_params, off = _uvarint(data, off, "instruction {k} param count", k)
+        if n_params:
+            stop = off + 8 * n_params
+            if stop > end:
+                _check_params(data, off, n_params, k)
+            unpack = unpackers.get(n_params)
+            if unpack is None:
+                unpack = unpackers[n_params] = struct.Struct(f"<{n_params}d").unpack_from
+            params = unpack(data, off)
+            if not all(map(isfinite, params)):
+                _check_params(data, off, n_params, k)
+            off = stop
+        else:
+            params = ()
         if opcode == "delay":
             if len(params) != 1 or params[0] < 0 or params[0] != int(params[0]):
                 raise BinaryFormatError(
                     f"instruction {k}: delay needs one nonnegative integer cycle count"
                 )
             params = (int(params[0]),)
-        qubits = read_operands(f"instruction {k} qubit count", "q")
-        clbits = read_operands(f"instruction {k} clbit count", "c")
+
+        if off < end and data[off] < 0x80:
+            count = data[off]
+            off += 1
+        else:
+            count, off = _uvarint(data, off, "instruction {k} qubit count", k)
+        qubits, off = _read_operands(data, off, count, registers, "q", qubits_seen)
+        if off < end and data[off] < 0x80:
+            count = data[off]
+            off += 1
+        else:
+            count, off = _uvarint(data, off, "instruction {k} clbit count", k)
+        if count:
+            clbits, off = _read_operands(data, off, count, registers, "c", clbits_seen)
+        else:
+            clbits = ()
+
         condition = None
         if flags & 1:
-            cidx = r.uvarint(f"instruction {k} condition register")
+            cidx, off = _uvarint(data, off, "instruction {k} condition register", k)
             if cidx >= len(registers) or registers[cidx].kind != "c":
                 raise BinaryFormatError(
                     f"instruction {k}: condition register index {cidx} invalid"
                 )
-            condition = (registers[cidx].name, r.uvarint(f"instruction {k} condition value"))
-        spec = LIBRARY.get(opcode)
-        if spec is not None:
-            if len(qubits) != spec.arity or len(params) != spec.param_count:
-                raise BinaryFormatError(
-                    f"instruction {k}: '{opcode}' operand or parameter count mismatch"
-                )
+            value, off = _uvarint(data, off, "instruction {k} condition value", k)
+            condition = (registers[cidx].name, value)
+        if arity is not None and (len(qubits) != arity or n_params != param_count):
+            raise BinaryFormatError(
+                f"instruction {k}: '{opcode}' operand or parameter count mismatch"
+            )
         instructions.append(Instruction(opcode, params, qubits, clbits, condition))
 
-    if r.off != len(data):
-        raise BinaryFormatError(f"{len(data) - r.off} trailing byte(s) at byte {r.off}")
+    if off != end:
+        raise BinaryFormatError(f"{end - off} trailing byte(s) at byte {off}")
 
     return Circuit(registers=tuple(registers), instructions=tuple(instructions))

@@ -213,9 +213,6 @@ class Circuit:
                 return reg
         return None
 
-    def quantum_registers(self) -> list[Register]:
-        return [r for r in self.registers if r.kind == "q"]
-
     def classical_registers(self) -> list[Register]:
         return [r for r in self.registers if r.kind == "c"]
 

@@ -1,4 +1,5 @@
-"""Angle arithmetic and ZYZ Euler extraction for single-qubit unitaries.
+"""Angle arithmetic, 2x2 cell products and ZYZ Euler extraction for
+single-qubit unitaries.
 
 Angles are normalized to (-pi, pi] and snapped exactly onto the pi/2 lattice
 when within 1e-9 of a lattice point; exact lattice membership is what the
@@ -18,6 +19,9 @@ __all__ = [
     "lattice_power",
     "zyz_angles",
     "zyz_from_cells",
+    "u3_cells",
+    "mul2",
+    "IDENTITY_CELLS",
     "SNAP_TOL",
 ]
 
@@ -82,3 +86,27 @@ def zyz_from_cells(
     phi = normalize_angle(cmath.phase(a10) - cmath.phase(a00))
     lam = normalize_angle(cmath.phase(-a01) - cmath.phase(a00))
     return theta, phi, lam
+
+
+# A 2x2 matrix as its row-major cells (a00, a01, a10, a11): merging runs of
+# one-qubit gates this way needs no numpy arrays.
+IDENTITY_CELLS = (1.0, 0.0, 0.0, 1.0)
+
+
+def u3_cells(t: float, p: float, l: float) -> tuple:
+    """Row-major cells of U3(t, p, l)."""
+    c = math.cos(t / 2.0)
+    s = math.sin(t / 2.0)
+    return (c, -cmath.exp(1j * l) * s, cmath.exp(1j * p) * s, cmath.exp(1j * (p + l)) * c)
+
+
+def mul2(m2: tuple, m1: tuple) -> tuple:
+    """Row-major 2x2 product m2 @ m1."""
+    a2, b2, c2, d2 = m2
+    a1, b1, c1, d1 = m1
+    return (
+        a2 * a1 + b2 * c1,
+        a2 * b1 + b2 * d1,
+        c2 * a1 + d2 * c1,
+        c2 * b1 + d2 * d1,
+    )

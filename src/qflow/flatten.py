@@ -4,7 +4,9 @@
 (or measure/barrier/reset/delay) acting on concrete wires: user gate macros
 are inlined recursively with exact parameter substitution, and register-wide
 statements like ``measure q -> c;`` or ``h q;`` are expanded per wire.
-Flattened circuits carry no gate definitions or includes. Macro nesting
+Flattened circuits carry no gate definitions or includes, and a circuit
+that is flat already comes back as it is, after the same opcode and
+duplicate-operand checks. Macro nesting
 (``MAX_EXPANSION_DEPTH``) and the output size (``MAX_EXPANSION_INSTRUCTIONS``)
 are bounded, and both bounds are checked before any instruction is emitted.
 A parameter expression that fails inside a macro body names that gate and
@@ -59,8 +61,45 @@ def _broadcast(instr: Instruction, reg_sizes: dict[str, int]) -> list[Instructio
     return out
 
 
+def _check_flat(circuit: Circuit) -> bool:
+    """Whether every operand names one wire; if so, raise what flatten
+    would raise for the first undeclared opcode or duplicate operand. Each
+    distinct operand tuple is looked at once."""
+    if len(circuit.instructions) > MAX_EXPANSION_INSTRUCTIONS:
+        return False  # the full path raises the size error
+    duplicates: dict[tuple, bool] = {}
+    clbits_seen = set()
+    error = None
+    for instr in circuit.instructions:
+        qubits = instr.qubits
+        dup = duplicates.get(qubits)
+        if dup is None:
+            if any(idx is None for _, idx in qubits):
+                return False
+            dup = duplicates[qubits] = len(set(qubits)) != len(qubits)
+        clbits = instr.clbits
+        if clbits and clbits not in clbits_seen:
+            if any(idx is None for _, idx in clbits):
+                return False
+            clbits_seen.add(clbits)
+        if error is None:
+            opcode = instr.opcode
+            if opcode in LIBRARY:
+                if dup:
+                    error = QasmError(f"duplicate qubit operand in '{opcode}'")
+            elif opcode not in _SPECIAL:
+                error = QasmError(f"undeclared gate '{opcode}'")
+    if error is not None:
+        raise error
+    return True
+
+
 def flatten(circuit: Circuit) -> Circuit:
-    """Inline all gate macros and expand register-wide statements."""
+    """Inline all gate macros and expand register-wide statements. A
+    circuit that is already flat (no gate definitions, no includes, no
+    register-wide operand) is checked and returned as it is."""
+    if not circuit.gate_defs and not circuit.includes and _check_flat(circuit):
+        return circuit
     defs = {gd.name: gd for gd in circuit.gate_defs}
     reg_sizes = {r.name: r.size for r in circuit.registers}
     out: list[Instruction] = []

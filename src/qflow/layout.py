@@ -31,12 +31,6 @@ class Layout:
     def physical_of(self, logical: int) -> int:
         return self.logical_to_physical[logical]
 
-    def physical_to_logical(self) -> list[int]:
-        p2l = [-1] * len(self.logical_to_physical)
-        for logical in range(self.n_logical):
-            p2l[self.logical_to_physical[logical]] = logical
-        return p2l
-
     def __post_init__(self):
         used = [p for p in self.logical_to_physical[: self.n_logical]]
         if len(set(used)) != len(used) or any(p < 0 for p in used):

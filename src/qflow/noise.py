@@ -17,7 +17,6 @@ Conventions (these fix how device gate_errors values are interpreted):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "depolarizing_kraus",
     "thermal_relaxation_kraus",
     "readout_matrix",
-    "NoiseChannel",
 ]
 
 _PAULIS = {
@@ -106,23 +104,3 @@ def readout_matrix(p00: float, p11: float) -> np.ndarray:
     if not (0.0 <= p00 <= 1.0 and 0.0 <= p11 <= 1.0):
         raise SimulationError("readout fidelities must lie in [0, 1]")
     return np.array([[p00, 1.0 - p11], [1.0 - p00, p11]], dtype=float)
-
-
-@dataclass(frozen=True)
-class NoiseChannel:
-    """Tagged channel: depolarizing (p,) or (p, n_qubits); thermal_relaxation
-    (t_ns, T1_ns, T2_ns); readout (p00, p11)."""
-
-    kind: str
-    params: tuple
-
-    def kraus_ops(self) -> list[np.ndarray]:
-        if self.kind == "depolarizing":
-            p = self.params[0]
-            n = int(self.params[1]) if len(self.params) > 1 else 1
-            return depolarizing_kraus(p, n)
-        if self.kind == "thermal_relaxation":
-            return thermal_relaxation_kraus(*self.params)
-        if self.kind == "readout":
-            raise SimulationError("readout confusion is classical, not a Kraus channel")
-        raise SimulationError(f"unknown noise channel kind '{self.kind}'")

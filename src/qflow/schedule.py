@@ -3,6 +3,12 @@
 Each instruction starts as early as its operand qubits allow. Delay occupies
 cycles * cycle_time_ns, barrier synchronizes its wires at zero duration, and
 everything else takes its duration-table entry (with per-operand overrides).
+
+The same walk counts the unit-duration ASAP layers, the depth that
+``metrics.circuit_depth`` reports: every instruction but a barrier takes
+one layer, and a barrier synchronizes its wires without taking one. Wires
+are resolved once per distinct operand tuple and durations once per
+(opcode, wires).
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ __all__ = ["Schedule", "schedule_asap"]
 @dataclass(frozen=True)
 class Schedule:
     """Per-instruction (start_ns, duration_ns), aligned with the circuit's
-    instruction tuple, plus the total makespan."""
+    instruction tuple, plus the total makespan and the unit-duration layer
+    count (``depth``)."""
 
     entries: tuple
     makespan_ns: float
+    depth: int
 
     def start(self, i: int) -> float:
         return self.entries[i][0]
@@ -42,25 +50,55 @@ def instruction_duration_ns(instr, wires, device: DeviceConfig) -> float:
 def schedule_asap(circuit: Circuit, device: DeviceConfig) -> Schedule:
     """Schedule a physical circuit; raises if a gate has no duration entry."""
     offsets = circuit.qubit_offsets()
-    avail: dict[int, float] = {}
+    sizes = {r.name: r.size for r in circuit.registers}
+    n = circuit.n_qubits
+    avail = [0.0] * n        # per wire: time it is free
+    level = [0] * n          # per wire: unit-duration layer of its last op
+    wires_of: dict[tuple, tuple] = {}
+    durations: dict[tuple, float] = {}
     entries = []
     makespan = 0.0
+    depth = 0
     for instr in circuit.instructions:
-        wires = []
-        for reg, idx in instr.qubits:
-            if idx is None:
-                raise TranspileError("scheduling requires a flattened circuit")
-            wires.append(offsets[reg] + idx)
-        start = max((avail.get(w, 0.0) for w in wires), default=0.0)
-        if instr.opcode == "barrier":
+        wires = wires_of.get(instr.qubits)
+        if wires is None:
+            resolved = []
+            for reg, idx in instr.qubits:
+                if idx is None:
+                    raise TranspileError("scheduling requires a flattened circuit")
+                if reg not in offsets or not 0 <= idx < sizes[reg]:
+                    raise TranspileError(f"qubit operand {reg}[{idx}] is not declared")
+                resolved.append(offsets[reg] + idx)
+            wires = wires_of[instr.qubits] = tuple(resolved)
+        opcode = instr.opcode
+        if len(wires) == 1:
+            (w,) = wires
+            start = avail[w]
+            layer = level[w]
+        else:
+            start = max((avail[w] for w in wires), default=0.0)
+            layer = max((level[w] for w in wires), default=0)
+        if opcode == "barrier":
             for w in wires:
                 avail[w] = start
+                level[w] = layer
             entries.append((start, 0.0))
             continue
-        dur = instruction_duration_ns(instr, wires, device)
+        if opcode == "delay":
+            dur = instruction_duration_ns(instr, wires, device)
+        else:
+            key = (opcode, wires)
+            dur = durations.get(key)
+            if dur is None:
+                dur = durations[key] = instruction_duration_ns(instr, wires, device)
         end = start + dur
+        layer += 1
         for w in wires:
             avail[w] = end
+            level[w] = layer
         entries.append((start, dur))
-        makespan = max(makespan, end)
-    return Schedule(tuple(entries), makespan)
+        if end > makespan:
+            makespan = end
+        if layer > depth:
+            depth = layer
+    return Schedule(tuple(entries), makespan, depth)

@@ -8,8 +8,10 @@ on q therefore updates every row at once with a few integer operations:
 h swaps X[q] and Z[q], s xors X[q] into Z[q], the Paulis only flip signs,
 and cx, cz and swap combine two columns. Parameterized gates are accepted
 when their angles sit exactly on the pi/2 lattice (within 1e-9, the same
-snap tolerance the transpiler emits), so rz(k*pi/2) becomes a power of s;
-anything else raises NonCliffordError naming the gate and angle.
+snap tolerance the transpiler emits), so rz(k*pi/2) becomes a power of s.
+A u3, u or u2 off the lattice is tried again with its canonical ZYZ angles,
+so u3(0,pi/4,-pi/4) passes as the identity; anything else raises
+NonCliffordError naming the gate and angle.
 
 Measurement keeps the usual deterministic/random split. If stabilizer p
 anticommutes with Z_q, the outcome is a fresh random bit: one pass over the
@@ -33,7 +35,7 @@ import numpy as np
 from .circuit import Circuit
 from .decompose import _two_q_template
 from .errors import NonCliffordError, SimulationError
-from .euler import lattice_power
+from .euler import lattice_power, u3_cells, zyz_from_cells
 from .gates import LIBRARY
 from .program import Program, run_shots
 from .results import RunResult
@@ -241,10 +243,20 @@ class StabilizerTableau:
                 theta, phi, lam = math.pi / 2, params[0], params[1]
             else:
                 theta, phi, lam = params
+            angles = (lam, theta, phi)
+            powers = [lattice_power(a) for a in angles]
+            if None in powers:
+                # off-lattice phi and lam can still make a Clifford (u3(0,
+                # pi/4,-pi/4) is the identity): try the canonical angles
+                t, p, l = zyz_from_cells(*u3_cells(theta, phi, lam))
+                canonical = [lattice_power(a) for a in (l, t, p)]
+                if None in canonical:
+                    raise self._reject(opcode, (angles[powers.index(None)],))
+                powers = canonical
             q = wires[0]
-            self._z_power(self._lattice(opcode, lam), q)
-            self._y_power(self._lattice(opcode, theta), q)
-            self._z_power(self._lattice(opcode, phi), q)
+            self._z_power(powers[0], q)
+            self._y_power(powers[1], q)
+            self._z_power(powers[2], q)
             return
         spec = LIBRARY.get(opcode)
         if spec is not None and spec.arity == 2:

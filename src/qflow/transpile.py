@@ -1,10 +1,18 @@
 """Logical-to-physical compilation pipeline.
 
 Stages: flatten -> decompose to {u3, cx} -> initial mapping -> swap routing
--> retarget to the device basis -> one-qubit peephole (opt level 1) ->
-ASAP scheduling. The output circuit uses only device basis gates plus
-measure/barrier/reset/delay, every two-qubit gate acts on a coupled pair,
-and the whole pipeline is deterministic for a fixed (circuit, device).
+-> retarget to the device basis -> ASAP scheduling. The output circuit uses
+only device basis gates plus measure/barrier/reset/delay, every two-qubit
+gate acts on a coupled pair, and the whole pipeline is deterministic for a
+fixed (circuit, device).
+
+At opt level 1 the one-qubit peephole is folded into the retarget pass:
+each wire keeps one pending 2x2 product, fed by the routed u3s and by the
+Hadamards of the cx templates, and a two-qubit gate, measure, reset,
+barrier, delay or conditioned op on the wire flushes it as one retargeted
+run. The result has the gate counts and depth of ``peephole_1q`` applied to
+the opt-level-0 output (which is left as it was); angles may differ in
+their last bits. The schedule walk also gives the output depth.
 
 Swaps cost exactly three cx (no two-qubit resynthesis). A cx whose operands
 are coupled only in the opposite direction is reversed with the standard
@@ -14,12 +22,13 @@ H(target), with the Hadamards realized in the device's one-qubit family.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction
 from .decompose import (
+    _one_q_u3_params,
     decompose_to_u_cx,
     resolve_1q_family,
     retarget_1q,
@@ -27,7 +36,7 @@ from .decompose import (
 )
 from .device import DeviceConfig
 from .errors import TranspileError
-from .euler import zyz_from_cells
+from .euler import IDENTITY_CELLS, mul2, u3_cells, zyz_from_cells
 from .flatten import flatten
 from .gates import BasisSet, LIBRARY
 from .layout import initial_mapping
@@ -38,6 +47,7 @@ from .schedule import schedule_asap
 __all__ = ["transpile", "peephole_1q", "TranspileReport"]
 
 _H3 = (math.pi / 2, 0.0, math.pi)
+_H_CELLS = u3_cells(*_H3)
 
 
 @dataclass(frozen=True)
@@ -66,24 +76,45 @@ class TranspileReport:
         }
 
 
-# -- one-qubit peephole --------------------------------------------------------
+# -- one-qubit runs ------------------------------------------------------------
 
-def _u3_cells(t: float, p: float, l: float) -> tuple:
-    c = math.cos(t / 2.0)
-    s = math.sin(t / 2.0)
-    return (c, -cmath.exp(1j * l) * s, cmath.exp(1j * p) * s, cmath.exp(1j * (p + l)) * c)
+class _Runs:
+    """Output under construction with one pending one-qubit product per wire.
 
+    ``merge`` multiplies a gate's 2x2 cells into its wire's pending product;
+    ``emit`` flushes the wires an instruction touches, then appends it; a
+    flush emits the product once, as its ZYZ angles retargeted to the
+    family. Identity products vanish. ``operand_of`` maps a global wire to
+    its ``(register, index)`` operand.
+    """
 
-def _mul2(m2: tuple, m1: tuple) -> tuple:
-    """Row-major 2x2 product m2 @ m1."""
-    a2, b2, c2, d2 = m2
-    a1, b1, c1, d1 = m1
-    return (
-        a2 * a1 + b2 * c1,
-        a2 * b1 + b2 * d1,
-        c2 * a1 + d2 * c1,
-        c2 * b1 + d2 * d1,
-    )
+    def __init__(self, family: str, operand_of):
+        self.family = family
+        self.operand_of = operand_of
+        self.pending: dict[int, tuple] = {}
+        self.out: list[Instruction] = []
+
+    def merge(self, w: int, cells: tuple):
+        pending = self.pending
+        pending[w] = mul2(cells, pending.get(w, IDENTITY_CELLS))
+
+    def flush(self, w: int):
+        cells = self.pending.pop(w, None)
+        if cells is not None:
+            operand = (self.operand_of[w],)
+            for name, params in retarget_1q(zyz_from_cells(*cells), self.family):
+                self.out.append(Instruction(name, params, operand))
+
+    def emit(self, instr: Instruction, wires):
+        if self.pending:
+            for w in wires:
+                self.flush(w)
+        self.out.append(instr)
+
+    def finish(self) -> list[Instruction]:
+        for w in sorted(self.pending):
+            self.flush(w)
+        return self.out
 
 
 def peephole_1q(circuit: Circuit, basis: BasisSet | str | None = None) -> Circuit:
@@ -97,8 +128,6 @@ def peephole_1q(circuit: Circuit, basis: BasisSet | str | None = None) -> Circui
     elif basis is not None:
         family = resolve_1q_family(basis)
 
-    from .decompose import _one_q_u3_params  # same-module-family helper
-
     offsets = circuit.qubit_offsets()
     wire_operand: dict[int, tuple] = {}
     for reg in circuit.registers:
@@ -106,74 +135,77 @@ def peephole_1q(circuit: Circuit, basis: BasisSet | str | None = None) -> Circui
             for k in range(reg.size):
                 wire_operand[offsets[reg.name] + k] = (reg.name, k)
 
-    pending: dict[int, tuple] = {}
-    out: list[Instruction] = []
-
-    def flush(w: int):
-        cells = pending.pop(w, None)
-        if cells is None:
-            return
-        t, p, l = zyz_from_cells(*cells)
-        for name, params in retarget_1q((t, p, l), family):
-            out.append(Instruction(name, params, (wire_operand[w],)))
-
+    runs = _Runs(family, wire_operand)
     for instr in circuit.instructions:
         spec = LIBRARY.get(instr.opcode)
         wires = [offsets[r] + i for r, i in instr.qubits]
         if spec is not None and spec.arity == 1 and instr.condition is None:
-            w = wires[0]
-            cells = _u3_cells(*_one_q_u3_params(instr.opcode, instr.params))
-            pending[w] = _mul2(cells, pending.get(w, (1.0, 0.0, 0.0, 1.0)))
-            continue
-        for w in wires:
-            flush(w)
-        out.append(instr)
-    for w in sorted(pending):
-        flush(w)
-
-    return circuit.with_instructions(out)
+            runs.merge(wires[0], u3_cells(*_one_q_u3_params(instr.opcode, instr.params)))
+        else:
+            runs.emit(instr, wires)
+    return circuit.with_instructions(runs.finish())
 
 
 # -- pipeline ------------------------------------------------------------------
 
-def _retarget(routed: Circuit, device: DeviceConfig, basis: BasisSet, family: str) -> Circuit:
+def _retarget(
+    routed: Circuit, device: DeviceConfig, basis: BasisSet, family: str, fold: bool
+) -> Circuit:
+    """Realize the routed u3/cx/swap circuit in the device basis. With
+    ``fold`` the one-qubit peephole runs in the same pass: unconditioned u3s
+    and the Hadamards of the cx templates go into per-wire pending products
+    as 2x2 cells, never as instructions, and each run is emitted once."""
     directed = device.directed_edges()
-    two_q = retarget_2q(basis)
+    native_cx = retarget_2q(basis)["target"] == "cx"
     h_seq = retarget_1q(_H3, family)
     qreg = next(r.name for r in routed.registers if r.kind == "q")
+    operands = [(qreg, w) for w in range(routed.n_qubits)]
+    runs = _Runs(family, operands)
+    emit = runs.emit
 
-    out: list[Instruction] = []
-
-    def emit_1q(seq, wire: int, condition):
+    def emit_1q(seq, w: int, condition):
+        operand = (operands[w],)
+        wires = (w,)
         for name, params in seq:
-            out.append(Instruction(name, params, ((qreg, wire),), (), condition))
+            emit(Instruction(name, params, operand, (), condition), wires)
+
+    def emit_h(w: int, condition):
+        if fold and condition is None:
+            runs.merge(w, _H_CELLS)
+        else:
+            emit_1q(h_seq, w, condition)
+
+    def emit_2q(name: str, a: int, b: int, condition):
+        emit(Instruction(name, (), (operands[a], operands[b]), (), condition), (a, b))
 
     def emit_cx(a: int, b: int, condition):
-        if two_q["target"] == "cx":
+        if native_cx:
             if (a, b) in directed:
-                out.append(Instruction("cx", (), ((qreg, a), (qreg, b)), (), condition))
+                emit_2q("cx", a, b, condition)
             elif (b, a) in directed:
-                emit_1q(h_seq, a, condition)
-                emit_1q(h_seq, b, condition)
-                out.append(Instruction("cx", (), ((qreg, b), (qreg, a)), (), condition))
-                emit_1q(h_seq, a, condition)
-                emit_1q(h_seq, b, condition)
+                emit_h(a, condition)
+                emit_h(b, condition)
+                emit_2q("cx", b, a, condition)
+                emit_h(a, condition)
+                emit_h(b, condition)
             else:
                 raise TranspileError(f"cx on uncoupled physical pair ({a}, {b})")
-        else:  # cz native
+        else:  # cz native: cx = H(target) cz H(target)
             pair = (a, b) if (a, b) in directed else (b, a)
             if pair not in directed:
                 raise TranspileError(f"cz on uncoupled physical pair ({a}, {b})")
-            emit_1q(two_q["pre"], b, condition)
-            out.append(
-                Instruction("cz", (), ((qreg, pair[0]), (qreg, pair[1])), (), condition)
-            )
-            emit_1q(two_q["post"], b, condition)
+            emit_h(b, condition)
+            emit_2q("cz", pair[0], pair[1], condition)
+            emit_h(b, condition)
 
     for instr in routed.instructions:
         op = instr.opcode
         if op == "u3":
-            emit_1q(retarget_1q(instr.params, family), instr.qubits[0][1], instr.condition)
+            w = instr.qubits[0][1]
+            if fold and instr.condition is None:
+                runs.merge(w, u3_cells(*instr.params))
+            else:
+                emit_1q(retarget_1q(instr.params, family), w, instr.condition)
         elif op == "cx":
             emit_cx(instr.qubits[0][1], instr.qubits[1][1], instr.condition)
         elif op == "swap":
@@ -182,10 +214,10 @@ def _retarget(routed: Circuit, device: DeviceConfig, basis: BasisSet, family: st
             emit_cx(b, a, instr.condition)
             emit_cx(a, b, instr.condition)
         elif op in ("measure", "barrier", "reset", "delay"):
-            out.append(instr)
+            emit(instr, [w for _, w in instr.qubits])
         else:
             raise TranspileError(f"unexpected opcode '{op}' after routing")
-    return routed.with_instructions(out)
+    return routed.with_instructions(runs.finish())
 
 
 def transpile(
@@ -227,32 +259,27 @@ def transpile(
     routed, layout_final = route(decomposed, layout0, topology)
     n_swap = sum(1 for i in routed.instructions if i.opcode == "swap")
 
-    physical = _retarget(routed, device, basis, family)
-    if opt_level >= 1:
-        physical = peephole_1q(physical, family)
-
+    physical = _retarget(routed, device, basis, family, fold=opt_level >= 1)
     sched = schedule_asap(physical, device)
 
-    histogram: dict[str, int] = {}
+    histogram = Counter(instr.opcode for instr in physical.instructions)
+    histogram.pop("barrier", None)
     n_1q = n_2q = 0
-    for instr in physical.instructions:
-        if instr.opcode == "barrier":
-            continue
-        histogram[instr.opcode] = histogram.get(instr.opcode, 0) + 1
-        spec = LIBRARY.get(instr.opcode)
+    for opcode, count in histogram.items():
+        spec = LIBRARY.get(opcode)
         if spec is not None:
             if spec.arity == 1:
-                n_1q += 1
+                n_1q += count
             else:
-                n_2q += 1
+                n_2q += count
 
     report = TranspileReport(
-        basis_histogram=histogram,
+        basis_histogram=dict(histogram),
         n_1q=n_1q,
         n_2q=n_2q,
         n_swap=n_swap,
         depth_in=depth_in,
-        depth_out=circuit_depth(physical),
+        depth_out=sched.depth,
         layout_initial=layout0.logical_to_physical,
         layout_final=layout_final.logical_to_physical,
         makespan_ns=sched.makespan_ns,

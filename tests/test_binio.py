@@ -118,3 +118,100 @@ def test_binary_smaller_than_text_for_large_circuit():
     blob = encode_binary(c)
     text = print_qasm(c).encode()
     assert len(blob) < len(text)
+
+
+# A blob with parameters, a delay, an if, three registers and wire indices
+# past 127, so that some operands and a register size take two-byte varints.
+_PINNED_SRC = (
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg a[2];\nqreg b[130];\ncreg c[2];\n'
+    "rx(0.5) a[0];\ncx a[1],b[129];\ndelay b[128], 7;\nmeasure b[129] -> c[1];\n"
+    "if(c==2) u3(0.1,0.2,0.3) a[0];\n"
+)
+
+# (first cut, field) for each run of prefixes that fail on the same field. A
+# fixed-width field reports the byte it starts at and a varint the byte at
+# which it ran out, so every run starts at the byte its message names.
+_TRUNCATIONS = [
+    (0, "magic"), (4, "version"), (6, "string table count"),
+    (7, "string 0 length"), (8, "string 0"), (9, "string 1 length"), (10, "string 1"),
+    (11, "string 2 length"), (12, "string 2"), (13, "string 3 length"), (14, "string 3"),
+    (16, "string 4 length"), (17, "string 4"), (19, "string 5 length"), (20, "string 5"),
+    (25, "string 6 length"), (26, "string 6"), (33, "string 7 length"), (34, "string 7"),
+    (36, "register count"),
+    (37, "register 0 name"), (38, "register 0 kind"), (39, "register 0 size"),
+    (40, "register 1 name"), (41, "register 1 kind"), (42, "register 1 size"),
+    (43, "register 1 size"),
+    (44, "register 2 name"), (45, "register 2 kind"), (46, "register 2 size"),
+    (47, "instruction count"),
+    (48, "instruction 0 opcode"), (49, "instruction 0 flags"),
+    (50, "instruction 0 param count"), (51, "instruction 0 param"),
+    (59, "instruction 0 qubit count"), (60, "operand register index"),
+    (61, "operand wire index"), (62, "instruction 0 clbit count"),
+    (63, "instruction 1 opcode"), (64, "instruction 1 flags"),
+    (65, "instruction 1 param count"), (66, "instruction 1 qubit count"),
+    (67, "operand register index"), (68, "operand wire index"),
+    (69, "operand register index"), (70, "operand wire index"), (71, "operand wire index"),
+    (72, "instruction 1 clbit count"),
+    (73, "instruction 2 opcode"), (74, "instruction 2 flags"),
+    (75, "instruction 2 param count"), (76, "instruction 2 param"),
+    (84, "instruction 2 qubit count"), (85, "operand register index"),
+    (86, "operand wire index"), (87, "operand wire index"),
+    (88, "instruction 2 clbit count"),
+    (89, "instruction 3 opcode"), (90, "instruction 3 flags"),
+    (91, "instruction 3 param count"), (92, "instruction 3 qubit count"),
+    (93, "operand register index"), (94, "operand wire index"), (95, "operand wire index"),
+    (96, "instruction 3 clbit count"), (97, "operand register index"),
+    (98, "operand wire index"),
+    (99, "instruction 4 opcode"), (100, "instruction 4 flags"),
+    (101, "instruction 4 param count"), (102, "instruction 4 param"),
+    (110, "instruction 4 param"), (118, "instruction 4 param"),
+    (126, "instruction 4 qubit count"), (127, "operand register index"),
+    (128, "operand wire index"), (129, "instruction 4 clbit count"),
+    (130, "instruction 4 condition register"), (131, "instruction 4 condition value"),
+]
+
+
+def _pinned_blob() -> bytes:
+    return encode_binary(parse_qasm(_PINNED_SRC))
+
+
+def test_pinned_blob_round_trips():
+    blob = _pinned_blob()
+    assert len(blob) == 132
+    assert decode_binary(blob) == flatten(parse_qasm(_PINNED_SRC))
+
+
+def test_truncation_messages_are_pinned():
+    blob = _pinned_blob()
+    ends = [start for start, _ in _TRUNCATIONS[1:]] + [len(blob)]
+    for (start, what), end in zip(_TRUNCATIONS, ends):
+        for cut in range(start, end):
+            with pytest.raises(BinaryFormatError) as info:
+                decode_binary(blob[:cut])
+            assert str(info.value) == f"truncated stream: {what} at byte {start}", cut
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(("flip", "insert", "delete")), st.integers(0, 10_000),
+              st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+
+
+@given(edits=_EDITS)
+@settings(max_examples=300, deadline=None)
+def test_corrupted_blob_raises_only_binary_format_error(edits):
+    data = bytearray(_pinned_blob())
+    for kind, pos, value in edits:
+        if kind == "insert":
+            data.insert(pos % (len(data) + 1), value)
+        elif data:
+            pos %= len(data)
+            if kind == "flip":
+                data[pos] ^= value or 1
+            else:
+                del data[pos]
+    try:
+        decode_binary(bytes(data))
+    except BinaryFormatError:
+        pass

@@ -141,6 +141,22 @@ def test_ghz_measurements_are_random_then_deterministic():
     assert len({outcome for outcome, _ in results}) == 1
 
 
+@pytest.mark.parametrize("gate", [
+    "u3(0,pi/4,-pi/4)",       # the identity
+    "u3(pi,pi/4,pi/4)",       # Y up to phase
+    "u3(2*pi,pi/4,-pi/4)",    # the identity, theta past the canonical range
+    "u3(-pi,pi/8,5*pi/8)",    # X times a power of s
+    "u(pi,3*pi/4,-pi/4)",
+])
+def test_clifford_u3_off_the_lattice_is_accepted(gate):
+    source = HEADER + f"qreg q[2];\nh q[0];\ncx q[0],q[1];\n{gate} q[0];\nh q[1];\n"
+    c = parse_qasm(source)
+    psi = sv_statevector(c)
+    phi = tableau_to_statevector(stab_evolve(c))
+    k = int(np.argmax(np.abs(psi)))
+    np.testing.assert_allclose(phi * (psi[k] / phi[k]), psi, atol=1e-10)
+
+
 @pytest.mark.parametrize("gate, message", [
     ("t q[0];", "non-Clifford gate 't'$"),
     ("rz(0.3) q[0];", r"non-Clifford gate 'rz' \(angle 0.3 is not a multiple of pi/2\)"),

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qflow.circuit import Instruction
 from qflow.device import Topology, load_device
-from qflow.decompose import decompose_to_u_cx
+from qflow.decompose import decompose_to_u_cx, resolve_1q_family
 from qflow.errors import TranspileError
 from qflow.flatten import flatten
-from qflow.gates import LIBRARY
+from qflow.gates import LIBRARY, BasisSet
+from qflow.metrics import circuit_depth
 from qflow.layout import Layout, initial_mapping
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
@@ -360,3 +361,77 @@ class TestTranspile:
     def test_makespan_matches_schedule(self, bell, devices):
         phys, report = transpile(bell, devices["line5"])
         assert report.makespan_ns == schedule_asap(phys, devices["line5"]).makespan_ns
+
+
+_DEVICES = ("line5", "heavyhex7", "grid9", "alltoall11")
+
+
+def _counts(circuit):
+    n_1q = sum(1 for i in circuit.instructions
+               if i.opcode in LIBRARY and LIBRARY[i.opcode].arity == 1)
+    n_2q = sum(1 for i in circuit.instructions
+               if i.opcode in LIBRARY and LIBRARY[i.opcode].arity == 2)
+    return n_1q, n_2q, circuit_depth(circuit)
+
+
+class TestFoldedPeephole:
+    """Opt level 1 merges one-qubit runs while it retargets; the result must
+    match running the peephole pass over the opt-level-0 output."""
+
+    @pytest.mark.parametrize("device", _DEVICES)
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_fold_matches_peephole_after_opt0(self, devices, device, seed):
+        dev = devices[device]
+        circ = parse_qasm(random_general_qasm(4, 24, seed))
+        phys0, _ = transpile(circ, dev, opt_level=0)
+        phys1, report1 = transpile(circ, dev, opt_level=1)
+        family = resolve_1q_family(BasisSet.from_names(dev.basis_gates))
+        assert _counts(phys1) == _counts(peephole_1q(phys0, family))
+        assert (report1.n_1q, report1.n_2q, report1.depth_out) == _counts(phys1)
+        check_transpiled(circ, phys1, report1, dev)
+
+    def test_conditioned_gates_are_not_folded(self, devices):
+        src = ("OPENQASM 2.0; qreg q[2]; creg c[1]; h q[0]; measure q[0] -> c[0]; "
+               "if(c==1) u3(0.1,0.2,0.3) q[1]; if(c==1) cx q[1],q[0]; h q[1];")
+        for device in _DEVICES:
+            dev = devices[device]
+            phys0, _ = transpile(parse_qasm(src), dev, opt_level=0)
+            phys1, _ = transpile(parse_qasm(src), dev, opt_level=1)
+            family = resolve_1q_family(BasisSet.from_names(dev.basis_gates))
+            merged = peephole_1q(phys0, family)
+            assert [(i.opcode, i.qubits, i.condition) for i in phys1.instructions] == \
+                [(i.opcode, i.qubits, i.condition) for i in merged.instructions]
+
+
+# A random circuit with a barrier on two wires, a delay and a register-wide
+# barrier; (depth_out, makespan_ns, n_1q, n_2q) per device and opt level,
+# recorded when the depth came from a second walk over the output.
+_BARRIER_DELAY_PINS = {
+    ("line5", 0): (154, 15300.0, 309, 36), ("line5", 1): (130, 15090.0, 206, 36),
+    ("heavyhex7", 0): (93, 10716.0, 141, 24), ("heavyhex7", 1): (69, 10460.0, 92, 24),
+    ("grid9", 0): (184, 11560.0, 321, 30), ("grid9", 1): (122, 11020.0, 201, 30),
+    ("alltoall11", 0): (50, 3408000.0, 87, 15), ("alltoall11", 1): (41, 3384000.0, 57, 15),
+}
+
+
+def _barrier_delay_source() -> str:
+    lines = random_general_qasm(4, 40, 321).replace(
+        "qreg q[4];", "qreg q[4];\ncreg c[4];").splitlines()
+    lines.insert(20, "barrier q[0],q[2];")
+    lines.insert(30, "delay q[1], 24;")
+    lines.insert(36, "barrier q;")
+    lines.append("measure q -> c;")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("device, opt_level", sorted(_BARRIER_DELAY_PINS))
+def test_report_depth_and_makespan_come_from_one_schedule(devices, device, opt_level):
+    dev = devices[device]
+    phys, report = transpile(parse_qasm(_barrier_delay_source()), dev, opt_level=opt_level)
+    assert any(i.opcode == "delay" for i in phys.instructions)
+    assert sum(i.opcode == "barrier" for i in phys.instructions) == 2
+    sched = schedule_asap(phys, dev)
+    assert report.depth_out == sched.depth == circuit_depth(phys)
+    assert report.makespan_ns == sched.makespan_ns
+    assert (report.depth_out, report.makespan_ns, report.n_1q, report.n_2q) == \
+        _BARRIER_DELAY_PINS[device, opt_level]
