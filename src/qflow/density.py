@@ -15,6 +15,13 @@ built once per run and shared by every op that repeats it and by every
 trajectory. Measurement probabilities pass through each qubit's
 readout confusion.
 
+Each superoperator becomes a state-vector kernel once, when it is built, and
+inherits its class from its zero pattern: the superoperator of a diagonal
+unitary is diagonal and that of a permutation with phases is a permutation
+with phases on (ket, bra), so both run as slice updates. Without a device,
+runs of one-qubit gates are fused first, as for the state vector; with one,
+never, since noise follows each original gate.
+
 A terminal program (no condition, nothing after a qubit's measurement; see
 qflow.program) is evolved once, reset included as a Kraus channel, and its
 counts come from the final diagonal. Anything else runs per-shot
@@ -41,7 +48,7 @@ from .noise import depolarizing_kraus, thermal_relaxation_kraus
 from .program import Program, evolve, run_shots, sample_terminal
 from .results import RunResult
 from .schedule import instruction_duration_ns
-from .statevector import _SVState, apply_gate
+from .statevector import Kernel, _SVState, apply_gate
 
 __all__ = ["dm_run", "dm_evolve", "fidelity", "DEFAULT_DM_CAP"]
 
@@ -54,18 +61,23 @@ _RESET_KRAUS = (
 
 
 def _superop(kraus) -> np.ndarray:
-    return sum(np.kron(k, k.conj()) for k in kraus)
+    """sum K (x) conj(K) over the Kraus operators, in one contraction."""
+    k = np.asarray(kraus)
+    d = k.shape[-1]
+    return np.einsum("kij,kab->iajb", k, k.conj()).reshape(d * d, d * d)
 
 
 class _DensityState:
     """rho of one run or trajectory, driven op by op by qflow.program; with a
-    device every gate, delay and reset is followed by its noise. Copies share
-    the cache of superoperators, keyed by (opcode, params, wires)."""
+    device every gate, delay and reset is followed by its noise, and without
+    one the program's one-qubit runs are fused. Copies share the cache of
+    superoperator kernels, keyed by the op's key."""
 
     def __init__(self, n: int, device: DeviceConfig | None, rho: np.ndarray | None = None,
                  superops: dict | None = None):
         self.n = n
         self.device = device
+        self.fuses = device is None
         if rho is None:
             rho = np.zeros(1 << (2 * n), dtype=complex)
             rho[0] = 1.0
@@ -79,13 +91,14 @@ class _DensityState:
         return self.rho.reshape(1 << self.n, 1 << self.n)
 
     def apply(self, op) -> None:
-        key = (op.opcode, op.instr.params, op.wires)
+        key = op.key
         if key not in self.superops:
-            self.superops[key] = self._channel(op)
-        s = self.superops[key]
-        if s is not None:
-            wires = tuple(self.n + w for w in op.wires) + op.wires
-            apply_gate(self.rho, 2 * self.n, wires, s)
+            s = self._channel(op)
+            self.superops[key] = None if s is None else Kernel(
+                s, 2 * self.n, tuple(self.n + w for w in op.wires) + op.wires)
+        kernel = self.superops[key]
+        if kernel is not None:
+            apply_gate(self.rho, kernel)
 
     def reset(self, op, rng) -> None:
         self.apply(op)
@@ -113,8 +126,8 @@ class _DensityState:
                 continue
             # the one-qubit operators on operand j of the op (operand 0 is the high bit)
             left, right = np.eye(1 << j), np.eye(1 << (k - 1 - j))
-            stages.append(_superop(np.kron(np.kron(left, a), right)
-                                   for a in thermal_relaxation_kraus(dur, t1_ns, t2_ns)))
+            stages.append(_superop([np.kron(np.kron(left, a), right)
+                                    for a in thermal_relaxation_kraus(dur, t1_ns, t2_ns)]))
         for stage in stages:
             s = stage if s is None else stage @ s
         return s
@@ -193,7 +206,8 @@ def dm_run(
     SimulationError."""
     t0 = time.perf_counter()
     program = Program(circuit)
-    program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots)
+    program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots,
+                         seed)
     if compute_fidelity and not program.unitary:
         raise SimulationError(
             "fidelity is unavailable for circuits with reset, classical conditions "

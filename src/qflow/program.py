@@ -12,12 +12,17 @@ facts every backend chooses by:
     state.
 
 Backends supply a state with ``apply(op)``, ``measure(op, rng) -> bit``,
-``reset(op, rng)``, ``copy()``, ``sample_all(rng) -> basis index`` and, for
-terminal sampling, ``probabilities()``. This module drives them: one
-evolution for terminal programs (:func:`evolve`, then
-:func:`sample_terminal`) and one per-shot trajectory loop
-(:func:`run_shots`). Counts are keyed by clbit strings (bit 0 rightmost), or
-by basis index over all qubits when the circuit never measures.
+``reset(op, rng)``, ``copy()``, ``sample_all(rng) -> basis index``, for
+terminal sampling ``probabilities()``, and ``fuses``: whether it takes the
+program with each run of one-qubit gates on a wire folded into one gate
+(the dense backends without noise) or every gate as written (the tableau,
+which applies gates by name, and noisy ``dm``, whose noise follows each
+gate). A run ends where a multi-qubit gate, measure, reset, barrier, delay
+or conditioned op touches its wire. This module drives them: one evolution
+for terminal programs (:func:`evolve`, then :func:`sample_terminal`) and
+one per-shot trajectory loop (:func:`run_shots`). Counts are keyed by
+clbit strings (bit 0 rightmost), or by basis index over all qubits when the
+circuit never measures.
 """
 
 from __future__ import annotations
@@ -36,14 +41,16 @@ from .results import bitstring, sample_counts
 __all__ = ["Op", "Program", "evolve", "run_shots", "sample_terminal"]
 
 _NON_UNITARY = frozenset({"measure", "reset", "barrier", "delay"})
+_MAX_SHOTS = (1 << 63) - 1  # the multinomial draw counts in int64
 
 
 class Op:
     """One flattened instruction on global wires. ``clbit`` is the global
     clbit a measure writes, ``condition`` an (offset, mask, value) test on
-    the classical integer, ``gate`` whether the op is a unitary gate."""
+    the classical integer, ``gate`` whether the op is a unitary gate and
+    ``kernel`` the state-vector kernel of its matrix, set on first use."""
 
-    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "_matrix")
+    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "_matrix", "kernel")
 
     def __init__(self, instr, wires: tuple, clbit: int | None, condition):
         self.instr = instr
@@ -53,6 +60,7 @@ class Op:
         self.condition = condition
         self.gate = instr.opcode not in _NON_UNITARY
         self._matrix = None
+        self.kernel = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -60,6 +68,69 @@ class Op:
         if self._matrix is None:
             self._matrix = unitary_of(self.opcode, self.instr.params)
         return self._matrix
+
+    @property
+    def key(self) -> tuple:
+        """What the op does, for caches shared by ops that repeat it."""
+        return (self.opcode, self.instr.params, self.wires)
+
+
+class _Fused(Op):
+    """A run of unconditioned one-qubit gates on one wire, as one gate whose
+    matrix is their product."""
+
+    __slots__ = ("run", "_key")
+
+    def __init__(self, run: list[Op]):
+        self.run = run
+        self.instr = None
+        self.opcode = "fused"
+        self.wires = run[0].wires
+        self.clbit = None
+        self.condition = None
+        self.gate = True
+        self._matrix = None
+        self.kernel = None
+        self._key = ("fused", tuple((op.opcode, op.instr.params) for op in run), self.wires)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = self.run[0].matrix
+            for op in self.run[1:]:
+                m = op.matrix @ m
+            self._matrix = m
+        return self._matrix
+
+    @property
+    def key(self) -> tuple:
+        return self._key
+
+
+def _fuse(ops: list[Op]) -> list[Op]:
+    """ops with each run of unconditioned one-qubit gates on a wire folded
+    into one op. A multi-qubit gate, measure, reset, barrier, delay or
+    conditioned op that touches the wire ends its run (the rule of
+    transpile._Runs); the runs still open at the end follow in wire order."""
+    out: list[Op] = []
+    runs: dict[int, list[Op]] = {}
+
+    def flush(w: int) -> None:
+        run = runs.pop(w, None)
+        if run is not None:
+            out.append(run[0] if len(run) == 1 else _Fused(run))
+
+    for op in ops:
+        if op.gate and op.condition is None and len(op.wires) == 1:
+            runs.setdefault(op.wires[0], []).append(op)
+            continue
+        if runs:
+            for w in op.wires:
+                flush(w)
+        out.append(op)
+    for w in sorted(runs):
+        flush(w)
+    return out
 
 
 class Program:
@@ -77,8 +148,11 @@ class Program:
         terminal = True
         has_reset = False
         measured: set[int] = set()
+        wires_of: dict[tuple, tuple] = {}
         for instr in flat.instructions:
-            wires = tuple(qoff[r] + i for r, i in instr.qubits)
+            wires = wires_of.get(instr.qubits)
+            if wires is None:
+                wires = wires_of[instr.qubits] = tuple(qoff[r] + i for r, i in instr.qubits)
             clbit = coff[instr.clbits[0][0]] + instr.clbits[0][1] if instr.clbits else None
             condition = None
             if instr.condition is not None:
@@ -87,7 +161,8 @@ class Program:
                 terminal = False
             if instr.opcode == "reset":
                 has_reset = True
-            if instr.opcode not in ("barrier", "delay") and measured.intersection(wires):
+            if (measured and instr.opcode not in ("barrier", "delay")
+                    and measured.intersection(wires)):
                 terminal = False
             if instr.opcode == "measure":
                 measured.add(wires[0])
@@ -101,11 +176,25 @@ class Program:
         # counts are keyed over classical bits, or over all qubits when the
         # circuit never measures
         self.n_bits = self.n_clbits if self.clbit_qubit else self.n
+        self._fused = None
+
+    def run_ops(self, fuse: bool) -> tuple[list[Op], int]:
+        """The ops a backend runs and the length of their random-free prefix.
+        With ``fuse``, each run of one-qubit gates is one op (see
+        :func:`_fuse`), fused on the first request; a run never crosses the
+        prefix boundary."""
+        if not fuse:
+            return self.ops, self.prefix
+        if self._fused is None:
+            head = _fuse(self.ops[:self.prefix])
+            self._fused = (head + _fuse(self.ops[self.prefix:]), len(head))
+        return self._fused
 
     def check_limits(self, kind: str, cap: int | None, default_cap: int,
-                     env: str | None = None, shots: int = 1) -> None:
+                     env: str | None = None, shots: int = 1, seed: int = 0) -> None:
         """Reject a run wider than the backend's qubit cap (``cap``, else the
-        ``env`` variable, else ``default_cap``) or with fewer than one shot."""
+        ``env`` variable, else ``default_cap``), with a shot count outside
+        [1, 2**63 - 1] or with a negative seed."""
         if cap is None:
             text = os.environ.get(env, "") if env else ""
             try:
@@ -116,13 +205,15 @@ class Program:
                 raise SimulationError(f"{env} must be a non-negative integer, got {text!r}")
         if self.n > cap:
             raise SimulationError(f"{self.n} qubits exceeds {kind} cap {cap}")
-        if shots < 1:
-            raise SimulationError(f"shots must be >= 1, got {shots}")
+        if not 1 <= shots <= _MAX_SHOTS:
+            raise SimulationError(f"shots must be in [1, {_MAX_SHOTS}], got {shots}")
+        if seed < 0:
+            raise SimulationError(f"seed must be a non-negative integer, got {seed}")
 
 
 def evolve(program: Program, state) -> None:
     """Run a terminal program once, leaving its measurements to the end."""
-    for op in program.ops:
+    for op in program.run_ops(state.fuses)[0]:
         if op.opcode == "reset":
             state.reset(op, None)
         elif op.opcode != "measure":
@@ -174,9 +265,10 @@ def run_shots(program: Program, state, shots: int, rng) -> dict[str, int]:
     """Per-shot trajectories. The prefix before the first measure, reset or
     condition draws no random numbers, so it runs once on ``state``; each
     shot then runs the rest on a copy of it."""
-    for op in program.ops[:program.prefix]:
+    ops, prefix = program.run_ops(state.fuses)
+    for op in ops[:prefix]:
         state.apply(op)
-    rest = program.ops[program.prefix:]
+    rest = ops[prefix:]
     values: dict[int, int] = {}
     for _ in range(shots):
         shot = state.copy()

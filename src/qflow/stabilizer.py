@@ -328,7 +328,10 @@ def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
 # -- running circuits ------------------------------------------------------------
 
 class _StabState:
-    """A tableau driven op by op by qflow.program."""
+    """A tableau driven op by op by qflow.program; its gates stay unfused,
+    since the tableau applies them by name."""
+
+    fuses = False
 
     def __init__(self, tab: StabilizerTableau):
         self.tab = tab
@@ -387,7 +390,7 @@ def stab_run(
     """
     t0 = time.perf_counter()
     program = Program(circuit)
-    program.check_limits("stabilizer", qubit_cap, DEFAULT_STAB_CAP, shots=shots)
+    program.check_limits("stabilizer", qubit_cap, DEFAULT_STAB_CAP, shots=shots, seed=seed)
     state = _StabState(StabilizerTableau(program.n))
     counts = run_shots(program, state, shots, np.random.default_rng(seed))
     wall = (time.perf_counter() - t0) * 1000.0

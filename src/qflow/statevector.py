@@ -2,9 +2,31 @@
 
 The state is a complex array of length 2**n in little-endian wire order
 (qubit 0 is the least significant bit of a basis index); memory is exactly
-16 * 2**n bytes. One kernel, apply_gate, applies a matrix to any wires of a
-flat state in place; the density-matrix backend drives it too, with rho as
-a vector of 2n qubits.
+16 * 2**n bytes. One entry point, apply_gate, applies a :class:`Kernel` (a
+matrix on fixed wires of an n-qubit state) in place; the density-matrix
+backend drives it too, with rho as a vector of 2n qubits.
+
+A kernel is classified once, when it is built, by the exact-zero pattern of
+its matrix, so fused products and superoperators are classified like named
+gates:
+
+  * diagonal: each slice of the state with a fixed value of the wires is
+    multiplied in place by its phase, and slices whose phase is exactly 1
+    are left alone (z, t, rz, u1, cz, cu1, crz, ...);
+  * monomial, one nonzero per row and column (a permutation with phases):
+    only the slices that change are written, each cycle of the permutation
+    saving one slice first, and fixed slices are scaled as for a diagonal
+    (x, y, cx, cy, swap, ...);
+  * general: the wires' axes are moved to the front and one matmul of the
+    matrix against the (2**k, rest) block does the work.
+
+The slices are index tuples into the state viewed with the wires' axes
+between blocks of the other qubits, built once per kernel.
+
+Runs of one-qubit gates are fused before they reach a kernel (see
+qflow.program): the unconditioned one-qubit gates on a wire are folded into
+one 2x2 product until a multi-qubit gate, measure, reset, barrier, delay or
+conditioned op touches the wire, which flushes the run as one gate.
 
 A unitary program (measurements all terminal, no reset, no classical
 condition; see qflow.program) runs in a single pass with counts drawn from
@@ -15,6 +37,8 @@ measure, reset or condition evolved once and copied per shot.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 
 import numpy as np
@@ -29,38 +53,137 @@ __all__ = ["sv_run", "sv_statevector", "DEFAULT_SV_CAP"]
 
 DEFAULT_SV_CAP = 26
 
-_X = unitary_of("x")
 
+# -- kernels --------------------------------------------------------------------
 
-# -- kernel ---------------------------------------------------------------------
+class Kernel:
+    """A 2**k x 2**k matrix on k distinct wires of an n-qubit state, local-
+    ordered with the first wire as the high bit, classified once (see the
+    module docstring).
 
-def apply_gate(state: np.ndarray, n: int, wires, m) -> None:
-    """Apply the 2**k x 2**k matrix m to wires of a 1-D state of n qubits, in
-    place. m is local-ordered with the first wire as the high bit.
-
-    Axis a of the reshaped state is qubit n-1-a. The wires' axes are moved to
-    the front and one matmul of m against the (2**k, rest) block does the
-    work (measured faster than moving them last, most of all on low wires).
+    ``kind`` is "diagonal", "monomial" or "general". A structured kernel
+    views the state as ``shape`` and holds ``scales``, (slice, phase) pairs
+    multiplied in place, and ``cycles``, (saved slice, moves) pairs whose
+    moves write ``dst = phase * src`` in order, ``src`` None standing for
+    the saved copy. A general kernel holds the matrix and the wires' axes.
     """
+
+    __slots__ = ("n", "wires", "matrix", "kind", "shape", "scales", "cycles", "axes")
+
+    def __init__(self, matrix: np.ndarray, n: int, wires):
+        self.n = n
+        self.wires = wires = tuple(wires)
+        self.matrix = matrix
+        size = 1 << len(wires)
+        rows, cols = np.nonzero(matrix)
+        # row-major order: one nonzero per row is rows == 0..size-1, and
+        # then one per column is cols being a permutation
+        if (rows.size != size or rows.tolist() != list(range(size))
+                or len(set(cols.tolist())) != size):
+            self.kind = "general"
+            self.axes = [n - 1 - w for w in wires]
+            return
+        # column j goes to row dest[j] times phase[j]
+        dest = [0] * size
+        phase = [0j] * size
+        for i, j, value in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+            dest[j], phase[j] = i, value
+        self.kind = "diagonal" if dest == list(range(size)) else "monomial"
+        self.shape, index = _slices(n, wires)
+        self.scales = []
+        self.cycles = []
+        seen = [False] * size
+        for start in range(size):
+            if seen[start]:
+                continue
+            cycle = [start]
+            seen[start] = True
+            while dest[cycle[-1]] != start:
+                cycle.append(dest[cycle[-1]])
+                seen[cycle[-1]] = True
+            if len(cycle) == 1:
+                if phase[start] != 1:
+                    self.scales.append((index[start], phase[start]))
+                continue
+            # new[dest[j]] = phase[j] * old[j]: save the last, then write backwards
+            moves = [(index[cycle[t + 1]], index[cycle[t]], phase[cycle[t]])
+                     for t in range(len(cycle) - 2, -1, -1)]
+            moves.append((index[start], None, phase[cycle[-1]]))
+            self.cycles.append((index[cycle[-1]], moves))
+
+
+@functools.lru_cache(maxsize=4096)
+def _slices(n: int, wires: tuple) -> tuple[tuple, tuple]:
+    """The shape that views an n-qubit state with each wire on an axis of its
+    own between blocks of the other qubits (axis order is qubit n-1 first),
+    and the index tuple of each local basis value of the wires (first wire
+    the high bit). Blocks of size 1 stay, so no slice is ever 0-d."""
+    shape = []
+    axis_of = {}
+    block = 1
+    for q in range(n - 1, -1, -1):
+        if q in wires:
+            shape += [block, 2]
+            axis_of[q] = len(shape) - 1
+            block = 1
+        else:
+            block <<= 1
+    shape.append(block)
     k = len(wires)
-    view = np.moveaxis(state.reshape((2,) * n), [n - 1 - w for w in wires], range(k))
-    view[...] = (m @ view.reshape(1 << k, -1)).reshape(view.shape)
+    index = []
+    for j in range(1 << k):
+        idx = [slice(None)] * len(shape)
+        for pos, w in enumerate(wires):
+            idx[axis_of[w]] = (j >> (k - 1 - pos)) & 1
+        index.append(tuple(idx))
+    return tuple(shape), tuple(index)
+
+
+def apply_gate(state: np.ndarray, kernel: Kernel) -> None:
+    """Apply a kernel to a flat state of kernel.n qubits, in place."""
+    if kernel.kind == "general":
+        # axis a of the reshaped state is qubit n-1-a; moving the wires' axes
+        # to the front was measured faster than moving them last
+        k = len(kernel.wires)
+        view = np.moveaxis(state.reshape((2,) * kernel.n), kernel.axes, range(k))
+        view[...] = (kernel.matrix @ view.reshape(1 << k, -1)).reshape(view.shape)
+        return
+    view = state.reshape(kernel.shape)
+    for index, phase in kernel.scales:
+        view[index] *= phase
+    for saved, moves in kernel.cycles:
+        saved = view[saved].copy()
+        for dst, src, phase in moves:
+            src = saved if src is None else view[src]
+            if phase == 1:
+                view[dst] = src
+            else:
+                np.multiply(src, phase, out=view[dst])
+
+
+@functools.lru_cache(maxsize=None)
+def _flip(n: int, w: int) -> Kernel:
+    return Kernel(unitary_of("x"), n, (w,))
 
 
 # -- state ---------------------------------------------------------------------
 
 def _measure_probability_one(state: np.ndarray, w: int) -> float:
     # axis 1 of this view is qubit w
-    return float(np.sum(np.abs(state.reshape(-1, 2, 1 << w)[:, 1]) ** 2))
+    ones = state.reshape(-1, 2, 1 << w)[:, 1]
+    return float(np.vdot(ones, ones).real)
 
 
 def _collapse(state: np.ndarray, w: int, bit: int, prob: float) -> None:
     state.reshape(-1, 2, 1 << w)[:, 1 - bit] = 0.0
-    state /= np.sqrt(prob)
+    state *= 1.0 / math.sqrt(prob)
 
 
 class _SVState:
-    """Amplitudes of one trajectory, driven op by op by qflow.program."""
+    """Amplitudes of one trajectory, driven op by op by qflow.program over
+    its fused ops; each op's kernel is built on first use and kept on it."""
+
+    fuses = True
 
     def __init__(self, n: int, amps: np.ndarray | None = None):
         self.n = n
@@ -74,7 +197,10 @@ class _SVState:
 
     def apply(self, op) -> None:
         if op.gate:
-            apply_gate(self.amps, self.n, op.wires, op.matrix)
+            kernel = op.kernel
+            if kernel is None:
+                kernel = op.kernel = Kernel(op.matrix, self.n, op.wires)
+            apply_gate(self.amps, kernel)
 
     def measure(self, op, rng) -> int:
         w = op.wires[0]
@@ -85,7 +211,7 @@ class _SVState:
 
     def reset(self, op, rng) -> None:
         if self.measure(op, rng):
-            apply_gate(self.amps, self.n, op.wires, _X)
+            apply_gate(self.amps, _flip(self.n, op.wires[0]))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -126,7 +252,8 @@ def sv_run(
     """
     t0 = time.perf_counter()
     program = Program(circuit)
-    program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots)
+    program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots,
+                         seed)
     state = _SVState(program.n)
     if program.unitary:
         evolve(program, state)

@@ -1,4 +1,4 @@
-"""The command line on the transpile and container paths: reports and
+"""The command line: transpile, analyze and simulate output and the
 manifests against their JSON schemas, format round trips and exit codes."""
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from qflow.device import bundled_device_names, load_bundled_device
 from qflow.flatten import flatten
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
+from qflow.transpile import transpile
 
-from conftest import qft_qasm, random_general_qasm
+from conftest import corpus_sources, ghz_qasm, qft_qasm, random_general_qasm
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 DEVICE_FILES = Path(__file__).resolve().parent.parent / "src" / "qflow" / "devices"
@@ -74,6 +75,33 @@ def test_convert_round_trip(tmp_path, capsys):
     assert decode_binary(blob.read_bytes()) == flat
     assert parse_qasm(text.read_text()) == parse_qasm(print_qasm(flat))
     assert encode_binary(parse_qasm(text.read_text())) == blob.read_bytes()
+
+
+@pytest.mark.parametrize("name, source", corpus_sources())
+def test_analyze_report_matches_schema(tmp_path, capsys, name, source):
+    src = write_source(tmp_path, source, f"{name}.qasm")
+    assert main(["analyze", str(src)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, schema("metrics_report"))
+    assert report["n_qubits"] == flatten(parse_qasm(source)).n_qubits
+
+
+@pytest.mark.parametrize("backend, source, device", [
+    ("sv", qft_qasm(3), None),
+    ("sv", ghz_qasm(3, measure=True), None),
+    ("dm", qft_qasm(3), None),
+    ("dm", print_qasm(transpile(parse_qasm(ghz_qasm(3, measure=True)),
+                                load_bundled_device("line5"))[0]), "line5"),
+    ("stab", ghz_qasm(4, measure=True), None),
+])
+def test_simulate_output_matches_schema(tmp_path, capsys, backend, source, device):
+    src = write_source(tmp_path, source)
+    args = ["simulate", backend, str(src), "--shots", "50", "--timing", "--amplitudes"]
+    assert main(args + (["--device", device] if device else [])) == 0
+    result = json.loads(capsys.readouterr().out)
+    jsonschema.validate(result, schema("run_result"))
+    assert sum(result["counts"].values()) == 50
+    assert ("fidelity" in result) == (device is not None)
 
 
 @pytest.mark.parametrize("device", bundled_device_names())

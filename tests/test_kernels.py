@@ -1,0 +1,150 @@
+"""The dense kernel family and one-qubit fusion: diagonal, monomial and
+general kernels against the literal embedding, the classes superoperators
+inherit, where fusion stops, and amplitudes against the dense unitary."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qflow.density import _superop, dm_run
+from qflow.gates import unitary_of
+from qflow.parser import parse_qasm
+from qflow.program import Program
+from qflow.statevector import Kernel, apply_gate, sv_run, sv_statevector
+
+from conftest import corpus_sources, qft_qasm, random_general_qasm
+from oracles import circuit_unitary, embed_slow
+
+HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+# -- the kernel family ---------------------------------------------------------
+
+# phases include exactly 1 (a slice left alone) and exact -1 and i
+_PHASES = st.sampled_from([1.0, -1.0, 1j, -1j, np.exp(0.7j), 0.5 - 2j])
+
+
+@st.composite
+def _gates(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(3, n)))
+    wires = tuple(draw(st.permutations(range(n)))[:k])
+    size = 1 << k
+    kind = draw(st.sampled_from(["diagonal", "monomial", "general"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "general":
+        m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    else:
+        perm = list(range(size)) if kind == "diagonal" else draw(st.permutations(range(size)))
+        m = np.zeros((size, size), dtype=complex)
+        for j, i in enumerate(perm):
+            m[i, j] = draw(_PHASES)
+        if perm == list(range(size)):
+            kind = "diagonal"
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return n, wires, m, kind, state
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gates())
+def test_kernels_match_the_literal_embedding(gate):
+    n, wires, m, kind, state = gate
+    kernel = Kernel(m, n, wires)
+    assert kernel.kind == kind
+    expected = embed_slow(m, wires, n) @ state
+    apply_gate(state, kernel)
+    np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+
+def test_a_kernel_on_every_wire_has_no_0d_slice():
+    state = np.arange(8, dtype=complex)
+    kernel = Kernel(np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex), 3, (2, 0, 1))
+    apply_gate(state, kernel)
+    assert kernel.shape == (1, 2, 1, 2, 1, 2, 1)
+    np.testing.assert_array_equal(state, [0, 1, 2, 3, 4, 5, 6, -7])
+    state = np.arange(4, dtype=complex)
+    apply_gate(state, Kernel(unitary_of("swap"), 2, (1, 0)))
+    np.testing.assert_array_equal(state, [0, 2, 1, 3])
+
+
+@pytest.mark.parametrize("name, params, kind", [
+    ("cu1", (0.3,), "diagonal"), ("rz", (1.1,), "diagonal"), ("t", (), "diagonal"),
+    ("cx", (), "monomial"), ("swap", (), "monomial"), ("cy", (), "monomial"),
+    ("h", (), "general"), ("crx", (0.4,), "general"),
+])
+def test_gates_and_their_superoperators_share_a_class(name, params, kind):
+    m = unitary_of(name, params)
+    k = m.shape[0].bit_length() - 1
+    wires = tuple(range(k))
+    assert Kernel(m, 3, wires).kind == kind
+    superop = Kernel(_superop([m]), 6, tuple(3 + w for w in wires) + wires)
+    assert superop.kind == kind
+
+
+def test_unit_phases_are_skipped():
+    kernel = Kernel(unitary_of("cu1", (0.3,)), 4, (1, 3))
+    assert len(kernel.scales) == 1 and not kernel.cycles
+    kernel = Kernel(unitary_of("cx"), 4, (1, 3))
+    assert not kernel.scales and len(kernel.cycles) == 1
+
+
+# -- fusion ----------------------------------------------------------------------
+
+_RUN = "h q[0];\nt q[0];\nry(0.7) q[0];\n"
+_BOUNDARIES = {
+    "measure": "measure q[0] -> c[0];\n",
+    "reset": "reset q[0];\n",
+    "if": "if(c==0) sx q[0];\n",
+    "barrier": "barrier q;\n",
+}
+
+
+def _boundary_circuit(boundary: str):
+    return parse_qasm(HEADER + "qreg q[2];\ncreg c[2];\nh q[1];\nmeasure q[1] -> c[1];\n"
+                      + _RUN + _BOUNDARIES[boundary] + _RUN + "cx q[0],q[1];\nmeasure q -> c;\n")
+
+
+@pytest.mark.parametrize("boundary", sorted(_BOUNDARIES))
+def test_a_one_qubit_run_ends_at_a_boundary(boundary):
+    program = Program(_boundary_circuit(boundary))
+    ops, prefix = program.run_ops(True)
+    assert program.run_ops(False) == (program.ops, program.prefix)
+    assert prefix == program.prefix == 1
+    wire0 = [op for op in ops[prefix:] if 0 in op.wires]
+    assert [op.opcode for op in wire0] == ["fused", wire0[1].opcode, "fused", "cx", "measure"]
+    assert [op.opcode for op in wire0[0].run] == ["h", "t", "ry"]
+    assert wire0[2].run[0] is program.ops[program.ops.index(wire0[1]) + 1]
+
+
+# Counts at seed 11, 64 shots, recorded before one-qubit runs were fused.
+PINNED_BOUNDARY = {
+    ("sv", "measure"): {"00": 14, "01": 14, "10": 24, "11": 12},
+    ("dm", "measure"): {"00": 14, "01": 14, "10": 24, "11": 12},
+    ("sv", "reset"): {"00": 7, "01": 28, "10": 10, "11": 19},
+    ("dm", "reset"): {"00": 5, "01": 28, "10": 9, "11": 22},
+    ("sv", "if"): {"00": 12, "01": 15, "10": 22, "11": 15},
+    ("dm", "if"): {"00": 12, "01": 15, "10": 22, "11": 15},
+    ("sv", "barrier"): {"00": 16, "01": 15, "10": 22, "11": 11},
+    ("dm", "barrier"): {"00": 16, "01": 15, "10": 22, "11": 11},
+}
+
+
+@pytest.mark.parametrize("backend, boundary", sorted(PINNED_BOUNDARY))
+def test_fused_trajectories_keep_their_seeded_counts(backend, boundary):
+    run = {"sv": sv_run, "dm": dm_run}[backend]
+    counts = run(_boundary_circuit(boundary), seed=11, shots=64).counts
+    assert counts == PINNED_BOUNDARY[backend, boundary]
+
+
+# -- amplitudes ------------------------------------------------------------------
+
+_SOURCES = dict(corpus_sources() + [("qft7", qft_qasm(7))] + [
+    (f"general_n{n}", random_general_qasm(n, 60, seed)) for n, seed in ((3, 400), (6, 401))])
+
+
+@pytest.mark.parametrize("name", sorted(_SOURCES))
+def test_amplitudes_match_the_dense_unitary(name):
+    c = parse_qasm(_SOURCES[name], source_name=name)
+    np.testing.assert_allclose(sv_statevector(c), circuit_unitary(c)[:, 0], rtol=0, atol=1e-10)

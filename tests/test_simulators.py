@@ -255,11 +255,21 @@ def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):
         return depolarizing_kraus(p, n_qubits)
 
     monkeypatch.setattr(qflow.density, "depolarizing_kraus", counting_kraus)
+    channel = qflow.density._DensityState._channel
+    opcodes = []
+
+    def recording_channel(self, op):
+        opcodes.append(op.opcode)
+        return channel(self, op)
+
+    monkeypatch.setattr(qflow.density._DensityState, "_channel", recording_channel)
     text = (HEADER + "qreg q[2];\ncreg c[2];\nsx q[0];\nsx q[0];\nsx q[0];\ncx q[0],q[1];\n"
             "cx q[0],q[1];\nsx q[1];\nsx q[0];\nmeasure q -> c;\n")
     dm_run(parse_qasm(text), device=line5, shots=10)
     # sx on q[0], cx on (q[0], q[1]) and sx on q[1]
     assert sorted(built) == [1, 1, 2]
+    # noise follows each original gate, so no fused run reaches a channel
+    assert sorted(opcodes) == ["cx", "sx", "sx"]
 
 
 def test_cli_simulates_reset_circuit_on_device_and_refuses_its_fidelity(tmp_path, capsys, line5):
@@ -292,6 +302,34 @@ def test_qubit_cap_variable_and_explicit_cap(monkeypatch):
     with pytest.raises(SimulationError, match="exceeds state-vector cap 1"):
         sv_run(circuit("bell"), shots=10)
     assert sum(sv_run(circuit("bell"), shots=10, qubit_cap=2).counts.values()) == 10
+
+
+@pytest.mark.parametrize("backend", sorted(RUNS))
+@pytest.mark.parametrize("seed, shots, message", [
+    (-1, 10, "seed must be a non-negative integer, got -1"),
+    (42, 1 << 63, r"shots must be in \[1, 9223372036854775807\], got 9223372036854775808"),
+    (42, 0, "shots must be in"),
+])
+def test_bad_seed_or_shots_is_a_simulation_error(backend, seed, shots, message, tmp_path,
+                                                  capsys):
+    with pytest.raises(SimulationError, match=message):
+        RUNS[backend](circuit("bell"), seed=seed, shots=shots)
+    path = tmp_path / "bell.qasm"
+    path.write_text(bell_qasm())
+    args = ["simulate", backend, str(path), "--seed", str(seed), "--shots", str(shots)]
+    assert main(args) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "error: seed must be"), ("--shots", str(1 << 63), "error: shots must be")])
+def test_fidelity_refuses_bad_seed_or_shots(flag, value, message, tmp_path, capsys, line5):
+    path = tmp_path / "bell_line5.qasm"
+    path.write_text(print_qasm(transpile(circuit("bell"), line5)[0]))
+    assert main(["fidelity", str(path), "--device", "line5"]) == 0
+    capsys.readouterr()
+    assert main(["fidelity", str(path), "--device", "line5", flag, value]) == 4
+    assert capsys.readouterr().err.startswith(message)
 
 
 # -- output schema -----------------------------------------------------------------

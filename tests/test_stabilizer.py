@@ -159,6 +159,8 @@ def test_clifford_u3_off_the_lattice_is_accepted(gate):
 
 @pytest.mark.parametrize("gate, message", [
     ("t q[0];", "non-Clifford gate 't'$"),
+    # sv and noiseless dm fuse h; t; h into one gate, the tableau never does
+    ("t q[0];\nh q[0];", "non-Clifford gate 't'$"),
     ("rz(0.3) q[0];", r"non-Clifford gate 'rz' \(angle 0.3 is not a multiple of pi/2\)"),
     ("u3(pi/2,0.7,0) q[0];", r"non-Clifford gate 'u3' \(angle 0.7 is not a multiple of pi/2\)"),
     ("crz(0.3) q[0],q[1];", r"non-Clifford gate 'crz' \(angle 0.3 is not a multiple of pi/2\)"),
