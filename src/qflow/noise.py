@@ -34,6 +34,8 @@ _PAULIS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# the 16 two-qubit Pauli products, first factor on the high qubit
+_PAULIS_2Q = {a + b: np.kron(_PAULIS[a], _PAULIS[b]) for a in _PAULIS for b in _PAULIS}
 
 
 def depolarizing_kraus(p: float, n_qubits: int = 1) -> list[np.ndarray]:
@@ -47,15 +49,8 @@ def depolarizing_kraus(p: float, n_qubits: int = 1) -> list[np.ndarray]:
     if n_qubits not in (1, 2):
         raise SimulationError("depolarizing channel supports 1 or 2 qubits")
     dim = 4 ** n_qubits
-    names = ["I", "X", "Y", "Z"]
     ops = []
-    if n_qubits == 1:
-        labels = names
-        mats = [_PAULIS[a] for a in names]
-    else:
-        labels = [a + b for a in names for b in names]
-        mats = [np.kron(_PAULIS[l[0]], _PAULIS[l[1]]) for l in labels]
-    for label, mat in zip(labels, mats):
+    for label, mat in (_PAULIS if n_qubits == 1 else _PAULIS_2Q).items():
         weight = 1.0 - p * (dim - 1) / dim if label.strip("I") == "" else p / dim
         if weight > 0.0:
             ops.append(math.sqrt(weight) * mat)

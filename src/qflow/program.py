@@ -20,9 +20,11 @@ which applies gates by name, and noisy ``dm``, whose noise follows each
 gate). A run ends where a multi-qubit gate, measure, reset, barrier, delay
 or conditioned op touches its wire. This module drives them: one evolution
 for terminal programs (:func:`evolve`, then :func:`sample_terminal`) and
-one per-shot trajectory loop (:func:`run_shots`). Counts are keyed by
-clbit strings (bit 0 rightmost), or by basis index over all qubits when the
-circuit never measures.
+one per-shot trajectory loop (:func:`run_shots`), which the tableau uses
+only for conditioned programs (it samples the others from one symbolic
+pass; see qflow.stabilizer). Counts are keyed by clbit strings (bit 0
+rightmost), or by basis index over all qubits when the circuit never
+measures.
 """
 
 from __future__ import annotations

@@ -20,9 +20,21 @@ row's phase exponent mod 4 in two bit-sliced ints, then moves row p to
 destabilizer p-n and makes it Z_q. Otherwise the outcome is the sign of the
 product of the stabilizers that the destabilizers anticommuting with Z_q
 select; a prefix xor over those rows gives that product's phase per column.
-Counts always come from per-shot trajectories driven by qflow.program: the
-gate prefix before the first measure, reset or condition runs once, and
-each shot replays the rest on a copy of that tableau.
+
+Which measurements are random depends only on the x and z columns, never on
+earlier outcomes: an outcome only moves signs. So a circuit without
+classical conditions runs once, with each row sign an affine form over
+GF(2) in the random outcomes r_0..r_{k-1} (the reference-sample idea of
+Stim, Gidney arXiv:2103.02202). Gates add constants to R, a random
+measurement adds a variable, a deterministic one reads a constant xor some
+variables, and a reset flips signs by the same. Each counted bit is then a
+constant xor a subset of the r_j, and every shot's r is drawn in one
+shot-major block: the same draws, in the same order, as one
+``rng.integers(2)`` per random outcome per shot, so seeded counts equal
+those of a per-shot run. A conditioned circuit keeps the per-shot
+trajectories of qflow.program: the gate prefix before the first measure,
+reset or condition runs once, and each shot replays the rest on a copy of
+that tableau.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from .decompose import _two_q_template
 from .errors import NonCliffordError, SimulationError
 from .euler import lattice_power, u3_cells, zyz_from_cells
 from .gates import LIBRARY
-from .program import Program, run_shots
+from .program import Program, _keyed, run_shots
 from .results import RunResult
 
 __all__ = ["StabilizerTableau", "stab_run", "stab_evolve", "tableau_to_statevector",
@@ -45,6 +57,8 @@ __all__ = ["StabilizerTableau", "stab_run", "stab_evolve", "tableau_to_statevect
 
 DEFAULT_STAB_CAP = 10_000
 STATEVECTOR_CAP = 12
+# one sampling block holds at most this many random bits and as many outcome bits
+_BLOCK_BITS = 1 << 20
 
 
 class StabilizerTableau:
@@ -121,8 +135,17 @@ class StabilizerTableau:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure(self, q: int, rng, force: int | None = None) -> tuple[int, bool]:
-        """Measure qubit q in Z. Returns (outcome, was_random)."""
+    def measure(self, q: int, rng, force: int | None = None,
+                forms: list[int] | None = None) -> tuple[int, int]:
+        """Measure qubit q in Z. Returns (outcome, was_random).
+
+        With ``forms`` the row signs are affine over GF(2) in random bits
+        r_0, r_1, ...: row i's sign is bit i of R xor every r_j for which bit
+        i of forms[j] is set. The forms are updated along with R, a random
+        outcome becomes a new bit r_k (forms gains one entry) instead of a
+        draw, and the call returns (c, deps): the outcome is c xor every r_j
+        whose bit j is set in deps.
+        """
         n = self.n
         X, Z = self.X, self.Z
         xq = X[q]
@@ -157,11 +180,19 @@ class StabilizerTableau:
                 X[j] = ((x ^ rows) & keep) | dest if xp else x & keep
                 Z[j] = ((z ^ rows) & keep) | dest if zp else z & keep
             Z[q] |= bit
-            outcome = int(rng.integers(2)) if force is None else force
             # every row but p-n commutes with row p, so its exponent is 2*hi:
             # a sign flip where hi is set (row p-n is overwritten)
             R = self.R
             R ^= hi ^ (rows if R & bit else 0)
+            if forms is not None:
+                # the same row moves on each form, which gains no hi
+                for j, f in enumerate(forms):
+                    if f & (bit | dest):
+                        forms[j] = ((f ^ rows) & keep) | dest if f & bit else f & keep
+                forms.append(bit)
+                self.R = (R & keep) | (dest if R & bit else 0)
+                return 0, 1 << (len(forms) - 1)
+            outcome = int(rng.integers(2)) if force is None else force
             self.R = (R & keep) | (dest if R & bit else 0) | (bit if outcome else 0)
             return outcome, True
         # deterministic: the outcome is the sign of the product of the
@@ -184,12 +215,28 @@ class StabilizerTableau:
                 for shift in shifts:
                     before ^= before << shift
                 cross ^= zs & (before << 1)
-        return ((self.R & sel).bit_count() + (y_count >> 1) + cross.bit_count()) & 1, False
+        outcome = ((self.R & sel).bit_count() + (y_count >> 1) + cross.bit_count()) & 1
+        if forms is None:
+            return outcome, False
+        deps = 0
+        for j, f in enumerate(forms):
+            if (f & sel).bit_count() & 1:
+                deps |= 1 << j
+        return outcome, deps
 
-    def reset(self, q: int, rng):
-        outcome, _ = self.measure(q, rng)
+    def reset(self, q: int, rng, forms: list[int] | None = None):
+        """Measure q and flip it back to 0, symbolically with ``forms``
+        (see :meth:`measure`): x then flips the signs by the outcome's
+        constant in R and by each random bit it depends on in that bit's form."""
+        outcome, deps = self.measure(q, rng, forms=forms)
         if outcome:
             self.apply("x", (), (q,))
+        if forms is not None:
+            z = self.Z[q]
+            while deps:
+                j = deps.bit_length() - 1
+                forms[j] ^= z
+                deps ^= 1 << j
 
     # -- gate dispatch -----------------------------------------------------------
 
@@ -357,6 +404,58 @@ class _StabState:
         return value
 
 
+def _affine_outcomes(program: Program, tab: StabilizerTableau) -> tuple[list, int]:
+    """Run an unconditioned program once with symbolic signs. Returns each
+    counted bit's (constant, deps) pair, as StabilizerTableau.measure gives
+    it, and the number of random bits. Unmeasured clbits read (0, 0); a
+    clbit measured twice keeps its last outcome."""
+    forms: list[int] = []
+    bits = [(0, 0)] * program.n_bits
+    for op in program.ops:
+        if op.opcode == "measure":
+            bits[op.clbit] = tab.measure(op.wires[0], None, forms=forms)
+        elif op.opcode == "reset":
+            tab.reset(op.wires[0], None, forms=forms)
+        elif op.gate:
+            tab.apply(op.opcode, op.instr.params, op.wires)
+    if not program.clbit_qubit:
+        bits = [tab.measure(q, None, forms=forms) for q in range(program.n)]
+    return bits, len(forms)
+
+
+def _sample_affine(bits: list, k: int, shots: int, rng) -> dict[int, int]:
+    """Counts of the value whose bit i is c_i xor the random bits in deps_i,
+    for bits[i] = (c_i, deps_i), over shots draws of k random bits. The draws
+    are shot-major, in blocks of at most _BLOCK_BITS, so a shot takes the
+    same k values from rng as k calls of rng.integers(2) would."""
+    const = sum(c << i for i, (c, _) in enumerate(bits))
+    if k == 0:
+        return {const: shots}
+    width = len(bits)
+    words = (width + 63) // 64
+    # flips[j]: the value bits that random bit j flips, as little-endian words
+    deps = b"".join(d.to_bytes((k + 7) // 8, "little") for _, d in bits)
+    matrix = np.unpackbits(np.frombuffer(deps, np.uint8).reshape(width, -1), axis=1,
+                           count=k, bitorder="little")
+    flips = np.zeros((k, 8 * words), np.uint8)
+    flips[:, :(width + 7) // 8] = np.packbits(matrix.T, axis=1, bitorder="little")
+    flips = flips.view("<u8")
+    block = max(1, _BLOCK_BITS // max(k, width))
+    values: dict[int, int] = {}
+    for start in range(0, shots, block):
+        r = rng.integers(2, size=(min(block, shots - start), k)).view(np.uint64)
+        out = np.zeros((len(r), words), "<u8")
+        for j in range(k):
+            out ^= r[:, j, None] * flips[j]
+        # one word sorts as uint64, tens of times faster than as bytes
+        keys, counts = np.unique(out.view(f"V{8 * words}").ravel() if words > 1 else out.ravel(),
+                                 return_counts=True)
+        for key, count in zip(keys, counts.tolist()):
+            v = const ^ int.from_bytes(key.tobytes(), "little")
+            values[v] = values.get(v, 0) + count
+    return values
+
+
 def stab_evolve(circuit: Circuit, seed: int = 42) -> StabilizerTableau:
     """Run the gate portion of a Clifford circuit once (measure and reset use
     the seeded generator; conditions are rejected)."""
@@ -381,18 +480,26 @@ def stab_run(
     shots: int = 1024,
     qubit_cap: int = DEFAULT_STAB_CAP,
 ) -> RunResult:
-    """Clifford run with per-shot trajectory sampling.
+    """Clifford run with seeded counts.
 
-    The gate prefix before the first measure, reset or condition runs once;
-    each shot replays the rest of the circuit on a copy of that tableau, so
-    every reset and random measurement draws afresh per shot. A circuit
-    without measurements is sampled by measuring every qubit.
+    A circuit without classical conditions runs once symbolically (see the
+    module docstring) and all shots are drawn from its affine outcomes in
+    blocks; a circuit whose outcomes are all fixed draws nothing. A
+    conditioned circuit runs its gate prefix once and replays the rest per
+    shot on a copy of that tableau. For the same seed both give the counts
+    of a per-shot run. A circuit without measurements is sampled by
+    measuring every qubit.
     """
     t0 = time.perf_counter()
     program = Program(circuit)
     program.check_limits("stabilizer", qubit_cap, DEFAULT_STAB_CAP, shots=shots, seed=seed)
-    state = _StabState(StabilizerTableau(program.n))
-    counts = run_shots(program, state, shots, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    tab = StabilizerTableau(program.n)
+    if any(op.condition is not None for op in program.ops):
+        counts = run_shots(program, _StabState(tab), shots, rng)
+    else:
+        counts = _keyed(_sample_affine(*_affine_outcomes(program, tab), shots, rng),
+                        program.n_bits)
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         backend="stab",

@@ -1,6 +1,6 @@
 """dm_evolve under a small JSON device against the closed forms stated in
 qflow.noise: depolarizing on one qubit and jointly on a pair, T1/T2 decay
-over a delay, and reset."""
+over a delay, and reset; the two-qubit Pauli products against np.kron."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 from qflow.density import dm_evolve
 from qflow.device import load_device
+from qflow.noise import depolarizing_kraus
 from qflow.parser import parse_qasm
 from qflow.statevector import sv_statevector
 
@@ -80,3 +81,19 @@ def test_reset_of_one_gives_zero(wire):
     keep = 3 & ~(1 << wire)
     want[keep, keep] = 1.0
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_two_qubit_depolarizing_operators_are_the_kron_products():
+    paulis = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex)]
+    for p in (0.0, 0.03, 1.0):
+        weights = [1.0 - p * 15 / 16] + [p / 16] * 15
+        want = [math.sqrt(w) * np.kron(a, b)
+                for w, (a, b) in zip(weights, [(a, b) for a in paulis for b in paulis]) if w > 0.0]
+        got = depolarizing_kraus(p, 2)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the products are shared between calls, so no caller may get one to mutate
+    got[0] *= 0
+    assert np.array_equal(depolarizing_kraus(1.0, 2)[0], want[0])

@@ -1,16 +1,25 @@
 """The stabilizer tableau: seeded counts on registers wider than one machine
-word, agreement with the state vector, measurement kinds and the rejection
-of non-Clifford gates."""
+word, the symbolic run against per-shot trajectories, agreement with the
+state vector, measurement kinds and the rejection of non-Clifford gates."""
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qflow import stabilizer
 from qflow.cli import main
 from qflow.errors import NonCliffordError
 from qflow.parser import parse_qasm
-from qflow.stabilizer import stab_evolve, stab_run, tableau_to_statevector
+from qflow.program import Program, run_shots
+from qflow.stabilizer import (StabilizerTableau, _StabState, stab_evolve, stab_run,
+                              tableau_to_statevector)
 from qflow.statevector import sv_statevector
 
 from conftest import corpus_sources, ghz_qasm, random_clifford_qasm
@@ -18,15 +27,15 @@ from conftest import corpus_sources, ghz_qasm, random_clifford_qasm
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 
-def midcircuit_clifford(n: int, seed: int) -> str:
+def midcircuit_clifford(n: int, seed: int, condition: bool = True) -> str:
     """A random Clifford circuit, a mid-circuit measure of q[0], a reset of
-    q[1], a gate conditioned on the measured bit, more random Clifford gates
-    and a terminal measure of every qubit."""
+    q[1], a gate conditioned on the measured bit (unless not ``condition``),
+    more random Clifford gates and a terminal measure of every qubit."""
     before = random_clifford_qasm(n, 4 * n, seed).splitlines()[3:]
     after = random_clifford_qasm(n, 4 * n, seed + 1).splitlines()[3:]
     lines = [HEADER + f"qreg q[{n}];", "creg m[1];", f"creg c[{n}];", *before,
-             "measure q[0] -> m[0];", "reset q[1];", "if(m==1) x q[2];", *after,
-             "measure q -> c;"]
+             "measure q[0] -> m[0];", "reset q[1];", *["if(m==1) x q[2];"] * condition,
+             *after, "measure q -> c;"]
     return "\n".join(lines) + "\n"
 
 
@@ -109,6 +118,218 @@ PINNED_WIDE = {
 def test_seeded_counts_on_wide_registers_are_pinned(n, seed):
     counts = stab_run(parse_qasm(midcircuit_clifford(n, seed)), seed=11, shots=32).counts
     assert counts == dict.fromkeys(PINNED_WIDE[n, seed], 1)
+
+
+# The same circuits without the condition, which stab_run samples from one
+# symbolic pass, and a 200-qubit random Clifford circuit that measures
+# nothing (every qubit is sampled). Counts at seed 11, recorded with the
+# per-shot trajectory loop before the symbolic pass replaced it.
+PINNED_AFFINE = {
+    (33, 5): [
+        "0000001101111000000110111110001100",
+        "0010010001111110010010110000001111",
+        "0010010011001101010100110000010100",
+        "0010011111101100000100111000010100",
+        "0100010001011010010110010010001100",
+        "0100010101110000000000111001111000",
+        "0100011001001111000010011000101111",
+        "0100011001010111010010111001011011",
+        "0100011101001101000110001110100111",
+        "0100100111111101000110000010110100",
+        "0100111001010100010010111101110000",
+        "0110000011000001000000100101100011",
+        "0110001001001101010110001000000111",
+        "0110010111011000000010111000010100",
+        "0110101101001111010000001100000111",
+        "1000001011101101000100011010000100",
+        "1000100011111111000110000110001100",
+        "1000101111011101000110010100100111",
+        "1010000001010000010010101001001011",
+        "1010010001110101000100110101000011",
+        "1010010011111101010010011110000100",
+        "1010110111110011010110011001010011",
+        "1100000111010000000010001101110011",
+        "1110000001100000010100100111001011",
+        "1110001001100101000010011001001000",
+        "1110001101001011000000101010111111",
+        "1110010011101001010000100010100111",
+        "1110010111001011010110110100100111",
+        "1110011001000011000100111011100011",
+        "1110100101010100010110111101101000",
+        "1110110101001000000010001110111100",
+        "1110111011100101000000001101010011",
+    ],
+    (70, 6): [
+        "00000001110010011011100011111011001101111101001001000010001101001001000",
+        "00000010110000111110001010110000000101110011011110011111110011000000000",
+        "00001001010001111111001010010001011101101101011110001110010001000001000",
+        "00001011100001001001001010000101001101101010100110100001101111000010000",
+        "00010000000100011001001011000111010101101000010001111100110111001010011",
+        "00010001010011101101110010100101010101111111011010100000011001001001011",
+        "00010100100001101010101011011000010101101001100111110010100011001111000",
+        "00010110100000111111110011101000010101110100111110101110000111001010000",
+        "00010111000101111101111011001010000101100011001010110000000111001001011",
+        "00011011110101001000000011110001011101110101011100000011101111001000000",
+        "00100101101011101011110110010111010101000100001000100010100001001110000",
+        "00100101111000111001001110110110001101011000010001101110000011001010011",
+        "00101001001011111011000110010010001101000011010000010001101101000110011",
+        "00101110111001111111101111011101001101001001100101111110110001000000000",
+        "00110101111011001100101110100010011101010110000111011110100011000001000",
+        "10000001000101111100100010000110011101100110000110001101011111001011011",
+        "10000001010100011010001010101000010101111001101001111110101111001111000",
+        "10000010100011001001010011011001000101100111010011000001110011000110000",
+        "10001001100011001101101011110110001101111110001101010010100111000111000",
+        "10001100110010001111111010001011010101101000100110011100010101000000011",
+        "10001101100101011111101010000010011101100010110110101110100001000111011",
+        "10011000010110111001111011000000001101101100001111111100110001000101011",
+        "10011100100011101010010010001111011101101100011001100011110101000000000",
+        "10011111010111011101010010001110010101101001100100110011100111001011000",
+        "10100011101000101010000110100000010101010111110011100010010011001011000",
+        "10101101101111101101010110110111011101011000111100001110000101001010011",
+        "10110000001001001001101110101010001101011110100110001110010001001100011",
+        "10110011011111111101010111000010010101001110101011010000000111000011011",
+        "10110101001101011001010110010110000101000011100000101100010101000011011",
+        "10110110101010111101110110101110001101011111011000010001100011001111000",
+        "10111000011100101010001110101000000101011110111001000010101011000010000",
+        "10111111101110111001010111011000010101000100100110101100000011000001000",
+    ],
+}
+PINNED_WIDE_UNMEASURED = [
+    "00010010010000101110101101010000000001110101101001011100001001000101000101111010100101101000110000110101011011101011100000010000101010000100001100111100011101001010001010010110000011110110100001000101",
+    "00010011110001111110101100010001100001110100101101010010001000010110111101011010110110101000110100000111000011001011100000000000001010100110100011111100001000101010001010011110010011110110100001000100",
+    "00011011100000111110101101111000000011111111101101011000011000000001011101011010100101110100111001000110011011100111000000001000111110000100000110111000010100101110001010010111000011110111011000000100",
+    "00111001000101101110100011110000001001111100101001011100010001000111110101001000110011100000111001100111001010101011000000000000011110100110000010111101011000101011001010011110000011110101100000000100",
+    "01000011010100111110100011011001001100110111001001010110010011010100011001011000110111110110110000010100111010000111100010010000111110100100000110111001001000011111001110110111010011110000110000000101",
+    "01001011100100101110100000010001000100111111101101011000010011000011110101101010100111100000111100010100000010001010000010001000101110000100000100111100000100111011001010011110000011110110100000000101",
+    "01011010010000101111110011100001101100101101001101010010001010000011101001101010110010000000110101000111110010001011000010010000011110100110000101111101000001001010001100010111000011110010100000000100",
+    "01110001000000111111101111000000100010100101001101011100001011000000110001011000110011111100111101010101010010001111100010011000011010100100001011111001001101111011001010110110000011110011101000000100",
+]
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_AFFINE))
+def test_seeded_counts_of_unconditioned_wide_registers_are_pinned(n, seed):
+    counts = stab_run(parse_qasm(midcircuit_clifford(n, seed, condition=False)), seed=11,
+                      shots=32).counts
+    assert list(counts.items()) == [(key, 1) for key in PINNED_AFFINE[n, seed]]
+
+
+def test_seeded_counts_of_a_wide_unmeasured_register_are_pinned():
+    counts = stab_run(parse_qasm(random_clifford_qasm(200, 800, seed=17)), seed=11,
+                      shots=8).counts
+    assert list(counts.items()) == [(key, 1) for key in PINNED_WIDE_UNMEASURED]
+
+
+def trajectory_counts(source: str, seed: int, shots: int) -> dict[str, int]:
+    """Counts from the per-shot trajectory loop that sv and dm use."""
+    program = Program(parse_qasm(source))
+    state = _StabState(StabilizerTableau(program.n))
+    return run_shots(program, state, shots, np.random.default_rng(seed))
+
+
+@st.composite
+def _programs(draw):
+    """Random Clifford programs on up to 8 qubits with mid-circuit measures
+    (several into one clbit), resets, barriers and clbits left unmeasured;
+    some measure nothing."""
+    n = draw(st.integers(1, 8))
+    n_clbits = draw(st.integers(1, 4))
+    lines = [HEADER + f"qreg q[{n}];", f"creg c[{n_clbits}];"]
+    qubit = st.integers(0, n - 1)
+    kinds = ["1q", "1q", "2q", "measure", "reset", "barrier"] if n > 1 else ["1q", "measure"]
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "1q":
+            gate = draw(st.sampled_from(["h", "s", "sdg", "x", "y", "z", "sx", "sxdg"]))
+            lines.append(f"{gate} q[{draw(qubit)}];")
+        elif kind == "2q":
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            lines.append(f"{draw(st.sampled_from(['cx', 'cz', 'swap']))} q[{a}],q[{b}];")
+        elif kind == "measure":
+            lines.append(f"measure q[{draw(qubit)}] -> c[{draw(st.integers(0, n_clbits - 1))}];")
+        elif kind == "reset":
+            lines.append(f"reset q[{draw(qubit)}];")
+        else:
+            lines.append("barrier q;")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_programs(), st.integers(0, 2**32), st.integers(1, 40), st.sampled_from([1, 5, 1 << 20]))
+def test_symbolic_run_equals_per_shot_trajectories(source, seed, shots, block_bits):
+    # small blocks split the shots, so draws cross block boundaries
+    with mock.patch.object(stabilizer, "_BLOCK_BITS", block_bits):
+        counts = stab_run(parse_qasm(source), seed=seed, shots=shots).counts
+    assert list(counts.items()) == list(trajectory_counts(source, seed, shots).items())
+
+
+@pytest.mark.parametrize("measure", [True, False])
+def test_symbolic_run_equals_per_shot_trajectories_past_one_word(measure):
+    body = random_clifford_qasm(70, 280, seed=3).splitlines()[3:]
+    lines = [HEADER + "qreg q[70];", "creg c[70];", *body[:140], "measure q[65] -> c[3];",
+             "reset q[66];", "measure q[0] -> c[3];", *body[140:]]
+    if measure:
+        lines += ["barrier q;", *[f"measure q[{q}] -> c[{q}];" for q in range(0, 70, 3)]]
+    source = "\n".join(lines) + "\n"
+    for block_bits in (64, 1 << 20):
+        with mock.patch.object(stabilizer, "_BLOCK_BITS", block_bits):
+            counts = stab_run(parse_qasm(source), seed=5, shots=24).counts
+        assert list(counts.items()) == list(trajectory_counts(source, 5, 24).items())
+
+
+def test_sampling_memory_does_not_grow_with_shots():
+    circuit = parse_qasm(ghz_qasm(20))
+    tracemalloc.start()
+    try:
+        counts = stab_run(circuit, seed=3, shots=1 << 22).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(counts) == ["0" * 20, "1" * 20] and sum(counts.values()) == 1 << 22
+    # drawing every shot at once would hold 2**22 int64 draws (32 MiB)
+    assert peak < 16 << 20
+
+
+def test_deterministic_program_draws_nothing_for_any_shot_count():
+    source = HEADER + "qreg q[2];\ncreg c[2];\nx q[0];\nmeasure q[0] -> c[0];\n"
+    t0 = time.perf_counter()
+    assert stab_run(parse_qasm(source), shots=2**63 - 1).counts == {"01": 2**63 - 1}
+    assert time.perf_counter() - t0 < 5.0
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Count the calls of StabilizerTableau.<name>."""
+    calls = []
+    original = getattr(StabilizerTableau, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerTableau, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("source, n_measure", [
+    (midcircuit_clifford(33, 5, condition=False), 1 + 1 + 33),  # measure, reset, measure q
+    (random_clifford_qasm(12, 48, seed=2), 12),                 # every qubit sampled
+])
+def test_unconditioned_program_measures_once_per_op_and_never_copies(monkeypatch, source,
+                                                                    n_measure):
+    copies = counting(monkeypatch, "copy")
+    measures = counting(monkeypatch, "measure")
+    monkeypatch.setattr(stabilizer, "run_shots", None)
+    stab_run(parse_qasm(source), shots=256)
+    assert (len(copies), len(measures)) == (0, n_measure)
+
+
+def test_conditioned_program_runs_per_shot_trajectories(monkeypatch):
+    calls = []
+    monkeypatch.setattr(stabilizer, "run_shots",
+                        lambda *args: calls.append(args) or run_shots(*args))
+    copies = counting(monkeypatch, "copy")
+    counts = stab_run(parse_qasm(midcircuit_clifford(33, 5)), seed=11, shots=32).counts
+    assert len(calls) == 1 and len(copies) == 32
+    assert counts == dict.fromkeys(PINNED_WIDE[33, 5], 1)
 
 
 # Lattice angles of every parameterized form the tableau accepts, including a
