@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .circuit import Circuit, Instruction, Register
+from .circuit import NON_GATE_OPCODES, Circuit, Instruction, Register
 from .errors import BinaryFormatError
 from .flatten import flatten
 from .gates import LIBRARY
@@ -43,8 +43,6 @@ __all__ = ["encode_binary", "decode_binary", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"NWQB"
 FORMAT_VERSION = 1
-
-_SPECIAL = frozenset({"measure", "barrier", "reset", "delay"})
 
 
 def _write_uvarint(buf: bytearray, value: int):
@@ -194,7 +192,7 @@ def _opcode_entry(strings: list, idx: int, k: int) -> tuple:
     spec = LIBRARY.get(opcode)
     if spec is not None:
         return opcode, spec.arity, spec.param_count
-    if opcode in _SPECIAL:
+    if opcode in NON_GATE_OPCODES:
         return opcode, None, None
     raise BinaryFormatError(f"instruction {k}: unknown opcode '{opcode}'")
 

@@ -15,7 +15,7 @@ the index (from 0) of the circuit instruction whose call expanded it.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Instruction, eval_expr
+from .circuit import NON_GATE_OPCODES, Circuit, Instruction, eval_expr
 from .errors import QasmError
 from .gates import LIBRARY
 
@@ -25,8 +25,6 @@ MAX_EXPANSION_DEPTH = 1000
 # k nested doubling macros expand to 2**k instructions, so the output size
 # is bounded apart from the depth
 MAX_EXPANSION_INSTRUCTIONS = 2**20
-
-_SPECIAL = frozenset({"measure", "barrier", "reset", "delay"})
 
 
 def _broadcast(instr: Instruction, reg_sizes: dict[str, int]) -> list[Instruction]:
@@ -87,7 +85,7 @@ def _check_flat(circuit: Circuit) -> bool:
             if opcode in LIBRARY:
                 if dup:
                     error = QasmError(f"duplicate qubit operand in '{opcode}'")
-            elif opcode not in _SPECIAL:
+            elif opcode not in NON_GATE_OPCODES:
                 error = QasmError(f"undeclared gate '{opcode}'")
     if error is not None:
         raise error
@@ -146,7 +144,7 @@ def flatten(circuit: Circuit) -> Circuit:
         instr = stack.pop()
         gd = defs.get(instr.opcode)
         if gd is None:
-            if instr.opcode not in LIBRARY and instr.opcode not in _SPECIAL:
+            if instr.opcode not in LIBRARY and instr.opcode not in NON_GATE_OPCODES:
                 raise QasmError(f"undeclared gate '{instr.opcode}'")
             if instr.opcode in LIBRARY and len(set(instr.qubits)) != len(instr.qubits):
                 raise QasmError(f"duplicate qubit operand in '{instr.opcode}'")

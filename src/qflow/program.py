@@ -33,7 +33,7 @@ import os
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import NON_GATE_OPCODES, Circuit
 from .errors import SimulationError
 from .flatten import flatten
 from .gates import unitary_of
@@ -42,7 +42,6 @@ from .results import bitstring, sample_counts
 
 __all__ = ["Op", "Program", "evolve", "run_shots", "sample_terminal"]
 
-_NON_UNITARY = frozenset({"measure", "reset", "barrier", "delay"})
 _MAX_SHOTS = (1 << 63) - 1  # the multinomial draw counts in int64
 
 
@@ -60,7 +59,7 @@ class Op:
         self.wires = wires
         self.clbit = clbit
         self.condition = condition
-        self.gate = instr.opcode not in _NON_UNITARY
+        self.gate = instr.opcode not in NON_GATE_OPCODES
         self._matrix = None
         self.kernel = None
 

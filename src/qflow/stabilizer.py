@@ -4,14 +4,16 @@ The tableau is the Aaronson-Gottesman layout (arXiv:quant-ph/0406196) packed
 by column: rows 0..n-1 are destabilizers and rows n..2n-1 stabilizers, and
 for each qubit q the Python int ``X[q]`` holds bit i = row i's x bit on q,
 ``Z[q]`` its z bit, while the int ``R`` holds bit i = row i's sign. A gate
-on q therefore updates every row at once with a few integer operations:
-h swaps X[q] and Z[q], s xors X[q] into Z[q], the Paulis only flip signs,
-and cx, cz and swap combine two columns. Parameterized gates are accepted
-when their angles sit exactly on the pi/2 lattice (within 1e-9, the same
-snap tolerance the transpiler emits), so rz(k*pi/2) becomes a power of s.
-A u3, u or u2 off the lattice is tried again with its canonical ZYZ angles,
-so u3(0,pi/4,-pi/4) passes as the identity; anything else raises
-NonCliffordError naming the gate and angle.
+therefore updates every row at once with a few integer operations. cx, cz
+and swap combine two columns; every other two-qubit gate runs as its u3/cx
+template from qflow.decompose. A one-qubit gate U needs no table of names:
+U X U^dag, U Z U^dag and U Y U^dag are each a sign times a Pauli, so a row's
+(x, z) bits on the wire map linearly, and the rows holding X, Z or Y there
+flip sign by the matching sign. These seven bits are read off U's matrix
+and cached per (opcode, params). U is rejected with NonCliffordError when a
+conjugated Pauli lies further than 3e-9 from every signed Pauli, entry by
+entry; so an angle within about 3e-9 of the pi/2 lattice is accepted, and
+so is an off-lattice u3 that is Clifford, such as u3(0,pi/4,-pi/4).
 
 Measurement keeps the usual deterministic/random split. If stabilizer p
 anticommutes with Z_q, the outcome is a fresh random bit: one pass over the
@@ -39,16 +41,16 @@ that tableau.
 
 from __future__ import annotations
 
-import math
+import functools
 import time
 
 import numpy as np
 
 from .circuit import Circuit
 from .decompose import _two_q_template
-from .errors import NonCliffordError, SimulationError
-from .euler import lattice_power, u3_cells, zyz_from_cells
-from .gates import LIBRARY
+from .errors import NonCliffordError, QFlowError, SimulationError
+from .euler import SNAP_TOL, lattice_power
+from .gates import unitary_of
 from .program import Program, _keyed, run_shots
 from .results import RunResult
 
@@ -59,6 +61,8 @@ DEFAULT_STAB_CAP = 10_000
 STATEVECTOR_CAP = 12
 # one sampling block holds at most this many random bits and as many outcome bits
 _BLOCK_BITS = 1 << 20
+# X, Z and Y, each with its (x, z) bits in a tableau row
+_PAULIS = (((1, 0), unitary_of("x")), ((0, 1), unitary_of("z")), ((1, 1), unitary_of("y")))
 
 
 class StabilizerTableau:
@@ -82,40 +86,6 @@ class StabilizerTableau:
 
     # -- Clifford gates: each conjugates every row at once ---------------------
 
-    def h(self, q: int):
-        x, z = self.X[q], self.Z[q]
-        self.R ^= x & z
-        self.X[q], self.Z[q] = z, x
-
-    def s(self, q: int):
-        x = self.X[q]
-        self.R ^= x & self.Z[q]
-        self.Z[q] ^= x
-
-    def sdg(self, q: int):
-        x = self.X[q]
-        self.R ^= x & ~self.Z[q]
-        self.Z[q] ^= x
-
-    def sx(self, q: int):
-        z = self.Z[q]
-        self.R ^= z & ~self.X[q]
-        self.X[q] ^= z
-
-    def sxdg(self, q: int):
-        z = self.Z[q]
-        self.R ^= z & self.X[q]
-        self.X[q] ^= z
-
-    def x(self, q: int):
-        self.R ^= self.Z[q]
-
-    def y(self, q: int):
-        self.R ^= self.X[q] ^ self.Z[q]
-
-    def z(self, q: int):
-        self.R ^= self.X[q]
-
     def cx(self, c: int, t: int):
         X, Z = self.X, self.Z
         self.R ^= X[c] & Z[t] & ~(X[t] ^ Z[c])
@@ -135,8 +105,7 @@ class StabilizerTableau:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure(self, q: int, rng, force: int | None = None,
-                forms: list[int] | None = None) -> tuple[int, int]:
+    def measure(self, q: int, rng, forms: list[int] | None = None) -> tuple[int, int]:
         """Measure qubit q in Z. Returns (outcome, was_random).
 
         With ``forms`` the row signs are affine over GF(2) in random bits
@@ -192,7 +161,7 @@ class StabilizerTableau:
                 forms.append(bit)
                 self.R = (R & keep) | (dest if R & bit else 0)
                 return 0, 1 << (len(forms) - 1)
-            outcome = int(rng.integers(2)) if force is None else force
+            outcome = int(rng.integers(2))
             self.R = (R & keep) | (dest if R & bit else 0) | (bit if outcome else 0)
             return outcome, True
         # deterministic: the outcome is the sign of the product of the
@@ -226,13 +195,14 @@ class StabilizerTableau:
 
     def reset(self, q: int, rng, forms: list[int] | None = None):
         """Measure q and flip it back to 0, symbolically with ``forms``
-        (see :meth:`measure`): x then flips the signs by the outcome's
-        constant in R and by each random bit it depends on in that bit's form."""
+        (see :meth:`measure`). An x on q flips every row with a z bit there:
+        in R by the outcome's constant, and in each random bit's form that
+        the outcome depends on."""
         outcome, deps = self.measure(q, rng, forms=forms)
+        z = self.Z[q]
         if outcome:
-            self.apply("x", (), (q,))
+            self.R ^= z
         if forms is not None:
-            z = self.Z[q]
             while deps:
                 j = deps.bit_length() - 1
                 forms[j] ^= z
@@ -240,112 +210,81 @@ class StabilizerTableau:
 
     # -- gate dispatch -----------------------------------------------------------
 
-    _GATES_1Q = {"id": lambda self, q: None, "u0": lambda self, q: None, "h": h, "s": s,
-                 "sdg": sdg, "sx": sx, "sxdg": sxdg, "x": x, "y": y, "z": z}
     _GATES_2Q = {"cx": cx, "cz": cz, "swap": swap}
 
-    def _z_power(self, k: int, q: int):
-        if k == 1:
-            self.s(q)
-        elif k == 2:
-            self.z(q)
-        elif k == 3:
-            self.sdg(q)
-
-    def _y_power(self, k: int, q: int):
-        self.sdg(q)
-        self.h(q)
-        self._z_power(k, q)
-        self.h(q)
-        self.s(q)
-
     def apply(self, opcode: str, params: tuple, wires: tuple):
-        gate = self._GATES_1Q.get(opcode)
-        if gate is not None:
-            gate(self, wires[0])
+        if len(wires) == 1:
+            xx, zx, xz, zz, sx, sz, sy = _one_q_rule(opcode, params)
+            q = wires[0]
+            x, z = self.X[q], self.Z[q]
+            self.R ^= (x if sx else 0) ^ (z if sz else 0) ^ (x & z if sy else 0)
+            self.X[q] = (x if xx else 0) ^ (z if zx else 0)
+            self.Z[q] = (x if xz else 0) ^ (z if zz else 0)
             return
         gate = self._GATES_2Q.get(opcode)
         if gate is not None:
             gate(self, wires[0], wires[1])
             return
-        if opcode == "cy":
-            self.sdg(wires[1])
-            self.cx(wires[0], wires[1])
-            self.s(wires[1])
-            return
-        if opcode in ("rz", "u1", "p"):
-            self._z_power(self._lattice(opcode, params[0]), wires[0])
-            return
-        if opcode == "rx":
-            q = wires[0]
-            self.h(q)
-            self._z_power(self._lattice(opcode, params[0]), q)
-            self.h(q)
-            return
-        if opcode == "ry":
-            self._y_power(self._lattice(opcode, params[0]), wires[0])
-            return
-        if opcode in ("u3", "u", "u2"):
-            if opcode == "u2":
-                theta, phi, lam = math.pi / 2, params[0], params[1]
-            else:
-                theta, phi, lam = params
-            angles = (lam, theta, phi)
-            powers = [lattice_power(a) for a in angles]
-            if None in powers:
-                # off-lattice phi and lam can still make a Clifford (u3(0,
-                # pi/4,-pi/4) is the identity): try the canonical angles
-                t, p, l = zyz_from_cells(*u3_cells(theta, phi, lam))
-                canonical = [lattice_power(a) for a in (l, t, p)]
-                if None in canonical:
-                    raise self._reject(opcode, (angles[powers.index(None)],))
-                powers = canonical
-            q = wires[0]
-            self._z_power(powers[0], q)
-            self._y_power(powers[1], q)
-            self._z_power(powers[2], q)
-            return
-        spec = LIBRARY.get(opcode)
-        if spec is not None and spec.arity == 2:
-            # parameterized two-qubit gates reduce to u3/cx pieces; each piece
-            # must itself be Clifford
-            try:
-                for sub_op, sub_params, slots in _two_q_template(opcode, params):
-                    self.apply(sub_op, sub_params, tuple(wires[s] for s in slots))
-                return
-            except NonCliffordError:
-                raise self._reject(opcode, params) from None
-        raise self._reject(opcode, params)
+        # every other gate reduces to u3/cx pieces, each of which must be Clifford
+        try:
+            for sub_op, sub_params, slots in _two_q_template(opcode, params):
+                self.apply(sub_op, sub_params, tuple(wires[s] for s in slots))
+        except QFlowError:
+            raise _reject(opcode, params) from None
 
-    def _lattice(self, opcode: str, angle: float) -> int:
-        k = lattice_power(angle)
-        if k is None:
-            raise self._reject(opcode, (angle,))
-        return k
 
-    @staticmethod
-    def _reject(opcode: str, params: tuple) -> NonCliffordError:
-        if params:
-            angles = ", ".join(repr(float(p)) for p in params)
-            return NonCliffordError(
-                f"non-Clifford gate '{opcode}' (angle {angles} is not a multiple of pi/2)"
-            )
-        return NonCliffordError(f"non-Clifford gate '{opcode}'")
+@functools.lru_cache(maxsize=4096)
+def _one_q_rule(opcode: str, params: tuple) -> tuple[int, ...]:
+    """How a one-qubit gate U moves the (x, z) bits of a row on its wire, as
+    seven bits (xx, zx, xz, zz, sx, sz, sy): U X U^dag = (-1)^sx P(xx, xz)
+    and U Z U^dag = (-1)^sz P(zx, zz), so the new x bit is x xx ^ z zx and the
+    new z bit x xz ^ z zz. A row flips sign by sx where it holds X (x ^ y,
+    for y = x & z), by sz where it holds Z (z ^ y) and by the sign of U Y
+    U^dag where it holds Y (y): that is x sx ^ z sz ^ y sy, with sy the xor
+    of all three signs."""
+    try:
+        u = unitary_of(opcode, params)
+    except QFlowError:
+        raise _reject(opcode, params) from None
+    images = []
+    for _, pauli in _PAULIS:
+        image = u @ pauli @ u.conj().T
+        for bits, target in _PAULIS:
+            sign = int(np.vdot(target, image).real < 0)
+            if np.abs(image - (1 - 2 * sign) * target).max() <= 3 * SNAP_TOL:
+                images.append((*bits, sign))
+                break
+        else:
+            raise _reject(opcode, params)
+    (xx, xz, sx), (zx, zz, sz), (_, _, sy) = images
+    return xx, zx, xz, zz, sx, sz, sx ^ sz ^ sy
+
+
+def _reject(opcode: str, params: tuple) -> NonCliffordError:
+    """Name the first angle off the pi/2 lattice, if any: on the lattice a
+    gate can still be non-Clifford (crx(pi/2)), and no angle is to blame."""
+    for angle in params:
+        if lattice_power(angle) is None:
+            return NonCliffordError(f"non-Clifford gate '{opcode}' "
+                                    f"(angle {float(angle)!r} is not a multiple of pi/2)")
+    return NonCliffordError(f"non-Clifford gate '{opcode}'")
 
 
 def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
     """The unique state (up to global phase) stabilized by the tableau's
     stabilizer rows, via the projector product prod_i (I + S_i)/2 applied to
-    a basis seed found by simulated measurement."""
+    a basis seed: the outcome of measuring every qubit with each random
+    outcome taken as 0."""
     n = tab.n
     if n > STATEVECTOR_CAP:
         raise SimulationError(
             f"{n} qubits exceeds the tableau-to-statevector cap {STATEVECTOR_CAP}"
         )
     probe = tab.copy()
+    forms: list[int] = []
     seed_bits = 0
     for q in range(n):
-        outcome, _ = probe.measure(q, rng=None, force=0)
+        outcome, _ = probe.measure(q, None, forms=forms)
         seed_bits |= outcome << q
 
     dim = 1 << n

@@ -22,12 +22,12 @@ H(target), with the Hadamards realized in the device's one-qubit family.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction
 from .decompose import (
+    _H3,
     _one_q_u3_params,
     decompose_to_u_cx,
     resolve_1q_family,
@@ -46,7 +46,6 @@ from .schedule import schedule_asap
 
 __all__ = ["transpile", "peephole_1q", "TranspileReport"]
 
-_H3 = (math.pi / 2, 0.0, math.pi)
 _H_CELLS = u3_cells(*_H3)
 
 

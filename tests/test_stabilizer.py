@@ -4,6 +4,9 @@ state vector, measurement kinds and the rejection of non-Clifford gates."""
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import time
 import tracemalloc
 from unittest import mock
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from qflow import stabilizer
 from qflow.cli import main
 from qflow.errors import NonCliffordError
+from qflow.gates import LIBRARY, unitary_of
 from qflow.parser import parse_qasm
 from qflow.program import Program, run_shots
 from qflow.stabilizer import (StabilizerTableau, _StabState, stab_evolve, stab_run,
@@ -345,13 +349,16 @@ _UNITARY_CLIFFORD = (
 )
 
 
-@pytest.mark.parametrize("name, source", _UNITARY_CLIFFORD)
-def test_tableau_state_is_the_statevector(name, source):
-    c = parse_qasm(source, source_name=name)
+def assert_tableau_is_the_statevector(c):
     psi = sv_statevector(c)
     phi = tableau_to_statevector(stab_evolve(c))
     k = int(np.argmax(np.abs(psi)))
     np.testing.assert_allclose(phi * (psi[k] / phi[k]), psi, atol=1e-10)
+
+
+@pytest.mark.parametrize("name, source", _UNITARY_CLIFFORD)
+def test_tableau_state_is_the_statevector(name, source):
+    assert_tableau_is_the_statevector(parse_qasm(source, source_name=name))
 
 
 def test_ghz_measurements_are_random_then_deterministic():
@@ -371,11 +378,7 @@ def test_ghz_measurements_are_random_then_deterministic():
 ])
 def test_clifford_u3_off_the_lattice_is_accepted(gate):
     source = HEADER + f"qreg q[2];\nh q[0];\ncx q[0],q[1];\n{gate} q[0];\nh q[1];\n"
-    c = parse_qasm(source)
-    psi = sv_statevector(c)
-    phi = tableau_to_statevector(stab_evolve(c))
-    k = int(np.argmax(np.abs(psi)))
-    np.testing.assert_allclose(phi * (psi[k] / phi[k]), psi, atol=1e-10)
+    assert_tableau_is_the_statevector(parse_qasm(source))
 
 
 @pytest.mark.parametrize("gate, message", [
@@ -389,6 +392,82 @@ def test_clifford_u3_off_the_lattice_is_accepted(gate):
 def test_non_clifford_gates_are_rejected(gate, message):
     with pytest.raises(NonCliffordError, match=message):
         stab_run(parse_qasm(HEADER + "qreg q[2];\nh q[0];\n" + gate + "\n"), shots=4)
+
+
+@pytest.mark.parametrize("gate, message", [
+    # on the lattice, yet not Clifford: no angle is to blame
+    ("crx(pi/2) q[0],q[1];", "non-Clifford gate 'crx'$"),
+    ("cu1(pi/2) q[0],q[1];", "non-Clifford gate 'cu1'$"),
+    ("cu3(pi/2,0,pi) q[0],q[1];", "non-Clifford gate 'cu3'$"),
+    # the first angle off the lattice, in the order the gate is written
+    ("u3(0.1,0.2,0.3) q[0];", r"non-Clifford gate 'u3' \(angle 0.1 is not a multiple of pi/2\)$"),
+    ("cu3(pi,0.2,0.3) q[0],q[1];",
+     r"non-Clifford gate 'cu3' \(angle 0.2 is not a multiple of pi/2\)$"),
+])
+def test_rejection_names_only_an_angle_off_the_lattice(gate, message):
+    with pytest.raises(NonCliffordError, match=message):
+        stab_run(parse_qasm(HEADER + "qreg q[2];\nh q[0];\n" + gate + "\n"), shots=4)
+
+
+def one_gate_tableau(opcode: str, params: tuple) -> tuple:
+    tab = StabilizerTableau(1)
+    tab.apply(opcode, params, (0,))
+    return tab.X, tab.Z, tab.R
+
+
+@pytest.mark.parametrize("offset, accepted", [
+    (5e-10, True), (5e-9, False), (5e-8, False), (1e-5, False)])
+def test_accept_boundary_of_a_single_angle(offset, accepted):
+    if accepted:
+        assert one_gate_tableau("rz", (math.pi / 2 + offset,)) == one_gate_tableau("s", ())
+    else:
+        with pytest.raises(NonCliffordError, match=r"'rz' \(angle 1.57"):
+            one_gate_tableau("rz", (math.pi / 2 + offset,))
+
+
+def test_u3_near_every_lattice_point_is_accepted():
+    for ks in itertools.product(range(4), repeat=3):
+        exact = one_gate_tableau("u3", tuple(k * math.pi / 2 for k in ks))
+        for offsets in itertools.product((1e-9, -1e-9), repeat=3):
+            params = tuple(k * math.pi / 2 + d for k, d in zip(ks, offsets))
+            assert one_gate_tableau("u3", params) == exact, params
+
+
+def maps_paulis_to_paulis(u: np.ndarray) -> bool:
+    """Whether u conjugates X and Z on each of its wires to a signed Pauli
+    string: the definition of a Clifford gate."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1])]
+    k = u.shape[0].bit_length() - 1
+    strings = [functools.reduce(np.kron, ps) for ps in itertools.product(paulis, repeat=k)]
+    for w, g in itertools.product(range(k), (paulis[1], paulis[3])):
+        image = u @ functools.reduce(np.kron, [g if i == w else paulis[0] for i in range(k)])
+        image = image @ u.conj().T
+        if not any(np.allclose(image, sign * p, atol=1e-9) for p in strings for sign in (1, -1)):
+            return False
+    return True
+
+
+_LATTICE_GATES = [(name, params) for name, spec in sorted(LIBRARY.items())
+                  for params in itertools.product((0.0, math.pi / 2, math.pi, 3 * math.pi / 2),
+                                                  repeat=spec.param_count)]
+
+
+@pytest.mark.parametrize("name, params", _LATTICE_GATES,
+                         ids=[f"{n}{[round(p / math.pi * 2) for p in ps]}" for n, ps in _LATTICE_GATES])
+def test_every_library_gate_on_the_lattice_matches_the_statevector(name, params):
+    """Each wire the gate acts on starts as half of a Bell pair, so the state
+    fixes the gate up to phase: the whole map on X, Y and Z, signs included."""
+    k = LIBRARY[name].arity
+    prep = "".join(f"h q[{i}];\ncx q[{i}],q[{i + k}];\n" for i in range(k))
+    args = f"({','.join(map(repr, params))})" if params else ""
+    gate = f"{name}{args} {','.join(f'q[{i}]' for i in range(k))};\n"
+    c = parse_qasm(HEADER + f"qreg q[{2 * k}];\n" + prep + gate)
+    if maps_paulis_to_paulis(unitary_of(name, params)):
+        assert_tableau_is_the_statevector(c)
+    else:
+        with pytest.raises(NonCliffordError, match=f"non-Clifford gate '{name}'"):
+            stab_evolve(c)
 
 
 def test_cli_refuses_non_clifford_circuit(tmp_path, capsys):
