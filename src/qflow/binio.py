@@ -15,7 +15,8 @@ Layout, all multi-byte integers little-endian, varints LEB128 unsigned:
                      qubit operand count: varint, then (varint register index,
                      varint wire index) pairs
                      classical operands likewise
-                     if flagged: (varint classical register index, varint value)
+                     if flagged: (varint classical register index, varint value);
+                     a barrier is never flagged
 
 Circuits are flattened before encoding, so the stream contains only builtin
 opcodes acting on concrete wires; macro structure is not preserved. A flat
@@ -361,6 +362,8 @@ def decode_binary(data: bytes) -> Circuit:
                 )
             value, off = _uvarint(data, off, "instruction {k} condition value", k)
             condition = (registers[cidx].name, value)
+            if opcode == "barrier":
+                raise BinaryFormatError(f"instruction {k}: a barrier cannot be conditioned")
         if arity is not None and (len(qubits) != arity or n_params != param_count):
             raise BinaryFormatError(
                 f"instruction {k}: '{opcode}' operand or parameter count mismatch"

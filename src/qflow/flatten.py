@@ -2,7 +2,9 @@
 
 ``flatten`` rewrites a circuit so that every instruction is a builtin gate
 (or measure/barrier/reset/delay) acting on concrete wires: user gate macros
-are inlined recursively with exact parameter substitution, and register-wide
+are inlined recursively with exact parameter substitution (a conditioned
+call's condition goes to every gate of its body; a body barrier stays
+unconditioned, as QASM 2 has no conditioned barrier), and register-wide
 statements like ``measure q -> c;`` or ``h q;`` are expanded per wire.
 Flattened circuits carry no gate definitions or includes, and a circuit
 that is flat already comes back as it is, after the same opcode and
@@ -161,7 +163,8 @@ def flatten(circuit: Circuit) -> Circuit:
                         tuple(eval_expr(e, env) for e in body.params),
                         tuple(instr.qubits[i] for i in body.qubits),
                         (),
-                        instr.condition,
+                        # a barrier is not a qop, so no if applies to it
+                        None if body.opcode == "barrier" else instr.condition,
                     )
                 )
         except QasmError as exc:

@@ -10,12 +10,20 @@ include path is rejected. Library gates (everything in
 :data:`qflow.gates.LIBRARY`) are callable whether or not the include is
 present. Three-or-more-qubit qelib1 gates (``ccx``, ``cswap``) are attached
 to the circuit as macro definitions when used.
+
+The source is read in one tokenizer pass into ``(kind, text, offset)``
+tuples; a symbol's kind is its own text. A token keeps only its offset:
+the line and column of a :class:`QasmError` are worked out from it when
+the error is raised. Top-level statements and gate bodies share one
+gate-call grammar (``name(params) args;``), as in the QASM 2 grammar.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
+from typing import NoReturn
 
 from .circuit import (
     BinOp,
@@ -37,17 +45,16 @@ from .qelib1 import QELIB1_INC
 
 __all__ = ["parse_qasm"]
 
+# whitespace and comments match ungrouped, so their lastgroup is None
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+    [ \t\r\n]+ | //[^\n]*
+  | (?P<real>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<str>"[^"\n]*")
-  | (?P<arrow>->)
-  | (?P<eq>==)
-  | (?P<sym>[()\[\]{};,+\-*/^])
+  | (?P<sym>->|==|[()\[\]{};,+\-*/^])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -60,49 +67,31 @@ _FUNC_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt"})
 MAX_EXPR_DEPTH = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind},{self.text!r})"
+def _position(text: str, off: int) -> tuple[int, int]:
+    """(line, column) of an offset, both from 1."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind is None:
+            continue
         value = m.group()
-        if kind in ("ws", "comment"):
-            nl = value.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + value.rindex("\n") + 1
-        else:
-            col = pos - line_start + 1
-            if kind == "sym":
-                kind = value
-            tokens.append(_Token(kind, value, line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, n - line_start + 1))
+        if kind == "sym":
+            kind = value
+        elif kind == "bad":
+            raise QasmError(f"unexpected character {value!r}", *_position(text, m.start()))
+        tokens.append((kind, value, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], source_name: str | None):
-        self.tokens = tokens
+    def __init__(self, text: str, source_name: str | None):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
         self.source_name = source_name
         self.registers: list[Register] = []
@@ -116,30 +105,42 @@ class _Parser:
 
     # -- token helpers -------------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
+    def expect(self, kind: str, what: str | None = None) -> tuple:
         tok = self.next()
-        if tok.kind != kind:
-            want = what or f"'{kind}'"
-            raise QasmError(f"expected {want}, found {tok.text!r}", tok.line, tok.col)
+        if tok[0] != kind:
+            self.error(f"expected {what or repr(kind)}, found {tok[1]!r}", tok)
         return tok
 
-    def error(self, msg: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise QasmError(msg, tok.line, tok.col)
+    def error(self, msg: str, tok: tuple | None = None) -> NoReturn:
+        tok = tok or self.tokens[self.i]
+        raise QasmError(msg, *_position(self.text, tok[2]))
+
+    def _comma_list(self, item) -> list:
+        items = [item()]
+        while self.peek() == ",":
+            self.i += 1
+            items.append(item())
+        return items
 
     # -- program -------------------------------------------------------------
 
     def parse_program(self) -> Circuit:
-        self._parse_version()
-        while self.peek().kind != "eof":
+        if self.tokens[0][:2] != ("id", "OPENQASM"):
+            self.error("expected 'OPENQASM 2.0;' header")
+        self.i += 1
+        ver = self.next()
+        if ver[1] != "2.0":
+            self.error(f"unsupported version header 'OPENQASM {ver[1]}'", ver)
+        self.expect(";")
+        while self.peek() != "eof":
             self._parse_statement()
         return Circuit(
             registers=tuple(self.registers),
@@ -148,16 +149,6 @@ class _Parser:
             includes=tuple(self.includes),
             source_name=self.source_name,
         )
-
-    def _parse_version(self):
-        tok = self.peek()
-        if tok.kind != "id" or tok.text != "OPENQASM":
-            self.error("expected 'OPENQASM 2.0;' header")
-        self.next()
-        ver = self.next()
-        if ver.text != "2.0":
-            raise QasmError(f"unsupported version header 'OPENQASM {ver.text}'", ver.line, ver.col)
-        self.expect(";")
 
     def _collect_gate_defs(self) -> tuple:
         """User definitions in declaration order, then the include macros the
@@ -186,59 +177,55 @@ class _Parser:
     # -- statements ------------------------------------------------------------
 
     def _parse_statement(self):
-        tok = self.peek()
-        if tok.kind != "id":
-            self.error(f"expected statement, found {tok.text!r}")
-        kw = tok.text
+        tok = self.tokens[self.i]
+        if tok[0] != "id":
+            self.error(f"expected statement, found {tok[1]!r}")
+        kw = tok[1]
         if kw in ("qreg", "creg"):
             self._parse_reg_decl()
         elif kw == "include":
             self._parse_include()
-        elif kw == "gate":
+        elif kw in ("gate", "opaque"):
             self._parse_gate_def()
-        elif kw == "opaque":
-            self._parse_opaque()
         elif kw == "if":
-            self._parse_if()
-        elif kw == "barrier":
-            self.next()
-            args = [self._parse_argument("q")]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self._parse_argument("q"))
-            self.expect(";")
-            self.instructions.append(Instruction("barrier", (), tuple(args)))
+            self.i += 1
+            self.expect("(")
+            creg_tok = self.expect("id", "classical register")
+            reg = self.reg_map.get(creg_tok[1])
+            if reg is None or reg.kind != "c":
+                self.error(f"'{creg_tok[1]}' is not a declared classical register", creg_tok)
+            self.expect("==", "'=='")
+            val_tok = self.expect("int", "comparison value")
+            self.expect(")")
+            self._parse_qop((reg.name, int(val_tok[1])))
         else:
-            self.instructions.append(self._parse_qop())
+            self._parse_qop(None)
 
     def _parse_reg_decl(self):
         kw = self.next()
         name_tok = self.expect("id", "register name")
-        name = name_tok.text
+        name = name_tok[1]
         self.expect("[")
         size_tok = self.expect("int", "register size")
         self.expect("]")
         self.expect(";")
-        size = int(size_tok.text)
+        size = int(size_tok[1])
         if size < 1:
-            raise QasmError(f"register '{name}' must have size >= 1", size_tok.line, size_tok.col)
+            self.error(f"register '{name}' must have size >= 1", size_tok)
         if name in self.reg_map or name in self.defs:
-            raise QasmError(f"redefinition of '{name}'", name_tok.line, name_tok.col)
-        reg = Register(name, "q" if kw.text == "qreg" else "c", size)
+            self.error(f"redefinition of '{name}'", name_tok)
+        reg = Register(name, "q" if kw[1] == "qreg" else "c", size)
         self.registers.append(reg)
         self.reg_map[name] = reg
 
     def _parse_include(self):
-        self.next()
+        self.i += 1
         path_tok = self.expect("str", "include path")
         self.expect(";")
-        path = path_tok.text.strip('"')
+        path = path_tok[1].strip('"')
         if path != "qelib1.inc":
-            raise QasmError(
-                f"include '{path}' is not supported (only the embedded qelib1.inc)",
-                path_tok.line,
-                path_tok.col,
-            )
+            self.error(f"include '{path}' is not supported (only the embedded qelib1.inc)",
+                       path_tok)
         if path not in self.includes:
             self.includes.append(path)
             for gd in _qelib1_macros():
@@ -248,338 +235,227 @@ class _Parser:
 
     # -- gate definitions -----------------------------------------------------
 
-    def _parse_formal_list(self) -> list[str]:
-        names = [self.expect("id", "identifier").text]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.expect("id", "identifier").text)
-        return names
-
     def _parse_gate_def(self):
-        self.next()
+        """``gate`` and ``opaque`` share the header ``name(params) qubits``."""
+        opaque = self.next()[1] == "opaque"
         name_tok = self.expect("id", "gate name")
-        name = name_tok.text
+        name = name_tok[1]
         if name in self.reg_map or name in self.defs:
-            raise QasmError(f"redefinition of '{name}'", name_tok.line, name_tok.col)
+            self.error(f"redefinition of '{name}'", name_tok)
         params: list[str] = []
-        if self.peek().kind == "(":
-            self.next()
-            if self.peek().kind != ")":
-                params = self._parse_formal_list()
+        if self.peek() == "(":
+            self.i += 1
+            if self.peek() != ")":
+                params = self._comma_list(self._formal)
             self.expect(")")
-        qubits = self._parse_formal_list()
-        if len(set(params)) != len(params) or len(set(qubits)) != len(qubits):
-            self.error(f"duplicate formal argument in gate '{name}'", name_tok)
-        self.expect("{")
-        body = []
-        while self.peek().kind != "}":
-            body.append(self._parse_body_statement(name, params, qubits))
-        self.next()
-        gd = GateDef(name, tuple(params), tuple(qubits), tuple(body))
-        self.defs[name] = gd
-        self.user_def_order.append(name)
-
-    def _parse_opaque(self):
-        self.next()
-        name_tok = self.expect("id", "gate name")
-        name = name_tok.text
-        if name in self.reg_map or name in self.defs:
-            raise QasmError(f"redefinition of '{name}'", name_tok.line, name_tok.col)
-        params: list[str] = []
-        if self.peek().kind == "(":
-            self.next()
-            if self.peek().kind != ")":
-                params = self._parse_formal_list()
-            self.expect(")")
-        qubits = self._parse_formal_list()
-        self.expect(";")
-        gd = GateDef(name, tuple(params), tuple(qubits), (), opaque=True)
-        self.defs[name] = gd
-        self.user_def_order.append(name)
-
-    def _parse_body_statement(self, gate_name, formal_params, formal_qubits) -> BodyInstruction:
-        tok = self.expect("id", "gate body statement")
-        formal_index = {q: i for i, q in enumerate(formal_qubits)}
-
-        def formal_args() -> tuple:
-            args = []
-            while True:
-                arg = self.expect("id", "formal qubit")
-                if arg.text not in formal_index:
-                    raise QasmError(
-                        f"'{arg.text}' is not a formal qubit of gate '{gate_name}'",
-                        arg.line,
-                        arg.col,
-                    )
-                args.append(formal_index[arg.text])
-                if self.peek().kind != ",":
-                    break
-                self.next()
-            if len(set(args)) != len(args):
-                raise QasmError("duplicate qubit operand", tok.line, tok.col)
-            return tuple(args)
-
-        if tok.text == "barrier":
-            args = formal_args()
+        qubits = self._comma_list(self._formal)
+        if opaque:
             self.expect(";")
-            return BodyInstruction("barrier", (), args)
-        if tok.text in ("measure", "reset", "delay", "if"):
-            raise QasmError(
-                f"'{tok.text}' is not allowed inside a gate body", tok.line, tok.col
-            )
+            body = ()
+        else:
+            if len(set(params)) != len(params) or len(set(qubits)) != len(qubits):
+                self.error(f"duplicate formal argument in gate '{name}'", name_tok)
+            self.expect("{")
+            body = self._parse_body(name, params, qubits)
+        self.defs[name] = GateDef(name, tuple(params), tuple(qubits), body, opaque)
+        self.user_def_order.append(name)
 
-        opcode, n_params, arity = self._resolve_gate(tok)
-        params: tuple = ()
-        if self.peek().kind == "(":
-            self.next()
-            exprs = []
-            if self.peek().kind != ")":
-                exprs.append(self._parse_expr(formal_params))
-                while self.peek().kind == ",":
-                    self.next()
-                    exprs.append(self._parse_expr(formal_params))
-            self.expect(")")
-            params = tuple(exprs)
-        if len(params) != n_params:
-            raise QasmError(
-                f"gate '{tok.text}' takes {n_params} parameter(s), got {len(params)}",
-                tok.line,
-                tok.col,
-            )
-        args = formal_args()
-        if len(args) != arity:
-            raise QasmError(
-                f"gate '{tok.text}' acts on {arity} qubit(s), got {len(args)}",
-                tok.line,
-                tok.col,
-            )
-        self.expect(";")
-        return BodyInstruction(opcode, params, args)
+    def _formal(self) -> str:
+        return self.expect("id", "identifier")[1]
 
-    def _resolve_gate(self, tok: _Token) -> tuple[str, int, int]:
-        """Map a gate-call token to (opcode, n_params, arity)."""
-        name = tok.text
-        if name == "U":
-            return "u3", 3, 1
-        if name == "CX":
-            return "cx", 0, 2
-        gd = self.defs.get(name)
-        if gd is not None:
-            return name, len(gd.params), len(gd.qubits)
-        spec = LIBRARY.get(name)
-        if spec is not None:
-            return name, spec.param_count, spec.arity
-        raise QasmError(f"undeclared gate '{name}'", tok.line, tok.col)
+    def _parse_body(self, gate_name, params, qubits) -> tuple:
+        formal_index = {q: i for i, q in enumerate(qubits)}
+
+        def operand() -> int:
+            arg = self.expect("id", "formal qubit")
+            if arg[1] not in formal_index:
+                self.error(f"'{arg[1]}' is not a formal qubit of gate '{gate_name}'", arg)
+            return formal_index[arg[1]]
+
+        body = []
+        while self.peek() != "}":
+            tok = self.expect("id", "gate body statement")
+            if tok[1] == "barrier":
+                args = self._comma_list(operand)
+                if len(set(args)) != len(args):
+                    self.error("duplicate qubit operand", tok)
+                self.expect(";")
+                body.append(BodyInstruction("barrier", (), tuple(args)))
+            elif tok[1] in ("measure", "reset", "delay", "if"):
+                self.error(f"'{tok[1]}' is not allowed inside a gate body", tok)
+            else:
+                body.append(BodyInstruction(*self._parse_call(tok, params, operand)))
+        self.i += 1
+        return tuple(body)
 
     # -- quantum operations -----------------------------------------------------
 
-    def _parse_if(self):
-        self.next()
-        self.expect("(")
-        creg_tok = self.expect("id", "classical register")
-        reg = self.reg_map.get(creg_tok.text)
-        if reg is None or reg.kind != "c":
-            raise QasmError(
-                f"'{creg_tok.text}' is not a declared classical register",
-                creg_tok.line,
-                creg_tok.col,
-            )
-        self.expect("eq", "'=='")
-        val_tok = self.expect("int", "comparison value")
-        self.expect(")")
-        instr = self._parse_qop()
-        self.instructions.append(
-            Instruction(instr.opcode, instr.params, instr.qubits, instr.clbits,
-                        condition=(reg.name, int(val_tok.text)))
-        )
-
-    def _parse_qop(self) -> Instruction:
-        tok = self.peek()
-        if tok.text == "measure":
-            return self._parse_measure()
-        if tok.text == "reset":
-            self.next()
-            arg = self._parse_argument("q")
-            self.expect(";")
-            return Instruction("reset", (), (arg,))
-        if tok.text == "delay":
-            return self._parse_delay()
-        return self._parse_gate_call()
-
-    def _parse_measure(self) -> Instruction:
-        kw = self.next()
-        qarg = self._parse_argument("q")
-        self.expect("arrow", "'->'")
-        carg = self._parse_argument("c")
-        self.expect(";")
-        if qarg[1] is None or carg[1] is None:
-            qsize = 1 if qarg[1] is not None else self.reg_map[qarg[0]].size
-            csize = 1 if carg[1] is not None else self.reg_map[carg[0]].size
-            if qsize != csize:
-                raise QasmError(
-                    f"measure broadcast size mismatch: {qarg[0]} has {qsize} wire(s), "
-                    f"{carg[0]} has {csize}",
-                    kw.line,
-                    kw.col,
-                )
-        return Instruction("measure", (), (qarg,), (carg,))
-
-    def _parse_delay(self) -> Instruction:
-        self.next()
-        arg = self._parse_argument("q")
-        self.expect(",")
-        cyc_tok = self.peek()
-        if cyc_tok.kind != "int":
-            raise QasmError(
-                "delay cycle count must be a nonnegative integer",
-                cyc_tok.line,
-                cyc_tok.col,
-            )
-        self.next()
-        self.expect(";")
-        return Instruction("delay", (int(cyc_tok.text),), (arg,))
-
-    def _parse_gate_call(self) -> Instruction:
+    def _parse_qop(self, condition):
+        """One quantum operation at top level, under an ``if`` when
+        ``condition`` is set (a barrier is not a qop, so it takes none)."""
         tok = self.expect("id", "gate name")
-        opcode, n_params, arity = self._resolve_gate(tok)
-        params: tuple = ()
-        if self.peek().kind == "(":
-            self.next()
-            exprs = []
-            if self.peek().kind != ")":
-                exprs.append(self._parse_expr(()))
-                while self.peek().kind == ",":
-                    self.next()
-                    exprs.append(self._parse_expr(()))
+        kw = tok[1]
+        if kw == "measure":
+            qarg = self._parse_argument()
+            self.expect("->", "'->'")
+            carg = self._parse_argument("c")
+            self.expect(";")
+            if qarg[1] is None or carg[1] is None:
+                qsize = 1 if qarg[1] is not None else self.reg_map[qarg[0]].size
+                csize = 1 if carg[1] is not None else self.reg_map[carg[0]].size
+                if qsize != csize:
+                    self.error(f"measure broadcast size mismatch: {qarg[0]} has {qsize} "
+                               f"wire(s), {carg[0]} has {csize}", tok)
+            instr = Instruction("measure", (), (qarg,), (carg,), condition)
+        elif kw == "reset":
+            arg = self._parse_argument()
+            self.expect(";")
+            instr = Instruction("reset", (), (arg,), (), condition)
+        elif kw == "delay":
+            arg = self._parse_argument()
+            self.expect(",")
+            if self.peek() != "int":
+                self.error("delay cycle count must be a nonnegative integer")
+            cycles = int(self.next()[1])
+            self.expect(";")
+            instr = Instruction("delay", (cycles,), (arg,), (), condition)
+        elif kw == "barrier" and condition is None:
+            args = self._comma_list(self._parse_argument)
+            self.expect(";")
+            instr = Instruction("barrier", (), tuple(args))
+        else:
+            opcode, exprs, args = self._parse_call(tok, (), self._parse_argument)
+            if len({self.reg_map[r].size for r, idx in args if idx is None}) > 1:
+                self.error("register broadcast requires equal register sizes", tok)
+            instr = Instruction(opcode, tuple(e.value for e in exprs), args, (), condition)
+        self.instructions.append(instr)
+
+    def _parse_call(self, tok, formals, operand) -> tuple:
+        """The gate call ``name(params) args;`` after its name token, at top
+        level and in gate bodies alike: (opcode, parameter expressions,
+        operands). With no formals in scope every expression folds to a
+        :class:`Const`."""
+        name = tok[1]
+        if name == "U":
+            opcode, n_params, arity = "u3", 3, 1
+        elif name == "CX":
+            opcode, n_params, arity = "cx", 0, 2
+        elif name in self.defs:
+            gd = self.defs[name]
+            opcode, n_params, arity = name, len(gd.params), len(gd.qubits)
+        elif name in LIBRARY:
+            spec = LIBRARY[name]
+            opcode, n_params, arity = name, spec.param_count, spec.arity
+        else:
+            self.error(f"undeclared gate '{name}'", tok)
+        exprs = []
+        if self.peek() == "(":
+            self.i += 1
+            if self.peek() != ")":
+                exprs = self._comma_list(lambda: self._parse_sum(formals))
             self.expect(")")
-            folded = []
-            for e in exprs:
-                if not isinstance(e, Const):
-                    self.error("parameter expression does not fold to a constant", tok)
-                folded.append(e.value)
-            params = tuple(folded)
-        if len(params) != n_params:
-            raise QasmError(
-                f"gate '{tok.text}' takes {n_params} parameter(s), got {len(params)}",
-                tok.line,
-                tok.col,
-            )
-        args = [self._parse_argument("q")]
-        while self.peek().kind == ",":
-            self.next()
-            args.append(self._parse_argument("q"))
+        if len(exprs) != n_params:
+            self.error(f"gate '{name}' takes {n_params} parameter(s), got {len(exprs)}", tok)
+        args = tuple(self._comma_list(operand))
         self.expect(";")
         if len(args) != arity:
-            raise QasmError(
-                f"gate '{tok.text}' acts on {arity} qubit(s), got {len(args)}",
-                tok.line,
-                tok.col,
-            )
+            self.error(f"gate '{name}' acts on {arity} qubit(s), got {len(args)}", tok)
         if len(set(args)) != len(args):
-            raise QasmError("duplicate qubit operand", tok.line, tok.col)
-        sizes = {self.reg_map[r].size for r, idx in args if idx is None}
-        if len(sizes) > 1:
-            raise QasmError(
-                "register broadcast requires equal register sizes", tok.line, tok.col
-            )
-        return Instruction(opcode, params, tuple(args))
+            self.error("duplicate qubit operand", tok)
+        return opcode, tuple(exprs), args
 
-    def _parse_argument(self, kind: str) -> tuple:
+    def _parse_argument(self, kind: str = "q") -> tuple:
         tok = self.expect("id", "register reference")
-        reg = self.reg_map.get(tok.text)
+        reg = self.reg_map.get(tok[1])
         if reg is None:
-            raise QasmError(f"undeclared register '{tok.text}'", tok.line, tok.col)
-        want = "quantum" if kind == "q" else "classical"
+            self.error(f"undeclared register '{tok[1]}'", tok)
         if reg.kind != kind:
-            raise QasmError(f"'{tok.text}' is not a {want} register", tok.line, tok.col)
-        if self.peek().kind == "[":
-            self.next()
-            idx_tok = self.expect("int", "wire index")
-            self.expect("]")
-            idx = int(idx_tok.text)
-            if idx >= reg.size:
-                raise QasmError(
-                    f"index {idx} out of range for {tok.text}[{reg.size}]",
-                    idx_tok.line,
-                    idx_tok.col,
-                )
-            return (reg.name, idx)
-        return (reg.name, None)
+            want = "quantum" if kind == "q" else "classical"
+            self.error(f"'{tok[1]}' is not a {want} register", tok)
+        if self.peek() != "[":
+            return (reg.name, None)
+        self.i += 1
+        idx_tok = self.expect("int", "wire index")
+        self.expect("]")
+        idx = int(idx_tok[1])
+        if idx >= reg.size:
+            self.error(f"index {idx} out of range for {tok[1]}[{reg.size}]", idx_tok)
+        return (reg.name, idx)
 
     # -- expressions ------------------------------------------------------------
 
-    def _parse_expr(self, formals) -> ParamExpr:
-        return self._parse_additive(formals)
-
-    def _parse_additive(self, formals) -> ParamExpr:
-        node = self._parse_mult(formals)
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            node = _fold(BinOp(op, node, self._parse_mult(formals)))
+    def _parse_sum(self, formals) -> ParamExpr:
+        node = self._parse_product(formals)
+        while self.peek() in ("+", "-"):
+            op = self.next()[0]
+            node = self._fold(BinOp(op, node, self._parse_product(formals)))
         return node
 
-    def _parse_mult(self, formals) -> ParamExpr:
+    def _parse_product(self, formals) -> ParamExpr:
         node = self._parse_unary(formals)
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            node = _fold(BinOp(op, node, self._parse_unary(formals)), self.peek())
+        while self.peek() in ("*", "/"):
+            op = self.next()[0]
+            node = self._fold(BinOp(op, node, self._parse_unary(formals)), self.tokens[self.i])
         return node
 
     def _parse_unary(self, formals) -> ParamExpr:
-        # every nested operand passes through here; a QasmError ends the parse,
-        # so the depth needs no unwinding on failure
+        """``-unary`` or ``atom [^ unary]``. Every nested operand passes
+        through here; a QasmError ends the parse, so the depth needs no
+        unwinding on failure."""
         if self.expr_depth >= MAX_EXPR_DEPTH:
             self.error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         self.expr_depth += 1
-        if self.peek().kind == "-":
-            self.next()
-            node = _fold(Neg(self._parse_unary(formals)))
+        if self.peek() == "-":
+            self.i += 1
+            node = self._fold(Neg(self._parse_unary(formals)))
         else:
-            node = self._parse_power(formals)
+            node = self._parse_atom(formals)
+            if self.peek() == "^":
+                self.i += 1
+                node = self._fold(BinOp("^", node, self._parse_unary(formals)))
         self.expr_depth -= 1
-        return node
-
-    def _parse_power(self, formals) -> ParamExpr:
-        node = self._parse_atom(formals)
-        if self.peek().kind == "^":
-            self.next()
-            node = _fold(BinOp("^", node, self._parse_unary(formals)))
         return node
 
     def _parse_atom(self, formals) -> ParamExpr:
         tok = self.next()
-        if tok.kind in ("real", "int"):
-            value = float(tok.text)
+        kind, text = tok[0], tok[1]
+        if kind in ("real", "int"):
+            value = float(text)
             if not math.isfinite(value):
-                raise QasmError(f"number {tok.text} is out of range", tok.line, tok.col)
+                self.error(f"number {text} is out of range", tok)
             return Const(value)
-        if tok.kind == "(":
-            node = self._parse_expr(formals)
+        if kind == "(":
+            node = self._parse_sum(formals)
             self.expect(")")
             return node
-        if tok.kind == "id":
-            if tok.text == "pi":
-                return Const(math.pi)
-            if tok.text in _FUNC_NAMES:
-                self.expect("(")
-                arg = self._parse_expr(formals)
-                self.expect(")")
-                return _fold(FuncCall(tok.text, arg), tok)
-            if tok.text in formals:
-                return FormalRef(tok.text)
-            raise QasmError(f"unknown symbol '{tok.text}' in expression", tok.line, tok.col)
-        raise QasmError(f"expected expression, found {tok.text!r}", tok.line, tok.col)
+        if kind != "id":
+            self.error(f"expected expression, found {text!r}", tok)
+        if text == "pi":
+            return Const(math.pi)
+        if text in _FUNC_NAMES:
+            self.expect("(")
+            arg = self._parse_sum(formals)
+            self.expect(")")
+            return self._fold(FuncCall(text, arg), tok)
+        if text not in formals:
+            self.error(f"unknown symbol '{text}' in expression", tok)
+        return FormalRef(text)
 
-
-def _fold(expr: ParamExpr, tok: _Token | None = None) -> ParamExpr:
-    """Collapse constant subtrees; leave formal references symbolic."""
-    if isinstance(expr, Neg) and isinstance(expr.operand, Const):
-        return Const(-expr.operand.value)
-    if (isinstance(expr, BinOp) and isinstance(expr.left, Const) and isinstance(expr.right, Const)
-            or isinstance(expr, FuncCall) and isinstance(expr.arg, Const)):
-        line, col = (tok.line, tok.col) if tok else (None, None)
-        return Const(eval_expr(expr, {}, line, col))
-    return expr
+    def _fold(self, expr: ParamExpr, tok: tuple | None = None) -> ParamExpr:
+        """Collapse constant subtrees; leave formal references symbolic. An
+        evaluation error is located at ``tok`` when one is given."""
+        if isinstance(expr, Neg) and isinstance(expr.operand, Const):
+            return Const(-expr.operand.value)
+        if (isinstance(expr, BinOp) and isinstance(expr.left, Const)
+                and isinstance(expr.right, Const)
+                or isinstance(expr, FuncCall) and isinstance(expr.arg, Const)):
+            try:
+                return Const(eval_expr(expr, {}))
+            except QasmError as exc:
+                if tok is None:
+                    raise
+                self.error(exc.message, tok)
+        return expr
 
 
 _QELIB1_CACHE: list[GateDef] | None = None
@@ -590,18 +466,8 @@ def _qelib1_macros() -> list[GateDef]:
     builtins (the multi-qubit macros), parsed once."""
     global _QELIB1_CACHE
     if _QELIB1_CACHE is None:
-        tokens = _tokenize("OPENQASM 2.0;\n" + QELIB1_INC)
-        parser = _Parser(tokens, "qelib1.inc")
-        parser._parse_version()
-        while parser.peek().kind != "eof":
-            if parser.peek().text != "gate":
-                parser.error("qelib1.inc may only contain gate definitions")
-            parser._parse_gate_def()
-        _QELIB1_CACHE = [
-            GateDef(gd.name, gd.params, gd.qubits, gd.body, gd.opaque, from_include=True)
-            for name, gd in parser.defs.items()
-            if name not in LIBRARY
-        ]
+        defs = _Parser("OPENQASM 2.0;\n" + QELIB1_INC, "qelib1.inc").parse_program().gate_defs
+        _QELIB1_CACHE = [replace(gd, from_include=True) for gd in defs if gd.name not in LIBRARY]
     return _QELIB1_CACHE
 
 
@@ -612,4 +478,4 @@ def parse_qasm(text: str, source_name: str | None = None) -> Circuit:
     on syntax errors, undeclared registers, arity mismatches, out-of-range
     indices, and non-2.0 version headers.
     """
-    return _Parser(_tokenize(text), source_name).parse_program()
+    return _Parser(text, source_name).parse_program()

@@ -27,7 +27,10 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def _fmt_expr(expr: ParamExpr, parent_prec: int = 0) -> str:
     if isinstance(expr, Const):
-        return repr(expr.value)
+        # a negative literal reads back as a negation, so it is bracketed
+        # where a Neg would be: (-2.0)^a, not -2.0^a = -(2.0^a)
+        text = repr(expr.value)
+        return f"({text})" if text[0] == "-" and parent_prec > _PREC["neg"] else text
     if isinstance(expr, FormalRef):
         return expr.name
     if isinstance(expr, Neg):

@@ -92,6 +92,15 @@ def test_non_finite_parameter_is_rejected(stmt, value, bad):
         decode_binary(blob.replace(good, struct.pack("<d", bad)))
 
 
+def test_conditioned_barrier_is_rejected():
+    c = Circuit(
+        registers=(Register("q", "q", 1), Register("c", "c", 1)),
+        instructions=(Instruction("barrier", (), (("q", 0),), (), ("c", 1)),),
+    )
+    with pytest.raises(BinaryFormatError, match="instruction 0: a barrier cannot be conditioned"):
+        decode_binary(encode_binary(c))
+
+
 @given(
     n_qubits=st.integers(1, 4),
     seed=st.integers(0, 10_000),

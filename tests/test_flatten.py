@@ -69,6 +69,17 @@ def test_condition_propagates_through_macro():
     assert all(i.condition == ("c", 1) for i in flat.instructions)
 
 
+def test_condition_skips_a_body_barrier():
+    # QASM 2 has no conditioned barrier, so one would not read back
+    c = parse_qasm(
+        "OPENQASM 2.0; qreg q[2]; creg c[1]; gate inner a,b { barrier a,b; x b; }"
+        " gate gg a,b { h a; inner a,b; } if(c==1) gg q[0],q[1];"
+    )
+    flat = flatten(c)
+    assert [(i.opcode, i.condition) for i in flat.instructions] == [
+        ("h", ("c", 1)), ("barrier", None), ("x", ("c", 1))]
+
+
 def test_nested_macros_match_semantics():
     src = (
         "OPENQASM 2.0;\n"

@@ -56,12 +56,10 @@ def test_unitarity_random_parameters():
 @functools.lru_cache(maxsize=None)
 def _qelib1_defs_all():
     """Every qelib1 definition, including the builtin-named ones."""
-    from qflow.parser import _Parser, _tokenize
+    from qflow.parser import parse_qasm
     from qflow.qelib1 import QELIB1_INC
 
-    p = _Parser(_tokenize("OPENQASM 2.0;\n" + QELIB1_INC), "qelib1")
-    p.parse_program()
-    return dict(p.defs)
+    return {gd.name: gd for gd in parse_qasm("OPENQASM 2.0;\n" + QELIB1_INC).gate_defs}
 
 
 def _definition_unitary(name: str, params: tuple) -> np.ndarray:

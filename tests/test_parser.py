@@ -3,13 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflow.circuit import Instruction
 from qflow.cli import main
 from qflow.errors import QasmError
 from qflow.parser import MAX_EXPR_DEPTH, parse_qasm
 
-from conftest import bell_qasm
+from conftest import adder4_qasm, bell_qasm
 
 
 class TestBasicPrograms:
@@ -173,3 +174,180 @@ def test_nesting_below_the_bound_parses():
     depth = MAX_EXPR_DEPTH - 1
     c = parse_qasm(f"OPENQASM 2.0; qreg q[1]; rx({'(' * depth}1{')' * depth}) q[0];")
     assert c.instructions[0].params == (1.0,)
+
+
+_H = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
+
+# One malformed input (or more) per error the parser raises, with the full
+# message: the "line L, col C: " prefix is part of what is pinned. Only a
+# folding error in + - or ^ carries no position.
+PINNED_ERRORS = [
+    # tokens and header
+    (_H + "h q[0]; @", "line 4, col 9: unexpected character '@'"),
+    (_H + 'include "qelib1.inc\n', "line 4, col 9: unexpected character '\"'"),
+    ("qreg q[1];", "line 1, col 1: expected 'OPENQASM 2.0;' header"),
+    ("OPENQASM 3.0;", "line 1, col 10: unsupported version header 'OPENQASM 3.0'"),
+    ("OPENQASM", "line 1, col 9: unsupported version header 'OPENQASM '"),
+    ("OPENQASM 2.0", "line 1, col 13: expected ';', found ''"),
+    # declarations
+    (_H + "5;", "line 4, col 1: expected statement, found '5'"),
+    (_H + "qreg 5;", "line 4, col 6: expected register name, found '5'"),
+    (_H + "qreg r 5;", "line 4, col 8: expected '[', found '5'"),
+    (_H + "qreg r[x];", "line 4, col 8: expected register size, found 'x'"),
+    (_H + "qreg r[1;", "line 4, col 9: expected ']', found ';'"),
+    (_H + "qreg r[1]", "line 4, col 10: expected ';', found ''"),
+    (_H + "qreg r[0];", "line 4, col 8: register 'r' must have size >= 1"),
+    (_H + "qreg q[1];", "line 4, col 6: redefinition of 'q'"),
+    (_H + "gate g a { h a; }\ncreg g[1];", "line 5, col 6: redefinition of 'g'"),
+    (_H + "include 5;", "line 4, col 9: expected include path, found '5'"),
+    (_H + 'include "other.inc";',
+     "line 4, col 9: include 'other.inc' is not supported (only the embedded qelib1.inc)"),
+    # gate definitions
+    (_H + "gate 5 a { }", "line 4, col 6: expected gate name, found '5'"),
+    (_H + "gate q a { }", "line 4, col 6: redefinition of 'q'"),
+    (_H + "gate g a { }\ngate g b { }", "line 5, col 6: redefinition of 'g'"),
+    (_H + "gate g(5) a { }", "line 4, col 8: expected identifier, found '5'"),
+    (_H + "gate g(t a { }", "line 4, col 10: expected ')', found 'a'"),
+    (_H + "gate g(t,t) a { }", "line 4, col 6: duplicate formal argument in gate 'g'"),
+    (_H + "gate g a,a { }", "line 4, col 6: duplicate formal argument in gate 'g'"),
+    (_H + "gate g a h a; }", "line 4, col 10: expected '{', found 'h'"),
+    (_H + "gate g a { 5; }", "line 4, col 12: expected gate body statement, found '5'"),
+    (_H + "gate g a { h b; }", "line 4, col 14: 'b' is not a formal qubit of gate 'g'"),
+    (_H + "gate g a { h 5; }", "line 4, col 14: expected formal qubit, found '5'"),
+    (_H + "gate g a,b { cx a,a; }", "line 4, col 14: duplicate qubit operand"),
+    (_H + "gate g a { barrier a,a; }", "line 4, col 12: duplicate qubit operand"),
+    (_H + "gate g a { measure a -> c[0]; }",
+     "line 4, col 12: 'measure' is not allowed inside a gate body"),
+    (_H + "gate g a { reset a; }", "line 4, col 12: 'reset' is not allowed inside a gate body"),
+    (_H + "gate g a { delay a, 5; }", "line 4, col 12: 'delay' is not allowed inside a gate body"),
+    (_H + "gate g a { if(c==1) x a; }", "line 4, col 12: 'if' is not allowed inside a gate body"),
+    (_H + "gate g a { frob a; }", "line 4, col 12: undeclared gate 'frob'"),
+    (_H + "gate g a { g a; }", "line 4, col 12: undeclared gate 'g'"),
+    (_H + "gate g a { rz a; }", "line 4, col 12: gate 'rz' takes 1 parameter(s), got 0"),
+    (_H + "gate g a,b { cx a; }", "line 4, col 14: gate 'cx' acts on 2 qubit(s), got 1"),
+    (_H + "gate g a { h a }", "line 4, col 16: expected ';', found '}'"),
+    (_H + "gate g(t) a { rz(s) a; }", "line 4, col 18: unknown symbol 's' in expression"),
+    (_H + "opaque q a;", "line 4, col 8: redefinition of 'q'"),
+    (_H + "opaque o a\nh q[0];", "line 5, col 1: expected ';', found 'h'"),
+    (_H + "opaque o(t a;", "line 4, col 12: expected ')', found 'a'"),
+    # if
+    (_H + "if c==1) x q[0];", "line 4, col 4: expected '(', found 'c'"),
+    (_H + "if(5==1) x q[0];", "line 4, col 4: expected classical register, found '5'"),
+    (_H + "if(q==1) x q[0];", "line 4, col 4: 'q' is not a declared classical register"),
+    (_H + "if(d==1) x q[0];", "line 4, col 4: 'd' is not a declared classical register"),
+    (_H + "if(c=1) x q[0];", "line 4, col 5: unexpected character '='"),
+    (_H + "if(c==x) x q[0];", "line 4, col 7: expected comparison value, found 'x'"),
+    (_H + "if(c==1 x q[0];", "line 4, col 9: expected ')', found 'x'"),
+    (_H + "if(c==1) 5;", "line 4, col 10: expected gate name, found '5'"),
+    (_H + "if(c==1) barrier q;", "line 4, col 10: undeclared gate 'barrier'"),
+    # measure, reset, delay, barrier
+    (_H + "measure q[0] c[0];", "line 4, col 14: expected '->', found 'c'"),
+    (_H + "measure q[0] -> q[0];", "line 4, col 17: 'q' is not a classical register"),
+    (_H + "measure c[0] -> c[0];", "line 4, col 9: 'c' is not a quantum register"),
+    (_H + "qreg r[3];\nmeasure r -> c;",
+     "line 5, col 1: measure broadcast size mismatch: r has 3 wire(s), c has 2"),
+    (_H + "measure q -> c[0];",
+     "line 4, col 1: measure broadcast size mismatch: q has 2 wire(s), c has 1"),
+    (_H + "reset q[0]", "line 4, col 11: expected ';', found ''"),
+    (_H + "delay q[0], -5;", "line 4, col 13: delay cycle count must be a nonnegative integer"),
+    (_H + "delay q[0] 5;", "line 4, col 12: expected ',', found '5'"),
+    (_H + "delay q[0], 5", "line 4, col 14: expected ';', found ''"),
+    (_H + "barrier q[0] q[1];", "line 4, col 14: expected ';', found 'q'"),
+    (_H + "barrier 5;", "line 4, col 9: expected register reference, found '5'"),
+    # gate calls and operands
+    (_H + "frob q[0];", "line 4, col 1: undeclared gate 'frob'"),
+    (_H + "u3(1,2) q[0];", "line 4, col 1: gate 'u3' takes 3 parameter(s), got 2"),
+    (_H + "h(1) q[0];", "line 4, col 1: gate 'h' takes 0 parameter(s), got 1"),
+    (_H + "u1(1 q[0];", "line 4, col 6: expected ')', found 'q'"),
+    (_H + "cx q[0];", "line 4, col 1: gate 'cx' acts on 2 qubit(s), got 1"),
+    (_H + "h q[0],q[1];", "line 4, col 1: gate 'h' acts on 1 qubit(s), got 2"),
+    (_H + "cx q[0],q[0];", "line 4, col 1: duplicate qubit operand"),
+    (_H + "qreg r[3];\ncx q,r;", "line 5, col 1: register broadcast requires equal register sizes"),
+    (_H + "h q[0]", "line 4, col 7: expected ';', found ''"),
+    (_H + "h d[0];", "line 4, col 3: undeclared register 'd'"),
+    (_H + "h c[0];", "line 4, col 3: 'c' is not a quantum register"),
+    (_H + "h q[2];", "line 4, col 5: index 2 out of range for q[2]"),
+    (_H + "h q[x];", "line 4, col 5: expected wire index, found 'x'"),
+    (_H + "h q[0;", "line 4, col 6: expected ']', found ';'"),
+    (_H + "h 5;", "line 4, col 3: expected register reference, found '5'"),
+    # expressions
+    (_H + "u1() q[0];", "line 4, col 1: gate 'u1' takes 1 parameter(s), got 0"),
+    (_H + "u1(+1) q[0];", "line 4, col 4: expected expression, found '+'"),
+    (_H + "u1(x) q[0];", "line 4, col 4: unknown symbol 'x' in expression"),
+    (_H + "u1(sin 1) q[0];", "line 4, col 8: expected '(', found '1'"),
+    (_H + "u1(sin(1) q[0];", "line 4, col 11: expected ')', found 'q'"),
+    (_H + "u1((1+2) q[0];", "line 4, col 10: expected ')', found 'q'"),
+    (_H + "u1(1e400) q[0];", "line 4, col 4: number 1e400 is out of range"),
+    (_H + "u1(1/0) q[0];", "line 4, col 7: invalid constant expression: float division by zero"),
+    (_H + "u1(1e300*1e300) q[0];",
+     "line 4, col 15: invalid constant expression: result inf is not finite"),
+    (_H + "u1(ln(0)) q[0];", "line 4, col 4: invalid constant expression: math domain error"),
+    (_H + "u1(sqrt(-1)) q[0];", "line 4, col 4: invalid constant expression: math domain error"),
+    (_H + "u1(1e308+1e308) q[0];", "invalid constant expression: result inf is not finite"),
+    (_H + "u1(1e308-(-1e308)) q[0];", "invalid constant expression: result inf is not finite"),
+    (_H + "u1((-8)^0.5) q[0];", "invalid constant expression: must be real number, not complex"),
+    (_H + "u1(10^400) q[0];",
+     "invalid constant expression: (34, 'Numerical result out of range')"),
+    (_H + "u1(" + "(" * 200 + "1" + ")" * 200 + ") q[0];",
+     "line 4, col 104: expression nested deeper than 100 levels"),
+    (_H + "u1(" + "-" * 200 + "1) q[0];",
+     "line 4, col 104: expression nested deeper than 100 levels"),
+    (_H + "gate g(t) a { rz(1/0) a; }",
+     "line 4, col 21: invalid constant expression: float division by zero"),
+    (_H + "gate g(t) a {\n  rz(t*(1e300*1e300)) a; }",
+     "line 5, col 20: invalid constant expression: result inf is not finite"),
+]
+
+
+@pytest.mark.parametrize("src,message", PINNED_ERRORS, ids=lambda v: repr(v)[-48:])
+def test_pinned_error_message(src, message):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(src)
+    assert str(info.value) == message
+
+
+# A program with every statement form, plus two corpus texts, to mutate.
+EVERY_FORM = """\
+OPENQASM 2.0;
+include "qelib1.inc";
+// every statement form
+qreg q[3];
+creg c[3];
+gate rot(a,b) x,y { rz(-a/2+b*pi) x; cx x,y; barrier x,y; U(sin(a)^2,ln(b),sqrt(2)) y; CX x,y; }
+opaque magic(t) a;
+rot(pi/4,1.5) q[0],q[1];
+ccx q[0],q[1],q[2];
+barrier q;
+reset q[2];
+delay q[1], 20;
+measure q -> c;
+if(c==1) u1(-(2)^0.5*cos(.5e1)) q[0];
+if(c==2) measure q[1] -> c[1];
+"""
+
+_MUTATION_SEEDS = (EVERY_FORM, bell_qasm(), adder4_qasm())
+_PIECES = ("(", ")", "[", "]", "{", "}", ";", ",", "->", "==", "-", "^", "/", "pi", "q", "c",
+           "a", "gate", "opaque", "barrier", "measure", "reset", "delay", "if", "include",
+           "OPENQASM", "0", "7", "2.0", "1e999", "sin", "@", '"', "\n", "//")
+
+
+@st.composite
+def _mutated_source(draw):
+    text = draw(st.sampled_from(_MUTATION_SEEDS))
+    i = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(("truncate", "delete", "insert")))
+    if how == "truncate":
+        return text[:i]
+    if how == "delete":
+        return text[:i] + text[draw(st.integers(i, min(len(text), i + 40))):]
+    piece = draw(st.sampled_from(_PIECES) | st.characters(max_codepoint=0x7F))
+    return text[:i] + piece + text[i:]
+
+
+@given(_mutated_source())
+@settings(max_examples=400, deadline=None)
+def test_mutated_source_raises_only_qasm_error(text):
+    try:
+        parse_qasm(text)
+    except QasmError:
+        pass

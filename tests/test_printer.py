@@ -1,8 +1,11 @@
 """Text round-trip: parse(print(c)) must equal c structurally."""
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from qflow.circuit import Circuit, Instruction, Register
+from qflow.circuit import (BinOp, BodyInstruction, Circuit, Const, FormalRef, FuncCall, GateDef,
+                           Instruction, Neg, Register)
+from qflow.errors import QasmError
+from qflow.flatten import flatten
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 
@@ -64,3 +67,52 @@ def test_print_parse_print_fixpoint(corpus):
         once = print_qasm(circ)
         twice = print_qasm(parse_qasm(once))
         assert once == twice, f"printer not a fixpoint for {name}"
+
+
+def test_negative_constant_base_keeps_its_parentheses():
+    c = parse_qasm("OPENQASM 2.0;\nqreg r[1];\ngate g(a) r { rz((-2)^a) r; }\ng(2) r[0];\n")
+    assert "rz((-2.0)^a) r;" in print_qasm(c)
+    again = parse_qasm(print_qasm(c))
+    assert again == c
+    assert flatten(again).instructions[0].params == (4.0,)
+
+
+# Expression trees as the parser leaves them in a macro body: every
+# operator has a formal below it, since constant subtrees are folded.
+_CONSTS = st.floats(allow_nan=False, allow_infinity=False).map(Const)
+_FORMALS = st.sampled_from(("a", "b")).map(FormalRef)
+
+
+def _extend(symbolic):
+    operand = symbolic | _CONSTS
+    ops = st.sampled_from(("+", "-", "*", "/", "^"))
+    return (symbolic.map(Neg)
+            | st.builds(BinOp, ops, symbolic, operand)
+            | st.builds(BinOp, ops, operand, symbolic)
+            | st.builds(FuncCall, st.sampled_from(("sin", "cos", "tan", "exp", "ln", "sqrt")),
+                        symbolic))
+
+
+_EXPRS = st.recursive(_FORMALS, _extend, max_leaves=8)
+
+
+def _flat_params(circuit):
+    try:
+        return [repr(i.params) for i in flatten(circuit).instructions]
+    except QasmError as exc:
+        return str(exc)
+
+
+@given(st.lists(_EXPRS, min_size=1, max_size=3),
+       st.tuples(st.floats(-4, 4), st.floats(-4, 4)))
+@settings(max_examples=200, deadline=None)
+def test_roundtrip_random_macro_expressions(exprs, actuals):
+    body = tuple(BodyInstruction("rz", (e,), (0,)) for e in exprs)
+    c = Circuit(
+        registers=(Register("q", "q", 1),),
+        instructions=(Instruction("g", actuals, (("q", 0),)),),
+        gate_defs=(GateDef("g", ("a", "b"), ("r",), body),),
+    )
+    again = parse_qasm(print_qasm(c))
+    assert again == c
+    assert _flat_params(again) == _flat_params(c)

@@ -302,6 +302,17 @@ class TestTranspile:
         phys, report = transpile(c, dev)
         check_transpiled(c, phys, report, dev)
 
+    def test_conditioned_macro_with_a_barrier_reads_back(self, devices):
+        c = parse_qasm(
+            "OPENQASM 2.0; qreg q[2]; creg c[1]; gate g a,b { h a; barrier a,b; cx a,b; }"
+            " measure q[0] -> c[0]; if(c==1) g q[0],q[1];"
+        )
+        for name, dev in devices.items():
+            phys, report = transpile(c, dev)
+            again = parse_qasm(print_qasm(phys))
+            assert again == phys, name
+            check_transpiled(c, again, report, dev)
+
     def test_single_qubit_circuit(self, devices):
         c = parse_qasm("OPENQASM 2.0; qreg q[1]; h q[0];")
         for dev in devices.values():
