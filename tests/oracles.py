@@ -153,3 +153,58 @@ def check_transpiled(circuit, physical, report, device, tol=1e-8):
             pair = (instr.qubits[0][1], instr.qubits[1][1])
             assert pair in directed, f"two-qubit gate on uncoupled pair {pair}"
     return dist
+
+
+def exact_distribution(circuit) -> dict[int, float]:
+    """Exact distribution of a circuit's counts key by branch enumeration:
+    every measure and reset splits each branch into its two projections
+    (unnormalized, so a branch's weight is its squared norm), a condition
+    is tested per branch and each gate is contracted into the branch's
+    state with apply_to_columns. The key is the classical integer (bit c is
+    clbit c, last writer wins) or, when nothing is measured, the basis
+    index over all qubits, as in the simulators' counts."""
+    flat = flatten(circuit)
+    n = flat.n_qubits
+    qoff, coff = flat.qubit_offsets(), flat.clbit_offsets()
+    width = {r.name: r.size for r in flat.classical_registers()}
+    psi = np.zeros((1 << n, 1), complex)
+    psi[0, 0] = 1.0
+    branches = [(psi, 0)]
+    for instr in flat.instructions:
+        wires = [qoff[r] + i for r, i in instr.qubits]
+        if instr.opcode in ("barrier", "delay"):
+            continue
+        out = []
+        for psi, clbits in branches:
+            if instr.condition is not None:
+                reg, value = instr.condition
+                if (clbits >> coff[reg]) & ((1 << width[reg]) - 1) != value:
+                    out.append((psi, clbits))
+                    continue
+            if instr.opcode not in ("measure", "reset"):
+                out.append((apply_to_columns(psi, unitary_of(instr.opcode, instr.params),
+                                             wires, n), clbits))
+                continue
+            ones = (np.arange(1 << n) >> wires[0]) & 1
+            for bit in (0, 1):
+                part = np.where((ones == bit)[:, None], psi, 0)
+                if np.vdot(part, part).real < 1e-14:
+                    continue
+                if instr.opcode == "reset":
+                    if bit:
+                        part = apply_to_columns(part, unitary_of("x"), wires, n)
+                    out.append((part, clbits))
+                else:
+                    c = coff[instr.clbits[0][0]] + instr.clbits[0][1]
+                    out.append((part, clbits & ~(1 << c) | bit << c))
+        branches = out
+    measures = any(i.opcode == "measure" for i in flat.instructions)
+    dist: dict[int, float] = {}
+    for psi, clbits in branches:
+        probs = np.abs(psi[:, 0]) ** 2
+        if measures:
+            dist[clbits] = dist.get(clbits, 0.0) + float(probs.sum())
+        else:
+            for index in np.nonzero(probs > 1e-14)[0].tolist():
+                dist[index] = dist.get(index, 0.0) + float(probs[index])
+    return dist

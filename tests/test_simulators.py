@@ -10,6 +10,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.cli import main
 from qflow.density import dm_evolve, dm_run
@@ -26,7 +28,7 @@ from qflow.transpile import transpile
 
 from conftest import (adder4_qasm, bell_qasm, corpus_sources, ghz_qasm, qft_qasm,
                       random_clifford_qasm, random_clifford_t_qasm, random_general_qasm)
-from oracles import NON_UNITARY, embed_slow
+from oracles import NON_UNITARY, embed_slow, exact_distribution
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "schemas" / "run_result.schema.json"
@@ -143,6 +145,64 @@ def test_backends_agree_on_clifford_circuits(name):
               for seed, (b, run) in enumerate(RUNS.items())}
     for b in ("dm", "stab"):
         assert tv_distance(counts["sv"], counts[b]) < 0.1, (b, counts)
+
+
+_CLIFFORD_1Q = ["h", "s", "sdg", "x", "y", "z", "sx", "sxdg"]
+
+
+@st.composite
+def _branching_programs(draw):
+    """Random Clifford programs on 1-6 qubits with at most 20 ops: gates,
+    mid-circuit measures (several into one clbit), resets, and gates under
+    an ``if`` on the classical register; some measure nothing."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    lines = [HEADER + f"qreg q[{n}];", f"creg c[{k}];"]
+    qubit = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["1q", "1q", "2q", "measure", "reset", "if"]))
+        if kind == "2q" and n > 1:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            lines.append(f"{draw(st.sampled_from(['cx', 'cz', 'swap']))} q[{a}],q[{b}];")
+        elif kind == "measure":
+            lines.append(f"measure q[{draw(qubit)}] -> c[{draw(st.integers(0, k - 1))}];")
+        elif kind == "reset":
+            lines.append(f"reset q[{draw(qubit)}];")
+        else:
+            gate = f"{draw(st.sampled_from(_CLIFFORD_1Q))} q[{draw(qubit)}];"
+            if kind == "if":
+                gate = f"if(c=={draw(st.integers(0, (1 << k) - 1))}) {gate}"
+            lines.append(gate)
+    return "\n".join(lines) + "\n"
+
+
+def _distribution_problem(counts: dict, exact: dict, shots: int) -> str | None:
+    """None when counts look drawn from ``exact`` (value -> probability):
+    no outcome of probability 0, and a total variation distance within
+    0.5 * sum_k sqrt(p_k (1 - p_k) / N) + 3.5 / sqrt(N). The first term
+    bounds its mean; by McDiarmid's inequality the TV exceeds the mean by
+    3.5 / sqrt(N) with probability at most exp(-2 * 3.5**2), about 2e-11."""
+    seen = {int(key, 2): count / shots for key, count in counts.items()}
+    stray = [v for v in seen if exact.get(v, 0.0) < 1e-12]
+    if stray:
+        return f"outcomes of probability 0: {stray}"
+    tv = 0.5 * sum(abs(seen.get(v, 0.0) - exact.get(v, 0.0)) for v in set(seen) | set(exact))
+    p = np.clip(list(exact.values()), 0.0, 1.0)
+    bound = 0.5 * float(np.sqrt(p * (1 - p) / shots).sum()) + 3.5 / np.sqrt(shots)
+    return None if tv <= bound else f"total variation {tv:.3f} > bound {bound:.3f}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(_branching_programs(), st.integers(0, 2**32))
+def test_backends_match_exact_branch_enumeration(source, seed):
+    c = parse_qasm(source)
+    exact = exact_distribution(c)
+    shots = 1000
+    for backend, run in RUNS.items():
+        counts = run(c, seed=seed, shots=shots).counts
+        assert sum(counts.values()) == shots
+        problem = _distribution_problem(counts, exact, shots)
+        assert problem is None, (backend, problem, counts, exact)
 
 
 @pytest.mark.parametrize("name, source", corpus_sources())
