@@ -22,11 +22,11 @@ with phases on (ket, bra), so both run as slice updates. Without a device,
 runs of one-qubit gates are fused first, as for the state vector; with one,
 never, since noise follows each original gate.
 
-A terminal program (no condition, nothing after a qubit's measurement; see
-qflow.program) is evolved once, reset included as a Kraus channel, and its
-counts come from the final diagonal. Anything else runs per-shot
-trajectories: the prefix before the first measure, reset or condition is
-evolved once, then each shot collapses a copy with seeded outcomes.
+Every run goes through the shot walker of qflow.program: ``p_one`` reads
+the diagonal and ``collapse`` zeroes the other outcome on ket and bra; a
+reset stays its Kraus channel and never branches. With a device, readout
+confusion splits the reported bit of a mid-circuit measure, and a leaf
+samples the diagonal's marginal through it.
 
 The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
 the same program with noise disabled. It needs that pure reference, so it is
@@ -45,8 +45,8 @@ from .circuit import Circuit
 from .device import DeviceConfig
 from .errors import SimulationError
 from .noise import depolarizing_kraus, thermal_relaxation_kraus
-from .program import Program, evolve, run_shots, sample_terminal
-from .results import RunResult
+from .program import Program, evolve, walk
+from .results import RunResult, sample_marginal
 from .schedule import instruction_duration_ns
 from .statevector import Kernel, _SVState, apply_gate
 
@@ -68,10 +68,12 @@ def _superop(kraus) -> np.ndarray:
 
 
 class _DensityState:
-    """rho of one run or trajectory, driven op by op by qflow.program; with a
-    device every gate, delay and reset is followed by its noise, and without
-    one the program's one-qubit runs are fused. Copies share the cache of
-    superoperator kernels, keyed by the op's key."""
+    """rho of one run or branch, driven op by op by qflow.program's walker;
+    with a device every gate, delay and reset is followed by its noise, and
+    without one the program's one-qubit runs are fused. Copies share the
+    cache of superoperator kernels, keyed by the op's key."""
+
+    splits_reset = False
 
     def __init__(self, n: int, device: DeviceConfig | None, rho: np.ndarray | None = None,
                  superops: dict | None = None):
@@ -99,9 +101,6 @@ class _DensityState:
         kernel = self.superops[key]
         if kernel is not None:
             apply_gate(self.rho, kernel)
-
-    def reset(self, op, rng) -> None:
-        self.apply(op)
 
     def _channel(self, op) -> np.ndarray | None:
         """The op's superoperator with its noise composed after it, or None
@@ -132,31 +131,25 @@ class _DensityState:
             s = stage if s is None else stage @ s
         return s
 
+    def _diagonal(self) -> np.ndarray:
+        return self.rho[::(1 << self.n) + 1].real
+
     def probabilities(self) -> np.ndarray:
-        p = np.real(np.diag(self.matrix())).copy()
-        p[p < 0.0] = 0.0
+        p = np.maximum(self._diagonal(), 0.0)
         return p / p.sum()
 
-    def sample_all(self, rng) -> int:
-        return int(rng.choice(1 << self.n, p=self.probabilities()))
+    def p_one(self, op) -> float:
+        ones = float(self._diagonal().reshape(-1, 2, 1 << op.wires[0])[:, 1].sum())
+        return min(max(ones, 0.0), 1.0)
 
-    def measure(self, op, rng) -> int:
-        """Collapse onto a seeded outcome; with a device, then flip the
-        reported bit with the qubit's readout error."""
-        wire = op.wires[0]
-        diag = np.real(np.diag(self.matrix()))
-        p1 = float(diag.reshape(-1, 2, 1 << wire)[:, 1].sum())
-        p1 = min(max(p1, 0.0), 1.0)
-        bit = 1 if rng.random() < p1 else 0
+    def collapse(self, op, bit: int) -> None:
         # zero the other outcome on the ket (qubit n+wire) and bra (qubit wire) side
-        for q in (self.n + wire, wire):
+        for q in (self.n + op.wires[0], op.wires[0]):
             self.rho.reshape(-1, 2, 1 << q)[:, 1 - bit] = 0.0
-        self.rho /= max(p1 if bit else 1.0 - p1, 1e-300)
-        if self.device is not None:
-            p00, p11 = self.device.readout[wire]
-            if rng.random() >= (p11 if bit else p00):
-                bit ^= 1
-        return bit
+        self.rho /= max(float(self._diagonal().sum()), 1e-300)
+
+    def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
+        return sample_marginal(self.probabilities(), self.n, qubits, count, rng, readout)
 
 
 def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None,
@@ -197,13 +190,12 @@ def dm_run(
     """Noisy (or noiseless) density-matrix run.
 
     With a device, gate errors, T1/T2 relaxation, delay decoherence, and
-    readout confusion all apply. A terminal program (see qflow.program) is
-    evolved once and sampled from its final diagonal; anything else runs
-    per-shot trajectories. The fidelity needs a pure reference state, so it
-    exists only for unitary programs (no reset, condition or mid-circuit
-    measurement): compute_fidelity defaults to "device given and the program
-    is unitary", and compute_fidelity=True on any other program raises
-    SimulationError."""
+    readout confusion all apply. Counts come from the shot walker of
+    qflow.program. The fidelity needs a pure reference state, so it exists
+    only for unitary programs (no reset, condition or mid-circuit
+    measurement), which the walker runs as one leaf: compute_fidelity
+    defaults to "device given and the program is unitary", and
+    compute_fidelity=True on any other program raises SimulationError."""
     t0 = time.perf_counter()
     program = Program(circuit)
     program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots,
@@ -214,18 +206,12 @@ def dm_run(
             "or mid-circuit measurement"
         )
     state = _DensityState(program.n, device)
+    counts = walk(program, state, shots, seed, device.readout if device is not None else None)
     fid = None
-    if program.terminal:
-        evolve(program, state)
-        readout = device.readout if device is not None else None
-        counts = sample_terminal(program, state.probabilities(), shots, seed, readout)
-        if compute_fidelity or (compute_fidelity is None and device is not None
-                                and program.unitary):
-            reference = _SVState(program.n)
-            evolve(program, reference)
-            fid = fidelity(state.matrix(), reference.amps)
-    else:
-        counts = run_shots(program, state, shots, np.random.default_rng(seed))
+    if compute_fidelity or (compute_fidelity is None and device is not None and program.unitary):
+        reference = _SVState(program.n)
+        evolve(program, reference)
+        fid = fidelity(state.matrix(), reference.amps)
 
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(

@@ -1,30 +1,38 @@
-"""Circuits resolved once for the simulator backends.
+"""Circuits resolved once for the simulator backends, and the one shot
+walker that runs them.
 
-A :class:`Program` is a flattened circuit with global qubit wires, global
-clbit indices and classical conditions resolved to (offset, mask, value)
-over one integer that holds every classical bit. It knows the two run-mode
-facts every backend chooses by:
+A :class:`Program` is a flattened circuit with global wires and clbits and
+each condition resolved to (offset, mask, value) over one integer holding
+every classical bit. A measure is *deferred* when no later op touches its
+qubit (barrier, delay and deferred measures do not count) and no later
+condition reads its clbit; measuring it at the end changes nothing. A
+program is ``unitary`` when it has no reset or condition and defers every
+measure. Counts are keyed by clbit strings (bit 0 rightmost), or by basis
+index over all qubits when nothing is measured.
 
-  * ``terminal``: nothing is conditioned and no qubit is touched after it
-    is measured, so one evolution with measurements read off the end gives
-    the outcome distribution (a ``reset`` still counts as touching);
-  * ``unitary``: terminal and without ``reset``, so the evolution is a pure
-    state.
+:func:`walk` works depth first over (op index, state, clbits, count). At a
+measure, or a reset where the state splits resets, with probability p of
+reading 1 and 0 < p < 1, it draws k = binomial(count, p) and copies the
+state only when both outcomes get shots; a readout confusion splits the
+reported bit again, and the flipped part gets its own copy, since a later
+condition may read it. The walk goes on with the side with fewer shots and
+pushes the other, so at most min(random outcomes on the path, floor(log2
+shots)) states are pending besides the one being run. A leaf draws its
+shots from the branch's marginal over the deferred measures' qubits (all
+qubits when nothing is measured) and moves each bit to the clbit its qubit
+was last measured into. A program that defers every measure is one leaf
+that draws nothing before it: one evolution sampled once. Leaves never
+outnumber shots; a walk past 2**20 leaves is refused with SimulationError.
 
-Backends supply a state with ``apply(op)``, ``measure(op, rng) -> bit``,
-``reset(op, rng)``, ``copy()``, ``sample_all(rng) -> basis index``, for
-terminal sampling ``probabilities()``, and ``fuses``: whether it takes the
-program with each run of one-qubit gates on a wire folded into one gate
-(the dense backends without noise) or every gate as written (the tableau,
-which applies gates by name, and noisy ``dm``, whose noise follows each
-gate). A run ends where a multi-qubit gate, measure, reset, barrier, delay
-or conditioned op touches its wire. This module drives them: one evolution
-for terminal programs (:func:`evolve`, then :func:`sample_terminal`) and
-one per-shot trajectory loop (:func:`run_shots`), which the tableau uses
-only for conditioned programs (it samples the others from one symbolic
-pass; see qflow.stabilizer). Counts are keyed by clbit strings (bit 0
-rightmost), or by basis index over all qubits when the circuit never
-measures.
+A state supplies ``apply(op)``; ``p_one(op)``, the probability that the
+op's qubit reads 1, then ``collapse(op, bit)``, which projects onto bit (and
+for a reset flips it back to 0); ``copy()``; ``sample(qubits, count, rng,
+readout)``, a leaf's counts by value (bit j is qubits[j]); ``splits_reset``,
+false where a reset is a channel; and ``fuses``, whether it takes each run
+of one-qubit gates on a wire as one gate (the dense backends without noise;
+the tableau applies gates by name, and noise follows each gate). A run ends
+where a multi-qubit gate, measure, reset, barrier, delay or conditioned op
+touches its wire.
 """
 
 from __future__ import annotations
@@ -37,21 +45,26 @@ from .circuit import NON_GATE_OPCODES, Circuit
 from .errors import SimulationError
 from .flatten import flatten
 from .gates import unitary_of
-from .noise import readout_matrix
-from .results import bitstring, sample_counts
+from .results import bitstring
 
-__all__ = ["Op", "Program", "evolve", "run_shots", "sample_terminal"]
+__all__ = ["Op", "Program", "evolve", "walk"]
 
 _MAX_SHOTS = (1 << 63) - 1  # the multinomial draw counts in int64
+_MAX_LEAVES = 1 << 20
+# an outcome less likely than this is taken as impossible, so that rounding
+# residue never makes a branch
+_EPS = 1e-12
 
 
 class Op:
     """One flattened instruction on global wires. ``clbit`` is the global
     clbit a measure writes, ``condition`` an (offset, mask, value) test on
-    the classical integer, ``gate`` whether the op is a unitary gate and
-    ``kernel`` the state-vector kernel of its matrix, set on first use."""
+    the classical integer, ``gate`` whether the op is a unitary gate,
+    ``deferred`` whether it is a measure drawn at the leaves and ``kernel``
+    the state-vector kernel of its matrix, set on first use."""
 
-    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "_matrix", "kernel")
+    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "deferred", "_matrix",
+                 "kernel")
 
     def __init__(self, instr, wires: tuple, clbit: int | None, condition):
         self.instr = instr
@@ -60,6 +73,7 @@ class Op:
         self.clbit = clbit
         self.condition = condition
         self.gate = instr.opcode not in NON_GATE_OPCODES
+        self.deferred = False
         self._matrix = None
         self.kernel = None
 
@@ -90,6 +104,7 @@ class _Fused(Op):
         self.clbit = None
         self.condition = None
         self.gate = True
+        self.deferred = False
         self._matrix = None
         self.kernel = None
         self._key = ("fused", tuple((op.opcode, op.instr.params) for op in run), self.wires)
@@ -145,10 +160,7 @@ class Program:
         coff = flat.clbit_offsets()
         sizes = {r.name: r.size for r in flat.classical_registers()}
         self.ops: list[Op] = []
-        self.clbit_qubit: dict[int, int] = {}  # last writer wins
-        terminal = True
-        has_reset = False
-        measured: set[int] = set()
+        last: dict[int, Op] = {}  # the measure that writes each clbit last
         wires_of: dict[tuple, tuple] = {}
         for instr in flat.instructions:
             wires = wires_of.get(instr.qubits)
@@ -159,37 +171,40 @@ class Program:
             if instr.condition is not None:
                 reg, value = instr.condition
                 condition = (coff[reg], (1 << sizes[reg]) - 1, value)
-                terminal = False
-            if instr.opcode == "reset":
-                has_reset = True
-            if (measured and instr.opcode not in ("barrier", "delay")
-                    and measured.intersection(wires)):
-                terminal = False
-            if instr.opcode == "measure":
-                measured.add(wires[0])
-                self.clbit_qubit[clbit] = wires[0]
-            self.ops.append(Op(instr, wires, clbit, condition))
-        # the ops before the first measure, reset or condition draw no random numbers
-        self.prefix = next((i for i, op in enumerate(self.ops) if op.condition is not None
-                            or op.opcode in ("measure", "reset")), len(self.ops))
-        self.terminal = terminal
-        self.unitary = terminal and not has_reset
-        # counts are keyed over classical bits, or over all qubits when the
-        # circuit never measures
-        self.n_bits = self.n_clbits if self.clbit_qubit else self.n
+            op = Op(instr, wires, clbit, condition)
+            if op.opcode == "measure":
+                last[clbit] = op
+            self.ops.append(op)
+        touched: set[int] = set()
+        read = 0
+        for op in reversed(self.ops):
+            if op.opcode == "measure" and op.condition is None:
+                op.deferred = op.wires[0] not in touched and not (read >> op.clbit) & 1
+            if op.condition is not None:
+                read |= op.condition[1] << op.condition[0]
+            if not op.deferred and op.opcode not in ("barrier", "delay"):
+                touched.update(op.wires)
+        self.unitary = all(op.condition is None and op.opcode != "reset"
+                           and (op.opcode != "measure" or op.deferred) for op in self.ops)
+        self.measures = bool(last)
+        self.n_bits = self.n_clbits if last else self.n
+        # a leaf samples these qubits, keeps the bits of a sample in place
+        # (kept) or moves bit j to clbit c, and clears the clbits it writes
+        moved = {c: op.wires[0] for c, op in last.items() if op.deferred}
+        if not last:
+            moved = {q: q for q in range(self.n)}
+        qubits = sorted(set(moved.values()))
+        moves = [(qubits.index(q), c) for c, q in moved.items()]
+        self.leaf = (qubits, sum(1 << j for j, c in moves if j == c),
+                     [(j, c) for j, c in moves if j != c], ~sum(1 << c for c in moved))
         self._fused = None
 
-    def run_ops(self, fuse: bool) -> tuple[list[Op], int]:
-        """The ops a backend runs and the length of their random-free prefix.
-        With ``fuse``, each run of one-qubit gates is one op (see
-        :func:`_fuse`), fused on the first request; a run never crosses the
-        prefix boundary."""
-        if not fuse:
-            return self.ops, self.prefix
-        if self._fused is None:
-            head = _fuse(self.ops[:self.prefix])
-            self._fused = (head + _fuse(self.ops[self.prefix:]), len(head))
-        return self._fused
+    def run_ops(self, fuse: bool) -> list[Op]:
+        """The ops a backend runs: with ``fuse``, each run of one-qubit
+        gates is one op (see :func:`_fuse`), fused on the first request."""
+        if fuse and self._fused is None:
+            self._fused = _fuse(self.ops)
+        return self._fused if fuse else self.ops
 
     def check_limits(self, kind: str, cap: int | None, default_cap: int,
                      env: str | None = None, shots: int = 1, seed: int = 0) -> None:
@@ -213,11 +228,10 @@ class Program:
 
 
 def evolve(program: Program, state) -> None:
-    """Run a terminal program once, leaving its measurements to the end."""
-    for op in program.run_ops(state.fuses)[0]:
-        if op.opcode == "reset":
-            state.reset(op, None)
-        elif op.opcode != "measure":
+    """Run a program once without measuring; only a density matrix takes a
+    reset here, as its channel."""
+    for op in program.run_ops(state.fuses):
+        if op.opcode != "measure":
             state.apply(op)
 
 
@@ -225,67 +239,65 @@ def _keyed(values: dict[int, int], n_bits: int) -> dict[str, int]:
     return {bitstring(v, n_bits): values[v] for v in sorted(values)}
 
 
-def sample_terminal(program: Program, probs: np.ndarray, shots: int, seed: int,
-                    readout=None) -> dict[str, int]:
-    """Counts of a terminal program from its final basis distribution.
-
-    The distribution is reduced to the measured qubits (all qubits when
-    nothing is measured), passed through per-qubit readout confusion when
-    ``readout`` lists (P(0|0), P(1|1)) per qubit, sampled by
-    :func:`results.sample_counts`, and each outcome's bits are moved to the
-    clbits their qubits were measured into.
-    """
-    n = program.n
-    if program.clbit_qubit:
-        qubits = sorted(set(program.clbit_qubit.values()))
-        moves = [(qubits.index(q), c) for c, q in program.clbit_qubit.items()]
-    else:
-        qubits = list(range(n))
-        moves = [(q, q) for q in qubits]
-        readout = None
-    # axis a of the reshaped vector is qubit n-1-a
-    dropped = tuple(n - 1 - q for q in range(n) if q not in qubits)
-    t = np.reshape(probs, (2,) * n).sum(axis=dropped)
-    for j, q in enumerate(qubits if readout else ()):
-        axis = len(qubits) - 1 - j
-        t = np.moveaxis(np.tensordot(readout_matrix(*readout[q]), t, axes=([1], [axis])), 0, axis)
-    # bits already in their clbit's position are masked through, the rest moved
-    kept = sum(1 << j for j, c in moves if j == c)
-    moves = [(j, c) for j, c in moves if j != c]
+def walk(program: Program, state, shots: int, seed: int, readout=None) -> dict[str, int]:
+    """Counts of ``shots`` runs of the program from ``state``, which the
+    walk consumes, as one depth-first walk of the tree of outcomes (see the
+    module docstring). ``readout`` lists (P(0|0), P(1|1)) per qubit."""
+    ops = program.run_ops(state.fuses)
+    qubits, kept, moves, clear = program.leaf
+    readout = readout if program.measures else None
+    rng = np.random.default_rng(seed)
+    # (op index, state, clbits, shots, outcome of that op or None)
+    pending = [(0, state, 0, shots, None)]
     values: dict[int, int] = {}
-    for key, count in sample_counts(t.reshape(-1), shots, seed, n_bits=len(qubits)).items():
-        i = int(key, 2)
-        v = i & kept
-        for j, c in moves:
-            v |= ((i >> j) & 1) << c
-        values[v] = values.get(v, 0) + count
-    return _keyed(values, program.n_bits)
+    leaves = 0
 
+    def fork(p: float, count: int, state, entry) -> tuple[int, int]:
+        """Give binomial(count, p) shots to side 1 and the rest to side 0.
+        Returns the side with fewer shots and its shots; the other side, if
+        it has any, is pushed on a copy of the state as entry(side, shots,
+        copy)."""
+        k = count if p > 1.0 - _EPS else 0 if p < _EPS else int(rng.binomial(count, p))
+        if 0 < k < count:
+            side = int(2 * k <= count)
+            pending.append(entry(1 - side, count - k if side else k, state.copy()))
+            return side, k if side else count - k
+        return int(k > 0), count
 
-def run_shots(program: Program, state, shots: int, rng) -> dict[str, int]:
-    """Per-shot trajectories. The prefix before the first measure, reset or
-    condition draws no random numbers, so it runs once on ``state``; each
-    shot then runs the rest on a copy of it."""
-    ops, prefix = program.run_ops(state.fuses)
-    for op in ops[:prefix]:
-        state.apply(op)
-    rest = ops[prefix:]
-    values: dict[int, int] = {}
-    for _ in range(shots):
-        shot = state.copy()
-        clbits = 0
-        for op in rest:
-            if op.condition is not None:
-                offset, mask, want = op.condition
-                if (clbits >> offset) & mask != want:
+    while pending:
+        start, state, clbits, count, bit = pending.pop()
+        for i in range(start, len(ops)):
+            op = ops[i]
+            if bit is None:
+                if op.deferred or op.condition is not None and (
+                        (clbits >> op.condition[0]) & op.condition[1] != op.condition[2]):
                     continue
+                if op.opcode != "measure" and (op.opcode != "reset" or not state.splits_reset):
+                    state.apply(op)
+                    continue
+                bit, count = fork(state.p_one(op), count, state,
+                                  lambda b, c, s: (i, s, clbits, c, b))
+            state.collapse(op, bit)
             if op.opcode == "measure":
-                bit = shot.measure(op, rng)
-                clbits = (clbits & ~(1 << op.clbit)) | (bit << op.clbit)
-            elif op.opcode == "reset":
-                shot.reset(op, rng)
-            else:
-                shot.apply(op)
-        value = clbits if program.clbit_qubit else shot.sample_all(rng)
-        values[value] = values.get(value, 0) + 1
+                if readout is not None:
+                    p00, p11 = readout[op.wires[0]]
+                    flip, count = fork(1.0 - (p11 if bit else p00), count, state,
+                                       lambda f, c, s: (i + 1, s, clbits & ~(1 << op.clbit)
+                                                        | (bit ^ f) << op.clbit, c, None))
+                    bit ^= flip
+                clbits = clbits & ~(1 << op.clbit) | bit << op.clbit
+            bit = None
+        leaves += 1
+        if leaves > _MAX_LEAVES:
+            raise SimulationError(f"refusing {shots} shots: they branch into more than "
+                                  f"{_MAX_LEAVES} outcome histories (up to that many always run)")
+        if not qubits:
+            values[clbits] = values.get(clbits, 0) + count
+            continue
+        base = clbits & clear
+        for i, k in state.sample(qubits, count, rng, readout).items():
+            v = base | i & kept
+            for j, c in moves:
+                v |= ((i >> j) & 1) << c
+            values[v] = values.get(v, 0) + k
     return _keyed(values, program.n_bits)

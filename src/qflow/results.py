@@ -12,17 +12,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SimulationError
+from .noise import readout_matrix
 
-__all__ = ["RunResult", "sample_counts", "bitstring"]
+__all__ = ["RunResult", "draw_counts", "sample_counts", "sample_marginal", "bitstring"]
 
 
 def bitstring(value: int, n_bits: int) -> str:
     return format(value, f"0{max(n_bits, 1)}b")
 
 
-def sample_counts(probabilities, shots: int, seed: int, n_bits: int | None = None) -> dict:
-    """Seeded multinomial draw over a probability vector indexed by bitstring
-    value. Deterministic per seed; counts sum to shots."""
+def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
+    """Multinomial draw of ``shots`` outcomes from ``rng`` over a probability
+    vector, as counts keyed by index; counts sum to shots."""
     p = np.asarray(probabilities, dtype=float).reshape(-1)
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
@@ -36,12 +37,34 @@ def sample_counts(probabilities, shots: int, seed: int, n_bits: int | None = Non
         raise SimulationError(f"probabilities sum to {total}, expected 1")
     p = np.clip(p, 0.0, None)
     p /= p.sum()
-    rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, p)
+    return {int(i): int(draws[i]) for i in np.nonzero(draws)[0]}
+
+
+def sample_counts(probabilities, shots: int, seed: int, n_bits: int | None = None) -> dict:
+    """Seeded multinomial draw over a probability vector indexed by bitstring
+    value. Deterministic per seed; counts sum to shots."""
+    counts = draw_counts(probabilities, shots, np.random.default_rng(seed))
     if n_bits is None:
-        n_bits = max(1, int(p.size - 1).bit_length())
-    nz = np.nonzero(draws)[0]
-    return {bitstring(int(i), n_bits): int(draws[i]) for i in nz}
+        n_bits = max(1, int(np.size(probabilities) - 1).bit_length())
+    return {bitstring(i, n_bits): count for i, count in counts.items()}
+
+
+def sample_marginal(probs: np.ndarray, n: int, qubits: list[int], count: int, rng,
+                    readout=None) -> dict[int, int]:
+    """Counts of ``count`` draws from an n-qubit basis distribution reduced
+    to ``qubits``, keyed by value with bit j for qubits[j], through
+    per-qubit readout confusion when ``readout`` lists (P(0|0), P(1|1)) per
+    qubit."""
+    # axis a of the reshaped vector is qubit n-1-a
+    dropped = tuple(n - 1 - q for q in range(n) if q not in qubits)
+    t = np.reshape(probs, (2,) * n)
+    if dropped:
+        t = t.sum(axis=dropped)
+    for j, q in enumerate(qubits if readout else ()):
+        axis = len(qubits) - 1 - j
+        t = np.moveaxis(np.tensordot(readout_matrix(*readout[q]), t, axes=([1], [axis])), 0, axis)
+    return draw_counts(t.reshape(-1), count, rng)
 
 
 @dataclass

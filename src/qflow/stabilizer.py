@@ -33,10 +33,12 @@ variables, and a reset flips signs by the same. Each counted bit is then a
 constant xor a subset of the r_j, and every shot's r is drawn in one
 shot-major block: the same draws, in the same order, as one
 ``rng.integers(2)`` per random outcome per shot, so seeded counts equal
-those of a per-shot run. A conditioned circuit keeps the per-shot
-trajectories of qflow.program: the gate prefix before the first measure,
-reset or condition runs once, and each shot replays the rest on a copy of
-that tableau.
+those of a per-shot run.
+
+A conditioned circuit goes through the shot walker of qflow.program:
+``p_one`` runs the row elimination once, leaving a random outcome's tableau
+at outcome 0, and ``collapse`` sets the new stabilizer row's sign for 1. A
+leaf draws its shots from the deferred qubits' affine outcomes.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .decompose import _two_q_template
 from .errors import NonCliffordError, QFlowError, SimulationError
 from .euler import SNAP_TOL, lattice_power
 from .gates import unitary_of
-from .program import Program, _keyed, run_shots
+from .program import Program, _keyed, walk
 from .results import RunResult
 
 __all__ = ["StabilizerTableau", "stab_run", "stab_evolve", "tableau_to_statevector",
@@ -61,6 +63,8 @@ DEFAULT_STAB_CAP = 10_000
 STATEVECTOR_CAP = 12
 # one sampling block holds at most this many random bits and as many outcome bits
 _BLOCK_BITS = 1 << 20
+# above this many shots, outcomes come from one exact draw over at most as many values
+_EXACT = 1 << 20
 # X, Z and Y, each with its (x, z) bits in a tableau row
 _PAULIS = (((1, 0), unitary_of("x")), ((0, 1), unitary_of("z")), ((1, 1), unitary_of("y")))
 
@@ -105,15 +109,13 @@ class StabilizerTableau:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure(self, q: int, rng, forms: list[int] | None = None) -> tuple[int, int]:
-        """Measure qubit q in Z. Returns (outcome, was_random).
-
-        With ``forms`` the row signs are affine over GF(2) in random bits
-        r_0, r_1, ...: row i's sign is bit i of R xor every r_j for which bit
-        i of forms[j] is set. The forms are updated along with R, a random
-        outcome becomes a new bit r_k (forms gains one entry) instead of a
-        draw, and the call returns (c, deps): the outcome is c xor every r_j
-        whose bit j is set in deps.
+    def measure(self, q: int, forms: list[int]) -> tuple[int, int]:
+        """Measure qubit q in Z with the row signs affine over GF(2) in
+        random bits r_0, r_1, ...: row i's sign is bit i of R xor every r_j
+        for which bit i of forms[j] is set. The forms are updated along with
+        R, and a random outcome becomes a new bit r_k (forms gains one
+        entry). Returns (c, deps): the outcome is c xor every r_j whose bit
+        j is set in deps.
         """
         n = self.n
         X, Z = self.X, self.Z
@@ -153,17 +155,13 @@ class StabilizerTableau:
             # a sign flip where hi is set (row p-n is overwritten)
             R = self.R
             R ^= hi ^ (rows if R & bit else 0)
-            if forms is not None:
-                # the same row moves on each form, which gains no hi
-                for j, f in enumerate(forms):
-                    if f & (bit | dest):
-                        forms[j] = ((f ^ rows) & keep) | dest if f & bit else f & keep
-                forms.append(bit)
-                self.R = (R & keep) | (dest if R & bit else 0)
-                return 0, 1 << (len(forms) - 1)
-            outcome = int(rng.integers(2))
-            self.R = (R & keep) | (dest if R & bit else 0) | (bit if outcome else 0)
-            return outcome, True
+            # the same row moves on each form, which gains no hi
+            for j, f in enumerate(forms):
+                if f & (bit | dest):
+                    forms[j] = ((f ^ rows) & keep) | dest if f & bit else f & keep
+            forms.append(bit)
+            self.R = (R & keep) | (dest if R & bit else 0)
+            return 0, 1 << (len(forms) - 1)
         # deterministic: the outcome is the sign of the product of the
         # stabilizers whose destabilizers anticommute with Z_q. Write a
         # one-qubit Pauli as i^(xz) X^x Z^z. Multiplying row k onto a running
@@ -185,28 +183,25 @@ class StabilizerTableau:
                     before ^= before << shift
                 cross ^= zs & (before << 1)
         outcome = ((self.R & sel).bit_count() + (y_count >> 1) + cross.bit_count()) & 1
-        if forms is None:
-            return outcome, False
         deps = 0
         for j, f in enumerate(forms):
             if (f & sel).bit_count() & 1:
                 deps |= 1 << j
         return outcome, deps
 
-    def reset(self, q: int, rng, forms: list[int] | None = None):
-        """Measure q and flip it back to 0, symbolically with ``forms``
-        (see :meth:`measure`). An x on q flips every row with a z bit there:
-        in R by the outcome's constant, and in each random bit's form that
-        the outcome depends on."""
-        outcome, deps = self.measure(q, rng, forms=forms)
+    def reset(self, q: int, forms: list[int]):
+        """Measure q and flip it back to 0, symbolically (see
+        :meth:`measure`). An x on q flips every row with a z bit there: in R
+        by the outcome's constant, and in each random bit's form that the
+        outcome depends on."""
+        outcome, deps = self.measure(q, forms)
         z = self.Z[q]
         if outcome:
             self.R ^= z
-        if forms is not None:
-            while deps:
-                j = deps.bit_length() - 1
-                forms[j] ^= z
-                deps ^= 1 << j
+        while deps:
+            j = deps.bit_length() - 1
+            forms[j] ^= z
+            deps ^= 1 << j
 
     # -- gate dispatch -----------------------------------------------------------
 
@@ -284,7 +279,7 @@ def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
     forms: list[int] = []
     seed_bits = 0
     for q in range(n):
-        outcome, _ = probe.measure(q, None, forms=forms)
+        outcome, _ = probe.measure(q, forms)
         seed_bits |= outcome << q
 
     dim = 1 << n
@@ -314,33 +309,42 @@ def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
 # -- running circuits ------------------------------------------------------------
 
 class _StabState:
-    """A tableau driven op by op by qflow.program; its gates stay unfused,
-    since the tableau applies them by name."""
+    """A tableau driven op by op by qflow.program's walker; its gates stay
+    unfused, since the tableau applies them by name. ``row`` is the sign
+    bit that makes the last random outcome 1, or 0 after a fixed one."""
 
     fuses = False
+    splits_reset = True
 
-    def __init__(self, tab: StabilizerTableau):
+    def __init__(self, tab: StabilizerTableau, row: int = 0):
         self.tab = tab
+        self.row = row
 
     def copy(self) -> "_StabState":
-        return _StabState(self.tab.copy())
+        return _StabState(self.tab.copy(), self.row)
 
     def apply(self, op) -> None:
         if op.gate:
             self.tab.apply(op.opcode, op.instr.params, op.wires)
 
-    def measure(self, op, rng) -> int:
-        return self.tab.measure(op.wires[0], rng)[0]
+    def p_one(self, op) -> float:
+        forms: list[int] = []
+        outcome, _ = self.tab.measure(op.wires[0], forms)
+        self.row = forms[0] if forms else 0
+        return 0.5 if forms else float(outcome)
 
-    def reset(self, op, rng) -> None:
-        self.tab.reset(op.wires[0], rng)
+    def collapse(self, op, bit: int) -> None:
+        if bit:
+            self.tab.R ^= self.row
+            if op.opcode == "reset":
+                # x on the qubit flips every row with a z bit there
+                self.tab.R ^= self.tab.Z[op.wires[0]]
 
-    def sample_all(self, rng) -> int:
-        """Measure every qubit in turn; this consumes the shot's tableau."""
-        value = 0
-        for q in range(self.tab.n):
-            value |= self.tab.measure(q, rng)[0] << q
-        return value
+    def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
+        """Draw count shots of the qubits' outcomes, measured symbolically."""
+        forms: list[int] = []
+        bits = [self.tab.measure(q, forms) for q in qubits]
+        return _sample_affine(bits, len(forms), count, rng)
 
 
 def _affine_outcomes(program: Program, tab: StabilizerTableau) -> tuple[list, int]:
@@ -352,13 +356,13 @@ def _affine_outcomes(program: Program, tab: StabilizerTableau) -> tuple[list, in
     bits = [(0, 0)] * program.n_bits
     for op in program.ops:
         if op.opcode == "measure":
-            bits[op.clbit] = tab.measure(op.wires[0], None, forms=forms)
+            bits[op.clbit] = tab.measure(op.wires[0], forms)
         elif op.opcode == "reset":
-            tab.reset(op.wires[0], None, forms=forms)
+            tab.reset(op.wires[0], forms)
         elif op.gate:
             tab.apply(op.opcode, op.instr.params, op.wires)
-    if not program.clbit_qubit:
-        bits = [tab.measure(q, None, forms=forms) for q in range(program.n)]
+    if not program.measures:
+        bits = [tab.measure(q, forms) for q in range(program.n)]
     return bits, len(forms)
 
 
@@ -366,10 +370,29 @@ def _sample_affine(bits: list, k: int, shots: int, rng) -> dict[int, int]:
     """Counts of the value whose bit i is c_i xor the random bits in deps_i,
     for bits[i] = (c_i, deps_i), over shots draws of k random bits. The draws
     are shot-major, in blocks of at most _BLOCK_BITS, so a shot takes the
-    same k values from rng as k calls of rng.integers(2) would."""
+    same k values from rng as k calls of rng.integers(2) would. Above
+    _EXACT shots one multinomial draw covers the exact distribution instead,
+    uniform over const xor the span of what the random bits flip; a span of
+    more than _EXACT points is refused with SimulationError."""
     const = sum(c << i for i, (c, _) in enumerate(bits))
     if k == 0:
         return {const: shots}
+    if shots > _EXACT:
+        span: list[int] = []  # a basis with distinct leading bits, in falling order
+        for j in range(k):
+            f = sum(((d >> j) & 1) << i for i, (_, d) in enumerate(bits))
+            for b in span:
+                f = min(f, f ^ b)
+            if f:
+                span = sorted(span + [f], reverse=True)
+        if 1 << len(span) > _EXACT:
+            raise SimulationError(f"refusing {shots} shots: their outcomes take 2**{len(span)} "
+                                  "values (up to 2**20 shots always run)")
+        points = [0]
+        for b in span:
+            points += [p ^ b for p in points]
+        draws = rng.multinomial(shots, np.full(len(points), 1.0 / len(points))).tolist()
+        return {const ^ p: n for p, n in zip(points, draws) if n}
     width = len(bits)
     words = (width + 63) // 64
     # flips[j]: the value bits that random bit j flips, as little-endian words
@@ -404,10 +427,9 @@ def stab_evolve(circuit: Circuit, seed: int = 42) -> StabilizerTableau:
     for op in program.ops:
         if op.condition is not None:
             raise SimulationError("stab_evolve does not evaluate classical conditions")
-        if op.opcode == "measure":
-            state.measure(op, rng)
-        elif op.opcode == "reset":
-            state.reset(op, rng)
+        if op.opcode in ("measure", "reset"):
+            p = state.p_one(op)
+            state.collapse(op, int(rng.integers(2)) if p == 0.5 else int(p))
         else:
             state.apply(op)
     return state.tab
@@ -422,23 +444,19 @@ def stab_run(
     """Clifford run with seeded counts.
 
     A circuit without classical conditions runs once symbolically (see the
-    module docstring) and all shots are drawn from its affine outcomes in
-    blocks; a circuit whose outcomes are all fixed draws nothing. A
-    conditioned circuit runs its gate prefix once and replays the rest per
-    shot on a copy of that tableau. For the same seed both give the counts
-    of a per-shot run. A circuit without measurements is sampled by
-    measuring every qubit.
+    module docstring) and its shots are drawn from its affine outcomes; a
+    conditioned one goes through the shot walker of qflow.program. A
+    circuit without measurements is sampled by measuring every qubit.
     """
     t0 = time.perf_counter()
     program = Program(circuit)
     program.check_limits("stabilizer", qubit_cap, DEFAULT_STAB_CAP, shots=shots, seed=seed)
-    rng = np.random.default_rng(seed)
     tab = StabilizerTableau(program.n)
     if any(op.condition is not None for op in program.ops):
-        counts = run_shots(program, _StabState(tab), shots, rng)
+        counts = walk(program, _StabState(tab), shots, seed)
     else:
-        counts = _keyed(_sample_affine(*_affine_outcomes(program, tab), shots, rng),
-                        program.n_bits)
+        counts = _keyed(_sample_affine(*_affine_outcomes(program, tab), shots,
+                                       np.random.default_rng(seed)), program.n_bits)
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         backend="stab",

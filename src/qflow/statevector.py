@@ -28,11 +28,10 @@ qflow.program): the unconditioned one-qubit gates on a wire are folded into
 one 2x2 product until a multi-qubit gate, measure, reset, barrier, delay or
 conditioned op touches the wire, which flushes the run as one gate.
 
-A unitary program (measurements all terminal, no reset, no classical
-condition; see qflow.program) runs in a single pass with counts drawn from
-the final probability vector; anything else runs shot-by-shot trajectories
-with seeded measurement collapse, the gate prefix before the first
-measure, reset or condition evolved once and copied per shot.
+Every run goes through the shot walker of qflow.program: ``p_one`` is the
+squared norm of the slice where the qubit reads 1, ``collapse`` zeroes the
+other slice and renormalizes (and for a reset flips the qubit back to 0),
+and a leaf samples the marginal of |amps|^2. A unitary program is one leaf.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ import numpy as np
 from .circuit import Circuit
 from .errors import SimulationError
 from .gates import unitary_of
-from .program import Program, evolve, run_shots, sample_terminal
-from .results import RunResult
+from .program import Program, evolve, walk
+from .results import RunResult, sample_marginal
 
 __all__ = ["sv_run", "sv_statevector", "DEFAULT_SV_CAP"]
 
@@ -168,22 +167,13 @@ def _flip(n: int, w: int) -> Kernel:
 
 # -- state ---------------------------------------------------------------------
 
-def _measure_probability_one(state: np.ndarray, w: int) -> float:
-    # axis 1 of this view is qubit w
-    ones = state.reshape(-1, 2, 1 << w)[:, 1]
-    return float(np.vdot(ones, ones).real)
-
-
-def _collapse(state: np.ndarray, w: int, bit: int, prob: float) -> None:
-    state.reshape(-1, 2, 1 << w)[:, 1 - bit] = 0.0
-    state *= 1.0 / math.sqrt(prob)
-
-
 class _SVState:
-    """Amplitudes of one trajectory, driven op by op by qflow.program over
-    its fused ops; each op's kernel is built on first use and kept on it."""
+    """Amplitudes of one branch, driven op by op by qflow.program's walker
+    over its fused ops; each op's kernel is built on first use and kept on
+    it."""
 
     fuses = True
+    splits_reset = True
 
     def __init__(self, n: int, amps: np.ndarray | None = None):
         self.n = n
@@ -202,23 +192,24 @@ class _SVState:
                 kernel = op.kernel = Kernel(op.matrix, self.n, op.wires)
             apply_gate(self.amps, kernel)
 
-    def measure(self, op, rng) -> int:
-        w = op.wires[0]
-        p1 = _measure_probability_one(self.amps, w)
-        bit = 1 if rng.random() < p1 else 0
-        _collapse(self.amps, w, bit, p1 if bit else 1.0 - p1)
-        return bit
+    def p_one(self, op) -> float:
+        ones = self.amps.reshape(-1, 2, 1 << op.wires[0])[:, 1]  # axis 1 is the qubit
+        return float(np.vdot(ones, ones).real)
 
-    def reset(self, op, rng) -> None:
-        if self.measure(op, rng):
-            apply_gate(self.amps, _flip(self.n, op.wires[0]))
+    def collapse(self, op, bit: int) -> None:
+        w = op.wires[0]
+        view = self.amps.reshape(-1, 2, 1 << w)
+        view[:, 1 - bit] = 0.0
+        self.amps *= 1.0 / math.sqrt(np.vdot(view[:, bit], view[:, bit]).real)
+        if bit and op.opcode == "reset":
+            apply_gate(self.amps, _flip(self.n, w))
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        p = np.abs(self.amps)
+        return np.square(p, out=p)
 
-    def sample_all(self, rng) -> int:
-        probs = self.probabilities()
-        return int(rng.choice(probs.size, p=probs / probs.sum()))
+    def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
+        return sample_marginal(self.probabilities(), self.n, qubits, count, rng, readout)
 
 
 def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray:
@@ -245,23 +236,16 @@ def sv_run(
 ) -> RunResult:
     """Ideal state-vector run: evolve, then sample `shots` outcomes.
 
-    Delay is an identity here (no noise model). A unitary program (see
-    qflow.program) runs once and its counts come from the final
-    probabilities, with the final amplitudes attached; anything else runs
-    per-shot trajectories with seeded collapse.
+    Delay is an identity here (no noise model). Counts come from the shot
+    walker of qflow.program; a unitary program is one leaf, and its final
+    amplitudes are attached.
     """
     t0 = time.perf_counter()
     program = Program(circuit)
     program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots,
                          seed)
     state = _SVState(program.n)
-    if program.unitary:
-        evolve(program, state)
-        counts = sample_terminal(program, state.probabilities(), shots, seed)
-        amplitudes = state.amps
-    else:
-        counts = run_shots(program, state, shots, np.random.default_rng(seed))
-        amplitudes = None
+    counts = walk(program, state, shots, seed)
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         backend="sv",
@@ -271,5 +255,5 @@ def sv_run(
         counts=counts,
         wall_time_ms=wall,
         mem_bytes_estimate=16 * (1 << program.n),
-        amplitudes=amplitudes,
+        amplitudes=state.amps if program.unitary else None,
     )

@@ -208,3 +208,44 @@ def exact_distribution(circuit) -> dict[int, float]:
             for index in np.nonzero(probs > 1e-14)[0].tolist():
                 dist[index] = dist.get(index, 0.0) + float(probs[index])
     return dist
+
+
+def per_shot_counts(circuit, seed: int, shots: int) -> dict[str, int]:
+    """Counts of a Clifford circuit from one trajectory per shot: each shot
+    replays every op on a fresh tableau and draws each random measurement
+    outcome with one rng.integers(2); a circuit that measures nothing then
+    measures every qubit in turn. Draw for draw, the reference for the
+    stabilizer backend's symbolic sampling."""
+    from qflow.program import Program
+    from qflow.stabilizer import StabilizerTableau
+
+    program = Program(circuit)
+    rng = np.random.default_rng(seed)
+
+    def measure(tab, q: int) -> int:
+        forms: list[int] = []
+        outcome, _ = tab.measure(q, forms)
+        if forms:  # random: the tableau holds outcome 0 until row forms[0] flips
+            outcome = int(rng.integers(2))
+            tab.R ^= forms[0] if outcome else 0
+        return outcome
+
+    values: dict[int, int] = {}
+    for _ in range(shots):
+        tab = StabilizerTableau(program.n)
+        clbits = 0
+        for op in program.ops:
+            if op.condition is not None:
+                offset, mask, want = op.condition
+                if (clbits >> offset) & mask != want:
+                    continue
+            if op.opcode == "measure":
+                clbits = clbits & ~(1 << op.clbit) | measure(tab, op.wires[0]) << op.clbit
+            elif op.opcode == "reset" and measure(tab, op.wires[0]):
+                tab.R ^= tab.Z[op.wires[0]]
+            elif op.gate:
+                tab.apply(op.opcode, op.instr.params, op.wires)
+        if not program.measures:
+            clbits = sum(measure(tab, q) << q for q in range(program.n))
+        values[clbits] = values.get(clbits, 0) + 1
+    return {format(v, f"0{max(program.n_bits, 1)}b"): values[v] for v in sorted(values)}

@@ -109,25 +109,26 @@ def _boundary_circuit(boundary: str):
 @pytest.mark.parametrize("boundary", sorted(_BOUNDARIES))
 def test_a_one_qubit_run_ends_at_a_boundary(boundary):
     program = Program(_boundary_circuit(boundary))
-    ops, prefix = program.run_ops(True)
-    assert program.run_ops(False) == (program.ops, program.prefix)
-    assert prefix == program.prefix == 1
-    wire0 = [op for op in ops[prefix:] if 0 in op.wires]
+    assert program.run_ops(False) is program.ops
+    wire0 = [op for op in program.run_ops(True) if 0 in op.wires]
     assert [op.opcode for op in wire0] == ["fused", wire0[1].opcode, "fused", "cx", "measure"]
     assert [op.opcode for op in wire0[0].run] == ["h", "t", "ry"]
     assert wire0[2].run[0] is program.ops[program.ops.index(wire0[1]) + 1]
 
 
-# Counts at seed 11, 64 shots, recorded before one-qubit runs were fused.
+# Counts at seed 11, 64 shots. These programs branch at their mid-circuit
+# measure, so the counts were re-pinned when the shot walker replaced
+# per-shot trajectories, after they passed the exact-distribution TV check;
+# fusing one-qubit runs had left the earlier pins unchanged.
 PINNED_BOUNDARY = {
-    ("sv", "measure"): {"00": 14, "01": 14, "10": 24, "11": 12},
-    ("dm", "measure"): {"00": 14, "01": 14, "10": 24, "11": 12},
-    ("sv", "reset"): {"00": 7, "01": 28, "10": 10, "11": 19},
-    ("dm", "reset"): {"00": 5, "01": 28, "10": 9, "11": 22},
-    ("sv", "if"): {"00": 12, "01": 15, "10": 22, "11": 15},
-    ("dm", "if"): {"00": 12, "01": 15, "10": 22, "11": 15},
-    ("sv", "barrier"): {"00": 16, "01": 15, "10": 22, "11": 11},
-    ("dm", "barrier"): {"00": 16, "01": 15, "10": 22, "11": 11},
+    ("sv", "measure"): {"00": 16, "01": 13, "10": 18, "11": 17},
+    ("dm", "measure"): {"00": 16, "01": 13, "10": 18, "11": 17},
+    ("sv", "reset"): {"00": 12, "01": 27, "10": 4, "11": 21},
+    ("dm", "reset"): {"00": 6, "01": 22, "10": 9, "11": 27},
+    ("sv", "if"): {"00": 12, "01": 12, "10": 19, "11": 21},
+    ("dm", "if"): {"00": 12, "01": 12, "10": 19, "11": 21},
+    ("sv", "barrier"): {"00": 24, "01": 12, "10": 19, "11": 9},
+    ("dm", "barrier"): {"00": 24, "01": 12, "10": 19, "11": 9},
 }
 
 

@@ -4,6 +4,8 @@ regressions for fixed defects, qubit caps and the run-result schema."""
 from __future__ import annotations
 
 import json
+import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflow import program, statevector
 from qflow.cli import main
 from qflow.density import dm_evolve, dm_run
-from qflow.device import load_bundled_device
+from qflow.device import load_bundled_device, load_device
 from qflow.errors import SimulationError
 from qflow.flatten import flatten
 from qflow.gates import unitary_of
@@ -26,8 +29,8 @@ from qflow.stabilizer import stab_run
 from qflow.statevector import sv_run, sv_statevector
 from qflow.transpile import transpile
 
-from conftest import (adder4_qasm, bell_qasm, corpus_sources, ghz_qasm, qft_qasm,
-                      random_clifford_qasm, random_clifford_t_qasm, random_general_qasm)
+from conftest import (adder4_qasm, bell_qasm, corpus_sources, ghz_qasm, noiseless_device_json,
+                      qft_qasm, random_clifford_qasm, random_clifford_t_qasm, random_general_qasm)
 from oracles import NON_UNITARY, embed_slow, exact_distribution
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -69,9 +72,11 @@ CIRCUITS = {
 
 # Counts at seed 11, 64 shots. The sv and dm entries are circuits that
 # measure every qubit into the clbit of the same index (or a permutation, for
-# sv), measure nothing, or run per-shot trajectories; the stab entries have
-# no reset. Recorded before the backends shared one program form and shot
-# loop, and kept byte-identical by it.
+# sv), measure nothing, or measure mid-circuit; the stab entries have no
+# reset. The entries of programs that branch (ghz_mid and teleport, and stab
+# teleport) were re-pinned when the shot walker replaced per-shot
+# trajectories, after their counts passed the exact-distribution TV check;
+# the others were recorded before the backends shared one program form.
 PINNED = {
     ("sv", "bell"): {"00": 31, "11": 33},
     ("sv", "ghz3"): {"000": 31, "111": 33},
@@ -81,9 +86,8 @@ PINNED = {
     ("sv", "cliffordt"): {"000": 5, "001": 8, "010": 9, "011": 4, "100": 7, "101": 14,
                           "110": 5, "111": 12},
     ("sv", "general"): {"000": 5, "001": 1, "100": 52, "101": 5, "111": 1},
-    ("sv", "ghz_mid"): {"000": 26, "111": 38},
-    ("sv", "teleport"): {"000": 7, "001": 6, "010": 7, "011": 10, "100": 6, "101": 12,
-                         "110": 7, "111": 9},
+    ("sv", "ghz_mid"): {"000": 33, "111": 31},
+    ("sv", "teleport"): {"000": 3, "001": 4, "010": 8, "011": 6, "100": 9, "101": 11, "110": 13, "111": 10},
     ("sv", "permuted"): {"000": 12, "010": 18, "101": 17, "111": 17},
     ("dm", "bell"): {"00": 31, "11": 33},
     ("dm", "ghz3"): {"000": 31, "111": 33},
@@ -92,9 +96,8 @@ PINNED = {
     ("dm", "cliffordt"): {"000": 5, "001": 8, "010": 9, "011": 4, "100": 7, "101": 14,
                           "110": 5, "111": 12},
     ("dm", "general"): {"000": 5, "001": 1, "100": 52, "101": 5, "111": 1},
-    ("dm", "ghz_mid"): {"000": 26, "111": 38},
-    ("dm", "teleport"): {"000": 7, "001": 6, "010": 7, "011": 10, "100": 6, "101": 12,
-                         "110": 7, "111": 9},
+    ("dm", "ghz_mid"): {"000": 33, "111": 31},
+    ("dm", "teleport"): {"000": 3, "001": 4, "010": 8, "011": 6, "100": 9, "101": 11, "110": 13, "111": 10},
     ("dm", "gate_after_measure"): {"000": 12, "011": 17, "100": 18, "111": 17},
     ("stab", "bell"): {"00": 26, "11": 38},
     ("stab", "ghz3"): {"000": 26, "111": 38},
@@ -103,8 +106,7 @@ PINNED = {
                            "1100": 4, "1101": 3, "1110": 3, "1111": 3},
     ("stab", "clifford_measured"): {"1000": 26, "1100": 38},
     ("stab", "ghz_mid"): {"000": 26, "111": 38},
-    ("stab", "teleport"): {"000": 9, "001": 10, "010": 8, "011": 8, "100": 7, "101": 8,
-                           "110": 5, "111": 9},
+    ("stab", "teleport"): {"000": 6, "001": 6, "010": 9, "011": 8, "100": 10, "101": 9, "110": 8, "111": 8},
     ("stab", "gate_after_measure"): {"000": 17, "011": 21, "100": 12, "111": 14},
     ("stab", "permuted"): {"000": 17, "010": 12, "101": 21, "111": 14},
 }
@@ -192,7 +194,7 @@ def _distribution_problem(counts: dict, exact: dict, shots: int) -> str | None:
     return None if tv <= bound else f"total variation {tv:.3f} > bound {bound:.3f}"
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_branching_programs(), st.integers(0, 2**32))
 def test_backends_match_exact_branch_enumeration(source, seed):
     c = parse_qasm(source)
@@ -254,6 +256,91 @@ def test_reset_of_entangled_qubit_is_drawn_per_shot(backend):
 @pytest.mark.parametrize("backend", sorted(RUNS))
 def test_last_measurement_into_a_clbit_wins(backend):
     assert RUNS[backend](circuit("clbit_overwrite"), shots=100).counts == {"0": 100}
+
+
+MOST_SHOTS = 2**63 - 1
+
+
+@pytest.mark.parametrize("backend", sorted(RUNS))
+@pytest.mark.parametrize("name", ["ghz_mid", "teleport", "syndrome"])
+def test_the_largest_shot_count_returns_at_once(backend, name):
+    # one trajectory per shot never returned; the walker splits counts instead
+    t0 = time.perf_counter()
+    counts = RUNS[backend](circuit(name), seed=1, shots=MOST_SHOTS).counts
+    assert time.perf_counter() - t0 < 1.0
+    exact = exact_distribution(circuit(name))
+    assert sum(counts.values()) == MOST_SHOTS
+    assert {int(key, 2) for key in counts} == set(exact)
+    assert all(abs(n / MOST_SHOTS - exact[int(key, 2)]) < 1e-6 for key, n in counts.items())
+
+
+def test_a_misread_bit_steers_a_later_condition():
+    # q[0] reads 1 as 1 with probability 0.8, and the x on q[1] follows the bit read
+    raw = json.loads(noiseless_device_json(2))
+    raw["readout"] = [[1.0, 0.8], [1.0, 1.0]]
+    device = load_device(json.dumps(raw))
+    c = parse_qasm(HEADER + "qreg q[2];\ncreg c[2];\nx q[0];\nmeasure q[0] -> c[0];\n"
+                   "if(c==1) x q[1];\nmeasure q[1] -> c[1];\n")
+    counts = dm_run(c, device=device, seed=3, shots=MOST_SHOTS).counts
+    assert set(counts) == {"00", "11"} and abs(counts["11"] / MOST_SHOTS - 0.8) < 1e-6
+
+
+def _independent_outcomes(k: int) -> str:
+    """k random mid-circuit measures of one reused qubit, and a condition."""
+    return (HEADER + f"qreg q[1];\ncreg c[{k}];\n"
+            + "".join(f"h q[0];\nmeasure q[0] -> c[{j}];\n" for j in range(k))
+            + "if(c==0) x q[0];\n")
+
+
+@pytest.mark.parametrize("backend", sorted(RUNS))
+def test_a_walk_past_the_leaf_bound_is_refused(backend, monkeypatch):
+    # 24 random outcomes give every one of 2**24 histories shots; walking to
+    # the real bound of 2**20 leaves takes 8-40 s, so the bound is lowered
+    monkeypatch.setattr(program, "_MAX_LEAVES", 1 << 10)
+    c = parse_qasm(_independent_outcomes(24))
+    with pytest.raises(SimulationError, match=f"refusing {MOST_SHOTS} shots: they branch into "
+                                              "more than 1024 outcome histories"):
+        RUNS[backend](c, seed=1, shots=MOST_SHOTS)
+    # leaves never outnumber shots, so as many shots as the bound always run
+    assert sum(RUNS[backend](c, seed=1, shots=1 << 10).counts.values()) == 1 << 10
+
+
+def test_stab_refuses_most_shots_over_too_many_outcomes():
+    source = HEADER + "qreg q[21];\ncreg c[21];\nh q;\nmeasure q -> c;\n"
+    with pytest.raises(SimulationError, match="outcomes take 2\\*\\*21 values"):
+        stab_run(parse_qasm(source), shots=MOST_SHOTS)
+    counts = stab_run(parse_qasm(source.replace("[21]", "[16]")), shots=MOST_SHOTS).counts
+    assert len(counts) == 1 << 16 and sum(counts.values()) == MOST_SHOTS
+
+
+def test_walk_holds_a_logarithmic_number_of_states(monkeypatch):
+    # a top qubit reused 13 times: every measure splits the shots in two
+    n, shots = 14, 1024
+    lines = [HEADER + f"qreg q[{n}];", f"creg c[{n}];"]
+    for k in range(n - 1):
+        lines += [f"h q[{n - 1}];", f"cx q[{n - 1}],q[{k}];", f"measure q[{n - 1}] -> c[{k}];",
+                  f"reset q[{n - 1}];"]
+    c = parse_qasm("\n".join(lines + ["measure q -> c;"]) + "\n")
+    sv_run(c, shots=8)  # first-call allocations stay out of the measurement
+    live = []
+    copy = statevector._SVState.copy
+
+    def measured_copy(self):
+        state = copy(self)
+        live.append(tracemalloc.get_traced_memory()[0])
+        return state
+
+    monkeypatch.setattr(statevector._SVState, "copy", measured_copy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sv_run(c, seed=1, shots=shots)
+    finally:
+        tracemalloc.stop()
+    # states are live at once right after a copy: the pending ones, the
+    # branch being run and its copy
+    states = (max(live) - base) / (16 << n)
+    assert 8 <= states <= 2 + math.floor(math.log2(shots))
 
 
 @pytest.mark.parametrize("noisy", [False, True])

@@ -21,12 +21,12 @@ from qflow.cli import main
 from qflow.errors import NonCliffordError
 from qflow.gates import LIBRARY, unitary_of
 from qflow.parser import parse_qasm
-from qflow.program import Program, run_shots
 from qflow.stabilizer import (StabilizerTableau, _StabState, stab_evolve, stab_run,
                               tableau_to_statevector)
 from qflow.statevector import sv_statevector
 
 from conftest import corpus_sources, ghz_qasm, random_clifford_qasm
+from oracles import per_shot_counts
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -45,75 +45,77 @@ def midcircuit_clifford(n: int, seed: int, condition: bool = True) -> str:
 
 # Counts at seed 11, 32 shots: every outcome was drawn once. A tableau
 # column of these circuits holds 66 or 140 rows, more than one 64-bit word.
-# Recorded with the uint8-array tableau, before rows were packed into ints.
+# The condition sends them through the shot walker; re-pinned when it
+# replaced per-shot trajectories, after a forced replay showed each outcome
+# possible.
 PINNED_WIDE = {
     (33, 5): [
-        "0000001101111000000110111110001100",
-        "0010010001110110011010110000001111",
-        "0010010011001101010100110000010100",
-        "0010011111101100000100111000010100",
-        "0100010001011010010110010010001100",
-        "0100010101110000000000111001111000",
-        "0100011001000111001010011000101111",
-        "0100011001011111011010111001011011",
-        "0100011101000101001110001110100111",
-        "0100100111111101000110000010110100",
+        "0000011111001001010000001010010100",
+        "0000110101001110011110001001110011",
+        "0000111101001001000000011010001100",
+        "0010000011000100001010011010010111",
+        "0010010001111110010010110000001100",
+        "0010010111001111011000101111000011",
+        "0010100001011101000110101100001100",
+        "0010100101100111000110110111111000",
+        "0010110011110000010000100001101000",
+        "0100000101001100011010000011110011",
+        "0100010101101010010100000100001100",
+        "0100100001010111000000101101110000",
         "0100111001010100010010111101110000",
-        "0110000011001001001000100101100011",
-        "0110001001000101011110001000000111",
-        "0110010111011000000010111000010100",
-        "0110101101000111011000001100000111",
-        "1000001011101101000100011010000100",
-        "1000100011111111000110000110001100",
-        "1000101111010101001110010100100111",
-        "1010000001011000011010101001001011",
-        "1010010001111101001100110101000011",
-        "1010010011111101010010011110000100",
-        "1010110111111011011110011001010011",
-        "1100000111011000001010001101110011",
-        "1110000001101000011100100111001011",
-        "1110001001100101000010011001001000",
-        "1110001101000011001000101010111111",
-        "1110010011100001011000100010100111",
+        "0110001011101010010100101010111100",
+        "0110001111100100001000000100011111",
+        "0110101001101011010010001100000100",
+        "0110111001100100011110101100101111",
+        "0110111111010010011000101000011111",
+        "1000011011001000010000110110001100",
+        "1000100101110101010000001011001000",
+        "1000100111001011010110011110000100",
+        "1000101111100100010100001101010000",
+        "1000110001010100001100101110110111",
+        "1010000101111100000100110110010100",
+        "1010010111011000001000110011110011",
+        "1010101001110111001100110000011111",
+        "1010111111011101000100000010100100",
+        "1100000101110110001100000010011111",
+        "1100010011001011010110101100001100",
+        "1110000101000110000100101101000000",
+        "1110000111000100001000010000101111",
         "1110010111000011011110110100100111",
-        "1110011001001011001100111011100011",
-        "1110100101010100010110111101101000",
-        "1110110101001000000010001110111100",
-        "1110111011101101001000001101010011",
     ],
     (70, 6): [
-        "00000001110010011011100011111011001101111101001001000010001101001001000",
-        "00000010110000111110001010110000000101110011011110011111110011000000000",
-        "00001001010001111111001010010001011101101101011110001110010001000001000",
-        "00001011100001001001001010000101001101101010100110100001101111000010000",
-        "00010000000100011001001011000111010101101000010001111100110111001010011",
-        "00010001010011101101110010100101010101111111011010100000011001001001011",
-        "00010100100001101010101011011000010101101001100111110010100011001111000",
-        "00010110100000111111110011101000010101110100111110101110000111001010000",
-        "00010111000101111101111011001010000101100011001010110000000111001001011",
-        "00011011110101001000000011110001011101110101011100000011101111001000000",
-        "00100101101011101011110110010111010101000100001000100010100001001110000",
-        "00100101111000111001001110110110001101011000010001101110000011001010011",
-        "00101001001011111011000110010010001101000011010000010001101101000110011",
-        "00101110111001111111101111011101001101001001100101111110110001000000000",
-        "00110101111011001100101110100010011101010110000111011110100011000001000",
+        "00000010010000011000011010010100000101100110110011010010001111001010000",
+        "00000010100110111110011010111010010101111100010100100001001001000001000",
+        "00001101100011011001100011100011001101110011101101110000101101000111000",
+        "00001111010110101100011011011001001101100100011111100011110101001000000",
+        "00001111110111101101010010110010000101111010101101000000011001001110011",
+        "00011001000110101101001010011000000101100011011000001110101111000110011",
+        "00011100110101011001111011101001011101111100000011001101110011001111000",
+        "00100010001111011111100111111100010101010011011011111111101101001010000",
+        "00100011111110001001010110101101000101011110000110010010001001001001000",
+        "00100101101011111010010110111110010101011000011100101110010111000101011",
+        "00101010111011001111100111001111000101001000010001001101000011001100011",
+        "00101100011100011000111111011001010101001100110011110010000001000010011",
+        "00101110011101101001100111101111011101011000010011000011111011001110011",
+        "00110100111100011100101111011010011101000000001111110001100101001011000",
+        "00111010011001001001110111111101000101010001000111011111111101001111000",
+        "00111010101000011001000110110111001101010100110100011101110011000011011",
+        "00111010101111101010111111001000011101000110010001100010101111000111011",
+        "00111111001111001010111110100110011101011010110100000011110001001011011",
+        "00111111001111001100100110110000011101010010010101110001001011000001000",
+        "00111111111001101010100111111010011101010111100011001100000011000001011",
         "10000001000101111100100010000110011101100110000110001101011111001011011",
-        "10000001010100011010001010101000010101111001101001111110101111001111000",
-        "10000010100011001001010011011001000101100111010011000001110011000110000",
-        "10001001100011001101101011110110001101111110001101010010100111000111000",
-        "10001100110010001111111010001011010101101000100110011100010101000000011",
-        "10001101100101011111101010000010011101100010110110101110100001000111011",
-        "10011000010110111001111011000000001101101100001111111100110001000101011",
-        "10011100100011101010010010001111011101101100011001100011110101000000000",
-        "10011111010111011101010010001110010101101001100100110011100111001011000",
-        "10100011101000101010000110100000010101010111110011100010010011001011000",
-        "10101101101111101101010110110111011101011000111100001110000101001010011",
-        "10110000001001001001101110101010001101011110100110001110010001001100011",
-        "10110011011111111101010111000010010101001110101011010000000111000011011",
-        "10110101001101011001010110010110000101000011100000101100010101000011011",
-        "10110110101010111101110110101110001101011111011000010001100011001111000",
-        "10111000011100101010001110101000000101011110111001000010101011000010000",
-        "10111111101110111001010111011000010101000100100110101100000011000001000",
+        "10000101110101101110001011111000000101110000101010100010010111001011000",
+        "10001111010110111000100010011000010101101100000011100011100011000010011",
+        "10011000000010111011111011001010010101100000110010011111000001001000000",
+        "10100011001001011010100111110011010101010000000100100011001111000101000",
+        "10100100001110101010011110010110000101000100010100011100100101000000000",
+        "10100110101111101001010110000101000101001010111100010010000011001001000",
+        "10101010111001101000011111001011010101000110101010100010100101001000000",
+        "10101011101100011111111110110010001101011010011111010011000011001101011",
+        "10101111001100111111100111100100001101010010100101101111010011001111000",
+        "10110000001001101110000111011111011101001100001011101110101101001010000",
+        "10111011011110011000101110010010001101000110111100000000011001001111000",
     ],
 }
 
@@ -223,13 +225,6 @@ def test_seeded_counts_of_a_wide_unmeasured_register_are_pinned():
     assert list(counts.items()) == [(key, 1) for key in PINNED_WIDE_UNMEASURED]
 
 
-def trajectory_counts(source: str, seed: int, shots: int) -> dict[str, int]:
-    """Counts from the per-shot trajectory loop that sv and dm use."""
-    program = Program(parse_qasm(source))
-    state = _StabState(StabilizerTableau(program.n))
-    return run_shots(program, state, shots, np.random.default_rng(seed))
-
-
 @st.composite
 def _programs(draw):
     """Random Clifford programs on up to 8 qubits with mid-circuit measures
@@ -263,7 +258,7 @@ def test_symbolic_run_equals_per_shot_trajectories(source, seed, shots, block_bi
     # small blocks split the shots, so draws cross block boundaries
     with mock.patch.object(stabilizer, "_BLOCK_BITS", block_bits):
         counts = stab_run(parse_qasm(source), seed=seed, shots=shots).counts
-    assert list(counts.items()) == list(trajectory_counts(source, seed, shots).items())
+    assert list(counts.items()) == list(per_shot_counts(parse_qasm(source), seed, shots).items())
 
 
 @pytest.mark.parametrize("measure", [True, False])
@@ -277,7 +272,7 @@ def test_symbolic_run_equals_per_shot_trajectories_past_one_word(measure):
     for block_bits in (64, 1 << 20):
         with mock.patch.object(stabilizer, "_BLOCK_BITS", block_bits):
             counts = stab_run(parse_qasm(source), seed=5, shots=24).counts
-        assert list(counts.items()) == list(trajectory_counts(source, 5, 24).items())
+        assert list(counts.items()) == list(per_shot_counts(parse_qasm(source), 5, 24).items())
 
 
 def test_sampling_memory_does_not_grow_with_shots():
@@ -321,18 +316,19 @@ def test_unconditioned_program_measures_once_per_op_and_never_copies(monkeypatch
                                                                     n_measure):
     copies = counting(monkeypatch, "copy")
     measures = counting(monkeypatch, "measure")
-    monkeypatch.setattr(stabilizer, "run_shots", None)
+    monkeypatch.setattr(stabilizer, "walk", None)
     stab_run(parse_qasm(source), shots=256)
     assert (len(copies), len(measures)) == (0, n_measure)
 
 
-def test_conditioned_program_runs_per_shot_trajectories(monkeypatch):
-    calls = []
-    monkeypatch.setattr(stabilizer, "run_shots",
-                        lambda *args: calls.append(args) or run_shots(*args))
+def test_conditioned_program_copies_a_tableau_per_extra_leaf(monkeypatch):
     copies = counting(monkeypatch, "copy")
+    leaves = []
+    sample = _StabState.sample
+    monkeypatch.setattr(_StabState, "sample",
+                        lambda self, *args: leaves.append(args[1]) or sample(self, *args))
     counts = stab_run(parse_qasm(midcircuit_clifford(33, 5)), seed=11, shots=32).counts
-    assert len(calls) == 1 and len(copies) == 32
+    assert sum(leaves) == 32 and len(copies) <= len(leaves) - 1
     assert counts == dict.fromkeys(PINNED_WIDE[33, 5], 1)
 
 
@@ -363,10 +359,10 @@ def test_tableau_state_is_the_statevector(name, source):
 
 def test_ghz_measurements_are_random_then_deterministic():
     tab = stab_evolve(parse_qasm(ghz_qasm(5)))
-    rng = np.random.default_rng(3)
-    results = [tab.measure(q, rng) for q in range(5)]
-    assert [was_random for _, was_random in results] == [True, False, False, False, False]
-    assert len({outcome for outcome, _ in results}) == 1
+    forms: list[int] = []
+    results = [tab.measure(q, forms) for q in range(5)]
+    # the first outcome is a new random bit r_0; the others read it
+    assert results == [(0, 1)] * 5 and len(forms) == 1
 
 
 @pytest.mark.parametrize("gate", [
