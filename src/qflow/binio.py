@@ -62,7 +62,8 @@ def _write_uvarint(buf: bytearray, value: int):
 def encode_binary(circuit: Circuit) -> bytes:
     """Serialize a circuit. The circuit is flattened first, so
     ``decode_binary(encode_binary(c))`` equals ``flatten(c)``. Encoding is
-    deterministic: identical circuits yield identical bytes."""
+    deterministic: identical circuits yield identical bytes. A conditioned
+    barrier raises BinaryFormatError, as it does when decoded."""
     flat = flatten(circuit)
 
     strings: list[str] = []
@@ -102,7 +103,7 @@ def encode_binary(circuit: Circuit) -> bytes:
             _write_uvarint(out, wire)
         return operand_lists.setdefault(operands, bytes(out))
 
-    for instr in flat.instructions:
+    for k, instr in enumerate(flat.instructions):
         params = instr.params
         condition = instr.condition
         n_params = len(params)
@@ -116,6 +117,8 @@ def encode_binary(circuit: Circuit) -> bytes:
         body += operand_lists.get(instr.qubits) or encode_operands(instr.qubits)
         body += operand_lists.get(instr.clbits) or encode_operands(instr.clbits)
         if condition is not None:
+            if instr.opcode == "barrier":  # the decoder refuses it too
+                raise BinaryFormatError(f"instruction {k}: a barrier cannot be conditioned")
             creg, value = condition
             _write_uvarint(body, reg_index[creg])
             _write_uvarint(body, value)

@@ -276,9 +276,9 @@ class _Parser:
         while self.peek() != "}":
             tok = self.expect("id", "gate body statement")
             if tok[1] == "barrier":
+                # a barrier only orders operations, so a repeated wire is
+                # allowed, as at top level
                 args = self._comma_list(operand)
-                if len(set(args)) != len(args):
-                    self.error("duplicate qubit operand", tok)
                 self.expect(";")
                 body.append(BodyInstruction("barrier", (), tuple(args)))
             elif tok[1] in ("measure", "reset", "delay", "if"):
@@ -387,15 +387,15 @@ class _Parser:
     def _parse_sum(self, formals) -> ParamExpr:
         node = self._parse_product(formals)
         while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            node = self._fold(BinOp(op, node, self._parse_product(formals)))
+            op = self.next()
+            node = self._fold(BinOp(op[0], node, self._parse_product(formals)), op)
         return node
 
     def _parse_product(self, formals) -> ParamExpr:
         node = self._parse_unary(formals)
         while self.peek() in ("*", "/"):
-            op = self.next()[0]
-            node = self._fold(BinOp(op, node, self._parse_unary(formals)), self.tokens[self.i])
+            op = self.next()
+            node = self._fold(BinOp(op[0], node, self._parse_unary(formals)), op)
         return node
 
     def _parse_unary(self, formals) -> ParamExpr:
@@ -411,8 +411,8 @@ class _Parser:
         else:
             node = self._parse_atom(formals)
             if self.peek() == "^":
-                self.i += 1
-                node = self._fold(BinOp("^", node, self._parse_unary(formals)))
+                op = self.next()
+                node = self._fold(BinOp("^", node, self._parse_unary(formals)), op)
         self.expr_depth -= 1
         return node
 
@@ -443,7 +443,8 @@ class _Parser:
 
     def _fold(self, expr: ParamExpr, tok: tuple | None = None) -> ParamExpr:
         """Collapse constant subtrees; leave formal references symbolic. An
-        evaluation error is located at ``tok`` when one is given."""
+        evaluation error is located at ``tok``, the operator or function
+        name (a negation never fails)."""
         if isinstance(expr, Neg) and isinstance(expr.operand, Const):
             return Const(-expr.operand.value)
         if (isinstance(expr, BinOp) and isinstance(expr.left, Const)
@@ -452,8 +453,6 @@ class _Parser:
             try:
                 return Const(eval_expr(expr, {}))
             except QasmError as exc:
-                if tok is None:
-                    raise
                 self.error(exc.message, tok)
         return expr
 

@@ -93,12 +93,19 @@ def test_non_finite_parameter_is_rejected(stmt, value, bad):
 
 
 def test_conditioned_barrier_is_rejected():
-    c = Circuit(
-        registers=(Register("q", "q", 1), Register("c", "c", 1)),
-        instructions=(Instruction("barrier", (), (("q", 0),), (), ("c", 1)),),
-    )
+    regs = (Register("q", "q", 1), Register("c", "c", 1))
+    barrier = Instruction("barrier", (), (("q", 0),), (), ("c", 1))
     with pytest.raises(BinaryFormatError, match="instruction 0: a barrier cannot be conditioned"):
-        decode_binary(encode_binary(c))
+        encode_binary(Circuit(registers=regs, instructions=(barrier,)))
+    # a barrier, then an x conditioned on c: pointing the x record's opcode
+    # (its first byte, string 3) at the barrier's (string 2) makes the blob
+    legal = Circuit(registers=regs, instructions=(
+        Instruction("barrier", (), (("q", 0),)), Instruction("x", (), (("q", 0),), (), ("c", 1))))
+    blob = bytearray(encode_binary(legal))
+    assert blob[-9:] == bytes([3, 1, 0, 1, 0, 0, 0, 1, 1])
+    blob[-9] = 2
+    with pytest.raises(BinaryFormatError, match="instruction 1: a barrier cannot be conditioned"):
+        decode_binary(bytes(blob))
 
 
 @given(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qflow.circuit import Instruction
 from qflow.cli import main
 from qflow.errors import QasmError
+from qflow.flatten import flatten
 from qflow.parser import MAX_EXPR_DEPTH, parse_qasm
 
 from conftest import adder4_qasm, bell_qasm
@@ -179,8 +180,8 @@ def test_nesting_below_the_bound_parses():
 _H = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
 
 # One malformed input (or more) per error the parser raises, with the full
-# message: the "line L, col C: " prefix is part of what is pinned. Only a
-# folding error in + - or ^ carries no position.
+# message: the "line L, col C: " prefix is part of what is pinned. A
+# constant-folding error is placed at its operator or function name.
 PINNED_ERRORS = [
     # tokens and header
     (_H + "h q[0]; @", "line 4, col 9: unexpected character '@'"),
@@ -215,7 +216,6 @@ PINNED_ERRORS = [
     (_H + "gate g a { h b; }", "line 4, col 14: 'b' is not a formal qubit of gate 'g'"),
     (_H + "gate g a { h 5; }", "line 4, col 14: expected formal qubit, found '5'"),
     (_H + "gate g a,b { cx a,a; }", "line 4, col 14: duplicate qubit operand"),
-    (_H + "gate g a { barrier a,a; }", "line 4, col 12: duplicate qubit operand"),
     (_H + "gate g a { measure a -> c[0]; }",
      "line 4, col 12: 'measure' is not allowed inside a gate body"),
     (_H + "gate g a { reset a; }", "line 4, col 12: 'reset' is not allowed inside a gate body"),
@@ -278,25 +278,36 @@ PINNED_ERRORS = [
     (_H + "u1(sin(1) q[0];", "line 4, col 11: expected ')', found 'q'"),
     (_H + "u1((1+2) q[0];", "line 4, col 10: expected ')', found 'q'"),
     (_H + "u1(1e400) q[0];", "line 4, col 4: number 1e400 is out of range"),
-    (_H + "u1(1/0) q[0];", "line 4, col 7: invalid constant expression: float division by zero"),
+    (_H + "u1(1/0) q[0];", "line 4, col 5: invalid constant expression: float division by zero"),
     (_H + "u1(1e300*1e300) q[0];",
-     "line 4, col 15: invalid constant expression: result inf is not finite"),
+     "line 4, col 9: invalid constant expression: result inf is not finite"),
     (_H + "u1(ln(0)) q[0];", "line 4, col 4: invalid constant expression: math domain error"),
     (_H + "u1(sqrt(-1)) q[0];", "line 4, col 4: invalid constant expression: math domain error"),
-    (_H + "u1(1e308+1e308) q[0];", "invalid constant expression: result inf is not finite"),
-    (_H + "u1(1e308-(-1e308)) q[0];", "invalid constant expression: result inf is not finite"),
-    (_H + "u1((-8)^0.5) q[0];", "invalid constant expression: must be real number, not complex"),
+    (_H + "u1(1e308+1e308) q[0];",
+     "line 4, col 9: invalid constant expression: result inf is not finite"),
+    (_H + "u1(1e308-(-1e308)) q[0];",
+     "line 4, col 9: invalid constant expression: result inf is not finite"),
+    (_H + "u1((-8)^0.5) q[0];",
+     "line 4, col 8: invalid constant expression: must be real number, not complex"),
     (_H + "u1(10^400) q[0];",
-     "invalid constant expression: (34, 'Numerical result out of range')"),
+     "line 4, col 6: invalid constant expression: (34, 'Numerical result out of range')"),
     (_H + "u1(" + "(" * 200 + "1" + ")" * 200 + ") q[0];",
      "line 4, col 104: expression nested deeper than 100 levels"),
     (_H + "u1(" + "-" * 200 + "1) q[0];",
      "line 4, col 104: expression nested deeper than 100 levels"),
     (_H + "gate g(t) a { rz(1/0) a; }",
-     "line 4, col 21: invalid constant expression: float division by zero"),
+     "line 4, col 19: invalid constant expression: float division by zero"),
     (_H + "gate g(t) a {\n  rz(t*(1e300*1e300)) a; }",
-     "line 5, col 20: invalid constant expression: result inf is not finite"),
+     "line 5, col 14: invalid constant expression: result inf is not finite"),
 ]
+
+
+def test_barrier_may_repeat_a_wire_in_a_gate_body_as_at_top_level():
+    # a barrier only orders operations, so a repeated wire changes nothing
+    body = parse_qasm(_H + "gate g a { barrier a,a; }\ng q[0];")
+    top = parse_qasm(_H + "barrier q[0],q[0];")
+    assert flatten(body).instructions == flatten(top).instructions
+    assert flatten(top).instructions[0].qubits == (("q", 0), ("q", 0))
 
 
 @pytest.mark.parametrize("src,message", PINNED_ERRORS, ids=lambda v: repr(v)[-48:])
