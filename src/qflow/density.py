@@ -12,8 +12,8 @@ two-qubit gates), then thermal relaxation on each operand for the gate's
 duration. A delay applies relaxation only, for cycles * cycle_time_ns.
 These compose into one superoperator per distinct (opcode, params, wires),
 built once per run and shared by every op that repeats it and by every
-trajectory. Measurement probabilities pass through each qubit's
-readout confusion.
+branch. Measurement probabilities pass through each qubit's readout
+confusion.
 
 Each superoperator becomes a state-vector kernel once, when it is built, and
 inherits its class from its zero pattern: the superoperator of a diagonal
