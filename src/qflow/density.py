@@ -30,8 +30,8 @@ samples the diagonal's marginal through it.
 
 The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
 the same program with noise disabled. It needs that pure reference, so it is
-computed only for unitary programs (terminal, no reset); the field is
-omitted elsewhere.
+computed only for unitary programs (no reset, condition or mid-circuit
+measure); the field is omitted elsewhere.
 """
 
 from __future__ import annotations
@@ -134,10 +134,6 @@ class _DensityState:
     def _diagonal(self) -> np.ndarray:
         return self.rho[::(1 << self.n) + 1].real
 
-    def probabilities(self) -> np.ndarray:
-        p = np.maximum(self._diagonal(), 0.0)
-        return p / p.sum()
-
     def p_one(self, op) -> float:
         ones = float(self._diagonal().reshape(-1, 2, 1 << op.wires[0])[:, 1].sum())
         return min(max(ones, 0.0), 1.0)
@@ -149,7 +145,8 @@ class _DensityState:
         self.rho /= max(float(self._diagonal().sum()), 1e-300)
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
-        return sample_marginal(self.probabilities(), self.n, qubits, count, rng, readout)
+        p = np.maximum(self._diagonal(), 0.0)
+        return sample_marginal(p / p.sum(), self.n, qubits, count, rng, readout)
 
 
 def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None,

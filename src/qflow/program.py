@@ -3,9 +3,10 @@ walker that runs them.
 
 A :class:`Program` is a flattened circuit with global wires and clbits and
 each condition resolved to (offset, mask, value) over one integer holding
-every classical bit. A measure is *deferred* when no later op touches its
-qubit (barrier, delay and deferred measures do not count) and no later
-condition reads its clbit; measuring it at the end changes nothing. A
+every classical bit. A measure is *deferred* when no later op but a
+barrier or delay touches its qubit and no later condition reads its clbit;
+measuring it at the end changes nothing. (A later measure counts: each
+measure has its own readout confusion, which one leaf draw cannot give.) A
 program is ``unitary`` when it has no reset or condition and defers every
 measure. Counts are keyed by clbit strings (bit 0 rightmost), or by basis
 index over all qubits when nothing is measured.
@@ -22,7 +23,8 @@ shots from the branch's marginal over the deferred measures' qubits (all
 qubits when nothing is measured) and moves each bit to the clbit its qubit
 was last measured into. A program that defers every measure is one leaf
 that draws nothing before it: one evolution sampled once. Leaves never
-outnumber shots; a walk past 2**20 leaves is refused with SimulationError.
+outnumber shots; a walk past ALWAYS_RUN = 2**20 leaves is refused with
+SimulationError.
 
 A state supplies ``apply(op)``; ``p_one(op)``, the probability that the
 op's qubit reads 1, then ``collapse(op, bit)``, which projects onto bit (and
@@ -50,7 +52,9 @@ from .results import bitstring
 __all__ = ["Op", "Program", "evolve", "walk"]
 
 _MAX_SHOTS = (1 << 63) - 1  # the multinomial draw counts in int64
-_MAX_LEAVES = 1 << 20
+# up to this many shots always run: a walk has at most as many leaves, and a
+# stabilizer leaf draws exactly from at most as many outcome values
+ALWAYS_RUN = 1 << 20
 # an outcome less likely than this is taken as impossible, so that rounding
 # residue never makes a branch
 _EPS = 1e-12
@@ -182,7 +186,7 @@ class Program:
                 op.deferred = op.wires[0] not in touched and not (read >> op.clbit) & 1
             if op.condition is not None:
                 read |= op.condition[1] << op.condition[0]
-            if not op.deferred and op.opcode not in ("barrier", "delay"):
+            if op.opcode not in ("barrier", "delay"):
                 touched.update(op.wires)
         self.unitary = all(op.condition is None and op.opcode != "reset"
                            and (op.opcode != "measure" or op.deferred) for op in self.ops)
@@ -233,6 +237,12 @@ def evolve(program: Program, state) -> None:
     for op in program.run_ops(state.fuses):
         if op.opcode != "measure":
             state.apply(op)
+
+
+def refusal(shots: int, why: str) -> SimulationError:
+    """The error that refuses a run of ``shots`` shots for ``why``."""
+    return SimulationError(f"refusing {shots} shots: {why} "
+                           f"(up to 2**{ALWAYS_RUN.bit_length() - 1} shots always run)")
 
 
 def _keyed(values: dict[int, int], n_bits: int) -> dict[str, int]:
@@ -288,9 +298,8 @@ def walk(program: Program, state, shots: int, seed: int, readout=None) -> dict[s
                 clbits = clbits & ~(1 << op.clbit) | bit << op.clbit
             bit = None
         leaves += 1
-        if leaves > _MAX_LEAVES:
-            raise SimulationError(f"refusing {shots} shots: they branch into more than "
-                                  f"{_MAX_LEAVES} outcome histories (up to that many always run)")
+        if leaves > ALWAYS_RUN:
+            raise refusal(shots, f"they branch into more than {ALWAYS_RUN} outcome histories")
         if not qubits:
             values[clbits] = values.get(clbits, 0) + count
             continue

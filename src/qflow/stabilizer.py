@@ -53,7 +53,7 @@ from .decompose import _two_q_template
 from .errors import NonCliffordError, QFlowError, SimulationError
 from .euler import SNAP_TOL, lattice_power
 from .gates import unitary_of
-from .program import Program, _keyed, walk
+from .program import ALWAYS_RUN, Program, _keyed, refusal, walk
 from .results import RunResult
 
 __all__ = ["StabilizerTableau", "stab_run", "stab_evolve", "tableau_to_statevector",
@@ -63,8 +63,6 @@ DEFAULT_STAB_CAP = 10_000
 STATEVECTOR_CAP = 12
 # one sampling block holds at most this many random bits and as many outcome bits
 _BLOCK_BITS = 1 << 20
-# above this many shots, outcomes come from one exact draw over at most as many values
-_EXACT = 1 << 20
 # X, Z and Y, each with its (x, z) bits in a tableau row
 _PAULIS = (((1, 0), unitary_of("x")), ((0, 1), unitary_of("z")), ((1, 1), unitary_of("y")))
 
@@ -311,17 +309,19 @@ def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
 class _StabState:
     """A tableau driven op by op by qflow.program's walker; its gates stay
     unfused, since the tableau applies them by name. ``row`` is the sign
-    bit that makes the last random outcome 1, or 0 after a fixed one."""
+    bit that makes the last random outcome 1, or 0 after a fixed one;
+    ``shots`` is the run's, which a leaf's refusal names."""
 
     fuses = False
     splits_reset = True
 
-    def __init__(self, tab: StabilizerTableau, row: int = 0):
+    def __init__(self, tab: StabilizerTableau, shots: int = 1, row: int = 0):
         self.tab = tab
+        self.shots = shots
         self.row = row
 
     def copy(self) -> "_StabState":
-        return _StabState(self.tab.copy(), self.row)
+        return _StabState(self.tab.copy(), self.shots, self.row)
 
     def apply(self, op) -> None:
         if op.gate:
@@ -344,7 +344,7 @@ class _StabState:
         """Draw count shots of the qubits' outcomes, measured symbolically."""
         forms: list[int] = []
         bits = [self.tab.measure(q, forms) for q in qubits]
-        return _sample_affine(bits, len(forms), count, rng)
+        return _sample_affine(bits, len(forms), count, rng, self.shots)
 
 
 def _affine_outcomes(program: Program, tab: StabilizerTableau) -> tuple[list, int]:
@@ -366,18 +366,18 @@ def _affine_outcomes(program: Program, tab: StabilizerTableau) -> tuple[list, in
     return bits, len(forms)
 
 
-def _sample_affine(bits: list, k: int, shots: int, rng) -> dict[int, int]:
+def _sample_affine(bits: list, k: int, shots: int, rng, asked: int = 0) -> dict[int, int]:
     """Counts of the value whose bit i is c_i xor the random bits in deps_i,
     for bits[i] = (c_i, deps_i), over shots draws of k random bits. The draws
     are shot-major, in blocks of at most _BLOCK_BITS, so a shot takes the
     same k values from rng as k calls of rng.integers(2) would. Above
-    _EXACT shots one multinomial draw covers the exact distribution instead,
+    ALWAYS_RUN shots one multinomial draw covers the exact distribution,
     uniform over const xor the span of what the random bits flip; a span of
-    more than _EXACT points is refused with SimulationError."""
+    more points is refused, naming the run's ``asked`` shots (else shots)."""
     const = sum(c << i for i, (c, _) in enumerate(bits))
     if k == 0:
         return {const: shots}
-    if shots > _EXACT:
+    if shots > ALWAYS_RUN:
         span: list[int] = []  # a basis with distinct leading bits, in falling order
         for j in range(k):
             f = sum(((d >> j) & 1) << i for i, (_, d) in enumerate(bits))
@@ -385,9 +385,8 @@ def _sample_affine(bits: list, k: int, shots: int, rng) -> dict[int, int]:
                 f = min(f, f ^ b)
             if f:
                 span = sorted(span + [f], reverse=True)
-        if 1 << len(span) > _EXACT:
-            raise SimulationError(f"refusing {shots} shots: their outcomes take 2**{len(span)} "
-                                  "values (up to 2**20 shots always run)")
+        if 1 << len(span) > ALWAYS_RUN:
+            raise refusal(asked or shots, f"their outcomes take 2**{len(span)} values")
         points = [0]
         for b in span:
             points += [p ^ b for p in points]
@@ -453,7 +452,7 @@ def stab_run(
     program.check_limits("stabilizer", qubit_cap, DEFAULT_STAB_CAP, shots=shots, seed=seed)
     tab = StabilizerTableau(program.n)
     if any(op.condition is not None for op in program.ops):
-        counts = walk(program, _StabState(tab), shots, seed)
+        counts = walk(program, _StabState(tab, shots), shots, seed)
     else:
         counts = _keyed(_sample_affine(*_affine_outcomes(program, tab), shots,
                                        np.random.default_rng(seed)), program.n_bits)

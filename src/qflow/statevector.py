@@ -204,12 +204,9 @@ class _SVState:
         if bit and op.opcode == "reset":
             apply_gate(self.amps, _flip(self.n, w))
 
-    def probabilities(self) -> np.ndarray:
-        p = np.abs(self.amps)
-        return np.square(p, out=p)
-
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
-        return sample_marginal(self.probabilities(), self.n, qubits, count, rng, readout)
+        p = np.abs(self.amps)
+        return sample_marginal(np.square(p, out=p), self.n, qubits, count, rng, readout)
 
 
 def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray:
@@ -219,10 +216,8 @@ def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray
     program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV")
     for op in program.ops:
         if op.condition is not None or op.opcode == "reset":
-            raise SimulationError(
-                "sv_statevector requires a purely unitary circuit "
-                f"(found '{op.opcode}'{' with condition' if op.condition else ''})"
-            )
+            raise SimulationError("sv_statevector requires a purely unitary circuit (found "
+                                  f"'{op.opcode}'{' with condition' if op.condition else ''})")
     state = _SVState(program.n)
     evolve(program, state)
     return state.amps

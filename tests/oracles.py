@@ -155,14 +155,17 @@ def check_transpiled(circuit, physical, report, device, tol=1e-8):
     return dist
 
 
-def exact_distribution(circuit) -> dict[int, float]:
+def exact_distribution(circuit, readout=None) -> dict[int, float]:
     """Exact distribution of a circuit's counts key by branch enumeration:
     every measure and reset splits each branch into its two projections
     (unnormalized, so a branch's weight is its squared norm), a condition
     is tested per branch and each gate is contracted into the branch's
-    state with apply_to_columns. The key is the classical integer (bit c is
-    clbit c, last writer wins) or, when nothing is measured, the basis
-    index over all qubits, as in the simulators' counts."""
+    state with apply_to_columns. ``readout`` lists (P(0|0), P(1|1)) per
+    qubit: each measure then splits again into the bit read right and the
+    bit read wrong, with the amplitudes scaled by the root of each chance.
+    The key is the classical integer (bit c is clbit c, last writer wins)
+    or, when nothing is measured, the basis index over all qubits, as in
+    the simulators' counts."""
     flat = flatten(circuit)
     n = flat.n_qubits
     qoff, coff = flat.qubit_offsets(), flat.clbit_offsets()
@@ -194,9 +197,12 @@ def exact_distribution(circuit) -> dict[int, float]:
                     if bit:
                         part = apply_to_columns(part, unitary_of("x"), wires, n)
                     out.append((part, clbits))
-                else:
-                    c = coff[instr.clbits[0][0]] + instr.clbits[0][1]
-                    out.append((part, clbits & ~(1 << c) | bit << c))
+                    continue
+                c = coff[instr.clbits[0][0]] + instr.clbits[0][1]
+                right = 1.0 if readout is None else readout[wires[0]][bit]
+                for read, chance in ((bit, right), (1 - bit, 1.0 - right)):
+                    if chance > 0:
+                        out.append((part * np.sqrt(chance), clbits & ~(1 << c) | read << c))
         branches = out
     measures = any(i.opcode == "measure" for i in flat.instructions)
     dist: dict[int, float] = {}
@@ -208,6 +214,22 @@ def exact_distribution(circuit) -> dict[int, float]:
             for index in np.nonzero(probs > 1e-14)[0].tolist():
                 dist[index] = dist.get(index, 0.0) + float(probs[index])
     return dist
+
+
+def distribution_problem(counts: dict, exact: dict, shots: int) -> str | None:
+    """None when counts look drawn from ``exact`` (value -> probability):
+    no outcome of probability 0, and a total variation distance within
+    0.5 * sum_k sqrt(p_k (1 - p_k) / N) + 3.5 / sqrt(N). The first term
+    bounds its mean; by McDiarmid's inequality the TV exceeds the mean by
+    3.5 / sqrt(N) with probability at most exp(-2 * 3.5**2), about 2e-11."""
+    seen = {int(key, 2): count / shots for key, count in counts.items()}
+    stray = [v for v in seen if exact.get(v, 0.0) < 1e-12]
+    if stray:
+        return f"outcomes of probability 0: {stray}"
+    tv = 0.5 * sum(abs(seen.get(v, 0.0) - exact.get(v, 0.0)) for v in set(seen) | set(exact))
+    p = np.clip(list(exact.values()), 0.0, 1.0)
+    bound = 0.5 * float(np.sqrt(p * (1 - p) / shots).sum()) + 3.5 / np.sqrt(shots)
+    return None if tv <= bound else f"total variation {tv:.3f} > bound {bound:.3f}"
 
 
 def per_shot_counts(circuit, seed: int, shots: int) -> dict[str, int]:

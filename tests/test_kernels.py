@@ -16,7 +16,7 @@ from qflow.program import Program
 from qflow.statevector import Kernel, apply_gate, sv_run, sv_statevector
 
 from conftest import corpus_sources, qft_qasm, random_general_qasm
-from oracles import circuit_unitary, embed_slow
+from oracles import circuit_unitary, distribution_problem, embed_slow, exact_distribution
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -137,6 +137,8 @@ def test_fused_trajectories_keep_their_seeded_counts(backend, boundary):
     run = {"sv": sv_run, "dm": dm_run}[backend]
     counts = run(_boundary_circuit(boundary), seed=11, shots=64).counts
     assert counts == PINNED_BOUNDARY[backend, boundary]
+    problem = distribution_problem(counts, exact_distribution(_boundary_circuit(boundary)), 64)
+    assert problem is None, problem
 
 
 # -- amplitudes ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from qflow.transpile import transpile
 
 from conftest import (adder4_qasm, bell_qasm, corpus_sources, ghz_qasm, noiseless_device_json,
                       qft_qasm, random_clifford_qasm, random_clifford_t_qasm, random_general_qasm)
-from oracles import NON_UNITARY, embed_slow, exact_distribution
+from oracles import NON_UNITARY, distribution_problem, embed_slow, exact_distribution
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "schemas" / "run_result.schema.json"
@@ -77,6 +77,7 @@ CIRCUITS = {
 # teleport) were re-pinned when the shot walker replaced per-shot
 # trajectories, after their counts passed the exact-distribution TV check;
 # the others were recorded before the backends shared one program form.
+# Every entry is kept to that check by a test below.
 PINNED = {
     ("sv", "bell"): {"00": 31, "11": 33},
     ("sv", "ghz3"): {"000": 31, "111": 33},
@@ -133,6 +134,12 @@ def test_seeded_counts_are_pinned(backend, name):
     assert RUNS[backend](circuit(name), seed=11, shots=64).counts == PINNED[backend, name]
 
 
+@pytest.mark.parametrize("backend, name", sorted(PINNED))
+def test_pinned_counts_pass_the_exact_distribution_check(backend, name):
+    problem = distribution_problem(PINNED[backend, name], exact_distribution(circuit(name)), 64)
+    assert problem is None, problem
+
+
 def test_noisy_dm_seeded_counts_are_pinned(line5):
     physical, _ = transpile(circuit("qft3"), line5)
     assert dm_run(physical, device=line5, seed=11, shots=64).counts == PINNED_NOISY_QFT3
@@ -155,19 +162,22 @@ _CLIFFORD_1Q = ["h", "s", "sdg", "x", "y", "z", "sx", "sxdg"]
 @st.composite
 def _branching_programs(draw):
     """Random Clifford programs on 1-6 qubits with at most 20 ops: gates,
-    mid-circuit measures (several into one clbit), resets, and gates under
-    an ``if`` on the classical register; some measure nothing."""
+    mid-circuit measures (several into one clbit, some of one qubit twice
+    in a row), resets, and gates under an ``if`` on the classical register;
+    some measure nothing."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, 3))
     lines = [HEADER + f"qreg q[{n}];", f"creg c[{k}];"]
     qubit = st.integers(0, n - 1)
     for _ in range(draw(st.integers(0, 20))):
-        kind = draw(st.sampled_from(["1q", "1q", "2q", "measure", "reset", "if"]))
+        kind = draw(st.sampled_from(["1q", "1q", "2q", "measure", "remeasure", "reset", "if"]))
         if kind == "2q" and n > 1:
             a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
             lines.append(f"{draw(st.sampled_from(['cx', 'cz', 'swap']))} q[{a}],q[{b}];")
-        elif kind == "measure":
-            lines.append(f"measure q[{draw(qubit)}] -> c[{draw(st.integers(0, k - 1))}];")
+        elif kind in ("measure", "remeasure"):
+            q = draw(qubit)
+            for _ in range(1 + (kind == "remeasure")):
+                lines.append(f"measure q[{q}] -> c[{draw(st.integers(0, k - 1))}];")
         elif kind == "reset":
             lines.append(f"reset q[{draw(qubit)}];")
         else:
@@ -178,33 +188,33 @@ def _branching_programs(draw):
     return "\n".join(lines) + "\n"
 
 
-def _distribution_problem(counts: dict, exact: dict, shots: int) -> str | None:
-    """None when counts look drawn from ``exact`` (value -> probability):
-    no outcome of probability 0, and a total variation distance within
-    0.5 * sum_k sqrt(p_k (1 - p_k) / N) + 3.5 / sqrt(N). The first term
-    bounds its mean; by McDiarmid's inequality the TV exceeds the mean by
-    3.5 / sqrt(N) with probability at most exp(-2 * 3.5**2), about 2e-11."""
-    seen = {int(key, 2): count / shots for key, count in counts.items()}
-    stray = [v for v in seen if exact.get(v, 0.0) < 1e-12]
-    if stray:
-        return f"outcomes of probability 0: {stray}"
-    tv = 0.5 * sum(abs(seen.get(v, 0.0) - exact.get(v, 0.0)) for v in set(seen) | set(exact))
-    p = np.clip(list(exact.values()), 0.0, 1.0)
-    bound = 0.5 * float(np.sqrt(p * (1 - p) / shots).sum()) + 3.5 / np.sqrt(shots)
-    return None if tv <= bound else f"total variation {tv:.3f} > bound {bound:.3f}"
+def _readout_device(readout) -> object:
+    """A noiseless device on len(readout) qubits with this readout confusion."""
+    basis = _CLIFFORD_1Q + ["cx", "cz", "swap"]
+    raw = json.loads(noiseless_device_json(len(readout), basis))
+    raw["readout"] = [list(pair) for pair in readout]
+    return load_device(json.dumps(raw))
+
+
+_READOUT = st.lists(st.tuples(st.sampled_from([1.0, 0.9, 0.6]), st.sampled_from([1.0, 0.9, 0.6])),
+                    min_size=6, max_size=6)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_branching_programs(), st.integers(0, 2**32))
-def test_backends_match_exact_branch_enumeration(source, seed):
+@given(_branching_programs(), st.integers(0, 2**32), _READOUT)
+def test_backends_match_exact_branch_enumeration(source, seed, readout):
     c = parse_qasm(source)
     exact = exact_distribution(c)
     shots = 1000
-    for backend, run in RUNS.items():
+    device = _readout_device(readout)
+    checks = [(backend, run, exact) for backend, run in RUNS.items()]
+    checks.append(("dm with readout error", lambda c, **kw: dm_run(c, device=device, **kw),
+                   exact_distribution(c, readout)))
+    for backend, run, want in checks:
         counts = run(c, seed=seed, shots=shots).counts
         assert sum(counts.values()) == shots
-        problem = _distribution_problem(counts, exact, shots)
-        assert problem is None, (backend, problem, counts, exact)
+        problem = distribution_problem(counts, want, shots)
+        assert problem is None, (backend, problem, counts, want)
 
 
 @pytest.mark.parametrize("name, source", corpus_sources())
@@ -285,6 +295,17 @@ def test_a_misread_bit_steers_a_later_condition():
     assert set(counts) == {"00", "11"} and abs(counts["11"] / MOST_SHOTS - 0.8) < 1e-6
 
 
+def test_each_measure_of_a_qubit_has_its_own_readout_error():
+    # each of the two measures misreads q[0] with probability 0.1, on its own
+    c = parse_qasm(HEADER + "qreg q[1];\ncreg c[2];\nmeasure q[0] -> c[0];\n"
+                   "measure q[0] -> c[1];\n")
+    exact = exact_distribution(c, [(0.9, 0.9)])
+    assert exact[0b01] + exact[0b10] == pytest.approx(2 * 0.9 * 0.1)
+    counts = dm_run(c, device=_readout_device([(0.9, 0.9)]), seed=3, shots=MOST_SHOTS).counts
+    assert {int(key, 2) for key in counts} == set(exact)
+    assert all(abs(n / MOST_SHOTS - exact[int(key, 2)]) < 1e-6 for key, n in counts.items())
+
+
 def _independent_outcomes(k: int) -> str:
     """k random mid-circuit measures of one reused qubit, and a condition."""
     return (HEADER + f"qreg q[1];\ncreg c[{k}];\n"
@@ -296,7 +317,7 @@ def _independent_outcomes(k: int) -> str:
 def test_a_walk_past_the_leaf_bound_is_refused(backend, monkeypatch):
     # 24 random outcomes give every one of 2**24 histories shots; walking to
     # the real bound of 2**20 leaves takes 8-40 s, so the bound is lowered
-    monkeypatch.setattr(program, "_MAX_LEAVES", 1 << 10)
+    monkeypatch.setattr(program, "ALWAYS_RUN", 1 << 10)
     c = parse_qasm(_independent_outcomes(24))
     with pytest.raises(SimulationError, match=f"refusing {MOST_SHOTS} shots: they branch into "
                                               "more than 1024 outcome histories"):
@@ -309,6 +330,12 @@ def test_stab_refuses_most_shots_over_too_many_outcomes():
     source = HEADER + "qreg q[21];\ncreg c[21];\nh q;\nmeasure q -> c;\n"
     with pytest.raises(SimulationError, match="outcomes take 2\\*\\*21 values"):
         stab_run(parse_qasm(source), shots=MOST_SHOTS)
+    # a conditioned run refuses at a leaf, which holds a share of the shots
+    conditioned = source.replace("h q;", "creg d[1];\nh q[0];\nmeasure q[0] -> d[0];\n"
+                                 "if(d==1) x q[0];\nh q;")
+    with pytest.raises(SimulationError, match=f"refusing {MOST_SHOTS} shots: their outcomes "
+                                              "take 2\\*\\*21 values"):
+        stab_run(parse_qasm(conditioned), shots=MOST_SHOTS)
     counts = stab_run(parse_qasm(source.replace("[21]", "[16]")), shots=MOST_SHOTS).counts
     assert len(counts) == 1 << 16 and sum(counts.values()) == MOST_SHOTS
 

@@ -47,7 +47,8 @@ def midcircuit_clifford(n: int, seed: int, condition: bool = True) -> str:
 # column of these circuits holds 66 or 140 rows, more than one 64-bit word.
 # The condition sends them through the shot walker; re-pinned when it
 # replaced per-shot trajectories, after a forced replay showed each outcome
-# possible.
+# possible. At 34 and 71 bits they are too wide for the exact-distribution
+# TV check that the narrower conditioned pin, stab teleport, passes.
 PINNED_WIDE = {
     (33, 5): [
         "0000011111001001010000001010010100",
