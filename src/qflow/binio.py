@@ -26,8 +26,9 @@ Both directions work on the bytes directly. The encoder writes each
 distinct opcode/flags/param-count header and operand list once and reuses
 its bytes. The decoder reads one-byte varints inline, unpacks all of an
 instruction's parameters with one ``struct`` call, validates each distinct
-opcode index and (register, wire) operand once, and builds an error message
-only when it raises one.
+opcode index once, and builds an error message only when it raises one.
+Both directions check operands with ``Circuit.resolve``: the encoder raises
+its QasmError, and the decoder raises it as a BinaryFormatError.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import struct
 
 from .circuit import NON_GATE_OPCODES, Circuit, Instruction, Register
-from .errors import BinaryFormatError
+from .errors import BinaryFormatError, QasmError
 from .flatten import flatten
 from .gates import LIBRARY
 
@@ -65,6 +66,7 @@ def encode_binary(circuit: Circuit) -> bytes:
     deterministic: identical circuits yield identical bytes. A conditioned
     barrier raises BinaryFormatError, as it does when decoded."""
     flat = flatten(circuit)
+    flat.resolve()
 
     strings: list[str] = []
     index: dict[str, int] = {}
@@ -201,29 +203,18 @@ def _opcode_entry(strings: list, idx: int, k: int) -> tuple:
     raise BinaryFormatError(f"instruction {k}: unknown opcode '{opcode}'")
 
 
-def _operand(registers: list, ridx: int, want_kind: str) -> Register:
+def _operand(registers: list, ridx: int, wire: int) -> tuple:
     if ridx >= len(registers):
         raise BinaryFormatError(f"register index {ridx} out of range")
-    reg = registers[ridx]
-    if reg.kind != want_kind:
-        raise BinaryFormatError(
-            f"operand register '{reg.name}' has kind '{reg.kind}', want '{want_kind}'"
-        )
-    return reg
-
-
-def _wire(reg: Register, wire: int) -> tuple:
-    if wire >= reg.size:
-        raise BinaryFormatError(f"wire index {wire} out of range for {reg.name}[{reg.size}]")
-    return (reg.name, wire)
+    return (registers[ridx].name, wire)
 
 
 def _read_operands(
-    data: bytes, off: int, count: int, registers: list, want_kind: str, seen: dict
+    data: bytes, off: int, count: int, registers: list, seen: dict
 ) -> tuple[tuple, int]:
     """``count`` (register, wire) operands from ``off``. ``seen`` maps the
     two bytes of an operand whose register and wire indices are one-byte
-    varints to the operand they were validated as."""
+    varints to the operand they were read as."""
     end = len(data)
     ops = []
     for _ in range(count):
@@ -234,25 +225,22 @@ def _read_operands(
                 key = ridx << 7 | wire
                 op = seen.get(key)
                 if op is None:
-                    op = seen[key] = _wire(_operand(registers, ridx, want_kind), wire)
+                    op = seen[key] = _operand(registers, ridx, wire)
                 ops.append(op)
                 off += 2
                 continue
         ridx, off = _uvarint(data, off, "operand register index")
-        reg = _operand(registers, ridx, want_kind)
         wire, off = _uvarint(data, off, "operand wire index")
-        ops.append(_wire(reg, wire))
+        ops.append(_operand(registers, ridx, wire))
     return tuple(ops), off
 
 
 def decode_binary(data: bytes) -> Circuit:
     """Parse an NWQB byte stream back into a (flattened) circuit.
 
-    Validates the magic, version, and every string-table, register, and wire
-    index; truncation errors report the failing byte offset. Each distinct
-    opcode index and (register, wire) operand is validated once and then
-    reused, one-byte varints are read inline, and all parameters of an
-    instruction are unpacked at once.
+    Validates the magic, version, and every string-table and register
+    index, then the operands (``Circuit.resolve``); truncation errors report
+    the failing byte offset.
     """
     data = bytes(data)
     end = len(data)
@@ -294,8 +282,7 @@ def decode_binary(data: bytes) -> Circuit:
 
     opcodes: dict[int, tuple] = {}
     unpackers: dict[int, object] = {}
-    qubits_seen: dict[int, tuple] = {}
-    clbits_seen: dict[int, tuple] = {}
+    seen: dict[int, tuple] = {}
     isfinite = math.isfinite
     n_instrs, off = _uvarint(data, off, "instruction count")
     instructions = []
@@ -345,24 +332,22 @@ def decode_binary(data: bytes) -> Circuit:
             off += 1
         else:
             count, off = _uvarint(data, off, "instruction {k} qubit count", k)
-        qubits, off = _read_operands(data, off, count, registers, "q", qubits_seen)
+        qubits, off = _read_operands(data, off, count, registers, seen)
         if off < end and data[off] < 0x80:
             count = data[off]
             off += 1
         else:
             count, off = _uvarint(data, off, "instruction {k} clbit count", k)
         if count:
-            clbits, off = _read_operands(data, off, count, registers, "c", clbits_seen)
+            clbits, off = _read_operands(data, off, count, registers, seen)
         else:
             clbits = ()
 
         condition = None
         if flags & 1:
             cidx, off = _uvarint(data, off, "instruction {k} condition register", k)
-            if cidx >= len(registers) or registers[cidx].kind != "c":
-                raise BinaryFormatError(
-                    f"instruction {k}: condition register index {cidx} invalid"
-                )
+            if cidx >= len(registers):
+                raise BinaryFormatError(f"instruction {k}: condition register index {cidx} invalid")
             value, off = _uvarint(data, off, "instruction {k} condition value", k)
             condition = (registers[cidx].name, value)
             if opcode == "barrier":
@@ -375,5 +360,9 @@ def decode_binary(data: bytes) -> Circuit:
 
     if off != end:
         raise BinaryFormatError(f"{end - off} trailing byte(s) at byte {off}")
-
-    return Circuit(registers=tuple(registers), instructions=tuple(instructions))
+    circuit = Circuit(registers=tuple(registers), instructions=tuple(instructions))
+    try:
+        circuit.resolve()
+    except QasmError as exc:
+        raise BinaryFormatError(str(exc)) from None
+    return circuit

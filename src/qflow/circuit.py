@@ -10,6 +10,15 @@ Wire numbering is little-endian and global: quantum registers occupy
 consecutive wire indices in declaration order, and qubit 0 is the least
 significant bit of a basis-state index. Classical bits are numbered the same
 way over classical registers.
+
+:meth:`Circuit.resolve` alone applies this numbering: layout, routing,
+scheduling, metrics, the peephole, the codec and the simulators read its
+:class:`Resolution`. It is built on first use, once per distinct operand
+tuple, kept outside equality and ``repr``, and rebuilt when ``registers`` or
+``instructions`` is replaced. It is also the one operand check: a
+register-wide operand (index ``None``), an undeclared register or one of
+the wrong kind, and an index outside its register raise :class:`QasmError`,
+for qubits, clbits and ``if`` registers alike.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ __all__ = [
     "GateDef",
     "BodyInstruction",
     "Circuit",
+    "Resolution",
     "ParamExpr",
     "Const",
     "FormalRef",
@@ -197,6 +207,18 @@ class GateDef:
 # Circuit.
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
+class Resolution:
+    """A circuit's operands as global indices: ``wires[k]`` holds instruction
+    k's qubit wires; ``clbits`` maps k to its clbits and ``conditions`` maps
+    k to its ``if`` test as (offset, mask, value) over the integer that holds
+    every clbit, each only for the instructions that have them."""
+
+    wires: tuple
+    clbits: dict
+    conditions: dict
+
+
 @dataclass(eq=True)
 class Circuit:
     registers: tuple = ()
@@ -205,6 +227,9 @@ class Circuit:
     includes: tuple = ()
     source_name: str | None = field(default=None, compare=False)
 
+    # (instructions, registers, Resolution) of the last resolve(); not a field
+    _resolved = None
+
     # -- register queries ---------------------------------------------------
 
     def register(self, name: str) -> Register | None:
@@ -212,9 +237,6 @@ class Circuit:
             if reg.name == name:
                 return reg
         return None
-
-    def classical_registers(self) -> list[Register]:
-        return [r for r in self.registers if r.kind == "c"]
 
     @property
     def n_qubits(self) -> int:
@@ -242,6 +264,54 @@ class Circuit:
                 offsets[reg.name] = k
                 k += reg.size
         return offsets
+
+    def resolve(self) -> Resolution:
+        """The operands as global indices, checked; see the module docstring."""
+        cached = self._resolved
+        if cached and cached[0] is self.instructions and cached[1] is self.registers:
+            return cached[2]
+        offsets = {"q": self.qubit_offsets(), "c": self.clbit_offsets()}
+        wires: list[tuple] = []
+        clbits: dict[int, tuple] = {}
+        conditions: dict[int, tuple] = {}
+
+        def indices(operands: tuple, kind: str) -> tuple:
+            out = []
+            for name, idx in operands:
+                reg = self.register(name)
+                if reg and reg.kind == kind and isinstance(idx, int) and 0 <= idx < reg.size:
+                    out.append(offsets[kind][name] + idx)
+                    continue
+                if reg is None:
+                    why = f"undeclared register '{name}'"
+                elif reg.kind != kind:
+                    why = f"'{name}' is not a {'quantum' if kind == 'q' else 'classical'} register"
+                elif idx is None:
+                    why = f"register-wide operand '{name}' (flatten the circuit first)"
+                else:
+                    why = f"index {idx!r} out of range for {name}[{reg.size}]"
+                raise QasmError(f"instruction {len(wires)}: {why}")
+            return tuple(out)
+
+        wires_of: dict = {}
+        add = wires.append
+        for instr in self.instructions:
+            operands = instr.qubits
+            ws = wires_of.get(operands)
+            if ws is None:
+                ws = wires_of[operands] = indices(operands, "q")
+            if instr.clbits or instr.condition is not None:
+                k = len(wires)
+                if instr.clbits:
+                    clbits[k] = indices(instr.clbits, "c")
+                if instr.condition is not None:
+                    name, value = instr.condition
+                    (offset,) = indices(((name, 0),), "c")
+                    conditions[k] = (offset, (1 << self.register(name).size) - 1, value)
+            add(ws)
+        resolution = Resolution(tuple(wires), clbits, conditions)
+        self._resolved = (self.instructions, self.registers, resolution)
+        return resolution
 
     def gate_def(self, name: str) -> GateDef | None:
         for gd in self.gate_defs:

@@ -34,6 +34,9 @@ def _broadcast(instr: Instruction, reg_sizes: dict[str, int]) -> list[Instructio
     wide_c = [i for i, (_, idx) in enumerate(instr.clbits) if idx is None]
     if not wide_q and not wide_c:
         return [instr]
+    for reg, idx in instr.qubits + instr.clbits:
+        if idx is None and reg not in reg_sizes:
+            raise QasmError(f"undeclared register '{reg}'")
 
     if instr.opcode == "barrier":
         # a register-wide barrier synchronizes all of the register's wires

@@ -37,19 +37,6 @@ class Layout:
             raise TranspileError("layout is not injective over logical qubits")
 
 
-def _interaction_graph(circuit: Circuit) -> list[set]:
-    offsets = circuit.qubit_offsets()
-    partners: list[set] = [set() for _ in range(circuit.n_qubits)]
-    for instr in circuit.instructions:
-        spec = LIBRARY.get(instr.opcode)
-        if spec is not None and spec.arity == 2:
-            (ra, ia), (rb, ib) = instr.qubits
-            a, b = offsets[ra] + ia, offsets[rb] + ib
-            partners[a].add(b)
-            partners[b].add(a)
-    return partners
-
-
 def initial_mapping(circuit: Circuit, topology: Topology) -> Layout:
     """Choose an initial layout for a flattened, decomposed circuit.
 
@@ -63,7 +50,12 @@ def initial_mapping(circuit: Circuit, topology: Topology) -> Layout:
             f"circuit needs {n_logical} qubits but device has {n_physical}"
         )
 
-    partners = _interaction_graph(circuit)
+    partners: list[set] = [set() for _ in range(n_logical)]  # the interaction graph
+    for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
+        if len(wires) == 2 and instr.opcode in LIBRARY:
+            a, b = wires
+            partners[a].add(b)
+            partners[b].add(a)
     assignment = [-1] * n_logical
     if any(partners[q] for q in range(n_logical)):
         order = sorted(range(n_logical), key=lambda q: (-len(partners[q]), q))

@@ -1,8 +1,8 @@
 """Circuit characterization statistics.
 
-``analyze`` works on flattened circuits and reports the structural metrics
-shown after transpilation: gate counts, unit-duration ASAP depth, gate
-density, retention lifespan, entanglement variance, and measurement density.
+``analyze`` reports the structural metrics shown after transpilation: gate
+counts, unit-duration ASAP depth, gate density, retention lifespan,
+entanglement variance, and measurement density.
 
 Definitions (documented here because several are convention choices):
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .errors import QFlowError
 from .gates import LIBRARY
 
 __all__ = ["MetricsReport", "analyze", "circuit_depth"]
@@ -69,17 +68,11 @@ def _layering(circuit: Circuit):
     Returns (depth, first_layer, last_layer) with wire dicts keyed by global
     qubit index. Barrier entries get layer 0 and do not advance levels.
     """
-    offsets = circuit.qubit_offsets()
     level: dict[int, int] = {}
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     depth = 0
-    for instr in circuit.instructions:
-        wires = []
-        for reg, idx in instr.qubits:
-            if idx is None:
-                raise QFlowError("metrics require a flattened circuit")
-            wires.append(offsets[reg] + idx)
+    for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
         if instr.opcode == "barrier":
             sync = max((level.get(w, 0) for w in wires), default=0)
             for w in wires:
@@ -102,15 +95,14 @@ def circuit_depth(circuit: Circuit) -> int:
 
 
 def analyze(circuit: Circuit) -> MetricsReport:
-    """Compute the metrics report for a flattened circuit."""
+    """Compute the metrics report of a circuit."""
     n_qubits = circuit.n_qubits
-    offsets = circuit.qubit_offsets()
     depth, first, last = _layering(circuit)
 
     histogram: dict[str, int] = {}
     n_1q = n_2q = n_measure = 0
     incidence = [0] * n_qubits
-    for instr in circuit.instructions:
+    for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
         if instr.opcode == "barrier":
             continue
         histogram[instr.opcode] = histogram.get(instr.opcode, 0) + 1
@@ -123,8 +115,8 @@ def analyze(circuit: Circuit) -> MetricsReport:
                     n_1q += 1
                 else:
                     n_2q += 1
-                    for reg, idx in instr.qubits:
-                        incidence[offsets[reg] + idx] += 1
+                    for w in wires:
+                        incidence[w] += 1
 
     n_gates = sum(histogram.values())
     cells = depth * n_qubits

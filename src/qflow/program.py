@@ -1,9 +1,9 @@
 """Circuits resolved once for the simulator backends, and the one shot
 walker that runs them.
 
-A :class:`Program` is a flattened circuit with global wires and clbits and
-each condition resolved to (offset, mask, value) over one integer holding
-every classical bit. A measure is *deferred* when no later op but a
+A :class:`Program` is a flattened circuit read through its resolution
+(``Circuit.resolve``): global wires and clbits, and each condition as
+(offset, mask, value) over one integer holding every classical bit. A measure is *deferred* when no later op but a
 barrier or delay touches its qubit and no later condition reads its clbit;
 measuring it at the end changes nothing. (A later measure counts: each
 measure has its own readout confusion, which one leaf draw cannot give.) A
@@ -160,24 +160,14 @@ class Program:
         flat = flatten(circuit)
         self.n = flat.n_qubits
         self.n_clbits = flat.n_clbits
-        qoff = flat.qubit_offsets()
-        coff = flat.clbit_offsets()
-        sizes = {r.name: r.size for r in flat.classical_registers()}
+        resolution = flat.resolve()
         self.ops: list[Op] = []
         last: dict[int, Op] = {}  # the measure that writes each clbit last
-        wires_of: dict[tuple, tuple] = {}
-        for instr in flat.instructions:
-            wires = wires_of.get(instr.qubits)
-            if wires is None:
-                wires = wires_of[instr.qubits] = tuple(qoff[r] + i for r, i in instr.qubits)
-            clbit = coff[instr.clbits[0][0]] + instr.clbits[0][1] if instr.clbits else None
-            condition = None
-            if instr.condition is not None:
-                reg, value = instr.condition
-                condition = (coff[reg], (1 << sizes[reg]) - 1, value)
-            op = Op(instr, wires, clbit, condition)
+        for k, (instr, wires) in enumerate(zip(flat.instructions, resolution.wires)):
+            clbits = resolution.clbits.get(k)
+            op = Op(instr, wires, clbits[0] if clbits else None, resolution.conditions.get(k))
             if op.opcode == "measure":
-                last[clbit] = op
+                last[op.clbit] = op
             self.ops.append(op)
         touched: set[int] = set()
         read = 0

@@ -51,19 +51,8 @@ def physical_register_name(circuit: Circuit) -> str:
     return name
 
 
-def _resolve(circuit: Circuit):
-    """Precompute per-instruction global wires and dependency edges."""
-    offsets = circuit.qubit_offsets()
-    instrs = circuit.instructions
-    wires_of = []
-    for instr in instrs:
-        ws = []
-        for reg, idx in instr.qubits:
-            if idx is None:
-                raise TranspileError("routing requires a flattened circuit")
-            ws.append(offsets[reg] + idx)
-        wires_of.append(tuple(ws))
-
+def _dependencies(instrs: tuple, wires_of: tuple) -> tuple[list, list]:
+    """Each instruction's successors and in-degree in the dependency graph."""
     n = len(instrs)
     succs: list[list[int]] = [[] for _ in range(n)]
     in_deg = [0] * n
@@ -92,7 +81,7 @@ def _resolve(circuit: Circuit):
             if prev is not None and prev != i:
                 add_edge(prev, i)
             last_creg_event[creg] = i
-    return instrs, wires_of, succs, in_deg
+    return succs, in_deg
 
 
 def route(circuit: Circuit, layout: Layout, topology: Topology) -> tuple[Circuit, Layout]:
@@ -103,7 +92,8 @@ def route(circuit: Circuit, layout: Layout, topology: Topology) -> tuple[Circuit
     deterministic.
     """
     n_phys = topology.n
-    instrs, wires_of, succs, in_deg = _resolve(circuit)
+    instrs, wires_of = circuit.instructions, circuit.resolve().wires
+    succs, in_deg = _dependencies(instrs, wires_of)
     dist = topology.dist
 
     l2p = list(layout.logical_to_physical[: layout.n_logical])

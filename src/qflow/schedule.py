@@ -6,9 +6,8 @@ everything else takes its duration-table entry (with per-operand overrides).
 
 The same walk counts the unit-duration ASAP layers, the depth that
 ``metrics.circuit_depth`` reports: every instruction but a barrier takes
-one layer, and a barrier synchronizes its wires without taking one. Wires
-are resolved once per distinct operand tuple and durations once per
-(opcode, wires).
+one layer, and a barrier synchronizes its wires without taking one.
+Durations are looked up once per (opcode, wires).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 
 from .circuit import Circuit
 from .device import DeviceConfig
-from .errors import TranspileError
 
 __all__ = ["Schedule", "schedule_asap"]
 
@@ -32,12 +30,6 @@ class Schedule:
     makespan_ns: float
     depth: int
 
-    def start(self, i: int) -> float:
-        return self.entries[i][0]
-
-    def duration(self, i: int) -> float:
-        return self.entries[i][1]
-
 
 def instruction_duration_ns(instr, wires, device: DeviceConfig) -> float:
     if instr.opcode == "barrier":
@@ -49,27 +41,14 @@ def instruction_duration_ns(instr, wires, device: DeviceConfig) -> float:
 
 def schedule_asap(circuit: Circuit, device: DeviceConfig) -> Schedule:
     """Schedule a physical circuit; raises if a gate has no duration entry."""
-    offsets = circuit.qubit_offsets()
-    sizes = {r.name: r.size for r in circuit.registers}
     n = circuit.n_qubits
     avail = [0.0] * n        # per wire: time it is free
     level = [0] * n          # per wire: unit-duration layer of its last op
-    wires_of: dict[tuple, tuple] = {}
     durations: dict[tuple, float] = {}
     entries = []
     makespan = 0.0
     depth = 0
-    for instr in circuit.instructions:
-        wires = wires_of.get(instr.qubits)
-        if wires is None:
-            resolved = []
-            for reg, idx in instr.qubits:
-                if idx is None:
-                    raise TranspileError("scheduling requires a flattened circuit")
-                if reg not in offsets or not 0 <= idx < sizes[reg]:
-                    raise TranspileError(f"qubit operand {reg}[{idx}] is not declared")
-                resolved.append(offsets[reg] + idx)
-            wires = wires_of[instr.qubits] = tuple(resolved)
+    for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
         opcode = instr.opcode
         if len(wires) == 1:
             (w,) = wires

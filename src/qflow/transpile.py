@@ -127,18 +127,12 @@ def peephole_1q(circuit: Circuit, basis: BasisSet | str | None = None) -> Circui
     elif basis is not None:
         family = resolve_1q_family(basis)
 
-    offsets = circuit.qubit_offsets()
-    wire_operand: dict[int, tuple] = {}
-    for reg in circuit.registers:
-        if reg.kind == "q":
-            for k in range(reg.size):
-                wire_operand[offsets[reg.name] + k] = (reg.name, k)
-
-    runs = _Runs(family, wire_operand)
-    for instr in circuit.instructions:
+    operand_of: dict[int, tuple] = {}
+    runs = _Runs(family, operand_of)
+    for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
         spec = LIBRARY.get(instr.opcode)
-        wires = [offsets[r] + i for r, i in instr.qubits]
         if spec is not None and spec.arity == 1 and instr.condition is None:
+            operand_of[wires[0]] = instr.qubits[0]
             runs.merge(wires[0], u3_cells(*_one_q_u3_params(instr.opcode, instr.params)))
         else:
             runs.emit(instr, wires)

@@ -169,7 +169,7 @@ def exact_distribution(circuit, readout=None) -> dict[int, float]:
     flat = flatten(circuit)
     n = flat.n_qubits
     qoff, coff = flat.qubit_offsets(), flat.clbit_offsets()
-    width = {r.name: r.size for r in flat.classical_registers()}
+    width = {r.name: r.size for r in flat.registers if r.kind == "c"}
     psi = np.zeros((1 << n, 1), complex)
     psi[0, 0] = 1.0
     branches = [(psi, 0)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qflow.binio import FORMAT_VERSION, MAGIC, decode_binary, encode_binary
 from qflow.circuit import Circuit, Instruction, Register
-from qflow.errors import BinaryFormatError
+from qflow.errors import BinaryFormatError, QasmError
 from qflow.flatten import flatten
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
@@ -106,6 +106,33 @@ def test_conditioned_barrier_is_rejected():
     blob[-9] = 2
     with pytest.raises(BinaryFormatError, match="instruction 1: a barrier cannot be conditioned"):
         decode_binary(bytes(blob))
+
+
+@pytest.mark.parametrize("instr, message", [
+    (Instruction("cx", (), (("q", 0), ("q", 5))), r"index 5 out of range for q\[2\]"),
+    (Instruction("measure", (), (("q", 0),), (("c", 3),)), r"index 3 out of range for c\[1\]"),
+    (Instruction("x", (), (("q", 0),), (), ("d", 1)), "undeclared register 'd'"),
+])
+def test_encoder_refuses_operands_the_decoder_refuses(instr, message):
+    regs = (Register("q", "q", 2), Register("c", "c", 1))
+    with pytest.raises(QasmError, match=f"instruction 0: {message}"):
+        encode_binary(Circuit(registers=regs, instructions=(instr,)))
+
+
+def test_decoder_refuses_operands_with_the_same_check():
+    regs = (Register("q", "q", 2), Register("c", "c", 1))
+    measure = Instruction("measure", (), (("q", 1),), (("c", 0),))
+    blob = encode_binary(Circuit(registers=regs, instructions=(measure,)))
+    # the record ends with its qubit list (one operand: register 0, wire 1)
+    # and its clbit list (register 1, wire 0)
+    assert blob[-6:] == bytes([1, 0, 1, 1, 1, 0])
+    for tail, message in [
+        ([1, 0, 5, 1, 1, 0], r"index 5 out of range for q\[2\]"),
+        ([1, 1, 0, 1, 1, 0], "'c' is not a quantum register"),
+        ([1, 0, 1, 1, 1, 3], r"index 3 out of range for c\[1\]"),
+    ]:
+        with pytest.raises(BinaryFormatError, match=f"^instruction 0: {message}"):
+            decode_binary(blob[:-6] + bytes(tail))
 
 
 @given(

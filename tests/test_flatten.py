@@ -55,6 +55,18 @@ def test_mixed_broadcast_fixed_operand():
     ]
 
 
+@pytest.mark.parametrize("instr", [
+    Instruction("h", (), (("z", None),)),
+    Instruction("measure", (), (("q", None),), (("d", None),)),
+    Instruction("barrier", (), (("q", 0), ("z", None))),
+], ids=["h z", "measure q -> d", "barrier q[0], z"])
+def test_register_wide_operand_of_an_undeclared_register_is_a_qasm_error(instr):
+    circ = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 2)),
+                   instructions=(instr,))
+    with pytest.raises(QasmError, match="undeclared register '[zd]'"):
+        flatten(circ)
+
+
 def test_barrier_broadcast_is_single_instruction():
     flat = flatten(parse_qasm("OPENQASM 2.0; qreg q[3]; barrier q;"))
     assert len(flat.instructions) == 1

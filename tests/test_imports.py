@@ -1,6 +1,6 @@
 """Every name a qflow module imports is used in that module or exported
-through its ``__all__``, and every name it defines is exported or used
-somewhere in qflow."""
+through its ``__all__``, every name it defines is exported or used
+somewhere in qflow, and only ``circuit.py`` numbers the wires."""
 
 from __future__ import annotations
 
@@ -82,3 +82,13 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_dead_names(path):
     assert dead_names(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_circuit_numbers_the_wires(path):
+    """Every other module reads ``Circuit.resolve`` instead of turning
+    register offsets into wires itself."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and node.attr in ("qubit_offsets", "clbit_offsets"))
+    assert path.name == "circuit.py" or calls == []
