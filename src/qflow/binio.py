@@ -20,15 +20,17 @@ Layout, all multi-byte integers little-endian, varints LEB128 unsigned:
 
 Circuits are flattened before encoding, so the stream contains only builtin
 opcodes acting on concrete wires; macro structure is not preserved. A flat
-circuit (a transpiler output) is checked but not rebuilt by that step.
+circuit (a transpiler output) is not rebuilt by that step.
 
 Both directions work on the bytes directly. The encoder writes each
 distinct opcode/flags/param-count header and operand list once and reuses
 its bytes. The decoder reads one-byte varints inline, unpacks all of an
-instruction's parameters with one ``struct`` call, validates each distinct
-opcode index once, and builds an error message only when it raises one.
-Both directions check operands with ``Circuit.resolve``: the encoder raises
-its QasmError, and the decoder raises it as a BinaryFormatError.
+instruction's parameters with one ``struct`` call, and builds an error
+message only when it raises one. It checks only what it needs to build the
+instructions (varints, string and register indices, finite parameters);
+``Circuit.resolve`` checks the rest, each instruction's shape and operands,
+for both directions: the encoder raises its QasmError (from ``flatten``),
+and the decoder raises it as a BinaryFormatError.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from __future__ import annotations
 import math
 import struct
 
-from .circuit import NON_GATE_OPCODES, Circuit, Instruction, Register
+from .circuit import Circuit, Instruction, Register
 from .errors import BinaryFormatError, QasmError
 from .flatten import flatten
-from .gates import LIBRARY
 
 __all__ = ["encode_binary", "decode_binary", "MAGIC", "FORMAT_VERSION"]
 
@@ -63,10 +64,8 @@ def _write_uvarint(buf: bytearray, value: int):
 def encode_binary(circuit: Circuit) -> bytes:
     """Serialize a circuit. The circuit is flattened first, so
     ``decode_binary(encode_binary(c))`` equals ``flatten(c)``. Encoding is
-    deterministic: identical circuits yield identical bytes. A conditioned
-    barrier raises BinaryFormatError, as it does when decoded."""
+    deterministic: identical circuits yield identical bytes."""
     flat = flatten(circuit)
-    flat.resolve()
 
     strings: list[str] = []
     index: dict[str, int] = {}
@@ -105,7 +104,7 @@ def encode_binary(circuit: Circuit) -> bytes:
             _write_uvarint(out, wire)
         return operand_lists.setdefault(operands, bytes(out))
 
-    for k, instr in enumerate(flat.instructions):
+    for instr in flat.instructions:
         params = instr.params
         condition = instr.condition
         n_params = len(params)
@@ -119,8 +118,6 @@ def encode_binary(circuit: Circuit) -> bytes:
         body += operand_lists.get(instr.qubits) or encode_operands(instr.qubits)
         body += operand_lists.get(instr.clbits) or encode_operands(instr.clbits)
         if condition is not None:
-            if instr.opcode == "barrier":  # the decoder refuses it too
-                raise BinaryFormatError(f"instruction {k}: a barrier cannot be conditioned")
             creg, value = condition
             _write_uvarint(body, reg_index[creg])
             _write_uvarint(body, value)
@@ -189,20 +186,6 @@ def _check_params(data: bytes, off: int, n_params: int, k: int):
             raise BinaryFormatError(f"non-finite instruction {k} param {value} at byte {pos}")
 
 
-def _opcode_entry(strings: list, idx: int, k: int) -> tuple:
-    """(opcode, qubit count, parameter count) of a valid opcode string
-    index; the counts are None for measure/barrier/reset/delay."""
-    if idx >= len(strings):
-        raise BinaryFormatError(f"string-table index {idx} out of range for instruction {k}")
-    opcode = strings[idx]
-    spec = LIBRARY.get(opcode)
-    if spec is not None:
-        return opcode, spec.arity, spec.param_count
-    if opcode in NON_GATE_OPCODES:
-        return opcode, None, None
-    raise BinaryFormatError(f"instruction {k}: unknown opcode '{opcode}'")
-
-
 def _operand(registers: list, ridx: int, wire: int) -> tuple:
     if ridx >= len(registers):
         raise BinaryFormatError(f"register index {ridx} out of range")
@@ -239,8 +222,8 @@ def decode_binary(data: bytes) -> Circuit:
     """Parse an NWQB byte stream back into a (flattened) circuit.
 
     Validates the magic, version, and every string-table and register
-    index, then the operands (``Circuit.resolve``); truncation errors report
-    the failing byte offset.
+    index, then each instruction (``Circuit.resolve``); truncation errors
+    report the failing byte offset.
     """
     data = bytes(data)
     end = len(data)
@@ -280,7 +263,6 @@ def decode_binary(data: bytes) -> Circuit:
     if len({reg.name for reg in registers}) != len(registers):
         raise BinaryFormatError("duplicate register name")
 
-    opcodes: dict[int, tuple] = {}
     unpackers: dict[int, object] = {}
     seen: dict[int, tuple] = {}
     isfinite = math.isfinite
@@ -292,10 +274,9 @@ def decode_binary(data: bytes) -> Circuit:
             off += 1
         else:
             idx, off = _uvarint(data, off, "instruction {k} opcode", k)
-        entry = opcodes.get(idx)
-        if entry is None:
-            entry = opcodes[idx] = _opcode_entry(strings, idx, k)
-        opcode, arity, param_count = entry
+        if idx >= len(strings):
+            raise BinaryFormatError(f"string-table index {idx} out of range for instruction {k}")
+        opcode = strings[idx]
 
         if off >= end:
             raise _truncated("instruction {k} flags", k, off)
@@ -320,11 +301,7 @@ def decode_binary(data: bytes) -> Circuit:
             off = stop
         else:
             params = ()
-        if opcode == "delay":
-            if len(params) != 1 or params[0] < 0 or params[0] != int(params[0]):
-                raise BinaryFormatError(
-                    f"instruction {k}: delay needs one nonnegative integer cycle count"
-                )
+        if opcode == "delay" and n_params == 1 and params[0].is_integer():
             params = (int(params[0]),)
 
         if off < end and data[off] < 0x80:
@@ -350,12 +327,6 @@ def decode_binary(data: bytes) -> Circuit:
                 raise BinaryFormatError(f"instruction {k}: condition register index {cidx} invalid")
             value, off = _uvarint(data, off, "instruction {k} condition value", k)
             condition = (registers[cidx].name, value)
-            if opcode == "barrier":
-                raise BinaryFormatError(f"instruction {k}: a barrier cannot be conditioned")
-        if arity is not None and (len(qubits) != arity or n_params != param_count):
-            raise BinaryFormatError(
-                f"instruction {k}: '{opcode}' operand or parameter count mismatch"
-            )
         instructions.append(Instruction(opcode, params, qubits, clbits, condition))
 
     if off != end:

@@ -15,10 +15,12 @@ way over classical registers.
 scheduling, metrics, the peephole, the codec and the simulators read its
 :class:`Resolution`. It is built on first use, once per distinct operand
 tuple, kept outside equality and ``repr``, and rebuilt when ``registers`` or
-``instructions`` is replaced. It is also the one operand check: a
-register-wide operand (index ``None``), an undeclared register or one of
-the wrong kind, and an index outside its register raise :class:`QasmError`,
-for qubits, clbits and ``if`` registers alike.
+``instructions`` is replaced. It is also the one check of a flat
+instruction, so no other stage repeats it: its shape (:func:`shape_error`)
+and each operand, which must name one wire of a declared register of the
+right kind (no register-wide index ``None``), for qubits, clbits and ``if``
+registers alike, and for a gate a wire no other operand names. A failure
+raises :class:`QasmError` prefixed ``instruction k:``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import QasmError
+from .gates import LIBRARY
 
 __all__ = [
     "Register",
@@ -44,8 +47,36 @@ __all__ = [
     "eval_expr",
 ]
 
-# Opcodes that are statements rather than unitary gates.
-NON_GATE_OPCODES = frozenset({"measure", "barrier", "reset", "delay"})
+# opcode -> (qubit count, parameter count, clbit count) of a flat
+# instruction: a library gate or one of the four statements. None marks a
+# count with a rule of its own in shape_error (a barrier takes one qubit or
+# more, a delay one integer cycle count)
+SHAPES = {name: (spec.arity, spec.param_count, 0) for name, spec in LIBRARY.items()}
+SHAPES.update(measure=(1, 0, 1), reset=(1, 0, 0), delay=(1, None, 0), barrier=(None, 0, 0))
+
+
+def shape_error(instr) -> str | None:
+    """Why ``instr`` is not the shape of a flat instruction, or None; of its
+    operands only their number counts."""
+    opcode, params, qubits = instr.opcode, instr.params, instr.qubits
+    if opcode not in SHAPES:
+        return f"undeclared gate '{opcode}'"
+    arity, n_params, n_clbits = SHAPES[opcode]
+    what = f"gate '{opcode}'" if opcode in LIBRARY else f"'{opcode}'"
+    if opcode == "delay":
+        if len(params) != 1 or type(params[0]) is not int or params[0] < 0:
+            return "delay cycle count must be a nonnegative integer"
+    elif len(params) != n_params:
+        return f"{what} takes {n_params} parameter(s), got {len(params)}"
+    if arity is None and not qubits:
+        return "a barrier needs at least one qubit"
+    if arity is not None and len(qubits) != arity:
+        return f"{what} acts on {arity} qubit(s), got {len(qubits)}"
+    if len(instr.clbits) != n_clbits:
+        return f"{what} writes {n_clbits} clbit(s), got {len(instr.clbits)}"
+    if opcode == "barrier" and instr.condition is not None:
+        return "a barrier cannot be conditioned"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,6 +200,8 @@ class Instruction:
     by :func:`qflow.flatten.flatten`). ``params`` are floats, except for
     ``delay`` whose single parameter is an integer cycle count.
     ``condition`` is an optional ``(creg_name, value)`` pair from an ``if``.
+    Nothing is checked on construction: :meth:`Circuit.resolve` is the one
+    check of an instruction's shape and operands.
     """
 
     opcode: str
@@ -294,12 +327,25 @@ class Circuit:
             return tuple(out)
 
         wires_of: dict = {}
+        repeated = set()  # wire tuples that name a wire twice
         add = wires.append
         for instr in self.instructions:
             operands = instr.qubits
             ws = wires_of.get(operands)
             if ws is None:
                 ws = wires_of[operands] = indices(operands, "q")
+                if len(set(ws)) != len(ws):
+                    repeated.add(ws)
+            # the common shapes pass here; the rest go to shape_error
+            shape = SHAPES.get(instr.opcode)
+            if (shape is None or shape[0] != len(ws) or shape[1] != len(instr.params)
+                    or shape[2] != len(instr.clbits)):
+                why = shape_error(instr)
+                if why is not None:
+                    raise QasmError(f"instruction {len(wires)}: {why}")
+            if repeated and ws in repeated and instr.opcode in LIBRARY:
+                raise QasmError(
+                    f"instruction {len(wires)}: duplicate qubit operand in '{instr.opcode}'")
             if instr.clbits or instr.condition is not None:
                 k = len(wires)
                 if instr.clbits:

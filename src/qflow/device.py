@@ -169,8 +169,10 @@ def load_device(json_text: str) -> DeviceConfig:
 
     durations = _require(raw, "gate_durations_ns", dict, path)
     for key, val in durations.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or val < 0:
-            raise DeviceConfigError(f"{path}.gate_durations_ns['{key}']: expected a duration >= 0")
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not 0 <= val < math.inf:
+            raise DeviceConfigError(
+                f"{path}.gate_durations_ns['{key}']: expected a finite duration >= 0"
+            )
     for gate in basis:
         if gate not in durations:
             raise DeviceConfigError(
@@ -178,8 +180,8 @@ def load_device(json_text: str) -> DeviceConfig:
             )
 
     cycle = _require(raw, "cycle_time_ns", (int, float), path)
-    if cycle <= 0:
-        raise DeviceConfigError(f"{path}.cycle_time_ns: must be positive, got {cycle}")
+    if not 0 < cycle < math.inf:
+        raise DeviceConfigError(f"{path}.cycle_time_ns: must be positive and finite, got {cycle}")
 
     errors = raw.get("gate_errors", {})
     if not isinstance(errors, dict):
@@ -198,7 +200,8 @@ def load_device(json_text: str) -> DeviceConfig:
             raise DeviceConfigError(f"{path}.{key}: expected a list of {n} values")
         out = []
         for i, v in enumerate(vals):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
+            # infinity means no relaxation, as when the list is left out
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
                 raise DeviceConfigError(f"{path}.{key}[{i}]: expected a positive number")
             out.append(float(v))
         return tuple(out)

@@ -6,9 +6,9 @@ are inlined recursively with exact parameter substitution (a conditioned
 call's condition goes to every gate of its body; a body barrier stays
 unconditioned, as QASM 2 has no conditioned barrier), and register-wide
 statements like ``measure q -> c;`` or ``h q;`` are expanded per wire.
-Flattened circuits carry no gate definitions or includes, and a circuit
-that is flat already comes back as it is, after the same opcode and
-duplicate-operand checks. Macro nesting
+Flattened circuits carry no gate definitions or includes, and their
+instructions are checked by ``Circuit.resolve``, whose resolution they
+keep; a circuit that is flat already comes back as it is. Macro nesting
 (``MAX_EXPANSION_DEPTH``) and the output size (``MAX_EXPANSION_INSTRUCTIONS``)
 are bounded, and both bounds are checked before any instruction is emitted.
 A parameter expression that fails inside a macro body names that gate and
@@ -17,9 +17,8 @@ the index (from 0) of the circuit instruction whose call expanded it.
 
 from __future__ import annotations
 
-from .circuit import NON_GATE_OPCODES, Circuit, Instruction, eval_expr
+from .circuit import Circuit, Instruction, eval_expr
 from .errors import QasmError
-from .gates import LIBRARY
 
 __all__ = ["flatten", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
 
@@ -64,45 +63,18 @@ def _broadcast(instr: Instruction, reg_sizes: dict[str, int]) -> list[Instructio
     return out
 
 
-def _check_flat(circuit: Circuit) -> bool:
-    """Whether every operand names one wire; if so, raise what flatten
-    would raise for the first undeclared opcode or duplicate operand. Each
-    distinct operand tuple is looked at once."""
-    if len(circuit.instructions) > MAX_EXPANSION_INSTRUCTIONS:
-        return False  # the full path raises the size error
-    duplicates: dict[tuple, bool] = {}
-    clbits_seen = set()
-    error = None
-    for instr in circuit.instructions:
-        qubits = instr.qubits
-        dup = duplicates.get(qubits)
-        if dup is None:
-            if any(idx is None for _, idx in qubits):
-                return False
-            dup = duplicates[qubits] = len(set(qubits)) != len(qubits)
-        clbits = instr.clbits
-        if clbits and clbits not in clbits_seen:
-            if any(idx is None for _, idx in clbits):
-                return False
-            clbits_seen.add(clbits)
-        if error is None:
-            opcode = instr.opcode
-            if opcode in LIBRARY:
-                if dup:
-                    error = QasmError(f"duplicate qubit operand in '{opcode}'")
-            elif opcode not in NON_GATE_OPCODES:
-                error = QasmError(f"undeclared gate '{opcode}'")
-    if error is not None:
-        raise error
-    return True
-
-
 def flatten(circuit: Circuit) -> Circuit:
-    """Inline all gate macros and expand register-wide statements. A
-    circuit that is already flat (no gate definitions, no includes, no
-    register-wide operand) is checked and returned as it is."""
-    if not circuit.gate_defs and not circuit.includes and _check_flat(circuit):
-        return circuit
+    """Inline all gate macros and expand register-wide statements, and
+    check the result with ``Circuit.resolve``. A circuit that is already
+    flat (no gate definitions, no includes, no register-wide operand) is
+    returned as it is."""
+    if (not circuit.gate_defs and not circuit.includes
+            and len(circuit.instructions) <= MAX_EXPANSION_INSTRUCTIONS):
+        try:
+            circuit.resolve()
+            return circuit
+        except QasmError:
+            pass  # a register-wide operand is expanded below; any other error recurs there
     defs = {gd.name: gd for gd in circuit.gate_defs}
     reg_sizes = {r.name: r.size for r in circuit.registers}
     out: list[Instruction] = []
@@ -149,10 +121,6 @@ def flatten(circuit: Circuit) -> Circuit:
         instr = stack.pop()
         gd = defs.get(instr.opcode)
         if gd is None:
-            if instr.opcode not in LIBRARY and instr.opcode not in NON_GATE_OPCODES:
-                raise QasmError(f"undeclared gate '{instr.opcode}'")
-            if instr.opcode in LIBRARY and len(set(instr.qubits)) != len(instr.qubits):
-                raise QasmError(f"duplicate qubit operand in '{instr.opcode}'")
             out.append(instr)
             continue
         if gd.opaque:
@@ -187,10 +155,12 @@ def flatten(circuit: Circuit) -> Circuit:
                 f"{exc.message} (in gate '{gd.name}', called by instruction {index})"
             ) from None
 
-    return Circuit(
+    flat = Circuit(
         registers=circuit.registers,
         instructions=tuple(out),
         gate_defs=(),
         includes=(),
         source_name=circuit.source_name,
     )
+    flat.resolve()
+    return flat

@@ -3,7 +3,9 @@
 ``parse_qasm(print_qasm(c))`` reproduces ``c`` structurally: parameters are
 emitted with ``repr``, the shortest decimal that round-trips to the same
 IEEE-754 double. Gate definitions pulled in by ``include`` are not re-printed
-(the include line restores them on re-parse).
+(the include line restores them on re-parse). An instruction of the wrong
+shape (:func:`qflow.circuit.shape_error`) raises :class:`QasmError`, as it
+would not read back; macro calls and operands are not checked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from .circuit import (
     Instruction,
     Neg,
     ParamExpr,
+    SHAPES,
+    shape_error,
 )
+from .errors import QasmError
 
 __all__ = ["print_qasm"]
 
@@ -108,6 +113,13 @@ def print_qasm(circuit: Circuit) -> str:
     for reg in circuit.registers:
         kw = "qreg" if reg.kind == "q" else "creg"
         lines.append(f"{kw} {reg.name}[{reg.size}];")
-    for instr in circuit.instructions:
+    macros = {gd.name for gd in circuit.gate_defs}
+    for k, instr in enumerate(circuit.instructions):
+        shape = SHAPES.get(instr.opcode)  # the common shapes pass, as in Circuit.resolve
+        if (shape is None or shape[0] != len(instr.qubits) or shape[1] != len(instr.params)
+                or shape[2] != len(instr.clbits)) and instr.opcode not in macros:
+            why = shape_error(instr)
+            if why is not None:
+                raise QasmError(f"instruction {k}: {why}")
         lines.append(_fmt_instruction(instr))
     return "\n".join(lines) + "\n"

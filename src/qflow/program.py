@@ -43,10 +43,10 @@ import os
 
 import numpy as np
 
-from .circuit import NON_GATE_OPCODES, Circuit
+from .circuit import Circuit
 from .errors import SimulationError
 from .flatten import flatten
-from .gates import unitary_of
+from .gates import LIBRARY, unitary_of
 from .results import bitstring
 
 __all__ = ["Op", "Program", "evolve", "walk"]
@@ -76,7 +76,7 @@ class Op:
         self.wires = wires
         self.clbit = clbit
         self.condition = condition
-        self.gate = instr.opcode not in NON_GATE_OPCODES
+        self.gate = instr.opcode in LIBRARY
         self.deferred = False
         self._matrix = None
         self.kernel = None

@@ -235,10 +235,7 @@ def _one_q_rule(opcode: str, params: tuple) -> tuple[int, ...]:
     for y = x & z), by sz where it holds Z (z ^ y) and by the sign of U Y
     U^dag where it holds Y (y): that is x sx ^ z sz ^ y sy, with sy the xor
     of all three signs."""
-    try:
-        u = unitary_of(opcode, params)
-    except QFlowError:
-        raise _reject(opcode, params) from None
+    u = unitary_of(opcode, params)
     images = []
     for _, pauli in _PAULIS:
         image = u @ pauli @ u.conj().T

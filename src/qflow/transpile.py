@@ -206,10 +206,8 @@ def _retarget(
             emit_cx(a, b, instr.condition)
             emit_cx(b, a, instr.condition)
             emit_cx(a, b, instr.condition)
-        elif op in ("measure", "barrier", "reset", "delay"):
+        else:  # measure, barrier, reset or delay
             emit(instr, [w for _, w in instr.qubits])
-        else:
-            raise TranspileError(f"unexpected opcode '{op}' after routing")
     return routed.with_instructions(runs.finish())
 
 

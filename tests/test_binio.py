@@ -95,7 +95,7 @@ def test_non_finite_parameter_is_rejected(stmt, value, bad):
 def test_conditioned_barrier_is_rejected():
     regs = (Register("q", "q", 1), Register("c", "c", 1))
     barrier = Instruction("barrier", (), (("q", 0),), (), ("c", 1))
-    with pytest.raises(BinaryFormatError, match="instruction 0: a barrier cannot be conditioned"):
+    with pytest.raises(QasmError, match="instruction 0: a barrier cannot be conditioned"):
         encode_binary(Circuit(registers=regs, instructions=(barrier,)))
     # a barrier, then an x conditioned on c: pointing the x record's opcode
     # (its first byte, string 3) at the barrier's (string 2) makes the blob
@@ -133,6 +133,35 @@ def test_decoder_refuses_operands_with_the_same_check():
     ]:
         with pytest.raises(BinaryFormatError, match=f"^instruction 0: {message}"):
             decode_binary(blob[:-6] + bytes(tail))
+
+
+def _blob(*instructions) -> bytearray:
+    regs = (Register("q", "q", 2), Register("c", "c", 1))
+    return bytearray(encode_binary(Circuit(registers=regs, instructions=instructions)))
+
+
+def test_decoder_refuses_each_bad_shape_with_the_same_check():
+    # strings: 0 "q", 1 "c", then the opcodes in order; the last record is
+    # the second instruction's
+    measure = Instruction("measure", (), (("q", 0),), (("c", 0),))
+    blob = _blob(measure, Instruction("cx", (), (("q", 0), ("q", 1))))
+    assert blob[-9:] == bytes([3, 0, 0, 2, 0, 0, 0, 1, 0])
+    blob[-9] = 2  # the cx's operands under the measure's opcode
+    with pytest.raises(BinaryFormatError, match=r"^instruction 1: 'measure' acts on 1 qubit\(s\), got 2"):
+        decode_binary(bytes(blob))
+
+    delay = Instruction("delay", (7,), (("q", 0),))
+    blob = _blob(delay, Instruction("crz", (2.0,), (("q", 0), ("q", 1))))
+    assert blob[-17:] == bytes([3, 0, 1]) + struct.pack("<d", 2.0) + bytes([2, 0, 0, 0, 1, 0])
+    blob[-17] = 2  # the crz's angle and operands under the delay's opcode
+    with pytest.raises(BinaryFormatError, match=r"^instruction 1: 'delay' acts on 1 qubit\(s\), got 2"):
+        decode_binary(bytes(blob))
+
+    blob = _blob(Instruction("barrier", (), (("q", 1),)))
+    assert blob[-7:] == bytes([2, 0, 0, 1, 0, 1, 0])
+    blob[-4:] = bytes([0, 0])  # no qubit operand, no clbit operand
+    with pytest.raises(BinaryFormatError, match="^instruction 0: a barrier needs at least one qubit"):
+        decode_binary(bytes(blob))
 
 
 @given(

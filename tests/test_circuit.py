@@ -1,5 +1,6 @@
 """Circuit.resolve: the one operand resolution every stage reads, and the one
-check that a hostile Circuit meets at every public entry point."""
+shape-and-operand check that a hostile Circuit meets at every public entry
+point."""
 
 import pytest
 
@@ -91,14 +92,64 @@ def test_flatten_passes_a_flat_circuit_and_its_resolution_through():
     (Instruction("x", (), (("q", 0),), (), ("d", 1)), "instruction 2: undeclared register 'd'"),
     (Instruction("x", (), (("q", 0),), (), ("r", 1)),
      "instruction 2: 'r' is not a classical register"),
+    (Instruction("frob", (), (("q", 0),)), "instruction 2: undeclared gate 'frob'"),
+    (Instruction("rx", (), (("q", 0),)),
+     r"instruction 2: gate 'rx' takes 1 parameter\(s\), got 0"),
+    (Instruction("h", (), (("q", 0), ("q", 1))),
+     r"instruction 2: gate 'h' acts on 1 qubit\(s\), got 2"),
+    (Instruction("cx", (), (("q", 0),)), r"instruction 2: gate 'cx' acts on 2 qubit\(s\), got 1"),
+    (Instruction("cx", (), (("r", 1), ("r", 1))), "instruction 2: duplicate qubit operand in 'cx'"),
+    (Instruction("h", (), (("q", 0),), (("c", 0),)),
+     r"instruction 2: gate 'h' writes 0 clbit\(s\), got 1"),
+    (Instruction("measure", (), (("q", 0),)),
+     r"instruction 2: 'measure' writes 1 clbit\(s\), got 0"),
+    (Instruction("measure", (), (("q", 0),), (("c", 0), ("c", 1))),
+     r"instruction 2: 'measure' writes 1 clbit\(s\), got 2"),
+    (Instruction("measure", (), (("q", 0), ("q", 1)), (("c", 0),)),
+     r"instruction 2: 'measure' acts on 1 qubit\(s\), got 2"),
+    (Instruction("reset", (0.5,), (("q", 0),)),
+     r"instruction 2: 'reset' takes 0 parameter\(s\), got 1"),
+    (Instruction("delay", (1.5,), (("q", 0),)),
+     "instruction 2: delay cycle count must be a nonnegative integer"),
+    (Instruction("delay", (), (("q", 0),)),
+     "instruction 2: delay cycle count must be a nonnegative integer"),
+    (Instruction("delay", (-1,), (("q", 0),)),
+     "instruction 2: delay cycle count must be a nonnegative integer"),
+    (Instruction("delay", (True,), (("q", 0),)),
+     "instruction 2: delay cycle count must be a nonnegative integer"),
+    (Instruction("delay", (3,), (("q", 0), ("q", 1))),
+     r"instruction 2: 'delay' acts on 1 qubit\(s\), got 2"),
+    (Instruction("barrier", (), ()), "instruction 2: a barrier needs at least one qubit"),
+    (Instruction("barrier", (), (("q", 0),), (), ("c", 1)),
+     "instruction 2: a barrier cannot be conditioned"),
 ])
 def test_resolution_refuses_each_bad_operand(instr, message):
     with pytest.raises(QasmError, match=message):
         _circuit(instr).resolve()
 
 
-# one per operand rule; "register_wide" spans two registers of different
-# sizes, which flatten cannot broadcast and the later stages do not take
+def test_resolution_accepts_every_valid_shape():
+    circ = _circuit(
+        Instruction("u3", (0.1, 0.2, 0.3), (("r", 2),)),
+        Instruction("rzz", (0.5,), (("q", 1), ("r", 0)), (), ("c", 3)),
+        Instruction("measure", (), (("q", 1),), (("c", 1),)),
+        Instruction("reset", (), (("r", 0),)),
+        Instruction("delay", (0,), (("r", 1),)),
+        Instruction("barrier", (), (("q", 0), ("r", 2), ("q", 0))),  # a repeat only orders
+    )
+    assert len(circ.resolve().wires) == 8
+
+
+def test_a_macro_call_must_be_flattened_first():
+    circ = parse_qasm("OPENQASM 2.0; qreg q[2]; gate bell a,b { h a; cx a,b; } bell q[0],q[1];")
+    with pytest.raises(QasmError, match="instruction 0: undeclared gate 'bell'"):
+        circ.resolve()
+    assert len(flatten(circ).resolve().wires) == 2
+
+
+# one per operand rule, then one per shape rule; "register_wide" spans two
+# registers of different sizes, which flatten cannot broadcast and the later
+# stages do not take
 HOSTILE = {
     "undeclared_qreg": Instruction("h", (), (("z", 0),)),
     "wire_out_of_range": Instruction("cx", (), (("q", 0), ("q", 5))),
@@ -106,6 +157,17 @@ HOSTILE = {
     "undeclared_creg": Instruction("measure", (), (("q", 0),), (("d", 0),)),
     "clbit_out_of_range": Instruction("measure", (), (("q", 0),), (("c", 3),)),
     "undeclared_condition": Instruction("x", (), (("q", 0),), (), ("d", 1)),
+    "h_on_two_qubits": Instruction("h", (), (("q", 0), ("q", 1))),
+    "rx_without_param": Instruction("rx", (), (("q", 0),)),
+    "cx_on_one_qubit": Instruction("cx", (), (("q", 0),)),
+    "measure_without_clbit": Instruction("measure", (), (("q", 0),)),
+    "measure_two_clbits": Instruction("measure", (), (("q", 0),), (("c", 0), ("c", 1))),
+    "reset_with_param": Instruction("reset", (0.5,), (("q", 0),)),
+    "fractional_delay": Instruction("delay", (1.5,), (("q", 0),)),
+    "delay_without_count": Instruction("delay", (), (("q", 0),)),
+    "conditioned_barrier": Instruction("barrier", (), (("q", 0),), (), ("c", 1)),
+    "undeclared_gate": Instruction("frob", (), (("q", 0),)),
+    "h_with_clbit": Instruction("h", (), (("q", 0),), (("c", 0),)),
 }
 
 
@@ -127,6 +189,7 @@ def _entry_points():
         "stab_run": lambda c: stab_run(c, shots=4),
         "stab_evolve": stab_evolve,
         "encode_binary": encode_binary,
+        "flatten": flatten,
     }
 
 

@@ -2,9 +2,12 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qflow import dm_run, parse_qasm, transpile
 from qflow.device import (
     Topology,
     bundled_device_names,
@@ -12,7 +15,7 @@ from qflow.device import (
     load_bundled_device,
     load_device,
 )
-from qflow.errors import DeviceConfigError
+from qflow.errors import DeviceConfigError, QFlowError
 
 from oracles import floyd_warshall
 
@@ -66,11 +69,24 @@ class TestLoadDevice:
             ({"gate_errors": {"cx": 1.5}}, r"gate_errors\['cx'\]"),
             ({"readout": [[0.9, 1.2], [1, 1], [1, 1]]}, r"readout\[0\]"),
             ({"t1_us": [1.0]}, "t1_us"),
+            ({"gate_durations_ns": {"rz": 0, "sx": 30, "x": 30, "cx": math.nan}},
+             r"gate_durations_ns\['cx'\]: expected a finite duration"),
+            ({"gate_durations_ns": {"rz": 0, "sx": 30, "x": 30, "cx": math.inf}},
+             r"gate_durations_ns\['cx'\]: expected a finite duration"),
+            ({"cycle_time_ns": math.nan}, "cycle_time_ns: must be positive and finite"),
+            ({"cycle_time_ns": math.inf}, "cycle_time_ns: must be positive and finite"),
+            ({"t1_us": [100.0, math.nan, 100.0]}, r"t1_us\[1\]: expected a positive number"),
+            ({"t2_us": [math.nan, 100.0, 100.0]}, r"t2_us\[0\]: expected a positive number"),
         ],
     )
     def test_validation_errors(self, overrides, fragment):
         with pytest.raises(DeviceConfigError, match=fragment):
             load_device(_minimal(**overrides))
+
+    def test_infinite_relaxation_times_mean_no_relaxation(self):
+        dev = load_device(_minimal(2, t1_us=[math.inf, 80.0], t2_us=[math.inf, 100.0]))
+        assert dev.t1_us == (math.inf, 80.0)
+        assert dev.t2_us == (math.inf, 100.0)
 
     def test_missing_required_field(self):
         cfg = json.loads(_minimal())
@@ -169,3 +185,59 @@ class TestBundledLibrary:
             for a in range(11)
             for b in range(11)
         )
+
+
+# -- hostile device files ------------------------------------------------------
+
+_HOSTILE_VALUES = [math.nan, math.inf, -1, 0, "x", [0], {"a": 1}, True]
+_CIRCUIT = parse_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; creg c[2];'
+                      "h q[0]; cx q[0],q[1]; delay q[1], 3; measure q -> c;")
+
+
+def _bundled_json(name: str) -> dict:
+    return json.loads(resources.files("qflow.devices").joinpath(f"{name}.json").read_text())
+
+
+def _paths(node, path=()):
+    """The key path of every field, list element and dict value under node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+# a device first, then a site in it, so that alltoall11's 110 coupling
+# pairs do not crowd out the other devices
+_SITES = st.sampled_from(bundled_device_names()).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(list(_paths(_bundled_json(name))))))
+
+
+@pytest.mark.filterwarnings("ignore:device .* coupling graph is not connected")
+@given(site=_SITES, value=st.sampled_from(_HOSTILE_VALUES))
+@example(site=("line5", ("t1_us", 0)), value=math.nan)  # once numpy's ValueError in dm_run
+@settings(max_examples=200, deadline=None)
+def test_a_hostile_device_file_raises_only_qflow_errors(site, value):
+    """One field, list element or dict value of a bundled device replaced:
+    loading raises only DeviceConfigError, and a device that loads compiles
+    and runs a small circuit with a delay raising only QFlowError."""
+    name, path = site
+    raw = _bundled_json(name)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        device = load_device(json.dumps(raw))
+    except DeviceConfigError:
+        return
+    try:
+        physical, _ = transpile(_CIRCUIT, device)
+        if device.num_qubits <= 9:  # a 4**11 density matrix takes 0.3 s a run
+            dm_run(physical, device, shots=8)
+    except QFlowError:
+        pass

@@ -1,6 +1,7 @@
 """Every name a qflow module imports is used in that module or exported
 through its ``__all__``, every name it defines is exported or used
-somewhere in qflow, and only ``circuit.py`` numbers the wires."""
+somewhere in qflow, only ``circuit.py`` numbers the wires, and only the
+library, the parser and ``circuit.py`` read a gate's parameter count."""
 
 from __future__ import annotations
 
@@ -92,3 +93,14 @@ def test_only_circuit_numbers_the_wires(path):
     calls = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                    and node.attr in ("qubit_offsets", "clbit_offsets"))
     assert path.name == "circuit.py" or calls == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_shape_rule_reads_parameter_counts(path):
+    """A flat instruction's shape is checked in ``circuit.py`` alone (the
+    parser checks source text, with positions); no other module counts a
+    gate's parameters again."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "param_count")
+    assert path.name in ("gates.py", "parser.py", "circuit.py") or reads == []

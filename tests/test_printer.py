@@ -1,5 +1,6 @@
 """Text round-trip: parse(print(c)) must equal c structurally."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflow.circuit import (BinOp, BodyInstruction, Circuit, Const, FormalRef, FuncCall, GateDef,
@@ -116,3 +117,25 @@ def test_roundtrip_random_macro_expressions(exprs, actuals):
     again = parse_qasm(print_qasm(c))
     assert again == c
     assert _flat_params(again) == _flat_params(c)
+
+
+@pytest.mark.parametrize("instr, message", [
+    (Instruction("measure", (), (("q", 0),)), r"'measure' writes 1 clbit\(s\), got 0"),
+    (Instruction("measure", (), (("q", 0), ("q", 1)), (("c", 0),)),
+     r"'measure' acts on 1 qubit\(s\), got 2"),
+    (Instruction("delay", (), (("q", 0),)), "delay cycle count must be a nonnegative integer"),
+    (Instruction("delay", (5,), (("q", 0), ("q", 1))), r"'delay' acts on 1 qubit\(s\), got 2"),
+    (Instruction("barrier", (), (("q", 0),), (), ("c", 0)), "a barrier cannot be conditioned"),
+    (Instruction("frob", (), (("q", 0),)), "undeclared gate 'frob'"),
+])
+def test_an_instruction_that_would_not_read_back_is_refused(instr, message):
+    c = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 1)),
+                instructions=(Instruction("h", (), (("q", None),)), instr))
+    with pytest.raises(QasmError, match=f"^instruction 1: {message}"):
+        print_qasm(c)
+
+
+def test_a_macro_call_and_a_register_wide_operand_print_as_they_are():
+    text = ("OPENQASM 2.0;\ngate bell a,b {\n  h a;\n  cx a,b;\n}\nqreg q[2];\ncreg c[2];\n"
+            "bell q[0],q[1];\nmeasure q -> c;\n")
+    assert print_qasm(parse_qasm(text)) == text
