@@ -25,6 +25,10 @@ from .errors import DeviceConfigError
 __all__ = ["DeviceConfig", "Topology", "load_device", "distance",
            "bundled_device_names", "load_bundled_device"]
 
+# a device holds per-qubit tuples and an n x n distance table, so a file may
+# not ask for more qubits than this
+MAX_QUBITS = 1024
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -132,11 +136,22 @@ def _require(obj: dict, key: str, typ, path: str):
     return val
 
 
+def _number(val, message: str) -> float:
+    """A JSON number as a float. A bool, a non-number or an integer beyond
+    float range raises DeviceConfigError(message)."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        try:
+            return float(val)
+        except OverflowError:
+            pass
+    raise DeviceConfigError(message)
+
+
 def load_device(json_text: str) -> DeviceConfig:
     """Parse and validate a device configuration JSON document."""
     try:
         raw = json.loads(json_text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int() digit limit
         raise DeviceConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DeviceConfigError("device configuration must be a JSON object")
@@ -144,8 +159,8 @@ def load_device(json_text: str) -> DeviceConfig:
 
     name = _require(raw, "name", str, path)
     n = _require(raw, "num_qubits", int, path)
-    if n < 1:
-        raise DeviceConfigError(f"{path}.num_qubits: must be >= 1, got {n}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise DeviceConfigError(f"{path}.num_qubits: must be in [1, {MAX_QUBITS}]")
 
     basis = _require(raw, "basis_gates", list, path)
     if not basis or not all(isinstance(g, str) for g in basis):
@@ -167,12 +182,12 @@ def load_device(json_text: str) -> DeviceConfig:
             )
         edges.append((a, b))
 
-    durations = _require(raw, "gate_durations_ns", dict, path)
+    durations = dict(_require(raw, "gate_durations_ns", dict, path))
     for key, val in durations.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not 0 <= val < math.inf:
-            raise DeviceConfigError(
-                f"{path}.gate_durations_ns['{key}']: expected a finite duration >= 0"
-            )
+        message = f"{path}.gate_durations_ns['{key}']: expected a finite duration >= 0"
+        durations[key] = _number(val, message)
+        if not 0 <= durations[key] < math.inf:
+            raise DeviceConfigError(message)
     for gate in basis:
         if gate not in durations:
             raise DeviceConfigError(
@@ -180,17 +195,20 @@ def load_device(json_text: str) -> DeviceConfig:
             )
 
     cycle = _require(raw, "cycle_time_ns", (int, float), path)
+    message = f"{path}.cycle_time_ns: must be positive and finite"
+    cycle = _number(cycle, message)
     if not 0 < cycle < math.inf:
-        raise DeviceConfigError(f"{path}.cycle_time_ns: must be positive and finite, got {cycle}")
+        raise DeviceConfigError(f"{message}, got {cycle}")
 
     errors = raw.get("gate_errors", {})
     if not isinstance(errors, dict):
         raise DeviceConfigError(f"{path}.gate_errors: expected an object")
+    errors = dict(errors)
     for key, val in errors.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not 0 <= val <= 1:
-            raise DeviceConfigError(
-                f"{path}.gate_errors['{key}']: expected a probability in [0, 1]"
-            )
+        message = f"{path}.gate_errors['{key}']: expected a probability in [0, 1]"
+        errors[key] = _number(val, message)
+        if not 0 <= errors[key] <= 1:
+            raise DeviceConfigError(message)
 
     def qubit_list(key: str, default_val: float) -> tuple:
         if key not in raw:
@@ -201,9 +219,10 @@ def load_device(json_text: str) -> DeviceConfig:
         out = []
         for i, v in enumerate(vals):
             # infinity means no relaxation, as when the list is left out
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-                raise DeviceConfigError(f"{path}.{key}[{i}]: expected a positive number")
-            out.append(float(v))
+            message = f"{path}.{key}[{i}]: expected a positive number"
+            out.append(_number(v, message))
+            if not out[-1] > 0:
+                raise DeviceConfigError(message)
         return tuple(out)
 
     t1 = qubit_list("t1_us", math.inf)
@@ -220,16 +239,13 @@ def load_device(json_text: str) -> DeviceConfig:
             raise DeviceConfigError(f"{path}.readout: expected a list of {n} pairs")
         readout = []
         for i, pair in enumerate(ro_raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-                or not all(0 <= x <= 1 for x in pair)
-            ):
-                raise DeviceConfigError(
-                    f"{path}.readout[{i}]: expected [P(read 0|0), P(read 1|1)] in [0, 1]"
-                )
-            readout.append((float(pair[0]), float(pair[1])))
+            message = f"{path}.readout[{i}]: expected [P(read 0|0), P(read 1|1)] in [0, 1]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise DeviceConfigError(message)
+            pair = (_number(pair[0], message), _number(pair[1], message))
+            if not all(0 <= x <= 1 for x in pair):
+                raise DeviceConfigError(message)
+            readout.append(pair)
         readout = tuple(readout)
     else:
         readout = ((1.0, 1.0),) * n
@@ -239,9 +255,9 @@ def load_device(json_text: str) -> DeviceConfig:
         num_qubits=n,
         basis_gates=tuple(basis),
         coupling_map=tuple(edges),
-        gate_durations_ns=dict(durations),
-        cycle_time_ns=float(cycle),
-        gate_errors=dict(errors),
+        gate_durations_ns=durations,
+        cycle_time_ns=cycle,
+        gate_errors=errors,
         t1_us=t1,
         t2_us=t2,
         readout=readout,

@@ -31,8 +31,9 @@ op's qubit reads 1, then ``collapse(op, bit)``, which projects onto bit (and
 for a reset flips it back to 0); ``copy()``; ``sample(qubits, count, rng,
 readout)``, a leaf's counts by value (bit j is qubits[j]); ``splits_reset``,
 false where a reset is a channel; and ``fuses``, whether it takes each run
-of one-qubit gates on a wire as one gate (the dense backends without noise;
-the tableau applies gates by name, and noise follows each gate). A run ends
+of one-qubit gates on a wire as one gate (both dense backends, the density
+matrix under noise too, where a run's channel is the product of its gates'
+noisy channels; not the tableau, which applies gates by name). A run ends
 where a multi-qubit gate, measure, reset, barrier, delay or conditioned op
 touches its wire.
 """

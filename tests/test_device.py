@@ -77,11 +77,24 @@ class TestLoadDevice:
             ({"cycle_time_ns": math.inf}, "cycle_time_ns: must be positive and finite"),
             ({"t1_us": [100.0, math.nan, 100.0]}, r"t1_us\[1\]: expected a positive number"),
             ({"t2_us": [math.nan, 100.0, 100.0]}, r"t2_us\[0\]: expected a positive number"),
+            # integers beyond float range
+            ({"cycle_time_ns": 10**400}, "cycle_time_ns: must be positive and finite"),
+            ({"t1_us": [10**400, 100.0, 100.0]}, r"t1_us\[0\]: expected a positive number"),
+            ({"gate_durations_ns": {"rz": 0, "sx": 30, "x": 30, "cx": 10**400}},
+             r"gate_durations_ns\['cx'\]: expected a finite duration"),
+            ({"num_qubits": 10**400}, r"num_qubits: must be in \[1, 1024\]"),
+            ({"num_qubits": 1025}, r"num_qubits: must be in \[1, 1024\]"),
         ],
     )
     def test_validation_errors(self, overrides, fragment):
         with pytest.raises(DeviceConfigError, match=fragment):
             load_device(_minimal(**overrides))
+
+    def test_an_integer_past_the_digit_limit_is_invalid_json(self):
+        # json.loads raises a plain ValueError past int()'s 4300-digit limit
+        text = _minimal().replace('"cycle_time_ns": 1.0', '"cycle_time_ns": 1' + "0" * 5000)
+        with pytest.raises(DeviceConfigError, match="invalid JSON"):
+            load_device(text)
 
     def test_infinite_relaxation_times_mean_no_relaxation(self):
         dev = load_device(_minimal(2, t1_us=[math.inf, 80.0], t2_us=[math.inf, 100.0]))
@@ -189,7 +202,7 @@ class TestBundledLibrary:
 
 # -- hostile device files ------------------------------------------------------
 
-_HOSTILE_VALUES = [math.nan, math.inf, -1, 0, "x", [0], {"a": 1}, True]
+_HOSTILE_VALUES = [math.nan, math.inf, -1, 0, 10**400, "x", [0], {"a": 1}, True]
 _CIRCUIT = parse_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; creg c[2];'
                       "h q[0]; cx q[0],q[1]; delay q[1], 3; measure q -> c;")
 
@@ -220,6 +233,7 @@ _SITES = st.sampled_from(bundled_device_names()).flatmap(
 @pytest.mark.filterwarnings("ignore:device .* coupling graph is not connected")
 @given(site=_SITES, value=st.sampled_from(_HOSTILE_VALUES))
 @example(site=("line5", ("t1_us", 0)), value=math.nan)  # once numpy's ValueError in dm_run
+@example(site=("grid9", ("num_qubits",)), value=10**400)  # once OverflowError from load_device
 @settings(max_examples=200, deadline=None)
 def test_a_hostile_device_file_raises_only_qflow_errors(site, value):
     """One field, list element or dict value of a bundled device replaced:

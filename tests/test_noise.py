@@ -97,3 +97,20 @@ def test_two_qubit_depolarizing_operators_are_the_kron_products():
     # the products are shared between calls, so no caller may get one to mutate
     got[0] *= 0
     assert np.array_equal(depolarizing_kraus(1.0, 2)[0], want[0])
+
+
+def test_each_operand_of_a_two_qubit_gate_relaxes_by_its_own_t1_and_t2():
+    t_ns, t1_ns, t2_ns, theta = 500.0, (1000.0, 4000.0), (800.0, 3000.0), 2.0
+    raw = {"name": "closed_form", "num_qubits": 2, "basis_gates": ["ry", "cx", "x"],
+           "coupling_map": [[0, 1], [1, 0]],
+           "gate_durations_ns": {"ry": 0.0, "cx": t_ns, "x": 0.0}, "cycle_time_ns": 10.0,
+           "t1_us": [t / 1000 for t in t1_ns], "t2_us": [t / 1000 for t in t2_ns]}
+    # |1> on q[0] and X ry(theta)|0> on q[1] after the cx, then relaxation
+    got = dm_evolve(parse_qasm(HEADER + f"x q[0];\nry({theta}) q[1];\ncx q[0],q[1];\n"),
+                    load_device(json.dumps(raw)))
+    decayed = math.exp(-t_ns / t1_ns[0])
+    first = np.diag([1 - decayed, decayed]).astype(complex)
+    excited = math.cos(theta / 2) ** 2 * math.exp(-t_ns / t1_ns[1])
+    coherence = math.sin(theta / 2) * math.cos(theta / 2) * math.exp(-t_ns / t2_ns[1])
+    second = np.array([[1 - excited, coherence], [coherence, excited]], dtype=complex)
+    np.testing.assert_allclose(got, np.kron(second, first), atol=1e-12)

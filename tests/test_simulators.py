@@ -3,6 +3,7 @@ regressions for fixed defects, qubit caps and the run-result schema."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -16,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow import program, statevector
+from qflow.circuit import Instruction
 from qflow.cli import main
 from qflow.density import dm_evolve, dm_run
 from qflow.device import load_bundled_device, load_device
 from qflow.errors import SimulationError
 from qflow.flatten import flatten
 from qflow.gates import unitary_of
-from qflow.noise import depolarizing_kraus
+from qflow.noise import depolarizing_kraus, thermal_relaxation_kraus
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.stabilizer import stab_run
@@ -422,28 +424,162 @@ def test_noisy_dm_run_flattens_once(line5, monkeypatch):
 def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):
     import qflow.density
 
-    built = []
+    built, relaxed, channels, kernels, applied = [], [], [], [], []
 
     def counting_kraus(p, n_qubits=1):
         built.append(n_qubits)
         return depolarizing_kraus(p, n_qubits)
 
-    monkeypatch.setattr(qflow.density, "depolarizing_kraus", counting_kraus)
+    def counting_relaxation(*args):
+        relaxed.append(args)
+        return thermal_relaxation_kraus(*args)
+
+    def counting_kernel(*args):
+        kernels.append(args[2])
+        return statevector.Kernel(*args)
+
     channel = qflow.density._DensityState._channel
-    opcodes = []
+    apply = qflow.density._DensityState.apply
 
     def recording_channel(self, op):
-        opcodes.append(op.opcode)
+        if op.key not in self.superops:
+            channels.append(op.key)
         return channel(self, op)
 
+    def recording_apply(self, op):
+        applied.append(op.key)
+        apply(self, op)
+
+    monkeypatch.setattr(qflow.density, "depolarizing_kraus", counting_kraus)
+    monkeypatch.setattr(qflow.density, "thermal_relaxation_kraus", counting_relaxation)
+    monkeypatch.setattr(qflow.density, "Kernel", counting_kernel)
     monkeypatch.setattr(qflow.density._DensityState, "_channel", recording_channel)
+    monkeypatch.setattr(qflow.density._DensityState, "apply", recording_apply)
     text = (HEADER + "qreg q[2];\ncreg c[2];\nsx q[0];\nsx q[0];\nsx q[0];\ncx q[0],q[1];\n"
             "cx q[0],q[1];\nsx q[1];\nsx q[0];\nmeasure q -> c;\n")
     dm_run(parse_qasm(text), device=line5, shots=10)
-    # sx on q[0], cx on (q[0], q[1]) and sx on q[1]
+    sx0, sx1, cx = ("sx", (), (0,)), ("sx", (), (1,)), ("cx", (), (0, 1))
+    run = ("fused", (("sx", ()),) * 3, (0,))
+    # one noise stage each for sx on q[0], cx on (q[0], q[1]) and sx on q[1]:
+    # a depolarizing channel, then relaxation on each operand
     assert sorted(built) == [1, 1, 2]
-    # noise follows each original gate, so no fused run reaches a channel
-    assert sorted(opcodes) == ["cx", "sx", "sx"]
+    assert len(relaxed) == 4
+    # each distinct channel is built once; the run's channel is the product
+    # of the three noisy sx channels, so sx on q[0] is built once for both
+    assert sorted(channels) == sorted([run, sx0, cx, sx1])
+    # the three-sx run reaches the kernel cache as one op
+    assert applied == [run, cx, cx, sx0, sx1]
+    assert len(kernels) == 4
+
+
+_FUSION_DEVICES = {name: load_bundled_device(name) for name in ("line5", "heavyhex7")}
+
+
+@st.composite
+def _small_programs(draw) -> str:
+    """A few one- and two-qubit gates, delays and resets on 2-4 qubits."""
+    n = draw(st.integers(2, 4))
+    lines = [HEADER, f"qreg q[{n}];\n"]
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["gate", "rotation", "cx", "delay", "reset"]))
+        a = draw(st.integers(0, n - 1))
+        if kind == "gate":
+            lines.append(f"{draw(st.sampled_from(['h', 'sx', 'x', 't', 'sdg']))} q[{a}];\n")
+        elif kind == "rotation":
+            angle = draw(st.floats(-3.2, 3.2, allow_nan=False))
+            lines.append(f"{draw(st.sampled_from(['rz', 'ry', 'rx']))}({angle!r}) q[{a}];\n")
+        elif kind == "cx":
+            b = draw(st.integers(0, n - 2))
+            lines.append(f"cx q[{a}],q[{b + (b >= a)}];\n")
+        elif kind == "delay":
+            lines.append(f"delay q[{a}], {draw(st.integers(0, 400))};\n")
+        else:
+            lines.append(f"reset q[{a}];\n")
+    return "".join(lines)
+
+
+def _barrier_after_each(c):
+    """c with a barrier on every qubit after each instruction: it ends every
+    fused run and carries no noise."""
+    every = Instruction("barrier", (), tuple((r.name, i) for r in c.registers if r.kind == "q"
+                                               for i in range(r.size)))
+    return dataclasses.replace(c, instructions=tuple(
+        x for instr in c.instructions for x in (instr, every)))
+
+
+@given(source=_small_programs(), name=st.sampled_from(sorted(_FUSION_DEVICES)))
+@settings(max_examples=15, deadline=None)
+def test_fused_runs_evolve_as_the_unfused_ops(source, name):
+    device = _FUSION_DEVICES[name]
+    physical, _ = transpile(parse_qasm(source), device)
+    unfused = _barrier_after_each(physical)
+    for dev in (device, None):
+        assert np.abs(dm_evolve(physical, dev) - dm_evolve(unfused, dev)).max() < 1e-12
+
+
+def _touched(c) -> list[int]:
+    return sorted({w for instr, wires in zip(c.instructions, c.resolve().wires)
+                   if instr.opcode != "barrier" for w in wires})
+
+
+def test_dm_run_holds_only_the_touched_wires():
+    """A Bell pair and a delay on alltoall11: rho holds 2 of the 11 wires,
+    and counts and fidelity agree with the full-width evolution."""
+    device = load_bundled_device("alltoall11")
+    bell_delay = HEADER + "qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\ndelay q[1], 2000;\n"
+    physical, _ = transpile(parse_qasm(bell_delay + "measure q -> c;\n"), device)
+    touched = _touched(physical)
+    assert len(touched) == 2
+    result = dm_run(physical, device, seed=5, shots=4096)
+    assert result.n_qubits == 11
+    assert result.mem_bytes_estimate == 16 * 4 ** len(touched)
+
+    rho = dm_evolve(physical, device)
+    diagonal = rho.diagonal().real
+    resolution = physical.resolve()
+    measures = [(resolution.wires[k][0], resolution.clbits[k][0])
+                for k, instr in enumerate(physical.instructions) if instr.opcode == "measure"]
+    exact: dict[int, float] = {}
+    for index in np.flatnonzero(diagonal > 1e-15):
+        reads = {0: float(diagonal[index])}
+        for q, c in measures:  # each measured bit through its readout confusion
+            bit = (int(index) >> q) & 1
+            right = device.readout[q][bit]
+            reads = {v | b << c: w * (right if b == bit else 1.0 - right)
+                     for v, w in reads.items() for b in (0, 1)}
+        for v, w in reads.items():
+            exact[v] = exact.get(v, 0.0) + w
+    assert distribution_problem(result.counts, exact, 4096) is None
+    psi = sv_statevector(physical)
+    assert abs(result.fidelity - float(np.vdot(psi, rho @ psi).real)) < 1e-12
+
+    # with nothing measured, counts key all 11 qubits and the idle ones read 0
+    physical, _ = transpile(parse_qasm(bell_delay), device)
+    result = dm_run(physical, device, seed=5, shots=4096)
+    assert all(len(key) == 11 for key in result.counts)
+    idle = [q for q in range(11) if q not in _touched(physical)]
+    assert all(key[10 - q] == "0" for key in result.counts for q in idle)
+    diagonal = dm_evolve(physical, device).diagonal().real
+    exact = {int(i): float(diagonal[i]) for i in np.flatnonzero(diagonal > 1e-15)}
+    assert distribution_problem(result.counts, exact, 4096) is None
+
+
+@pytest.mark.parametrize("source", [
+    # wires 1 and 3 of five, a mid-circuit measure and a reset
+    HEADER + "qreg q[5];\ncreg c[3];\nsx q[3];\ncx q[3],q[1];\nmeasure q[1] -> c[2];\n"
+             "reset q[1];\nsx q[1];\nmeasure q[3] -> c[0];\nmeasure q[1] -> c[1];\n",
+    # nothing measured: counts key all five qubits
+    HEADER + "qreg q[5];\nx q[4];\nsx q[2];\ncx q[4],q[2];\ndelay q[2], 900;\n",
+])
+def test_touched_wire_counts_equal_the_full_width_walk(source, line5):
+    from qflow.density import _DensityState
+
+    c = parse_qasm(source)
+    result = dm_run(c, line5, seed=3, shots=2000)
+    full = program.walk(program.Program(c), _DensityState(range(5), line5), 2000, 3,
+                        line5.readout)
+    assert result.counts == full
+    assert result.mem_bytes_estimate == 16 * 4 ** 2
 
 
 def test_cli_simulates_reset_circuit_on_device_and_refuses_its_fidelity(tmp_path, capsys, line5):
