@@ -27,13 +27,13 @@ run and shared by every op that repeats it and by every branch.
 Measurement probabilities pass through each qubit's readout confusion.
 
 Runs of one-qubit gates are fused, as for the state vector (see
-qflow.program). Without a device a run's channel is the superoperator of its
-2x2 product; with one it is the product of its gates' noisy 4x4 channels,
-so noise still follows each original gate and the result is exact. Each
-channel becomes a state-vector kernel once, when it is built, and inherits
-its class from its zero pattern: the superoperator of a diagonal unitary is
-diagonal and that of a permutation with phases is a permutation with phases
-on (ket, bra), so both run as slice updates.
+qflow.program). A run's channel is the product of its gates' 4x4 channels,
+each with its noise composed after it, so noise still follows each original
+gate and the result is exact. Each channel becomes a state-vector kernel
+once, when it is built, and inherits its class from its zero pattern: the
+superoperator of a diagonal unitary is diagonal and that of a permutation
+with phases is a permutation with phases on (ket, bra), so both run as
+slice updates.
 
 Every run goes through the shot walker of qflow.program: ``p_one`` reads
 the diagonal and ``collapse`` zeroes the other outcome on ket and bra; a
@@ -112,8 +112,8 @@ class _DensityState:
     driven op by op by qflow.program's walker over its fused ops. Ops keep
     their global wires; a wire's position in ``wires`` is its qubit in rho.
     Copies share two caches: ``superops``, the channel of each op key and
-    the noise stage of each (opcode, wires, duration), and ``kernels``, the
-    kernel of each op key."""
+    the noise stage of each ("noise", opcode, wires, duration), and
+    ``kernels``, the kernel of each op key."""
 
     fuses = True
     splits_reset = False
@@ -142,24 +142,25 @@ class _DensityState:
         key = op.key
         if key not in self.kernels:
             s = self._channel(op)
-            local = tuple(self.pos[w] for w in op.wires)
-            self.kernels[key] = None if s is None else Kernel(
-                s, 2 * self.n, tuple(self.n + q for q in local) + local)
+            if s is None:  # a barrier's wires may be ones rho does not hold
+                self.kernels[key] = None
+            else:
+                local = tuple(self.pos[w] for w in op.wires)
+                self.kernels[key] = Kernel(s, 2 * self.n, tuple(self.n + q for q in local) + local)
         kernel = self.kernels[key]
         if kernel is not None:
             apply_gate(self.rho, kernel)
 
     def _channel(self, op) -> np.ndarray | None:
         """The op's superoperator with its noise composed after it, or None
-        when the op leaves rho unchanged; built once per op key. With a
-        device a fused run is the product of its gates' channels, so noise
-        still follows each of them; without one it is the superoperator of
-        the run's product."""
+        when the op leaves rho unchanged; built once per op key. A fused
+        run is the product of its gates' channels, so noise still follows
+        each of them."""
         key = op.key
         if key in self.superops:
             return self.superops[key]
         device = self.device
-        if op.opcode == "fused" and device is not None:
+        if op.opcode == "fused":
             s = self._channel(op.run[0])
             for gate in op.run[1:]:
                 s = self._channel(gate) @ s
@@ -170,11 +171,10 @@ class _DensityState:
             elif op.opcode == "reset":
                 s = _superop(_RESET_KRAUS)
             if device is not None and op.opcode != "barrier":
-                # a noise key ends in a float, an op key in its wire tuple
                 dur = instruction_duration_ns(op.instr, op.wires, device)
-                stage = (op.opcode, op.wires, dur)
+                stage = ("noise", op.opcode, op.wires, dur)
                 if stage not in self.superops:
-                    self.superops[stage] = _noise_stage(device, *stage)
+                    self.superops[stage] = _noise_stage(device, *stage[1:])
                 noise = self.superops[stage]
                 if noise is not None:
                     s = noise if s is None else noise @ s

@@ -79,21 +79,19 @@ def thermal_relaxation_kraus(t_ns: float, t1_ns: float, t2_ns: float) -> list[np
         gamma = 1.0 - math.exp(-t_ns * relax_rate)
         lam = 1.0 - math.exp(-t_ns * dephase_rate)
 
-    # each dephasing operator times each damping operator, written out:
-    # sqrt(1-lam) I, sqrt(lam) |0><0|, sqrt(lam) |1><1| after
-    # [[1, 0], [0, sqrt(1-gamma)]] and [[0, sqrt(gamma)], [0, 0]]; the
-    # sixth product, sqrt(lam) |1><1| after the decay, is zero
-    keep, flip = math.sqrt(1.0 - lam), math.sqrt(lam)
-    stay, decay = math.sqrt(1.0 - gamma), math.sqrt(gamma)
-    products = (
-        ((keep, 0.0), (0.0, keep * stay)),
-        ((0.0, keep * decay), (0.0, 0.0)),
-        ((flip, 0.0), (0.0, 0.0)),
-        ((0.0, flip * decay), (0.0, 0.0)),
-        ((0.0, 0.0), (0.0, flip * stay)),
-    )
-    return [np.array(k, dtype=complex) for k in products
-            if max(abs(v) for row in k for v in row) > 1e-15]
+    a0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
+    a1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    p0 = math.sqrt(1.0 - lam) * np.eye(2, dtype=complex)
+    p1 = math.sqrt(lam) * np.diag([1.0, 0.0]).astype(complex)
+    p2 = math.sqrt(lam) * np.diag([0.0, 1.0]).astype(complex)
+
+    ops = []
+    for phase_op in (p0, p1, p2):
+        for amp_op in (a0, a1):
+            k = phase_op @ amp_op
+            if np.max(np.abs(k)) > 1e-15:
+                ops.append(k)
+    return ops
 
 
 def readout_matrix(p00: float, p11: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qflow import program, statevector
 from qflow.circuit import Instruction
 from qflow.cli import main
-from qflow.density import dm_evolve, dm_run
+from qflow.density import _DensityState, dm_evolve, dm_run
 from qflow.device import load_bundled_device, load_device
 from qflow.errors import SimulationError
 from qflow.flatten import flatten
@@ -515,6 +515,15 @@ def test_fused_runs_evolve_as_the_unfused_ops(source, name):
     unfused = _barrier_after_each(physical)
     for dev in (device, None):
         assert np.abs(dm_evolve(physical, dev) - dm_evolve(unfused, dev)).max() < 1e-12
+        # the barriers also cover wires dm_run does not hold. Its counts are
+        # compared with the full-width walk of the same circuit: the fused
+        # and unfused rho differ in rounding, which can turn an exact zero
+        # into 1e-33 and so shift the multinomial's draws
+        result = dm_run(unfused, dev, seed=7, shots=256)
+        full = program.walk(program.Program(unfused), _DensityState(range(device.num_qubits), dev),
+                            256, 7, dev and dev.readout)
+        assert result.counts == full
+        assert result.mem_bytes_estimate == dm_run(physical, dev, shots=1).mem_bytes_estimate
 
 
 def _touched(c) -> list[int]:
@@ -572,14 +581,23 @@ def test_dm_run_holds_only_the_touched_wires():
     HEADER + "qreg q[5];\nx q[4];\nsx q[2];\ncx q[4],q[2];\ndelay q[2], 900;\n",
 ])
 def test_touched_wire_counts_equal_the_full_width_walk(source, line5):
-    from qflow.density import _DensityState
-
     c = parse_qasm(source)
     result = dm_run(c, line5, seed=3, shots=2000)
     full = program.walk(program.Program(c), _DensityState(range(5), line5), 2000, 3,
                         line5.readout)
     assert result.counts == full
     assert result.mem_bytes_estimate == 16 * 4 ** 2
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_dm_run_passes_a_barrier_over_wires_it_does_not_hold(noisy, line5):
+    device = line5 if noisy else None
+    c = parse_qasm(HEADER + "qreg q[3];\ncreg c[1];\nsx q[0];\nbarrier q;\nmeasure q[0] -> c[0];\n")
+    result = dm_run(c, device, seed=3, shots=2000)
+    full = program.walk(program.Program(c), _DensityState(range(3), device), 2000, 3,
+                        device and device.readout)
+    assert result.counts == full
+    assert result.mem_bytes_estimate == 16 * 4
 
 
 def test_cli_simulates_reset_circuit_on_device_and_refuses_its_fidelity(tmp_path, capsys, line5):
