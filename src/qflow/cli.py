@@ -2,9 +2,17 @@
 
 Subcommands: transpile, simulate, analyze, convert, fidelity, devices,
 gates. Data goes to standard output (or --out), diagnostics to standard
-error with an ``error:`` prefix. Exit codes: 0 success, 1 circuit
+error as one ``error: <message>`` line. Exit codes: 0 success, 1 circuit
 parse/decode error, 2 device configuration error, 3 transpile error,
 4 simulator rejection.
+
+One rule gives the code. A circuit that cannot be loaded ends the command
+with 1, a device that cannot be loaded with 2; either includes a file that
+cannot be read (missing, a directory, not UTF-8). What the work then raises
+maps through ``_EXIT_CODES``, first match wins: an output file that cannot
+be written is 1, and a device that loaded but lacks what the run needs (a
+gate with no duration) is 4. No input file, device file or output path
+makes ``main`` print a traceback.
 
 Every invocation is deterministic for fixed inputs, flags, and seed; the
 wall-clock field is only included with --timing so default output is
@@ -22,14 +30,7 @@ from .binio import decode_binary, encode_binary
 from .circuit import Circuit
 from .density import dm_run
 from .device import DeviceConfig, load_bundled_device, load_device
-from .errors import (
-    BinaryFormatError,
-    DeviceConfigError,
-    QasmError,
-    QFlowError,
-    SimulationError,
-    TranspileError,
-)
+from .errors import DeviceConfigError, QasmError, QFlowError, SimulationError, TranspileError
 from .flatten import flatten
 from .gates import gate_manifest
 from .metrics import analyze
@@ -44,6 +45,24 @@ EXIT_PARSE = 1
 EXIT_DEVICE = 2
 EXIT_TRANSPILE = 3
 EXIT_BACKEND = 4
+
+# what the work after loading raises, first match wins
+_EXIT_CODES = (
+    (TranspileError, EXIT_TRANSPILE),
+    (SimulationError, EXIT_BACKEND),
+    (DeviceConfigError, EXIT_BACKEND),  # a loaded device without a gate's duration
+    (QFlowError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),  # an output that cannot be written
+)
+_LOAD_ERRORS = (QFlowError, OSError, UnicodeDecodeError)
+
+
+class _LoadFailed(Exception):
+    """An input that could not be loaded, with the exit code it ends in."""
+
+    def __init__(self, code: int, cause: Exception):
+        super().__init__(str(cause))
+        self.code = code
 
 
 def _fail(code: int, message: str) -> int:
@@ -64,15 +83,18 @@ def _json_text(obj) -> str:
 
 
 def _load_circuit(path: str) -> Circuit:
-    if not os.path.exists(path):
-        raise QasmError(f"input file not found: {path}")
-    if path.endswith(".nwqb"):
-        with open(path, "rb") as fh:
-            return decode_binary(fh.read())
-    if path.endswith(".qasm"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_qasm(fh.read(), source_name=os.path.basename(path))
-    raise QasmError(f"unrecognized circuit extension (want .qasm or .nwqb): {path}")
+    try:
+        if not os.path.exists(path):
+            raise QasmError(f"input file not found: {path}")
+        if path.endswith(".nwqb"):
+            with open(path, "rb") as fh:
+                return decode_binary(fh.read())
+        if path.endswith(".qasm"):
+            with open(path, "r", encoding="utf-8") as fh:
+                return parse_qasm(fh.read(), source_name=os.path.basename(path))
+        raise QasmError(f"unrecognized circuit extension (want .qasm or .nwqb): {path}")
+    except _LOAD_ERRORS as exc:
+        raise _LoadFailed(EXIT_PARSE, exc) from None
 
 
 def _write_circuit(circuit: Circuit, path: str):
@@ -87,12 +109,15 @@ def _write_circuit(circuit: Circuit, path: str):
 
 
 def _load_device_arg(spec: str) -> DeviceConfig:
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return load_device(fh.read())
-    if spec.endswith(".json"):
-        raise DeviceConfigError(f"device file not found: {spec}")
-    return load_bundled_device(spec)
+    try:
+        if os.path.exists(spec):
+            with open(spec, "r", encoding="utf-8") as fh:
+                return load_device(fh.read())
+        if spec.endswith(".json"):
+            raise DeviceConfigError(f"device file not found: {spec}")
+        return load_bundled_device(spec)
+    except _LOAD_ERRORS as exc:
+        raise _LoadFailed(EXIT_DEVICE, exc) from None
 
 
 def _histogram_text(counts: dict, shots: int, width: int = 40) -> str:
@@ -108,49 +133,23 @@ def _histogram_text(counts: dict, shots: int, width: int = 40) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_transpile(args) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-    except (QasmError, BinaryFormatError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        device = _load_device_arg(args.device)
-    except DeviceConfigError as exc:
-        return _fail(EXIT_DEVICE, str(exc))
-    try:
-        physical, report = transpile(circuit, device, seed=args.seed, opt_level=args.opt_level)
-        _write_circuit(physical, args.out)
-    except TranspileError as exc:
-        return _fail(EXIT_TRANSPILE, str(exc))
-    except QFlowError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    circuit = _load_circuit(args.input)
+    device = _load_device_arg(args.device)
+    physical, report = transpile(circuit, device, seed=args.seed, opt_level=args.opt_level)
+    _write_circuit(physical, args.out)
     sys.stdout.write(_json_text(report.to_dict()))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-    except (QasmError, BinaryFormatError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    device = None
-    if args.device:
-        try:
-            device = _load_device_arg(args.device)
-        except DeviceConfigError as exc:
-            return _fail(EXIT_DEVICE, str(exc))
-    try:
-        if args.backend == "sv":
-            result = sv_run(circuit, seed=args.seed, shots=args.shots)
-        elif args.backend == "dm":
-            result = dm_run(circuit, device, seed=args.seed, shots=args.shots)
-        else:
-            result = stab_run(circuit, seed=args.seed, shots=args.shots)
-    except (SimulationError, DeviceConfigError) as exc:
-        # a device error raised mid-run (e.g. a gate with no duration entry
-        # while noise is enabled) is a backend rejection of this circuit
-        return _fail(EXIT_BACKEND, str(exc))
-    except QFlowError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    circuit = _load_circuit(args.input)
+    device = _load_device_arg(args.device) if args.device else None
+    if args.backend == "sv":
+        result = sv_run(circuit, seed=args.seed, shots=args.shots)
+    elif args.backend == "dm":
+        result = dm_run(circuit, device, seed=args.seed, shots=args.shots)
+    else:
+        result = stab_run(circuit, seed=args.seed, shots=args.shots)
     payload = result.to_dict(
         include_timing=args.timing, include_amplitudes=args.amplitudes
     )
@@ -161,11 +160,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-        _write_circuit(circuit, args.out)
-    except (QasmError, BinaryFormatError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    _write_circuit(_load_circuit(args.input), args.out)
     in_size = os.path.getsize(args.input)
     out_size = os.path.getsize(args.out)
     delta = 100.0 * (out_size - in_size) / in_size if in_size else 0.0
@@ -177,38 +172,21 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-        report = analyze(flatten(circuit))
-    except (QasmError, BinaryFormatError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    report = analyze(flatten(_load_circuit(args.input)))
     sys.stdout.write(_json_text(report.to_dict()))
     return EXIT_OK
 
 
 def _cmd_fidelity(args) -> int:
-    try:
-        circuit = _load_circuit(args.input)
-    except (QasmError, BinaryFormatError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        device = _load_device_arg(args.device)
-    except DeviceConfigError as exc:
-        return _fail(EXIT_DEVICE, str(exc))
-    try:
-        result = dm_run(circuit, device, seed=args.seed, shots=args.shots,
-                        compute_fidelity=True)
-    except (SimulationError, DeviceConfigError) as exc:
-        return _fail(EXIT_BACKEND, str(exc))
+    circuit = _load_circuit(args.input)
+    device = _load_device_arg(args.device)
+    result = dm_run(circuit, device, seed=args.seed, shots=args.shots, compute_fidelity=True)
     sys.stdout.write(_json_text({"fidelity": result.fidelity}))
     return EXIT_OK
 
 
 def _cmd_devices(args) -> int:
-    try:
-        device = _load_device_arg(args.device)
-    except DeviceConfigError as exc:
-        return _fail(EXIT_DEVICE, str(exc))
+    device = _load_device_arg(args.device)
     topo = device.topology()
     undirected = sorted({(min(a, b), max(a, b)) for a, b in device.coupling_map})
     lines = [
@@ -290,8 +268,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QFlowError as exc:  # safety net: anything uncategorized
-        return _fail(EXIT_PARSE, str(exc))
+    except _LoadFailed as exc:
+        return _fail(exc.code, str(exc))
+    except (QFlowError, OSError) as exc:
+        return _fail(next(code for kind, code in _EXIT_CODES if isinstance(exc, kind)), str(exc))
 
 
 if __name__ == "__main__":

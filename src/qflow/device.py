@@ -127,12 +127,9 @@ def _require(obj: dict, key: str, typ, path: str):
     if key not in obj:
         raise DeviceConfigError(f"{path}: missing required field '{key}'")
     val = obj[key]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
     if not isinstance(val, typ) or isinstance(val, bool):
-        raise DeviceConfigError(
-            f"{path}.{key}: expected {getattr(typ, '__name__', typ)}, got {type(val).__name__}"
-        )
+        wanted = " or ".join(t.__name__ for t in (typ if isinstance(typ, tuple) else (typ,)))
+        raise DeviceConfigError(f"{path}.{key}: expected {wanted}, got {type(val).__name__}")
     return val
 
 

@@ -159,34 +159,37 @@ def exact_distribution(circuit, readout=None) -> dict[int, float]:
     """Exact distribution of a circuit's counts key by branch enumeration:
     every measure and reset splits each branch into its two projections
     (unnormalized, so a branch's weight is its squared norm), a condition
-    is tested per branch and each gate is contracted into the branch's
-    state with apply_to_columns. ``readout`` lists (P(0|0), P(1|1)) per
-    qubit: each measure then splits again into the bit read right and the
-    bit read wrong, with the amplitudes scaled by the root of each chance.
-    The key is the classical integer (bit c is clbit c, last writer wins)
-    or, when nothing is measured, the basis index over all qubits, as in
-    the simulators' counts."""
+    is tested per classical value and each gate is contracted into the
+    branches' states with apply_to_columns. ``readout`` lists (P(0|0),
+    P(1|1)) per qubit: each measure then splits again into the bit read
+    right and the bit read wrong, with the amplitudes scaled by the root of
+    each chance. The branches of one classical value are the columns of one
+    (2**n, B) array A; only A A^dagger matters, so once B passes 2**n, A is
+    replaced by R^dagger from the QR of A^dagger, which has the same A A^dagger
+    and 2**n columns. The key is the classical integer (bit c is clbit c,
+    last writer wins) or, when nothing is measured, the basis index over all
+    qubits, as in the simulators' counts."""
     flat = flatten(circuit)
     n = flat.n_qubits
     qoff, coff = flat.qubit_offsets(), flat.clbit_offsets()
     width = {r.name: r.size for r in flat.registers if r.kind == "c"}
     psi = np.zeros((1 << n, 1), complex)
     psi[0, 0] = 1.0
-    branches = [(psi, 0)]
+    branches = {0: psi}
     for instr in flat.instructions:
         wires = [qoff[r] + i for r, i in instr.qubits]
         if instr.opcode in ("barrier", "delay"):
             continue
-        out = []
-        for psi, clbits in branches:
+        out: dict[int, list] = {}
+        for clbits, psi in branches.items():
             if instr.condition is not None:
                 reg, value = instr.condition
                 if (clbits >> coff[reg]) & ((1 << width[reg]) - 1) != value:
-                    out.append((psi, clbits))
+                    out.setdefault(clbits, []).append(psi)
                     continue
             if instr.opcode not in ("measure", "reset"):
-                out.append((apply_to_columns(psi, unitary_of(instr.opcode, instr.params),
-                                             wires, n), clbits))
+                out.setdefault(clbits, []).append(
+                    apply_to_columns(psi, unitary_of(instr.opcode, instr.params), wires, n))
                 continue
             ones = (np.arange(1 << n) >> wires[0]) & 1
             for bit in (0, 1):
@@ -196,23 +199,29 @@ def exact_distribution(circuit, readout=None) -> dict[int, float]:
                 if instr.opcode == "reset":
                     if bit:
                         part = apply_to_columns(part, unitary_of("x"), wires, n)
-                    out.append((part, clbits))
+                    out.setdefault(clbits, []).append(part)
                     continue
                 c = coff[instr.clbits[0][0]] + instr.clbits[0][1]
                 right = 1.0 if readout is None else readout[wires[0]][bit]
                 for read, chance in ((bit, right), (1 - bit, 1.0 - right)):
                     if chance > 0:
-                        out.append((part * np.sqrt(chance), clbits & ~(1 << c) | read << c))
-        branches = out
+                        out.setdefault(clbits & ~(1 << c) | read << c, []).append(
+                            part * np.sqrt(chance))
+        branches = {}
+        for clbits, parts in out.items():
+            psi = np.hstack(parts)
+            if psi.shape[1] > psi.shape[0]:
+                psi = np.linalg.qr(psi.conj().T, mode="r").conj().T
+            branches[clbits] = psi
     measures = any(i.opcode == "measure" for i in flat.instructions)
     dist: dict[int, float] = {}
-    for psi, clbits in branches:
-        probs = np.abs(psi[:, 0]) ** 2
+    for clbits, psi in branches.items():
+        probs = np.einsum("ij,ij->i", psi, psi.conj()).real
         if measures:
-            dist[clbits] = dist.get(clbits, 0.0) + float(probs.sum())
+            dist[clbits] = float(probs.sum())
         else:
             for index in np.nonzero(probs > 1e-14)[0].tolist():
-                dist[index] = dist.get(index, 0.0) + float(probs[index])
+                dist[index] = float(probs[index])
     return dist
 
 

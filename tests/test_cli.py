@@ -3,11 +3,15 @@ manifests against their JSON schemas, format round trips and exit codes."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.binio import decode_binary, encode_binary
 from qflow.cli import main
@@ -17,7 +21,7 @@ from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.transpile import transpile
 
-from conftest import corpus_sources, ghz_qasm, qft_qasm, random_general_qasm
+from conftest import bell_qasm, corpus_sources, ghz_qasm, qft_qasm, random_general_qasm
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 DEVICE_FILES = Path(__file__).resolve().parent.parent / "src" / "qflow" / "devices"
@@ -125,30 +129,201 @@ def test_gates_manifest_matches_schema(capsys):
     assert {"cx", "u3", "h"} <= {g["name"] for g in manifest}
 
 
-def test_exit_1_on_bad_qasm(tmp_path, capsys):
-    src = write_source(tmp_path, "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n")
-    assert main(["transpile", str(src), "--device", "line5", "-o", str(tmp_path / "o.qasm")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+# -- the exit-code contract ----------------------------------------------------
+
+_BELL = bell_qasm()
+_LINE5 = json.loads((DEVICE_FILES / "line5.json").read_text())
+_NO_DURATION_FOR_H = "error: device 'line5' has no duration entry for gate 'h'"
+_NOSUCH = "error: no bundled device 'nosuch' (available: alltoall11, grid9, heavyhex7, line5)"
+_BAD_QASM = "error: line 3, col 1: gate 'cx' acts on 2 qubit(s), got 1"
+_CUT = "error: truncated stream: operand register index at byte 61"
 
 
-def test_exit_1_on_truncated_container(tmp_path, capsys):
-    blob = encode_binary(parse_qasm(qft_qasm(3)))
-    path = tmp_path / "cut.nwqb"
-    path.write_bytes(blob[:-5])
-    out = str(tmp_path / "o.qasm")
-    assert main(["transpile", str(path), "--device", "line5", "-o", out]) == 1
-    assert "truncated stream" in capsys.readouterr().err
-    assert main(["convert", str(path), out]) == 1
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """A working directory holding the inputs the exit-code cases name."""
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "bell.qasm": _BELL,
+        "bell.txt": _BELL,
+        "t.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[1];\nt q[0];\n'
+                  "measure q -> c;\n",
+        "bad.qasm": "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n",
+        "big.qasm": qft_qasm(6),
+    }
+    for name, text in files.items():
+        write_source(tmp_path, text, name)
+    blob = encode_binary(parse_qasm(_BELL))
+    (tmp_path / "bell.nwqb").write_bytes(blob)
+    (tmp_path / "cut.nwqb").write_bytes(blob[:-5])
+    iswap = dict(_LINE5, basis_gates=_LINE5["basis_gates"] + ["iswap"],
+                 gate_durations_ns=dict(_LINE5["gate_durations_ns"], iswap=100.0))
+    (tmp_path / "iswap.json").write_text(json.dumps(iswap))
+    return tmp_path
 
 
-def test_exit_2_on_unknown_device(tmp_path, capsys):
-    src = write_source(tmp_path, qft_qasm(3))
-    assert main(["transpile", str(src), "--device", "nosuch", "-o", str(tmp_path / "o.qasm")]) == 2
-    assert "no bundled device 'nosuch'" in capsys.readouterr().err
-    assert main(["devices", "nosuch"]) == 2
+# (argv, exit code, the one stderr line or None on success)
+_EXIT_CASES = [
+    ("transpile bell.qasm --device line5 -o o.qasm", 0, None),
+    ("transpile bell.nwqb --device grid9 -o o.nwqb", 0, None),
+    ("transpile bad.qasm --device line5 -o o.qasm", 1, _BAD_QASM),
+    ("transpile missing.qasm --device line5 -o o.qasm", 1,
+     "error: input file not found: missing.qasm"),
+    ("transpile cut.nwqb --device line5 -o o.qasm", 1, _CUT),
+    ("transpile bell.txt --device line5 -o o.qasm", 1,
+     "error: unrecognized circuit extension (want .qasm or .nwqb): bell.txt"),
+    ("transpile bell.qasm --device line5 -o o.txt", 1,
+     "error: unrecognized output extension (want .qasm or .nwqb): o.txt"),
+    ("transpile bell.qasm --device iswap.json -o o.qasm", 1,
+     "error: basis gate 'iswap' is not in the gate library"),
+    ("transpile bell.qasm --device nosuch -o o.qasm", 2, _NOSUCH),
+    ("transpile bell.qasm --device missing.json -o o.qasm", 2,
+     "error: device file not found: missing.json"),
+    ("transpile big.qasm --device line5 -o o.qasm", 3,
+     "error: too many qubits: circuit has 6, device 'line5' has 5"),
+    ("simulate sv bell.qasm --shots 64 --histogram", 0, None),
+    ("simulate dm bell.qasm --shots 64", 0, None),
+    ("simulate stab bell.nwqb --shots 64 --out r.json", 0, None),
+    ("simulate sv bad.qasm", 1, _BAD_QASM),
+    ("simulate dm bell.qasm --device nosuch", 2, _NOSUCH),
+    ("simulate sv bell.qasm --seed -1", 4,
+     "error: seed must be a non-negative integer, got -1"),
+    ("simulate stab t.qasm", 4, "error: non-Clifford gate 't'"),
+    ("simulate dm bell.qasm --device line5", 4, _NO_DURATION_FOR_H),
+    ("fidelity bad.qasm --device line5", 1, _BAD_QASM),
+    ("fidelity bell.qasm --device nosuch", 2, _NOSUCH),
+    ("fidelity bell.qasm --device line5", 4, _NO_DURATION_FOR_H),
+    ("analyze bell.nwqb", 0, None),
+    ("analyze bad.qasm", 1, _BAD_QASM),
+    ("convert bell.qasm c.nwqb", 0, None),
+    ("convert bad.qasm c.nwqb", 1, _BAD_QASM),
+    ("convert cut.nwqb c.qasm", 1, _CUT),
+    ("convert bell.qasm c.txt", 1,
+     "error: unrecognized output extension (want .qasm or .nwqb): c.txt"),
+    ("devices iswap.json", 0, None),
+    ("devices missing.json", 2, "error: device file not found: missing.json"),
+    ("devices nosuch", 2, _NOSUCH),
+    ("gates", 0, None),
+]
 
 
-def test_exit_3_on_too_many_qubits(tmp_path, capsys):
-    src = write_source(tmp_path, qft_qasm(6))
-    assert main(["transpile", str(src), "--device", "line5", "-o", str(tmp_path / "o.qasm")]) == 3
-    assert "too many qubits" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, code, message", _EXIT_CASES, ids=[c[0] for c in _EXIT_CASES])
+def test_exit_code_and_message(workdir, capsys, argv, code, message):
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    if message is None:
+        assert err == ""
+    else:
+        assert (out, err) == ("", message + "\n")
+
+
+def _spoil(path: Path):
+    """Make a file that exists undecodable as UTF-8, or a directory of a new name."""
+    if path.exists():
+        path.write_bytes(path.read_bytes() + b"// caf\xe9\n")
+    else:
+        path.mkdir()
+
+
+# the inputs and outputs that once escaped main as a Python exception; the
+# file named by ``spoil`` is made unreadable first
+@pytest.mark.parametrize("spoil, argv, code", [
+    ("bell.qasm", "simulate sv bell.qasm", 1),
+    ("dir.qasm", "analyze dir.qasm", 1),
+    ("dir", "simulate dm bell.qasm --device dir", 2),
+    ("iswap.json", "fidelity bell.qasm --device iswap.json", 2),
+    (None, "transpile bell.qasm --device line5 -o nodir/o.qasm", 1),
+    (None, "simulate sv bell.qasm --out nodir/r.json", 1),
+    (None, "convert bell.qasm nodir/c.nwqb", 1),
+    (None, "devices line5.json/x", 2),
+])
+def test_a_file_that_cannot_be_read_or_written_is_one_error_line(workdir, capsys, spoil, argv,
+                                                                  code):
+    if spoil is not None:
+        _spoil(workdir / spoil)
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- mutated input files -------------------------------------------------------
+
+# a Bell pair compiled for line5, so that every command (fidelity and noisy
+# dm included) succeeds on the unmutated files
+_ROUTED = print_qasm(transpile(parse_qasm(_BELL), load_bundled_device("line5"))[0])
+_SEED_FILES = {
+    "in.qasm": _ROUTED.encode(),
+    "in.nwqb": encode_binary(parse_qasm(_ROUTED)),
+    "dev.json": (DEVICE_FILES / "line5.json").read_bytes(),
+}
+# {f} is the mutated file, {d} the directory that holds it and good.qasm
+_CIRCUIT_COMMANDS = [
+    "transpile {f} --device line5 -o {d}/out.qasm",
+    "transpile {f} --device grid9 -o {d}/out.nwqb --opt-level 0",
+    "simulate sv {f} --shots 16 --histogram",
+    "simulate dm {f} --shots 16 --device line5",
+    "simulate stab {f} --shots 16",
+    "fidelity {f} --device line5 --shots 16",
+    "analyze {f}",
+    "convert {f} {d}/out.qasm",
+    "convert {f} {d}/out.nwqb",
+]
+_DEVICE_COMMANDS = [
+    "devices {f}",
+    "transpile {d}/good.qasm --device {f} -o {d}/out.qasm",
+    "simulate dm {d}/good.qasm --device {f} --shots 16",
+    "fidelity {d}/good.qasm --device {f} --shots 16",
+]
+_BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(("flip", "insert", "delete", "truncate")), st.integers(0, 10_000),
+              st.integers(0, 255)),
+    min_size=1, max_size=3,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    data = bytearray(data)
+    for kind, pos, value in edits:
+        if kind == "insert":
+            data.insert(pos % (len(data) + 1), value)
+        elif kind == "truncate":
+            del data[pos % (len(data) + 1):]
+        elif data:
+            pos %= len(data)
+            if kind == "flip":
+                data[pos] ^= value or 1
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    """A directory holding good.qasm, with the simulators' qubit caps lowered
+    so that a mutated register size stays cheap."""
+    workdir = tmp_path_factory.mktemp("mutated")
+    (workdir / "good.qasm").write_text(_ROUTED)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("QFLOW_QUBIT_CAP_SV", "10")
+        patch.setenv("QFLOW_QUBIT_CAP_DM", "6")
+        yield workdir
+
+
+@given(name=st.sampled_from(sorted(_SEED_FILES)), edits=_BYTE_EDITS, pick=st.integers(0, 99))
+@settings(max_examples=200, deadline=None)
+def test_main_on_a_mutated_file_exits_with_a_code_and_one_error_line(mutation_dir, name, edits,
+                                                                      pick):
+    """Byte edits and truncations (non-UTF-8 bytes included) of a QASM file,
+    an NWQB blob or a bundled device file, run through valid argv: main
+    returns 0-4, and on a nonzero code writes exactly one ``error:`` line."""
+    (mutation_dir / name).write_bytes(_mutate(_SEED_FILES[name], edits))
+    commands = _DEVICE_COMMANDS if name == "dev.json" else _CIRCUIT_COMMANDS
+    argv = [word.format(f=mutation_dir / name, d=mutation_dir)
+            for word in commands[pick % len(commands)].split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), argv
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

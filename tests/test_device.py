@@ -90,6 +90,18 @@ class TestLoadDevice:
         with pytest.raises(DeviceConfigError, match=fragment):
             load_device(_minimal(**overrides))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"cycle_time_ns": "x"}, "device.cycle_time_ns: expected int or float, got str"),
+        ({"cycle_time_ns": True}, "device.cycle_time_ns: expected int or float, got bool"),
+        ({"num_qubits": 3.0}, "device.num_qubits: expected int, got float"),
+        ({"name": 7}, "device.name: expected str, got int"),
+        ({"gate_durations_ns": []}, "device.gate_durations_ns: expected dict, got list"),
+    ])
+    def test_a_wrong_type_names_the_types_wanted(self, overrides, message):
+        with pytest.raises(DeviceConfigError) as info:
+            load_device(_minimal(**overrides))
+        assert str(info.value) == message
+
     def test_an_integer_past_the_digit_limit_is_invalid_json(self):
         # json.loads raises a plain ValueError past int()'s 4300-digit limit
         text = _minimal().replace('"cycle_time_ns": 1.0', '"cycle_time_ns": 1' + "0" * 5000)
