@@ -58,10 +58,10 @@ _LOAD_ERRORS = (QFlowError, OSError, UnicodeDecodeError)
 
 
 class _LoadFailed(Exception):
-    """An input that could not be loaded, with the exit code it ends in."""
+    """An input that could not be loaded, with its exit code; a decode error gains the path."""
 
-    def __init__(self, code: int, cause: Exception):
-        super().__init__(str(cause))
+    def __init__(self, code: int, exc: Exception, path: str):
+        super().__init__(f"{path}: {exc}" if isinstance(exc, UnicodeDecodeError) else str(exc))
         self.code = code
 
 
@@ -94,7 +94,7 @@ def _load_circuit(path: str) -> Circuit:
                 return parse_qasm(fh.read(), source_name=os.path.basename(path))
         raise QasmError(f"unrecognized circuit extension (want .qasm or .nwqb): {path}")
     except _LOAD_ERRORS as exc:
-        raise _LoadFailed(EXIT_PARSE, exc) from None
+        raise _LoadFailed(EXIT_PARSE, exc, path) from None
 
 
 def _write_circuit(circuit: Circuit, path: str):
@@ -117,7 +117,7 @@ def _load_device_arg(spec: str) -> DeviceConfig:
             raise DeviceConfigError(f"device file not found: {spec}")
         return load_bundled_device(spec)
     except _LOAD_ERRORS as exc:
-        raise _LoadFailed(EXIT_DEVICE, exc) from None
+        raise _LoadFailed(EXIT_DEVICE, exc, spec) from None
 
 
 def _histogram_text(counts: dict, shots: int, width: int = 40) -> str:

@@ -1,19 +1,12 @@
 """Density-matrix simulation with device noise.
 
 rho is held as a flat vector of 4**m complex numbers (16 * 4**m bytes) over
-the m wires a run touches, the row-major (2**m, 2**m) matrix read as a state
-of 2m qubits: the ket bit of the wire at position i is qubit m+i and its bra
-bit is qubit i. A channel with Kraus operators K on some wires is then the
-one matrix sum K (x) conj(K) on (ket wires..., bra wires...), applied by the
+m wires (``dm_run`` the program's, ``dm_evolve`` all; see "Held wires" in
+qflow.program), the row-major (2**m, 2**m) matrix read as a state of 2m
+qubits: the ket bit of the wire at position i is qubit m+i and its bra bit
+is qubit i. A channel with Kraus operators K on some wires is then the one
+matrix sum K (x) conj(K) on (ket wires..., bra wires...), applied by the
 state-vector kernel.
-
-Touched wires: ``dm_run`` holds rho over the wires some op other than a
-barrier touches, in ascending order, since every other wire stays |0>. Ops
-keep their global wires, so device lookups (errors, T1/T2, durations,
-readout) use them, while kernels, ``p_one``, ``collapse`` and the leaf
-draw use positions. When nothing is measured a leaf still keys its counts
-over all qubits, and the untouched ones read 0. ``dm_evolve`` holds every
-wire, since it returns the full matrix.
 
 Per gate, with a device attached: unitary, then a depolarizing channel with
 the gate's error probability on its operands (joint two-qubit channel for
@@ -24,7 +17,6 @@ duration), with each operand's 4x4 relaxation placed on its own (ket, bra)
 pair; a gate's channel is that stage times the gate's superoperator, built
 once per (opcode, params, wires). Every channel and stage is built once per
 run and shared by every op that repeats it and by every branch.
-Measurement probabilities pass through each qubit's readout confusion.
 
 Runs of one-qubit gates are fused, as for the state vector (see
 qflow.program). A run's channel is the product of its gates' 4x4 channels,
@@ -42,8 +34,8 @@ confusion splits the reported bit of a mid-circuit measure, and a leaf
 samples the diagonal's marginal through it.
 
 The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
-the same program with noise disabled, read on the touched wires. It needs
-that pure reference, so it is computed only for unitary programs (no reset,
+the same program with noise disabled, over the same wires. It needs that
+pure reference, so it is computed only for unitary programs (no reset,
 condition or mid-circuit measure); the field is omitted elsewhere.
 """
 
@@ -108,12 +100,11 @@ def _noise_stage(device: DeviceConfig, opcode: str, wires: tuple,
 
 
 class _DensityState:
-    """rho of one run or branch over the given global wires (ascending),
-    driven op by op by qflow.program's walker over its fused ops. Ops keep
-    their global wires; a wire's position in ``wires`` is its qubit in rho.
-    Copies share two caches: ``superops``, the channel of each op key and
-    the noise stage of each ("noise", opcode, wires, duration), and
-    ``kernels``, the kernel of each op key."""
+    """rho of one run or branch over the given wires (ascending), driven op
+    by op by qflow.program's walker over its fused ops. Copies share two
+    caches: ``superops``, the channel of each op key and the noise stage of
+    each ("noise", opcode, wires, duration), and ``kernels``, the kernel of
+    each op key."""
 
     fuses = True
     splits_reset = False
@@ -198,14 +189,7 @@ class _DensityState:
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
         p = np.maximum(self._diagonal(), 0.0)
-        held = [j for j, q in enumerate(qubits) if q in self.pos]
-        counts = sample_marginal(p / p.sum(), self.n, [self.pos[qubits[j]] for j in held], count,
-                                 rng, readout and [readout[w] for w in self.wires])
-        if len(held) == len(qubits):
-            return counts
-        # a qubit rho does not hold reads 0: bit i of a draw is bit held[i]
-        return {sum(((v >> i) & 1) << j for i, j in enumerate(held)): k
-                for v, k in counts.items()}
+        return sample_marginal(p / p.sum(), self.wires, qubits, count, rng, readout)
 
 
 def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None,
@@ -251,10 +235,7 @@ def dm_run(
     only for unitary programs (no reset, condition or mid-circuit
     measurement), which the walker runs as one leaf: compute_fidelity
     defaults to "device given and the program is unitary", and
-    compute_fidelity=True on any other program raises SimulationError.
-    rho holds only the touched wires (see the module docstring), and
-    mem_bytes_estimate is its size; n_qubits and the qubit cap keep the
-    declared width."""
+    compute_fidelity=True on any other program raises SimulationError."""
     t0 = time.perf_counter()
     program = Program(circuit)
     program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots,
@@ -264,19 +245,13 @@ def dm_run(
             "fidelity is unavailable for circuits with reset, classical conditions "
             "or mid-circuit measurement"
         )
-    # the wires some op other than a barrier touches; the others stay |0>
-    state = _DensityState(sorted({w for op in program.ops if op.opcode != "barrier"
-                                  for w in op.wires}), device)
+    state = _DensityState(program.wires, device)
     counts = walk(program, state, shots, seed, device.readout if device is not None else None)
     fid = None
     if compute_fidelity or (compute_fidelity is None and device is not None and program.unitary):
-        reference = _SVState(program.n)
+        reference = _SVState(program.wires)
         evolve(program, reference)
-        # the reference's amplitudes with every wire rho does not hold at 0
-        index = np.zeros(1, dtype=np.intp)
-        for w in state.wires:
-            index = np.concatenate([index, index + (1 << w)])
-        fid = fidelity(state.matrix(), reference.amps[index])
+        fid = fidelity(state.matrix(), reference.amps)
 
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(

@@ -3,13 +3,23 @@ walker that runs them.
 
 A :class:`Program` is a flattened circuit read through its resolution
 (``Circuit.resolve``): global wires and clbits, and each condition as
-(offset, mask, value) over one integer holding every classical bit. A measure is *deferred* when no later op but a
-barrier or delay touches its qubit and no later condition reads its clbit;
-measuring it at the end changes nothing. (A later measure counts: each
-measure has its own readout confusion, which one leaf draw cannot give.) A
-program is ``unitary`` when it has no reset or condition and defers every
-measure. Counts are keyed by clbit strings (bit 0 rightmost), or by basis
-index over all qubits when nothing is measured.
+(offset, mask, value) over one integer holding every classical bit. A
+measure is *deferred* when no later op but a barrier or delay touches its
+qubit and no later condition reads its clbit; measuring it at the end
+changes nothing. (A later measure counts: each measure has its own readout
+confusion, which one leaf draw cannot give.) A program is ``unitary`` when
+it has no reset or condition and defers every measure. Counts are keyed by
+clbit strings (bit 0 rightmost), or by basis index over all qubits when
+nothing is measured.
+
+Held wires: ``wires`` lists, ascending, the wires some op other than a
+barrier touches; every other wire stays |0>. Both dense states hold only
+these (position i holds wires[i]) and ``expand`` turns held amplitudes
+into a vector over all n qubits; ops keep global wires for device lookups.
+The qubit caps still judge the declared width, so no run is refused or
+allowed that was not before. The tableau keeps the declared width (its
+cost barely depends on idle wires, and a lookup per op would slow its
+hottest loop), as does ``dm_evolve``, which returns the full matrix.
 
 :func:`walk` works depth first over (op index, state, clbits, count). At a
 measure, or a reset where the state splits resets, with probability p of
@@ -19,12 +29,12 @@ reported bit again, and the flipped part gets its own copy, since a later
 condition may read it. The walk goes on with the side with fewer shots and
 pushes the other, so at most min(random outcomes on the path, floor(log2
 shots)) states are pending besides the one being run. A leaf draws its
-shots from the branch's marginal over the deferred measures' qubits (all
-qubits when nothing is measured) and moves each bit to the clbit its qubit
-was last measured into. A program that defers every measure is one leaf
-that draws nothing before it: one evolution sampled once. Leaves never
-outnumber shots; a walk past ALWAYS_RUN = 2**20 leaves is refused with
-SimulationError.
+shots from the branch's marginal over the deferred measures' qubits (the
+held wires when nothing is measured, so an idle qubit reads 0) and moves
+each bit to the clbit its qubit was last measured into. A program that
+defers every measure is one leaf that draws nothing before it: one
+evolution sampled once. Leaves never outnumber shots; a walk past
+ALWAYS_RUN = 2**20 leaves is refused with SimulationError.
 
 A state supplies ``apply(op)``; ``p_one(op)``, the probability that the
 op's qubit reads 1, then ``collapse(op, bit)``, which projects onto bit (and
@@ -48,7 +58,7 @@ from .circuit import Circuit
 from .errors import SimulationError
 from .flatten import flatten
 from .gates import LIBRARY, unitary_of
-from .results import bitstring
+from .results import _EPS, bitstring
 
 __all__ = ["Op", "Program", "evolve", "walk"]
 
@@ -56,9 +66,6 @@ _MAX_SHOTS = (1 << 63) - 1  # the multinomial draw counts in int64
 # up to this many shots always run: a walk has at most as many leaves, and a
 # stabilizer leaf draws exactly from at most as many outcome values
 ALWAYS_RUN = 1 << 20
-# an outcome less likely than this is taken as impossible, so that rounding
-# residue never makes a branch
-_EPS = 1e-12
 
 
 class Op:
@@ -183,11 +190,13 @@ class Program:
                            and (op.opcode != "measure" or op.deferred) for op in self.ops)
         self.measures = bool(last)
         self.n_bits = self.n_clbits if last else self.n
+        self.wires = tuple(sorted({w for op in self.ops if op.opcode != "barrier"
+                                   for w in op.wires}))
         # a leaf samples these qubits, keeps the bits of a sample in place
         # (kept) or moves bit j to clbit c, and clears the clbits it writes
         moved = {c: op.wires[0] for c, op in last.items() if op.deferred}
         if not last:
-            moved = {q: q for q in range(self.n)}
+            moved = {q: q for q in self.wires}
         qubits = sorted(set(moved.values()))
         moves = [(qubits.index(q), c) for c, q in moved.items()]
         self.leaf = (qubits, sum(1 << j for j, c in moves if j == c),
@@ -200,6 +209,16 @@ class Program:
         if fuse and self._fused is None:
             self._fused = _fuse(self.ops)
         return self._fused if fuse else self.ops
+
+    def expand(self, amps: np.ndarray) -> np.ndarray:
+        """Amplitudes over ``wires`` as a vector over all n qubits."""
+        if len(self.wires) == self.n:
+            return amps
+        full = np.zeros(1 << self.n, dtype=amps.dtype)
+        # axis a of a reshaped vector is its qubit n-1-a (held wire m-1-a)
+        index = tuple(slice(None) if q in self.wires else 0 for q in reversed(range(self.n)))
+        full.reshape((2,) * self.n)[index] = amps.reshape((2,) * len(self.wires))
+        return full
 
     def check_limits(self, kind: str, cap: int | None, default_cap: int,
                      env: str | None = None, shots: int = 1, seed: int = 0) -> None:

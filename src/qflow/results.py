@@ -16,6 +16,8 @@ from .noise import readout_matrix
 
 __all__ = ["RunResult", "draw_counts", "sample_counts", "sample_marginal", "bitstring"]
 
+_EPS = 1e-12  # a likelihood taken as 0, so that rounding residue is never drawn
+
 
 def bitstring(value: int, n_bits: int) -> str:
     return format(value, f"0{max(n_bits, 1)}b")
@@ -23,7 +25,8 @@ def bitstring(value: int, n_bits: int) -> str:
 
 def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
     """Multinomial draw of ``shots`` outcomes from ``rng`` over a probability
-    vector, as counts keyed by index; counts sum to shots."""
+    vector, each entry below _EPS of the largest taken as 0; counts keyed by
+    index sum to shots."""
     p = np.asarray(probabilities, dtype=float).reshape(-1)
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
@@ -36,6 +39,7 @@ def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
     if abs(total - 1.0) > 1e-9:
         raise SimulationError(f"probabilities sum to {total}, expected 1")
     p = np.clip(p, 0.0, None)
+    p[p < _EPS * p.max()] = 0.0
     p /= p.sum()
     draws = rng.multinomial(shots, p)
     return {int(i): int(draws[i]) for i in np.nonzero(draws)[0]}
@@ -50,14 +54,15 @@ def sample_counts(probabilities, shots: int, seed: int, n_bits: int | None = Non
     return {bitstring(i, n_bits): count for i, count in counts.items()}
 
 
-def sample_marginal(probs: np.ndarray, n: int, qubits: list[int], count: int, rng,
+def sample_marginal(probs: np.ndarray, wires: tuple, qubits: list[int], count: int, rng,
                     readout=None) -> dict[int, int]:
-    """Counts of ``count`` draws from an n-qubit basis distribution reduced
-    to ``qubits``, keyed by value with bit j for qubits[j], through
-    per-qubit readout confusion when ``readout`` lists (P(0|0), P(1|1)) per
-    qubit."""
-    # axis a of the reshaped vector is qubit n-1-a
-    dropped = tuple(n - 1 - q for q in range(n) if q not in qubits)
+    """Counts of ``count`` draws from a basis distribution over ``wires``
+    (ascending; bit i is wires[i]) reduced to ``qubits``, an ascending subset,
+    keyed by value with bit j for qubits[j], through readout confusion when
+    ``readout`` lists (P(0|0), P(1|1)) per qubit."""
+    n = len(wires)
+    # axis a of the reshaped vector is wire wires[n-1-a]
+    dropped = tuple(n - 1 - i for i, w in enumerate(wires) if w not in qubits)
     t = np.reshape(probs, (2,) * n)
     if dropped:
         t = t.sum(axis=dropped)
@@ -69,7 +74,8 @@ def sample_marginal(probs: np.ndarray, n: int, qubits: list[int], count: int, rn
 
 @dataclass
 class RunResult:
-    """Outcome of one simulator run."""
+    """Outcome of one simulator run; ``mem_bytes_estimate`` is the size of
+    the state the run held."""
 
     backend: str
     n_qubits: int

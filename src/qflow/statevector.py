@@ -1,10 +1,10 @@
 """Dense state-vector simulation.
 
-The state is a complex array of length 2**n in little-endian wire order
-(qubit 0 is the least significant bit of a basis index); memory is exactly
-16 * 2**n bytes. One entry point, apply_gate, applies a :class:`Kernel` (a
-matrix on fixed wires of an n-qubit state) in place; the density-matrix
-backend drives it too, with rho as a vector of 2n qubits.
+The state is a complex array of length 2**m over the m wires a run holds
+(see "Held wires" in qflow.program), little-endian (qubit 0 is the least
+significant bit of a basis index). One entry point, apply_gate, applies a
+:class:`Kernel` (a matrix on fixed wires of an n-qubit state) in place; the
+density-matrix backend drives it too, with rho as a vector of 2n qubits.
 
 A kernel is classified once, when it is built, by the exact-zero pattern of
 its matrix, so fused products and superoperators are classified like named
@@ -23,10 +23,8 @@ gates:
 The slices are index tuples into the state viewed with the wires' axes
 between blocks of the other qubits, built once per kernel.
 
-Runs of one-qubit gates are fused before they reach a kernel (see
-qflow.program): the unconditioned one-qubit gates on a wire are folded into
-one 2x2 product until a multi-qubit gate, measure, reset, barrier, delay or
-conditioned op touches the wire, which flushes the run as one gate.
+Each run of one-qubit gates on a wire reaches a kernel as one 2x2 product
+(see qflow.program).
 
 Every run goes through the shot walker of qflow.program: ``p_one`` is the
 squared norm of the slice where the qubit reads 1, ``collapse`` zeroes the
@@ -168,45 +166,47 @@ def _flip(n: int, w: int) -> Kernel:
 # -- state ---------------------------------------------------------------------
 
 class _SVState:
-    """Amplitudes of one branch, driven op by op by qflow.program's walker
-    over its fused ops; each op's kernel is built on first use and kept on
-    it."""
+    """Amplitudes of one branch over the given wires (ascending), driven op
+    by op by qflow.program's walker over its fused ops; an op keeps the
+    kernel built on its first use, for the wires all its states hold."""
 
     fuses = True
     splits_reset = True
 
-    def __init__(self, n: int, amps: np.ndarray | None = None):
-        self.n = n
+    def __init__(self, wires, amps: np.ndarray | None = None):
+        self.wires = tuple(wires)
+        self.pos = {w: i for i, w in enumerate(self.wires)}
+        self.n = len(self.wires)
         if amps is None:
-            amps = np.zeros(1 << n, dtype=complex)
+            amps = np.zeros(1 << self.n, dtype=complex)
             amps[0] = 1.0
         self.amps = amps
 
     def copy(self) -> "_SVState":
-        return _SVState(self.n, self.amps.copy())
+        return _SVState(self.wires, self.amps.copy())
 
     def apply(self, op) -> None:
         if op.gate:
             kernel = op.kernel
             if kernel is None:
-                kernel = op.kernel = Kernel(op.matrix, self.n, op.wires)
+                kernel = op.kernel = Kernel(op.matrix, self.n, [self.pos[w] for w in op.wires])
             apply_gate(self.amps, kernel)
 
     def p_one(self, op) -> float:
-        ones = self.amps.reshape(-1, 2, 1 << op.wires[0])[:, 1]  # axis 1 is the qubit
+        ones = self.amps.reshape(-1, 2, 1 << self.pos[op.wires[0]])[:, 1]  # axis 1: the qubit
         return float(np.vdot(ones, ones).real)
 
     def collapse(self, op, bit: int) -> None:
-        w = op.wires[0]
-        view = self.amps.reshape(-1, 2, 1 << w)
+        q = self.pos[op.wires[0]]
+        view = self.amps.reshape(-1, 2, 1 << q)
         view[:, 1 - bit] = 0.0
         self.amps *= 1.0 / math.sqrt(np.vdot(view[:, bit], view[:, bit]).real)
         if bit and op.opcode == "reset":
-            apply_gate(self.amps, _flip(self.n, w))
+            apply_gate(self.amps, _flip(self.n, q))
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
         p = np.abs(self.amps)
-        return sample_marginal(np.square(p, out=p), self.n, qubits, count, rng, readout)
+        return sample_marginal(np.square(p, out=p), self.wires, qubits, count, rng, readout)
 
 
 def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray:
@@ -218,9 +218,9 @@ def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray
         if op.condition is not None or op.opcode == "reset":
             raise SimulationError("sv_statevector requires a purely unitary circuit (found "
                                   f"'{op.opcode}'{' with condition' if op.condition else ''})")
-    state = _SVState(program.n)
+    state = _SVState(program.wires)
     evolve(program, state)
-    return state.amps
+    return program.expand(state.amps)
 
 
 def sv_run(
@@ -233,13 +233,13 @@ def sv_run(
 
     Delay is an identity here (no noise model). Counts come from the shot
     walker of qflow.program; a unitary program is one leaf, and its final
-    amplitudes are attached.
+    amplitudes over all qubits are attached.
     """
     t0 = time.perf_counter()
     program = Program(circuit)
     program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots,
                          seed)
-    state = _SVState(program.n)
+    state = _SVState(program.wires)
     counts = walk(program, state, shots, seed)
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
@@ -249,6 +249,6 @@ def sv_run(
         seed=seed,
         counts=counts,
         wall_time_ms=wall,
-        mem_bytes_estimate=16 * (1 << program.n),
-        amplitudes=state.amps if program.unitary else None,
+        mem_bytes_estimate=16 * (1 << state.n),
+        amplitudes=program.expand(state.amps) if program.unitary else None,
     )

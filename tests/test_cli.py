@@ -245,6 +245,8 @@ def test_a_file_that_cannot_be_read_or_written_is_one_error_line(workdir, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if spoil is not None and (workdir / spoil).is_file():  # the non-UTF-8 file is named
+        assert f"error: {spoil}: 'utf-8' codec can't decode" in err
 
 
 # -- mutated input files -------------------------------------------------------

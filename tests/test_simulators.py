@@ -37,6 +37,7 @@ from oracles import NON_UNITARY, distribution_problem, embed_slow, exact_distrib
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "schemas" / "run_result.schema.json"
+DEVICE_DIR = Path(__file__).resolve().parent.parent / "src" / "qflow" / "devices"
 RUNS = {"sv": sv_run, "dm": dm_run, "stab": stab_run}
 
 CIRCUITS = {
@@ -517,13 +518,23 @@ def test_fused_runs_evolve_as_the_unfused_ops(source, name):
         assert np.abs(dm_evolve(physical, dev) - dm_evolve(unfused, dev)).max() < 1e-12
         # the barriers also cover wires dm_run does not hold. Its counts are
         # compared with the full-width walk of the same circuit: the fused
-        # and unfused rho differ in rounding, which can turn an exact zero
-        # into 1e-33 and so shift the multinomial's draws
+        # and unfused rho differ in rounding, and numpy's binomial draw can
+        # move with the last bit of p (it mirrors at p = 1/2, so an even
+        # split rounded to either side draws mirrored counts)
         result = dm_run(unfused, dev, seed=7, shots=256)
         full = program.walk(program.Program(unfused), _DensityState(range(device.num_qubits), dev),
                             256, 7, dev and dev.readout)
         assert result.counts == full
         assert result.mem_bytes_estimate == dm_run(physical, dev, shots=1).mem_bytes_estimate
+
+
+def test_a_rounding_residue_draws_no_shots(line5):
+    """Fused, the cancelling cx pair leaves probabilities of order 1e-33
+    where the barrier-separated run has exact zeros; both draw alike."""
+    physical, _ = transpile(parse_qasm(HEADER + "qreg q[3];\nh q[0];\ncx q[0],q[1];\n"
+                                                "cx q[0],q[1];\nh q[2];\n"), line5)
+    fused = dm_run(physical, seed=7, shots=256).counts
+    assert fused == dm_run(_barrier_after_each(physical), seed=7, shots=256).counts
 
 
 def _touched(c) -> list[int]:
@@ -573,31 +584,64 @@ def test_dm_run_holds_only_the_touched_wires():
     assert distribution_problem(result.counts, exact, 4096) is None
 
 
+# a state over m wires holds 16 * base ** m bytes
+_BASE = {"sv": 2, "dm": 4}
+
+
+def _run_and_full_width_walk(backend: str, c, n: int, device=None):
+    """A seed-3 run of c on backend, and its counts from the same walk over
+    a state of all n wires."""
+    if backend == "sv":
+        full = program.walk(program.Program(c), statevector._SVState(range(n)), 2000, 3)
+        return sv_run(c, seed=3, shots=2000), full
+    full = program.walk(program.Program(c), _DensityState(range(n), device), 2000, 3,
+                        device and device.readout)
+    return dm_run(c, device, seed=3, shots=2000), full
+
+
+@pytest.mark.parametrize("backend", ["sv", "dm"])
 @pytest.mark.parametrize("source", [
     # wires 1 and 3 of five, a mid-circuit measure and a reset
     HEADER + "qreg q[5];\ncreg c[3];\nsx q[3];\ncx q[3],q[1];\nmeasure q[1] -> c[2];\n"
              "reset q[1];\nsx q[1];\nmeasure q[3] -> c[0];\nmeasure q[1] -> c[1];\n",
     # nothing measured: counts key all five qubits
     HEADER + "qreg q[5];\nx q[4];\nsx q[2];\ncx q[4],q[2];\ndelay q[2], 900;\n",
+    # wires 0 and 4, measured at the end into clbits of other numbers
+    HEADER + "qreg q[5];\ncreg c[3];\nsx q[4];\ncx q[4],q[0];\nrz(0.3) q[0];\nsx q[0];\n"
+             "measure q[4] -> c[0];\nmeasure q[0] -> c[2];\n",
 ])
-def test_touched_wire_counts_equal_the_full_width_walk(source, line5):
+def test_touched_wire_counts_equal_the_full_width_walk(source, backend, line5, devices):
     c = parse_qasm(source)
-    result = dm_run(c, line5, seed=3, shots=2000)
-    full = program.walk(program.Program(c), _DensityState(range(5), line5), 2000, 3,
-                        line5.readout)
+    result, full = _run_and_full_width_walk(backend, c, 5, line5)
     assert result.counts == full
-    assert result.mem_bytes_estimate == 16 * 4 ** 2
+    assert result.mem_bytes_estimate == 16 * _BASE[backend] ** 2
+    if backend == "sv" and result.amplitudes is not None:
+        # the held amplitudes expand to those of a full-width evolution
+        for device in devices.values():
+            physical, _ = transpile(c, device)
+            state = statevector._SVState(range(device.num_qubits))
+            program.evolve(program.Program(physical), state)
+            assert np.abs(sv_run(physical, shots=1).amplitudes - state.amps).max() < 1e-12
 
 
-@pytest.mark.parametrize("noisy", [True, False])
-def test_dm_run_passes_a_barrier_over_wires_it_does_not_hold(noisy, line5):
-    device = line5 if noisy else None
+@pytest.mark.parametrize("backend, noisy", [("sv", False), ("dm", True), ("dm", False)])
+def test_dm_run_passes_a_barrier_over_wires_it_does_not_hold(backend, noisy, line5):
     c = parse_qasm(HEADER + "qreg q[3];\ncreg c[1];\nsx q[0];\nbarrier q;\nmeasure q[0] -> c[0];\n")
-    result = dm_run(c, device, seed=3, shots=2000)
-    full = program.walk(program.Program(c), _DensityState(range(3), device), 2000, 3,
-                        device and device.readout)
+    result, full = _run_and_full_width_walk(backend, c, 3, line5 if noisy else None)
     assert result.counts == full
-    assert result.mem_bytes_estimate == 16 * 4
+    assert result.mem_bytes_estimate == 16 * _BASE[backend]
+
+
+def test_sv_run_holds_only_the_wires_a_transpiled_bell_pair_touches():
+    """A Bell pair on a 24-qubit line holds two wires, not 2**24 amplitudes."""
+    n = 24
+    raw = json.loads((DEVICE_DIR / "line5.json").read_text())
+    raw.update(name="line24", num_qubits=n, coupling_map=[[i, i + 1] for i in range(n - 1)],
+               t1_us=[100.0] * n, t2_us=[150.0] * n, readout=[[0.98, 0.97]] * n)
+    physical, _ = transpile(parse_qasm(bell_qasm()), load_device(json.dumps(raw)))
+    result = sv_run(physical, seed=1, shots=1000)
+    assert result.mem_bytes_estimate == 64
+    assert set(result.counts) == {"00", "11"}
 
 
 def test_cli_simulates_reset_circuit_on_device_and_refuses_its_fidelity(tmp_path, capsys, line5):
