@@ -22,15 +22,29 @@ Circuits are flattened before encoding, so the stream contains only builtin
 opcodes acting on concrete wires; macro structure is not preserved. A flat
 circuit (a transpiler output) is not rebuilt by that step.
 
-Both directions work on the bytes directly. The encoder writes each
-distinct opcode/flags/param-count header and operand list once and reuses
-its bytes. The decoder reads one-byte varints inline, unpacks all of an
-instruction's parameters with one ``struct`` call, and builds an error
-message only when it raises one. It checks only what it needs to build the
-instructions (varints, string and register indices, finite parameters);
-``Circuit.resolve`` checks the rest, each instruction's shape and operands,
-for both directions: the encoder raises its QasmError (from ``flatten``),
-and the decoder raises it as a BinaryFormatError.
+Both directions work on the bytes directly and do their per-record work
+once per distinct record, in a memo that lives for one call (string and
+register tables differ per blob):
+- The encoder encodes each distinct frame once: the bytes of a record
+  before and after its parameters, keyed by opcode, parameter count,
+  operands and condition. Each record then only packs its parameters.
+- The decoder maps a record's exact bytes to the ``Instruction`` read from
+  them (frozen, so one object may stand at many positions). At each record
+  it looks up as many bytes as the last record that began with the same
+  byte had. A record is self-delimiting, so bytes equal to a record read
+  before are that record: a hit is exact even when the length is not. A
+  miss reads the record field by field (one-byte varints inline, all
+  parameters in one ``struct`` call, an error message built only when
+  raised) and is stored once it has been read without error.
+- A decoder memo that holds more than 1024 records, over half of those
+  read so far, is dropped: the stream does not repeat, and lookups would
+  cost more than they save.
+
+The decoder checks only what it needs to build the instructions (varints,
+string and register indices, finite parameters); ``Circuit.resolve``
+checks the rest, each instruction's shape and operands, for both
+directions: the encoder raises its QasmError (from ``flatten``), and the
+decoder raises it as a BinaryFormatError.
 """
 
 from __future__ import annotations
@@ -46,6 +60,7 @@ __all__ = ["encode_binary", "decode_binary", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"NWQB"
 FORMAT_VERSION = 1
+_MEMO_FLOOR = 1024  # see the module docstring
 
 
 def _write_uvarint(buf: bytearray, value: int):
@@ -80,47 +95,48 @@ def encode_binary(circuit: Circuit) -> bytes:
     for reg in flat.registers:
         intern(reg.name)
 
-    # the instruction records go to their own buffer first, since the string
-    # table ahead of them is complete only once every opcode is interned;
-    # opcode/flags/param-count headers and operand lists repeat, so each
-    # distinct one is encoded once
-    body = bytearray()
-    heads: dict[tuple, bytes] = {}
-    operand_lists: dict[tuple, bytes] = {}
-    packers: dict[int, object] = {}
-
-    def encode_head(opcode: str, conditioned: bool, n_params: int) -> bytes:
+    def encode_frame(instr: Instruction) -> tuple[bytes, bytes]:
+        """The bytes of ``instr``'s record before and after its parameters."""
         head = bytearray()
-        _write_uvarint(head, intern(opcode))
-        head.append(1 if conditioned else 0)
-        _write_uvarint(head, n_params)
-        return heads.setdefault((opcode, conditioned, n_params), bytes(head))
+        _write_uvarint(head, intern(instr.opcode))
+        head.append(0 if instr.condition is None else 1)
+        _write_uvarint(head, len(instr.params))
+        tail = bytearray()
+        for operands in (instr.qubits, instr.clbits):
+            _write_uvarint(tail, len(operands))
+            for reg, wire in operands:
+                _write_uvarint(tail, reg_index[reg])
+                _write_uvarint(tail, wire)
+        if instr.condition is not None:
+            creg, value = instr.condition
+            _write_uvarint(tail, reg_index[creg])
+            _write_uvarint(tail, value)
+        return bytes(head), bytes(tail)
 
-    def encode_operands(operands: tuple) -> bytes:
-        out = bytearray()
-        _write_uvarint(out, len(operands))
-        for reg, wire in operands:
-            _write_uvarint(out, reg_index[reg])
-            _write_uvarint(out, wire)
-        return operand_lists.setdefault(operands, bytes(out))
-
+    # the records go to their own buffer first, since the string table ahead
+    # of them is complete only once every opcode is interned; records repeat
+    # but for their parameters, so each distinct frame is encoded once
+    body = bytearray()
+    frames: dict[tuple, tuple] = {}
+    packers: dict[int, object] = {}
     for instr in flat.instructions:
         params = instr.params
-        condition = instr.condition
-        n_params = len(params)
-        head = heads.get((instr.opcode, condition is not None, n_params))
-        body += head or encode_head(instr.opcode, condition is not None, n_params)
-        if n_params:
-            pack = packers.get(n_params)
+        try:
+            key = (instr.opcode, len(params), instr.qubits, instr.clbits, instr.condition)
+            frame = frames.get(key)
+        except TypeError:  # a field that cannot be hashed
+            key = frame = None
+        if frame is None:
+            frame = encode_frame(instr)
+            if key is not None:
+                frames[key] = frame
+        body += frame[0]
+        if params:
+            pack = packers.get(len(params))
             if pack is None:
-                pack = packers[n_params] = struct.Struct(f"<{n_params}d").pack
+                pack = packers[len(params)] = struct.Struct(f"<{len(params)}d").pack
             body += pack(*params)
-        body += operand_lists.get(instr.qubits) or encode_operands(instr.qubits)
-        body += operand_lists.get(instr.clbits) or encode_operands(instr.clbits)
-        if condition is not None:
-            creg, value = condition
-            _write_uvarint(body, reg_index[creg])
-            _write_uvarint(body, value)
+        body += frame[1]
 
     buf = bytearray()
     buf += MAGIC
@@ -265,10 +281,24 @@ def decode_binary(data: bytes) -> Circuit:
 
     unpackers: dict[int, object] = {}
     seen: dict[int, tuple] = {}
+    records: dict[bytes, Instruction] | None = {}
+    span = [0] * 256  # by first byte: the length of the last record read with it
     isfinite = math.isfinite
     n_instrs, off = _uvarint(data, off, "instruction count")
     instructions = []
     for k in range(n_instrs):
+        if records is not None:
+            try:
+                record = data[off : off + span[data[off]]]
+            except IndexError:  # the stream ends here
+                record = b""
+            instr = records.get(record)
+            if instr is not None:
+                instructions.append(instr)
+                off += len(record)
+                continue
+
+        start = off
         if off < end and data[off] < 0x80:
             idx = data[off]
             off += 1
@@ -289,8 +319,8 @@ def decode_binary(data: bytes) -> Circuit:
         else:
             n_params, off = _uvarint(data, off, "instruction {k} param count", k)
         if n_params:
-            stop = off + 8 * n_params
-            if stop > end:
+            params_end = off + 8 * n_params
+            if params_end > end:
                 _check_params(data, off, n_params, k)
             unpack = unpackers.get(n_params)
             if unpack is None:
@@ -298,7 +328,7 @@ def decode_binary(data: bytes) -> Circuit:
             params = unpack(data, off)
             if not all(map(isfinite, params)):
                 _check_params(data, off, n_params, k)
-            off = stop
+            off = params_end
         else:
             params = ()
         if opcode == "delay" and n_params == 1 and params[0].is_integer():
@@ -327,7 +357,15 @@ def decode_binary(data: bytes) -> Circuit:
                 raise BinaryFormatError(f"instruction {k}: condition register index {cidx} invalid")
             value, off = _uvarint(data, off, "instruction {k} condition value", k)
             condition = (registers[cidx].name, value)
-        instructions.append(Instruction(opcode, params, qubits, clbits, condition))
+        instr = Instruction(opcode, params, qubits, clbits, condition)
+        instructions.append(instr)
+        if records is not None:
+            if len(record) != off - start:
+                record = data[start:off]
+                span[record[0]] = len(record)
+            records[record] = instr
+            if len(records) > _MEMO_FLOOR + k // 2:
+                records = None
 
     if off != end:
         raise BinaryFormatError(f"{end - off} trailing byte(s) at byte {off}")

@@ -4,7 +4,8 @@ A :class:`Circuit` is an ordered instruction list over declared quantum and
 classical registers, plus any user gate macros. Instances are treated as
 immutable once constructed; every transformation in the toolchain returns a
 new circuit. Equality is structural: registers, macro definitions, and the
-instruction sequence (parameters compared bit-for-bit).
+instruction sequence, with parameters compared by float ``==``, so ``0.0``
+equals ``-0.0`` although the two print and encode differently.
 
 Wire numbering is little-endian and global: quantum registers occupy
 consecutive wire indices in declaration order, and qubit 0 is the least
@@ -19,8 +20,9 @@ tuple, kept outside equality and ``repr``, and rebuilt when ``registers`` or
 instruction, so no other stage repeats it: its shape (:func:`shape_error`)
 and each operand, which must name one wire of a declared register of the
 right kind (no register-wide index ``None``), for qubits, clbits and ``if``
-registers alike, and for a gate a wire no other operand names. A failure
-raises :class:`QasmError` prefixed ``instruction k:``.
+registers alike, and for a gate a wire no other operand names. Operands are
+a tuple of ``(register, index)`` tuples and an ``if`` value is an integer.
+A failure raises :class:`QasmError` prefixed ``instruction k:``.
 """
 
 from __future__ import annotations
@@ -309,6 +311,10 @@ class Circuit:
         conditions: dict[int, tuple] = {}
 
         def indices(operands: tuple, kind: str) -> tuple:
+            if not isinstance(operands, tuple) or not all(
+                    isinstance(op, tuple) and len(op) == 2 for op in operands):
+                raise QasmError(f"instruction {len(wires)}: operands must be a tuple of "
+                                f"(register, index) tuples, got {operands!r}")
             out = []
             for name, idx in operands:
                 reg = self.register(name)
@@ -331,7 +337,10 @@ class Circuit:
         add = wires.append
         for instr in self.instructions:
             operands = instr.qubits
-            ws = wires_of.get(operands)
+            try:
+                ws = wires_of.get(operands)
+            except TypeError:  # a list among them, which indices() refuses
+                ws = None
             if ws is None:
                 ws = wires_of[operands] = indices(operands, "q")
                 if len(set(ws)) != len(ws):
@@ -353,6 +362,8 @@ class Circuit:
                 if instr.condition is not None:
                     name, value = instr.condition
                     (offset,) = indices(((name, 0),), "c")
+                    if not isinstance(value, int):
+                        raise QasmError(f"instruction {k}: if value {value!r} is not an integer")
                     conditions[k] = (offset, (1 << self.register(name).size) - 1, value)
             add(ws)
         resolution = Resolution(tuple(wires), clbits, conditions)

@@ -2,9 +2,10 @@
 
 Subcommands: transpile, simulate, analyze, convert, fidelity, devices,
 gates. Data goes to standard output (or --out), diagnostics to standard
-error as one ``error: <message>`` line. Exit codes: 0 success, 1 circuit
-parse/decode error, 2 device configuration error, 3 transpile error,
-4 simulator rejection.
+error as one ``error: <message>`` line. A device whose coupling graph is not
+connected adds one ``warning: <message>`` line as it loads, whatever the
+exit code. Exit codes: 0 success, 1 circuit parse/decode error, 2 device
+configuration error, 3 transpile error, 4 simulator rejection.
 
 One rule gives the code. A circuit that cannot be loaded ends the command
 with 1, a device that cannot be loaded with 2; either includes a file that
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .binio import decode_binary, encode_binary
 from .circuit import Circuit
@@ -110,14 +112,22 @@ def _write_circuit(circuit: Circuit, path: str):
 
 def _load_device_arg(spec: str) -> DeviceConfig:
     try:
-        if os.path.exists(spec):
-            with open(spec, "r", encoding="utf-8") as fh:
-                return load_device(fh.read())
-        if spec.endswith(".json"):
-            raise DeviceConfigError(f"device file not found: {spec}")
-        return load_bundled_device(spec)
+        # a warning (a coupling graph that is not connected) becomes one
+        # "warning:" line, not the warnings module's two
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if os.path.exists(spec):
+                with open(spec, "r", encoding="utf-8") as fh:
+                    device = load_device(fh.read())
+            elif spec.endswith(".json"):
+                raise DeviceConfigError(f"device file not found: {spec}")
+            else:
+                device = load_bundled_device(spec)
     except _LOAD_ERRORS as exc:
         raise _LoadFailed(EXIT_DEVICE, exc, spec) from None
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return device
 
 
 def _histogram_text(counts: dict, shots: int, width: int = 40) -> str:

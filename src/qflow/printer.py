@@ -6,6 +6,17 @@ IEEE-754 double. Gate definitions pulled in by ``include`` are not re-printed
 (the include line restores them on re-parse). An instruction of the wrong
 shape (:func:`qflow.circuit.shape_error`) raises :class:`QasmError`, as it
 would not read back; macro calls and operands are not checked.
+
+Each distinct instruction is checked and formatted once, in a memo that
+lives for one call, keyed by the instruction's fields: an equal instruction
+gets the same line and the same shape verdict. Equal numbers can print
+differently (``0.0 == -0.0``, ``1 == 1.0 == True``), so an instruction with
+a parameter that is not a nonzero float, or an operand index or ``if``
+value that is not an int, bypasses the memo, as does one with a field that
+cannot be hashed (a list built in Python); each prints as it would alone.
+A memo that holds more than 1024 lines, over half of the instructions so
+far, is dropped: the circuit does not repeat, and lookups would cost more
+than they save.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from .errors import QasmError
 __all__ = ["print_qasm"]
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_MEMO_FLOOR = 1024  # see the module docstring
 
 
 def _fmt_expr(expr: ParamExpr, parent_prec: int = 0) -> str:
@@ -60,25 +72,36 @@ def _fmt_operand(operand) -> str:
     return reg if idx is None else f"{reg}[{idx}]"
 
 
+def _memo_key(instr: Instruction) -> tuple | None:
+    """``instr``'s fields, or None where an equal instruction could print
+    another line; raises as reading a malformed field would."""
+    for p in instr.params:
+        if type(p) is not float or not p:
+            return None
+    for _, idx in instr.qubits + instr.clbits if instr.clbits else instr.qubits:
+        if type(idx) is not int and idx is not None:
+            return None
+    if instr.condition is not None and type(instr.condition[1]) is not int:
+        return None
+    return (instr.opcode, instr.params, instr.qubits, instr.clbits, instr.condition)
+
+
 def _fmt_instruction(instr: Instruction) -> str:
     prefix = ""
     if instr.condition is not None:
         creg, value = instr.condition
         prefix = f"if({creg}=={value}) "
-    if instr.opcode == "measure":
-        return (
-            f"{prefix}measure {_fmt_operand(instr.qubits[0])} -> "
-            f"{_fmt_operand(instr.clbits[0])};"
-        )
-    if instr.opcode == "delay":
-        return f"{prefix}delay {_fmt_operand(instr.qubits[0])}, {instr.params[0]};"
-    ops = ",".join(_fmt_operand(q) for q in instr.qubits)
-    if instr.opcode == "barrier":
+    opcode, params, qubits = instr.opcode, instr.params, instr.qubits
+    if opcode == "measure":
+        return f"{prefix}measure {_fmt_operand(qubits[0])} -> {_fmt_operand(instr.clbits[0])};"
+    if opcode == "delay":
+        return f"{prefix}delay {_fmt_operand(qubits[0])}, {params[0]};"
+    ops = ",".join(map(_fmt_operand, qubits))
+    if opcode == "barrier":
         return f"{prefix}barrier {ops};"
-    if instr.params:
-        args = ",".join(repr(p) for p in instr.params)
-        return f"{prefix}{instr.opcode}({args}) {ops};"
-    return f"{prefix}{instr.opcode} {ops};"
+    if params:
+        return f"{prefix}{opcode}({','.join(map(repr, params))}) {ops};"
+    return f"{prefix}{opcode} {ops};"
 
 
 def _fmt_gate_def(gd: GateDef) -> list[str]:
@@ -114,12 +137,26 @@ def print_qasm(circuit: Circuit) -> str:
         kw = "qreg" if reg.kind == "q" else "creg"
         lines.append(f"{kw} {reg.name}[{reg.size}];")
     macros = {gd.name for gd in circuit.gate_defs}
+    memo: dict[tuple, str] | None = {}  # see the module docstring
     for k, instr in enumerate(circuit.instructions):
-        shape = SHAPES.get(instr.opcode)  # the common shapes pass, as in Circuit.resolve
-        if (shape is None or shape[0] != len(instr.qubits) or shape[1] != len(instr.params)
-                or shape[2] != len(instr.clbits)) and instr.opcode not in macros:
-            why = shape_error(instr)
-            if why is not None:
-                raise QasmError(f"instruction {k}: {why}")
-        lines.append(_fmt_instruction(instr))
+        key = line = None
+        if memo is not None:
+            try:
+                key = _memo_key(instr)
+                line = memo.get(key)
+            except (TypeError, ValueError, IndexError):  # a malformed or unhashable field
+                key = None
+        if line is None:
+            shape = SHAPES.get(instr.opcode)  # the common shapes pass, as in Circuit.resolve
+            if (shape is None or shape[0] != len(instr.qubits) or shape[1] != len(instr.params)
+                    or shape[2] != len(instr.clbits)) and instr.opcode not in macros:
+                why = shape_error(instr)
+                if why is not None:
+                    raise QasmError(f"instruction {k}: {why}")
+            line = _fmt_instruction(instr)
+            if key is not None:
+                memo[key] = line
+                if len(memo) > _MEMO_FLOOR + k // 2:
+                    memo = None
+        lines.append(line)
     return "\n".join(lines) + "\n"

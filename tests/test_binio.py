@@ -1,5 +1,8 @@
 """Binary container: round-trips, validation, and compactness."""
 
+import hashlib
+import math
+import random
 import struct
 
 import pytest
@@ -11,6 +14,7 @@ from qflow.errors import BinaryFormatError, QasmError
 from qflow.flatten import flatten
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
+from qflow.transpile import transpile
 
 
 def test_magic_header():
@@ -67,11 +71,41 @@ def test_trailing_garbage(bell):
         decode_binary(encode_binary(bell) + b"\x00")
 
 
-def test_every_truncation_point_raises(bell):
-    blob = encode_binary(bell)
-    for cut in range(len(blob)):
-        with pytest.raises(BinaryFormatError):
-            decode_binary(blob[:cut])
+@pytest.fixture(scope="module")
+def qft8_grid9_blob(devices):
+    """A transpiled QFT-8: 729 records, of which only 109 are distinct."""
+    from conftest import qft_qasm
+
+    return encode_binary(transpile(parse_qasm(qft_qasm(8)), devices["grid9"])[0])
+
+
+def test_every_truncation_point_raises(bell, qft8_grid9_blob):
+    for blob in (encode_binary(bell), qft8_grid9_blob):
+        for cut in range(len(blob)):
+            with pytest.raises(BinaryFormatError):
+                decode_binary(blob[:cut])
+
+
+# cut -> message, for cuts that fall after many repeated records
+_QFT8_TRUNCATIONS = {
+    4000: "instruction 341 flags at byte 4000",
+    4001: "instruction 341 param count at byte 4001",
+    4005: "instruction 341 param at byte 4002",
+    4010: "instruction 341 qubit count at byte 4010",
+    4011: "operand register index at byte 4011",
+    4012: "operand wire index at byte 4012",
+    4013: "instruction 341 clbit count at byte 4013",
+    4014: "instruction 342 opcode at byte 4014",
+    8548: "instruction 728 clbit count at byte 8548",
+}
+
+
+def test_truncation_messages_after_repeated_records_are_pinned(qft8_grid9_blob):
+    assert len(qft8_grid9_blob) == 8549
+    for cut, what in _QFT8_TRUNCATIONS.items():
+        with pytest.raises(BinaryFormatError) as info:
+            decode_binary(qft8_grid9_blob[:cut])
+        assert str(info.value) == f"truncated stream: {what}", cut
 
 
 def test_out_of_range_register_index(bell):
@@ -287,3 +321,79 @@ def test_corrupted_blob_raises_only_binary_format_error(edits):
         decode_binary(bytes(data))
     except BinaryFormatError:
         pass
+
+
+# sha256 of print_qasm and of encode_binary over the transpiled conftest
+# corpus (each circuit that fits the device, in corpus order), per device
+# and opt level; computed before the codecs memoized their records
+_OUTPUT_DIGESTS = {
+    ("line5", 0): ("cc1cfc96828b1ac5784b386b30d4795a8fc0f3e288f19dfa5b11a05edd64f091",
+                   "53e6277d1340dd2d40d0930b95f19ab9adfa534c31e20f25bbf48136326bfa3e"),
+    ("line5", 1): ("e92c6c7d93c8edad8d53c6d6a199e285b56dc01d538c7930f405553dce293585",
+                   "d109a8e86bf4093be3b5726d471f9233dc7ef7e1d593b0da95cb346ba61aed8f"),
+    ("heavyhex7", 0): ("8549d41233c2739d8a6ee5cac0a4f574777dfd280b168115e5f3136cd155fd12",
+                       "8c1bc1baf381d2e12e916b3ac0d91bc2a925714c21b2a67ee6a19fcc8079a492"),
+    ("heavyhex7", 1): ("cf3c43ea42243344258d53b9c5ee1fc0ff0a1f5325b70cb394b3397d6794c1a7",
+                       "a86fc5e882dfaca400a9aab12f1b045cc605ca21275eafc9b1a4074ce80d9d83"),
+    ("grid9", 0): ("2d391b105b031a99512880c7539ed40c4a6d9b70eaa8acf2bbcbdd532cf467f9",
+                   "9fec7dc50fbfbb839fb9f16704c993222f085a2f262986e2950549e8aa78fa23"),
+    ("grid9", 1): ("b875e484637984c23d1e8999127cbecd46e53cf8047e4dc4b1dd10fdbda4e509",
+                   "e14522c604cb99ae66208d485375e2a9e7b4b5d30485cfa5c5be67e252c900fb"),
+    ("alltoall11", 0): ("45efe11f73fbd105da1dc3626de096c4765dbd5295d422067dce583363e80ea6",
+                        "f64b5d67e2b982a640f73732c1d1cc16288860d63ff7b02a31d557c625e930f3"),
+    ("alltoall11", 1): ("02627faeb7e342667af98b0af55f84ace5ed2e8f285da41d094ffd73c9210c18",
+                        "c3658fea5e94e3e5c2f432986c726b092f8e7d73619e7051b84644a92154289a"),
+}
+
+
+@pytest.mark.parametrize("opt_level", [0, 1])
+@pytest.mark.parametrize("device", ["line5", "heavyhex7", "grid9", "alltoall11"])
+def test_transpiled_corpus_output_is_pinned(corpus, devices, device, opt_level):
+    dev = devices[device]
+    outputs = [transpile(circ, dev, opt_level=opt_level)[0]
+               for _, circ in corpus if circ.n_qubits <= dev.num_qubits]
+    text = hashlib.sha256("".join(map(print_qasm, outputs)).encode()).hexdigest()
+    blob = hashlib.sha256(b"".join(map(encode_binary, outputs))).hexdigest()
+    assert (text, blob) == _OUTPUT_DIGESTS[device, opt_level]
+
+
+def test_signed_zero_keeps_its_sign():
+    zeros = (0.0, -0.0, 0.0, -0.0)
+    circ = Circuit(registers=(Register("q", "q", 1),), instructions=tuple(
+        Instruction("rz", (z,), (("q", 0),)) for z in zeros))
+    assert print_qasm(circ).splitlines()[2:] == [
+        "rz(0.0) q[0];", "rz(-0.0) q[0];", "rz(0.0) q[0];", "rz(-0.0) q[0];"]
+    back = decode_binary(encode_binary(circ))
+    assert [math.copysign(1, i.params[0]) for i in back.instructions] == [1, -1, 1, -1]
+
+
+def test_a_stream_that_does_not_repeat_round_trips():
+    # 3000 distinct records, more than the codecs keep a memo for, then
+    # repeats of them
+    rng = random.Random(3)
+    u3s = [Instruction("u3", tuple(rng.uniform(-3, 3) for _ in range(3)), (("q", k % 4),))
+           for k in range(3000)]
+    regs = (Register("q", "q", 4),)
+    circ = Circuit(registers=regs, instructions=tuple(u3s + u3s[:500]))
+    assert decode_binary(encode_binary(circ)) == circ
+    alone = [print_qasm(Circuit(registers=regs, instructions=(i,))).splitlines()[-1]
+             for i in circ.instructions]
+    assert print_qasm(circ).splitlines()[2:] == alone
+
+
+def test_repeated_records_of_one_opcode_and_other_lengths_round_trip():
+    # records that begin with the same byte but differ in length (an if, a
+    # wider barrier, a wire index of two varint bytes) or only in their
+    # condition, each repeated, so that the codecs' memos meet each of them;
+    # the stream ends with a record shorter than the last one of its opcode
+    regs = (Register("q", "q", 200), Register("c", "c", 2))
+    q0, q1, far = ("q", 0), ("q", 1), ("q", 150)
+    block = (
+        Instruction("x", (), (q0,)), Instruction("x", (), (q0,), (), ("c", 1)),
+        Instruction("x", (), (q0,), (), ("c", 2)), Instruction("x", (), (far,)),
+        Instruction("barrier", (), (q0,)), Instruction("barrier", (), (q0, q1)),
+        Instruction("barrier", (), (q0, far)), Instruction("rz", (0.5,), (q1,), (), ("c", 3)),
+        Instruction("rz", (0.5,), (q1,)), Instruction("measure", (), (q0,), (("c", 1),)),
+    )
+    circ = Circuit(registers=regs, instructions=block + block[::-1] + block + block[4:5])
+    assert decode_binary(encode_binary(circ)) == circ

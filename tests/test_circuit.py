@@ -122,6 +122,15 @@ def test_flatten_passes_a_flat_circuit_and_its_resolution_through():
     (Instruction("barrier", (), ()), "instruction 2: a barrier needs at least one qubit"),
     (Instruction("barrier", (), (("q", 0),), (), ("c", 1)),
      "instruction 2: a barrier cannot be conditioned"),
+    (Instruction("h", (), [("q", 0)]), r"instruction 2: operands must be a tuple of "
+     r"\(register, index\) tuples, got \[\('q', 0\)\]"),
+    (Instruction("h", (), (["q", 0],)), r"instruction 2: operands must be a tuple of "
+     r"\(register, index\) tuples, got \(\['q', 0\],\)"),
+    (Instruction("h", (), (("q", 0, 1),)), r"instruction 2: operands must be a tuple of "
+     r"\(register, index\) tuples, got \(\('q', 0, 1\),\)"),
+    (Instruction("measure", (), (("q", 0),), [("c", 0)]),
+     r"instruction 2: operands must be a tuple of \(register, index\) tuples, got \[\('c', 0\)\]"),
+    (Instruction("x", (), (("q", 0),), (), ("c", 1.0)), "instruction 2: if value 1.0 is not an integer"),
 ])
 def test_resolution_refuses_each_bad_operand(instr, message):
     with pytest.raises(QasmError, match=message):
@@ -157,6 +166,10 @@ HOSTILE = {
     "undeclared_creg": Instruction("measure", (), (("q", 0),), (("d", 0),)),
     "clbit_out_of_range": Instruction("measure", (), (("q", 0),), (("c", 3),)),
     "undeclared_condition": Instruction("x", (), (("q", 0),), (), ("d", 1)),
+    "qubits_in_a_list": Instruction("h", (), [("q", 0)]),
+    "operand_as_a_list": Instruction("h", (), (["q", 0],)),
+    "clbits_in_a_list": Instruction("measure", (), (("q", 0),), [("c", 0)]),
+    "fractional_if_value": Instruction("x", (), (("q", 0),), (), ("c", 1.5)),
     "h_on_two_qubits": Instruction("h", (), (("q", 0), ("q", 1))),
     "rx_without_param": Instruction("rx", (), (("q", 0),)),
     "cx_on_one_qubit": Instruction("cx", (), (("q", 0),)),

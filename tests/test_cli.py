@@ -217,6 +217,22 @@ def test_exit_code_and_message(workdir, capsys, argv, code, message):
         assert (out, err) == ("", message + "\n")
 
 
+_SPLIT = "warning: device 'split5': coupling graph is not connected"
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    ("devices split.json", 0, [_SPLIT]),
+    ("transpile bell.qasm --device split.json -o o.qasm", 0, [_SPLIT]),
+    ("transpile big.qasm --device split.json -o o.qasm", 3,
+     [_SPLIT, "error: too many qubits: circuit has 6, device 'split5' has 5"]),
+])
+def test_a_disconnected_device_adds_one_warning_line(workdir, capsys, argv, code, stderr):
+    split = dict(_LINE5, name="split5", coupling_map=[[0, 1], [1, 2], [3, 4]])
+    (workdir / "split.json").write_text(json.dumps(split))
+    assert main(argv.split()) == code
+    assert capsys.readouterr().err.splitlines() == stderr
+
+
 def _spoil(path: Path):
     """Make a file that exists undecodable as UTF-8, or a directory of a new name."""
     if path.exists():
@@ -328,4 +344,9 @@ def test_main_on_a_mutated_file_exits_with_a_code_and_one_error_line(mutation_di
         code = main(argv)
     assert code in range(5), argv
     if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        # a mutated device file may load with a coupling graph that is not
+        # connected, which puts its one warning line first
+        text = err.getvalue()
+        if text.startswith("warning: device "):
+            text = text.split("\n", 1)[1]
+        assert text.startswith("error: ") and text.count("\n") == 1, argv

@@ -139,3 +139,27 @@ def test_a_macro_call_and_a_register_wide_operand_print_as_they_are():
     text = ("OPENQASM 2.0;\ngate bell a,b {\n  h a;\n  cx a,b;\n}\nqreg q[2];\ncreg c[2];\n"
             "bell q[0],q[1];\nmeasure q -> c;\n")
     assert print_qasm(parse_qasm(text)) == text
+
+
+def test_equal_instructions_print_their_own_lines():
+    # equal numbers of other types, or zeros of other signs, print
+    # differently, and fields in lists cannot be hashed; each line must be
+    # the one the instruction prints alone
+    q0, q1 = ("q", 0), ("q", 1)
+    instrs = [
+        Instruction("rz", (1.0,), (q0,)), Instruction("rz", (1,), (q0,)),
+        Instruction("rz", (True,), (q0,)), Instruction("rz", (1.0,), (q0,)),
+        Instruction("rz", (0.0,), (q0,)), Instruction("rz", (-0.0,), (q0,)),
+        Instruction("h", (), (q1,)), Instruction("h", (), (("q", True),)),
+        Instruction("h", (), [q1]), Instruction("h", (), ([*q1],)),
+        Instruction("x", (), (q0,), (), ("c", 1)), Instruction("x", (), (q0,), (), ("c", True)),
+        Instruction("x", (), (q0,), (), ["c", 1]), Instruction("rz", [0.5], (q0,)),
+        Instruction("measure", (), (q0,), (("c", 1),)),
+        Instruction("measure", (), (q0,), (("c", 1.0),)),
+    ]
+    regs = (Register("q", "q", 2), Register("c", "c", 2))
+    alone = [print_qasm(Circuit(registers=regs, instructions=(i,))).splitlines()[-1]
+             for i in instrs]
+    assert print_qasm(Circuit(registers=regs, instructions=tuple(instrs))).splitlines()[3:] == alone
+    assert alone[:3] == ["rz(1.0) q[0];", "rz(1) q[0];", "rz(True) q[0];"]
+    assert alone[4:6] == ["rz(0.0) q[0];", "rz(-0.0) q[0];"]
