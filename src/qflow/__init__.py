@@ -20,7 +20,6 @@ from .device import (
     DeviceConfig,
     Topology,
     bundled_device_names,
-    distance,
     load_bundled_device,
     load_device,
 )
@@ -42,12 +41,12 @@ from .metrics import MetricsReport, analyze, circuit_depth
 from .noise import depolarizing_kraus, thermal_relaxation_kraus
 from .parser import parse_qasm
 from .printer import print_qasm
-from .results import RunResult, sample_counts
+from .results import RunResult
 from .routing import route
 from .schedule import Schedule, schedule_asap
-from .stabilizer import StabilizerTableau, stab_evolve, stab_run, tableau_to_statevector
+from .stabilizer import StabilizerTableau, stab_run
 from .statevector import sv_run, sv_statevector
-from .transpile import TranspileReport, peephole_1q, transpile
+from .transpile import TranspileReport, transpile
 
 __version__ = "0.1.0"
 
@@ -56,14 +55,12 @@ __all__ = [
     "parse_qasm", "print_qasm", "encode_binary", "decode_binary", "flatten",
     "GateSpec", "BasisSet", "LIBRARY", "unitary_of", "gate_manifest",
     "decompose_to_u_cx", "retarget_1q", "retarget_2q",
-    "DeviceConfig", "Topology", "load_device", "load_bundled_device",
-    "bundled_device_names", "distance",
+    "DeviceConfig", "Topology", "load_device", "load_bundled_device", "bundled_device_names",
     "Layout", "initial_mapping", "route", "Schedule", "schedule_asap",
-    "transpile", "peephole_1q", "TranspileReport",
+    "transpile", "TranspileReport",
     "sv_run", "sv_statevector", "dm_run", "dm_evolve", "fidelity",
-    "stab_run", "stab_evolve", "tableau_to_statevector", "StabilizerTableau",
-    "depolarizing_kraus", "thermal_relaxation_kraus",
-    "RunResult", "sample_counts",
+    "stab_run", "StabilizerTableau",
+    "depolarizing_kraus", "thermal_relaxation_kraus", "RunResult",
     "MetricsReport", "analyze", "circuit_depth",
     "QFlowError", "QasmError", "BinaryFormatError", "DeviceConfigError",
     "TranspileError", "UnsupportedBasisError", "RoutingError",

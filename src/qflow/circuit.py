@@ -13,7 +13,7 @@ significant bit of a basis-state index. Classical bits are numbered the same
 way over classical registers.
 
 :meth:`Circuit.resolve` alone applies this numbering: layout, routing,
-scheduling, metrics, the peephole, the codec and the simulators read its
+scheduling, metrics, the codec and the simulators read its
 :class:`Resolution`. It is built on first use, once per distinct operand
 tuple, kept outside equality and ``repr``, and rebuilt when ``registers`` or
 ``instructions`` is replaced. It is also the one check of a flat
@@ -21,14 +21,16 @@ instruction, so no other stage repeats it: its shape (:func:`shape_error`)
 and each operand, which must name one wire of a declared register of the
 right kind (no register-wide index ``None``), for qubits, clbits and ``if``
 registers alike, and for a gate a wire no other operand names. Operands are
-a tuple of ``(register, index)`` tuples and an ``if`` value is an integer.
-A failure raises :class:`QasmError` prefixed ``instruction k:``.
+a tuple of ``(register, index)`` tuples, parameters a tuple of finite real
+numbers (:func:`param_error`) and an ``if`` value an integer. A failure
+raises :class:`QasmError` prefixed ``instruction k:``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 from .errors import QasmError
 from .gates import LIBRARY
@@ -55,6 +57,7 @@ __all__ = [
 # more, a delay one integer cycle count)
 SHAPES = {name: (spec.arity, spec.param_count, 0) for name, spec in LIBRARY.items()}
 SHAPES.update(measure=(1, 0, 1), reset=(1, 0, 0), delay=(1, None, 0), barrier=(None, 0, 0))
+_NO_PARAMS = ()  # CPython's one empty tuple: a test of identity passes most gates
 
 
 def shape_error(instr) -> str | None:
@@ -78,6 +81,29 @@ def shape_error(instr) -> str | None:
         return f"{what} writes {n_clbits} clbit(s), got {len(instr.clbits)}"
     if opcode == "barrier" and instr.condition is not None:
         return "a barrier cannot be conditioned"
+    return None
+
+
+def operand_error(operands) -> str | None:
+    """Why ``operands`` is not a tuple of ``(register, index)`` tuples, or None."""
+    if isinstance(operands, tuple) and all(
+            isinstance(op, tuple) and len(op) == 2 for op in operands):
+        return None
+    return f"operands must be a tuple of (register, index) tuples, got {operands!r}"
+
+
+def param_error(params) -> str | None:
+    """Why ``params`` is not a tuple of real numbers that are finite as
+    doubles, or None."""
+    if type(params) is not tuple:
+        return f"parameters must be a tuple, got {params!r}"
+    for p in params:
+        try:
+            finite = isinstance(p, (float, int, Real)) and math.isfinite(p)
+        except OverflowError:  # an int too large for a double
+            finite = False
+        if not finite:
+            return f"parameter {p!r} is not a finite real number"
     return None
 
 
@@ -199,8 +225,8 @@ class Instruction:
 
     ``qubits`` and ``clbits`` hold ``(register_name, index)`` pairs; an index
     of ``None`` designates the whole register (compact source form, expanded
-    by :func:`qflow.flatten.flatten`). ``params`` are floats, except for
-    ``delay`` whose single parameter is an integer cycle count.
+    by :func:`qflow.flatten.flatten`). ``params`` is a tuple of real numbers
+    (floats when parsed); ``delay`` takes one integer cycle count.
     ``condition`` is an optional ``(creg_name, value)`` pair from an ``if``.
     Nothing is checked on construction: :meth:`Circuit.resolve` is the one
     check of an instruction's shape and operands.
@@ -311,10 +337,9 @@ class Circuit:
         conditions: dict[int, tuple] = {}
 
         def indices(operands: tuple, kind: str) -> tuple:
-            if not isinstance(operands, tuple) or not all(
-                    isinstance(op, tuple) and len(op) == 2 for op in operands):
-                raise QasmError(f"instruction {len(wires)}: operands must be a tuple of "
-                                f"(register, index) tuples, got {operands!r}")
+            why = operand_error(operands)
+            if why is not None:
+                raise QasmError(f"instruction {len(wires)}: {why}")
             out = []
             for name, idx in operands:
                 reg = self.register(name)
@@ -336,29 +361,41 @@ class Circuit:
         repeated = set()  # wire tuples that name a wire twice
         add = wires.append
         for instr in self.instructions:
-            operands = instr.qubits
+            operands, params, cbits = instr.qubits, instr.params, instr.clbits
             try:
-                ws = wires_of.get(operands)
-            except TypeError:  # a list among them, which indices() refuses
-                ws = None
-            if ws is None:
+                ws = wires_of[operands]
+            except (KeyError, TypeError):  # new operands, or unhashable ones that indices() refuses
                 ws = wires_of[operands] = indices(operands, "q")
                 if len(set(ws)) != len(ws):
                     repeated.add(ws)
-            # the common shapes pass here; the rest go to shape_error
-            shape = SHAPES.get(instr.opcode)
-            if (shape is None or shape[0] != len(ws) or shape[1] != len(instr.params)
-                    or shape[2] != len(instr.clbits)):
+            # the common shapes and parameters (finite floats) pass here; the
+            # rest go to shape_error and param_error
+            try:
+                shape = SHAPES[instr.opcode]
+            except KeyError:  # shape_error names the opcode
+                shape = (None, None, None)
+            if shape[0] != len(ws) or shape[1] != len(params) or shape[2] != len(cbits):
                 why = shape_error(instr)
                 if why is not None:
                     raise QasmError(f"instruction {len(wires)}: {why}")
+            if params is not _NO_PARAMS:
+                if type(params) is not tuple:
+                    raise QasmError(f"instruction {len(wires)}: {param_error(params)}")
+                # one finite float passes without a loop; p - p is nan for nan and inf
+                if len(params) != 1 or type(p := params[0]) is not float or p - p:
+                    for p in params:
+                        if type(p) is not float or p - p:
+                            why = param_error(params)
+                            if why is not None:
+                                raise QasmError(f"instruction {len(wires)}: {why}")
+                            break
             if repeated and ws in repeated and instr.opcode in LIBRARY:
                 raise QasmError(
                     f"instruction {len(wires)}: duplicate qubit operand in '{instr.opcode}'")
-            if instr.clbits or instr.condition is not None:
+            if cbits or instr.condition is not None:
                 k = len(wires)
-                if instr.clbits:
-                    clbits[k] = indices(instr.clbits, "c")
+                if cbits:
+                    clbits[k] = indices(cbits, "c")
                 if instr.condition is not None:
                     name, value = instr.condition
                     (offset,) = indices(((name, 0),), "c")
@@ -369,12 +406,6 @@ class Circuit:
         resolution = Resolution(tuple(wires), clbits, conditions)
         self._resolved = (self.instructions, self.registers, resolution)
         return resolution
-
-    def gate_def(self, name: str) -> GateDef | None:
-        for gd in self.gate_defs:
-            if gd.name == name:
-                return gd
-        return None
 
     # -- convenience --------------------------------------------------------
 

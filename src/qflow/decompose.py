@@ -241,17 +241,10 @@ def retarget_1q(u3_params: tuple, basis: BasisSet | str) -> list[tuple]:
 
 # -- two-qubit retarget -------------------------------------------------------
 
-def retarget_2q(basis: BasisSet) -> dict:
-    """Template for realizing cx in the device's native two-qubit gate.
-
-    Returns {"target": "cx"|"cz", "pre": [...], "post": [...]} where pre/post
-    are (opcode, params) sequences applied to the target qubit around the
-    native gate (empty for native cx)."""
-    if "cx" in basis.two_qubit:
-        return {"target": "cx", "pre": [], "post": []}
-    if "cz" in basis.two_qubit:
-        h_seq = retarget_1q(_H3, basis)
-        return {"target": "cz", "pre": list(h_seq), "post": list(h_seq)}
-    raise UnsupportedBasisError(
-        f"two-qubit basis {sorted(basis.two_qubit)} must contain cx or cz"
-    )
+def retarget_2q(basis: BasisSet) -> str:
+    """The native two-qubit gate that realizes cx on the device: "cx", or
+    "cz" (cx = H(target) cz H(target), as the transpiler emits it)."""
+    for native in ("cx", "cz"):
+        if native in basis.two_qubit:
+            return native
+    raise UnsupportedBasisError(f"two-qubit basis {sorted(basis.two_qubit)} must contain cx or cz")

@@ -22,8 +22,8 @@ from importlib import resources
 
 from .errors import DeviceConfigError
 
-__all__ = ["DeviceConfig", "Topology", "load_device", "distance",
-           "bundled_device_names", "load_bundled_device"]
+__all__ = ["DeviceConfig", "Topology", "load_device", "bundled_device_names",
+           "load_bundled_device"]
 
 # a device holds per-qubit tuples and an n x n distance table, so a file may
 # not ask for more qubits than this
@@ -69,11 +69,6 @@ class Topology:
         return all(d >= 0 for d in self.dist[0]) if self.n else True
 
 
-def distance(topology: Topology, a: int, b: int) -> int | float:
-    """Unweighted shortest-path hop count (inf if disconnected)."""
-    return topology.distance(a, b)
-
-
 @dataclass(frozen=True)
 class DeviceConfig:
     name: str
@@ -114,13 +109,6 @@ class DeviceConfig:
 
     def error_of(self, gate: str, qubits=()) -> float:
         return float(self._lookup(self.gate_errors, gate, qubits, 0.0))
-
-    def is_noisy(self) -> bool:
-        if any(v > 0 for v in self.gate_errors.values()):
-            return True
-        if any(math.isfinite(t) for t in self.t1_us + self.t2_us):
-            return True
-        return any(r != (1.0, 1.0) for r in self.readout)
 
 
 def _require(obj: dict, key: str, typ, path: str):

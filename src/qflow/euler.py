@@ -11,13 +11,10 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 __all__ = [
     "normalize_angle",
     "snap_angle",
     "lattice_power",
-    "zyz_angles",
     "zyz_from_cells",
     "u3_cells",
     "mul2",
@@ -59,17 +56,6 @@ def lattice_power(a: float, tol: float = SNAP_TOL) -> int | None:
     if abs(a - k * _HALF_PI) > tol:
         return None
     return k % 4
-
-
-def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Euler angles with u proportional to U3(theta, phi, lam).
-
-    Total over all 2x2 unitaries. In the gimbal-degenerate cases
-    (theta near 0 or pi) the z-rotation is folded into phi and lam is 0.
-    """
-    return zyz_from_cells(
-        complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1])
-    )
 
 
 def zyz_from_cells(

@@ -17,7 +17,7 @@ the index (from 0) of the circuit instruction whose call expanded it.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Instruction, eval_expr
+from .circuit import Circuit, Instruction, eval_expr, operand_error
 from .errors import QasmError
 
 __all__ = ["flatten", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
@@ -29,8 +29,11 @@ MAX_EXPANSION_INSTRUCTIONS = 2**20
 
 
 def _broadcast(instr: Instruction, reg_sizes: dict[str, int]) -> list[Instruction]:
-    wide_q = [i for i, (_, idx) in enumerate(instr.qubits) if idx is None]
-    wide_c = [i for i, (_, idx) in enumerate(instr.clbits) if idx is None]
+    try:
+        wide_q = [i for i, (_, idx) in enumerate(instr.qubits) if idx is None]
+        wide_c = [i for i, (_, idx) in enumerate(instr.clbits) if idx is None]
+    except (TypeError, ValueError):  # an operand that is not a pair
+        raise QasmError(operand_error(instr.qubits) or operand_error(instr.clbits)) from None
     if not wide_q and not wide_c:
         return [instr]
     for reg, idx in instr.qubits + instr.clbits:

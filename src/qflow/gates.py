@@ -33,7 +33,6 @@ __all__ = [
     "unitary_of",
     "u3_matrix",
     "gate_manifest",
-    "CLIFFORD_GATES",
 ]
 
 
@@ -192,13 +191,9 @@ for spec in [
 ]:
     LIBRARY[spec.name] = spec
 
-CLIFFORD_GATES = frozenset(name for name, g in LIBRARY.items() if g.is_clifford)
 
-
-def unitary_of(gate: str | GateSpec, params=()) -> np.ndarray:
+def unitary_of(gate: str, params=()) -> np.ndarray:
     """Unitary matrix of a builtin gate for the given parameters."""
-    if isinstance(gate, GateSpec):
-        return gate.matrix(params)
     spec = LIBRARY.get(gate)
     if spec is None:
         raise QFlowError(f"unknown gate '{gate}'")

@@ -28,9 +28,6 @@ class Layout:
     logical_to_physical: tuple
     n_logical: int
 
-    def physical_of(self, logical: int) -> int:
-        return self.logical_to_physical[logical]
-
     def __post_init__(self):
         used = [p for p in self.logical_to_physical[: self.n_logical]]
         if len(set(used)) != len(used) or any(p < 0 for p in used):

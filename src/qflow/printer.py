@@ -1,11 +1,13 @@
 """Circuit-to-QASM text printer.
 
 ``parse_qasm(print_qasm(c))`` reproduces ``c`` structurally: parameters are
-emitted with ``repr``, the shortest decimal that round-trips to the same
-IEEE-754 double. Gate definitions pulled in by ``include`` are not re-printed
-(the include line restores them on re-parse). An instruction of the wrong
-shape (:func:`qflow.circuit.shape_error`) raises :class:`QasmError`, as it
-would not read back; macro calls and operands are not checked.
+emitted with ``repr`` of the Python float or int they equal (a numpy scalar
+too), the shortest decimal that round-trips to the same IEEE-754 double.
+Gate definitions pulled in by ``include`` are not re-printed (the include
+line restores them on re-parse). An instruction of the wrong shape
+(:func:`qflow.circuit.shape_error`) or with an operand that is not a
+``(register, index)`` pair raises :class:`QasmError`, as it would not read
+back; macro calls and the registers that operands name are not checked.
 
 Each distinct instruction is checked and formatted once, in a memo that
 lives for one call, keyed by the instruction's fields: an equal instruction
@@ -21,6 +23,8 @@ than they save.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 from .circuit import (
     BinOp,
     Circuit,
@@ -32,6 +36,7 @@ from .circuit import (
     Neg,
     ParamExpr,
     SHAPES,
+    operand_error,
     shape_error,
 )
 from .errors import QasmError
@@ -100,7 +105,12 @@ def _fmt_instruction(instr: Instruction) -> str:
     if opcode == "barrier":
         return f"{prefix}barrier {ops};"
     if params:
-        return f"{prefix}{opcode}({','.join(map(repr, params))}) {ops};"
+        try:
+            args = ",".join(map(float.__repr__, params))  # a float subclass prints as a float
+        except TypeError:  # another number prints as the int or float it equals
+            args = ",".join(repr(int(p) if isinstance(p, Integral) else
+                                 float(p) if isinstance(p, Real) else p) for p in params)
+        return f"{prefix}{opcode}({args}) {ops};"
     return f"{prefix}{opcode} {ops};"
 
 
@@ -153,7 +163,13 @@ def print_qasm(circuit: Circuit) -> str:
                 why = shape_error(instr)
                 if why is not None:
                     raise QasmError(f"instruction {k}: {why}")
-            line = _fmt_instruction(instr)
+            try:
+                line = _fmt_instruction(instr)
+            except (TypeError, ValueError):  # an operand that is not a pair
+                why = operand_error(instr.qubits) or operand_error(instr.clbits)
+                if why is None:
+                    raise
+                raise QasmError(f"instruction {k}: {why}") from None
             if key is not None:
                 memo[key] = line
                 if len(memo) > _MEMO_FLOOR + k // 2:

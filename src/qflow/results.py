@@ -14,7 +14,7 @@ import numpy as np
 from .errors import SimulationError
 from .noise import readout_matrix
 
-__all__ = ["RunResult", "draw_counts", "sample_counts", "sample_marginal", "bitstring"]
+__all__ = ["RunResult", "draw_counts", "sample_marginal", "bitstring"]
 
 _EPS = 1e-12  # a likelihood taken as 0, so that rounding residue is never drawn
 
@@ -43,15 +43,6 @@ def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
     p /= p.sum()
     draws = rng.multinomial(shots, p)
     return {int(i): int(draws[i]) for i in np.nonzero(draws)[0]}
-
-
-def sample_counts(probabilities, shots: int, seed: int, n_bits: int | None = None) -> dict:
-    """Seeded multinomial draw over a probability vector indexed by bitstring
-    value. Deterministic per seed; counts sum to shots."""
-    counts = draw_counts(probabilities, shots, np.random.default_rng(seed))
-    if n_bits is None:
-        n_bits = max(1, int(np.size(probabilities) - 1).bit_length())
-    return {bitstring(i, n_bits): count for i, count in counts.items()}
 
 
 def sample_marginal(probs: np.ndarray, wires: tuple, qubits: list[int], count: int, rng,

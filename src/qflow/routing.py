@@ -35,14 +35,14 @@ from .errors import TranspileError
 from .gates import LIBRARY
 from .layout import Layout
 
-__all__ = ["route", "physical_register_name"]
+__all__ = ["route"]
 
 LOOKAHEAD_GATES = 20
 LOOKAHEAD_WEIGHT = 0.5
 DECAY_STEP = 0.001
 
 
-def physical_register_name(circuit: Circuit) -> str:
+def _physical_register_name(circuit: Circuit) -> str:
     """Name for the output physical register, avoiding classical collisions."""
     taken = {r.name for r in circuit.registers if r.kind == "c"}
     name = "q"
@@ -101,7 +101,7 @@ def route(circuit: Circuit, layout: Layout, topology: Topology) -> tuple[Circuit
     for logical, phys in enumerate(l2p):
         p2l[phys] = logical
 
-    qreg_name = physical_register_name(circuit)
+    qreg_name = _physical_register_name(circuit)
     operand = [(qreg_name, p) for p in range(n_phys)]
     out: list[Instruction] = []
 

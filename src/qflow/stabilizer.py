@@ -38,7 +38,8 @@ those of a per-shot run.
 A conditioned circuit goes through the shot walker of qflow.program:
 ``p_one`` runs the row elimination once, leaving a random outcome's tableau
 at outcome 0, and ``collapse`` sets the new stabilizer row's sign for 1. A
-leaf draws its shots from the deferred qubits' affine outcomes.
+leaf draws its shots from the deferred qubits' affine outcomes. No run
+returns its tableau; ``StabilizerTableau.apply`` of each ``Program`` gate op gives it.
 """
 
 from __future__ import annotations
@@ -50,17 +51,15 @@ import numpy as np
 
 from .circuit import Circuit
 from .decompose import _two_q_template
-from .errors import NonCliffordError, QFlowError, SimulationError
+from .errors import NonCliffordError, QFlowError
 from .euler import SNAP_TOL, lattice_power
 from .gates import unitary_of
 from .program import ALWAYS_RUN, Program, _keyed, refusal, walk
 from .results import RunResult
 
-__all__ = ["StabilizerTableau", "stab_run", "stab_evolve", "tableau_to_statevector",
-           "DEFAULT_STAB_CAP", "STATEVECTOR_CAP"]
+__all__ = ["StabilizerTableau", "stab_run", "DEFAULT_STAB_CAP"]
 
 DEFAULT_STAB_CAP = 10_000
-STATEVECTOR_CAP = 12
 # one sampling block holds at most this many random bits and as many outcome bits
 _BLOCK_BITS = 1 << 20
 # X, Z and Y, each with its (x, z) bits in a tableau row
@@ -260,47 +259,6 @@ def _reject(opcode: str, params: tuple) -> NonCliffordError:
     return NonCliffordError(f"non-Clifford gate '{opcode}'")
 
 
-def tableau_to_statevector(tab: StabilizerTableau) -> np.ndarray:
-    """The unique state (up to global phase) stabilized by the tableau's
-    stabilizer rows, via the projector product prod_i (I + S_i)/2 applied to
-    a basis seed: the outcome of measuring every qubit with each random
-    outcome taken as 0."""
-    n = tab.n
-    if n > STATEVECTOR_CAP:
-        raise SimulationError(
-            f"{n} qubits exceeds the tableau-to-statevector cap {STATEVECTOR_CAP}"
-        )
-    probe = tab.copy()
-    forms: list[int] = []
-    seed_bits = 0
-    for q in range(n):
-        outcome, _ = probe.measure(q, forms)
-        seed_bits |= outcome << q
-
-    dim = 1 << n
-    idx = np.arange(dim)
-    psi = np.zeros(dim, dtype=complex)
-    psi[seed_bits] = 1.0
-    for row in range(n, 2 * n):
-        xmask = sum(((tab.X[q] >> row) & 1) << q for q in range(n))
-        zmask = sum(((tab.Z[q] >> row) & 1) << q for q in range(n))
-        y_count = (xmask & zmask).bit_count()
-        parity = np.zeros(dim, dtype=np.int64)
-        rest = zmask
-        while rest:
-            b = rest & -rest
-            parity ^= (idx // b) & 1
-            rest ^= b
-        phase = ((-1.0) ** ((tab.R >> row) & 1)) * (1j ** (y_count % 4))
-        s_psi = np.empty_like(psi)
-        s_psi[idx ^ xmask] = phase * np.where(parity, -1.0, 1.0) * psi
-        psi = 0.5 * (psi + s_psi)
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise SimulationError("projector product annihilated the seed state")
-    return psi / norm
-
-
 # -- running circuits ------------------------------------------------------------
 
 class _StabState:
@@ -412,23 +370,6 @@ def _sample_affine(bits: list, k: int, shots: int, rng, asked: int = 0) -> dict[
             v = const ^ int.from_bytes(key.tobytes(), "little")
             values[v] = values.get(v, 0) + count
     return values
-
-
-def stab_evolve(circuit: Circuit, seed: int = 42) -> StabilizerTableau:
-    """Run the gate portion of a Clifford circuit once (measure and reset use
-    the seeded generator; conditions are rejected)."""
-    program = Program(circuit)
-    rng = np.random.default_rng(seed)
-    state = _StabState(StabilizerTableau(program.n))
-    for op in program.ops:
-        if op.condition is not None:
-            raise SimulationError("stab_evolve does not evaluate classical conditions")
-        if op.opcode in ("measure", "reset"):
-            p = state.p_one(op)
-            state.collapse(op, int(rng.integers(2)) if p == 0.5 else int(p))
-        else:
-            state.apply(op)
-    return state.tab
 
 
 def stab_run(

@@ -10,9 +10,10 @@ At opt level 1 the one-qubit peephole is folded into the retarget pass:
 each wire keeps one pending 2x2 product, fed by the routed u3s and by the
 Hadamards of the cx templates, and a two-qubit gate, measure, reset,
 barrier, delay or conditioned op on the wire flushes it as one retargeted
-run. The result has the gate counts and depth of ``peephole_1q`` applied to
-the opt-level-0 output (which is left as it was); angles may differ in
-their last bits. The schedule walk also gives the output depth.
+run. The result has the gate counts and depth of the opt-level-0 output
+(which is left as it was) with each such run of unconditioned one-qubit
+gates merged into one product and retargeted; angles may differ in their
+last bits. The schedule walk also gives the output depth.
 
 Swaps cost exactly three cx (no two-qubit resynthesis). A cx whose operands
 are coupled only in the opposite direction is reversed with the standard
@@ -26,14 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction
-from .decompose import (
-    _H3,
-    _one_q_u3_params,
-    decompose_to_u_cx,
-    resolve_1q_family,
-    retarget_1q,
-    retarget_2q,
-)
+from .decompose import _H3, decompose_to_u_cx, resolve_1q_family, retarget_1q, retarget_2q
 from .device import DeviceConfig
 from .errors import TranspileError
 from .euler import IDENTITY_CELLS, mul2, u3_cells, zyz_from_cells
@@ -44,7 +38,7 @@ from .metrics import circuit_depth
 from .routing import route
 from .schedule import schedule_asap
 
-__all__ = ["transpile", "peephole_1q", "TranspileReport"]
+__all__ = ["transpile", "TranspileReport"]
 
 _H_CELLS = u3_cells(*_H3)
 
@@ -116,29 +110,6 @@ class _Runs:
         return self.out
 
 
-def peephole_1q(circuit: Circuit, basis: BasisSet | str | None = None) -> Circuit:
-    """Merge adjacent unconditioned one-qubit gates per wire via their matrix
-    product and re-emit the merged unitary in the target family (single u3
-    when no basis is given). Identity products vanish; the result equals the
-    input up to global phase."""
-    family = "u3"
-    if isinstance(basis, str):
-        family = basis
-    elif basis is not None:
-        family = resolve_1q_family(basis)
-
-    operand_of: dict[int, tuple] = {}
-    runs = _Runs(family, operand_of)
-    for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
-        spec = LIBRARY.get(instr.opcode)
-        if spec is not None and spec.arity == 1 and instr.condition is None:
-            operand_of[wires[0]] = instr.qubits[0]
-            runs.merge(wires[0], u3_cells(*_one_q_u3_params(instr.opcode, instr.params)))
-        else:
-            runs.emit(instr, wires)
-    return circuit.with_instructions(runs.finish())
-
-
 # -- pipeline ------------------------------------------------------------------
 
 def _retarget(
@@ -149,7 +120,7 @@ def _retarget(
     and the Hadamards of the cx templates go into per-wire pending products
     as 2x2 cells, never as instructions, and each run is emitted once."""
     directed = device.directed_edges()
-    native_cx = retarget_2q(basis)["target"] == "cx"
+    native_cx = retarget_2q(basis) == "cx"
     h_seq = retarget_1q(_H3, family)
     qreg = next(r.name for r in routed.registers if r.kind == "q")
     operands = [(qreg, w) for w in range(routed.n_qubits)]

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from qflow.circuit import Instruction
+from qflow.decompose import retarget_1q
+from qflow.euler import zyz_from_cells
 from qflow.flatten import flatten
-from qflow.gates import unitary_of
+from qflow.gates import LIBRARY, unitary_of
 
 NON_UNITARY = ("measure", "barrier", "delay", "reset")
+STATEVECTOR_CAP = 12  # tableau_to_statevector holds a 2**n vector
 
 
 def apply_to_columns(arr: np.ndarray, m, wires, n: int) -> np.ndarray:
@@ -280,3 +284,71 @@ def per_shot_counts(circuit, seed: int, shots: int) -> dict[str, int]:
             clbits = sum(measure(tab, q) << q for q in range(program.n))
         values[clbits] = values.get(clbits, 0) + 1
     return {format(v, f"0{max(program.n_bits, 1)}b"): values[v] for v in sorted(values)}
+
+
+def peephole_1q(circuit, family: str):
+    """Merge each run of unconditioned one-qubit gates on a wire into the
+    product of their matrices, re-emitted by ``retarget_1q`` in the family;
+    an identity product vanishes and the result equals the input up to
+    global phase. Any other instruction ends the runs on its wires. The
+    reference for the transpiler's fold at opt level 1, which merges the
+    same runs as u3 cells in its retarget pass."""
+    out = []
+    pending = {}  # wire -> (operand, product so far)
+
+    def flush(w):
+        if w in pending:
+            operand, u = pending.pop(w)
+            for name, params in retarget_1q(zyz_from_cells(*u.ravel().tolist()), family):
+                out.append(Instruction(name, params, (operand,)))
+
+    for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
+        spec = LIBRARY.get(instr.opcode)
+        if spec is not None and spec.arity == 1 and instr.condition is None:
+            operand, u = pending.get(wires[0], (instr.qubits[0], np.eye(2)))
+            pending[wires[0]] = (operand, unitary_of(instr.opcode, instr.params) @ u)
+        else:
+            for w in wires:
+                flush(w)
+            out.append(instr)
+    for w in sorted(pending):
+        flush(w)
+    return circuit.with_instructions(out)
+
+
+def tableau_to_statevector(tab) -> np.ndarray:
+    """The unique state (up to global phase) stabilized by the tableau's
+    stabilizer rows, via the projector product prod_i (I + S_i)/2 applied to
+    a basis seed: the outcome of measuring every qubit with each random
+    outcome taken as 0."""
+    n = tab.n
+    if n > STATEVECTOR_CAP:
+        raise ValueError(f"{n} qubits exceeds the tableau-to-statevector cap {STATEVECTOR_CAP}")
+    probe = tab.copy()
+    forms: list[int] = []
+    seed_bits = 0
+    for q in range(n):
+        outcome, _ = probe.measure(q, forms)
+        seed_bits |= outcome << q
+
+    dim = 1 << n
+    idx = np.arange(dim)
+    psi = np.zeros(dim, dtype=complex)
+    psi[seed_bits] = 1.0
+    for row in range(n, 2 * n):
+        xmask = sum(((tab.X[q] >> row) & 1) << q for q in range(n))
+        zmask = sum(((tab.Z[q] >> row) & 1) << q for q in range(n))
+        y_count = (xmask & zmask).bit_count()
+        parity = np.zeros(dim, dtype=np.int64)
+        rest = zmask
+        while rest:
+            b = rest & -rest
+            parity ^= (idx // b) & 1
+            rest ^= b
+        phase = ((-1.0) ** ((tab.R >> row) & 1)) * (1j ** (y_count % 4))
+        s_psi = np.empty_like(psi)
+        s_psi[idx ^ xmask] = phase * np.where(parity, -1.0, 1.0) * psi
+        psi = 0.5 * (psi + s_psi)
+    norm = np.linalg.norm(psi)
+    assert norm >= 1e-12, "projector product annihilated the seed state"
+    return psi / norm

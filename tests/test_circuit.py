@@ -1,7 +1,10 @@
 """Circuit.resolve: the one operand resolution every stage reads, and the one
-shape-and-operand check that a hostile Circuit meets at every public entry
-point."""
+shape, operand and parameter check that a hostile Circuit meets at every
+public entry point."""
 
+import math
+
+import numpy as np
 import pytest
 
 from qflow import (
@@ -19,10 +22,8 @@ from qflow import (
     initial_mapping,
     load_bundled_device,
     parse_qasm,
-    peephole_1q,
     route,
     schedule_asap,
-    stab_evolve,
     stab_run,
     sv_run,
     sv_statevector,
@@ -131,6 +132,17 @@ def test_flatten_passes_a_flat_circuit_and_its_resolution_through():
     (Instruction("measure", (), (("q", 0),), [("c", 0)]),
      r"instruction 2: operands must be a tuple of \(register, index\) tuples, got \[\('c', 0\)\]"),
     (Instruction("x", (), (("q", 0),), (), ("c", 1.0)), "instruction 2: if value 1.0 is not an integer"),
+    (Instruction("h", (), (("q",),)), r"instruction 2: operands must be a tuple of "
+     r"\(register, index\) tuples, got \(\('q',\),\)"),
+    (Instruction("rz", ("a",), (("q", 0),)),
+     "instruction 2: parameter 'a' is not a finite real number"),
+    (Instruction("rz", [0.5], (("q", 0),)),
+     r"instruction 2: parameters must be a tuple, got \[0.5\]"),
+    (Instruction("u3", (0.1, math.nan, 0.3), (("q", 0),)),
+     "instruction 2: parameter nan is not a finite real number"),
+    (Instruction("rz", (-math.inf,), (("q", 0),)),
+     "instruction 2: parameter -inf is not a finite real number"),
+    (Instruction("rz", (10**400,), (("q", 0),)), "instruction 2: parameter 1000"),
 ])
 def test_resolution_refuses_each_bad_operand(instr, message):
     with pytest.raises(QasmError, match=message):
@@ -144,9 +156,10 @@ def test_resolution_accepts_every_valid_shape():
         Instruction("measure", (), (("q", 1),), (("c", 1),)),
         Instruction("reset", (), (("r", 0),)),
         Instruction("delay", (0,), (("r", 1),)),
+        Instruction("u3", (1, np.float64(0.5), np.float32(-2.0)), (("q", 0),)),
         Instruction("barrier", (), (("q", 0), ("r", 2), ("q", 0))),  # a repeat only orders
     )
-    assert len(circ.resolve().wires) == 8
+    assert len(circ.resolve().wires) == 9
 
 
 def test_a_macro_call_must_be_flattened_first():
@@ -156,7 +169,8 @@ def test_a_macro_call_must_be_flattened_first():
     assert len(flatten(circ).resolve().wires) == 2
 
 
-# one per operand rule, then one per shape rule; "register_wide" spans two
+# one per operand rule, then one per shape rule, then the malformed operands
+# and one per parameter rule; "register_wide" spans two
 # registers of different sizes, which flatten cannot broadcast and the later
 # stages do not take
 HOSTILE = {
@@ -181,6 +195,12 @@ HOSTILE = {
     "conditioned_barrier": Instruction("barrier", (), (("q", 0),), (), ("c", 1)),
     "undeclared_gate": Instruction("frob", (), (("q", 0),)),
     "h_with_clbit": Instruction("h", (), (("q", 0),), (("c", 0),)),
+    "operand_of_three": Instruction("h", (), (("q", 0, 1),)),
+    "operand_of_one": Instruction("h", (), (("q",),)),
+    "string_param": Instruction("rz", ("a",), (("q", 0),)),
+    "params_in_a_list": Instruction("rz", [0.5], (("q", 0),)),
+    "nan_param": Instruction("rz", (math.nan,), (("q", 0),)),
+    "infinite_param": Instruction("rx", (math.inf,), (("q", 0),)),
 }
 
 
@@ -189,7 +209,6 @@ def _entry_points():
     topology = device.topology()
     return {
         "transpile": lambda c: transpile(c, device),
-        "peephole_1q": peephole_1q,
         "initial_mapping": lambda c: initial_mapping(c, topology),
         "route": lambda c: route(c, Layout(tuple(range(9)), 5), topology),
         "schedule_asap": lambda c: schedule_asap(c, device),
@@ -200,7 +219,6 @@ def _entry_points():
         "dm_run": lambda c: dm_run(c, shots=4),
         "dm_evolve": dm_evolve,
         "stab_run": lambda c: stab_run(c, shots=4),
-        "stab_evolve": stab_evolve,
         "encode_binary": encode_binary,
         "flatten": flatten,
     }

@@ -11,7 +11,6 @@ from qflow import dm_run, parse_qasm, transpile
 from qflow.device import (
     Topology,
     bundled_device_names,
-    distance,
     load_bundled_device,
     load_device,
 )
@@ -55,7 +54,6 @@ class TestLoadDevice:
         assert dev.error_of("cx", (0, 1)) == 0.0
         assert all(math.isinf(t) for t in dev.t1_us + dev.t2_us)
         assert dev.readout == ((1.0, 1.0),) * 3
-        assert not dev.is_noisy()
 
     @pytest.mark.parametrize(
         "overrides,fragment",
@@ -152,7 +150,7 @@ class TestTopology:
         # 2x2 grid: 0-1, 0-2, 1-3, 2-3
         topo = Topology.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert topo.distance(0, 3) == 2
-        assert distance(topo, 3, 0) == 2
+        assert topo.distance(3, 0) == 2
 
     def test_disconnected_distance_is_inf(self):
         topo = Topology.from_edges(3, [(0, 1)])

@@ -8,7 +8,7 @@ import pytest
 
 from qflow.circuit import eval_expr
 from qflow.errors import QFlowError
-from qflow.gates import CLIFFORD_GATES, LIBRARY, BasisSet, gate_manifest, u3_matrix, unitary_of
+from qflow.gates import LIBRARY, BasisSet, gate_manifest, u3_matrix, unitary_of
 
 from oracles import apply_to_columns, embed_slow, phase_distance
 
@@ -105,7 +105,7 @@ def test_library_matches_qelib1_bodies():
 def test_clifford_classification():
     expected_clifford = {"id", "x", "y", "z", "h", "s", "sdg", "sx", "sxdg",
                          "cx", "cz", "cy", "swap"}
-    assert CLIFFORD_GATES == frozenset(expected_clifford)
+    assert {e["name"] for e in gate_manifest() if e["clifford"]} == expected_clifford
     assert not LIBRARY["t"].is_clifford
     assert not LIBRARY["ch"].is_clifford
     assert not LIBRARY["rz"].is_clifford  # parameterized: never flagged

@@ -77,13 +77,16 @@ class TestBasicPrograms:
         assert len(c.instructions) == 1
 
 
+def _gate_defs(c) -> dict:
+    return {gd.name: gd for gd in c.gate_defs}
+
+
 class TestGateDefs:
     def test_macro_definition_and_call(self):
         c = parse_qasm(
             "OPENQASM 2.0; qreg q[2]; gate bell a,b { h a; cx a,b; } bell q[0],q[1];"
         )
-        gd = c.gate_def("bell")
-        assert gd is not None
+        gd = _gate_defs(c)["bell"]
         assert [b.opcode for b in gd.body] == ["h", "cx"]
         assert c.instructions[0].opcode == "bell"
 
@@ -91,20 +94,19 @@ class TestGateDefs:
         c = parse_qasm(
             "OPENQASM 2.0; qreg q[1]; gate rot(a,b) x0 { rz(a/2) x0; ry(b+pi) x0; } rot(1.0,2.0) q[0];"
         )
-        gd = c.gate_def("rot")
+        gd = _gate_defs(c)["rot"]
         assert gd.params == ("a", "b")
 
     def test_opaque_recorded(self):
         c = parse_qasm("OPENQASM 2.0; qreg q[1]; opaque magic(theta) a;")
-        gd = c.gate_def("magic")
+        gd = _gate_defs(c)["magic"]
         assert gd.opaque and gd.body == ()
 
     def test_qelib1_three_qubit_macros(self):
         c = parse_qasm(
             'OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; ccx q[0],q[1],q[2];'
         )
-        assert c.gate_def("ccx") is not None
-        assert c.gate_def("ccx").from_include
+        assert _gate_defs(c)["ccx"].from_include
 
     def test_ccx_requires_include(self):
         with pytest.raises(QasmError, match="undeclared gate 'ccx'"):

@@ -1,5 +1,6 @@
 """Text round-trip: parse(print(c)) must equal c structurally."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -127,6 +128,10 @@ def test_roundtrip_random_macro_expressions(exprs, actuals):
     (Instruction("delay", (5,), (("q", 0), ("q", 1))), r"'delay' acts on 1 qubit\(s\), got 2"),
     (Instruction("barrier", (), (("q", 0),), (), ("c", 0)), "a barrier cannot be conditioned"),
     (Instruction("frob", (), (("q", 0),)), "undeclared gate 'frob'"),
+    (Instruction("h", (), (("q", 0, 1),)),
+     r"operands must be a tuple of \(register, index\) tuples"),
+    (Instruction("measure", (), (("q", 0),), (("c",),)),
+     r"operands must be a tuple of \(register, index\) tuples, got \(\('c',\),\)"),
 ])
 def test_an_instruction_that_would_not_read_back_is_refused(instr, message):
     c = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 1)),
@@ -161,5 +166,15 @@ def test_equal_instructions_print_their_own_lines():
     alone = [print_qasm(Circuit(registers=regs, instructions=(i,))).splitlines()[-1]
              for i in instrs]
     assert print_qasm(Circuit(registers=regs, instructions=tuple(instrs))).splitlines()[3:] == alone
-    assert alone[:3] == ["rz(1.0) q[0];", "rz(1) q[0];", "rz(True) q[0];"]
+    assert alone[:3] == ["rz(1.0) q[0];", "rz(1) q[0];", "rz(1) q[0];"]
     assert alone[4:6] == ["rz(0.0) q[0];", "rz(-0.0) q[0];"]
+
+
+def test_numpy_scalars_print_as_the_numbers_they_hold():
+    c = Circuit(registers=(Register("q", "q", 1),), instructions=(
+        Instruction("rz", (np.float64(0.5),), (("q", 0),)),
+        Instruction("u3", (np.float32(0.25), np.int64(2), -1), (("q", 0),)),
+    ))
+    text = print_qasm(c)
+    assert text.splitlines()[-2:] == ["rz(0.5) q[0];", "u3(0.25,2,-1) q[0];"]
+    assert parse_qasm(text) == c

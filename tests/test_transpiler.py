@@ -19,10 +19,10 @@ from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.routing import route
 from qflow.schedule import schedule_asap
-from qflow.transpile import peephole_1q, transpile
+from qflow.transpile import transpile
 
 from conftest import noiseless_device_json, random_general_qasm
-from oracles import check_transpiled, circuit_unitary, phase_distance
+from oracles import check_transpiled, circuit_unitary, peephole_1q, phase_distance
 
 
 def _decomposed(circ):
@@ -63,10 +63,10 @@ class TestInitialMapping:
         c = _decomposed(parse_qasm(src))
         topo = Topology.from_edges(5, [(2, 0), (2, 1), (2, 3), (2, 4)])  # hub = 2
         layout = initial_mapping(c, topo)
-        assert layout.physical_of(0) == 2
+        assert layout.logical_to_physical[0] == 2
         # spokes land adjacent to the hub
         for logical in range(1, 5):
-            assert topo.distance(layout.physical_of(logical), 2) == 1
+            assert topo.distance(layout.logical_to_physical[logical], 2) == 1
 
     def test_injective(self, corpus, devices):
         topo = devices["grid9"].topology()
@@ -110,7 +110,7 @@ class TestRoute:
         )
         routed, final = route(c, Layout((0, 1, 2), 3), self._line3())
         measure = [i for i in routed.instructions if i.opcode == "measure"][0]
-        assert measure.qubits[0][1] == final.physical_of(0)
+        assert measure.qubits[0][1] == final.logical_to_physical[0]
         assert measure.clbits == (("c", 0),)
 
     def test_classical_order_preserved(self):
@@ -246,6 +246,8 @@ class TestSchedule:
 
 
 class TestPeephole:
+    """The peephole oracle, against which the opt-1 fold is checked."""
+
     def test_rz_merge(self):
         c = parse_qasm("OPENQASM 2.0; qreg q[1]; rz(0.3) q[0]; rz(0.4) q[0];")
         out = peephole_1q(c, "zsx")
