@@ -22,14 +22,15 @@ and each operand, which must name one wire of a declared register of the
 right kind (no register-wide index ``None``), for qubits, clbits and ``if``
 registers alike, and for a gate a wire no other operand names. Operands are
 a tuple of ``(register, index)`` tuples, parameters a tuple of finite real
-numbers (:func:`param_error`) and an ``if`` value an integer. A failure
-raises :class:`QasmError` prefixed ``instruction k:``.
+numbers (:func:`param_error`) and an ``if`` condition a ``(register,
+integer)`` pair (:func:`condition_error`). A failure raises
+:class:`QasmError` prefixed ``instruction k:``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 from .errors import QasmError
@@ -107,6 +108,14 @@ def param_error(params) -> str | None:
     return None
 
 
+def condition_error(condition) -> str | None:
+    """Why ``condition`` is not a ``(register, integer)`` pair, or None."""
+    if type(condition) is not tuple or len(condition) != 2 or type(condition[0]) is not str:
+        return f"an if condition must be a (register, integer) pair, got {condition!r}"
+    value = condition[1]
+    return None if isinstance(value, int) else f"if value {value!r} is not an integer"
+
+
 @dataclass(frozen=True, slots=True)
 class Register:
     """A named quantum ("q") or classical ("c") register."""
@@ -166,15 +175,13 @@ _FUNCS = {
 }
 
 
-def eval_expr(
-    expr: ParamExpr, env: dict[str, float], line: int | None = None, col: int | None = None
-) -> float:
+def eval_expr(expr: ParamExpr, env: dict[str, float]) -> float:
     """Evaluate a parameter expression under formal-argument bindings.
 
     The result must be a finite real. Division by zero, a math domain or
     range error, an infinite or NaN result and the complex result of a
-    negative base to a fractional power raise :class:`QasmError`, located
-    at ``line``/``col`` when given.
+    negative base to a fractional power raise :class:`QasmError` without a
+    position; the parser re-raises it at its own token.
     """
     try:
         value = _evaluate(expr, env)
@@ -182,7 +189,7 @@ def eval_expr(
         if not math.isfinite(value):
             raise OverflowError(f"result {value} is not finite")
     except (ZeroDivisionError, ValueError, OverflowError, TypeError) as exc:
-        raise QasmError(f"invalid constant expression: {exc}", line, col) from None
+        raise QasmError(f"invalid constant expression: {exc}") from None
     return value
 
 
@@ -286,7 +293,6 @@ class Circuit:
     instructions: tuple = ()
     gate_defs: tuple = ()
     includes: tuple = ()
-    source_name: str | None = field(default=None, compare=False)
 
     # (instructions, registers, Resolution) of the last resolve(); not a field
     _resolved = None
@@ -397,10 +403,10 @@ class Circuit:
                 if cbits:
                     clbits[k] = indices(cbits, "c")
                 if instr.condition is not None:
+                    if why := condition_error(instr.condition):
+                        raise QasmError(f"instruction {k}: {why}")
                     name, value = instr.condition
                     (offset,) = indices(((name, 0),), "c")
-                    if not isinstance(value, int):
-                        raise QasmError(f"instruction {k}: if value {value!r} is not an integer")
                     conditions[k] = (offset, (1 << self.register(name).size) - 1, value)
             add(ws)
         resolution = Resolution(tuple(wires), clbits, conditions)
@@ -415,7 +421,6 @@ class Circuit:
             instructions=tuple(instructions),
             gate_defs=self.gate_defs,
             includes=self.includes,
-            source_name=self.source_name,
         )
 
     def __repr__(self) -> str:  # keep huge circuits printable

@@ -93,7 +93,7 @@ def _load_circuit(path: str) -> Circuit:
                 return decode_binary(fh.read())
         if path.endswith(".qasm"):
             with open(path, "r", encoding="utf-8") as fh:
-                return parse_qasm(fh.read(), source_name=os.path.basename(path))
+                return parse_qasm(fh.read())
         raise QasmError(f"unrecognized circuit extension (want .qasm or .nwqb): {path}")
     except _LOAD_ERRORS as exc:
         raise _LoadFailed(EXIT_PARSE, exc, path) from None

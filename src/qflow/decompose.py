@@ -180,10 +180,10 @@ def resolve_1q_family(basis: BasisSet) -> str:
     )
 
 
-def retarget_1q(u3_params: tuple, basis: BasisSet | str) -> list[tuple]:
-    """Minimal-length realization of U3(u3_params) in the basis family, as
-    (opcode, params) pairs in circuit order, equal up to global phase."""
-    family = basis if isinstance(basis, str) else resolve_1q_family(basis)
+def retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
+    """Minimal-length realization of U3(u3_params) in a one-qubit basis
+    family (a name that :func:`resolve_1q_family` gives), as (opcode, params)
+    pairs in circuit order, equal up to global phase."""
     if family not in _FAMILIES:
         raise UnsupportedBasisError(f"unknown retarget family '{family}'")
 

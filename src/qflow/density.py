@@ -37,6 +37,8 @@ The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
 the same program with noise disabled, over the same wires. It needs that
 pure reference, so it is computed only for unitary programs (no reset,
 condition or mid-circuit measure); the field is omitted elsewhere.
+A circuit wider than the qubit cap, ``QFLOW_QUBIT_CAP_DM`` if set, else
+DEFAULT_DM_CAP, raises SimulationError.
 """
 
 from __future__ import annotations
@@ -192,12 +194,11 @@ class _DensityState:
         return sample_marginal(p / p.sum(), self.wires, qubits, count, rng, readout)
 
 
-def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None,
-              qubit_cap: int | None = None) -> np.ndarray:
+def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None) -> np.ndarray:
     """Final density matrix of a condition-free circuit (measurements are
     not collapsed). Useful for analytic noise checks."""
     program = Program(circuit)
-    program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM")
+    program.check_limits("density-matrix", DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM")
     if any(op.condition is not None for op in program.ops):
         raise SimulationError("dm_evolve does not evaluate classical conditions")
     state = _DensityState(range(program.n), device)
@@ -225,7 +226,6 @@ def dm_run(
     seed: int = 42,
     shots: int = 1024,
     compute_fidelity: bool | None = None,
-    qubit_cap: int | None = None,
 ) -> RunResult:
     """Noisy (or noiseless) density-matrix run.
 
@@ -238,8 +238,7 @@ def dm_run(
     compute_fidelity=True on any other program raises SimulationError."""
     t0 = time.perf_counter()
     program = Program(circuit)
-    program.check_limits("density-matrix", qubit_cap, DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots,
-                         seed)
+    program.check_limits("density-matrix", DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots, seed)
     if compute_fidelity and not program.unitary:
         raise SimulationError(
             "fidelity is unavailable for circuits with reset, classical conditions "

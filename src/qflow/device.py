@@ -32,7 +32,8 @@ MAX_QUBITS = 1024
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected view of a coupling map with hop-count distances."""
+    """Undirected view of a coupling map; ``dist[a][b]`` is the hop count
+    from a to b, -1 when b is unreachable."""
 
     n: int
     adjacency: tuple          # tuple[tuple[int, ...]] sorted neighbor lists
@@ -58,12 +59,6 @@ class Topology:
                         queue.append(v)
             rows.append(tuple(row))
         return cls(n, adjacency, tuple(rows))
-
-    def distance(self, a: int, b: int) -> int | float:
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise DeviceConfigError(f"qubit index out of range: distance({a}, {b})")
-        d = self.dist[a][b]
-        return math.inf if d < 0 else d
 
     def connected(self) -> bool:
         return all(d >= 0 for d in self.dist[0]) if self.n else True

@@ -2,8 +2,8 @@
 single-qubit unitaries.
 
 Angles are normalized to (-pi, pi] and snapped exactly onto the pi/2 lattice
-when within 1e-9 of a lattice point; exact lattice membership is what the
-stabilizer backend and peephole cancellation key on.
+when within SNAP_TOL = 1e-9 of a lattice point; exact lattice membership is
+what the stabilizer backend and peephole cancellation key on.
 """
 
 from __future__ import annotations
@@ -40,20 +40,21 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-def snap_angle(a: float, tol: float = SNAP_TOL) -> float:
-    """Normalize, then snap to an exact multiple of pi/2 when within tol."""
+def snap_angle(a: float) -> float:
+    """Normalize, then snap to an exact multiple of pi/2 when within SNAP_TOL."""
     a = normalize_angle(a)
     k = round(a / _HALF_PI)
     lattice = k * _HALF_PI
-    if abs(a - lattice) <= tol:
+    if abs(a - lattice) <= SNAP_TOL:
         return normalize_angle(lattice) if k == -2 else lattice + 0.0
     return a
 
 
-def lattice_power(a: float, tol: float = SNAP_TOL) -> int | None:
-    """k in {0,1,2,3} with a = k*pi/2 (mod 2*pi), or None if off-lattice."""
+def lattice_power(a: float) -> int | None:
+    """k in {0,1,2,3} with a = k*pi/2 (mod 2*pi) within SNAP_TOL, or None
+    if off-lattice."""
     k = round(a / _HALF_PI)
-    if abs(a - k * _HALF_PI) > tol:
+    if abs(a - k * _HALF_PI) > SNAP_TOL:
         return None
     return k % 4
 

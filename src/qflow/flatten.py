@@ -158,12 +158,6 @@ def flatten(circuit: Circuit) -> Circuit:
                 f"{exc.message} (in gate '{gd.name}', called by instruction {index})"
             ) from None
 
-    flat = Circuit(
-        registers=circuit.registers,
-        instructions=tuple(out),
-        gate_defs=(),
-        includes=(),
-        source_name=circuit.source_name,
-    )
+    flat = Circuit(registers=circuit.registers, instructions=tuple(out))
     flat.resolve()
     return flat

@@ -89,11 +89,10 @@ def _tokenize(text: str) -> list[tuple]:
 
 
 class _Parser:
-    def __init__(self, text: str, source_name: str | None):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.source_name = source_name
         self.registers: list[Register] = []
         self.reg_map: dict[str, Register] = {}
         self.defs: dict[str, GateDef] = {}          # user + loaded include macros
@@ -147,7 +146,6 @@ class _Parser:
             instructions=tuple(self.instructions),
             gate_defs=self._collect_gate_defs(),
             includes=tuple(self.includes),
-            source_name=self.source_name,
         )
 
     def _collect_gate_defs(self) -> tuple:
@@ -465,16 +463,16 @@ def _qelib1_macros() -> list[GateDef]:
     builtins (the multi-qubit macros), parsed once."""
     global _QELIB1_CACHE
     if _QELIB1_CACHE is None:
-        defs = _Parser("OPENQASM 2.0;\n" + QELIB1_INC, "qelib1.inc").parse_program().gate_defs
+        defs = _Parser("OPENQASM 2.0;\n" + QELIB1_INC).parse_program().gate_defs
         _QELIB1_CACHE = [replace(gd, from_include=True) for gd in defs if gd.name not in LIBRARY]
     return _QELIB1_CACHE
 
 
-def parse_qasm(text: str, source_name: str | None = None) -> Circuit:
+def parse_qasm(text: str) -> Circuit:
     """Parse OpenQASM 2.0 source text into a :class:`Circuit`.
 
     Raises :class:`~qflow.errors.QasmError` with line and column information
     on syntax errors, undeclared registers, arity mismatches, out-of-range
     indices, and non-2.0 version headers.
     """
-    return _Parser(text, source_name).parse_program()
+    return _Parser(text).parse_program()

@@ -4,10 +4,11 @@
 emitted with ``repr`` of the Python float or int they equal (a numpy scalar
 too), the shortest decimal that round-trips to the same IEEE-754 double.
 Gate definitions pulled in by ``include`` are not re-printed (the include
-line restores them on re-parse). An instruction of the wrong shape
-(:func:`qflow.circuit.shape_error`) or with an operand that is not a
-``(register, index)`` pair raises :class:`QasmError`, as it would not read
-back; macro calls and the registers that operands name are not checked.
+line restores them on re-parse). An instruction that would not read back
+raises :class:`QasmError`: a wrong shape, or operands, parameters or an
+``if`` condition that break the rules of :mod:`qflow.circuit`
+(``shape_error``, ``operand_error``, ``param_error``, ``condition_error``);
+macro calls and the registers that operands name are not checked.
 
 Each distinct instruction is checked and formatted once, in a memo that
 lives for one call, keyed by the instruction's fields: an equal instruction
@@ -23,7 +24,7 @@ than they save.
 
 from __future__ import annotations
 
-from numbers import Integral, Real
+from numbers import Integral
 
 from .circuit import (
     BinOp,
@@ -36,7 +37,9 @@ from .circuit import (
     Neg,
     ParamExpr,
     SHAPES,
+    condition_error,
     operand_error,
+    param_error,
     shape_error,
 )
 from .errors import QasmError
@@ -95,7 +98,7 @@ def _fmt_instruction(instr: Instruction) -> str:
     prefix = ""
     if instr.condition is not None:
         creg, value = instr.condition
-        prefix = f"if({creg}=={value}) "
+        prefix = f"if({creg}=={int(value)}) "
     opcode, params, qubits = instr.opcode, instr.params, instr.qubits
     if opcode == "measure":
         return f"{prefix}measure {_fmt_operand(qubits[0])} -> {_fmt_operand(instr.clbits[0])};"
@@ -107,9 +110,12 @@ def _fmt_instruction(instr: Instruction) -> str:
     if params:
         try:
             args = ",".join(map(float.__repr__, params))  # a float subclass prints as a float
-        except TypeError:  # another number prints as the int or float it equals
-            args = ",".join(repr(int(p) if isinstance(p, Integral) else
-                                 float(p) if isinstance(p, Real) else p) for p in params)
+        except TypeError:  # another real prints as the int or float it equals
+            if param_error(params):
+                raise
+            args = ",".join(repr(int(p) if isinstance(p, Integral) else float(p)) for p in params)
+        if "n" in args or type(params) is not tuple:  # inf, nan or parameters in a list
+            raise ValueError(args)
         return f"{prefix}{opcode}({args}) {ops};"
     return f"{prefix}{opcode} {ops};"
 
@@ -163,10 +169,13 @@ def print_qasm(circuit: Circuit) -> str:
                 why = shape_error(instr)
                 if why is not None:
                     raise QasmError(f"instruction {k}: {why}")
+            if instr.condition is not None and (why := condition_error(instr.condition)):
+                raise QasmError(f"instruction {k}: {why}")
             try:
                 line = _fmt_instruction(instr)
-            except (TypeError, ValueError):  # an operand that is not a pair
-                why = operand_error(instr.qubits) or operand_error(instr.clbits)
+            except (TypeError, ValueError):  # a malformed operand or parameter
+                why = (operand_error(instr.qubits) or operand_error(instr.clbits)
+                       or param_error(instr.params))
                 if why is None:
                     raise
                 raise QasmError(f"instruction {k}: {why}") from None

@@ -220,19 +220,18 @@ class Program:
         full.reshape((2,) * self.n)[index] = amps.reshape((2,) * len(self.wires))
         return full
 
-    def check_limits(self, kind: str, cap: int | None, default_cap: int,
-                     env: str | None = None, shots: int = 1, seed: int = 0) -> None:
-        """Reject a run wider than the backend's qubit cap (``cap``, else the
-        ``env`` variable, else ``default_cap``), with a shot count outside
+    def check_limits(self, kind: str, default_cap: int, env: str | None = None,
+                     shots: int = 1, seed: int = 0) -> None:
+        """Reject a run wider than the backend's qubit cap (the ``env``
+        variable, else ``default_cap``), with a shot count outside
         [1, 2**63 - 1] or with a negative seed."""
-        if cap is None:
-            text = os.environ.get(env, "") if env else ""
-            try:
-                cap = int(text) if text else default_cap
-            except ValueError:
-                cap = -1
-            if cap < 0:
-                raise SimulationError(f"{env} must be a non-negative integer, got {text!r}")
+        text = os.environ.get(env, "") if env else ""
+        try:
+            cap = int(text) if text else default_cap
+        except ValueError:
+            cap = -1
+        if cap < 0:
+            raise SimulationError(f"{env} must be a non-negative integer, got {text!r}")
         if self.n > cap:
             raise SimulationError(f"{self.n} qubits exceeds {kind} cap {cap}")
         if not 1 <= shots <= _MAX_SHOTS:

@@ -236,10 +236,6 @@ def route(circuit: Circuit, layout: Layout, topology: Topology) -> tuple[Circuit
 
     registers = [Register(qreg_name, "q", n_phys)]
     registers.extend(r for r in circuit.registers if r.kind == "c")
-    routed = Circuit(
-        registers=tuple(registers),
-        instructions=tuple(out),
-        source_name=circuit.source_name,
-    )
+    routed = Circuit(registers=tuple(registers), instructions=tuple(out))
     final = Layout(tuple(l2p) + (-1,) * (n_phys - len(l2p)), layout.n_logical)
     return routed, final

@@ -40,6 +40,7 @@ A conditioned circuit goes through the shot walker of qflow.program:
 at outcome 0, and ``collapse`` sets the new stabilizer row's sign for 1. A
 leaf draws its shots from the deferred qubits' affine outcomes. No run
 returns its tableau; ``StabilizerTableau.apply`` of each ``Program`` gate op gives it.
+A circuit wider than the fixed cap DEFAULT_STAB_CAP raises SimulationError.
 """
 
 from __future__ import annotations
@@ -372,12 +373,7 @@ def _sample_affine(bits: list, k: int, shots: int, rng, asked: int = 0) -> dict[
     return values
 
 
-def stab_run(
-    circuit: Circuit,
-    seed: int = 42,
-    shots: int = 1024,
-    qubit_cap: int = DEFAULT_STAB_CAP,
-) -> RunResult:
+def stab_run(circuit: Circuit, seed: int = 42, shots: int = 1024) -> RunResult:
     """Clifford run with seeded counts.
 
     A circuit without classical conditions runs once symbolically (see the
@@ -387,7 +383,7 @@ def stab_run(
     """
     t0 = time.perf_counter()
     program = Program(circuit)
-    program.check_limits("stabilizer", qubit_cap, DEFAULT_STAB_CAP, shots=shots, seed=seed)
+    program.check_limits("stabilizer", DEFAULT_STAB_CAP, shots=shots, seed=seed)
     tab = StabilizerTableau(program.n)
     if any(op.condition is not None for op in program.ops):
         counts = walk(program, _StabState(tab, shots), shots, seed)

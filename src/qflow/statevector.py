@@ -30,6 +30,8 @@ Every run goes through the shot walker of qflow.program: ``p_one`` is the
 squared norm of the slice where the qubit reads 1, ``collapse`` zeroes the
 other slice and renormalizes (and for a reset flips the qubit back to 0),
 and a leaf samples the marginal of |amps|^2. A unitary program is one leaf.
+A circuit wider than the qubit cap, ``QFLOW_QUBIT_CAP_SV`` if set, else
+DEFAULT_SV_CAP, raises SimulationError.
 """
 
 from __future__ import annotations
@@ -209,11 +211,11 @@ class _SVState:
         return sample_marginal(np.square(p, out=p), self.wires, qubits, count, rng, readout)
 
 
-def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray:
+def sv_statevector(circuit: Circuit) -> np.ndarray:
     """Final amplitudes of the unitary part of a circuit (measurements are
     ignored; reset and classical conditions are rejected)."""
     program = Program(circuit)
-    program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV")
+    program.check_limits("state-vector", DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV")
     for op in program.ops:
         if op.condition is not None or op.opcode == "reset":
             raise SimulationError("sv_statevector requires a purely unitary circuit (found "
@@ -223,12 +225,7 @@ def sv_statevector(circuit: Circuit, qubit_cap: int | None = None) -> np.ndarray
     return program.expand(state.amps)
 
 
-def sv_run(
-    circuit: Circuit,
-    seed: int = 42,
-    shots: int = 1024,
-    qubit_cap: int | None = None,
-) -> RunResult:
+def sv_run(circuit: Circuit, seed: int = 42, shots: int = 1024) -> RunResult:
     """Ideal state-vector run: evolve, then sample `shots` outcomes.
 
     Delay is an identity here (no noise model). Counts come from the shot
@@ -237,8 +234,7 @@ def sv_run(
     """
     t0 = time.perf_counter()
     program = Program(circuit)
-    program.check_limits("state-vector", qubit_cap, DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots,
-                         seed)
+    program.check_limits("state-vector", DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots, seed)
     state = _SVState(program.wires)
     counts = walk(program, state, shots, seed)
     wall = (time.perf_counter() - t0) * 1000.0

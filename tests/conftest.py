@@ -137,7 +137,7 @@ def corpus_sources() -> list[tuple[str, str]]:
 
 @pytest.fixture(scope="session")
 def corpus():
-    return [(name, parse_qasm(src, source_name=name)) for name, src in corpus_sources()]
+    return [(name, parse_qasm(src)) for name, src in corpus_sources()]
 
 
 @pytest.fixture(scope="session")

@@ -132,6 +132,12 @@ def test_flatten_passes_a_flat_circuit_and_its_resolution_through():
     (Instruction("measure", (), (("q", 0),), [("c", 0)]),
      r"instruction 2: operands must be a tuple of \(register, index\) tuples, got \[\('c', 0\)\]"),
     (Instruction("x", (), (("q", 0),), (), ("c", 1.0)), "instruction 2: if value 1.0 is not an integer"),
+    (Instruction("x", (), (("q", 0),), (), ("c",)), r"instruction 2: an if condition must be a "
+     r"\(register, integer\) pair, got \('c',\)"),
+    (Instruction("x", (), (("q", 0),), (), ("c", 1, 2)), r"instruction 2: an if condition must "
+     r"be a \(register, integer\) pair, got \('c', 1, 2\)"),
+    (Instruction("x", (), (("q", 0),), (), "c1"), r"instruction 2: an if condition must be a "
+     r"\(register, integer\) pair, got 'c1'"),
     (Instruction("h", (), (("q",),)), r"instruction 2: operands must be a tuple of "
      r"\(register, index\) tuples, got \(\('q',\),\)"),
     (Instruction("rz", ("a",), (("q", 0),)),
@@ -169,8 +175,8 @@ def test_a_macro_call_must_be_flattened_first():
     assert len(flatten(circ).resolve().wires) == 2
 
 
-# one per operand rule, then one per shape rule, then the malformed operands
-# and one per parameter rule; "register_wide" spans two
+# one per operand rule, then one per shape rule, then the malformed operands,
+# one per parameter rule and the malformed conditions; "register_wide" spans two
 # registers of different sizes, which flatten cannot broadcast and the later
 # stages do not take
 HOSTILE = {
@@ -201,6 +207,9 @@ HOSTILE = {
     "params_in_a_list": Instruction("rz", [0.5], (("q", 0),)),
     "nan_param": Instruction("rz", (math.nan,), (("q", 0),)),
     "infinite_param": Instruction("rx", (math.inf,), (("q", 0),)),
+    "condition_of_one": Instruction("x", (), (("q", 0),), (), ("c",)),
+    "condition_of_three": Instruction("x", (), (("q", 0),), (), ("c", 1, 2)),
+    "condition_as_a_string": Instruction("x", (), (("q", 0),), (), "c1"),
 }
 
 

@@ -37,8 +37,8 @@ class TestLoadDevice:
     def test_line3_distances(self):
         dev = load_device(_minimal(3))
         topo = dev.topology()
-        assert topo.distance(0, 2) == 2
-        assert topo.distance(1, 1) == 0
+        assert topo.dist[0][2] == 2
+        assert topo.dist[1][1] == 0
 
     def test_t2_bound_violation_names_field(self):
         with pytest.raises(DeviceConfigError, match=r"t2_us\[0\]"):
@@ -149,18 +149,13 @@ class TestTopology:
     def test_grid_distance(self):
         # 2x2 grid: 0-1, 0-2, 1-3, 2-3
         topo = Topology.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert topo.distance(0, 3) == 2
-        assert topo.distance(3, 0) == 2
+        assert topo.dist[0][3] == 2
+        assert topo.dist[3][0] == 2
 
-    def test_disconnected_distance_is_inf(self):
+    def test_disconnected_distance_is_minus_one(self):
         topo = Topology.from_edges(3, [(0, 1)])
-        assert topo.distance(0, 2) == math.inf
+        assert topo.dist[0][2] == topo.dist[2][1] == -1
         assert not topo.connected()
-
-    def test_out_of_range(self):
-        topo = Topology.from_edges(2, [(0, 1)])
-        with pytest.raises(DeviceConfigError):
-            topo.distance(0, 5)
 
     def test_matches_floyd_warshall_on_bundled(self):
         for name in bundled_device_names():
@@ -169,18 +164,18 @@ class TestTopology:
             ref = floyd_warshall(dev.num_qubits, dev.coupling_map)
             for a in range(dev.num_qubits):
                 for b in range(dev.num_qubits):
-                    assert topo.distance(a, b) == ref[a][b], (name, a, b)
+                    assert topo.dist[a][b] == ref[a][b], (name, a, b)
 
     def test_symmetry_and_triangle(self):
         for name in bundled_device_names():
             topo = load_bundled_device(name).topology()
             n = topo.n
             for a in range(n):
-                assert topo.distance(a, a) == 0
+                assert topo.dist[a][a] == 0
                 for b in range(n):
-                    assert topo.distance(a, b) == topo.distance(b, a)
+                    assert topo.dist[a][b] == topo.dist[b][a]
                     for c in range(n):
-                        assert topo.distance(a, c) <= topo.distance(a, b) + topo.distance(b, c)
+                        assert topo.dist[a][c] <= topo.dist[a][b] + topo.dist[b][c]
 
 
 class TestBundledLibrary:
@@ -204,7 +199,7 @@ class TestBundledLibrary:
         assert ion.num_qubits == 11
         topo = ion.topology()
         assert all(
-            topo.distance(a, b) <= 1
+            topo.dist[a][b] <= 1
             for a in range(11)
             for b in range(11)
         )

@@ -1,9 +1,11 @@
 """Every name a qflow module imports is used in that module or exported
 through its ``__all__``, every name it defines is exported or used
 somewhere in qflow, every name it exports is named by another qflow module
-or a benchmark script or is public for a reason given here, only
-``circuit.py`` numbers the wires, and only the library, the parser and
-``circuit.py`` read a gate's parameter count."""
+or a benchmark script or is public for a reason given here, every option of
+an exported function is passed by another qflow function or a benchmark
+script or is settable for a reason given here, only ``circuit.py`` numbers
+the wires, and only the library, the parser and ``circuit.py`` read a
+gate's parameter count."""
 
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ PUBLIC_WITHOUT_CALLER = {
     "Resolution": "the type Circuit.resolve returns",
     "sv_statevector": "the documented way to evolve a state vector without sampling",
     "dm_evolve": "the documented way to evolve a density matrix without sampling",
-    "DEFAULT_SV_CAP": "the qubit cap sv_run applies unless given another",
-    "DEFAULT_DM_CAP": "the qubit cap dm_run applies unless given another",
-    "DEFAULT_STAB_CAP": "the qubit cap stab_run applies unless given another",
+    "DEFAULT_SV_CAP": "the qubit cap sv_run applies unless QFLOW_QUBIT_CAP_SV sets another",
+    "DEFAULT_DM_CAP": "the qubit cap dm_run applies unless QFLOW_QUBIT_CAP_DM sets another",
+    "DEFAULT_STAB_CAP": "the fixed qubit cap of stab_run",
     "normalize_angle": "the (-pi, pi] convention of every angle the euler helpers return",
     "MAX_EXPANSION_DEPTH": "the macro nesting bound that flatten's error names",
     "MAX_EXPANSION_INSTRUCTIONS": "the output size bound that flatten's error names",
@@ -37,6 +39,12 @@ PUBLIC_WITHOUT_CALLER = {
     "TranspileReport": "the type transpile returns",
     "draw_counts": "the seeded multinomial draw under every backend's counts",
     "StabilizerTableau": "the tableau whose methods the benchmark tracer hooks by name",
+}
+
+# (function, parameter) of the options that no qflow function and no
+# benchmark script passes, each with the reason it is settable
+OPTION_WITHOUT_CALLER = {
+    ("dm_evolve", "device"): "the noise model, which the noise checks dm_evolve exists for set",
 }
 
 
@@ -112,6 +120,77 @@ def dead_names(path: Path) -> list[str]:
     dead += [f"{name} (exported)" for name in exported(tree)
              if name not in callers and name not in PUBLIC_WITHOUT_CALLER]
     return sorted(dead)
+
+
+def options(path: Path):
+    """(function, parameter, position) of each parameter with a default of
+    every function, and every method of a class, that the module exports;
+    the position is that of the argument a call passes, past a method's
+    ``self`` or ``cls`` (None if keyword-only)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = exported(tree)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            functions = [(node, 0)]
+        elif isinstance(node, ast.ClassDef) and node.name in names:
+            functions = [(fn, 1) for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for fn, bound in functions:
+            args = fn.args.posonlyargs + fn.args.args
+            for k in range(len(args) - len(fn.args.defaults), len(args)):
+                yield fn, args[k].arg, k - bound
+            for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield fn, a.arg, None
+
+
+@functools.cache
+def calls_in(path: Path) -> tuple:
+    """(call, first lines of the functions around it) of every call in a file."""
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            calls.append((node, scope))
+        if isinstance(node, ast.FunctionDef):
+            scope = scope | {node.lineno}
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return tuple(calls)
+
+
+def passes(call: ast.Call, function: str, name: str, position: int | None) -> bool:
+    """Whether ``call`` calls ``function`` and passes its parameter ``name``."""
+    f = call.func
+    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != function:
+        return False
+    return (any(k.arg == name for k in call.keywords)
+            or position is not None and len(call.args) > position)
+
+
+def options_without_caller() -> list[str]:
+    """The options that no call in another qflow function or a benchmark
+    script passes and OPTION_WITHOUT_CALLER does not name."""
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn, name, position in options(path):
+            if (fn.name, name) in OPTION_WITHOUT_CALLER:
+                continue
+            if not any(passes(call, fn.name, name, position)
+                       and (p != path or fn.lineno not in scope)
+                       for p in [*SRC.glob("*.py"), *BENCH.glob("*.py")]
+                       for call, scope in calls_in(p)):
+                missing.append(f"{path.name}: {fn.name}({name}=...)")
+    return missing
+
+
+def test_every_option_has_a_caller():
+    """An option that only a test sets is one more thing to keep working;
+    another route gives its effect."""
+    assert options_without_caller() == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -149,5 +149,5 @@ _SOURCES = dict(corpus_sources() + [("qft7", qft_qasm(7))] + [
 
 @pytest.mark.parametrize("name", sorted(_SOURCES))
 def test_amplitudes_match_the_dense_unitary(name):
-    c = parse_qasm(_SOURCES[name], source_name=name)
+    c = parse_qasm(_SOURCES[name])
     np.testing.assert_allclose(sv_statevector(c), circuit_unitary(c)[:, 0], rtol=0, atol=1e-10)

@@ -1,5 +1,7 @@
 """Text round-trip: parse(print(c)) must equal c structurally."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +134,20 @@ def test_roundtrip_random_macro_expressions(exprs, actuals):
      r"operands must be a tuple of \(register, index\) tuples"),
     (Instruction("measure", (), (("q", 0),), (("c",),)),
      r"operands must be a tuple of \(register, index\) tuples, got \(\('c',\),\)"),
+    (Instruction("rz", (math.inf,), (("q", 0),)), "parameter inf is not a finite real number"),
+    (Instruction("rz", (math.nan,), (("q", 0),)), "parameter nan is not a finite real number"),
+    (Instruction("rz", ("a",), (("q", 0),)), "parameter 'a' is not a finite real number"),
+    (Instruction("u3", (0.1, 0.2, -math.inf), (("q", 0),)), "parameter -inf is not a finite"),
+    (Instruction("rz", [0.5], (("q", 0),)), r"parameters must be a tuple, got \[0.5\]"),
+    (Instruction("x", (), (("q", 0),), (), ("c",)),
+     r"an if condition must be a \(register, integer\) pair, got \('c',\)"),
+    (Instruction("x", (), (("q", 0),), (), ("c", 1, 2)),
+     r"an if condition must be a \(register, integer\) pair, got \('c', 1, 2\)"),
+    (Instruction("x", (), (("q", 0),), (), "c1"),
+     r"an if condition must be a \(register, integer\) pair, got 'c1'"),
+    (Instruction("x", (), (("q", 0),), (), ["c", 1]),
+     r"an if condition must be a \(register, integer\) pair, got \['c', 1\]"),
+    (Instruction("x", (), (("q", 0),), (), ("c", 1.0)), "if value 1.0 is not an integer"),
 ])
 def test_an_instruction_that_would_not_read_back_is_refused(instr, message):
     c = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 1)),
@@ -158,7 +174,6 @@ def test_equal_instructions_print_their_own_lines():
         Instruction("h", (), (q1,)), Instruction("h", (), (("q", True),)),
         Instruction("h", (), [q1]), Instruction("h", (), ([*q1],)),
         Instruction("x", (), (q0,), (), ("c", 1)), Instruction("x", (), (q0,), (), ("c", True)),
-        Instruction("x", (), (q0,), (), ["c", 1]), Instruction("rz", [0.5], (q0,)),
         Instruction("measure", (), (q0,), (("c", 1),)),
         Instruction("measure", (), (q0,), (("c", 1.0),)),
     ]
@@ -168,6 +183,7 @@ def test_equal_instructions_print_their_own_lines():
     assert print_qasm(Circuit(registers=regs, instructions=tuple(instrs))).splitlines()[3:] == alone
     assert alone[:3] == ["rz(1.0) q[0];", "rz(1) q[0];", "rz(1) q[0];"]
     assert alone[4:6] == ["rz(0.0) q[0];", "rz(-0.0) q[0];"]
+    assert alone[10:12] == ["if(c==1) x q[0];", "if(c==1) x q[0];"]
 
 
 def test_numpy_scalars_print_as_the_numbers_they_hold():

@@ -124,7 +124,7 @@ def line5():
 
 
 def circuit(name):
-    return parse_qasm(CIRCUITS[name], source_name=name)
+    return parse_qasm(CIRCUITS[name])
 
 
 def tv_distance(a: dict, b: dict) -> float:
@@ -222,7 +222,7 @@ def test_backends_match_exact_branch_enumeration(source, seed, readout):
 
 @pytest.mark.parametrize("name, source", corpus_sources())
 def test_noiseless_dm_evolve_is_the_pure_state(name, source):
-    c = parse_qasm(source, source_name=name)
+    c = parse_qasm(source)
     psi = sv_statevector(c)
     np.testing.assert_allclose(dm_evolve(c), np.outer(psi, psi.conj()), atol=1e-10)
 
@@ -247,7 +247,7 @@ _BOTH_ORDERS = [(f"general_n{n}_s{seed}", random_general_qasm(n, 40, seed))
 
 @pytest.mark.parametrize("name, source", corpus_sources() + _BOTH_ORDERS)
 def test_statevector_matches_literal_embeddings(name, source):
-    c = parse_qasm(source, source_name=name)
+    c = parse_qasm(source)
     np.testing.assert_allclose(sv_statevector(c), _embedded_statevector(c), atol=1e-10)
 
 
@@ -669,11 +669,12 @@ def test_bad_qubit_cap_variable_is_a_simulation_error(backend, env, value, monke
     assert env in capsys.readouterr().err
 
 
-def test_qubit_cap_variable_and_explicit_cap(monkeypatch):
+def test_qubit_cap_variable_sets_the_cap(monkeypatch):
     monkeypatch.setenv("QFLOW_QUBIT_CAP_SV", "1")
     with pytest.raises(SimulationError, match="exceeds state-vector cap 1"):
         sv_run(circuit("bell"), shots=10)
-    assert sum(sv_run(circuit("bell"), shots=10, qubit_cap=2).counts.values()) == 10
+    monkeypatch.setenv("QFLOW_QUBIT_CAP_SV", "2")
+    assert sum(sv_run(circuit("bell"), shots=10).counts.values()) == 10
 
 
 @pytest.mark.parametrize("backend", sorted(RUNS))

@@ -365,7 +365,7 @@ def assert_tableau_is_the_statevector(c):
 
 @pytest.mark.parametrize("name, source", _UNITARY_CLIFFORD)
 def test_tableau_state_is_the_statevector(name, source):
-    assert_tableau_is_the_statevector(parse_qasm(source, source_name=name))
+    assert_tableau_is_the_statevector(parse_qasm(source))
 
 
 def test_ghz_measurements_are_random_then_deterministic():

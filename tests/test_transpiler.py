@@ -66,7 +66,7 @@ class TestInitialMapping:
         assert layout.logical_to_physical[0] == 2
         # spokes land adjacent to the hub
         for logical in range(1, 5):
-            assert topo.distance(layout.logical_to_physical[logical], 2) == 1
+            assert topo.dist[layout.logical_to_physical[logical]][2] == 1
 
     def test_injective(self, corpus, devices):
         topo = devices["grid9"].topology()
@@ -138,7 +138,7 @@ class TestRoute:
                 spec = LIBRARY.get(instr.opcode)
                 if spec is not None and spec.arity == 2:
                     a, b = instr.qubits[0][1], instr.qubits[1][1]
-                    assert topo.distance(a, b) == 1, (seed, instr)
+                    assert topo.dist[a][b] == 1, (seed, instr)
             # unitary equivalence through the layout embedding
             u_in = circuit_unitary(circ)
             u_out = circuit_unitary(routed)
@@ -186,7 +186,7 @@ class TestRoute:
         assert sum(i.opcode == "cx" for i in routed.instructions) == len(gates)
         for instr in routed.instructions:
             if len(instr.qubits) == 2:
-                assert topo.distance(instr.qubits[0][1], instr.qubits[1][1]) == 1, instr
+                assert topo.dist[instr.qubits[0][1]][instr.qubits[1][1]] == 1, instr
 
     def test_disconnected_topology_fails(self):
         c = _decomposed(parse_qasm("OPENQASM 2.0; qreg q[2]; cx q[0],q[1];"))
