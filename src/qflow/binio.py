@@ -42,9 +42,12 @@ register tables differ per blob):
 
 The decoder checks only what it needs to build the instructions (varints,
 string and register indices, finite parameters); ``Circuit.resolve``
-checks the rest, each instruction's shape and operands, for both
-directions: the encoder raises its QasmError (from ``flatten``), and the
-decoder raises it as a BinaryFormatError.
+checks the rest, the registers and each instruction, for both directions:
+the encoder raises its QasmError (from ``flatten``), and the decoder
+raises it as a BinaryFormatError. A circuit the rule accepts decodes
+equal, or the encoder raises BinaryFormatError for an ``if`` value or a
+register size past the 2**70 - 1 of a varint, or a delay count that its
+f64 does not hold exactly (above 2**53).
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ _MEMO_FLOOR = 1024  # see the module docstring
 
 
 def _write_uvarint(buf: bytearray, value: int):
-    if value < 0:
-        raise BinaryFormatError(f"cannot encode negative varint {value}")
+    if value >> 70:  # also true for a negative value
+        raise BinaryFormatError(f"cannot encode {value}: a varint holds 0 to 2**70 - 1")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -119,7 +122,7 @@ def encode_binary(circuit: Circuit) -> bytes:
     body = bytearray()
     frames: dict[tuple, tuple] = {}
     packers: dict[int, object] = {}
-    for instr in flat.instructions:
+    for k, instr in enumerate(flat.instructions):
         params = instr.params
         try:
             key = (instr.opcode, len(params), instr.qubits, instr.clbits, instr.condition)
@@ -132,6 +135,9 @@ def encode_binary(circuit: Circuit) -> bytes:
                 frames[key] = frame
         body += frame[0]
         if params:
+            if instr.opcode == "delay" and float(params[0]) != params[0]:
+                raise BinaryFormatError(
+                    f"instruction {k}: delay count {params[0]} does not fit a double exactly")
             pack = packers.get(len(params))
             if pack is None:
                 pack = packers[len(params)] = struct.Struct(f"<{len(params)}d").pack
@@ -269,15 +275,8 @@ def decode_binary(data: bytes) -> Circuit:
             raise BinaryFormatError(f"string-table index {idx} out of range for register {k}")
         name = strings[idx]
         raw, off = _take(data, off, 1, "register {k} kind", k)
-        kind_byte = raw[0]
-        if kind_byte not in (0, 1):
-            raise BinaryFormatError(f"register {k} has invalid kind {kind_byte}")
         size, off = _uvarint(data, off, "register {k} size", k)
-        if size < 1:
-            raise BinaryFormatError(f"register '{name}' has invalid size {size}")
-        registers.append(Register(name, "q" if kind_byte == 0 else "c", size))
-    if len({reg.name for reg in registers}) != len(registers):
-        raise BinaryFormatError("duplicate register name")
+        registers.append(Register(name, {0: "q", 1: "c"}.get(raw[0], raw[0]), size))
 
     unpackers: dict[int, object] = {}
     seen: dict[int, tuple] = {}

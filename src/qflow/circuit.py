@@ -12,24 +12,37 @@ consecutive wire indices in declaration order, and qubit 0 is the least
 significant bit of a basis-state index. Classical bits are numbered the same
 way over classical registers.
 
-:meth:`Circuit.resolve` alone applies this numbering: layout, routing,
-scheduling, metrics, the codec and the simulators read its
-:class:`Resolution`. It is built on first use, once per distinct operand
-tuple, kept outside equality and ``repr``, and rebuilt when ``registers`` or
-``instructions`` is replaced. It is also the one check of a flat
-instruction, so no other stage repeats it: its shape (:func:`shape_error`)
-and each operand, which must name one wire of a declared register of the
-right kind (no register-wide index ``None``), for qubits, clbits and ``if``
-registers alike, and for a gate a wire no other operand names. Operands are
-a tuple of ``(register, index)`` tuples, parameters a tuple of finite real
-numbers (:func:`param_error`) and an ``if`` condition a ``(register,
-integer)`` pair (:func:`condition_error`). A failure raises
-:class:`QasmError` prefixed ``instruction k:``.
+:meth:`Circuit.resolve` alone applies this numbering: later stages read
+its :class:`Resolution`, built on first use, kept outside equality and
+``repr``, and rebuilt when ``registers`` or ``instructions`` is replaced.
+It is also the one check of a circuit (:class:`Rule`); a circuit it
+accepts prints as text that ``parse_qasm`` reads back equal and encodes as
+bytes that ``decode_binary`` reads back equal, unless a value is too wide
+for the encoder. The rule:
+
+- registers are :class:`Register` objects with distinct identifier
+  names, kind ``"q"`` or ``"c"`` and an int size >= 1 (not a bool);
+- an instruction has the shape :data:`SHAPES` gives its opcode: qubit,
+  parameter and clbit counts, a delay's nonnegative int cycle count, a
+  barrier's one qubit or more and no ``if`` on a barrier;
+- its operands are a tuple of ``(register name, index)`` tuples, each an
+  int index (not a bool or ``None``) in range of a declared register of
+  the right kind; a gate names each wire once;
+- its parameters are a tuple of finite reals, each equal to the double
+  it converts to (a delay count need only be finite as a double);
+- its ``if`` condition names a declared classical register and an int of
+  at least 0.
+
+A failure raises :class:`QasmError`, prefixed ``instruction k:`` for an
+instruction. ``print_qasm`` and ``flatten`` check source statements
+(``Rule.source``): a macro call against its :class:`GateDef`, and
+register-wide operands as ``flatten`` broadcasts them.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from numbers import Real
 
@@ -54,66 +67,64 @@ __all__ = [
 
 # opcode -> (qubit count, parameter count, clbit count) of a flat
 # instruction: a library gate or one of the four statements. None marks a
-# count with a rule of its own in shape_error (a barrier takes one qubit or
-# more, a delay one integer cycle count)
+# count with a rule of its own in instruction_error (a barrier takes one
+# qubit or more, a delay one integer cycle count)
 SHAPES = {name: (spec.arity, spec.param_count, 0) for name, spec in LIBRARY.items()}
 SHAPES.update(measure=(1, 0, 1), reset=(1, 0, 0), delay=(1, None, 0), barrier=(None, 0, 0))
-_NO_PARAMS = ()  # CPython's one empty tuple: a test of identity passes most gates
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the parser's identifier token
 
 
-def shape_error(instr) -> str | None:
-    """Why ``instr`` is not the shape of a flat instruction, or None; of its
-    operands only their number counts."""
-    opcode, params, qubits = instr.opcode, instr.params, instr.qubits
-    if opcode not in SHAPES:
-        return f"undeclared gate '{opcode}'"
-    arity, n_params, n_clbits = SHAPES[opcode]
-    what = f"gate '{opcode}'" if opcode in LIBRARY else f"'{opcode}'"
+def instruction_error(instr, shapes: dict) -> str | None:
+    """Why ``instr`` breaks the rule of the module docstring, or None; its
+    registers, indices and repeated wires are left to :class:`Rule`."""
+    opcode, params, qubits, clbits = instr.opcode, instr.params, instr.qubits, instr.clbits
+    for ops in (qubits, clbits):
+        for op in ops if isinstance(ops, tuple) else (None,):
+            if not isinstance(op, tuple) or len(op) != 2 or type(op[0]) is not str:
+                return f"operands must be a tuple of (register, index) tuples, got {ops!r}"
+    if type(params) is not tuple:
+        return f"parameters must be a tuple, got {params!r}"
+    for p in params:
+        if type(p) is float and not p - p:  # a finite float, the common case
+            continue
+        try:
+            finite = isinstance(p, Real) and math.isfinite(p)
+            # a delay count is an int of its own rule, below
+            exact = finite and (float(p) == p or opcode == "delay")
+        except OverflowError:  # a number too large for a double
+            finite = exact = False
+        if not exact:
+            what = "equal to a double" if finite else "a finite real number"
+            return f"parameter {p!r} is not {what}"
+    shape = shapes.get(opcode) if type(opcode) is str else None
+    if shape is None:
+        return f"undeclared gate {opcode!r}"
+    arity, n_params, n_clbits = shape
+    why = None  # the first of the count rules that fails, named below
     if opcode == "delay":
         if len(params) != 1 or type(params[0]) is not int or params[0] < 0:
             return "delay cycle count must be a nonnegative integer"
     elif len(params) != n_params:
-        return f"{what} takes {n_params} parameter(s), got {len(params)}"
-    if arity is None and not qubits:
+        why = f"takes {n_params} parameter(s), got {len(params)}"
+    if why is None and arity is None and not qubits:
         return "a barrier needs at least one qubit"
-    if arity is not None and len(qubits) != arity:
-        return f"{what} acts on {arity} qubit(s), got {len(qubits)}"
-    if len(instr.clbits) != n_clbits:
-        return f"{what} writes {n_clbits} clbit(s), got {len(instr.clbits)}"
-    if opcode == "barrier" and instr.condition is not None:
-        return "a barrier cannot be conditioned"
-    return None
-
-
-def operand_error(operands) -> str | None:
-    """Why ``operands`` is not a tuple of ``(register, index)`` tuples, or None."""
-    if isinstance(operands, tuple) and all(
-            isinstance(op, tuple) and len(op) == 2 for op in operands):
+    if why is None and arity is not None and len(qubits) != arity:
+        why = f"acts on {arity} qubit(s), got {len(qubits)}"
+    if why is None and len(clbits) != n_clbits:
+        why = f"writes {n_clbits} clbit(s), got {len(clbits)}"
+    if why is not None:
+        return ("gate " if opcode in LIBRARY or opcode not in SHAPES else "") + f"'{opcode}' {why}"
+    condition = instr.condition
+    if condition is None:
         return None
-    return f"operands must be a tuple of (register, index) tuples, got {operands!r}"
-
-
-def param_error(params) -> str | None:
-    """Why ``params`` is not a tuple of real numbers that are finite as
-    doubles, or None."""
-    if type(params) is not tuple:
-        return f"parameters must be a tuple, got {params!r}"
-    for p in params:
-        try:
-            finite = isinstance(p, (float, int, Real)) and math.isfinite(p)
-        except OverflowError:  # an int too large for a double
-            finite = False
-        if not finite:
-            return f"parameter {p!r} is not a finite real number"
-    return None
-
-
-def condition_error(condition) -> str | None:
-    """Why ``condition`` is not a ``(register, integer)`` pair, or None."""
+    if opcode == "barrier":
+        return "a barrier cannot be conditioned"
     if type(condition) is not tuple or len(condition) != 2 or type(condition[0]) is not str:
         return f"an if condition must be a (register, integer) pair, got {condition!r}"
     value = condition[1]
-    return None if isinstance(value, int) else f"if value {value!r} is not an integer"
+    if not isinstance(value, int):
+        return f"if value {value!r} is not an integer"
+    return f"if value {value} is negative" if value < 0 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,6 +298,100 @@ class Resolution:
     conditions: dict
 
 
+def broadcast_call(instr: Instruction, j: int) -> Instruction:
+    """Call j of a statement with register-wide operands: wire j of each."""
+    ops = [tuple((r, j if idx is None else idx) for r, idx in operands)
+           for operands in (instr.qubits, instr.clbits)]
+    return Instruction(instr.opcode, instr.params, *ops, instr.condition)
+
+
+class Rule:
+    """The one check of a circuit (see the module docstring): its registers
+    when built, then one instruction per call."""
+
+    __slots__ = ("regs", "shapes")
+
+    def __init__(self, registers, gate_defs=()):
+        self.regs: dict[str, tuple] = {}  # name -> (kind, size, global index of its bit 0)
+        self.shapes = SHAPES | {gd.name: (len(gd.qubits), len(gd.params), 0) for gd in gate_defs}
+        first = {"q": 0, "c": 0}
+        for reg in registers:
+            if type(reg) is not Register:
+                raise QasmError(f"register {reg!r} is not a Register")
+            name, kind, size = reg.name, reg.kind, reg.size
+            if type(name) is not str or not _IDENTIFIER.fullmatch(name) or name in self.regs:
+                raise QasmError(f"register name {name!r} is declared twice or not an identifier")
+            if kind not in ("q", "c") or type(size) is not int or size < 1:
+                raise QasmError(f"register '{name}' needs kind 'q' or 'c' and an int size >= 1, "
+                                f"not {kind!r} and {size!r}")
+            self.regs[name] = (kind, size, first[kind])
+            first[kind] += size
+
+    def check(self, instr, k: int) -> tuple:
+        """``instr``'s (wires, clbits, ``if`` test) as a flat instruction, or a
+        QasmError prefixed ``instruction k:`` that names a rule it breaks."""
+        why = instruction_error(instr, self.shapes)
+        if why is None:
+            ws = self._indices(instr.qubits, "q", k)
+            if instr.opcode != "barrier" and len(ws) > 1 and len(set(ws)) != len(ws):
+                why = f"duplicate qubit operand in '{instr.opcode}'"
+        if why is not None:
+            raise QasmError(f"instruction {k}: {why}")
+        test = None
+        if instr.condition is not None:
+            name, value = instr.condition
+            (offset,) = self._indices(((name, 0),), "c", k)
+            test = (offset, (1 << self.regs[name][1]) - 1, value)
+        return ws, instr.clbits and self._indices(instr.clbits, "c", k), test
+
+    def _indices(self, operands: tuple, kind: str, k: int) -> tuple:
+        out = []
+        for name, idx in operands:
+            reg = self.regs.get(name)
+            if reg and reg[0] == kind and type(idx) is int and 0 <= idx < reg[1]:
+                out.append(reg[2] + idx)
+                continue
+            if reg is None:
+                why = f"undeclared register '{name}'"
+            elif reg[0] != kind:
+                why = f"'{name}' is not a {'quantum' if kind == 'q' else 'classical'} register"
+            elif idx is None:
+                why = f"register-wide operand '{name}' (flatten the circuit first)"
+            elif type(idx) is not int:
+                why = f"index {idx!r} of '{name}' is not an int"
+            else:
+                why = f"index {idx} out of range for {name}[{reg[1]}]"
+            raise QasmError(f"instruction {k}: {why}")
+        return tuple(out)
+
+    def source(self, instr, k: int) -> int | None:
+        """Check a source statement: a macro call against its definition, and
+        register-wide operands as flatten broadcasts them, to wire j in call
+        j (each call passes as call 0 does once no other operand names the
+        register). Returns the number of calls, or None if none is wide."""
+        try:
+            self.check(instr, k)
+            return None
+        except QasmError:
+            if (instruction_error(instr, self.shapes)
+                    or not any(idx is None for _, idx in instr.qubits + instr.clbits)):
+                raise
+        opcode, operands = instr.opcode, instr.qubits + instr.clbits
+        self.check(broadcast_call(instr, 0), k)
+        if opcode == "barrier":
+            return 1
+        wide = [name for name, idx in operands if idx is None]
+        sizes = {self.regs[name][1] for name in wide}
+        if opcode == "measure" and len(wide) < len(operands):
+            sizes.add(1)  # a measure broadcasts registers of one size, as the parser reads it
+        if len(sizes) > 1:
+            raise QasmError(
+                f"instruction {k}: register broadcast size mismatch in '{opcode}' statement")
+        if any(name in wide for name, idx in operands if idx is not None):
+            raise QasmError(f"instruction {k}: duplicate qubit operand in '{opcode}'")
+        return sizes.pop()
+
+
 @dataclass(eq=True)
 class Circuit:
     registers: tuple = ()
@@ -297,118 +402,55 @@ class Circuit:
     # (instructions, registers, Resolution) of the last resolve(); not a field
     _resolved = None
 
-    # -- register queries ---------------------------------------------------
-
-    def register(self, name: str) -> Register | None:
-        for reg in self.registers:
-            if reg.name == name:
-                return reg
-        return None
+    # -- register queries, each of which checks the registers (see Rule) ----
 
     @property
     def n_qubits(self) -> int:
-        return sum(r.size for r in self.registers if r.kind == "q")
+        return sum(reg[1] for reg in Rule(self.registers).regs.values() if reg[0] == "q")
 
     @property
     def n_clbits(self) -> int:
-        return sum(r.size for r in self.registers if r.kind == "c")
-
-    def qubit_offsets(self) -> dict[str, int]:
-        """Global wire index of each quantum register's wire 0."""
-        offsets: dict[str, int] = {}
-        k = 0
-        for reg in self.registers:
-            if reg.kind == "q":
-                offsets[reg.name] = k
-                k += reg.size
-        return offsets
-
-    def clbit_offsets(self) -> dict[str, int]:
-        offsets: dict[str, int] = {}
-        k = 0
-        for reg in self.registers:
-            if reg.kind == "c":
-                offsets[reg.name] = k
-                k += reg.size
-        return offsets
+        return sum(reg[1] for reg in Rule(self.registers).regs.values() if reg[0] == "c")
 
     def resolve(self) -> Resolution:
         """The operands as global indices, checked; see the module docstring."""
         cached = self._resolved
         if cached and cached[0] is self.instructions and cached[1] is self.registers:
             return cached[2]
-        offsets = {"q": self.qubit_offsets(), "c": self.clbit_offsets()}
+        rule = Rule(self.registers)
+        shapes, check = rule.shapes, rule.check
+        known: dict[tuple, tuple] = {}  # qubit operands that passed, outside a barrier
         wires: list[tuple] = []
         clbits: dict[int, tuple] = {}
         conditions: dict[int, tuple] = {}
-
-        def indices(operands: tuple, kind: str) -> tuple:
-            why = operand_error(operands)
-            if why is not None:
-                raise QasmError(f"instruction {len(wires)}: {why}")
-            out = []
-            for name, idx in operands:
-                reg = self.register(name)
-                if reg and reg.kind == kind and isinstance(idx, int) and 0 <= idx < reg.size:
-                    out.append(offsets[kind][name] + idx)
-                    continue
-                if reg is None:
-                    why = f"undeclared register '{name}'"
-                elif reg.kind != kind:
-                    why = f"'{name}' is not a {'quantum' if kind == 'q' else 'classical'} register"
-                elif idx is None:
-                    why = f"register-wide operand '{name}' (flatten the circuit first)"
-                else:
-                    why = f"index {idx!r} out of range for {name}[{reg.size}]"
-                raise QasmError(f"instruction {len(wires)}: {why}")
-            return tuple(out)
-
-        wires_of: dict = {}
-        repeated = set()  # wire tuples that name a wire twice
         add = wires.append
-        for instr in self.instructions:
-            operands, params, cbits = instr.qubits, instr.params, instr.clbits
+        for k, instr in enumerate(self.instructions):
+            qubits, params = instr.qubits, instr.params
             try:
-                ws = wires_of[operands]
-            except (KeyError, TypeError):  # new operands, or unhashable ones that indices() refuses
-                ws = wires_of[operands] = indices(operands, "q")
-                if len(set(ws)) != len(ws):
-                    repeated.add(ws)
-            # the common shapes and parameters (finite floats) pass here; the
-            # rest go to shape_error and param_error
-            try:
-                shape = SHAPES[instr.opcode]
-            except KeyError:  # shape_error names the opcode
-                shape = (None, None, None)
-            if shape[0] != len(ws) or shape[1] != len(params) or shape[2] != len(cbits):
-                why = shape_error(instr)
-                if why is not None:
-                    raise QasmError(f"instruction {len(wires)}: {why}")
-            if params is not _NO_PARAMS:
-                if type(params) is not tuple:
-                    raise QasmError(f"instruction {len(wires)}: {param_error(params)}")
-                # one finite float passes without a loop; p - p is nan for nan and inf
-                if len(params) != 1 or type(p := params[0]) is not float or p - p:
-                    for p in params:
-                        if type(p) is not float or p - p:
-                            why = param_error(params)
-                            if why is not None:
-                                raise QasmError(f"instruction {len(wires)}: {why}")
-                            break
-            if repeated and ws in repeated and instr.opcode in LIBRARY:
-                raise QasmError(
-                    f"instruction {len(wires)}: duplicate qubit operand in '{instr.opcode}'")
-            if cbits or instr.condition is not None:
-                k = len(wires)
-                if cbits:
-                    clbits[k] = indices(cbits, "c")
-                if instr.condition is not None:
-                    if why := condition_error(instr.condition):
-                        raise QasmError(f"instruction {k}: {why}")
-                    name, value = instr.condition
-                    (offset,) = indices(((name, 0),), "c")
-                    conditions[k] = (offset, (1 << self.register(name).size) - 1, value)
+                ws, shape = known.get(qubits), shapes.get(instr.opcode)
+            except TypeError:  # unhashable operands or opcode, which check names
+                ws = shape = None
+            # a gate on one or two qubits that passed before, with no clbit or
+            # if and finite floats for parameters (p - p is nan for nan and
+            # inf), passes here; an index equal to an int may not be one
+            if (ws and shape and shape[0] == len(ws) < 3 and not shape[2]
+                    and not instr.clbits and instr.condition is None
+                    and type(qubits[0][1]) is int and type(qubits[-1][1]) is int
+                    and type(params) is tuple and shape[1] == len(params)):
+                for p in params:
+                    if type(p) is not float or p - p:
+                        break
+                else:
+                    add(ws)
+                    continue
+            ws, cbits, test = check(instr, k)
             add(ws)
+            if instr.opcode != "barrier":
+                known[qubits] = ws
+            if cbits:
+                clbits[k] = cbits
+            if test is not None:
+                conditions[k] = test
         resolution = Resolution(tuple(wires), clbits, conditions)
         self._resolved = (self.instructions, self.registers, resolution)
         return resolution

@@ -3,7 +3,7 @@ single-qubit unitaries.
 
 Angles are normalized to (-pi, pi] and snapped exactly onto the pi/2 lattice
 when within SNAP_TOL = 1e-9 of a lattice point; exact lattice membership is
-what the stabilizer backend and peephole cancellation key on.
+what the stabilizer backend and ``decompose.retarget_1q`` key on.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ are inlined recursively with exact parameter substitution (a conditioned
 call's condition goes to every gate of its body; a body barrier stays
 unconditioned, as QASM 2 has no conditioned barrier), and register-wide
 statements like ``measure q -> c;`` or ``h q;`` are expanded per wire.
+A macro call meets the circuit rule (``Rule.source``) first, so one with
+the wrong number of qubits or parameters is never expanded.
 Flattened circuits carry no gate definitions or includes, and their
 instructions are checked by ``Circuit.resolve``, whose resolution they
 keep; a circuit that is flat already comes back as it is. Macro nesting
@@ -17,7 +19,7 @@ the index (from 0) of the circuit instruction whose call expanded it.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Instruction, eval_expr, operand_error
+from .circuit import Circuit, Instruction, Rule, broadcast_call, eval_expr
 from .errors import QasmError
 
 __all__ = ["flatten", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
@@ -28,42 +30,24 @@ MAX_EXPANSION_DEPTH = 1000
 MAX_EXPANSION_INSTRUCTIONS = 2**20
 
 
-def _broadcast(instr: Instruction, reg_sizes: dict[str, int]) -> list[Instruction]:
+def _broadcast(instr: Instruction, k: int, rule: Rule, defs: dict, sizes: dict) -> tuple:
+    """The calls of statement k. A macro call or a register-wide statement
+    meets ``Rule.source`` first; the rest meet the rule once, in the flat
+    circuit."""
     try:
-        wide_q = [i for i, (_, idx) in enumerate(instr.qubits) if idx is None]
-        wide_c = [i for i, (_, idx) in enumerate(instr.clbits) if idx is None]
-    except (TypeError, ValueError):  # an operand that is not a pair
-        raise QasmError(operand_error(instr.qubits) or operand_error(instr.clbits)) from None
-    if not wide_q and not wide_c:
-        return [instr]
-    for reg, idx in instr.qubits + instr.clbits:
-        if idx is None and reg not in reg_sizes:
-            raise QasmError(f"undeclared register '{reg}'")
-
+        plain = instr.opcode not in defs and None not in {i for _, i in instr.qubits + instr.clbits}
+    except (TypeError, ValueError):  # a malformed field, which Rule.source names
+        plain = False
+    width = None if plain else rule.source(instr, k)
+    if width is None:
+        return (instr,)
     if instr.opcode == "barrier":
         # a register-wide barrier synchronizes all of the register's wires
         # as a single instruction, not one barrier per wire
-        ops = []
-        for reg, idx in instr.qubits:
-            if idx is None:
-                ops.extend((reg, k) for k in range(reg_sizes[reg]))
-            else:
-                ops.append((reg, idx))
-        return [Instruction("barrier", (), tuple(ops), (), instr.condition)]
-
-    sizes = {reg_sizes[instr.qubits[i][0]] for i in wide_q}
-    sizes |= {reg_sizes[instr.clbits[i][0]] for i in wide_c}
-    if len(sizes) != 1:
-        raise QasmError(
-            f"register broadcast size mismatch in '{instr.opcode}' statement"
-        )
-    m = sizes.pop()
-    out = []
-    for k in range(m):
-        qs = tuple((r, k if idx is None else idx) for r, idx in instr.qubits)
-        cs = tuple((r, k if idx is None else idx) for r, idx in instr.clbits)
-        out.append(Instruction(instr.opcode, instr.params, qs, cs, instr.condition))
-    return out
+        ops = tuple((reg, j) for reg, idx in instr.qubits
+                    for j in (range(sizes[reg]) if idx is None else (idx,)))
+        return (Instruction("barrier", (), ops, (), instr.condition),)
+    return tuple(broadcast_call(instr, j) for j in range(width))
 
 
 def flatten(circuit: Circuit) -> Circuit:
@@ -78,8 +62,11 @@ def flatten(circuit: Circuit) -> Circuit:
             return circuit
         except QasmError:
             pass  # a register-wide operand is expanded below; any other error recurs there
+    rule = Rule(circuit.registers, circuit.gate_defs)
     defs = {gd.name: gd for gd in circuit.gate_defs}
-    reg_sizes = {r.name: r.size for r in circuit.registers}
+    sizes = {r.name: r.size for r in circuit.registers}
+    calls = [(k, call) for k, instr in enumerate(circuit.instructions)
+             for call in _broadcast(instr, k, rule, defs, sizes)]
     out: list[Instruction] = []
     # per macro: (instructions one call emits, macros on its longest chain)
     shapes: dict[str, tuple[int, int]] = {}
@@ -111,52 +98,40 @@ def flatten(circuit: Circuit) -> Circuit:
             path.pop()
         return shapes[root]
 
-    concrete = [c for instr in circuit.instructions for c in _broadcast(instr, reg_sizes)]
-    total = sum(shape(c.opcode)[0] if c.opcode in defs else 1 for c in concrete)
+    total = sum(shape(c.opcode)[0] if c.opcode in defs else 1 for _, c in calls)
     if total > MAX_EXPANSION_INSTRUCTIONS:
         raise QasmError(
             f"gate expansion would emit {total} instructions, "
             f"more than {MAX_EXPANSION_INSTRUCTIONS}"
         )
 
-    stack = concrete[::-1]
-    while stack:
-        instr = stack.pop()
-        gd = defs.get(instr.opcode)
-        if gd is None:
-            out.append(instr)
-            continue
-        if gd.opaque:
-            raise QasmError(f"cannot expand opaque gate '{gd.name}' (no body)")
-        env = dict(zip(gd.params, instr.params))
-        try:
-            for body in reversed(gd.body):
-                stack.append(
-                    Instruction(
-                        body.opcode,
-                        tuple(eval_expr(e, env) for e in body.params),
-                        tuple(instr.qubits[i] for i in body.qubits),
-                        (),
-                        # a barrier is not a qop, so no if applies to it
-                        None if body.opcode == "barrier" else instr.condition,
+    for k, call in calls:
+        stack = [call]
+        while stack:
+            instr = stack.pop()
+            gd = defs.get(instr.opcode)
+            if gd is None:
+                out.append(instr)
+                continue
+            if gd.opaque:
+                raise QasmError(f"cannot expand opaque gate '{gd.name}' (no body)")
+            env = dict(zip(gd.params, instr.params))
+            try:
+                for body in reversed(gd.body):
+                    stack.append(
+                        Instruction(
+                            body.opcode,
+                            tuple(eval_expr(e, env) for e in body.params),
+                            tuple(instr.qubits[i] for i in body.qubits),
+                            (),
+                            # a barrier is not a qop, so no if applies to it
+                            None if body.opcode == "barrier" else instr.condition,
+                        )
                     )
-                )
-        except QasmError as exc:
-            # the bottom of the stack still holds the concrete instructions
-            # not yet started (expansions are new objects); the one being
-            # expanded is the last started, in the circuit instruction
-            # whose broadcast holds it
-            pending = 0
-            while pending < len(stack) and stack[pending] is concrete[-1 - pending]:
-                pending += 1
-            started = len(concrete) - pending
-            for index, statement in enumerate(circuit.instructions):
-                started -= len(_broadcast(statement, reg_sizes))
-                if started <= 0:
-                    break
-            raise QasmError(
-                f"{exc.message} (in gate '{gd.name}', called by instruction {index})"
-            ) from None
+            except QasmError as exc:
+                raise QasmError(
+                    f"{exc.message} (in gate '{gd.name}', called by instruction {k})"
+                ) from None
 
     flat = Circuit(registers=circuit.registers, instructions=tuple(out))
     flat.resolve()

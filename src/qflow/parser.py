@@ -325,6 +325,8 @@ class _Parser:
             opcode, exprs, args = self._parse_call(tok, (), self._parse_argument)
             if len({self.reg_map[r].size for r, idx in args if idx is None}) > 1:
                 self.error("register broadcast requires equal register sizes", tok)
+            if any(idx is not None and (r, None) in args for r, idx in args):
+                self.error("duplicate qubit operand", tok)  # the call of wire idx names it twice
             instr = Instruction(opcode, tuple(e.value for e in exprs), args, (), condition)
         self.instructions.append(instr)
 

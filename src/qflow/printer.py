@@ -4,19 +4,19 @@
 emitted with ``repr`` of the Python float or int they equal (a numpy scalar
 too), the shortest decimal that round-trips to the same IEEE-754 double.
 Gate definitions pulled in by ``include`` are not re-printed (the include
-line restores them on re-parse). An instruction that would not read back
-raises :class:`QasmError`: a wrong shape, or operands, parameters or an
-``if`` condition that break the rules of :mod:`qflow.circuit`
-(``shape_error``, ``operand_error``, ``param_error``, ``condition_error``);
-macro calls and the registers that operands name are not checked.
+line restores them on re-parse). A circuit that would not read back
+raises :class:`QasmError`: its registers and instructions meet the one
+rule of :mod:`qflow.circuit`, for source statements (``Rule.source``).
 
 Each distinct instruction is checked and formatted once, in a memo that
 lives for one call, keyed by the instruction's fields: an equal instruction
-gets the same line and the same shape verdict. Equal numbers can print
-differently (``0.0 == -0.0``, ``1 == 1.0 == True``), so an instruction with
-a parameter that is not a nonzero float, or an operand index or ``if``
-value that is not an int, bypasses the memo, as does one with a field that
-cannot be hashed (a list built in Python); each prints as it would alone.
+gets the same line and the same verdict, and a hit skips the check. Equal
+numbers can print differently (``0.0 == -0.0``, ``1 == 1.0 == True``) and
+meet the rule differently (an index ``True`` equals 1), so an instruction
+with a parameter that is not a nonzero float, or an operand index or
+``if`` value that is not an int, bypasses the memo, as does one with a
+field that cannot be hashed (a list built in Python); each is checked, and
+printed, as it would be alone.
 A memo that holds more than 1024 lines, over half of the instructions so
 far, is dropped: the circuit does not repeat, and lookups would cost more
 than they save.
@@ -36,13 +36,8 @@ from .circuit import (
     Instruction,
     Neg,
     ParamExpr,
-    SHAPES,
-    condition_error,
-    operand_error,
-    param_error,
-    shape_error,
+    Rule,
 )
-from .errors import QasmError
 
 __all__ = ["print_qasm"]
 
@@ -111,11 +106,7 @@ def _fmt_instruction(instr: Instruction) -> str:
         try:
             args = ",".join(map(float.__repr__, params))  # a float subclass prints as a float
         except TypeError:  # another real prints as the int or float it equals
-            if param_error(params):
-                raise
             args = ",".join(repr(int(p) if isinstance(p, Integral) else float(p)) for p in params)
-        if "n" in args or type(params) is not tuple:  # inf, nan or parameters in a list
-            raise ValueError(args)
         return f"{prefix}{opcode}({args}) {ops};"
     return f"{prefix}{opcode} {ops};"
 
@@ -143,6 +134,7 @@ def _fmt_gate_def(gd: GateDef) -> list[str]:
 
 def print_qasm(circuit: Circuit) -> str:
     """Render a circuit as OpenQASM 2.0 text."""
+    rule = Rule(circuit.registers, circuit.gate_defs)
     lines = ["OPENQASM 2.0;"]
     for inc in circuit.includes:
         lines.append(f'include "{inc}";')
@@ -152,7 +144,6 @@ def print_qasm(circuit: Circuit) -> str:
     for reg in circuit.registers:
         kw = "qreg" if reg.kind == "q" else "creg"
         lines.append(f"{kw} {reg.name}[{reg.size}];")
-    macros = {gd.name for gd in circuit.gate_defs}
     memo: dict[tuple, str] | None = {}  # see the module docstring
     for k, instr in enumerate(circuit.instructions):
         key = line = None
@@ -163,22 +154,8 @@ def print_qasm(circuit: Circuit) -> str:
             except (TypeError, ValueError, IndexError):  # a malformed or unhashable field
                 key = None
         if line is None:
-            shape = SHAPES.get(instr.opcode)  # the common shapes pass, as in Circuit.resolve
-            if (shape is None or shape[0] != len(instr.qubits) or shape[1] != len(instr.params)
-                    or shape[2] != len(instr.clbits)) and instr.opcode not in macros:
-                why = shape_error(instr)
-                if why is not None:
-                    raise QasmError(f"instruction {k}: {why}")
-            if instr.condition is not None and (why := condition_error(instr.condition)):
-                raise QasmError(f"instruction {k}: {why}")
-            try:
-                line = _fmt_instruction(instr)
-            except (TypeError, ValueError):  # a malformed operand or parameter
-                why = (operand_error(instr.qubits) or operand_error(instr.clbits)
-                       or param_error(instr.params))
-                if why is None:
-                    raise
-                raise QasmError(f"instruction {k}: {why}") from None
+            rule.source(instr, k)
+            line = _fmt_instruction(instr)
             if key is not None:
                 memo[key] = line
                 if len(memo) > _MEMO_FLOOR + k // 2:

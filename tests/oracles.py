@@ -22,6 +22,16 @@ NON_UNITARY = ("measure", "barrier", "delay", "reset")
 STATEVECTOR_CAP = 12  # tableau_to_statevector holds a 2**n vector
 
 
+def offsets(circuit, kind: str) -> dict[str, int]:
+    """Global index of each register's bit 0 over the registers of one kind
+    ("q" or "c"), numbered in declaration order."""
+    out, k = {}, 0
+    for reg in circuit.registers:
+        if reg.kind == kind:
+            out[reg.name], k = k, k + reg.size
+    return out
+
+
 def apply_to_columns(arr: np.ndarray, m, wires, n: int) -> np.ndarray:
     """Apply a gate matrix (first operand = high local bit) to every column
     of a (2**n, B) array over little-endian global wires."""
@@ -67,12 +77,12 @@ def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of a circuit's gate portion."""
     flat = flatten(circuit)
     n = flat.n_qubits
-    offsets = flat.qubit_offsets()
+    qoff = offsets(flat, "q")
     u = np.eye(1 << n, dtype=complex)
     for instr in flat.instructions:
         if instr.opcode in NON_UNITARY:
             continue
-        wires = [offsets[r] + i for r, i in instr.qubits]
+        wires = [qoff[r] + i for r, i in instr.qubits]
         u = apply_to_columns(u, unitary_of(instr.opcode, instr.params), wires, n)
     return u
 
@@ -175,7 +185,7 @@ def exact_distribution(circuit, readout=None) -> dict[int, float]:
     qubits, as in the simulators' counts."""
     flat = flatten(circuit)
     n = flat.n_qubits
-    qoff, coff = flat.qubit_offsets(), flat.clbit_offsets()
+    qoff, coff = offsets(flat, "q"), offsets(flat, "c")
     width = {r.name: r.size for r in flat.registers if r.kind == "c"}
     psi = np.zeros((1 << n, 1), complex)
     psi[0, 0] = 1.0

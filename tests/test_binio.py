@@ -153,6 +153,26 @@ def test_encoder_refuses_operands_the_decoder_refuses(instr, message):
         encode_binary(Circuit(registers=regs, instructions=(instr,)))
 
 
+@pytest.mark.parametrize("stmt, message", [
+    # a varint holds 70 bits, and the decoder refused this value as an overflow
+    ("if(c==1180591620717411303424) x q[0];", "cannot encode 1180591620717411303424"),
+    # a delay count is stored as an f64, which read this one back as ...992
+    ("delay q[0], 9007199254740993;",
+     "instruction 0: delay count 9007199254740993 does not fit a double exactly"),
+])
+def test_a_value_the_format_cannot_hold_is_refused_by_the_encoder(stmt, message):
+    circ = parse_qasm(f"OPENQASM 2.0; qreg q[1]; creg c[2]; {stmt}")
+    circ.resolve()
+    with pytest.raises(BinaryFormatError, match=message):
+        encode_binary(circ)
+
+
+def test_the_largest_values_the_format_holds_round_trip():
+    circ = parse_qasm("OPENQASM 2.0; qreg q[1]; creg c[2];"
+                      f"if(c=={2**70 - 1}) x q[0]; delay q[0], {2**53 + 2};")
+    assert decode_binary(encode_binary(circ)) == circ
+
+
 def test_decoder_refuses_operands_with_the_same_check():
     regs = (Register("q", "q", 2), Register("c", "c", 1))
     measure = Instruction("measure", (), (("q", 1),), (("c", 0),))

@@ -1,13 +1,17 @@
 """Circuit.resolve: the one operand resolution every stage reads, and the one
-shape, operand and parameter check that a hostile Circuit meets at every
-public entry point."""
+circuit rule (registers, shapes, operands, parameters and conditions) that a
+hostile Circuit meets at every public entry point, and that makes both round
+trips, through QASM text and through NWQB bytes, give back what they took."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflow import (
+    BinaryFormatError,
     Circuit,
     Instruction,
     Layout,
@@ -15,6 +19,7 @@ from qflow import (
     Register,
     analyze,
     circuit_depth,
+    decode_binary,
     dm_evolve,
     dm_run,
     encode_binary,
@@ -22,6 +27,7 @@ from qflow import (
     initial_mapping,
     load_bundled_device,
     parse_qasm,
+    print_qasm,
     route,
     schedule_asap,
     stab_run,
@@ -29,6 +35,9 @@ from qflow import (
     sv_statevector,
     transpile,
 )
+from qflow.circuit import BodyInstruction, FormalRef, GateDef
+
+from oracles import offsets
 
 REGS = (Register("q", "q", 2), Register("r", "q", 3), Register("c", "c", 2))
 PROLOGUE = (Instruction("h", (), (("q", 0),)), Instruction("cx", (), (("q", 0), ("r", 1))))
@@ -41,7 +50,7 @@ def _circuit(*instructions) -> Circuit:
 def test_resolution_matches_register_offsets(corpus):
     for name, circ in corpus:
         flat = flatten(circ)
-        qoff, coff = flat.qubit_offsets(), flat.clbit_offsets()
+        qoff, coff = offsets(flat, "q"), offsets(flat, "c")
         res = flat.resolve()
         for k, instr in enumerate(flat.instructions):
             assert res.wires[k] == tuple(qoff[r] + i for r, i in instr.qubits), name
@@ -210,7 +219,61 @@ HOSTILE = {
     "condition_of_one": Instruction("x", (), (("q", 0),), (), ("c",)),
     "condition_of_three": Instruction("x", (), (("q", 0),), (), ("c", 1, 2)),
     "condition_as_a_string": Instruction("x", (), (("q", 0),), (), "c1"),
+    "bool_index": Instruction("h", (), (("q", True),)),
+    "float_clbit": Instruction("measure", (), (("q", 0),), (("c", 1.0),)),
+    "negative_if_value": Instruction("x", (), (("q", 0),), (), ("c", -1)),
+    "fraction_param": Instruction("rz", (Fraction(1, 3),), (("q", 0),)),
+    "int_param_beyond_a_double": Instruction("rz", (2**53 + 1,), (("q", 0),)),
+    "unhashable_register_name": Instruction("h", (), ((["q"], 0),)),
 }
+
+# macro calls, checked against their definitions, and register-wide operands,
+# checked as flatten broadcasts them
+MACROS = (
+    GateDef("bell", (), ("a", "b"), (BodyInstruction("h", (), (0,)),
+                                     BodyInstruction("cx", (), (0, 1)))),
+    GateDef("rot", ("t",), ("a",), (BodyInstruction("rz", (FormalRef("t"),), (0,)),)),
+)
+HOSTILE_CALLS = {
+    "macro_on_too_few_qubits": Instruction("bell", (), (("q", 0),)),
+    "macro_on_too_many_qubits": Instruction("bell", (), (("q", 0), ("q", 1), ("r", 0))),
+    "macro_with_an_extra_param": Instruction("bell", (0.5,), (("q", 0), ("q", 1))),
+    "macro_without_its_param": Instruction("rot", (), (("q", 0),)),
+    "macro_with_a_clbit": Instruction("bell", (), (("q", 0), ("q", 1)), (("c", 0),)),
+    "macro_on_one_qubit_twice": Instruction("bell", (), (("q", 1), ("q", 1))),
+    "macro_with_a_nan_param": Instruction("rot", (math.nan,), (("q", 0),)),
+    "macro_on_a_clbit": Instruction("rot", (0.5,), (("c", 0),)),
+    "wide_macro_size_mismatch": Instruction("bell", (), (("q", None), ("r", None))),
+    "wide_and_fixed_operand_of_one_register": Instruction("cx", (), (("q", 0), ("q", None))),
+    "wide_measure_into_one_clbit": Instruction("measure", (), (("q", None),), (("c", 0),)),
+    "wide_operand_of_an_undeclared_register": Instruction("h", (), (("z", None),)),
+}
+
+# the registers that replace REGS' "r", one per register rule
+HOSTILE_REGISTERS = {
+    "duplicate_name": Register("q", "q", 3),
+    "duplicate_name_of_another_kind": Register("c", "q", 3),
+    "name_with_a_space": Register("my q", "q", 3),
+    "empty_name": Register("", "q", 3),
+    "name_starting_with_a_digit": Register("1r", "q", 3),
+    "name_not_a_string": Register(5, "q", 3),
+    "size_zero": Register("r", "q", 0),
+    "negative_size": Register("r", "q", -1),
+    "bool_size": Register("r", "q", True),
+    "float_size": Register("r", "q", 3.0),
+    "kind_x": Register("r", "x", 3),
+    "not_a_register": ("r", "q", 3),
+}
+
+
+def _hostile(case: str) -> Circuit:
+    if case in HOSTILE:
+        return _circuit(HOSTILE[case])
+    if case in HOSTILE_CALLS:
+        return Circuit(registers=REGS, instructions=PROLOGUE + (HOSTILE_CALLS[case],),
+                       gate_defs=MACROS)
+    regs = (REGS[0], HOSTILE_REGISTERS[case], REGS[2])
+    return Circuit(registers=regs, instructions=PROLOGUE[:1])
 
 
 def _entry_points():
@@ -230,14 +293,125 @@ def _entry_points():
         "stab_run": lambda c: stab_run(c, shots=4),
         "encode_binary": encode_binary,
         "flatten": flatten,
+        "print_qasm": print_qasm,
     }
 
 
 ENTRY_POINTS = _entry_points()
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE))
+@pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(HOSTILE_CALLS) + sorted(HOSTILE_REGISTERS))
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_hostile_circuit_raises_qasm_error_at_every_entry_point(entry, case):
     with pytest.raises(QasmError):
-        ENTRY_POINTS[entry](_circuit(HOSTILE[case]))
+        ENTRY_POINTS[entry](_hostile(case))
+
+
+# field -> (values the rule accepts, values it refuses), for the round-trip
+# property; an if value, a delay count or a register size can pass the rule
+# and still not fit the NWQB codec
+_FIELDS = {
+    "register": ([Register("r", "q", 1), Register("_r2", "c", 3), Register("big", "c", 2**70)],
+                 [Register("q", "q", 3), Register("my q", "q", 1), Register("", "q", 1),
+                  Register("1r", "q", 1), Register("r", "q", 0), Register("r", "q", True),
+                  Register("r", "q", 2.0), Register("r", "x", 1)]),
+    "index": ([0, 1], [True, False, 1.0, -1, 2]),
+    "param": ([0.5, -0.0, 1e-300, 1, True, 2**53, np.float64(0.25), np.float32(0.1),
+               Fraction(1, 2)],
+              [2**53 + 1, Fraction(1, 3), 10**400, math.nan, math.inf, "a"]),
+    "value": ([0, 3, True, 2**70 - 1, 2**70], [-1, 1.0]),
+    "cycles": ([0, 7, 2**53 + 2, 2**53 + 1], [-1, True, 1.5, 10**400]),
+}
+
+
+def _circuits(bad: str | None):
+    """Circuits over q[2] and c[2] in which the values of field ``bad``, if
+    any, come from those the rule refuses."""
+    def field(name):
+        good, hostile = _FIELDS[name]
+        return st.sampled_from(hostile if name == bad else good)
+
+    qubit = st.tuples(st.just("q"), field("index"))
+    condition = st.none() | st.tuples(st.just("c"), field("value"))
+    instruction = st.one_of(
+        st.builds(lambda q, c: Instruction("h", (), (q,), (), c), qubit, condition),
+        st.builds(lambda a, b: Instruction("cx", (), (a, b)), qubit, qubit),
+        st.builds(lambda p, q, c: Instruction("rz", (p,), (q,), (), c),
+                  field("param"), qubit, condition),
+        st.builds(lambda ps, q: Instruction("u3", tuple(ps), (q,)),
+                  st.lists(field("param"), min_size=3, max_size=3), qubit),
+        st.builds(lambda q, i: Instruction("measure", (), (q,), (("c", i),)),
+                  qubit, field("index")),
+        st.builds(lambda n, q: Instruction("delay", (n,), (q,)), field("cycles"), qubit),
+    )
+    return st.builds(
+        lambda extra, instrs: Circuit(
+            registers=(Register("q", "q", 2), Register("c", "c", 2), *extra),
+            instructions=tuple(instrs)),
+        st.lists(field("register"), min_size=bad == "register", max_size=1),
+        st.lists(instruction, max_size=4))
+
+
+_RULE_CIRCUITS = st.one_of([_circuits(bad) for bad in (None, *_FIELDS)])
+
+
+def _beyond_the_codec(circuit: Circuit) -> bool:
+    """Whether ``circuit`` holds an if value or a register size past the 70
+    bits of a varint, or a delay count that its f64 does not hold exactly."""
+    for instr in circuit.instructions:
+        if instr.condition is not None and instr.condition[1] >= 2**70:
+            return True
+        if instr.opcode == "delay" and float(instr.params[0]) != instr.params[0]:
+            return True
+    return any(reg.size >= 2**70 for reg in circuit.registers)
+
+
+@given(_RULE_CIRCUITS)
+@settings(max_examples=200, deadline=None)
+def test_resolve_accepts_what_both_round_trips_give_back(circuit):
+    try:
+        circuit.resolve()
+    except QasmError:
+        for writer in (print_qasm, encode_binary):
+            with pytest.raises(QasmError):
+                writer(circuit)
+        return
+    assert parse_qasm(print_qasm(circuit)) == circuit
+    try:
+        blob = encode_binary(circuit)
+    except BinaryFormatError:
+        assert _beyond_the_codec(circuit)
+        return
+    assert not _beyond_the_codec(circuit)
+    assert decode_binary(blob) == flatten(circuit)
+
+
+_OPERANDS = ["q", "q[0]", "q[1]", "r", "r[1]", "s", "s[2]"]
+
+
+@st.composite
+def _source_texts(draw) -> str:
+    """QASM text with macro calls and register-wide operands, many of which
+    the parser refuses."""
+    a, b, d = (draw(st.sampled_from(_OPERANDS)) for _ in range(3))
+    creg = draw(st.sampled_from(["c", "c[0]", "e", "e[2]"]))
+    statements = [
+        f"bell {a},{b};", f"rot(0.5) {a};", f"h {a};", f"cx {a},{b};", f"ccx {a},{b},{d};",
+        f"measure {a} -> {creg};", f"barrier {a},{b};", f"if(c==3) bell {a},{b};",
+        f"if(e==7) rot(-0.0) {a};", f"reset {a};", f"delay {a}, 5;",
+    ]
+    return ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nqreg r[2];\nqreg s[3];\n'
+            "creg c[2];\ncreg e[3];\ngate bell a,b { h a; cx a,b; }\n"
+            "gate rot(t) a { rz(t/2) a; }\n"
+            + "\n".join(draw(st.lists(st.sampled_from(statements), min_size=1, max_size=3))))
+
+
+@given(_source_texts())
+@settings(max_examples=100, deadline=None)
+def test_a_parsed_circuit_with_macros_and_broadcasts_reads_back_equal(text):
+    try:
+        circuit = parse_qasm(text)
+    except QasmError:
+        return
+    assert parse_qasm(print_qasm(circuit)) == circuit
+    assert decode_binary(encode_binary(circuit)) == flatten(circuit)

@@ -67,6 +67,22 @@ def test_register_wide_operand_of_an_undeclared_register_is_a_qasm_error(instr):
         flatten(circ)
 
 
+@pytest.mark.parametrize("call, message", [
+    (Instruction("bell", (), (("q", 0),)), r"gate 'bell' acts on 2 qubit\(s\), got 1"),
+    (Instruction("bell", (), (("q", 0), ("q", 1), ("q", 2))),
+     r"gate 'bell' acts on 2 qubit\(s\), got 3"),
+    (Instruction("bell", (0.5,), (("q", 0), ("q", 1))), r"gate 'bell' takes 0 parameter\(s\), got 1"),
+    (Instruction("rot", (), (("q", 0),)), r"gate 'rot' takes 1 parameter\(s\), got 0"),
+    (Instruction("rot", (0.5, 0.7), (("q", 0),)), r"gate 'rot' takes 1 parameter\(s\), got 2"),
+])
+def test_a_macro_call_is_checked_against_its_definition_before_it_expands(call, message):
+    # a short call raised IndexError, and extra qubits or parameters were dropped
+    circ = parse_qasm("OPENQASM 2.0; qreg q[3]; gate bell a,b { h a; cx a,b; }"
+                      "gate rot(t) a { rz(t) a; }")
+    with pytest.raises(QasmError, match=f"^instruction 0: {message}"):
+        flatten(Circuit(registers=circ.registers, instructions=(call,), gate_defs=circ.gate_defs))
+
+
 def test_barrier_broadcast_is_single_instruction():
     flat = flatten(parse_qasm("OPENQASM 2.0; qreg q[3]; barrier q;"))
     assert len(flat.instructions) == 1

@@ -206,10 +206,10 @@ def test_no_dead_names(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_circuit_numbers_the_wires(path):
     """Every other module reads ``Circuit.resolve`` instead of turning
-    register offsets into wires itself."""
+    register offsets (the table ``Rule.regs``) into wires itself."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                   and node.attr in ("qubit_offsets", "clbit_offsets"))
+                   and node.attr == "regs")
     assert path.name == "circuit.py" or calls == []
 
 

@@ -264,6 +264,7 @@ PINNED_ERRORS = [
     (_H + "cx q[0];", "line 4, col 1: gate 'cx' acts on 2 qubit(s), got 1"),
     (_H + "h q[0],q[1];", "line 4, col 1: gate 'h' acts on 1 qubit(s), got 2"),
     (_H + "cx q[0],q[0];", "line 4, col 1: duplicate qubit operand"),
+    (_H + "cx q[1],q;", "line 4, col 1: duplicate qubit operand"),
     (_H + "qreg r[3];\ncx q,r;", "line 5, col 1: register broadcast requires equal register sizes"),
     (_H + "h q[0]", "line 4, col 7: expected ';', found ''"),
     (_H + "h d[0];", "line 4, col 3: undeclared register 'd'"),

@@ -1,6 +1,7 @@
 """Text round-trip: parse(print(c)) must equal c structurally."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,10 +149,28 @@ def test_roundtrip_random_macro_expressions(exprs, actuals):
     (Instruction("x", (), (("q", 0),), (), ["c", 1]),
      r"an if condition must be a \(register, integer\) pair, got \['c', 1\]"),
     (Instruction("x", (), (("q", 0),), (), ("c", 1.0)), "if value 1.0 is not an integer"),
+    (Instruction("x", (), (("q", 0),), (), ("c", -1)), "if value -1 is negative"),
+    (Instruction("h", (), (("q", True),)), "index True of 'q' is not an int"),
+    (Instruction("measure", (), (("q", 0),), (("c", 1.0),)), "index 1.0 of 'c' is not an int"),
+    (Instruction("h", (), [("q", 1)]), r"operands must be a tuple of \(register, index\) tuples"),
+    (Instruction("h", (), (["q", 1],)), r"operands must be a tuple of \(register, index\) tuples"),
+    (Instruction("rz", (Fraction(1, 3),), (("q", 0),)),
+     r"parameter Fraction\(1, 3\) is not equal to a double"),
+    (Instruction("rz", (2**53 + 1,), (("q", 0),)), "parameter 9007199254740993 is not equal to a double"),
+    (Instruction("h", (), (("r", 0),)), "undeclared register 'r'"),
+    (Instruction("h", (), (("c", 0),)), "'c' is not a quantum register"),
+    (Instruction("cx", (), (("q", 1), ("q", None))), "duplicate qubit operand in 'cx'"),
+    (Instruction("measure", (), (("q", None),), (("c", 0),)),
+     "register broadcast size mismatch in 'measure' statement"),
+    (Instruction("bell", (), (("q", 0),)), r"gate 'bell' acts on 2 qubit\(s\), got 1"),
+    (Instruction("bell", (0.5,), (("q", 0), ("q", 1))), r"gate 'bell' takes 0 parameter\(s\), got 1"),
+    (Instruction("bell", (), (("q", 0), ("q", 0))), "duplicate qubit operand in 'bell'"),
 ])
 def test_an_instruction_that_would_not_read_back_is_refused(instr, message):
+    bell = GateDef("bell", (), ("a", "b"), (BodyInstruction("h", (), (0,)),
+                                           BodyInstruction("cx", (), (0, 1))))
     c = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 1)),
-                instructions=(Instruction("h", (), (("q", None),)), instr))
+                instructions=(Instruction("h", (), (("q", None),)), instr), gate_defs=(bell,))
     with pytest.raises(QasmError, match=f"^instruction 1: {message}"):
         print_qasm(c)
 
@@ -164,18 +183,15 @@ def test_a_macro_call_and_a_register_wide_operand_print_as_they_are():
 
 def test_equal_instructions_print_their_own_lines():
     # equal numbers of other types, or zeros of other signs, print
-    # differently, and fields in lists cannot be hashed; each line must be
-    # the one the instruction prints alone
+    # differently; each line must be the one the instruction prints alone
     q0, q1 = ("q", 0), ("q", 1)
     instrs = [
         Instruction("rz", (1.0,), (q0,)), Instruction("rz", (1,), (q0,)),
         Instruction("rz", (True,), (q0,)), Instruction("rz", (1.0,), (q0,)),
         Instruction("rz", (0.0,), (q0,)), Instruction("rz", (-0.0,), (q0,)),
-        Instruction("h", (), (q1,)), Instruction("h", (), (("q", True),)),
-        Instruction("h", (), [q1]), Instruction("h", (), ([*q1],)),
+        Instruction("h", (), (q1,)),
         Instruction("x", (), (q0,), (), ("c", 1)), Instruction("x", (), (q0,), (), ("c", True)),
         Instruction("measure", (), (q0,), (("c", 1),)),
-        Instruction("measure", (), (q0,), (("c", 1.0),)),
     ]
     regs = (Register("q", "q", 2), Register("c", "c", 2))
     alone = [print_qasm(Circuit(registers=regs, instructions=(i,))).splitlines()[-1]
@@ -183,7 +199,24 @@ def test_equal_instructions_print_their_own_lines():
     assert print_qasm(Circuit(registers=regs, instructions=tuple(instrs))).splitlines()[3:] == alone
     assert alone[:3] == ["rz(1.0) q[0];", "rz(1) q[0];", "rz(1) q[0];"]
     assert alone[4:6] == ["rz(0.0) q[0];", "rz(-0.0) q[0];"]
-    assert alone[10:12] == ["if(c==1) x q[0];", "if(c==1) x q[0];"]
+    assert alone[7:9] == ["if(c==1) x q[0];", "if(c==1) x q[0];"]
+
+
+@pytest.mark.parametrize("twin, instr", [
+    (Instruction("h", (), (("q", 1),)), Instruction("h", (), (("q", True),))),
+    (Instruction("h", (), (("q", 1),)), Instruction("h", (), (("q", 1.0),))),
+    (Instruction("measure", (), (("q", 0),), (("c", 1),)),
+     Instruction("measure", (), (("q", 0),), (("c", 1.0),))),
+    (Instruction("x", (), (("q", 0),), (), ("c", 1)), Instruction("x", (), (("q", 0),), (), ("c", 1.0))),
+])
+def test_an_instruction_equal_to_one_that_passed_is_still_checked(twin, instr):
+    # the memo and Circuit.resolve meet the twin first; the instruction,
+    # equal to it, has an index or if value of another type
+    c = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 2)), instructions=(twin, instr))
+    with pytest.raises(QasmError, match="^instruction 1: "):
+        print_qasm(c)
+    with pytest.raises(QasmError, match="^instruction 1: "):
+        c.resolve()
 
 
 def test_numpy_scalars_print_as_the_numbers_they_hold():

@@ -33,7 +33,7 @@ from qflow.transpile import transpile
 
 from conftest import (adder4_qasm, bell_qasm, corpus_sources, ghz_qasm, noiseless_device_json,
                       qft_qasm, random_clifford_qasm, random_clifford_t_qasm, random_general_qasm)
-from oracles import NON_UNITARY, distribution_problem, embed_slow, exact_distribution
+from oracles import NON_UNITARY, distribution_problem, embed_slow, exact_distribution, offsets
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "schemas" / "run_result.schema.json"
@@ -230,12 +230,12 @@ def test_noiseless_dm_evolve_is_the_pure_state(name, source):
 def _embedded_statevector(c) -> np.ndarray:
     """|0...0> multiplied by one literal embedding per gate."""
     flat = flatten(c)
-    offsets = flat.qubit_offsets()
+    qoff = offsets(flat, "q")
     psi = np.zeros(1 << flat.n_qubits, dtype=complex)
     psi[0] = 1.0
     for instr in flat.instructions:
         if instr.opcode not in NON_UNITARY:
-            wires = [offsets[r] + i for r, i in instr.qubits]
+            wires = [qoff[r] + i for r, i in instr.qubits]
             psi = embed_slow(unitary_of(instr.opcode, instr.params), wires, flat.n_qubits) @ psi
     return psi
 
