@@ -14,7 +14,7 @@ way over classical registers.
 
 :meth:`Circuit.resolve` alone applies this numbering: later stages read
 its :class:`Resolution`, built on first use, kept outside equality and
-``repr``, and rebuilt when ``registers`` or ``instructions`` is replaced.
+``repr``, and rebuilt when any field is replaced.
 It is also the one check of a circuit (:class:`Rule`); a circuit it
 accepts prints as text that ``parse_qasm`` reads back equal and encodes as
 bytes that ``decode_binary`` reads back equal, unless a value is too wide
@@ -22,6 +22,11 @@ for the encoder. The rule:
 
 - registers are :class:`Register` objects with distinct identifier
   names, kind ``"q"`` or ``"c"`` and an int size >= 1 (not a bool);
+- ``includes`` is ``()`` or ``("qelib1.inc",)``; under the include, no
+  gate definition of the circuit's own and no register takes the name of
+  a qelib1 macro (``ccx``, ``cswap``), and no register ever takes the name
+  of one of its own gate definitions, since the printed text defines
+  those names first;
 - an instruction has the shape :data:`SHAPES` gives its opcode: qubit,
   parameter and clbit counts, a delay's nonnegative int cycle count, a
   barrier's one qubit or more and no ``if`` on a barrier;
@@ -48,6 +53,7 @@ from numbers import Real
 
 from .errors import QasmError
 from .gates import LIBRARY
+from .qelib1 import QELIB1_INC
 
 __all__ = [
     "Register",
@@ -72,6 +78,8 @@ __all__ = [
 SHAPES = {name: (spec.arity, spec.param_count, 0) for name, spec in LIBRARY.items()}
 SHAPES.update(measure=(1, 0, 1), reset=(1, 0, 0), delay=(1, None, 0), barrier=(None, 0, 0))
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the parser's identifier token
+# the macros that include "qelib1.inc" defines: its gates outside the library
+_QELIB1_MACROS = frozenset(re.findall(r"^gate (\w+)", QELIB1_INC, re.M)) - LIBRARY.keys()
 
 
 def instruction_error(instr, shapes: dict) -> str | None:
@@ -307,20 +315,42 @@ def broadcast_call(instr: Instruction, j: int) -> Instruction:
 
 class Rule:
     """The one check of a circuit (see the module docstring): its registers
-    when built, then one instruction per call."""
+    and includes when built, then one instruction per call. With
+    ``macros``, a call of one of the circuit's gate definitions is a
+    statement to check against it (source text); without, the circuit must
+    be flat and such a call names an undeclared gate."""
 
     __slots__ = ("regs", "shapes")
 
-    def __init__(self, registers, gate_defs=()):
+    def __init__(self, circuit: "Circuit", macros: bool):
         self.regs: dict[str, tuple] = {}  # name -> (kind, size, global index of its bit 0)
-        self.shapes = SHAPES | {gd.name: (len(gd.qubits), len(gd.params), 0) for gd in gate_defs}
+        includes, gate_defs = circuit.includes, circuit.gate_defs
+        self.shapes = SHAPES
+        if macros:
+            self.shapes = SHAPES | {gd.name: (len(gd.qubits), len(gd.params), 0)
+                                    for gd in gate_defs}
+        if includes not in ((), ("qelib1.inc",)):
+            for inc in includes if type(includes) is tuple else ():
+                if inc != "qelib1.inc":
+                    raise QasmError(
+                        f"include '{inc}' is not supported (only the embedded qelib1.inc)")
+            raise QasmError(f"includes must be () or ('qelib1.inc',), not {includes!r}")
+        # the printed text defines these names before its registers: the
+        # include's macros, then its own gate definitions
+        included = _QELIB1_MACROS if includes else frozenset()
+        taken = {gd.name for gd in gate_defs if not gd.from_include}
+        if taken & included:
+            raise QasmError(f"redefinition of '{min(taken & included)}'")
+        taken |= included
         first = {"q": 0, "c": 0}
-        for reg in registers:
+        for reg in circuit.registers:
             if type(reg) is not Register:
                 raise QasmError(f"register {reg!r} is not a Register")
             name, kind, size = reg.name, reg.kind, reg.size
             if type(name) is not str or not _IDENTIFIER.fullmatch(name) or name in self.regs:
                 raise QasmError(f"register name {name!r} is declared twice or not an identifier")
+            if name in taken:
+                raise QasmError(f"redefinition of '{name}'")
             if kind not in ("q", "c") or type(size) is not int or size < 1:
                 raise QasmError(f"register '{name}' needs kind 'q' or 'c' and an int size >= 1, "
                                 f"not {kind!r} and {size!r}")
@@ -399,25 +429,27 @@ class Circuit:
     gate_defs: tuple = ()
     includes: tuple = ()
 
-    # (instructions, registers, Resolution) of the last resolve(); not a field
+    # (instructions, registers, gate_defs, includes, Resolution) of the last
+    # resolve(); not a field
     _resolved = None
 
     # -- register queries, each of which checks the registers (see Rule) ----
 
     @property
     def n_qubits(self) -> int:
-        return sum(reg[1] for reg in Rule(self.registers).regs.values() if reg[0] == "q")
+        return sum(reg[1] for reg in Rule(self, macros=False).regs.values() if reg[0] == "q")
 
     @property
     def n_clbits(self) -> int:
-        return sum(reg[1] for reg in Rule(self.registers).regs.values() if reg[0] == "c")
+        return sum(reg[1] for reg in Rule(self, macros=False).regs.values() if reg[0] == "c")
 
     def resolve(self) -> Resolution:
         """The operands as global indices, checked; see the module docstring."""
         cached = self._resolved
-        if cached and cached[0] is self.instructions and cached[1] is self.registers:
-            return cached[2]
-        rule = Rule(self.registers)
+        if (cached and cached[0] is self.instructions and cached[1] is self.registers
+                and cached[2] is self.gate_defs and cached[3] is self.includes):
+            return cached[4]
+        rule = Rule(self, macros=False)
         shapes, check = rule.shapes, rule.check
         known: dict[tuple, tuple] = {}  # qubit operands that passed, outside a barrier
         wires: list[tuple] = []
@@ -452,7 +484,8 @@ class Circuit:
             if test is not None:
                 conditions[k] = test
         resolution = Resolution(tuple(wires), clbits, conditions)
-        self._resolved = (self.instructions, self.registers, resolution)
+        self._resolved = (self.instructions, self.registers, self.gate_defs, self.includes,
+                          resolution)
         return resolution
 
     # -- convenience --------------------------------------------------------

@@ -5,7 +5,9 @@ gates. Data goes to standard output (or --out), diagnostics to standard
 error as one ``error: <message>`` line. A device whose coupling graph is not
 connected adds one ``warning: <message>`` line as it loads, whatever the
 exit code. Exit codes: 0 success, 1 circuit parse/decode error, 2 device
-configuration error, 3 transpile error, 4 simulator rejection.
+configuration error, 3 transpile error, 4 simulator rejection, 5 usage
+error (an unknown command or option, a missing or invalid argument);
+``--help`` prints the usage and exits 0.
 
 One rule gives the code. A circuit that cannot be loaded ends the command
 with 1, a device that cannot be loaded with 2; either includes a file that
@@ -27,6 +29,7 @@ import json
 import os
 import sys
 import warnings
+from typing import NoReturn
 
 from .binio import decode_binary, encode_binary
 from .circuit import Circuit
@@ -47,6 +50,7 @@ EXIT_PARSE = 1
 EXIT_DEVICE = 2
 EXIT_TRANSPILE = 3
 EXIT_BACKEND = 4
+EXIT_USAGE = 5
 
 # what the work after loading raises, first match wins
 _EXIT_CODES = (
@@ -219,8 +223,21 @@ def _cmd_gates(_args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line that the argument parser refuses."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main`` as a
+    :class:`_UsageError` (argparse would print the usage and exit 2, the
+    device error's code)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qflow",
         description="Quantum circuit toolchain: parse, transpile, simulate, analyze.",
     )
@@ -275,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     try:
         return args.func(args)
     except _LoadFailed as exc:

@@ -62,7 +62,7 @@ def flatten(circuit: Circuit) -> Circuit:
             return circuit
         except QasmError:
             pass  # a register-wide operand is expanded below; any other error recurs there
-    rule = Rule(circuit.registers, circuit.gate_defs)
+    rule = Rule(circuit, macros=True)
     defs = {gd.name: gd for gd in circuit.gate_defs}
     sizes = {r.name: r.size for r in circuit.registers}
     calls = [(k, call) for k, instr in enumerate(circuit.instructions)

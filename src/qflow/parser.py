@@ -6,16 +6,32 @@ literals and ``pi`` are folded to doubles at parse time; only gate macro
 bodies keep symbolic expressions over their formal parameters.
 
 ``include "qelib1.inc";`` resolves against the embedded copy; any other
-include path is rejected. Library gates (everything in
+include path is rejected, and so is an include that would define a macro
+whose name a register or gate already holds. Library gates (everything in
 :data:`qflow.gates.LIBRARY`) are callable whether or not the include is
 present. Three-or-more-qubit qelib1 gates (``ccx``, ``cswap``) are attached
 to the circuit as macro definitions when used.
 
-The source is read in one tokenizer pass into ``(kind, text, offset)``
-tuples; a symbol's kind is its own text. A token keeps only its offset:
-the line and column of a :class:`QasmError` are worked out from it when
-the error is raised. Top-level statements and gate bodies share one
-gate-call grammar (``name(params) args;``), as in the QASM 2 grammar.
+The text is read statement by statement, by offset. Most statements are
+library gate calls such as ``rz(-pi/4) q[3];`` or ``cx q[0],q[1];``, and
+one regex match reads each of them (``_CALL_RE``): a gate name, arguments
+that are each a number literal or ``[-]pi[/literal]``, and one or two
+indexed operands. A match is taken only when every check the grammar
+makes on that call passes (known gate not shadowed by a macro, parameter
+count, arity, declared quantum registers, indices in range, no repeated
+operand, finite values folded as the grammar folds them). Any other
+statement, a match that fails a check included, falls back to the full
+grammar. The tokenizer then reads that one statement, from its offset, into
+``(kind, text, offset)`` tuples (a symbol's kind is its own text), and the
+walk resumes after its last token. A token keeps only its offset: the line
+and column of a :class:`QasmError` are worked out from it when the error
+is raised. Top-level statements and gate bodies share one gate-call
+grammar (``name(params) args;``), as in the QASM 2 grammar.
+
+A character that no token takes is reported wherever it is, before any
+other error: the fast path never matches one, the tokenizer raises on the
+first it meets, and a grammar error first scans the rest of the text for
+one and reports that instead.
 """
 
 from __future__ import annotations
@@ -59,6 +75,30 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# what the tokenizer skips between tokens, and so between statements
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*")
+
+# The common statement, a library gate call on indexed operands (see the
+# module docstring). A number is the tokenizer's real or int, and each
+# piece ends where its token ends, so a match reads the tokens the grammar
+# would read.
+_NUMBER = r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+_ARG = rf"-?(?:{_NUMBER}|pi(?:/(?:{_NUMBER}))?)"
+_CALL_RE = re.compile(
+    rf"""
+    ([A-Za-z_][A-Za-z0-9_]*)                              # gate name
+    (?: \( ({_ARG}(?:,{_ARG})*) \) [ ]* | [ ]+ )           # arguments
+    ([A-Za-z_][A-Za-z0-9_]*) \[ (\d+) \]                  # operand
+    (?: ,[ ]* ([A-Za-z_][A-Za-z0-9_]*) \[ (\d+) \] )?     # second operand
+    ;
+    """,
+    re.VERBOSE | re.ASCII,
+)
+# call name -> (opcode, parameter count, arity), as _parse_call reads a
+# name that no macro shadows
+_CALLS = {name: (name, spec.param_count, spec.arity) for name, spec in LIBRARY.items()}
+_CALLS.update(U=("u3", 3, 1), CX=("cx", 0, 2))
+
 _FUNC_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt"})
 
 # Nesting bound for parameter expressions. Each level is a few Python
@@ -72,27 +112,35 @@ def _position(text: str, off: int) -> tuple[int, int]:
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _tokenize(text: str) -> list[tuple]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        value = m.group()
-        if kind == "sym":
-            kind = value
-        elif kind == "bad":
-            raise QasmError(f"unexpected character {value!r}", *_position(text, m.start()))
-        tokens.append((kind, value, m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _argument(text: str) -> float | None:
+    """The value of an argument that ``_CALL_RE`` matched, folded as the
+    grammar folds it (``-pi/2`` is ``(-pi)/2.0``, ``-0`` is ``-0.0``), or
+    None where the grammar raises an error."""
+    negative = text[0] == "-"
+    if negative:
+        text = text[1:]
+    if text[0] != "p":
+        value = float(text)
+        if value - value:  # inf
+            return None
+        return -value if negative else value
+    value = -math.pi if negative else math.pi
+    if len(text) > 2:
+        divisor = float(text[3:])
+        if not divisor or divisor - divisor:
+            return None
+        value /= divisor
+        if value - value:
+            return None
+    return value
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens: list[tuple] = []  # the current statement's, read by _read
         self.i = 0
+        self.scan = _TOKEN_RE.finditer(text)
         self.registers: list[Register] = []
         self.reg_map: dict[str, Register] = {}
         self.defs: dict[str, GateDef] = {}          # user + loaded include macros
@@ -103,6 +151,31 @@ class _Parser:
         self.expr_depth = 0
 
     # -- token helpers -------------------------------------------------------
+
+    def _read(self):
+        """Tokenize the next statement from ``scan`` into ``tokens``: up to
+        its first ``;``, or, once a ``{`` opens a gate body, its first
+        ``}``; or to the end of the text and an ``eof`` token. The grammar
+        ends a statement there, or raises an error on the way, so it never
+        reads past the last of these tokens."""
+        tokens = self.tokens = []
+        self.i = 0
+        end = ";"
+        for m in self.scan:
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            value = m.group()
+            if kind == "sym":
+                kind = value
+            elif kind == "bad":
+                raise QasmError(f"unexpected character {value!r}", *_position(self.text, m.start()))
+            tokens.append((kind, value, m.start()))
+            if kind == end:
+                return
+            if kind == "{":
+                end = "}"
+        tokens.append(("eof", "", len(self.text)))
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -119,8 +192,14 @@ class _Parser:
         return tok
 
     def error(self, msg: str, tok: tuple | None = None) -> NoReturn:
-        tok = tok or self.tokens[self.i]
-        raise QasmError(msg, *_position(self.text, tok[2]))
+        """Raise ``msg`` at ``tok`` (by default the current token), unless
+        the rest of the text holds a bad character: that is raised instead."""
+        off = (tok or self.tokens[self.i])[2]
+        for m in self.scan:
+            if m.lastgroup == "bad":
+                msg, off = f"unexpected character {m.group()!r}", m.start()
+                break
+        raise QasmError(msg, *_position(self.text, off))
 
     def _comma_list(self, item) -> list:
         items = [item()]
@@ -132,21 +211,56 @@ class _Parser:
     # -- program -------------------------------------------------------------
 
     def parse_program(self) -> Circuit:
+        self._read()
         if self.tokens[0][:2] != ("id", "OPENQASM"):
             self.error("expected 'OPENQASM 2.0;' header")
         self.i += 1
         ver = self.next()
         if ver[1] != "2.0":
             self.error(f"unsupported version header 'OPENQASM {ver[1]}'", ver)
-        self.expect(";")
-        while self.peek() != "eof":
+        text, end = self.text, len(self.text)
+        skip, call, add = _SKIP_RE.match, _CALL_RE.match, self.instructions.append
+        pos = self.expect(";")[2] + 1
+        scanned = True  # whether scan stands at pos
+        while (start := skip(text, pos).end()) < end:
+            m = call(text, start)
+            instr = m and self._fast_call(m)
+            if instr:
+                add(instr)
+                pos, scanned = m.end(), False
+                continue
+            if not scanned:
+                self.scan = _TOKEN_RE.finditer(text, start)
+            self._read()
             self._parse_statement()
+            last = self.tokens[-1]
+            pos, scanned = last[2] + len(last[1]), True
         return Circuit(
             registers=tuple(self.registers),
             instructions=tuple(self.instructions),
             gate_defs=self._collect_gate_defs(),
             includes=tuple(self.includes),
         )
+
+    def _fast_call(self, m) -> Instruction | None:
+        """The instruction of a ``_CALL_RE`` match, or None unless every
+        check that _parse_qop makes on the call passes."""
+        name, args, reg1, idx1, reg2, idx2 = m.groups()
+        spec = _CALLS.get(name)
+        if spec is None or name in self.defs:
+            return None
+        opcode, n_params, arity = spec
+        params = () if args is None else tuple(map(_argument, args.split(",")))
+        qubits = ((reg1, int(idx1)),) if reg2 is None else ((reg1, int(idx1)), (reg2, int(idx2)))
+        if len(params) != n_params or None in params or len(qubits) != arity:
+            return None
+        for reg_name, idx in qubits:
+            reg = self.reg_map.get(reg_name)
+            if reg is None or reg.kind != "q" or idx >= reg.size:
+                return None
+        if arity == 2 and qubits[0] == qubits[1]:
+            return None
+        return Instruction(opcode, params, qubits)
 
     def _collect_gate_defs(self) -> tuple:
         """User definitions in declaration order, then the include macros the
@@ -227,9 +341,12 @@ class _Parser:
         if path not in self.includes:
             self.includes.append(path)
             for gd in _qelib1_macros():
-                if gd.name not in self.defs:
-                    self.defs[gd.name] = gd
-                    self.include_def_names.append(gd.name)
+                # print_qasm writes the include before every gate and
+                # register, so a name one of them holds would clash there
+                if gd.name in self.reg_map or gd.name in self.defs:
+                    self.error(f"redefinition of '{gd.name}'", path_tok)
+                self.defs[gd.name] = gd
+                self.include_def_names.append(gd.name)
 
     # -- gate definitions -----------------------------------------------------
 

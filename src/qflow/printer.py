@@ -134,7 +134,7 @@ def _fmt_gate_def(gd: GateDef) -> list[str]:
 
 def print_qasm(circuit: Circuit) -> str:
     """Render a circuit as OpenQASM 2.0 text."""
-    rule = Rule(circuit.registers, circuit.gate_defs)
+    rule = Rule(circuit, macros=True)
     lines = ["OPENQASM 2.0;"]
     for inc in circuit.includes:
         lines.append(f'include "{inc}";')

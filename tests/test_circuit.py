@@ -266,7 +266,28 @@ HOSTILE_REGISTERS = {
 }
 
 
+# declarations whose printed text would not read back: the text defines
+# the include's macros, then the circuit's own gate definitions, before
+# its registers, and the parser takes only the embedded qelib1.inc
+HOSTILE_DECLARATIONS = {
+    "register_named_like_a_macro": Circuit(
+        registers=(REGS[0], Register("bell", "q", 3), REGS[2]), instructions=PROLOGUE[:1],
+        gate_defs=MACROS),
+    "register_named_like_a_qelib1_macro": Circuit(
+        registers=(REGS[0], Register("ccx", "c", 1)), instructions=PROLOGUE[:1],
+        includes=("qelib1.inc",)),
+    "macro_named_like_a_qelib1_macro": Circuit(
+        registers=REGS, instructions=PROLOGUE,
+        gate_defs=(GateDef("cswap", (), ("a", "b", "c"), (BodyInstruction("h", (), (0,)),)),),
+        includes=("qelib1.inc",)),
+    "unsupported_include": Circuit(registers=REGS, instructions=PROLOGUE,
+                                   includes=("other.inc",)),
+}
+
+
 def _hostile(case: str) -> Circuit:
+    if case in HOSTILE_DECLARATIONS:
+        return HOSTILE_DECLARATIONS[case]
     if case in HOSTILE:
         return _circuit(HOSTILE[case])
     if case in HOSTILE_CALLS:
@@ -300,7 +321,8 @@ def _entry_points():
 ENTRY_POINTS = _entry_points()
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(HOSTILE_CALLS) + sorted(HOSTILE_REGISTERS))
+@pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(HOSTILE_CALLS) + sorted(HOSTILE_REGISTERS)
+                         + sorted(HOSTILE_DECLARATIONS))
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_hostile_circuit_raises_qasm_error_at_every_entry_point(entry, case):
     with pytest.raises(QasmError):
@@ -415,3 +437,27 @@ def test_a_parsed_circuit_with_macros_and_broadcasts_reads_back_equal(text):
         return
     assert parse_qasm(print_qasm(circuit)) == circuit
     assert decode_binary(encode_binary(circuit)) == flatten(circuit)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('OPENQASM 2.0; qreg q[3]; creg ccx[1]; include "qelib1.inc"; h q[0];',
+     "line 1, col 47: redefinition of 'ccx'"),
+    ('OPENQASM 2.0; gate cswap a,b,c { h a; } include "qelib1.inc"; qreg q[3];',
+     "line 1, col 49: redefinition of 'cswap'"),
+    ('OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; creg ccx[1];',
+     "line 1, col 53: redefinition of 'ccx'"),
+    ('OPENQASM 2.0; qreg q[3]; creg ccx[1]; h q[0];', None),
+    ('OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; creg c[1]; ccx q[0],q[1],q[2];', None),
+])
+def test_a_name_the_printed_text_defines_first_is_refused_where_it_would_clash(text, message):
+    """The text that print_qasm writes declares the include and the gate
+    definitions before the registers, so the parser refuses a register or
+    gate that an include after it would define again; what it accepts
+    reads back equal."""
+    if message is not None:
+        with pytest.raises(QasmError) as info:
+            parse_qasm(text)
+        assert str(info.value) == message
+        return
+    circuit = parse_qasm(text)
+    assert parse_qasm(print_qasm(circuit)) == circuit

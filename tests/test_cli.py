@@ -204,6 +204,12 @@ _EXIT_CASES = [
     ("devices missing.json", 2, "error: device file not found: missing.json"),
     ("devices nosuch", 2, _NOSUCH),
     ("gates", 0, None),
+    ("simulate sv", 5, "error: qflow simulate: the following arguments are required: input"),
+    ("frob bell.qasm", 5, "error: qflow: argument command: invalid choice: 'frob' (choose from "
+     "'transpile', 'simulate', 'convert', 'analyze', 'fidelity', 'devices', 'gates')"),
+    ("analyze bell.qasm --shots 5", 5, "error: qflow: unrecognized arguments: --shots 5"),
+    ("simulate sv bell.qasm --shots many", 5,
+     "error: qflow simulate: argument --shots: invalid int value: 'many'"),
 ]
 
 
@@ -215,6 +221,15 @@ def test_exit_code_and_message(workdir, capsys, argv, code, message):
         assert err == ""
     else:
         assert (out, err) == ("", message + "\n")
+
+
+@pytest.mark.parametrize("argv", ["--help", "simulate --help"])
+def test_help_exits_zero_with_the_usage(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: qflow") and err == ""
 
 
 _SPLIT = "warning: device 'split5': coupling graph is not connected"

@@ -1,17 +1,21 @@
 """Parser behavior: statement forms, expression folding, and errors."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qflow import parser
+from qflow.binio import encode_binary
 from qflow.circuit import Instruction
 from qflow.cli import main
-from qflow.errors import QasmError
+from qflow.errors import QasmError, QFlowError
 from qflow.flatten import flatten
 from qflow.parser import MAX_EXPR_DEPTH, parse_qasm
+from qflow.printer import print_qasm
 
-from conftest import adder4_qasm, bell_qasm
+from conftest import adder4_qasm, bell_qasm, random_general_qasm
 
 
 class TestBasicPrograms:
@@ -346,8 +350,8 @@ _PIECES = ("(", ")", "[", "]", "{", "}", ";", ",", "->", "==", "-", "^", "/", "p
 
 
 @st.composite
-def _mutated_source(draw):
-    text = draw(st.sampled_from(_MUTATION_SEEDS))
+def _mutated_source(draw, seeds=st.sampled_from(_MUTATION_SEEDS)):
+    text = draw(seeds)
     i = draw(st.integers(0, len(text)))
     how = draw(st.sampled_from(("truncate", "delete", "insert")))
     if how == "truncate":
@@ -365,3 +369,94 @@ def test_mutated_source_raises_only_qasm_error(text):
         parse_qasm(text)
     except QasmError:
         pass
+
+
+# -- the fast path for library gate calls --------------------------------------
+
+# the call forms the fast path reads, and near misses that it must leave to
+# the full grammar
+FAST_FORMS = """\
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+creg c[1];
+rz(-pi/2) q[0]; u3(pi,-0,1e-3) q[1]; cx q[0], q[1]; U(0,0,.5) q[2]; CX q[1],q[2];
+crz(pi/4.0) q[0],q[2]; u2(-1.5e2,pi/3) q[1]; rx(-pi) q[0]; swap q[2],q[0];
+h q[0] ; rz (1) q[0]; u1( 1) q[1]; x q; if(c==1) rz(pi) q[1]; // a comment
+"""
+
+
+def _outcome(text: str):
+    """What parse_qasm makes of ``text``: the error, or the printed text
+    and the NWQB bytes (or encoding error) of the circuit it returns."""
+    try:
+        circuit = parse_qasm(text)
+    except QasmError as exc:
+        return str(exc)
+    try:
+        blob = encode_binary(circuit)
+    except QFlowError as exc:
+        blob = str(exc)
+    return print_qasm(circuit), blob
+
+
+def _full_grammar_outcome(text: str):
+    """``_outcome`` with the fast path off: every statement is tokenized."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_CALL_RE", re.compile(r"(?!)"))
+        return _outcome(text)
+
+
+_GENERAL_TEXTS = st.builds(random_general_qasm, st.integers(1, 4), st.integers(1, 12),
+                           st.integers(0, 2**32 - 1))
+
+
+@given(st.one_of(_mutated_source(),
+                 _mutated_source(st.sampled_from((FAST_FORMS,)) | _GENERAL_TEXTS),
+                 _GENERAL_TEXTS))
+@settings(max_examples=300, deadline=None)
+def test_the_fast_path_reads_what_the_full_grammar_reads(text):
+    assert _outcome(text) == _full_grammar_outcome(text)
+
+
+@pytest.mark.parametrize("src, message", [
+    # a bad character after many fast-path statements comes before an
+    # earlier parse error, and before one after those statements
+    (_H + "u1(pi/0) q[0];\n" + "h q[0];\n" * 300 + "@",
+     "line 305, col 1: unexpected character '@'"),
+    (_H + "h q[0];\n" * 300 + "h q[9];\n" + "cx q[0],q[1];\n" * 300 + "x q[1]; `",
+     "line 605, col 9: unexpected character '`'"),
+    (_H + "u1(pi/0) q[0];", "line 4, col 6: invalid constant expression: float division by zero"),
+    (_H + "u1(-pi/0.0) q[0];",
+     "line 4, col 7: invalid constant expression: float division by zero"),
+    (_H + "u1(pi/1e-320) q[0];",
+     "line 4, col 6: invalid constant expression: result inf is not finite"),
+    (_H + "u1(-1e999) q[0];", "line 4, col 5: number 1e999 is out of range"),
+    (_H + "h q[0];\nh q[0],q[1];", "line 5, col 1: gate 'h' acts on 1 qubit(s), got 2"),
+    (_H + "h q[0];\ncx q[1],q[1];", "line 5, col 1: duplicate qubit operand"),
+    (_H + "cx q[0],c[1];", "line 4, col 9: 'c' is not a quantum register"),
+    (_H + "cx q[0],q[2];", "line 4, col 11: index 2 out of range for q[2]"),
+    (_H + "cx q[0],r[0];", "line 4, col 9: undeclared register 'r'"),
+    (_H + "u3(pi,pi) q[0];", "line 4, col 1: gate 'u3' takes 3 parameter(s), got 2"),
+    (_H + "gate rz a { x a; }\nrz(pi) q[0];",
+     "line 5, col 1: gate 'rz' takes 0 parameter(s), got 1"),
+    (_H + "gate cx a { x a; }\ncx q[0],q[1];",
+     "line 5, col 1: gate 'cx' acts on 1 qubit(s), got 2"),
+], ids=lambda v: repr(v)[-48:])
+def test_a_fast_path_text_keeps_the_grammar_error(src, message):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(src)
+    assert str(info.value) == message == _full_grammar_outcome(src)
+
+
+def test_a_macro_shadows_the_library_gate_it_names():
+    circuit = parse_qasm(_H + "gate h a { x a; }\nh q[0];")
+    assert [gd.name for gd in circuit.gate_defs] == ["h"]
+    assert flatten(circuit).instructions == (Instruction("x", (), (("q", 0),)),)
+
+
+def test_fast_path_arguments_fold_bit_for_bit():
+    c = parse_qasm(_H + "u3(-pi/2,-0,-pi) q[0]; rz(pi/3) q[1];")
+    assert [p.hex() for p in c.instructions[0].params] == [
+        ((-math.pi) / 2.0).hex(), (-0.0).hex(), (-math.pi).hex()]
+    assert c.instructions[1].params[0].hex() == (math.pi / 3.0).hex()
