@@ -14,8 +14,12 @@ way over classical registers.
 
 :meth:`Circuit.resolve` alone applies this numbering: later stages read
 its :class:`Resolution`, built on first use, kept outside equality and
-``repr``, and rebuilt when any field is replaced.
-It is also the one check of a circuit (:class:`Rule`); a circuit it
+``repr``, and rebuilt when any field is replaced. Only :func:`derived`
+installs one otherwise: the transpiler builds its decomposed and output
+circuits from a resolved circuit, knows each instruction's wires, and
+hands them to it; it checks the registers, and the instructions with
+clbits or an ``if``, which give the rest of the resolution.
+``resolve`` is also the one check of a circuit (:class:`Rule`); a circuit it
 accepts prints as text that ``parse_qasm`` reads back equal and encodes as
 bytes that ``decode_binary`` reads back equal, unless a value is too wide
 for the encoder. The rule:
@@ -36,7 +40,9 @@ for the encoder. The rule:
 - its parameters are a tuple of finite reals, each equal to the double
   it converts to (a delay count need only be finite as a double);
 - its ``if`` condition names a declared classical register and an int of
-  at least 0.
+  at least 0;
+- a gate definition's body names only the definition's own qubits, and a
+  definition taken from ``qelib1.inc`` needs the include.
 
 A failure raises :class:`QasmError`, prefixed ``instruction k:`` for an
 instruction. ``print_qasm`` and ``flatten`` check source statements
@@ -264,6 +270,21 @@ class Instruction:
     clbits: tuple = ()
     condition: tuple | None = None
 
+    # the dataclass __init__ of a frozen class stores each field through
+    # object.__setattr__; the slot descriptors store them at about half
+    # the cost, and the toolchain builds thousands of instructions per job
+    def __init__(self, opcode, params=(), qubits=(), clbits=(), condition=None):
+        _set_opcode(self, opcode)
+        _set_params(self, params)
+        _set_qubits(self, qubits)
+        _set_clbits(self, clbits)
+        _set_condition(self, condition)
+
+
+_set_opcode, _set_params, _set_qubits, _set_clbits, _set_condition = (
+    Instruction.__dict__[name].__set__
+    for name in ("opcode", "params", "qubits", "clbits", "condition"))
+
 
 @dataclass(frozen=True, slots=True)
 class BodyInstruction:
@@ -335,6 +356,14 @@ class Rule:
                     raise QasmError(
                         f"include '{inc}' is not supported (only the embedded qelib1.inc)")
             raise QasmError(f"includes must be () or ('qelib1.inc',), not {includes!r}")
+        for gd in gate_defs:
+            if gd.from_include and not includes:
+                raise QasmError(f"gate '{gd.name}' comes from qelib1.inc, which is not included")
+            for stmt in gd.body:  # each names formal qubits by their index
+                if type(stmt.qubits) is not tuple or not all(
+                        type(i) is int and 0 <= i < len(gd.qubits) for i in stmt.qubits):
+                    raise QasmError(f"gate '{gd.name}' body names qubits {stmt.qubits!r}, "
+                                    f"but the gate has {len(gd.qubits)}")
         # the printed text defines these names before its registers: the
         # include's macros, then its own gate definitions
         included = _QELIB1_MACROS if includes else frozenset()
@@ -501,3 +530,25 @@ class Circuit:
     def __repr__(self) -> str:  # keep huge circuits printable
         regs = ", ".join(f"{r.name}[{r.size}]" for r in self.registers)
         return f"Circuit({regs}; {len(self.instructions)} instructions)"
+
+
+def derived(circuit: Circuit, wires: list) -> Circuit:
+    """Install the resolution of ``circuit``, which a pipeline stage built
+    from a resolved circuit and whose instruction k it placed on the global
+    wires ``wires[k]``, and return the circuit. The registers are checked
+    as ``resolve`` checks them, and so is each instruction that has clbits
+    or an ``if``, which gives those parts; the gates, which the stage built
+    from checked ones, are not checked again."""
+    rule = Rule(circuit, macros=False)
+    clbits: dict[int, tuple] = {}
+    conditions: dict[int, tuple] = {}
+    for k, instr in enumerate(circuit.instructions):
+        if instr.clbits or instr.condition is not None:
+            _, cbits, test = rule.check(instr, k)
+            if cbits:
+                clbits[k] = cbits
+            if test is not None:
+                conditions[k] = test
+    circuit._resolved = (circuit.instructions, circuit.registers, circuit.gate_defs,
+                         circuit.includes, Resolution(tuple(wires), clbits, conditions))
+    return circuit

@@ -22,7 +22,7 @@ import math
 
 from .circuit import Instruction
 from .errors import QFlowError, UnsupportedBasisError
-from .euler import snap_angle
+from .euler import angle_sum, normalize_angle, snap_angle
 from .gates import BasisSet, LIBRARY
 
 __all__ = [
@@ -36,7 +36,25 @@ _PI = math.pi
 _H3 = (_PI / 2, 0.0, _PI)  # u3 parameters of the Hadamard
 
 
+# u3 parameters of the one-qubit gates without parameters of their own
+_FIXED_U3 = {
+    "x": (_PI, 0.0, _PI),
+    "y": (_PI, _PI / 2, _PI / 2),
+    "z": (0.0, 0.0, _PI),
+    "h": _H3,
+    "s": (0.0, 0.0, _PI / 2),
+    "sdg": (0.0, 0.0, -_PI / 2),
+    "t": (0.0, 0.0, _PI / 4),
+    "tdg": (0.0, 0.0, -_PI / 4),
+    "sx": (_PI / 2, -_PI / 2, _PI / 2),
+    "sxdg": (_PI / 2, _PI / 2, -_PI / 2),
+}
+
+
 def _one_q_u3_params(opcode: str, p: tuple) -> tuple:
+    fixed = _FIXED_U3.get(opcode)
+    if fixed is not None:
+        return fixed
     if opcode in ("u3", "u"):
         return (p[0], p[1], p[2])
     if opcode == "u2":
@@ -47,21 +65,7 @@ def _one_q_u3_params(opcode: str, p: tuple) -> tuple:
         return (0.0, 0.0, 0.0)
     if opcode == "rx":
         return (p[0], -_PI / 2, _PI / 2)
-    if opcode == "ry":
-        return (p[0], 0.0, 0.0)
-    fixed = {
-        "x": (_PI, 0.0, _PI),
-        "y": (_PI, _PI / 2, _PI / 2),
-        "z": (0.0, 0.0, _PI),
-        "h": _H3,
-        "s": (0.0, 0.0, _PI / 2),
-        "sdg": (0.0, 0.0, -_PI / 2),
-        "t": (0.0, 0.0, _PI / 4),
-        "tdg": (0.0, 0.0, -_PI / 4),
-        "sx": (_PI / 2, -_PI / 2, _PI / 2),
-        "sxdg": (_PI / 2, _PI / 2, -_PI / 2),
-    }
-    return fixed[opcode]
+    return (p[0], 0.0, 0.0)  # ry
 
 
 def _two_q_template(opcode: str, p: tuple) -> list[tuple]:
@@ -117,6 +121,10 @@ def _two_q_template(opcode: str, p: tuple) -> list[tuple]:
         ]
     if opcode == "cu3":
         theta, phi, lam = p
+        if not (math.isfinite(lam + phi) and math.isfinite(lam - phi)):
+            # a sum overflows: cu3 is 2*pi-periodic in phi and lam, and the
+            # template needs both reduced alike
+            phi, lam = normalize_angle(phi), normalize_angle(lam)
         return [
             ("u3", (0.0, 0.0, (lam + phi) / 2), (0,)),
             ("u3", (0.0, 0.0, (lam - phi) / 2), (1,)),
@@ -202,12 +210,12 @@ def retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
             seq.append(("rz", (a,)))
 
     if family in ("u3", "u"):
-        if theta == 0.0 and snap_angle(phi + lam) == 0.0:
+        if theta == 0.0 and snap_angle(angle_sum(phi, lam)) == 0.0:
             return []
         return [(family, (theta, snap_angle(phi), snap_angle(lam)))]
 
     if theta == 0.0:
-        rz(phi + lam)
+        rz(angle_sum(phi, lam))
         return seq
 
     if family == "zsx":
@@ -217,7 +225,7 @@ def retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
             rz(phi + _PI / 2)
         elif theta == _PI:
             seq.append(("x", ()))
-            rz(phi - lam + _PI)
+            rz(angle_sum(phi, -lam) + _PI)
         else:
             rz(lam)
             seq.append(("sx", ()))

@@ -12,6 +12,7 @@ import cmath
 import math
 
 __all__ = [
+    "angle_sum",
     "normalize_angle",
     "snap_angle",
     "lattice_power",
@@ -25,19 +26,37 @@ __all__ = [
 SNAP_TOL = 1e-9
 _HALF_PI = math.pi / 2
 _TWO_PI = 2 * math.pi
+_FMOD_TURNS = 2**20
+_FMOD_LIMIT = _FMOD_TURNS * _TWO_PI
 
 # |sin(theta/2)| (resp. |cos|) below this selects the gimbal-degenerate branch
 _DEGENERATE_TOL = 1e-12
 
 
 def normalize_angle(a: float) -> float:
-    """Wrap into (-pi, pi]."""
-    a = math.fmod(a, _TWO_PI)
+    """Wrap into (-pi, pi]. ``fmod`` by the double nearest 2*pi drifts from
+    the angle by about 2.4e-16 per turn, so an angle of more turns than
+    ``_FMOD_TURNS`` is reduced through its sine and cosine, which reduce by
+    2*pi exactly, as every gate matrix does."""
+    if -_FMOD_LIMIT < a < _FMOD_LIMIT:
+        a = math.fmod(a, _TWO_PI)
+    else:
+        a = math.atan2(math.sin(a), math.cos(a))
     if a > math.pi:
         a -= _TWO_PI
     elif a <= -math.pi:
         a += _TWO_PI
     return a
+
+
+def angle_sum(a: float, b: float) -> float:
+    """``a + b`` as an angle. A sum of two finite angles can overflow to
+    inf; then each is reduced mod 2*pi first, which leaves the angle
+    as it is, and every finite sum is kept bit for bit."""
+    s = a + b
+    if s - s:  # nan for an infinite sum
+        s = normalize_angle(a) + normalize_angle(b)
+    return s
 
 
 def snap_angle(a: float) -> float:
@@ -84,7 +103,8 @@ def u3_cells(t: float, p: float, l: float) -> tuple:
     """Row-major cells of U3(t, p, l)."""
     c = math.cos(t / 2.0)
     s = math.sin(t / 2.0)
-    return (c, -cmath.exp(1j * l) * s, cmath.exp(1j * p) * s, cmath.exp(1j * (p + l)) * c)
+    return (c, -cmath.exp(1j * l) * s, cmath.exp(1j * p) * s,
+            cmath.exp(1j * angle_sum(p, l)) * c)
 
 
 def mul2(m2: tuple, m1: tuple) -> tuple:

@@ -10,7 +10,11 @@ A macro call meets the circuit rule (``Rule.source``) first, so one with
 the wrong number of qubits or parameters is never expanded.
 Flattened circuits carry no gate definitions or includes, and their
 instructions are checked by ``Circuit.resolve``, whose resolution they
-keep; a circuit that is flat already comes back as it is. Macro nesting
+keep: each instruction is checked once, and each macro call once more,
+before its expansion. A circuit that is flat already comes back as it is,
+and one that calls no gate definition and has no register-wide operand
+(a parsed circuit under ``include "qelib1.inc"``, say) as its registers and
+instructions, once ``Rule`` has checked its declarations. Macro nesting
 (``MAX_EXPANSION_DEPTH``) and the output size (``MAX_EXPANSION_INSTRUCTIONS``)
 are bounded, and both bounds are checked before any instruction is emitted.
 A parameter expression that fails inside a macro body names that gate and
@@ -30,15 +34,25 @@ MAX_EXPANSION_DEPTH = 1000
 MAX_EXPANSION_INSTRUCTIONS = 2**20
 
 
-def _broadcast(instr: Instruction, k: int, rule: Rule, defs: dict, sizes: dict) -> tuple:
-    """The calls of statement k. A macro call or a register-wide statement
-    meets ``Rule.source`` first; the rest meet the rule once, in the flat
-    circuit."""
+def _plain(instr: Instruction, defs: dict) -> bool:
+    """Whether statement ``instr`` is its own one call: it calls no macro and
+    names no register-wide operand. False for a malformed field, which
+    ``Rule.source`` then names."""
     try:
-        plain = instr.opcode not in defs and None not in {i for _, i in instr.qubits + instr.clbits}
-    except (TypeError, ValueError):  # a malformed field, which Rule.source names
-        plain = False
-    width = None if plain else rule.source(instr, k)
+        if instr.opcode in defs:
+            return False
+        for _, i in instr.qubits + instr.clbits:
+            if i is None:
+                return False
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _broadcast(instr: Instruction, k: int, rule: Rule, sizes: dict) -> tuple:
+    """The calls of statement k, a macro call or a register-wide statement,
+    which meets ``Rule.source`` first."""
+    width = rule.source(instr, k)
     if width is None:
         return (instr,)
     if instr.opcode == "barrier":
@@ -54,7 +68,8 @@ def flatten(circuit: Circuit) -> Circuit:
     """Inline all gate macros and expand register-wide statements, and
     check the result with ``Circuit.resolve``. A circuit that is already
     flat (no gate definitions, no includes, no register-wide operand) is
-    returned as it is."""
+    returned as it is; one whose statements are each their own call comes
+    back as its registers and instructions, each instruction checked once."""
     if (not circuit.gate_defs and not circuit.includes
             and len(circuit.instructions) <= MAX_EXPANSION_INSTRUCTIONS):
         try:
@@ -64,9 +79,14 @@ def flatten(circuit: Circuit) -> Circuit:
             pass  # a register-wide operand is expanded below; any other error recurs there
     rule = Rule(circuit, macros=True)
     defs = {gd.name: gd for gd in circuit.gate_defs}
+    plain = [_plain(instr, defs) for instr in circuit.instructions]
+    if all(plain) and len(plain) <= MAX_EXPANSION_INSTRUCTIONS:
+        flat = Circuit(circuit.registers, circuit.instructions)
+        flat.resolve()
+        return flat
     sizes = {r.name: r.size for r in circuit.registers}
     calls = [(k, call) for k, instr in enumerate(circuit.instructions)
-             for call in _broadcast(instr, k, rule, defs, sizes)]
+             for call in ((instr,) if plain[k] else _broadcast(instr, k, rule, sizes))]
     out: list[Instruction] = []
     # per macro: (instructions one call emits, macros on its longest chain)
     shapes: dict[str, tuple[int, int]] = {}
@@ -98,7 +118,7 @@ def flatten(circuit: Circuit) -> Circuit:
             path.pop()
         return shapes[root]
 
-    total = sum(shape(c.opcode)[0] if c.opcode in defs else 1 for _, c in calls)
+    total = len(calls) + sum(shape(c.opcode)[0] - 1 for _, c in calls if c.opcode in defs)
     if total > MAX_EXPANSION_INSTRUCTIONS:
         raise QasmError(
             f"gate expansion would emit {total} instructions, "
@@ -106,6 +126,9 @@ def flatten(circuit: Circuit) -> Circuit:
         )
 
     for k, call in calls:
+        if call.opcode not in defs:
+            out.append(call)
+            continue
         stack = [call]
         while stack:
             instr = stack.pop()
@@ -121,8 +144,8 @@ def flatten(circuit: Circuit) -> Circuit:
                     stack.append(
                         Instruction(
                             body.opcode,
-                            tuple(eval_expr(e, env) for e in body.params),
-                            tuple(instr.qubits[i] for i in body.qubits),
+                            tuple([eval_expr(e, env) for e in body.params]),
+                            tuple([instr.qubits[i] for i in body.qubits]),
                             (),
                             # a barrier is not a qop, so no if applies to it
                             None if body.opcode == "barrier" else instr.condition,

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QFlowError
+from .euler import angle_sum
 from .qelib1 import QELIB1_INC
 
 __all__ = [
@@ -42,7 +43,7 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     return np.array(
         [
             [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
+            [cmath.exp(1j * phi) * s, cmath.exp(1j * angle_sum(phi, lam)) * c],
         ],
         dtype=complex,
     )

@@ -201,6 +201,14 @@ class _Parser:
                 break
         raise QasmError(msg, *_position(self.text, off))
 
+    def _int(self, tok: tuple) -> int:
+        """The value of an ``int`` token; Python's int() refuses a literal of
+        more digits than ``sys.get_int_max_str_digits()``."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            self.error(f"integer literal of {len(tok[1])} digits is too long", tok)
+
     def _comma_list(self, item) -> list:
         items = [item()]
         while self.peek() == ",":
@@ -251,7 +259,11 @@ class _Parser:
             return None
         opcode, n_params, arity = spec
         params = () if args is None else tuple(map(_argument, args.split(",")))
-        qubits = ((reg1, int(idx1)),) if reg2 is None else ((reg1, int(idx1)), (reg2, int(idx2)))
+        try:
+            first = (reg1, int(idx1))
+            qubits = (first,) if reg2 is None else (first, (reg2, int(idx2)))
+        except ValueError:  # an index too long for int(), which the grammar names
+            return None
         if len(params) != n_params or None in params or len(qubits) != arity:
             return None
         for reg_name, idx in qubits:
@@ -309,7 +321,7 @@ class _Parser:
             self.expect("==", "'=='")
             val_tok = self.expect("int", "comparison value")
             self.expect(")")
-            self._parse_qop((reg.name, int(val_tok[1])))
+            self._parse_qop((reg.name, self._int(val_tok)))
         else:
             self._parse_qop(None)
 
@@ -321,7 +333,7 @@ class _Parser:
         size_tok = self.expect("int", "register size")
         self.expect("]")
         self.expect(";")
-        size = int(size_tok[1])
+        size = self._int(size_tok)
         if size < 1:
             self.error(f"register '{name}' must have size >= 1", size_tok)
         if name in self.reg_map or name in self.defs:
@@ -431,7 +443,7 @@ class _Parser:
             self.expect(",")
             if self.peek() != "int":
                 self.error("delay cycle count must be a nonnegative integer")
-            cycles = int(self.next()[1])
+            cycles = self._int(self.next())
             self.expect(";")
             instr = Instruction("delay", (cycles,), (arg,), (), condition)
         elif kw == "barrier" and condition is None:
@@ -494,7 +506,7 @@ class _Parser:
         self.i += 1
         idx_tok = self.expect("int", "wire index")
         self.expect("]")
-        idx = int(idx_tok[1])
+        idx = self._int(idx_tok)
         if idx >= reg.size:
             self.error(f"index {idx} out of range for {tok[1]}[{reg.size}]", idx_tok)
         return (reg.name, idx)

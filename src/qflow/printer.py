@@ -6,7 +6,9 @@ too), the shortest decimal that round-trips to the same IEEE-754 double.
 Gate definitions pulled in by ``include`` are not re-printed (the include
 line restores them on re-parse). A circuit that would not read back
 raises :class:`QasmError`: its registers and instructions meet the one
-rule of :mod:`qflow.circuit`, for source statements (``Rule.source``).
+rule of :mod:`qflow.circuit`, for source statements (``Rule.source``). A
+flat circuit meets it in ``Circuit.resolve``, whose resolution it keeps,
+so a circuit resolved before (a transpiled one, say) is not checked again.
 
 Each distinct instruction is checked and formatted once, in a memo that
 lives for one call, keyed by the instruction's fields: an equal instruction
@@ -38,6 +40,7 @@ from .circuit import (
     ParamExpr,
     Rule,
 )
+from .errors import QasmError
 
 __all__ = ["print_qasm"]
 
@@ -135,6 +138,14 @@ def _fmt_gate_def(gd: GateDef) -> list[str]:
 def print_qasm(circuit: Circuit) -> str:
     """Render a circuit as OpenQASM 2.0 text."""
     rule = Rule(circuit, macros=True)
+    # a flat circuit that resolves has met the rule once, for every line
+    checked = False
+    if not circuit.gate_defs and not circuit.includes:
+        try:
+            circuit.resolve()
+            checked = True
+        except QasmError:
+            pass  # a register-wide operand is checked below; any other error recurs there
     lines = ["OPENQASM 2.0;"]
     for inc in circuit.includes:
         lines.append(f'include "{inc}";')
@@ -154,7 +165,8 @@ def print_qasm(circuit: Circuit) -> str:
             except (TypeError, ValueError, IndexError):  # a malformed or unhashable field
                 key = None
         if line is None:
-            rule.source(instr, k)
+            if not checked:
+                rule.source(instr, k)
             line = _fmt_instruction(instr)
             if key is not None:
                 memo[key] = line

@@ -54,6 +54,13 @@ def schedule_asap(circuit: Circuit, device: DeviceConfig) -> Schedule:
             (w,) = wires
             start = avail[w]
             layer = level[w]
+        elif len(wires) == 2:
+            a, b = wires
+            start, layer = avail[a], level[a]
+            if avail[b] > start:
+                start = avail[b]
+            if level[b] > layer:
+                layer = level[b]
         else:
             start = max((avail[w] for w in wires), default=0.0)
             layer = max((level[w] for w in wires), default=0)

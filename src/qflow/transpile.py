@@ -6,6 +6,16 @@ only device basis gates plus measure/barrier/reset/delay, every two-qubit
 gate acts on a coupled pair, and the whole pipeline is deterministic for a
 fixed (circuit, device).
 
+The input is checked once, by ``flatten`` (``Circuit.resolve``). The
+stages then build three circuits from it, each instruction once: the
+decomposed circuit, whose wires are its gate's wires in template order;
+the routed circuit, on one physical register; and the output, whose wires
+the retarget pass records as it emits. The decomposed circuit and the
+output get those wires through ``circuit.derived``, which checks only
+their registers and the instructions with clbits or an ``if``. Layout,
+routing, scheduling, ``print_qasm`` and ``encode_binary`` read that
+resolution; ``decode_binary`` checks what it reads in full.
+
 At opt level 1 the one-qubit peephole is folded into the retarget pass:
 each wire keeps one pending 2x2 product, fed by the routed u3s and by the
 Hadamards of the cx templates, and a two-qubit gate, measure, reset,
@@ -26,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuit import Circuit, Instruction
+from .circuit import Circuit, Instruction, derived
 from .decompose import _H3, decompose_to_u_cx, resolve_1q_family, retarget_1q, retarget_2q
 from .device import DeviceConfig
 from .errors import TranspileError
@@ -78,7 +88,8 @@ class _Runs:
     ``emit`` flushes the wires an instruction touches, then appends it; a
     flush emits the product once, as its ZYZ angles retargeted to the
     family. Identity products vanish. ``operand_of`` maps a global wire to
-    its ``(register, index)`` operand.
+    its ``(register, index)`` operand; ``wires`` holds each output
+    instruction's global wires.
     """
 
     def __init__(self, family: str, operand_of):
@@ -86,6 +97,7 @@ class _Runs:
         self.operand_of = operand_of
         self.pending: dict[int, tuple] = {}
         self.out: list[Instruction] = []
+        self.wires: list[tuple] = []
 
     def merge(self, w: int, cells: tuple):
         pending = self.pending
@@ -94,15 +106,17 @@ class _Runs:
     def flush(self, w: int):
         cells = self.pending.pop(w, None)
         if cells is not None:
-            operand = (self.operand_of[w],)
+            operand, wires = (self.operand_of[w],), (w,)
             for name, params in retarget_1q(zyz_from_cells(*cells), self.family):
                 self.out.append(Instruction(name, params, operand))
+                self.wires.append(wires)
 
-    def emit(self, instr: Instruction, wires):
+    def emit(self, instr: Instruction, wires: tuple):
         if self.pending:
             for w in wires:
                 self.flush(w)
         self.out.append(instr)
+        self.wires.append(wires)
 
     def finish(self) -> list[Instruction]:
         for w in sorted(self.pending):
@@ -178,8 +192,9 @@ def _retarget(
             emit_cx(b, a, instr.condition)
             emit_cx(a, b, instr.condition)
         else:  # measure, barrier, reset or delay
-            emit(instr, [w for _, w in instr.qubits])
-    return routed.with_instructions(runs.finish())
+            emit(instr, tuple([w for _, w in instr.qubits]))
+    # the routed circuit's one quantum register numbers the wires from 0
+    return derived(routed.with_instructions(runs.finish()), runs.wires)
 
 
 def transpile(
@@ -208,13 +223,27 @@ def transpile(
     family = resolve_1q_family(basis)
     depth_in = circuit_depth(flat)
 
+    # each template gate acts on operands of its gate, so on their wires
     decomposed_instrs: list[Instruction] = []
-    for instr in flat.instructions:
-        if instr.opcode in LIBRARY:
-            decomposed_instrs.extend(decompose_to_u_cx(instr))
-        else:
+    wires: list[tuple] = []
+    for instr, ws in zip(flat.instructions, flat.resolve().wires):
+        if instr.opcode not in LIBRARY:
             decomposed_instrs.append(instr)
-    decomposed = flat.with_instructions(decomposed_instrs)
+            wires.append(ws)
+            continue
+        parts = decompose_to_u_cx(instr)
+        decomposed_instrs += parts
+        if len(ws) == 1:
+            wires += [ws] * len(parts)
+            continue
+        first, (a, b) = instr.qubits[0], ws
+        for part in parts:
+            qubits = part.qubits
+            if len(qubits) == 2:
+                wires.append(ws if qubits[0] == first else (b, a))
+            else:
+                wires.append((a,) if qubits[0] == first else (b,))
+    decomposed = derived(flat.with_instructions(decomposed_instrs), wires)
 
     topology = device.topology()
     layout0 = initial_mapping(decomposed, topology)

@@ -73,17 +73,20 @@ def embed_slow(u, wires, n: int) -> np.ndarray:
     return out
 
 
-def circuit_unitary(circuit) -> np.ndarray:
-    """Dense unitary of a circuit's gate portion."""
+def circuit_unitary(circuit, wires=None) -> np.ndarray:
+    """Dense unitary of a circuit's gate portion, over the global qubits
+    ``wires`` (local qubit j is ``wires[j]``; all of them by default), which
+    must hold every qubit a gate acts on."""
     flat = flatten(circuit)
-    n = flat.n_qubits
     qoff = offsets(flat, "q")
+    local = {w: j for j, w in enumerate(range(flat.n_qubits) if wires is None else wires)}
+    n = len(local)
     u = np.eye(1 << n, dtype=complex)
     for instr in flat.instructions:
         if instr.opcode in NON_UNITARY:
             continue
-        wires = [qoff[r] + i for r, i in instr.qubits]
-        u = apply_to_columns(u, unitary_of(instr.opcode, instr.params), wires, n)
+        ws = [local[qoff[r] + i] for r, i in instr.qubits]
+        u = apply_to_columns(u, unitary_of(instr.opcode, instr.params), ws, n)
     return u
 
 
@@ -127,17 +130,26 @@ def check_transpiled(circuit, physical, report, device, tol=1e-8):
     """Soundness + compliance assertion for a transpile result.
 
     The physical unitary, restricted to the active wires at the initial and
-    final layouts, must equal the logical unitary up to global phase; every
+    final layouts, must equal the logical unitary up to global phase (it is
+    built over the wires that a gate or a layout names, since every other
+    wire carries the identity and starts and ends in |0>); every
     two-qubit gate must sit on a coupling edge and every opcode in the
     device basis (or measure/barrier/reset/delay).
     """
     from qflow.gates import LIBRARY
 
     u_in = circuit_unitary(circuit)
-    u_out = circuit_unitary(physical)
     k = flatten(circuit).n_qubits
-    lay_i = report.layout_initial[:k]
-    lay_f = report.layout_final[:k]
+    # the physical unitary over the wires that a gate or a layout names:
+    # every other wire carries the identity
+    qoff = offsets(physical, "q")
+    active = sorted(set(report.layout_initial[:k]) | set(report.layout_final[:k]) | {
+        qoff[r] + i for instr in physical.instructions if instr.opcode not in NON_UNITARY
+        for r, i in instr.qubits})
+    u_out = circuit_unitary(physical, active)
+    local = {w: j for j, w in enumerate(active)}
+    lay_i = [local[w] for w in report.layout_initial[:k]]
+    lay_f = [local[w] for w in report.layout_final[:k]]
 
     def embed_bits(x: int, lay) -> int:
         y = 0

@@ -4,6 +4,7 @@ hostile Circuit meets at every public entry point, and that makes both round
 trips, through QASM text and through NWQB bytes, give back what they took."""
 
 import math
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,20 @@ def _circuit(*instructions) -> Circuit:
     return Circuit(registers=REGS, instructions=PROLOGUE + instructions)
 
 
+def test_an_instruction_keeps_its_dataclass_behaviour():
+    """Instruction writes its own __init__ (through the slot descriptors)
+    and stays a frozen dataclass."""
+    h = Instruction("h", (), (("q", 0),))
+    assert h == Instruction("h", qubits=(("q", 0),)) and hash(h) == hash(Instruction(
+        "h", (), (("q", 0),), (), None))
+    assert repr(h) == ("Instruction(opcode='h', params=(), qubits=(('q', 0),), clbits=(), "
+                       "condition=None)")
+    assert [f.name for f in fields(h)] == ["opcode", "params", "qubits", "clbits", "condition"]
+    assert replace(h, opcode="x") == Instruction("x", (), (("q", 0),))
+    with pytest.raises(FrozenInstanceError):
+        h.opcode = "x"
+
+
 def test_resolution_matches_register_offsets(corpus):
     for name, circ in corpus:
         flat = flatten(circ)
@@ -87,6 +102,17 @@ def test_flatten_passes_a_flat_circuit_and_its_resolution_through():
     res = circ.resolve()
     assert flatten(circ) is circ
     assert flatten(circ).resolve() is res
+
+
+def test_flatten_keeps_the_instructions_of_a_circuit_that_calls_no_macro():
+    """A parsed circuit under the include (ccx defined, not called) needs no
+    expansion: its instructions come back as they are, checked once."""
+    circ = parse_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; creg c[1];'
+                      "gate g a { h a; } h q[0]; if(c==1) cx q[0],q[2]; measure q[1] -> c[0];")
+    flat = flatten(circ)
+    assert flat.instructions is circ.instructions
+    assert (flat.gate_defs, flat.includes) == ((), ())
+    assert flat.resolve() == Circuit(flat.registers, flat.instructions).resolve()
 
 
 @pytest.mark.parametrize("instr, message", [
@@ -268,7 +294,9 @@ HOSTILE_REGISTERS = {
 
 # declarations whose printed text would not read back: the text defines
 # the include's macros, then the circuit's own gate definitions, before
-# its registers, and the parser takes only the embedded qelib1.inc
+# its registers, and the parser takes only the embedded qelib1.inc; a
+# definition's body names only its own qubits, and the text of a qelib1
+# macro is the include line
 HOSTILE_DECLARATIONS = {
     "register_named_like_a_macro": Circuit(
         registers=(REGS[0], Register("bell", "q", 3), REGS[2]), instructions=PROLOGUE[:1],
@@ -282,6 +310,12 @@ HOSTILE_DECLARATIONS = {
         includes=("qelib1.inc",)),
     "unsupported_include": Circuit(registers=REGS, instructions=PROLOGUE,
                                    includes=("other.inc",)),
+    "macro_body_names_a_missing_qubit": Circuit(
+        registers=REGS, instructions=PROLOGUE + (Instruction("g", (), (("q", 0),)),),
+        gate_defs=(GateDef("g", (), ("a",), (BodyInstruction("h", (), (1,)),)),)),
+    "included_macro_without_its_include": replace(
+        parse_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; ccx q[0],q[1],q[2];'),
+        includes=()),
 }
 
 

@@ -150,6 +150,10 @@ def workdir(tmp_path, monkeypatch):
                   "measure q -> c;\n",
         "bad.qasm": "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n",
         "big.qasm": qft_qasm(6),
+        # angles the rule accepts whose sums overflow a double
+        "huge.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
+                     "u3(0,1.7e308,1.7e308) q[0];\nu2(1.7e308,1.7e308) q[1];\n"
+                     "cu3(0.5,1e308,1.7e308) q[0],q[1];\nmeasure q -> c;\n",
     }
     for name, text in files.items():
         write_source(tmp_path, text, name)
@@ -179,11 +183,15 @@ _EXIT_CASES = [
     ("transpile bell.qasm --device nosuch -o o.qasm", 2, _NOSUCH),
     ("transpile bell.qasm --device missing.json -o o.qasm", 2,
      "error: device file not found: missing.json"),
+    ("transpile huge.qasm --device line5 -o o.qasm", 0, None),
+    ("transpile huge.qasm --device grid9 -o o.nwqb", 0, None),
     ("transpile big.qasm --device line5 -o o.qasm", 3,
      "error: too many qubits: circuit has 6, device 'line5' has 5"),
     ("simulate sv bell.qasm --shots 64 --histogram", 0, None),
     ("simulate dm bell.qasm --shots 64", 0, None),
     ("simulate stab bell.nwqb --shots 64 --out r.json", 0, None),
+    ("simulate sv huge.qasm", 0, None),
+    ("simulate dm huge.qasm --shots 64", 0, None),
     ("simulate sv bad.qasm", 1, _BAD_QASM),
     ("simulate dm bell.qasm --device nosuch", 2, _NOSUCH),
     ("simulate sv bell.qasm --seed -1", 4,

@@ -1,5 +1,6 @@
 """Decomposition to {u3, cx} and retargeting to device basis families."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from qflow.circuit import Instruction
 from qflow.decompose import decompose_to_u_cx, resolve_1q_family, retarget_1q, retarget_2q
 from qflow.errors import QFlowError, UnsupportedBasisError
-from qflow.euler import lattice_power, normalize_angle, snap_angle, zyz_from_cells
+from qflow.euler import angle_sum, lattice_power, normalize_angle, snap_angle, u3_cells, zyz_from_cells
 from qflow.gates import LIBRARY, BasisSet, u3_matrix, unitary_of
 
 from oracles import apply_to_columns, phase_distance
@@ -167,6 +168,14 @@ class TestEulerUtilities:
         assert normalize_angle(PI) == PI
         assert normalize_angle(0.5) == 0.5
 
+    @pytest.mark.parametrize("a", [1e9, -3e15, 1e300, -1.7976931348623157e308])
+    def test_normalize_angle_keeps_a_huge_angle(self, a):
+        """fmod by the double nearest 2*pi drifts by about 2.4e-16 per
+        turn; the gate matrices reduce by 2*pi exactly, and so must this."""
+        r = normalize_angle(a)
+        assert -PI < r <= PI
+        assert abs(cmath.exp(1j * r) - cmath.exp(1j * a)) < 1e-12
+
     def test_snap_angle(self):
         assert snap_angle(PI / 2 + 5e-10) == PI / 2
         assert snap_angle(PI / 2 + 5e-8) != PI / 2
@@ -180,3 +189,41 @@ class TestEulerUtilities:
         assert lattice_power(-PI / 2) == 3
         assert lattice_power(2 * PI) == 0
         assert lattice_power(PI / 4) is None
+
+
+# angles the circuit rule accepts, whose sum or difference overflows a double
+_BIG = 1.7e308
+_OVERFLOWING = [(0.0, _BIG, _BIG), (0.7, _BIG, _BIG), (PI, _BIG, -_BIG), (-0.3, -_BIG, -_BIG),
+                (PI / 2, _BIG, _BIG), (0.0, 1e308, 1.7976931348623157e308)]
+
+
+def _reduced(t: float, p: float, l: float) -> tuple:
+    return t, normalize_angle(p), normalize_angle(l)
+
+
+def test_angle_sum_keeps_a_finite_sum_and_reduces_an_overflowing_one():
+    for a, b in [(0.1, 0.2), (1e308, -1.7e308), (-PI, 2.5), (1e308, 7e307)]:
+        assert angle_sum(a, b) == a + b
+    assert angle_sum(_BIG, _BIG) == 2 * normalize_angle(_BIG)
+
+
+@pytest.mark.parametrize("angles", _OVERFLOWING, ids=str)
+def test_an_overflowing_angle_sum_gives_the_u3_of_the_reduced_angles(angles):
+    """Each angle is 2*pi-periodic, so the matrix and its cells equal those
+    of the reduced angles; every retarget is finite."""
+    want = u3_matrix(*_reduced(*angles))
+    assert np.isfinite(u3_matrix(*angles)).all()
+    assert phase_distance(want, u3_matrix(*angles)) < 1e-12
+    assert phase_distance(want, np.array(u3_cells(*angles)).reshape(2, 2)) < 1e-12
+    for family in ("u3", "u", "zsx", "zxz", "zyz"):
+        seq = retarget_1q(angles, family)
+        assert all(math.isfinite(x) for _, params in seq for x in params), family
+
+
+@pytest.mark.parametrize("angles", _OVERFLOWING, ids=str)
+def test_an_overflowing_cu3_template_reduces_both_angles_alike(angles):
+    out = decompose_to_u_cx(Instruction("cu3", angles, (("q", 0), ("q", 1))))
+    assert all(math.isfinite(x) for i in out for x in i.params)
+    want = apply_to_columns(np.eye(4, dtype=complex), unitary_of("cu3", _reduced(*angles)),
+                            [0, 1], 2)
+    assert phase_distance(want, _compose_instrs(out, 2)) < 1e-9

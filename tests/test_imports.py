@@ -123,26 +123,28 @@ def dead_names(path: Path) -> list[str]:
 
 
 def options(path: Path):
-    """(function, parameter, position) of each parameter with a default of
-    every function, and every method of a class, that the module exports;
-    the position is that of the argument a call passes, past a method's
+    """(function, name a call uses, parameter, position) of each parameter
+    with a default of every function, and every method of a class, that the
+    module exports; a call names a class's ``__init__`` by the class name.
+    The position is that of the argument a call passes, past a method's
     ``self`` or ``cls`` (None if keyword-only)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     names = exported(tree)
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in names:
-            functions = [(node, 0)]
+            functions = [(node, node.name, 0)]
         elif isinstance(node, ast.ClassDef) and node.name in names:
-            functions = [(fn, 1) for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            functions = [(fn, node.name if fn.name == "__init__" else fn.name, 1)
+                         for fn in node.body if isinstance(fn, ast.FunctionDef)]
         else:
             continue
-        for fn, bound in functions:
+        for fn, called, bound in functions:
             args = fn.args.posonlyargs + fn.args.args
             for k in range(len(args) - len(fn.args.defaults), len(args)):
-                yield fn, args[k].arg, k - bound
+                yield fn, called, args[k].arg, k - bound
             for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None:
-                    yield fn, a.arg, None
+                    yield fn, called, a.arg, None
 
 
 @functools.cache
@@ -176,14 +178,14 @@ def options_without_caller() -> list[str]:
     script passes and OPTION_WITHOUT_CALLER does not name."""
     missing = []
     for path in sorted(SRC.glob("*.py")):
-        for fn, name, position in options(path):
-            if (fn.name, name) in OPTION_WITHOUT_CALLER:
+        for fn, called, name, position in options(path):
+            if (called, name) in OPTION_WITHOUT_CALLER:
                 continue
-            if not any(passes(call, fn.name, name, position)
+            if not any(passes(call, called, name, position)
                        and (p != path or fn.lineno not in scope)
                        for p in [*SRC.glob("*.py"), *BENCH.glob("*.py")]
                        for call, scope in calls_in(p)):
-                missing.append(f"{path.name}: {fn.name}({name}=...)")
+                missing.append(f"{path.name}: {called}({name}=...)")
     return missing
 
 

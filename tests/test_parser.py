@@ -184,6 +184,23 @@ def test_nesting_below_the_bound_parses():
 
 
 _H = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
+_LONG = "9" * 5000  # more digits than int() reads from a string by default
+
+
+@pytest.mark.parametrize("statement, col", [
+    (f"qreg r[{_LONG}];", 8), (f"h q[{_LONG}];", 5), (f"cx q[0],q[{_LONG}];", 11),
+    (f"rz(0.5) q[{_LONG}];", 11), (f"measure q[{_LONG}] -> c[0];", 11),
+    (f"if(c=={_LONG}) x q[0];", 7), (f"delay q[0], {_LONG};", 13),
+], ids=["register size", "wire index", "second wire index", "index after arguments",
+        "measured wire", "if value", "delay count"])
+def test_an_integer_literal_too_long_for_int_is_a_qasm_error(statement, col, tmp_path, capsys):
+    with pytest.raises(QasmError) as info:
+        parse_qasm(_H + statement)
+    assert str(info.value) == f"line 4, col {col}: integer literal of 5000 digits is too long"
+    path = tmp_path / "long.qasm"
+    path.write_text(_H + statement)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 # One malformed input (or more) per error the parser raises, with the full
 # message: the "line L, col C: " prefix is part of what is pinned. A

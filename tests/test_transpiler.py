@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qflow.circuit import Instruction
+from qflow.circuit import Circuit, Instruction, Register
 from qflow.device import Topology, load_device
 from qflow.decompose import decompose_to_u_cx, resolve_1q_family
-from qflow.errors import TranspileError
+from qflow.errors import QFlowError, TranspileError
 from qflow.flatten import flatten
 from qflow.gates import LIBRARY, BasisSet
 from qflow.metrics import circuit_depth
@@ -448,3 +448,69 @@ def test_report_depth_and_makespan_come_from_one_schedule(devices, device, opt_l
     assert report.makespan_ns == sched.makespan_ns
     assert (report.depth_out, report.makespan_ns, report.n_1q, report.n_2q) == \
         _BARRIER_DELAY_PINS[device, opt_level]
+
+
+# angles the rule accepts: ordinary ones, and ones whose sums overflow a
+# double; a circuit with these is checked for compliance only, since such
+# an angle keeps no digit of a smaller one added to it
+_HUGE_ANGLES = (1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, -1.7e308, 1e308)
+_GATES = sorted(LIBRARY)
+
+
+@st.composite
+def _programs(draw):
+    """A circuit over q[n] (n <= 3) and c[2] with gates, measures, resets,
+    ifs, barriers and delays, and whether it holds a huge angle."""
+    n = draw(st.integers(1, 3))
+    huge = draw(st.booleans())
+    angle = st.sampled_from(_HUGE_ANGLES) if huge else st.floats(-7.0, 7.0)
+    condition = st.none() | st.tuples(st.just("c"), st.integers(0, 3))
+    wire = st.integers(0, n - 1).map(lambda i: ("q", i))
+    instrs = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["gate", "gate", "gate", "measure", "reset", "barrier",
+                                     "delay"]))
+        if kind == "gate":
+            spec = LIBRARY[draw(st.sampled_from([g for g in _GATES if LIBRARY[g].arity <= n]))]
+            qubits = draw(st.permutations(range(n)))[: spec.arity]
+            instrs.append(Instruction(
+                spec.name, tuple(draw(angle) for _ in range(spec.param_count)),
+                tuple(("q", i) for i in qubits), (), draw(condition)))
+        elif kind == "measure":
+            instrs.append(Instruction("measure", (), (draw(wire),),
+                                      (("c", draw(st.integers(0, 1))),), draw(condition)))
+        elif kind == "reset":
+            instrs.append(Instruction("reset", (), (draw(wire),), (), draw(condition)))
+        elif kind == "barrier":
+            qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+            instrs.append(Instruction("barrier", (), tuple(("q", i) for i in qubits)))
+        else:
+            instrs.append(Instruction("delay", (draw(st.integers(0, 9)),), (draw(wire),), (),
+                                      draw(condition)))
+    registers = (Register("q", "q", n), Register("c", "c", 2))
+    return Circuit(registers, tuple(instrs)), huge
+
+
+@given(program=_programs())
+@settings(max_examples=100, deadline=None)
+def test_every_circuit_the_rule_accepts_transpiles_onto_every_device(devices, program):
+    """The output is compliant and sound (huge angles aside), and the
+    resolution the pipeline installs is the one ``resolve`` builds."""
+    circuit, huge = program
+    circuit.resolve()
+    for name in _DEVICES:
+        device = devices[name]
+        for opt_level in (0, 1):
+            try:
+                phys, report = transpile(circuit, device, opt_level=opt_level)
+            except QFlowError:
+                continue
+            assert phys.resolve() == Circuit(phys.registers, phys.instructions).resolve()
+            if huge:
+                allowed = set(device.basis_gates) | {"measure", "barrier", "reset", "delay"}
+                assert {i.opcode for i in phys.instructions} <= allowed
+                assert all((i.qubits[0][1], i.qubits[1][1]) in device.directed_edges()
+                           for i in phys.instructions
+                           if i.opcode in LIBRARY and LIBRARY[i.opcode].arity == 2)
+            else:
+                check_transpiled(circuit, phys, report, device)
