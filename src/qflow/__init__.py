@@ -13,7 +13,7 @@ them with state-vector, noisy density-matrix, and stabilizer backends.
 """
 
 from .binio import decode_binary, encode_binary
-from .circuit import Circuit, GateDef, Instruction, Register
+from .circuit import Circuit, Instruction, Register
 from .decompose import decompose_to_u_cx, retarget_1q, retarget_2q
 from .density import dm_evolve, dm_run, fidelity
 from .device import (
@@ -51,7 +51,7 @@ from .transpile import TranspileReport, transpile
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "Register", "Instruction", "GateDef",
+    "Circuit", "Register", "Instruction",
     "parse_qasm", "print_qasm", "encode_binary", "decode_binary", "flatten",
     "GateSpec", "BasisSet", "LIBRARY", "unitary_of", "gate_manifest",
     "decompose_to_u_cx", "retarget_1q", "retarget_2q",

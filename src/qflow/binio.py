@@ -18,9 +18,8 @@ Layout, all multi-byte integers little-endian, varints LEB128 unsigned:
                      if flagged: (varint classical register index, varint value);
                      a barrier is never flagged
 
-Circuits are flattened before encoding, so the stream contains only builtin
-opcodes acting on concrete wires; macro structure is not preserved. A flat
-circuit (a transpiler output) is not rebuilt by that step.
+The stream holds a flat circuit: library opcodes and the four statements
+on concrete wires, as every circuit is.
 
 Both directions work on the bytes directly and do their per-record work
 once per distinct record, in a memo that lives for one call (string and
@@ -43,10 +42,10 @@ register tables differ per blob):
 The decoder checks only what it needs to build the instructions (varints,
 string and register indices, finite parameters); ``Circuit.resolve``
 checks the rest, the registers and each instruction, for both directions:
-the encoder raises its QasmError (from ``flatten``), and the decoder
-raises it as a BinaryFormatError. A circuit the rule accepts decodes
-equal, or the encoder raises BinaryFormatError for an ``if`` value or a
-register size past the 2**70 - 1 of a varint, or a delay count that its
+the encoder raises its QasmError, and the decoder raises it as a
+BinaryFormatError (a register past ``MAX_REGISTER_SIZE`` too). A circuit
+the rule accepts decodes equal, or the encoder raises BinaryFormatError for
+an ``if`` value past the 2**70 - 1 of a varint, or a delay count that its
 f64 does not hold exactly (above 2**53).
 """
 
@@ -57,7 +56,6 @@ import struct
 
 from .circuit import Circuit, Instruction, Register
 from .errors import BinaryFormatError, QasmError
-from .flatten import flatten
 
 __all__ = ["encode_binary", "decode_binary", "MAGIC", "FORMAT_VERSION"]
 
@@ -80,10 +78,10 @@ def _write_uvarint(buf: bytearray, value: int):
 
 
 def encode_binary(circuit: Circuit) -> bytes:
-    """Serialize a circuit. The circuit is flattened first, so
-    ``decode_binary(encode_binary(c))`` equals ``flatten(c)``. Encoding is
-    deterministic: identical circuits yield identical bytes."""
-    flat = flatten(circuit)
+    """Serialize a circuit, so that ``decode_binary(encode_binary(c))``
+    equals ``c``. Encoding is deterministic: identical circuits yield
+    identical bytes."""
+    circuit.resolve()
 
     strings: list[str] = []
     index: dict[str, int] = {}
@@ -94,8 +92,8 @@ def encode_binary(circuit: Circuit) -> bytes:
             strings.append(s)
         return index[s]
 
-    reg_index = {reg.name: i for i, reg in enumerate(flat.registers)}
-    for reg in flat.registers:
+    reg_index = {reg.name: i for i, reg in enumerate(circuit.registers)}
+    for reg in circuit.registers:
         intern(reg.name)
 
     def encode_frame(instr: Instruction) -> tuple[bytes, bytes]:
@@ -122,7 +120,7 @@ def encode_binary(circuit: Circuit) -> bytes:
     body = bytearray()
     frames: dict[tuple, tuple] = {}
     packers: dict[int, object] = {}
-    for k, instr in enumerate(flat.instructions):
+    for k, instr in enumerate(circuit.instructions):
         params = instr.params
         try:
             key = (instr.opcode, len(params), instr.qubits, instr.clbits, instr.condition)
@@ -152,12 +150,12 @@ def encode_binary(circuit: Circuit) -> bytes:
         raw = s.encode("utf-8")
         _write_uvarint(buf, len(raw))
         buf += raw
-    _write_uvarint(buf, len(flat.registers))
-    for reg in flat.registers:
+    _write_uvarint(buf, len(circuit.registers))
+    for reg in circuit.registers:
         _write_uvarint(buf, index[reg.name])
         buf.append(0 if reg.kind == "q" else 1)
         _write_uvarint(buf, reg.size)
-    _write_uvarint(buf, len(flat.instructions))
+    _write_uvarint(buf, len(circuit.instructions))
     buf += body
     return bytes(buf)
 
@@ -241,7 +239,7 @@ def _read_operands(
 
 
 def decode_binary(data: bytes) -> Circuit:
-    """Parse an NWQB byte stream back into a (flattened) circuit.
+    """Parse an NWQB byte stream back into a circuit.
 
     Validates the magic, version, and every string-table and register
     index, then each instruction (``Circuit.resolve``); truncation errors

@@ -1,11 +1,14 @@
 """In-memory circuit representation.
 
-A :class:`Circuit` is an ordered instruction list over declared quantum and
-classical registers, plus any user gate macros. Instances are treated as
-immutable once constructed; every transformation in the toolchain returns a
-new circuit. Equality is structural: registers, macro definitions, and the
-instruction sequence, with parameters compared by float ``==``, so ``0.0``
-equals ``-0.0`` although the two print and encode differently.
+A :class:`Circuit` is an ordered list of flat instructions over declared
+quantum and classical registers: library gates, ``measure``, ``reset``,
+``barrier`` and ``delay``, each on single wires. ``parse_qasm`` expands
+gate macros and register-wide statements as it reads them, so no other
+form exists. Instances are treated as immutable once constructed; every
+transformation in the toolchain returns a new circuit. Equality is
+structural: registers and the instruction sequence, with parameters
+compared by float ``==``, so ``0.0`` equals ``-0.0`` although the two
+print and encode differently.
 
 Wire numbering is little-endian and global: quantum registers occupy
 consecutive wire indices in declaration order, and qubit 0 is the least
@@ -25,12 +28,9 @@ bytes that ``decode_binary`` reads back equal, unless a value is too wide
 for the encoder. The rule:
 
 - registers are :class:`Register` objects with distinct identifier
-  names, kind ``"q"`` or ``"c"`` and an int size >= 1 (not a bool);
-- ``includes`` is ``()`` or ``("qelib1.inc",)``; under the include, no
-  gate definition of the circuit's own and no register takes the name of
-  a qelib1 macro (``ccx``, ``cswap``), and no register ever takes the name
-  of one of its own gate definitions, since the printed text defines
-  those names first;
+  names, kind ``"q"`` or ``"c"`` and an int size from 1 to
+  :data:`MAX_REGISTER_SIZE` (not a bool), which keeps an ``if`` mask at
+  2 MiB or less;
 - an instruction has the shape :data:`SHAPES` gives its opcode: qubit,
   parameter and clbit counts, a delay's nonnegative int cycle count, a
   barrier's one qubit or more and no ``if`` on a barrier;
@@ -40,14 +40,10 @@ for the encoder. The rule:
 - its parameters are a tuple of finite reals, each equal to the double
   it converts to (a delay count need only be finite as a double);
 - its ``if`` condition names a declared classical register and an int of
-  at least 0;
-- a gate definition's body names only the definition's own qubits, and a
-  definition taken from ``qelib1.inc`` needs the include.
+  at least 0.
 
 A failure raises :class:`QasmError`, prefixed ``instruction k:`` for an
-instruction. ``print_qasm`` and ``flatten`` check source statements
-(``Rule.source``): a macro call against its :class:`GateDef`, and
-register-wide operands as ``flatten`` broadcasts them.
+instruction.
 """
 
 from __future__ import annotations
@@ -59,23 +55,8 @@ from numbers import Real
 
 from .errors import QasmError
 from .gates import LIBRARY
-from .qelib1 import QELIB1_INC
 
-__all__ = [
-    "Register",
-    "Instruction",
-    "GateDef",
-    "BodyInstruction",
-    "Circuit",
-    "Resolution",
-    "ParamExpr",
-    "Const",
-    "FormalRef",
-    "Neg",
-    "BinOp",
-    "FuncCall",
-    "eval_expr",
-]
+__all__ = ["Register", "Instruction", "Circuit", "Resolution"]
 
 # opcode -> (qubit count, parameter count, clbit count) of a flat
 # instruction: a library gate or one of the four statements. None marks a
@@ -84,11 +65,10 @@ __all__ = [
 SHAPES = {name: (spec.arity, spec.param_count, 0) for name, spec in LIBRARY.items()}
 SHAPES.update(measure=(1, 0, 1), reset=(1, 0, 0), delay=(1, None, 0), barrier=(None, 0, 0))
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the parser's identifier token
-# the macros that include "qelib1.inc" defines: its gates outside the library
-_QELIB1_MACROS = frozenset(re.findall(r"^gate (\w+)", QELIB1_INC, re.M)) - LIBRARY.keys()
+MAX_REGISTER_SIZE = 2**24  # the most wires in one register
 
 
-def instruction_error(instr, shapes: dict) -> str | None:
+def instruction_error(instr) -> str | None:
     """Why ``instr`` breaks the rule of the module docstring, or None; its
     registers, indices and repeated wires are left to :class:`Rule`."""
     opcode, params, qubits, clbits = instr.opcode, instr.params, instr.qubits, instr.clbits
@@ -110,7 +90,7 @@ def instruction_error(instr, shapes: dict) -> str | None:
         if not exact:
             what = "equal to a double" if finite else "a finite real number"
             return f"parameter {p!r} is not {what}"
-    shape = shapes.get(opcode) if type(opcode) is str else None
+    shape = SHAPES.get(opcode) if type(opcode) is str else None
     if shape is None:
         return f"undeclared gate {opcode!r}"
     arity, n_params, n_clbits = shape
@@ -151,114 +131,16 @@ class Register:
 
 
 # --------------------------------------------------------------------------
-# Parameter expressions.
-#
-# Top-level instruction parameters are folded to floats at parse time. Only
-# gate macro bodies keep expression trees, because their parameters refer to
-# the macro's formal arguments and can be evaluated only at expansion time.
-# --------------------------------------------------------------------------
-
-class ParamExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Const(ParamExpr):
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
-class FormalRef(ParamExpr):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Neg(ParamExpr):
-    operand: ParamExpr
-
-
-@dataclass(frozen=True, slots=True)
-class BinOp(ParamExpr):
-    op: str  # one of + - * / ^
-    left: ParamExpr
-    right: ParamExpr
-
-
-@dataclass(frozen=True, slots=True)
-class FuncCall(ParamExpr):
-    fn: str  # sin cos tan exp ln sqrt
-    arg: ParamExpr
-
-
-_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-}
-
-
-def eval_expr(expr: ParamExpr, env: dict[str, float]) -> float:
-    """Evaluate a parameter expression under formal-argument bindings.
-
-    The result must be a finite real. Division by zero, a math domain or
-    range error, an infinite or NaN result and the complex result of a
-    negative base to a fractional power raise :class:`QasmError` without a
-    position; the parser re-raises it at its own token.
-    """
-    try:
-        value = _evaluate(expr, env)
-        # math.isfinite raises TypeError on a complex value
-        if not math.isfinite(value):
-            raise OverflowError(f"result {value} is not finite")
-    except (ZeroDivisionError, ValueError, OverflowError, TypeError) as exc:
-        raise QasmError(f"invalid constant expression: {exc}") from None
-    return value
-
-
-def _evaluate(expr: ParamExpr, env: dict[str, float]) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, FormalRef):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise QasmError(f"unbound gate parameter '{expr.name}'") from None
-    if isinstance(expr, Neg):
-        return -_evaluate(expr.operand, env)
-    if isinstance(expr, BinOp):
-        a = _evaluate(expr.left, env)
-        b = _evaluate(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            return a / b
-        if expr.op == "^":
-            return a ** b
-        raise QasmError(f"unknown operator '{expr.op}'")
-    if isinstance(expr, FuncCall):
-        return _FUNCS[expr.fn](_evaluate(expr.arg, env))
-    raise TypeError(f"not a parameter expression: {expr!r}")
-
-
-# --------------------------------------------------------------------------
 # Instructions.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class Instruction:
-    """One executable statement.
+    """One flat instruction.
 
-    ``qubits`` and ``clbits`` hold ``(register_name, index)`` pairs; an index
-    of ``None`` designates the whole register (compact source form, expanded
-    by :func:`qflow.flatten.flatten`). ``params`` is a tuple of real numbers
-    (floats when parsed); ``delay`` takes one integer cycle count.
+    ``qubits`` and ``clbits`` hold ``(register_name, index)`` pairs.
+    ``params`` is a tuple of real numbers (floats when parsed); ``delay``
+    takes one integer cycle count.
     ``condition`` is an optional ``(creg_name, value)`` pair from an ``if``.
     Nothing is checked on construction: :meth:`Circuit.resolve` is the one
     check of an instruction's shape and operands.
@@ -286,31 +168,6 @@ _set_opcode, _set_params, _set_qubits, _set_clbits, _set_condition = (
     for name in ("opcode", "params", "qubits", "clbits", "condition"))
 
 
-@dataclass(frozen=True, slots=True)
-class BodyInstruction:
-    """Statement inside a gate macro body.
-
-    Qubit operands are formal-argument indices; parameters are expression
-    trees over the macro's formal parameters.
-    """
-
-    opcode: str
-    params: tuple = ()
-    qubits: tuple = ()
-
-
-@dataclass(frozen=True, slots=True)
-class GateDef:
-    """User gate macro (or opaque declaration with an empty body)."""
-
-    name: str
-    params: tuple = ()
-    qubits: tuple = ()
-    body: tuple = ()
-    opaque: bool = False
-    from_include: bool = False
-
-
 # --------------------------------------------------------------------------
 # Circuit.
 # --------------------------------------------------------------------------
@@ -327,50 +184,14 @@ class Resolution:
     conditions: dict
 
 
-def broadcast_call(instr: Instruction, j: int) -> Instruction:
-    """Call j of a statement with register-wide operands: wire j of each."""
-    ops = [tuple((r, j if idx is None else idx) for r, idx in operands)
-           for operands in (instr.qubits, instr.clbits)]
-    return Instruction(instr.opcode, instr.params, *ops, instr.condition)
-
-
 class Rule:
     """The one check of a circuit (see the module docstring): its registers
-    and includes when built, then one instruction per call. With
-    ``macros``, a call of one of the circuit's gate definitions is a
-    statement to check against it (source text); without, the circuit must
-    be flat and such a call names an undeclared gate."""
+    when built, then one instruction per call."""
 
-    __slots__ = ("regs", "shapes")
+    __slots__ = ("regs",)
 
-    def __init__(self, circuit: "Circuit", macros: bool):
+    def __init__(self, circuit: "Circuit"):
         self.regs: dict[str, tuple] = {}  # name -> (kind, size, global index of its bit 0)
-        includes, gate_defs = circuit.includes, circuit.gate_defs
-        self.shapes = SHAPES
-        if macros:
-            self.shapes = SHAPES | {gd.name: (len(gd.qubits), len(gd.params), 0)
-                                    for gd in gate_defs}
-        if includes not in ((), ("qelib1.inc",)):
-            for inc in includes if type(includes) is tuple else ():
-                if inc != "qelib1.inc":
-                    raise QasmError(
-                        f"include '{inc}' is not supported (only the embedded qelib1.inc)")
-            raise QasmError(f"includes must be () or ('qelib1.inc',), not {includes!r}")
-        for gd in gate_defs:
-            if gd.from_include and not includes:
-                raise QasmError(f"gate '{gd.name}' comes from qelib1.inc, which is not included")
-            for stmt in gd.body:  # each names formal qubits by their index
-                if type(stmt.qubits) is not tuple or not all(
-                        type(i) is int and 0 <= i < len(gd.qubits) for i in stmt.qubits):
-                    raise QasmError(f"gate '{gd.name}' body names qubits {stmt.qubits!r}, "
-                                    f"but the gate has {len(gd.qubits)}")
-        # the printed text defines these names before its registers: the
-        # include's macros, then its own gate definitions
-        included = _QELIB1_MACROS if includes else frozenset()
-        taken = {gd.name for gd in gate_defs if not gd.from_include}
-        if taken & included:
-            raise QasmError(f"redefinition of '{min(taken & included)}'")
-        taken |= included
         first = {"q": 0, "c": 0}
         for reg in circuit.registers:
             if type(reg) is not Register:
@@ -378,18 +199,17 @@ class Rule:
             name, kind, size = reg.name, reg.kind, reg.size
             if type(name) is not str or not _IDENTIFIER.fullmatch(name) or name in self.regs:
                 raise QasmError(f"register name {name!r} is declared twice or not an identifier")
-            if name in taken:
-                raise QasmError(f"redefinition of '{name}'")
-            if kind not in ("q", "c") or type(size) is not int or size < 1:
-                raise QasmError(f"register '{name}' needs kind 'q' or 'c' and an int size >= 1, "
-                                f"not {kind!r} and {size!r}")
+            if (kind not in ("q", "c") or type(size) is not int
+                    or not 1 <= size <= MAX_REGISTER_SIZE):
+                raise QasmError(f"register '{name}' needs kind 'q' or 'c' and an int size "
+                                f"from 1 to {MAX_REGISTER_SIZE}, not {kind!r} and {size!r}")
             self.regs[name] = (kind, size, first[kind])
             first[kind] += size
 
     def check(self, instr, k: int) -> tuple:
-        """``instr``'s (wires, clbits, ``if`` test) as a flat instruction, or a
-        QasmError prefixed ``instruction k:`` that names a rule it breaks."""
-        why = instruction_error(instr, self.shapes)
+        """``instr``'s (wires, clbits, ``if`` test), or a QasmError prefixed
+        ``instruction k:`` that names a rule it breaks."""
+        why = instruction_error(instr)
         if why is None:
             ws = self._indices(instr.qubits, "q", k)
             if instr.opcode != "barrier" and len(ws) > 1 and len(set(ws)) != len(ws):
@@ -414,8 +234,6 @@ class Rule:
                 why = f"undeclared register '{name}'"
             elif reg[0] != kind:
                 why = f"'{name}' is not a {'quantum' if kind == 'q' else 'classical'} register"
-            elif idx is None:
-                why = f"register-wide operand '{name}' (flatten the circuit first)"
             elif type(idx) is not int:
                 why = f"index {idx!r} of '{name}' is not an int"
             else:
@@ -423,63 +241,31 @@ class Rule:
             raise QasmError(f"instruction {k}: {why}")
         return tuple(out)
 
-    def source(self, instr, k: int) -> int | None:
-        """Check a source statement: a macro call against its definition, and
-        register-wide operands as flatten broadcasts them, to wire j in call
-        j (each call passes as call 0 does once no other operand names the
-        register). Returns the number of calls, or None if none is wide."""
-        try:
-            self.check(instr, k)
-            return None
-        except QasmError:
-            if (instruction_error(instr, self.shapes)
-                    or not any(idx is None for _, idx in instr.qubits + instr.clbits)):
-                raise
-        opcode, operands = instr.opcode, instr.qubits + instr.clbits
-        self.check(broadcast_call(instr, 0), k)
-        if opcode == "barrier":
-            return 1
-        wide = [name for name, idx in operands if idx is None]
-        sizes = {self.regs[name][1] for name in wide}
-        if opcode == "measure" and len(wide) < len(operands):
-            sizes.add(1)  # a measure broadcasts registers of one size, as the parser reads it
-        if len(sizes) > 1:
-            raise QasmError(
-                f"instruction {k}: register broadcast size mismatch in '{opcode}' statement")
-        if any(name in wide for name, idx in operands if idx is not None):
-            raise QasmError(f"instruction {k}: duplicate qubit operand in '{opcode}'")
-        return sizes.pop()
-
 
 @dataclass(eq=True)
 class Circuit:
     registers: tuple = ()
     instructions: tuple = ()
-    gate_defs: tuple = ()
-    includes: tuple = ()
 
-    # (instructions, registers, gate_defs, includes, Resolution) of the last
-    # resolve(); not a field
+    # (instructions, registers, Resolution) of the last resolve(); not a field
     _resolved = None
 
     # -- register queries, each of which checks the registers (see Rule) ----
 
     @property
     def n_qubits(self) -> int:
-        return sum(reg[1] for reg in Rule(self, macros=False).regs.values() if reg[0] == "q")
+        return sum(reg[1] for reg in Rule(self).regs.values() if reg[0] == "q")
 
     @property
     def n_clbits(self) -> int:
-        return sum(reg[1] for reg in Rule(self, macros=False).regs.values() if reg[0] == "c")
+        return sum(reg[1] for reg in Rule(self).regs.values() if reg[0] == "c")
 
     def resolve(self) -> Resolution:
         """The operands as global indices, checked; see the module docstring."""
         cached = self._resolved
-        if (cached and cached[0] is self.instructions and cached[1] is self.registers
-                and cached[2] is self.gate_defs and cached[3] is self.includes):
-            return cached[4]
-        rule = Rule(self, macros=False)
-        shapes, check = rule.shapes, rule.check
+        if cached and cached[0] is self.instructions and cached[1] is self.registers:
+            return cached[2]
+        check = Rule(self).check
         known: dict[tuple, tuple] = {}  # qubit operands that passed, outside a barrier
         wires: list[tuple] = []
         clbits: dict[int, tuple] = {}
@@ -488,7 +274,7 @@ class Circuit:
         for k, instr in enumerate(self.instructions):
             qubits, params = instr.qubits, instr.params
             try:
-                ws, shape = known.get(qubits), shapes.get(instr.opcode)
+                ws, shape = known.get(qubits), SHAPES.get(instr.opcode)
             except TypeError:  # unhashable operands or opcode, which check names
                 ws = shape = None
             # a gate on one or two qubits that passed before, with no clbit or
@@ -513,19 +299,13 @@ class Circuit:
             if test is not None:
                 conditions[k] = test
         resolution = Resolution(tuple(wires), clbits, conditions)
-        self._resolved = (self.instructions, self.registers, self.gate_defs, self.includes,
-                          resolution)
+        self._resolved = (self.instructions, self.registers, resolution)
         return resolution
 
     # -- convenience --------------------------------------------------------
 
     def with_instructions(self, instructions) -> "Circuit":
-        return Circuit(
-            registers=self.registers,
-            instructions=tuple(instructions),
-            gate_defs=self.gate_defs,
-            includes=self.includes,
-        )
+        return Circuit(self.registers, tuple(instructions))
 
     def __repr__(self) -> str:  # keep huge circuits printable
         regs = ", ".join(f"{r.name}[{r.size}]" for r in self.registers)
@@ -539,7 +319,7 @@ def derived(circuit: Circuit, wires: list) -> Circuit:
     as ``resolve`` checks them, and so is each instruction that has clbits
     or an ``if``, which gives those parts; the gates, which the stage built
     from checked ones, are not checked again."""
-    rule = Rule(circuit, macros=False)
+    rule = Rule(circuit)
     clbits: dict[int, tuple] = {}
     conditions: dict[int, tuple] = {}
     for k, instr in enumerate(circuit.instructions):
@@ -549,6 +329,6 @@ def derived(circuit: Circuit, wires: list) -> Circuit:
                 clbits[k] = cbits
             if test is not None:
                 conditions[k] = test
-    circuit._resolved = (circuit.instructions, circuit.registers, circuit.gate_defs,
-                         circuit.includes, Resolution(tuple(wires), clbits, conditions))
+    circuit._resolved = (circuit.instructions, circuit.registers,
+                         Resolution(tuple(wires), clbits, conditions))
     return circuit

@@ -17,6 +17,11 @@ be written is 1, and a device that loaded but lacks what the run needs (a
 gate with no duration) is 4. No input file, device file or output path
 makes ``main`` print a traceback.
 
+``convert`` writes the circuit as ``parse_qasm`` or ``decode_binary`` reads
+it: a flat program, whatever the format. QASM text comes out with its gate
+calls and register-wide statements expanded, and with no include, gate
+definition or opaque declaration.
+
 Every invocation is deterministic for fixed inputs, flags, and seed; the
 wall-clock field is only included with --timing so default output is
 byte-stable across runs.
@@ -36,7 +41,6 @@ from .circuit import Circuit
 from .density import dm_run
 from .device import DeviceConfig, load_bundled_device, load_device
 from .errors import DeviceConfigError, QasmError, QFlowError, SimulationError, TranspileError
-from .flatten import flatten
 from .gates import gate_manifest
 from .metrics import analyze
 from .parser import parse_qasm
@@ -186,7 +190,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze(flatten(_load_circuit(args.input)))
+    report = analyze(_load_circuit(args.input))
     sys.stdout.write(_json_text(report.to_dict()))
     return EXIT_OK
 

@@ -1,16 +1,33 @@
 """OpenQASM 2.0 parser with the timing extension.
 
-Produces a :class:`~qflow.circuit.Circuit`. Beyond standard QASM2 this
-accepts ``delay q[i], cycles;`` statements. Parameter expressions made of
-literals and ``pi`` are folded to doubles at parse time; only gate macro
-bodies keep symbolic expressions over their formal parameters.
+Produces a flat :class:`~qflow.circuit.Circuit`, which ``Circuit.resolve``
+accepts: its registers and its instructions, each a library gate,
+``measure``, ``reset``, ``barrier`` or ``delay`` on single wires. Beyond
+standard QASM2 this accepts ``delay q[i], cycles;`` statements. Parameter
+expressions are folded to doubles as they are read; only gate bodies keep
+expressions over their formal parameters, private to this module.
+
+A gate is a macro applied by substitution, as QASM 2 defines it, so each
+call is expanded where it is read: every gate of its body, in order, with
+its parameter expressions evaluated at the call exactly as the same
+expressions with the actual values written in would fold. A conditioned
+call's ``if`` goes to every gate of its body; a body barrier stays
+unconditioned, as QASM 2 has no conditioned barrier. A body names only
+gates defined before it. A register-wide statement such as ``h q;`` or
+``measure q -> c;`` is one call per wire; a register-wide barrier is one
+barrier on all of the register's wires. Macro nesting
+(``MAX_EXPANSION_DEPTH``) and the output size
+(``MAX_EXPANSION_INSTRUCTIONS``) are bounded, and both bounds are checked
+at a statement before it emits any instruction. An expression that fails
+inside a gate body names that gate and the index (from 0) of the statement
+whose call expanded it, at that statement. An opaque gate cannot be
+called.
 
 ``include "qelib1.inc";`` resolves against the embedded copy; any other
 include path is rejected, and so is an include that would define a macro
 whose name a register or gate already holds. Library gates (everything in
 :data:`qflow.gates.LIBRARY`) are callable whether or not the include is
-present. Three-or-more-qubit qelib1 gates (``ccx``, ``cswap``) are attached
-to the circuit as macro definitions when used.
+present; the include adds its three-qubit macros (``ccx``, ``cswap``).
 
 The text is read statement by statement, by offset. Most statements are
 library gate calls such as ``rz(-pi/4) q[3];`` or ``cx q[0],q[1];``, and
@@ -30,36 +47,23 @@ grammar (``name(params) args;``), as in the QASM 2 grammar.
 
 A character that no token takes is reported wherever it is, before any
 other error: the fast path never matches one, the tokenizer raises on the
-first it meets, and a grammar error first scans the rest of the text for
-one and reports that instead.
+first it meets, and a grammar or expansion error first scans the rest of
+the text for one and reports that instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import replace
 from typing import NoReturn
 
-from .circuit import (
-    BinOp,
-    BodyInstruction,
-    Circuit,
-    Const,
-    FormalRef,
-    FuncCall,
-    GateDef,
-    Instruction,
-    Neg,
-    ParamExpr,
-    Register,
-    eval_expr,
-)
+from .circuit import MAX_REGISTER_SIZE, Circuit, Instruction, Register
 from .errors import QasmError
 from .gates import LIBRARY
 from .qelib1 import QELIB1_INC
 
-__all__ = ["parse_qasm"]
+__all__ = ["parse_qasm", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
 
 # whitespace and comments match ungrouped, so their lastgroup is None
 _TOKEN_RE = re.compile(
@@ -99,12 +103,24 @@ _CALL_RE = re.compile(
 _CALLS = {name: (name, spec.param_count, spec.arity) for name, spec in LIBRARY.items()}
 _CALLS.update(U=("u3", 3, 1), CX=("cx", 0, 2))
 
-_FUNC_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt"})
+# an expression node's operator -> what computes it from its operands'
+# values; a node is (operator, operand[, operand]), a leaf a float or the
+# name of a formal parameter, and "neg" negates
+_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log,
+          "sqrt": math.sqrt}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow, **_FUNCS}
 
 # Nesting bound for parameter expressions. Each level is a few Python
 # frames of recursive descent, so this keeps deep input a QasmError well
 # before the interpreter's recursion limit.
 MAX_EXPR_DEPTH = 100
+
+# the most macros on a chain of nested calls that one call expands
+MAX_EXPANSION_DEPTH = 1000
+# k nested doubling macros expand to 2**k instructions, so the output size
+# is bounded apart from the depth
+MAX_EXPANSION_INSTRUCTIONS = 2**20
 
 
 def _position(text: str, off: int) -> tuple[int, int]:
@@ -135,6 +151,50 @@ def _argument(text: str) -> float | None:
     return value
 
 
+def _apply(op: str, *args: float) -> float:
+    """``op`` applied to operand values, which must give a finite real.
+    Division by zero, a math domain or range error, an infinite or NaN
+    result and the complex result of a negative base to a fractional power
+    raise :class:`QasmError` without a position."""
+    try:
+        value = _OPS[op](*args)
+        # math.isfinite raises TypeError on a complex value
+        if not math.isfinite(value):
+            raise OverflowError(f"result {value} is not finite")
+    except (ZeroDivisionError, ValueError, OverflowError, TypeError) as exc:
+        raise QasmError(f"invalid constant expression: {exc}") from None
+    return value
+
+
+def _value(expr, env: dict) -> float:
+    """A gate body expression's value under its formals' values ``env``,
+    node by node as the parser folds the same expression with the values
+    written in."""
+    if type(expr) is float:
+        return expr
+    if type(expr) is str:
+        return env[expr]
+    if expr[0] == "neg":
+        return -_value(expr[1], env)
+    return _apply(expr[0], *[_value(e, env) for e in expr[1:]])
+
+
+class _Macro:
+    """A gate definition: its formal parameter names, its qubit count, and
+    its body, or None for an opaque gate. Each body statement is a
+    (library opcode or _Macro, parameter expressions, formal qubit indices)
+    triple. One call emits ``size`` instructions through ``height`` nested
+    macros, itself included."""
+
+    __slots__ = ("name", "params", "arity", "body", "size", "height")
+
+    def __init__(self, name: str, params: tuple, arity: int, body: tuple | None):
+        self.name, self.params, self.arity, self.body = name, params, arity, body
+        calls = [target for target, _, _ in body or () if type(target) is _Macro]
+        self.size = len(body or ()) + sum(m.size - 1 for m in calls)
+        self.height = 1 + max((m.height for m in calls), default=0)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -143,11 +203,10 @@ class _Parser:
         self.scan = _TOKEN_RE.finditer(text)
         self.registers: list[Register] = []
         self.reg_map: dict[str, Register] = {}
-        self.defs: dict[str, GateDef] = {}          # user + loaded include macros
-        self.user_def_order: list[str] = []
-        self.include_def_names: list[str] = []       # qelib1 macros, file order
-        self.includes: list[str] = []
+        self.macros: dict[str, _Macro] = {}  # the gate definitions, the include's among them
+        self.included = False
         self.instructions: list[Instruction] = []
+        self.k = 0  # the top-level statements that emit instructions, read so far
         self.expr_depth = 0
 
     # -- token helpers -------------------------------------------------------
@@ -230,32 +289,32 @@ class _Parser:
         skip, call, add = _SKIP_RE.match, _CALL_RE.match, self.instructions.append
         pos = self.expect(";")[2] + 1
         scanned = True  # whether scan stands at pos
+        k = 0  # self.k, kept local while the fast path reads
         while (start := skip(text, pos).end()) < end:
             m = call(text, start)
             instr = m and self._fast_call(m)
             if instr:
                 add(instr)
-                pos, scanned = m.end(), False
+                pos, scanned, k = m.end(), False, k + 1
                 continue
             if not scanned:
                 self.scan = _TOKEN_RE.finditer(text, start)
+            self.k = k
             self._read()
             self._parse_statement()
-            last = self.tokens[-1]
+            last, k = self.tokens[-1], self.k
             pos, scanned = last[2] + len(last[1]), True
-        return Circuit(
-            registers=tuple(self.registers),
-            instructions=tuple(self.instructions),
-            gate_defs=self._collect_gate_defs(),
-            includes=tuple(self.includes),
-        )
+        if len(self.instructions) > MAX_EXPANSION_INSTRUCTIONS:
+            raise QasmError(f"gate expansion would emit {len(self.instructions)} instructions, "
+                            f"more than {MAX_EXPANSION_INSTRUCTIONS}")
+        return Circuit(tuple(self.registers), tuple(self.instructions))
 
     def _fast_call(self, m) -> Instruction | None:
         """The instruction of a ``_CALL_RE`` match, or None unless every
         check that _parse_qop makes on the call passes."""
         name, args, reg1, idx1, reg2, idx2 = m.groups()
         spec = _CALLS.get(name)
-        if spec is None or name in self.defs:
+        if spec is None or name in self.macros:
             return None
         opcode, n_params, arity = spec
         params = () if args is None else tuple(map(_argument, args.split(",")))
@@ -273,30 +332,6 @@ class _Parser:
         if arity == 2 and qubits[0] == qubits[1]:
             return None
         return Instruction(opcode, params, qubits)
-
-    def _collect_gate_defs(self) -> tuple:
-        """User definitions in declaration order, then the include macros the
-        circuit actually needs (transitively), in qelib1 file order."""
-        needed: set[str] = set()
-
-        def visit(opcode: str):
-            if opcode in needed or opcode not in self.defs:
-                return
-            if opcode in self.user_def_order:
-                return  # user defs are always kept; bodies scanned below
-            needed.add(opcode)
-            for binstr in self.defs[opcode].body:
-                visit(binstr.opcode)
-
-        for instr in self.instructions:
-            visit(instr.opcode)
-        for name in self.user_def_order:
-            for binstr in self.defs[name].body:
-                visit(binstr.opcode)
-
-        out = [self.defs[name] for name in self.user_def_order]
-        out.extend(self.defs[name] for name in self.include_def_names if name in needed)
-        return tuple(out)
 
     # -- statements ------------------------------------------------------------
 
@@ -336,7 +371,9 @@ class _Parser:
         size = self._int(size_tok)
         if size < 1:
             self.error(f"register '{name}' must have size >= 1", size_tok)
-        if name in self.reg_map or name in self.defs:
+        if size > MAX_REGISTER_SIZE:
+            self.error(f"register '{name}' must have size <= {MAX_REGISTER_SIZE}", size_tok)
+        if name in self.reg_map or name in self.macros:
             self.error(f"redefinition of '{name}'", name_tok)
         reg = Register(name, "q" if kw[1] == "qreg" else "c", size)
         self.registers.append(reg)
@@ -350,15 +387,12 @@ class _Parser:
         if path != "qelib1.inc":
             self.error(f"include '{path}' is not supported (only the embedded qelib1.inc)",
                        path_tok)
-        if path not in self.includes:
-            self.includes.append(path)
-            for gd in _qelib1_macros():
-                # print_qasm writes the include before every gate and
-                # register, so a name one of them holds would clash there
-                if gd.name in self.reg_map or gd.name in self.defs:
-                    self.error(f"redefinition of '{gd.name}'", path_tok)
-                self.defs[gd.name] = gd
-                self.include_def_names.append(gd.name)
+        if not self.included:
+            self.included = True
+            for macro in _QELIB1_MACROS:
+                if macro.name in self.reg_map or macro.name in self.macros:
+                    self.error(f"redefinition of '{macro.name}'", path_tok)
+                self.macros[macro.name] = macro
 
     # -- gate definitions -----------------------------------------------------
 
@@ -367,7 +401,7 @@ class _Parser:
         opaque = self.next()[1] == "opaque"
         name_tok = self.expect("id", "gate name")
         name = name_tok[1]
-        if name in self.reg_map or name in self.defs:
+        if name in self.reg_map or name in self.macros:
             self.error(f"redefinition of '{name}'", name_tok)
         params: list[str] = []
         if self.peek() == "(":
@@ -378,14 +412,13 @@ class _Parser:
         qubits = self._comma_list(self._formal)
         if opaque:
             self.expect(";")
-            body = ()
+            body = None
         else:
             if len(set(params)) != len(params) or len(set(qubits)) != len(qubits):
                 self.error(f"duplicate formal argument in gate '{name}'", name_tok)
             self.expect("{")
             body = self._parse_body(name, params, qubits)
-        self.defs[name] = GateDef(name, tuple(params), tuple(qubits), body, opaque)
-        self.user_def_order.append(name)
+        self.macros[name] = _Macro(name, tuple(params), len(qubits), body)
 
     def _formal(self) -> str:
         return self.expect("id", "identifier")[1]
@@ -407,11 +440,11 @@ class _Parser:
                 # allowed, as at top level
                 args = self._comma_list(operand)
                 self.expect(";")
-                body.append(BodyInstruction("barrier", (), tuple(args)))
+                body.append(("barrier", (), tuple(args)))
             elif tok[1] in ("measure", "reset", "delay", "if"):
                 self.error(f"'{tok[1]}' is not allowed inside a gate body", tok)
             else:
-                body.append(BodyInstruction(*self._parse_call(tok, params, operand)))
+                body.append(self._parse_call(tok, params, operand))
         self.i += 1
         return tuple(body)
 
@@ -419,59 +452,107 @@ class _Parser:
 
     def _parse_qop(self, condition):
         """One quantum operation at top level, under an ``if`` when
-        ``condition`` is set (a barrier is not a qop, so it takes none)."""
+        ``condition`` is set (a barrier is not a qop, so it takes none),
+        expanded into the instructions it emits."""
         tok = self.expect("id", "gate name")
         kw = tok[1]
+        target, params, clbits = kw, (), ()
         if kw == "measure":
-            qarg = self._parse_argument()
+            qubits = (self._parse_argument(),)
             self.expect("->", "'->'")
-            carg = self._parse_argument("c")
+            clbits = (self._parse_argument("c"),)
             self.expect(";")
-            if qarg[1] is None or carg[1] is None:
-                qsize = 1 if qarg[1] is not None else self.reg_map[qarg[0]].size
-                csize = 1 if carg[1] is not None else self.reg_map[carg[0]].size
+            (qreg, qidx), (creg, cidx) = qubits[0], clbits[0]
+            if qidx is None or cidx is None:
+                qsize = 1 if qidx is not None else self.reg_map[qreg].size
+                csize = 1 if cidx is not None else self.reg_map[creg].size
                 if qsize != csize:
-                    self.error(f"measure broadcast size mismatch: {qarg[0]} has {qsize} "
-                               f"wire(s), {carg[0]} has {csize}", tok)
-            instr = Instruction("measure", (), (qarg,), (carg,), condition)
+                    self.error(f"measure broadcast size mismatch: {qreg} has {qsize} "
+                               f"wire(s), {creg} has {csize}", tok)
         elif kw == "reset":
-            arg = self._parse_argument()
+            qubits = (self._parse_argument(),)
             self.expect(";")
-            instr = Instruction("reset", (), (arg,), (), condition)
         elif kw == "delay":
-            arg = self._parse_argument()
+            qubits = (self._parse_argument(),)
             self.expect(",")
             if self.peek() != "int":
                 self.error("delay cycle count must be a nonnegative integer")
-            cycles = self._int(self.next())
+            params = (self._int(self.next()),)
             self.expect(";")
-            instr = Instruction("delay", (cycles,), (arg,), (), condition)
         elif kw == "barrier" and condition is None:
             args = self._comma_list(self._parse_argument)
             self.expect(";")
-            instr = Instruction("barrier", (), tuple(args))
+            # a register-wide barrier orders all of the register's wires at once
+            qubits = tuple((reg, j) for reg, idx in args
+                           for j in (range(self.reg_map[reg].size) if idx is None else (idx,)))
         else:
-            opcode, exprs, args = self._parse_call(tok, (), self._parse_argument)
-            if len({self.reg_map[r].size for r, idx in args if idx is None}) > 1:
+            target, params, qubits = self._parse_call(tok, (), self._parse_argument)
+            if len({self.reg_map[r].size for r, idx in qubits if idx is None}) > 1:
                 self.error("register broadcast requires equal register sizes", tok)
-            if any(idx is not None and (r, None) in args for r, idx in args):
+            if any(idx is not None and (r, None) in qubits for r, idx in qubits):
                 self.error("duplicate qubit operand", tok)  # the call of wire idx names it twice
-            instr = Instruction(opcode, tuple(e.value for e in exprs), args, (), condition)
-        self.instructions.append(instr)
+        wide = next((r for r, idx in qubits + clbits if idx is None), None)
+        calls = 1 if wide is None else self.reg_map[wide].size
+        size = calls
+        if type(target) is _Macro:
+            if target.height > MAX_EXPANSION_DEPTH:
+                # name the gate at that depth on the first chain that reaches it
+                for depth in range(MAX_EXPANSION_DEPTH, 0, -1):
+                    target = next(t for t, _, _ in target.body
+                                  if type(t) is _Macro and t.height >= depth)
+                self.error(f"gate expansion exceeded depth {MAX_EXPANSION_DEPTH} "
+                           f"while inlining '{target.name}'", tok)
+            size *= target.size
+        if len(self.instructions) + size > MAX_EXPANSION_INSTRUCTIONS:
+            self.error(f"gate expansion would emit {len(self.instructions) + size} "
+                       f"instructions, more than {MAX_EXPANSION_INSTRUCTIONS}", tok)
+        for j in range(calls):
+            qs, cs = qubits, clbits
+            if wide is not None:  # call j takes wire j of each register-wide operand
+                qs, cs = (tuple((r, j if idx is None else idx) for r, idx in ops)
+                          for ops in (qubits, clbits))
+            if type(target) is _Macro:
+                self._expand(target, params, qs, condition, tok)
+            else:
+                self.instructions.append(Instruction(target, params, qs, cs, condition))
+        self.k += 1
+
+    def _expand(self, macro: _Macro, params: tuple, qubits: tuple, condition, tok: tuple):
+        """Append the gates of one call of ``macro`` in body order, each
+        nested call expanded in place."""
+        add = self.instructions.append
+        stack = [(macro, params, qubits)]
+        while stack:
+            target, params, qubits = stack.pop()
+            if type(target) is str:
+                # a barrier is not a qop, so no if applies to it
+                add(Instruction(target, params, qubits, (),
+                                None if target == "barrier" else condition))
+                continue
+            if target.body is None:
+                self.error(f"cannot expand opaque gate '{target.name}' (no body)", tok)
+            env = dict(zip(target.params, params))
+            try:
+                for body, exprs, idx in reversed(target.body):
+                    stack.append((body, tuple([_value(e, env) for e in exprs]),
+                                  tuple([qubits[i] for i in idx])))
+            except QasmError as exc:
+                self.error(f"{exc.message} (in gate '{target.name}', called by instruction "
+                           f"{self.k})", tok)
 
     def _parse_call(self, tok, formals, operand) -> tuple:
         """The gate call ``name(params) args;`` after its name token, at top
-        level and in gate bodies alike: (opcode, parameter expressions,
-        operands). With no formals in scope every expression folds to a
-        :class:`Const`."""
+        level and in gate bodies alike: (library opcode or :class:`_Macro`,
+        parameter expressions, operands). With no formals in scope every
+        expression folds to a float."""
         name = tok[1]
         if name == "U":
             opcode, n_params, arity = "u3", 3, 1
         elif name == "CX":
             opcode, n_params, arity = "cx", 0, 2
-        elif name in self.defs:
-            gd = self.defs[name]
-            opcode, n_params, arity = name, len(gd.params), len(gd.qubits)
+        elif name in self.macros:
+            opcode = self.macros[name]
+            n_params, arity = len(opcode.params), opcode.arity
         elif name in LIBRARY:
             spec = LIBRARY[name]
             opcode, n_params, arity = name, spec.param_count, spec.arity
@@ -513,21 +594,21 @@ class _Parser:
 
     # -- expressions ------------------------------------------------------------
 
-    def _parse_sum(self, formals) -> ParamExpr:
+    def _parse_sum(self, formals):
         node = self._parse_product(formals)
         while self.peek() in ("+", "-"):
             op = self.next()
-            node = self._fold(BinOp(op[0], node, self._parse_product(formals)), op)
+            node = self._fold(op, node, self._parse_product(formals))
         return node
 
-    def _parse_product(self, formals) -> ParamExpr:
+    def _parse_product(self, formals):
         node = self._parse_unary(formals)
         while self.peek() in ("*", "/"):
             op = self.next()
-            node = self._fold(BinOp(op[0], node, self._parse_unary(formals)), op)
+            node = self._fold(op, node, self._parse_unary(formals))
         return node
 
-    def _parse_unary(self, formals) -> ParamExpr:
+    def _parse_unary(self, formals):
         """``-unary`` or ``atom [^ unary]``. Every nested operand passes
         through here; a QasmError ends the parse, so the depth needs no
         unwinding on failure."""
@@ -536,23 +617,24 @@ class _Parser:
         self.expr_depth += 1
         if self.peek() == "-":
             self.i += 1
-            node = self._fold(Neg(self._parse_unary(formals)))
+            node = self._parse_unary(formals)
+            node = -node if type(node) is float else ("neg", node)
         else:
             node = self._parse_atom(formals)
             if self.peek() == "^":
                 op = self.next()
-                node = self._fold(BinOp("^", node, self._parse_unary(formals)), op)
+                node = self._fold(op, node, self._parse_unary(formals))
         self.expr_depth -= 1
         return node
 
-    def _parse_atom(self, formals) -> ParamExpr:
+    def _parse_atom(self, formals):
         tok = self.next()
         kind, text = tok[0], tok[1]
         if kind in ("real", "int"):
             value = float(text)
             if not math.isfinite(value):
                 self.error(f"number {text} is out of range", tok)
-            return Const(value)
+            return value
         if kind == "(":
             node = self._parse_sum(formals)
             self.expect(")")
@@ -560,50 +642,48 @@ class _Parser:
         if kind != "id":
             self.error(f"expected expression, found {text!r}", tok)
         if text == "pi":
-            return Const(math.pi)
-        if text in _FUNC_NAMES:
+            return math.pi
+        if text in _FUNCS:
             self.expect("(")
             arg = self._parse_sum(formals)
             self.expect(")")
-            return self._fold(FuncCall(text, arg), tok)
+            return self._fold(tok, arg)
         if text not in formals:
             self.error(f"unknown symbol '{text}' in expression", tok)
-        return FormalRef(text)
+        return text
 
-    def _fold(self, expr: ParamExpr, tok: tuple | None = None) -> ParamExpr:
-        """Collapse constant subtrees; leave formal references symbolic. An
-        evaluation error is located at ``tok``, the operator or function
-        name (a negation never fails)."""
-        if isinstance(expr, Neg) and isinstance(expr.operand, Const):
-            return Const(-expr.operand.value)
-        if (isinstance(expr, BinOp) and isinstance(expr.left, Const)
-                and isinstance(expr.right, Const)
-                or isinstance(expr, FuncCall) and isinstance(expr.arg, Const)):
-            try:
-                return Const(eval_expr(expr, {}))
-            except QasmError as exc:
-                self.error(exc.message, tok)
-        return expr
+    def _fold(self, tok: tuple, *args):
+        """The node of the operator or function ``tok`` over ``args``, or
+        its value where every operand is a number; an evaluation error is
+        located at ``tok``."""
+        op = tok[1]
+        for arg in args:
+            if type(arg) is not float:
+                return (op, *args)
+        try:
+            return _apply(op, *args)
+        except QasmError as exc:
+            self.error(exc.message, tok)
 
 
-_QELIB1_CACHE: list[GateDef] | None = None
+def _defined_macros(text: str) -> tuple:
+    """The gates that ``text``, a list of gate definitions, defines."""
+    parser = _Parser("OPENQASM 2.0;\n" + text)
+    parser.parse_program()
+    return tuple(parser.macros.values())
 
 
-def _qelib1_macros() -> list[GateDef]:
-    """Gate definitions from the embedded qelib1.inc that are not library
-    builtins (the multi-qubit macros), parsed once."""
-    global _QELIB1_CACHE
-    if _QELIB1_CACHE is None:
-        defs = _Parser("OPENQASM 2.0;\n" + QELIB1_INC).parse_program().gate_defs
-        _QELIB1_CACHE = [replace(gd, from_include=True) for gd in defs if gd.name not in LIBRARY]
-    return _QELIB1_CACHE
+# the macros that include "qelib1.inc" defines: its gates outside the
+# library, whose bodies call library gates
+_QELIB1_MACROS = _defined_macros("".join(
+    m[0] for m in re.finditer(r"^gate (\w+).*\n", QELIB1_INC, re.M) if m[1] not in LIBRARY))
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse OpenQASM 2.0 source text into a :class:`Circuit`.
+    """Parse OpenQASM 2.0 source text into a flat :class:`Circuit`.
 
     Raises :class:`~qflow.errors.QasmError` with line and column information
     on syntax errors, undeclared registers, arity mismatches, out-of-range
-    indices, and non-2.0 version headers.
+    indices, non-2.0 version headers and calls that cannot be expanded.
     """
     return _Parser(text).parse_program()

@@ -1,7 +1,7 @@
 """Circuits resolved once for the simulator backends, and the one shot
 walker that runs them.
 
-A :class:`Program` is a flattened circuit read through its resolution
+A :class:`Program` is a circuit read through its resolution
 (``Circuit.resolve``): global wires and clbits, and each condition as
 (offset, mask, value) over one integer holding every classical bit. A
 measure is *deferred* when no later op but a barrier or delay touches its
@@ -56,7 +56,6 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import SimulationError
-from .flatten import flatten
 from .gates import LIBRARY, unitary_of
 from .results import _EPS, bitstring
 
@@ -69,7 +68,7 @@ ALWAYS_RUN = 1 << 20
 
 
 class Op:
-    """One flattened instruction on global wires. ``clbit`` is the global
+    """One instruction on global wires. ``clbit`` is the global
     clbit a measure writes, ``condition`` an (offset, mask, value) test on
     the classical integer, ``gate`` whether the op is a unitary gate,
     ``deferred`` whether it is a measure drawn at the leaves and ``kernel``
@@ -165,13 +164,12 @@ class Program:
     """A circuit resolved for simulation; see the module docstring."""
 
     def __init__(self, circuit: Circuit):
-        flat = flatten(circuit)
-        self.n = flat.n_qubits
-        self.n_clbits = flat.n_clbits
-        resolution = flat.resolve()
+        resolution = circuit.resolve()
+        self.n = circuit.n_qubits
+        self.n_clbits = circuit.n_clbits
         self.ops: list[Op] = []
         last: dict[int, Op] = {}  # the measure that writes each clbit last
-        for k, (instr, wires) in enumerate(zip(flat.instructions, resolution.wires)):
+        for k, (instr, wires) in enumerate(zip(circuit.instructions, resolution.wires)):
             clbits = resolution.clbits.get(k)
             op = Op(instr, wires, clbits[0] if clbits else None, resolution.conditions.get(k))
             if op.opcode == "measure":

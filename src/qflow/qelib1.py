@@ -2,8 +2,8 @@
 
 ``include "qelib1.inc";`` resolves against this text; include paths are never
 read from the filesystem. All one- and two-qubit gates defined here are also
-native library gates (see :mod:`qflow.gates`), so only the three-qubit macros
-(``ccx``, ``cswap``) ever enter a circuit as expandable definitions.
+native library gates (see :mod:`qflow.gates`), so the include adds only the
+three-qubit macros (``ccx``, ``cswap``), which the parser expands.
 """
 
 QELIB1_INC = """\

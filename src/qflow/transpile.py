@@ -1,12 +1,12 @@
 """Logical-to-physical compilation pipeline.
 
-Stages: flatten -> decompose to {u3, cx} -> initial mapping -> swap routing
+Stages: check -> decompose to {u3, cx} -> initial mapping -> swap routing
 -> retarget to the device basis -> ASAP scheduling. The output circuit uses
 only device basis gates plus measure/barrier/reset/delay, every two-qubit
 gate acts on a coupled pair, and the whole pipeline is deterministic for a
 fixed (circuit, device).
 
-The input is checked once, by ``flatten`` (``Circuit.resolve``). The
+The input is checked once, by ``Circuit.resolve``. The
 stages then build three circuits from it, each instruction once: the
 decomposed circuit, whose wires are its gate's wires in template order;
 the routed circuit, on one physical register; and the output, whose wires
@@ -41,7 +41,6 @@ from .decompose import _H3, decompose_to_u_cx, resolve_1q_family, retarget_1q, r
 from .device import DeviceConfig
 from .errors import TranspileError
 from .euler import IDENTITY_CELLS, mul2, u3_cells, zyz_from_cells
-from .flatten import flatten
 from .gates import BasisSet, LIBRARY
 from .layout import initial_mapping
 from .metrics import circuit_depth
@@ -213,20 +212,20 @@ def transpile(
     """
     if opt_level not in (0, 1):
         raise TranspileError(f"unsupported opt_level {opt_level}")
-    flat = flatten(circuit)
-    if flat.n_qubits > device.num_qubits:
+    resolution = circuit.resolve()
+    if circuit.n_qubits > device.num_qubits:
         raise TranspileError(
-            f"too many qubits: circuit has {flat.n_qubits}, "
+            f"too many qubits: circuit has {circuit.n_qubits}, "
             f"device '{device.name}' has {device.num_qubits}"
         )
     basis = BasisSet.from_names(device.basis_gates)
     family = resolve_1q_family(basis)
-    depth_in = circuit_depth(flat)
+    depth_in = circuit_depth(circuit)
 
     # each template gate acts on operands of its gate, so on their wires
     decomposed_instrs: list[Instruction] = []
     wires: list[tuple] = []
-    for instr, ws in zip(flat.instructions, flat.resolve().wires):
+    for instr, ws in zip(circuit.instructions, resolution.wires):
         if instr.opcode not in LIBRARY:
             decomposed_instrs.append(instr)
             wires.append(ws)
@@ -243,7 +242,7 @@ def transpile(
                 wires.append(ws if qubits[0] == first else (b, a))
             else:
                 wires.append((a,) if qubits[0] == first else (b,))
-    decomposed = derived(flat.with_instructions(decomposed_instrs), wires)
+    decomposed = derived(circuit.with_instructions(decomposed_instrs), wires)
 
     topology = device.topology()
     layout0 = initial_mapping(decomposed, topology)

@@ -15,7 +15,6 @@ import numpy as np
 from qflow.circuit import Instruction
 from qflow.decompose import retarget_1q
 from qflow.euler import zyz_from_cells
-from qflow.flatten import flatten
 from qflow.gates import LIBRARY, unitary_of
 
 NON_UNITARY = ("measure", "barrier", "delay", "reset")
@@ -77,12 +76,11 @@ def circuit_unitary(circuit, wires=None) -> np.ndarray:
     """Dense unitary of a circuit's gate portion, over the global qubits
     ``wires`` (local qubit j is ``wires[j]``; all of them by default), which
     must hold every qubit a gate acts on."""
-    flat = flatten(circuit)
-    qoff = offsets(flat, "q")
-    local = {w: j for j, w in enumerate(range(flat.n_qubits) if wires is None else wires)}
+    qoff = offsets(circuit, "q")
+    local = {w: j for j, w in enumerate(range(circuit.n_qubits) if wires is None else wires)}
     n = len(local)
     u = np.eye(1 << n, dtype=complex)
-    for instr in flat.instructions:
+    for instr in circuit.instructions:
         if instr.opcode in NON_UNITARY:
             continue
         ws = [local[qoff[r] + i] for r, i in instr.qubits]
@@ -139,7 +137,7 @@ def check_transpiled(circuit, physical, report, device, tol=1e-8):
     from qflow.gates import LIBRARY
 
     u_in = circuit_unitary(circuit)
-    k = flatten(circuit).n_qubits
+    k = circuit.n_qubits
     # the physical unitary over the wires that a gate or a layout names:
     # every other wire carries the identity
     qoff = offsets(physical, "q")
@@ -195,14 +193,13 @@ def exact_distribution(circuit, readout=None) -> dict[int, float]:
     and 2**n columns. The key is the classical integer (bit c is clbit c,
     last writer wins) or, when nothing is measured, the basis index over all
     qubits, as in the simulators' counts."""
-    flat = flatten(circuit)
-    n = flat.n_qubits
-    qoff, coff = offsets(flat, "q"), offsets(flat, "c")
-    width = {r.name: r.size for r in flat.registers if r.kind == "c"}
+    n = circuit.n_qubits
+    qoff, coff = offsets(circuit, "q"), offsets(circuit, "c")
+    width = {r.name: r.size for r in circuit.registers if r.kind == "c"}
     psi = np.zeros((1 << n, 1), complex)
     psi[0, 0] = 1.0
     branches = {0: psi}
-    for instr in flat.instructions:
+    for instr in circuit.instructions:
         wires = [qoff[r] + i for r, i in instr.qubits]
         if instr.opcode in ("barrier", "delay"):
             continue
@@ -239,7 +236,7 @@ def exact_distribution(circuit, readout=None) -> dict[int, float]:
             if psi.shape[1] > psi.shape[0]:
                 psi = np.linalg.qr(psi.conj().T, mode="r").conj().T
             branches[clbits] = psi
-    measures = any(i.opcode == "measure" for i in flat.instructions)
+    measures = any(i.opcode == "measure" for i in circuit.instructions)
     dist: dict[int, float] = {}
     for clbits, psi in branches.items():
         probs = np.einsum("ij,ij->i", psi, psi.conj()).real

@@ -8,10 +8,9 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflow.binio import FORMAT_VERSION, MAGIC, decode_binary, encode_binary
-from qflow.circuit import Circuit, Instruction, Register
+from qflow.binio import FORMAT_VERSION, MAGIC, _write_uvarint, decode_binary, encode_binary
+from qflow.circuit import MAX_REGISTER_SIZE, Circuit, Instruction, Register
 from qflow.errors import BinaryFormatError, QasmError
-from qflow.flatten import flatten
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.transpile import transpile
@@ -26,9 +25,7 @@ def test_magic_header():
 
 def test_roundtrip_corpus(corpus):
     for name, circ in corpus:
-        flat = flatten(circ)
-        assert decode_binary(encode_binary(circ)) == flat, name
-        assert decode_binary(encode_binary(flat)) == flat, name
+        assert decode_binary(encode_binary(circ)) == circ, name
 
 
 def test_roundtrip_preserves_conditions_and_delay():
@@ -36,7 +33,7 @@ def test_roundtrip_preserves_conditions_and_delay():
         "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
         "h q[0];\ndelay q[0], 32;\nmeasure q[0] -> c[0];\nif(c==1) x q[1];\n"
     )
-    c = flatten(parse_qasm(src))
+    c = parse_qasm(src)
     back = decode_binary(encode_binary(c))
     assert back == c
     delay = back.instructions[1]
@@ -173,6 +170,17 @@ def test_the_largest_values_the_format_holds_round_trip():
     assert decode_binary(encode_binary(circ)) == circ
 
 
+def test_decoder_refuses_a_register_past_the_size_bound():
+    blob = encode_binary(Circuit(registers=(Register("q", "q", 1), Register("c", "c", 1))))
+    # the register table ends with c's name index, kind and size; then no instruction
+    assert blob[-4:] == bytes([1, 1, 1, 0])
+    for size in (MAX_REGISTER_SIZE + 1, 2**70 - 1):
+        wide = bytearray(blob[:-2])
+        _write_uvarint(wide, size)
+        with pytest.raises(BinaryFormatError, match=f"register 'c' needs .* not 'c' and {size}$"):
+            decode_binary(bytes(wide) + b"\0")
+
+
 def test_decoder_refuses_operands_with_the_same_check():
     regs = (Register("q", "q", 2), Register("c", "c", 1))
     measure = Instruction("measure", (), (("q", 1),), (("c", 0),))
@@ -227,7 +235,7 @@ def test_decoder_refuses_each_bad_shape_with_the_same_check():
 def test_roundtrip_random_circuits(n_qubits, seed, depth):
     from conftest import random_general_qasm
 
-    circ = flatten(parse_qasm(random_general_qasm(n_qubits, depth, seed)))
+    circ = parse_qasm(random_general_qasm(n_qubits, depth, seed))
     assert decode_binary(encode_binary(circ)) == circ
 
 
@@ -304,7 +312,7 @@ def _pinned_blob() -> bytes:
 def test_pinned_blob_round_trips():
     blob = _pinned_blob()
     assert len(blob) == 132
-    assert decode_binary(blob) == flatten(parse_qasm(_PINNED_SRC))
+    assert decode_binary(blob) == parse_qasm(_PINNED_SRC)
 
 
 def test_truncation_messages_are_pinned():

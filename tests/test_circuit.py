@@ -36,7 +36,7 @@ from qflow import (
     sv_statevector,
     transpile,
 )
-from qflow.circuit import BodyInstruction, FormalRef, GateDef
+from qflow.circuit import MAX_REGISTER_SIZE
 
 from oracles import offsets
 
@@ -64,10 +64,9 @@ def test_an_instruction_keeps_its_dataclass_behaviour():
 
 def test_resolution_matches_register_offsets(corpus):
     for name, circ in corpus:
-        flat = flatten(circ)
-        qoff, coff = offsets(flat, "q"), offsets(flat, "c")
-        res = flat.resolve()
-        for k, instr in enumerate(flat.instructions):
+        qoff, coff = offsets(circ, "q"), offsets(circ, "c")
+        res = circ.resolve()
+        for k, instr in enumerate(circ.instructions):
             assert res.wires[k] == tuple(qoff[r] + i for r, i in instr.qubits), name
             if instr.clbits:
                 assert res.clbits[k] == tuple(coff[r] + i for r, i in instr.clbits), name
@@ -76,9 +75,9 @@ def test_resolution_matches_register_offsets(corpus):
 
 
 def test_resolution_of_clbits_and_conditions():
-    circ = flatten(parse_qasm(
+    circ = parse_qasm(
         "OPENQASM 2.0; qreg a[1]; creg x[2]; qreg b[2]; creg y[3];"
-        "measure b[1] -> y[2]; if(y==5) x b[0]; h a[0];"))
+        "measure b[1] -> y[2]; if(y==5) x b[0]; h a[0];")
     res = circ.resolve()
     assert res.wires == ((2,), (1,), (0,))
     assert res.clbits == {0: (4,)}
@@ -104,23 +103,12 @@ def test_flatten_passes_a_flat_circuit_and_its_resolution_through():
     assert flatten(circ).resolve() is res
 
 
-def test_flatten_keeps_the_instructions_of_a_circuit_that_calls_no_macro():
-    """A parsed circuit under the include (ccx defined, not called) needs no
-    expansion: its instructions come back as they are, checked once."""
-    circ = parse_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; creg c[1];'
-                      "gate g a { h a; } h q[0]; if(c==1) cx q[0],q[2]; measure q[1] -> c[0];")
-    flat = flatten(circ)
-    assert flat.instructions is circ.instructions
-    assert (flat.gate_defs, flat.includes) == ((), ())
-    assert flat.resolve() == Circuit(flat.registers, flat.instructions).resolve()
-
-
 @pytest.mark.parametrize("instr, message", [
     (Instruction("h", (), (("z", 0),)), "instruction 2: undeclared register 'z'"),
     (Instruction("h", (), (("c", 0),)), "instruction 2: 'c' is not a quantum register"),
     (Instruction("h", (), (("q", 2),)), r"instruction 2: index 2 out of range for q\[2\]"),
     (Instruction("h", (), (("q", -1),)), r"instruction 2: index -1 out of range for q\[2\]"),
-    (Instruction("h", (), (("q", None),)), "instruction 2: register-wide operand 'q'"),
+    (Instruction("h", (), (("q", None),)), "instruction 2: index None of 'q' is not an int"),
     (Instruction("measure", (), (("q", 0),), (("q", 0),)),
      "instruction 2: 'q' is not a classical register"),
     (Instruction("measure", (), (("q", 0),), (("c", 5),)),
@@ -203,17 +191,23 @@ def test_resolution_accepts_every_valid_shape():
     assert len(circ.resolve().wires) == 9
 
 
-def test_a_macro_call_must_be_flattened_first():
-    circ = parse_qasm("OPENQASM 2.0; qreg q[2]; gate bell a,b { h a; cx a,b; } bell q[0],q[1];")
-    with pytest.raises(QasmError, match="instruction 0: undeclared gate 'bell'"):
+@pytest.mark.parametrize("instr, message", [
+    (Instruction("bell", (), (("q", 0), ("q", 1))), "undeclared gate 'bell'"),
+    (Instruction("h", (), (("z", None),)), "undeclared register 'z'"),
+    (Instruction("measure", (), (("q", None),), (("c", None),)), "index None of 'q' is not an int"),
+    (Instruction("barrier", (), (("q", 0), ("z", None))), "undeclared register 'z'"),
+], ids=["bell q[0],q[1]", "h z", "measure q -> c", "barrier q[0], z"])
+def test_a_macro_call_or_a_register_wide_operand_is_refused(instr, message):
+    """Only parse_qasm expands them; a circuit holds flat instructions."""
+    circ = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 2)),
+                   instructions=(instr,))
+    with pytest.raises(QasmError, match=f"^instruction 0: {message}$"):
         circ.resolve()
-    assert len(flatten(circ).resolve().wires) == 2
 
 
 # one per operand rule, then one per shape rule, then the malformed operands,
 # one per parameter rule and the malformed conditions; "register_wide" spans two
-# registers of different sizes, which flatten cannot broadcast and the later
-# stages do not take
+# registers of different sizes, which no later stage takes
 HOSTILE = {
     "undeclared_qreg": Instruction("h", (), (("z", 0),)),
     "wire_out_of_range": Instruction("cx", (), (("q", 0), ("q", 5))),
@@ -253,28 +247,6 @@ HOSTILE = {
     "unhashable_register_name": Instruction("h", (), ((["q"], 0),)),
 }
 
-# macro calls, checked against their definitions, and register-wide operands,
-# checked as flatten broadcasts them
-MACROS = (
-    GateDef("bell", (), ("a", "b"), (BodyInstruction("h", (), (0,)),
-                                     BodyInstruction("cx", (), (0, 1)))),
-    GateDef("rot", ("t",), ("a",), (BodyInstruction("rz", (FormalRef("t"),), (0,)),)),
-)
-HOSTILE_CALLS = {
-    "macro_on_too_few_qubits": Instruction("bell", (), (("q", 0),)),
-    "macro_on_too_many_qubits": Instruction("bell", (), (("q", 0), ("q", 1), ("r", 0))),
-    "macro_with_an_extra_param": Instruction("bell", (0.5,), (("q", 0), ("q", 1))),
-    "macro_without_its_param": Instruction("rot", (), (("q", 0),)),
-    "macro_with_a_clbit": Instruction("bell", (), (("q", 0), ("q", 1)), (("c", 0),)),
-    "macro_on_one_qubit_twice": Instruction("bell", (), (("q", 1), ("q", 1))),
-    "macro_with_a_nan_param": Instruction("rot", (math.nan,), (("q", 0),)),
-    "macro_on_a_clbit": Instruction("rot", (0.5,), (("c", 0),)),
-    "wide_macro_size_mismatch": Instruction("bell", (), (("q", None), ("r", None))),
-    "wide_and_fixed_operand_of_one_register": Instruction("cx", (), (("q", 0), ("q", None))),
-    "wide_measure_into_one_clbit": Instruction("measure", (), (("q", None),), (("c", 0),)),
-    "wide_operand_of_an_undeclared_register": Instruction("h", (), (("z", None),)),
-}
-
 # the registers that replace REGS' "r", one per register rule
 HOSTILE_REGISTERS = {
     "duplicate_name": Register("q", "q", 3),
@@ -289,44 +261,14 @@ HOSTILE_REGISTERS = {
     "float_size": Register("r", "q", 3.0),
     "kind_x": Register("r", "x", 3),
     "not_a_register": ("r", "q", 3),
-}
-
-
-# declarations whose printed text would not read back: the text defines
-# the include's macros, then the circuit's own gate definitions, before
-# its registers, and the parser takes only the embedded qelib1.inc; a
-# definition's body names only its own qubits, and the text of a qelib1
-# macro is the include line
-HOSTILE_DECLARATIONS = {
-    "register_named_like_a_macro": Circuit(
-        registers=(REGS[0], Register("bell", "q", 3), REGS[2]), instructions=PROLOGUE[:1],
-        gate_defs=MACROS),
-    "register_named_like_a_qelib1_macro": Circuit(
-        registers=(REGS[0], Register("ccx", "c", 1)), instructions=PROLOGUE[:1],
-        includes=("qelib1.inc",)),
-    "macro_named_like_a_qelib1_macro": Circuit(
-        registers=REGS, instructions=PROLOGUE,
-        gate_defs=(GateDef("cswap", (), ("a", "b", "c"), (BodyInstruction("h", (), (0,)),)),),
-        includes=("qelib1.inc",)),
-    "unsupported_include": Circuit(registers=REGS, instructions=PROLOGUE,
-                                   includes=("other.inc",)),
-    "macro_body_names_a_missing_qubit": Circuit(
-        registers=REGS, instructions=PROLOGUE + (Instruction("g", (), (("q", 0),)),),
-        gate_defs=(GateDef("g", (), ("a",), (BodyInstruction("h", (), (1,)),)),)),
-    "included_macro_without_its_include": replace(
-        parse_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; ccx q[0],q[1],q[2];'),
-        includes=()),
+    "size_past_the_bound": Register("r", "c", MAX_REGISTER_SIZE + 1),
+    "size_of_2_to_the_70": Register("r", "c", 2**70),
 }
 
 
 def _hostile(case: str) -> Circuit:
-    if case in HOSTILE_DECLARATIONS:
-        return HOSTILE_DECLARATIONS[case]
     if case in HOSTILE:
         return _circuit(HOSTILE[case])
-    if case in HOSTILE_CALLS:
-        return Circuit(registers=REGS, instructions=PROLOGUE + (HOSTILE_CALLS[case],),
-                       gate_defs=MACROS)
     regs = (REGS[0], HOSTILE_REGISTERS[case], REGS[2])
     return Circuit(registers=regs, instructions=PROLOGUE[:1])
 
@@ -355,8 +297,7 @@ def _entry_points():
 ENTRY_POINTS = _entry_points()
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(HOSTILE_CALLS) + sorted(HOSTILE_REGISTERS)
-                         + sorted(HOSTILE_DECLARATIONS))
+@pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(HOSTILE_REGISTERS))
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_hostile_circuit_raises_qasm_error_at_every_entry_point(entry, case):
     with pytest.raises(QasmError):
@@ -364,13 +305,14 @@ def test_hostile_circuit_raises_qasm_error_at_every_entry_point(entry, case):
 
 
 # field -> (values the rule accepts, values it refuses), for the round-trip
-# property; an if value, a delay count or a register size can pass the rule
-# and still not fit the NWQB codec
+# property; an if value or a delay count can pass the rule and still not
+# fit the NWQB codec
 _FIELDS = {
-    "register": ([Register("r", "q", 1), Register("_r2", "c", 3), Register("big", "c", 2**70)],
+    "register": ([Register("r", "q", 1), Register("_r2", "c", 3),
+                  Register("big", "c", MAX_REGISTER_SIZE)],
                  [Register("q", "q", 3), Register("my q", "q", 1), Register("", "q", 1),
                   Register("1r", "q", 1), Register("r", "q", 0), Register("r", "q", True),
-                  Register("r", "q", 2.0), Register("r", "x", 1)]),
+                  Register("r", "q", 2.0), Register("r", "x", 1), Register("big", "c", 2**70)]),
     "index": ([0, 1], [True, False, 1.0, -1, 2]),
     "param": ([0.5, -0.0, 1e-300, 1, True, 2**53, np.float64(0.25), np.float32(0.1),
                Fraction(1, 2)],
@@ -412,14 +354,14 @@ _RULE_CIRCUITS = st.one_of([_circuits(bad) for bad in (None, *_FIELDS)])
 
 
 def _beyond_the_codec(circuit: Circuit) -> bool:
-    """Whether ``circuit`` holds an if value or a register size past the 70
-    bits of a varint, or a delay count that its f64 does not hold exactly."""
+    """Whether ``circuit`` holds an if value past the 70 bits of a varint,
+    or a delay count that its f64 does not hold exactly."""
     for instr in circuit.instructions:
         if instr.condition is not None and instr.condition[1] >= 2**70:
             return True
         if instr.opcode == "delay" and float(instr.params[0]) != instr.params[0]:
             return True
-    return any(reg.size >= 2**70 for reg in circuit.registers)
+    return False
 
 
 @given(_RULE_CIRCUITS)
@@ -439,7 +381,7 @@ def test_resolve_accepts_what_both_round_trips_give_back(circuit):
         assert _beyond_the_codec(circuit)
         return
     assert not _beyond_the_codec(circuit)
-    assert decode_binary(blob) == flatten(circuit)
+    assert decode_binary(blob) == circuit
 
 
 _OPERANDS = ["q", "q[0]", "q[1]", "r", "r[1]", "s", "s[2]"]
@@ -470,7 +412,7 @@ def test_a_parsed_circuit_with_macros_and_broadcasts_reads_back_equal(text):
     except QasmError:
         return
     assert parse_qasm(print_qasm(circuit)) == circuit
-    assert decode_binary(encode_binary(circuit)) == flatten(circuit)
+    assert decode_binary(encode_binary(circuit)) == circuit
 
 
 @pytest.mark.parametrize("text, message", [
@@ -483,11 +425,10 @@ def test_a_parsed_circuit_with_macros_and_broadcasts_reads_back_equal(text):
     ('OPENQASM 2.0; qreg q[3]; creg ccx[1]; h q[0];', None),
     ('OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; creg c[1]; ccx q[0],q[1],q[2];', None),
 ])
-def test_a_name_the_printed_text_defines_first_is_refused_where_it_would_clash(text, message):
-    """The text that print_qasm writes declares the include and the gate
-    definitions before the registers, so the parser refuses a register or
-    gate that an include after it would define again; what it accepts
-    reads back equal."""
+def test_a_name_the_include_defines_is_refused_where_it_would_clash(text, message):
+    """The include defines its macros where it stands, so the parser
+    refuses a register or gate that holds one of their names first, and a
+    register that takes one after; what it accepts reads back equal."""
     if message is not None:
         with pytest.raises(QasmError) as info:
             parse_qasm(text)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from qflow.binio import decode_binary, encode_binary
 from qflow.cli import main
 from qflow.device import bundled_device_names, load_bundled_device
-from qflow.flatten import flatten
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.transpile import transpile
@@ -65,7 +64,7 @@ def test_transpiled_outputs_in_both_formats_agree(tmp_path, capsys):
         assert main(["transpile", str(src), "--device", "grid9", "-o", str(out)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
-    assert decode_binary(blob_out.read_bytes()) == flatten(parse_qasm(text_out.read_text()))
+    assert decode_binary(blob_out.read_bytes()) == parse_qasm(text_out.read_text())
 
 
 def test_convert_round_trip(tmp_path, capsys):
@@ -75,7 +74,7 @@ def test_convert_round_trip(tmp_path, capsys):
     assert main(["convert", str(src), str(blob)]) == 0
     assert main(["convert", str(blob), str(text)]) == 0
     assert "size change" in capsys.readouterr().out
-    flat = flatten(parse_qasm(src.read_text()))
+    flat = parse_qasm(src.read_text())
     assert decode_binary(blob.read_bytes()) == flat
     assert parse_qasm(text.read_text()) == parse_qasm(print_qasm(flat))
     assert encode_binary(parse_qasm(text.read_text())) == blob.read_bytes()
@@ -87,7 +86,7 @@ def test_analyze_report_matches_schema(tmp_path, capsys, name, source):
     assert main(["analyze", str(src)]) == 0
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, schema("metrics_report"))
-    assert report["n_qubits"] == flatten(parse_qasm(source)).n_qubits
+    assert report["n_qubits"] == parse_qasm(source).n_qubits
 
 
 @pytest.mark.parametrize("backend, source, device", [
@@ -137,6 +136,7 @@ _NO_DURATION_FOR_H = "error: device 'line5' has no duration entry for gate 'h'"
 _NOSUCH = "error: no bundled device 'nosuch' (available: alltoall11, grid9, heavyhex7, line5)"
 _BAD_QASM = "error: line 3, col 1: gate 'cx' acts on 2 qubit(s), got 1"
 _CUT = "error: truncated stream: operand register index at byte 61"
+_WIDE = "error: line 3, col 8: register 'c' must have size <= 16777216"
 
 
 @pytest.fixture
@@ -154,6 +154,8 @@ def workdir(tmp_path, monkeypatch):
         "huge.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
                      "u3(0,1.7e308,1.7e308) q[0];\nu2(1.7e308,1.7e308) q[1];\n"
                      "cu3(0.5,1e308,1.7e308) q[0],q[1];\nmeasure q -> c;\n",
+        # an if mask of 2**70 bits would not fit in an int
+        "wide.qasm": "OPENQASM 2.0;\nqreg q[1];\ncreg c[1180591620717411303424];\nif(c==1) x q[0];\n",
     }
     for name, text in files.items():
         write_source(tmp_path, text, name)
@@ -203,6 +205,8 @@ _EXIT_CASES = [
     ("fidelity bell.qasm --device line5", 4, _NO_DURATION_FOR_H),
     ("analyze bell.nwqb", 0, None),
     ("analyze bad.qasm", 1, _BAD_QASM),
+    ("analyze wide.qasm", 1, _WIDE),
+    ("simulate sv wide.qasm", 1, _WIDE),
     ("convert bell.qasm c.nwqb", 0, None),
     ("convert bad.qasm c.nwqb", 1, _BAD_QASM),
     ("convert cut.nwqb c.qasm", 1, _CUT),

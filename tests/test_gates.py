@@ -1,16 +1,17 @@
 """Gate library: unitary definitions, Clifford flags, manifest."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
 
-from qflow.circuit import eval_expr
+from qflow.circuit import Circuit, Instruction, Register
 from qflow.errors import QFlowError
 from qflow.gates import LIBRARY, BasisSet, gate_manifest, u3_matrix, unitary_of
+from qflow.parser import parse_qasm
+from qflow.qelib1 import QELIB1_INC
 
-from oracles import apply_to_columns, embed_slow, phase_distance
+from oracles import apply_to_columns, circuit_unitary, embed_slow, phase_distance
 
 
 def test_u_identity():
@@ -53,36 +54,15 @@ def test_unitarity_random_parameters():
             assert err < 1e-12, f"{name}{params}: {err}"
 
 
-@functools.lru_cache(maxsize=None)
-def _qelib1_defs_all():
-    """Every qelib1 definition, including the builtin-named ones."""
-    from qflow.parser import parse_qasm
-    from qflow.qelib1 import QELIB1_INC
-
-    return {gd.name: gd for gd in parse_qasm("OPENQASM 2.0;\n" + QELIB1_INC).gate_defs}
-
-
 def _definition_unitary(name: str, params: tuple) -> np.ndarray:
-    """Unitary of a qelib1 definition expanded down to U/CX, with the first
-    formal on the highest wire (matching the library's local ordering)."""
-    defs = _qelib1_defs_all()
+    """Unitary of a qelib1 definition expanded down to U/CX: every gate the
+    text of qelib1.inc defines is a macro that shadows the library gate."""
     arity = LIBRARY[name].arity
-    u = np.eye(1 << arity, dtype=complex)
-
-    def walk(gd, actuals, formal_wires):
-        nonlocal u
-        env = dict(zip(gd.params, actuals))
-        for body in gd.body:
-            sub_params = tuple(eval_expr(e, env) for e in body.params)
-            sub_wires = [formal_wires[i] for i in body.qubits]
-            if body.opcode in ("u3", "cx"):
-                m = LIBRARY[body.opcode].matrix(sub_params)
-                u = apply_to_columns(u, m, sub_wires, arity)
-            else:
-                walk(defs[body.opcode], sub_params, sub_wires)
-
-    walk(defs[name], params, list(range(arity - 1, -1, -1)))
-    return u
+    args = f"({','.join(repr(float(p)) for p in params)})" if params else ""
+    wires = ",".join(f"q[{j}]" for j in range(arity))
+    flat = parse_qasm(f"OPENQASM 2.0;\n{QELIB1_INC}qreg q[{arity}];\n{name}{args} {wires};\n")
+    assert {instr.opcode for instr in flat.instructions} <= {"u3", "cx"}
+    return circuit_unitary(flat)
 
 
 def test_library_matches_qelib1_bodies():
@@ -94,10 +74,8 @@ def test_library_matches_qelib1_bodies():
             continue
         for _ in range(5 if spec.param_count else 1):
             params = tuple(rng.uniform(-2 * math.pi, 2 * math.pi, spec.param_count))
-            lib = spec.matrix(params)
-            if spec.arity == 2:
-                # first operand on wire 1: global ordering == local ordering
-                lib = embed_slow(lib, [1, 0], 2)
+            lib = circuit_unitary(Circuit((Register("q", "q", spec.arity),), (
+                Instruction(name, params, tuple(("q", j) for j in range(spec.arity))),)))
             dist = phase_distance(lib, _definition_unitary(name, params))
             assert dist < 1e-10, f"{name}{params}: {dist}"
 

@@ -4,8 +4,8 @@ somewhere in qflow, every name it exports is named by another qflow module
 or a benchmark script or is public for a reason given here, every option of
 an exported function is passed by another qflow function or a benchmark
 script or is settable for a reason given here, only ``circuit.py`` numbers
-the wires, and only the library, the parser and ``circuit.py`` read a
-gate's parameter count."""
+the wires, only the library, the parser and ``circuit.py`` read a gate's
+parameter count, and only the parser expands macros."""
 
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ PUBLIC_WITHOUT_CALLER = {
     "DEFAULT_DM_CAP": "the qubit cap dm_run applies unless QFLOW_QUBIT_CAP_DM sets another",
     "DEFAULT_STAB_CAP": "the fixed qubit cap of stab_run",
     "normalize_angle": "the (-pi, pi] convention of every angle the euler helpers return",
-    "MAX_EXPANSION_DEPTH": "the macro nesting bound that flatten's error names",
-    "MAX_EXPANSION_INSTRUCTIONS": "the output size bound that flatten's error names",
+    "MAX_EXPANSION_DEPTH": "the macro nesting bound that parse_qasm's error names",
+    "MAX_EXPANSION_INSTRUCTIONS": "the output size bound that parse_qasm's error names",
     "GateSpec": "the type of the values of LIBRARY",
     "u3_matrix": "the U3 matrix that every one-qubit gate of LIBRARY equals up to phase",
     "MetricsReport": "the type analyze returns",
@@ -224,3 +224,18 @@ def test_only_the_shape_rule_reads_parameter_counts(path):
     reads = sorted(node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr == "param_count")
     assert path.name in ("gates.py", "parser.py", "circuit.py") or reads == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_parser_expands_macros(path):
+    """``parse_qasm`` expands the include's macros and bounds the expansion;
+    every other module reads flat circuits. ``gates.py`` also imports
+    ``qelib1``, for the one-line definitions that ``gate_manifest`` lists."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = sorted(node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "qelib1")
+    names += sorted({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                    & {"MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"})
+    allowed = {"parser.py": ["qelib1", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"],
+               "gates.py": ["qelib1"]}
+    assert names == allowed.get(path.name, [])

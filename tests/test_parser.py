@@ -1,21 +1,25 @@
 """Parser behavior: statement forms, expression folding, and errors."""
 
+import gc
 import math
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflow import parser
 from qflow.binio import encode_binary
-from qflow.circuit import Instruction
+from qflow.circuit import SHAPES, Circuit, Instruction
 from qflow.cli import main
 from qflow.errors import QasmError, QFlowError
-from qflow.flatten import flatten
-from qflow.parser import MAX_EXPR_DEPTH, parse_qasm
+from qflow.gates import LIBRARY
+from qflow.parser import (MAX_EXPANSION_DEPTH, MAX_EXPANSION_INSTRUCTIONS, MAX_EXPR_DEPTH,
+                          parse_qasm)
 from qflow.printer import print_qasm
 
 from conftest import adder4_qasm, bell_qasm, random_general_qasm
+from oracles import circuit_unitary, phase_distance
 
 
 class TestBasicPrograms:
@@ -24,11 +28,11 @@ class TestBasicPrograms:
             "OPENQASM 2.0; qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;"
         )
         assert [r.name for r in c.registers] == ["q", "c"]
-        assert [i.opcode for i in c.instructions] == ["h", "cx", "measure"]
+        assert [i.opcode for i in c.instructions] == ["h", "cx", "measure", "measure"]
         assert c.instructions[1].qubits == (("q", 0), ("q", 1))
-        # register-wide measure stays compact until flattening
-        assert c.instructions[2].qubits == (("q", None),)
-        assert c.instructions[2].clbits == (("c", None),)
+        # a register-wide measure is one measure per wire
+        assert [(i.qubits, i.clbits) for i in c.instructions[2:]] == [
+            ((("q", 0),), (("c", 0),)), ((("q", 1),), (("c", 1),))]
 
     def test_parameter_folding(self):
         c = parse_qasm("OPENQASM 2.0; qreg q[1]; u3(pi/2,0,pi) q[0];")
@@ -72,7 +76,7 @@ class TestBasicPrograms:
         c = parse_qasm("OPENQASM 2.0; qreg q[3]; barrier q[0],q[2]; reset q[1]; barrier q;")
         assert c.instructions[0].qubits == (("q", 0), ("q", 2))
         assert c.instructions[1].opcode == "reset"
-        assert c.instructions[2].qubits == (("q", None),)
+        assert c.instructions[2].qubits == (("q", 0), ("q", 1), ("q", 2))
 
     def test_comments_and_whitespace(self):
         c = parse_qasm(
@@ -81,36 +85,31 @@ class TestBasicPrograms:
         assert len(c.instructions) == 1
 
 
-def _gate_defs(c) -> dict:
-    return {gd.name: gd for gd in c.gate_defs}
-
-
 class TestGateDefs:
     def test_macro_definition_and_call(self):
         c = parse_qasm(
             "OPENQASM 2.0; qreg q[2]; gate bell a,b { h a; cx a,b; } bell q[0],q[1];"
         )
-        gd = _gate_defs(c)["bell"]
-        assert [b.opcode for b in gd.body] == ["h", "cx"]
-        assert c.instructions[0].opcode == "bell"
+        assert c.instructions == (Instruction("h", (), (("q", 0),)),
+                                  Instruction("cx", (), (("q", 0), ("q", 1))))
 
     def test_parameterized_macro(self):
         c = parse_qasm(
             "OPENQASM 2.0; qreg q[1]; gate rot(a,b) x0 { rz(a/2) x0; ry(b+pi) x0; } rot(1.0,2.0) q[0];"
         )
-        gd = _gate_defs(c)["rot"]
-        assert gd.params == ("a", "b")
+        assert [(i.opcode, i.params) for i in c.instructions] == [("rz", (0.5,)),
+                                                                  ("ry", (2.0 + math.pi,))]
 
-    def test_opaque_recorded(self):
+    def test_opaque_declaration_emits_nothing(self):
         c = parse_qasm("OPENQASM 2.0; qreg q[1]; opaque magic(theta) a;")
-        gd = _gate_defs(c)["magic"]
-        assert gd.opaque and gd.body == ()
+        assert c == Circuit(c.registers, ())
 
     def test_qelib1_three_qubit_macros(self):
         c = parse_qasm(
-            'OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; ccx q[0],q[1],q[2];'
+            'OPENQASM 2.0; include "qelib1.inc"; qreg q[3]; ccx q[0],q[1],q[2]; cswap q[0],q[1],q[2];'
         )
-        assert _gate_defs(c)["ccx"].from_include
+        assert len(c.instructions) == 15 + 17
+        assert {i.opcode for i in c.instructions} == {"h", "t", "tdg", "cx"}
 
     def test_ccx_requires_include(self):
         with pytest.raises(QasmError, match="undeclared gate 'ccx'"):
@@ -221,6 +220,9 @@ PINNED_ERRORS = [
     (_H + "qreg r[1;", "line 4, col 9: expected ']', found ';'"),
     (_H + "qreg r[1]", "line 4, col 10: expected ';', found ''"),
     (_H + "qreg r[0];", "line 4, col 8: register 'r' must have size >= 1"),
+    (_H + "creg r[16777217];", "line 4, col 8: register 'r' must have size <= 16777216"),
+    (_H + "creg r[1180591620717411303424];\nif(r==1) x q[0];",
+     "line 4, col 8: register 'r' must have size <= 16777216"),
     (_H + "qreg q[1];", "line 4, col 6: redefinition of 'q'"),
     (_H + "gate g a { h a; }\ncreg g[1];", "line 5, col 6: redefinition of 'g'"),
     (_H + "include 5;", "line 4, col 9: expected include path, found '5'"),
@@ -330,8 +332,8 @@ def test_barrier_may_repeat_a_wire_in_a_gate_body_as_at_top_level():
     # a barrier only orders operations, so a repeated wire changes nothing
     body = parse_qasm(_H + "gate g a { barrier a,a; }\ng q[0];")
     top = parse_qasm(_H + "barrier q[0],q[0];")
-    assert flatten(body).instructions == flatten(top).instructions
-    assert flatten(top).instructions[0].qubits == (("q", 0), ("q", 0))
+    assert body.instructions == top.instructions
+    assert top.instructions[0].qubits == (("q", 0), ("q", 0))
 
 
 @pytest.mark.parametrize("src,message", PINNED_ERRORS, ids=lambda v: repr(v)[-48:])
@@ -468,8 +470,7 @@ def test_a_fast_path_text_keeps_the_grammar_error(src, message):
 
 def test_a_macro_shadows_the_library_gate_it_names():
     circuit = parse_qasm(_H + "gate h a { x a; }\nh q[0];")
-    assert [gd.name for gd in circuit.gate_defs] == ["h"]
-    assert flatten(circuit).instructions == (Instruction("x", (), (("q", 0),)),)
+    assert circuit.instructions == (Instruction("x", (), (("q", 0),)),)
 
 
 def test_fast_path_arguments_fold_bit_for_bit():
@@ -477,3 +478,265 @@ def test_fast_path_arguments_fold_bit_for_bit():
     assert [p.hex() for p in c.instructions[0].params] == [
         ((-math.pi) / 2.0).hex(), (-0.0).hex(), (-math.pi).hex()]
     assert c.instructions[1].params[0].hex() == (math.pi / 3.0).hex()
+
+
+# -- macro expansion and register-wide statements -------------------------------
+
+def test_a_macro_call_expands_in_body_order():
+    c = parse_qasm("OPENQASM 2.0; qreg q[3]; gate bell a,b { h a; cx a,b; }"
+                   "gate pair a,b,c { bell b,c; x a; bell c,a; } pair q[0],q[1],q[2];")
+    assert c.instructions == (
+        Instruction("h", (), (("q", 1),)), Instruction("cx", (), (("q", 1), ("q", 2))),
+        Instruction("x", (), (("q", 0),)),
+        Instruction("h", (), (("q", 2),)), Instruction("cx", (), (("q", 2), ("q", 0))))
+    assert [f.name for f in fields(c)] == ["registers", "instructions"]
+
+
+def test_register_broadcast():
+    c = parse_qasm("OPENQASM 2.0; qreg q[3]; h q;")
+    assert [i.qubits for i in c.instructions] == [(("q", 0),), (("q", 1),), (("q", 2),)]
+
+
+def test_two_register_broadcast():
+    c = parse_qasm("OPENQASM 2.0; qreg a[2]; qreg b[2]; cx a,b;")
+    assert [i.qubits for i in c.instructions] == [
+        (("a", 0), ("b", 0)),
+        (("a", 1), ("b", 1)),
+    ]
+
+
+def test_mixed_broadcast_fixed_operand():
+    c = parse_qasm("OPENQASM 2.0; qreg a[1]; qreg b[3]; cx a[0],b;")
+    assert [i.qubits for i in c.instructions] == [
+        (("a", 0), ("b", 0)),
+        (("a", 0), ("b", 1)),
+        (("a", 0), ("b", 2)),
+    ]
+
+
+def test_register_wide_statements_of_every_kind():
+    c = parse_qasm("OPENQASM 2.0; qreg q[2]; creg c[2]; creg d[1]; reset q; delay q, 7;"
+                   "if(c==2) x q; measure q[1] -> d; gate bell a,b { h a; cx a,b; }"
+                   "qreg r[2]; bell q,r;")
+    assert [(i.opcode, i.params, i.qubits, i.clbits, i.condition) for i in c.instructions] == [
+        ("reset", (), (("q", 0),), (), None), ("reset", (), (("q", 1),), (), None),
+        ("delay", (7,), (("q", 0),), (), None), ("delay", (7,), (("q", 1),), (), None),
+        ("x", (), (("q", 0),), (), ("c", 2)), ("x", (), (("q", 1),), (), ("c", 2)),
+        ("measure", (), (("q", 1),), (("d", 0),), None),
+        ("h", (), (("q", 0),), (), None), ("cx", (), (("q", 0), ("r", 0)), (), None),
+        ("h", (), (("q", 1),), (), None), ("cx", (), (("q", 1), ("r", 1)), (), None)]
+
+
+def test_barrier_broadcast_is_single_instruction():
+    c = parse_qasm("OPENQASM 2.0; qreg q[3]; qreg r[2]; barrier q, r[1];")
+    assert len(c.instructions) == 1
+    assert c.instructions[0].qubits == (("q", 0), ("q", 1), ("q", 2), ("r", 1))
+
+
+def test_condition_propagates_through_macro():
+    c = parse_qasm(
+        "OPENQASM 2.0; qreg q[2]; creg c[1]; gate gg a,b { h a; cx a,b; } if(c==1) gg q[0],q[1];"
+    )
+    assert [i.opcode for i in c.instructions] == ["h", "cx"]
+    assert all(i.condition == ("c", 1) for i in c.instructions)
+
+
+def test_condition_skips_a_body_barrier():
+    # QASM 2 has no conditioned barrier, so one would not read back
+    c = parse_qasm(
+        "OPENQASM 2.0; qreg q[2]; creg c[1]; gate inner a,b { barrier a,b; x b; }"
+        " gate gg a,b { h a; inner a,b; } if(c==1) gg q[0],q[1];"
+    )
+    assert [(i.opcode, i.qubits, i.condition) for i in c.instructions] == [
+        ("h", (("q", 0),), ("c", 1)), ("barrier", (("q", 0), ("q", 1)), None),
+        ("x", (("q", 1),), ("c", 1))]
+
+
+def test_nested_macros_match_semantics():
+    src = (
+        "OPENQASM 2.0;\n"
+        'include "qelib1.inc";\n'
+        "qreg q[3];\n"
+        "gate inner(t) a,b { cx a,b; rz(t) b; cx a,b; }\n"
+        "gate outer(t) a,b,c { inner(t/2) a,b; inner(t/2) b,c; h a; }\n"
+        "outer(0.9) q[0],q[1],q[2];\n"
+    )
+    c = parse_qasm(src)
+    assert all(i.opcode in LIBRARY for i in c.instructions)
+    # the expanded unitary equals a hand expansion built from library gates
+    hand = parse_qasm(
+        "OPENQASM 2.0;\n"
+        'include "qelib1.inc";\n'
+        "qreg q[3];\n"
+        "cx q[0],q[1]; rz(0.45) q[1]; cx q[0],q[1];\n"
+        "cx q[1],q[2]; rz(0.45) q[2]; cx q[1],q[2];\n"
+        "h q[0];\n"
+    )
+    assert phase_distance(circuit_unitary(hand), circuit_unitary(c)) < 1e-12
+
+
+def test_a_body_calls_the_gates_defined_before_it():
+    # h in the body of g is the library gate: a later macro of the same name
+    # does not change it
+    c = parse_qasm(_H + "gate g a { h a; }\ngate h a { x a; }\ng q[0];\nh q[1];")
+    assert [(i.opcode, i.qubits) for i in c.instructions] == [("h", (("q", 0),)),
+                                                              ("x", (("q", 1),))]
+
+
+def test_parsed_circuits_are_flat(corpus):
+    for name, circ in corpus:
+        assert all(instr.opcode in SHAPES for instr in circ.instructions), name
+        circ.resolve()
+
+
+@pytest.mark.parametrize("call, message", [
+    ("bell q[0];", "col 1: gate 'bell' acts on 2 qubit(s), got 1"),
+    ("bell q[0],q[1],q[0];", "col 1: gate 'bell' acts on 2 qubit(s), got 3"),
+    ("bell(0.5) q[0],q[1];", "col 1: gate 'bell' takes 0 parameter(s), got 1"),
+    ("rot q[0];", "col 1: gate 'rot' takes 1 parameter(s), got 0"),
+    ("rot(0.5,0.7) q[0];", "col 1: gate 'rot' takes 1 parameter(s), got 2"),
+    ("bell q[1],q[1];", "col 1: duplicate qubit operand"),
+    ("if(c==1) bell q[0];", "col 10: gate 'bell' acts on 2 qubit(s), got 1"),
+    ("mystery q[0];", "col 1: cannot expand opaque gate 'mystery' (no body)"),
+    ("hidden q[0];", "col 1: cannot expand opaque gate 'mystery' (no body)"),
+])
+def test_a_macro_call_is_checked_before_it_expands(call, message):
+    # a short call raised IndexError, and extra qubits or parameters were dropped
+    src = (_H + "gate bell a,b { h a; cx a,b; }\ngate rot(t) a { rz(t) a; }\n"
+           "opaque mystery a;\ngate hidden a { h a; mystery a; }\n")
+    with pytest.raises(QasmError) as info:
+        parse_qasm(src + call)
+    assert str(info.value) == f"line 8, {message}"
+
+
+@pytest.mark.parametrize(
+    "body, arg",
+    [("a*a", "1e300"), ("1/a", "0"), ("a^a", "1000"), ("(0-a)^0.5", "2")],
+    ids=["infinite", "division by zero", "overflow", "complex"],
+)
+def test_hostile_macro_argument_is_a_qasm_error(body, arg, tmp_path, capsys):
+    # finite arguments that make a macro body non-finite or complex used to
+    # escape as ValueError, ZeroDivisionError, OverflowError or TypeError
+    src = f"OPENQASM 2.0;\nqreg q[1];\ngate g(a) r {{ rx({body}) r; }}\ng({arg}) q[0];\n"
+    with pytest.raises(QasmError, match="^line 4, col 1: invalid constant expression"):
+        parse_qasm(src)
+    path = tmp_path / "hostile.qasm"
+    path.write_text(src)
+    assert main(["simulate", "sv", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4, col 1: invalid constant")
+
+
+def test_macro_expression_error_names_the_gate_and_the_call(tmp_path, capsys):
+    src = ("OPENQASM 2.0;\nqreg q[2];\ngate g(a) r { rx(a*a) r; }\ngate outer(a) r { g(a) r; }\n"
+           "h q;\ng(1e300) q[0];\nouter(1e300) q[1];\n")
+    where = "(in gate 'g', called by instruction 1)"
+    with pytest.raises(QasmError, match=re.escape(where)):
+        parse_qasm(src)
+    # a call from inside another macro names the innermost gate and the top-level call
+    nested = src.replace("h q;\ng(1e300) q[0];\n", "")
+    with pytest.raises(QasmError) as info:
+        parse_qasm(nested)
+    assert str(info.value) == ("line 5, col 1: invalid constant expression: result inf is not "
+                               "finite (in gate 'g', called by instruction 0)")
+    path = tmp_path / "hostile.qasm"
+    path.write_text(src)
+    assert main(["simulate", "sv", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 6, col 1: invalid constant expression: result inf is not finite {where}\n")
+
+
+def _counting_instructions(monkeypatch) -> list:
+    """Patch the parser to record each instruction it builds."""
+    built = []
+
+    def instruction(*args):
+        built.append(args)
+        return Instruction(*args)
+
+    monkeypatch.setattr(parser, "Instruction", instruction)
+    return built
+
+
+def test_expansion_depth_is_bounded_before_any_instruction_is_emitted(monkeypatch):
+    chain = [f"gate g{k} a {{ h a; g{k - 1} a; }}" for k in range(1, MAX_EXPANSION_DEPTH + 1)]
+    src = "\n".join([_H + "gate g0 a { x a; }", *chain, "x q[1];"])
+    assert len(parse_qasm(src + f"\ng{MAX_EXPANSION_DEPTH - 1} q[0];").instructions) == 1001
+    built = _counting_instructions(monkeypatch)
+    with pytest.raises(QasmError) as info:
+        parse_qasm(src + f"\ng{MAX_EXPANSION_DEPTH} q[0];")
+    assert str(info.value) == (f"line 1006, col 1: gate expansion exceeded depth "
+                               f"{MAX_EXPANSION_DEPTH} while inlining 'g0'")
+    assert len(built) == 1  # the x before the call
+
+
+def test_expansion_size_is_bounded_before_any_instruction_is_emitted(monkeypatch):
+    # 30 nested doubling macros would expand to 2**30 instructions
+    lines = [_H + "gate g0 a { x a; }"]
+    lines += [f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}" for k in range(1, 31)]
+    built = _counting_instructions(monkeypatch)
+    with pytest.raises(QasmError, match=f"^line 35, col 1: gate expansion would emit {2**30} "
+                                        f"instructions, more than {MAX_EXPANSION_INSTRUCTIONS}"):
+        parse_qasm("\n".join(lines + ["g30 q[0];"]))
+    # the budget counts the whole output, not one call
+    with pytest.raises(QasmError, match=f"emit {2**20 + 3} instructions, more than"):
+        parse_qasm("\n".join(lines + ["x q[0]; h q;", "g20 q[0];"]))
+    # as does a register-wide statement
+    with pytest.raises(QasmError, match=f"emit {3 * 2**19} instructions, more than"):
+        parse_qasm("\n".join(lines + ["qreg r[3];", "g19 r;"]))
+    assert len(built) == 3
+    assert len(parse_qasm("\n".join(lines[:12] + ["g10 q[0];"] * 2)).instructions) == 2**11
+
+
+def test_parse_leaves_no_reference_cycle():
+    text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
+            "gate bell a,b { h a; cx a,b; }\nbell q[0],q[1];\nccx q[0],q[1],q[2];\n"
+            "if(c==1) x q[0];\nmeasure q -> c;\ncx q[0],q[1];\n")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(5):
+            parse_qasm(text)
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, parser._Parser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+
+
+# expression text over the formals {a} and {b}
+_LEAVES = (st.sampled_from(["{a}", "{b}", "pi"])
+           | st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"({x!r})"))
+
+
+def _node(inner):
+    return (st.builds(lambda x: f"-{x}", inner)
+            | st.builds(lambda x, op, y: f"{x}{op}{y}", inner, st.sampled_from("+-*/^"), inner)
+            | st.builds(lambda x: f"({x})", inner)
+            | st.builds(lambda fn, x: f"{fn}({x})",
+                        st.sampled_from(["sin", "cos", "tan", "exp", "ln", "sqrt"]), inner))
+
+
+def _evaluated(text: str):
+    """The parameter that ``text`` gives its one instruction, as hex, or
+    the error."""
+    try:
+        return parse_qasm(text).instructions[0].params[0].hex()
+    except QasmError as exc:
+        return "invalid constant expression" if "invalid constant" in exc.message else str(exc)
+
+
+@given(st.recursive(_LEAVES, _node, max_leaves=8), st.floats(-4, 4), st.floats(-1e300, 1e300))
+@settings(max_examples=300, deadline=None)
+def test_a_macro_body_expression_evaluates_as_it_folds_at_top_level(expr, a, b):
+    """At a call, a body expression takes the value, bit for bit, that the
+    same expression with the actuals written in folds to at top level."""
+    call = (f"OPENQASM 2.0;\nqreg q[1];\ngate g(a,b) r {{ rz({expr.format(a='a', b='b')}) r; }}"
+            f"\ng({a!r},{b!r}) q[0];\n")
+    top = f"OPENQASM 2.0;\nqreg q[1];\nrz({expr.format(a=f'({a!r})', b=f'({b!r})')}) q[0];\n"
+    assert _evaluated(call) == _evaluated(top)
+
+
+def test_a_negative_constant_base_is_bracketed_as_written():
+    c = parse_qasm("OPENQASM 2.0;\nqreg r[1];\ngate g(a) r { rz((-2)^a) r; rz(-2^a) r; }\ng(2) r[0];\n")
+    assert [i.params for i in c.instructions] == [(4.0,), (-4.0,)]

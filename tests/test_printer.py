@@ -5,12 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from qflow.circuit import (BinOp, BodyInstruction, Circuit, Const, FormalRef, FuncCall, GateDef,
-                           Instruction, Neg, Register)
+from qflow.circuit import Circuit, Instruction, Register
 from qflow.errors import QasmError
-from qflow.flatten import flatten
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 
@@ -37,7 +34,7 @@ def test_roundtrip_corpus(corpus):
         assert again == circ, f"text round-trip failed for {name}"
 
 
-def test_roundtrip_gate_defs_and_conditions():
+def test_roundtrip_expanded_macros_and_conditions():
     src = (
         "OPENQASM 2.0;\n"
         'include "qelib1.inc";\n'
@@ -72,55 +69,6 @@ def test_print_parse_print_fixpoint(corpus):
         once = print_qasm(circ)
         twice = print_qasm(parse_qasm(once))
         assert once == twice, f"printer not a fixpoint for {name}"
-
-
-def test_negative_constant_base_keeps_its_parentheses():
-    c = parse_qasm("OPENQASM 2.0;\nqreg r[1];\ngate g(a) r { rz((-2)^a) r; }\ng(2) r[0];\n")
-    assert "rz((-2.0)^a) r;" in print_qasm(c)
-    again = parse_qasm(print_qasm(c))
-    assert again == c
-    assert flatten(again).instructions[0].params == (4.0,)
-
-
-# Expression trees as the parser leaves them in a macro body: every
-# operator has a formal below it, since constant subtrees are folded.
-_CONSTS = st.floats(allow_nan=False, allow_infinity=False).map(Const)
-_FORMALS = st.sampled_from(("a", "b")).map(FormalRef)
-
-
-def _extend(symbolic):
-    operand = symbolic | _CONSTS
-    ops = st.sampled_from(("+", "-", "*", "/", "^"))
-    return (symbolic.map(Neg)
-            | st.builds(BinOp, ops, symbolic, operand)
-            | st.builds(BinOp, ops, operand, symbolic)
-            | st.builds(FuncCall, st.sampled_from(("sin", "cos", "tan", "exp", "ln", "sqrt")),
-                        symbolic))
-
-
-_EXPRS = st.recursive(_FORMALS, _extend, max_leaves=8)
-
-
-def _flat_params(circuit):
-    try:
-        return [repr(i.params) for i in flatten(circuit).instructions]
-    except QasmError as exc:
-        return str(exc)
-
-
-@given(st.lists(_EXPRS, min_size=1, max_size=3),
-       st.tuples(st.floats(-4, 4), st.floats(-4, 4)))
-@settings(max_examples=200, deadline=None)
-def test_roundtrip_random_macro_expressions(exprs, actuals):
-    body = tuple(BodyInstruction("rz", (e,), (0,)) for e in exprs)
-    c = Circuit(
-        registers=(Register("q", "q", 1),),
-        instructions=(Instruction("g", actuals, (("q", 0),)),),
-        gate_defs=(GateDef("g", ("a", "b"), ("r",), body),),
-    )
-    again = parse_qasm(print_qasm(c))
-    assert again == c
-    assert _flat_params(again) == _flat_params(c)
 
 
 @pytest.mark.parametrize("instr, message", [
@@ -159,26 +107,23 @@ def test_roundtrip_random_macro_expressions(exprs, actuals):
     (Instruction("rz", (2**53 + 1,), (("q", 0),)), "parameter 9007199254740993 is not equal to a double"),
     (Instruction("h", (), (("r", 0),)), "undeclared register 'r'"),
     (Instruction("h", (), (("c", 0),)), "'c' is not a quantum register"),
-    (Instruction("cx", (), (("q", 1), ("q", None))), "duplicate qubit operand in 'cx'"),
-    (Instruction("measure", (), (("q", None),), (("c", 0),)),
-     "register broadcast size mismatch in 'measure' statement"),
-    (Instruction("bell", (), (("q", 0),)), r"gate 'bell' acts on 2 qubit\(s\), got 1"),
-    (Instruction("bell", (0.5,), (("q", 0), ("q", 1))), r"gate 'bell' takes 0 parameter\(s\), got 1"),
-    (Instruction("bell", (), (("q", 0), ("q", 0))), "duplicate qubit operand in 'bell'"),
+    (Instruction("cx", (), (("q", 1), ("q", 1))), "duplicate qubit operand in 'cx'"),
+    (Instruction("measure", (), (("q", None),), (("c", 0),)), "index None of 'q' is not an int"),
+    (Instruction("bell", (), (("q", 0), ("q", 1))), "undeclared gate 'bell'"),
 ])
 def test_an_instruction_that_would_not_read_back_is_refused(instr, message):
-    bell = GateDef("bell", (), ("a", "b"), (BodyInstruction("h", (), (0,)),
-                                           BodyInstruction("cx", (), (0, 1))))
     c = Circuit(registers=(Register("q", "q", 2), Register("c", "c", 1)),
-                instructions=(Instruction("h", (), (("q", None),)), instr), gate_defs=(bell,))
+                instructions=(Instruction("h", (), (("q", 0),)), instr))
     with pytest.raises(QasmError, match=f"^instruction 1: {message}"):
         print_qasm(c)
 
 
-def test_a_macro_call_and_a_register_wide_operand_print_as_they_are():
-    text = ("OPENQASM 2.0;\ngate bell a,b {\n  h a;\n  cx a,b;\n}\nqreg q[2];\ncreg c[2];\n"
-            "bell q[0],q[1];\nmeasure q -> c;\n")
-    assert print_qasm(parse_qasm(text)) == text
+def test_a_macro_call_and_a_register_wide_statement_print_expanded():
+    text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nopaque o a;\ngate bell a,b {\n  h a;\n'
+            "  cx a,b;\n}\nqreg q[2];\ncreg c[2];\nbell q[0],q[1];\nmeasure q -> c;\n")
+    assert print_qasm(parse_qasm(text)) == (
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n"
+        "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
 
 
 def test_equal_instructions_print_their_own_lines():

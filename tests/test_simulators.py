@@ -22,7 +22,6 @@ from qflow.cli import main
 from qflow.density import _DensityState, dm_evolve, dm_run
 from qflow.device import load_bundled_device, load_device
 from qflow.errors import SimulationError
-from qflow.flatten import flatten
 from qflow.gates import unitary_of
 from qflow.noise import depolarizing_kraus, thermal_relaxation_kraus
 from qflow.parser import parse_qasm
@@ -229,14 +228,13 @@ def test_noiseless_dm_evolve_is_the_pure_state(name, source):
 
 def _embedded_statevector(c) -> np.ndarray:
     """|0...0> multiplied by one literal embedding per gate."""
-    flat = flatten(c)
-    qoff = offsets(flat, "q")
-    psi = np.zeros(1 << flat.n_qubits, dtype=complex)
+    qoff = offsets(c, "q")
+    psi = np.zeros(1 << c.n_qubits, dtype=complex)
     psi[0] = 1.0
-    for instr in flat.instructions:
+    for instr in c.instructions:
         if instr.opcode not in NON_UNITARY:
             wires = [qoff[r] + i for r, i in instr.qubits]
-            psi = embed_slow(unitary_of(instr.opcode, instr.params), wires, flat.n_qubits) @ psi
+            psi = embed_slow(unitary_of(instr.opcode, instr.params), wires, c.n_qubits) @ psi
     return psi
 
 
@@ -253,7 +251,7 @@ def test_statevector_matches_literal_embeddings(name, source):
 
 def test_random_circuits_use_both_wire_orders():
     for name, source in _BOTH_ORDERS:
-        pairs = [i.qubits for i in flatten(parse_qasm(source)).instructions if len(i.qubits) == 2]
+        pairs = [i.qubits for i in parse_qasm(source).instructions if len(i.qubits) == 2]
         assert {a[1] < b[1] for a, b in pairs} == {True, False}, name
 
 
@@ -406,20 +404,16 @@ def test_dm_with_device_runs_reset_without_fidelity(line5):
         dm_run(_transpiled_reuse(line5), device=line5, shots=10, compute_fidelity=True)
 
 
-def test_noisy_dm_run_flattens_once(line5, monkeypatch):
-    import qflow.program
+def test_noisy_dm_run_checks_no_instruction_of_a_transpiled_circuit(line5, monkeypatch):
+    """transpile installs its output's resolution, which the run reads."""
+    from qflow.circuit import Rule
 
     physical, _ = transpile(circuit("qft3"), line5)
-    flatten_calls = []
-
-    def counting_flatten(c):
-        flatten_calls.append(c)
-        return flatten(c)
-
-    monkeypatch.setattr(qflow.program, "flatten", counting_flatten)
+    checked = []
+    monkeypatch.setattr(Rule, "check", lambda rule, instr, k: checked.append(k))
     result = dm_run(physical, device=line5, seed=11, shots=64)
     assert result.fidelity is not None
-    assert len(flatten_calls) == 1
+    assert checked == []
 
 
 def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):

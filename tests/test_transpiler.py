@@ -11,7 +11,6 @@ from qflow.circuit import Circuit, Instruction, Register
 from qflow.device import Topology, load_device
 from qflow.decompose import decompose_to_u_cx, resolve_1q_family
 from qflow.errors import QFlowError, TranspileError
-from qflow.flatten import flatten
 from qflow.gates import LIBRARY, BasisSet
 from qflow.metrics import circuit_depth
 from qflow.layout import Layout, initial_mapping
@@ -26,14 +25,13 @@ from oracles import check_transpiled, circuit_unitary, peephole_1q, phase_distan
 
 
 def _decomposed(circ):
-    flat = flatten(circ)
     out = []
-    for instr in flat.instructions:
+    for instr in circ.instructions:
         if instr.opcode in LIBRARY:
             out.extend(decompose_to_u_cx(instr))
         else:
             out.append(instr)
-    return flat.with_instructions(out)
+    return circ.with_instructions(out)
 
 
 @st.composite
@@ -71,7 +69,7 @@ class TestInitialMapping:
     def test_injective(self, corpus, devices):
         topo = devices["grid9"].topology()
         for name, circ in corpus:
-            if flatten(circ).n_qubits > 9:
+            if circ.n_qubits > 9:
                 continue
             layout = initial_mapping(_decomposed(circ), topo)
             used = layout.logical_to_physical[: layout.n_logical]
@@ -331,7 +329,7 @@ class TestTranspile:
 
     def test_monotone_opt_levels(self, corpus, devices):
         for name, circ in corpus:
-            if flatten(circ).n_qubits > 7:
+            if circ.n_qubits > 7:
                 continue
             _, r0 = transpile(circ, devices["heavyhex7"], opt_level=0)
             _, r1 = transpile(circ, devices["heavyhex7"], opt_level=1)
