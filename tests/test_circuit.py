@@ -247,6 +247,23 @@ HOSTILE = {
     "unhashable_register_name": Instruction("h", (), ((["q"], 0),)),
 }
 
+# what flatten once took: macro calls and register-wide operands; only
+# parse_qasm expands them, so a Circuit that holds one is refused as it is
+HOSTILE_CALLS = {
+    "macro_on_too_few_qubits": Instruction("bell", (), (("q", 0),)),
+    "macro_on_too_many_qubits": Instruction("bell", (), (("q", 0), ("q", 1), ("r", 0))),
+    "macro_with_an_extra_param": Instruction("bell", (0.5,), (("q", 0), ("q", 1))),
+    "macro_without_its_param": Instruction("rot", (), (("q", 0),)),
+    "macro_with_a_clbit": Instruction("bell", (), (("q", 0), ("q", 1)), (("c", 0),)),
+    "macro_on_one_qubit_twice": Instruction("bell", (), (("q", 1), ("q", 1))),
+    "macro_with_a_nan_param": Instruction("rot", (math.nan,), (("q", 0),)),
+    "macro_on_a_clbit": Instruction("rot", (0.5,), (("c", 0),)),
+    "wide_macro_size_mismatch": Instruction("bell", (), (("q", None), ("r", None))),
+    "wide_and_fixed_operand_of_one_register": Instruction("cx", (), (("q", 0), ("q", None))),
+    "wide_measure_into_one_clbit": Instruction("measure", (), (("q", None),), (("c", 0),)),
+    "wide_operand_of_an_undeclared_register": Instruction("h", (), (("z", None),)),
+}
+
 # the registers that replace REGS' "r", one per register rule
 HOSTILE_REGISTERS = {
     "duplicate_name": Register("q", "q", 3),
@@ -269,6 +286,8 @@ HOSTILE_REGISTERS = {
 def _hostile(case: str) -> Circuit:
     if case in HOSTILE:
         return _circuit(HOSTILE[case])
+    if case in HOSTILE_CALLS:
+        return _circuit(HOSTILE_CALLS[case])
     regs = (REGS[0], HOSTILE_REGISTERS[case], REGS[2])
     return Circuit(registers=regs, instructions=PROLOGUE[:1])
 
@@ -297,7 +316,8 @@ def _entry_points():
 ENTRY_POINTS = _entry_points()
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(HOSTILE_REGISTERS))
+@pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(HOSTILE_CALLS)
+                         + sorted(HOSTILE_REGISTERS))
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_hostile_circuit_raises_qasm_error_at_every_entry_point(entry, case):
     with pytest.raises(QasmError):

@@ -609,6 +609,82 @@ def test_a_macro_call_is_checked_before_it_expands(call, message):
     assert str(info.value) == f"line 8, {message}"
 
 
+# the macro calls, register-wide operands and declarations that a Circuit
+# no longer holds, as text: case -> (text, the parser's error)
+_MACROS = ("OPENQASM 2.0;\nqreg q[2];\nqreg r[3];\ncreg c[2];\n"
+           "gate bell a,b { h a; cx a,b; }\ngate rot(t) a { rz(t) a; }\n")
+_CALL = "line 7, col 1: "
+HOSTILE_MACRO_TEXTS = {
+    "macro_on_too_few_qubits": (
+        _MACROS + "bell q[0];\n", _CALL + "gate 'bell' acts on 2 qubit(s), got 1"),
+    "macro_on_too_many_qubits": (
+        _MACROS + "bell q[0],q[1],r[0];\n", _CALL + "gate 'bell' acts on 2 qubit(s), got 3"),
+    "macro_with_an_extra_param": (
+        _MACROS + "bell(0.5) q[0],q[1];\n", _CALL + "gate 'bell' takes 0 parameter(s), got 1"),
+    "macro_without_its_param": (
+        _MACROS + "rot q[0];\n", _CALL + "gate 'rot' takes 1 parameter(s), got 0"),
+    "macro_with_a_clbit": (
+        _MACROS + "bell q[0],c[0];\n", "line 7, col 11: 'c' is not a quantum register"),
+    "macro_on_one_qubit_twice": (_MACROS + "bell q[1],q[1];\n", _CALL + "duplicate qubit operand"),
+    "macro_with_a_non_finite_param": (
+        _MACROS + "rot(1e300*1e300) q[0];\n",
+        "line 7, col 10: invalid constant expression: result inf is not finite"),
+    "macro_on_a_clbit": (
+        _MACROS + "rot(0.5) c[0];\n", "line 7, col 10: 'c' is not a quantum register"),
+    "wide_macro_size_mismatch": (
+        _MACROS + "bell q,r;\n", _CALL + "register broadcast requires equal register sizes"),
+    "wide_and_fixed_operand_of_one_register": (
+        _MACROS + "cx q[0],q;\n", _CALL + "duplicate qubit operand"),
+    "wide_measure_into_one_clbit": (
+        _MACROS + "measure q -> c[0];\n",
+        _CALL + "measure broadcast size mismatch: q has 2 wire(s), c has 1"),
+    "wide_operand_of_an_undeclared_register": (
+        _MACROS + "h z;\n", "line 7, col 3: undeclared register 'z'"),
+    "register_named_like_a_macro": (
+        "OPENQASM 2.0;\ngate bell a,b { h a; cx a,b; }\nqreg bell[3];\n",
+        "line 3, col 6: redefinition of 'bell'"),
+    "register_named_like_a_qelib1_macro": (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg ccx[1];\n',
+        "line 4, col 6: redefinition of 'ccx'"),
+    "macro_named_like_a_qelib1_macro": (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\ngate cswap a,b,c { h a; }\n',
+        "line 3, col 6: redefinition of 'cswap'"),
+    "unsupported_include": (
+        'OPENQASM 2.0;\ninclude "other.inc";\nqreg q[3];\n',
+        "line 2, col 9: include 'other.inc' is not supported (only the embedded qelib1.inc)"),
+    "macro_body_names_a_missing_qubit": (
+        "OPENQASM 2.0;\nqreg q[3];\ngate g a { h b; }\ng q[0];\n",
+        "line 3, col 14: 'b' is not a formal qubit of gate 'g'"),
+    "included_macro_without_its_include": (
+        "OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[2];\n", "line 3, col 1: undeclared gate 'ccx'"),
+}
+
+# each command that reads a circuit file, given the path of that file
+_READERS = {
+    "analyze": lambda path: ["analyze", path],
+    "convert": lambda path: ["convert", path, path + ".nwqb"],
+    "simulate sv": lambda path: ["simulate", "sv", path],
+    "transpile": lambda path: ["transpile", path, "--device", "grid9", "-o", path + ".out.qasm"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_MACRO_TEXTS))
+@pytest.mark.parametrize("reader", ["parse_qasm", *sorted(_READERS)])
+def test_hostile_macro_text_is_refused_by_every_reader(reader, case, tmp_path, capsys):
+    """parse_qasm raises its QasmError; a command exits 1 with that one line."""
+    text, message = HOSTILE_MACRO_TEXTS[case]
+    if reader == "parse_qasm":
+        with pytest.raises(QasmError) as info:
+            parse_qasm(text)
+        assert str(info.value) == message
+        return
+    path = tmp_path / "hostile.qasm"
+    path.write_text(text)
+    assert main(_READERS[reader](str(path))) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hostile.qasm"]
+
+
 @pytest.mark.parametrize(
     "body, arg",
     [("a*a", "1e300"), ("1/a", "0"), ("a^a", "1000"), ("(0-a)^0.5", "2")],
