@@ -198,7 +198,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_fidelity(args) -> int:
     circuit = _load_circuit(args.input)
     device = _load_device_arg(args.device)
-    result = dm_run(circuit, device, seed=args.seed, shots=args.shots, compute_fidelity=True)
+    result = dm_run(circuit, device, seed=args.seed, shots=args.shots)
+    if result.fidelity is None:
+        raise SimulationError("fidelity is unavailable for circuits with reset, classical "
+                              "conditions or mid-circuit measurement")
     sys.stdout.write(_json_text({"fidelity": result.fidelity}))
     return EXIT_OK
 

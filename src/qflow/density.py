@@ -34,11 +34,11 @@ confusion splits the reported bit of a mid-circuit measure, and a leaf
 samples the diagonal's marginal through it.
 
 The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
-the same program with noise disabled, over the same wires. It needs that
-pure reference, so it is computed only for unitary programs (no reset,
-condition or mid-circuit measure); the field is omitted elsewhere.
-A circuit wider than the qubit cap, ``QFLOW_QUBIT_CAP_DM`` if set, else
-DEFAULT_DM_CAP, raises SimulationError.
+the same program with noise disabled, over the same wires, for a unitary
+program (no reset, condition or mid-circuit measure) run on a device; the
+field is omitted elsewhere. A circuit wider than the qubit cap,
+``QFLOW_QUBIT_CAP_DM`` if set, else DEFAULT_DM_CAP, raises SimulationError,
+as does an op on a qubit the device lacks.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ class _DensityState:
     by op by qflow.program's walker over its fused ops. Copies share two
     caches: ``superops``, the channel of each op key and the noise stage of
     each ("noise", opcode, wires, duration), and ``kernels``, the kernel of
-    each op key."""
+    each op key, as a state vector's copies do. ``apply`` is its own, so
+    ``bench/tracer.py`` counts its kernel calls as density's."""
 
     fuses = True
     splits_reset = False
@@ -194,11 +195,20 @@ class _DensityState:
         return sample_marginal(p / p.sum(), self.wires, qubits, count, rng, readout)
 
 
+def _program(circuit: Circuit, device: DeviceConfig | None, shots: int = 1,
+             seed: int = 0) -> Program:
+    """The circuit's program, checked for a run of ``shots`` on ``device``."""
+    program = Program(circuit)
+    program.check_limits("density-matrix", DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots, seed)
+    if device is not None and program.wires and program.wires[-1] >= device.num_qubits:
+        raise SimulationError(f"qubit {program.wires[-1]} is not on device '{device.name}'")
+    return program
+
+
 def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None) -> np.ndarray:
     """Final density matrix of a condition-free circuit (measurements are
     not collapsed). Useful for analytic noise checks."""
-    program = Program(circuit)
-    program.check_limits("density-matrix", DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM")
+    program = _program(circuit, device)
     if any(op.condition is not None for op in program.ops):
         raise SimulationError("dm_evolve does not evaluate classical conditions")
     state = _DensityState(range(program.n), device)
@@ -220,34 +230,22 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def dm_run(
-    circuit: Circuit,
-    device: DeviceConfig | None = None,
-    seed: int = 42,
-    shots: int = 1024,
-    compute_fidelity: bool | None = None,
-) -> RunResult:
+def dm_run(circuit: Circuit, device: DeviceConfig | None = None, seed: int = 42,
+           shots: int = 1024) -> RunResult:
     """Noisy (or noiseless) density-matrix run.
 
     With a device, gate errors, T1/T2 relaxation, delay decoherence, and
-    readout confusion all apply. Counts come from the shot walker of
-    qflow.program. The fidelity needs a pure reference state, so it exists
-    only for unitary programs (no reset, condition or mid-circuit
-    measurement), which the walker runs as one leaf: compute_fidelity
-    defaults to "device given and the program is unitary", and
-    compute_fidelity=True on any other program raises SimulationError."""
+    readout confusion all apply; an op on a qubit the device lacks raises
+    SimulationError. Counts come from the shot walker of qflow.program. The
+    fidelity needs a device and a pure reference state, so the result has
+    one only for unitary programs (no reset, condition or mid-circuit
+    measurement), which the walker runs as one leaf."""
     t0 = time.perf_counter()
-    program = Program(circuit)
-    program.check_limits("density-matrix", DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots, seed)
-    if compute_fidelity and not program.unitary:
-        raise SimulationError(
-            "fidelity is unavailable for circuits with reset, classical conditions "
-            "or mid-circuit measurement"
-        )
+    program = _program(circuit, device, shots, seed)
     state = _DensityState(program.wires, device)
     counts = walk(program, state, shots, seed, device.readout if device is not None else None)
     fid = None
-    if compute_fidelity or (compute_fidelity is None and device is not None and program.unitary):
+    if device is not None and program.unitary:
         reference = _SVState(program.wires)
         evolve(program, reference)
         fid = fidelity(state.matrix(), reference.amps)

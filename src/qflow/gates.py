@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QFlowError
-from .euler import angle_sum
+from .euler import u3_cells
 from .qelib1 import QELIB1_INC
 
 __all__ = [
@@ -38,15 +38,8 @@ __all__ = [
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * angle_sum(phi, lam)) * c],
-        ],
-        dtype=complex,
-    )
+    a, b, c, d = u3_cells(theta, phi, lam)
+    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 def _rz(a: float) -> np.ndarray:

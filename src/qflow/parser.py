@@ -19,9 +19,8 @@ barrier on all of the register's wires. Macro nesting
 (``MAX_EXPANSION_DEPTH``) and the output size
 (``MAX_EXPANSION_INSTRUCTIONS``) are bounded, and both bounds are checked
 at a statement before it emits any instruction. An expression that fails
-inside a gate body names that gate and the index (from 0) of the statement
-whose call expanded it, at that statement. An opaque gate cannot be
-called.
+inside a gate body names that gate, at the statement whose call expanded
+it. An opaque gate cannot be called.
 
 ``include "qelib1.inc";`` resolves against the embedded copy; any other
 include path is rejected, and so is an include that would define a macro
@@ -206,7 +205,6 @@ class _Parser:
         self.macros: dict[str, _Macro] = {}  # the gate definitions, the include's among them
         self.included = False
         self.instructions: list[Instruction] = []
-        self.k = 0  # the top-level statements that emit instructions, read so far
         self.expr_depth = 0
 
     # -- token helpers -------------------------------------------------------
@@ -289,20 +287,18 @@ class _Parser:
         skip, call, add = _SKIP_RE.match, _CALL_RE.match, self.instructions.append
         pos = self.expect(";")[2] + 1
         scanned = True  # whether scan stands at pos
-        k = 0  # self.k, kept local while the fast path reads
         while (start := skip(text, pos).end()) < end:
             m = call(text, start)
             instr = m and self._fast_call(m)
             if instr:
                 add(instr)
-                pos, scanned, k = m.end(), False, k + 1
+                pos, scanned = m.end(), False
                 continue
             if not scanned:
                 self.scan = _TOKEN_RE.finditer(text, start)
-            self.k = k
             self._read()
             self._parse_statement()
-            last, k = self.tokens[-1], self.k
+            last = self.tokens[-1]
             pos, scanned = last[2] + len(last[1]), True
         if len(self.instructions) > MAX_EXPANSION_INSTRUCTIONS:
             raise QasmError(f"gate expansion would emit {len(self.instructions)} instructions, "
@@ -515,7 +511,6 @@ class _Parser:
                 self._expand(target, params, qs, condition, tok)
             else:
                 self.instructions.append(Instruction(target, params, qs, cs, condition))
-        self.k += 1
 
     def _expand(self, macro: _Macro, params: tuple, qubits: tuple, condition, tok: tuple):
         """Append the gates of one call of ``macro`` in body order, each
@@ -537,8 +532,7 @@ class _Parser:
                     stack.append((body, tuple([_value(e, env) for e in exprs]),
                                   tuple([qubits[i] for i in idx])))
             except QasmError as exc:
-                self.error(f"{exc.message} (in gate '{target.name}', called by instruction "
-                           f"{self.k})", tok)
+                self.error(f"{exc.message} (in gate '{target.name}')", tok)
 
     def _parse_call(self, tok, formals, operand) -> tuple:
         """The gate call ``name(params) args;`` after its name token, at top

@@ -70,12 +70,12 @@ ALWAYS_RUN = 1 << 20
 class Op:
     """One instruction on global wires. ``clbit`` is the global
     clbit a measure writes, ``condition`` an (offset, mask, value) test on
-    the classical integer, ``gate`` whether the op is a unitary gate,
-    ``deferred`` whether it is a measure drawn at the leaves and ``kernel``
-    the state-vector kernel of its matrix, set on first use."""
+    the classical integer, ``gate`` whether the op is a unitary gate and
+    ``deferred`` whether it is a measure drawn at the leaves. An op holds
+    only what its circuit determines; a kernel depends on the wires a state
+    holds too, so each state keeps its own, by ``key``."""
 
-    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "deferred", "_matrix",
-                 "kernel")
+    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "deferred", "_matrix")
 
     def __init__(self, instr, wires: tuple, clbit: int | None, condition):
         self.instr = instr
@@ -86,7 +86,6 @@ class Op:
         self.gate = instr.opcode in LIBRARY
         self.deferred = False
         self._matrix = None
-        self.kernel = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -117,7 +116,6 @@ class _Fused(Op):
         self.gate = True
         self.deferred = False
         self._matrix = None
-        self.kernel = None
         self._key = ("fused", tuple((op.opcode, op.instr.params) for op in run), self.wires)
 
     @property

@@ -24,12 +24,14 @@ The slices are index tuples into the state viewed with the wires' axes
 between blocks of the other qubits, built once per kernel.
 
 Each run of one-qubit gates on a wire reaches a kernel as one 2x2 product
-(see qflow.program).
+(see qflow.program). A kernel depends on the wires the state holds, so the
+state keeps it by op key, built on first use and shared with branch copies.
 
 Every run goes through the shot walker of qflow.program: ``p_one`` is the
 squared norm of the slice where the qubit reads 1, ``collapse`` zeroes the
-other slice and renormalizes (and for a reset flips the qubit back to 0),
-and a leaf samples the marginal of |amps|^2. A unitary program is one leaf.
+other slice and renormalizes (a reset onto 1 then moves the |1> slice onto
+|0>, as an x would), and a leaf samples the marginal of |amps|^2. A unitary
+program is one leaf.
 A circuit wider than the qubit cap, ``QFLOW_QUBIT_CAP_SV`` if set, else
 DEFAULT_SV_CAP, raises SimulationError.
 """
@@ -44,7 +46,6 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import SimulationError
-from .gates import unitary_of
 from .program import Program, evolve, walk
 from .results import RunResult, sample_marginal
 
@@ -160,22 +161,17 @@ def apply_gate(state: np.ndarray, kernel: Kernel) -> None:
                 np.multiply(src, phase, out=view[dst])
 
 
-@functools.lru_cache(maxsize=None)
-def _flip(n: int, w: int) -> Kernel:
-    return Kernel(unitary_of("x"), n, (w,))
-
-
 # -- state ---------------------------------------------------------------------
 
 class _SVState:
     """Amplitudes of one branch over the given wires (ascending), driven op
-    by op by qflow.program's walker over its fused ops; an op keeps the
-    kernel built on its first use, for the wires all its states hold."""
+    by op by qflow.program's walker over its fused ops. Copies share
+    ``kernels``, the kernel of each op key."""
 
     fuses = True
     splits_reset = True
 
-    def __init__(self, wires, amps: np.ndarray | None = None):
+    def __init__(self, wires, amps: np.ndarray | None = None, kernels: dict | None = None):
         self.wires = tuple(wires)
         self.pos = {w: i for i, w in enumerate(self.wires)}
         self.n = len(self.wires)
@@ -183,15 +179,18 @@ class _SVState:
             amps = np.zeros(1 << self.n, dtype=complex)
             amps[0] = 1.0
         self.amps = amps
+        self.kernels = {} if kernels is None else kernels
 
     def copy(self) -> "_SVState":
-        return _SVState(self.wires, self.amps.copy())
+        return _SVState(self.wires, self.amps.copy(), self.kernels)
 
     def apply(self, op) -> None:
         if op.gate:
-            kernel = op.kernel
+            key = op.key
+            kernel = self.kernels.get(key)
             if kernel is None:
-                kernel = op.kernel = Kernel(op.matrix, self.n, [self.pos[w] for w in op.wires])
+                kernel = self.kernels[key] = Kernel(op.matrix, self.n,
+                                                    [self.pos[w] for w in op.wires])
             apply_gate(self.amps, kernel)
 
     def p_one(self, op) -> float:
@@ -199,12 +198,12 @@ class _SVState:
         return float(np.vdot(ones, ones).real)
 
     def collapse(self, op, bit: int) -> None:
-        q = self.pos[op.wires[0]]
-        view = self.amps.reshape(-1, 2, 1 << q)
+        view = self.amps.reshape(-1, 2, 1 << self.pos[op.wires[0]])
         view[:, 1 - bit] = 0.0
         self.amps *= 1.0 / math.sqrt(np.vdot(view[:, bit], view[:, bit]).real)
         if bit and op.opcode == "reset":
-            apply_gate(self.amps, _flip(self.n, q))
+            view[:, 0] = view[:, 1]
+            view[:, 1] = 0.0
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
         p = np.abs(self.amps)

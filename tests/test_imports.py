@@ -5,7 +5,8 @@ or a benchmark script or is public for a reason given here, every option of
 an exported function is passed by another qflow function or a benchmark
 script or is settable for a reason given here, only ``circuit.py`` numbers
 the wires, only the library, the parser and ``circuit.py`` read a gate's
-parameter count, and only the parser expands macros."""
+parameter count, only the parser expands macros and only ``program.py``
+sets an attribute of an op."""
 
 from __future__ import annotations
 
@@ -213,6 +214,18 @@ def test_only_circuit_numbers_the_wires(path):
     calls = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                    and node.attr == "regs")
     assert path.name == "circuit.py" or calls == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_program_sets_what_an_op_holds(path):
+    """An op holds what its circuit determines, set where ``Program`` builds
+    it; what also depends on a state's wires, such as a kernel, lives in the
+    state. No other module assigns to an attribute of an ``op``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stores = sorted(node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "op")
+    assert path.name == "program.py" or stores == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -396,12 +397,52 @@ def _transpiled_reuse(line5):
     return physical
 
 
-def test_dm_with_device_runs_reset_without_fidelity(line5):
-    result = dm_run(_transpiled_reuse(line5), device=line5, seed=2, shots=200)
+def test_dm_with_device_runs_reset_without_fidelity(line5, tmp_path, capsys):
+    physical = _transpiled_reuse(line5)
+    result = dm_run(physical, device=line5, seed=2, shots=200)
     assert result.fidelity is None
     assert sum(result.counts.values()) == 200
-    with pytest.raises(SimulationError, match="fidelity"):
-        dm_run(_transpiled_reuse(line5), device=line5, shots=10, compute_fidelity=True)
+    path = tmp_path / "reuse.qasm"
+    path.write_text(print_qasm(physical))
+    assert main(["fidelity", str(path), "--device", "line5", "--shots", "10"]) == 4
+    assert capsys.readouterr() == ("", "error: fidelity is unavailable for circuits with reset, "
+                                       "classical conditions or mid-circuit measurement\n")
+
+
+_OFF_LINE5 = ("OPENQASM 2.0;\nqreg q[7];\ncreg c[7];\nsx q[6];\ncx q[6],q[5];\n"
+              "measure q[6] -> c[6];\n")
+
+
+def test_dm_refuses_an_op_on_a_qubit_the_device_lacks(line5, tmp_path, capsys):
+    message = "qubit 6 is not on device 'line5'"
+    for run in (dm_run, dm_evolve):
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            run(parse_qasm(_OFF_LINE5), line5)
+    path = tmp_path / "off.qasm"
+    path.write_text(_OFF_LINE5)
+    for command in (["simulate", "dm"], ["fidelity"]):
+        assert main(command + [str(path), "--device", "line5"]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # declared qubits that only a barrier touches are no obstacle
+    idle = parse_qasm(_OFF_LINE5.replace("q[6]", "q[1]").replace("q[5]", "q[0]")
+                      .replace("measure", "barrier q;\nmeasure"))
+    assert dm_run(idle, line5, shots=10).fidelity is not None
+    assert dm_evolve(idle, line5).shape == (1 << 7, 1 << 7)
+
+
+def test_one_program_evolves_into_states_that_hold_different_wires():
+    """A kernel depends on the wires a state holds, so each state keeps its
+    own: evolving a program into one layout leaves it fit for another."""
+    text = HEADER + "qreg q[3];\nh q[1];\ncx q[1],q[2];\nrz(0.3) q[2];\n"
+    backends = ((statevector._SVState, lambda state: state.amps),
+                (lambda wires: _DensityState(wires, None), lambda state: state.rho))
+    for make, values in backends:
+        prog = program.Program(parse_qasm(text))
+        program.evolve(prog, make(prog.wires))
+        reused, fresh = make(range(prog.n)), make(range(prog.n))
+        program.evolve(prog, reused)
+        program.evolve(program.Program(parse_qasm(text)), fresh)
+        assert values(reused).tobytes() == values(fresh).tobytes()
 
 
 def test_noisy_dm_run_checks_no_instruction_of_a_transpiled_circuit(line5, monkeypatch):
