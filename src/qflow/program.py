@@ -23,7 +23,8 @@ hottest loop), as does ``dm_evolve``, which returns the full matrix.
 
 :func:`walk` works depth first over (op index, state, clbits, count). At a
 measure, or a reset where the state splits resets, with probability p of
-reading 1 and 0 < p < 1, it draws k = binomial(count, p) and copies the
+reading 1 and 0 < p < 1, it draws k = binomial(count, p), p rounded to
+30 significant bits as qflow.results rounds every draw, and copies the
 state only when both outcomes get shots; a readout confusion splits the
 reported bit again, and the flipped part gets its own copy, since a later
 condition may read it. The walk goes on with the side with fewer shots and
@@ -57,7 +58,7 @@ import numpy as np
 from .circuit import Circuit
 from .errors import SimulationError
 from .gates import LIBRARY, unitary_of
-from .results import _EPS, bitstring
+from .results import _EPS, _round30_float, bitstring
 
 __all__ = ["Op", "Program", "evolve", "walk"]
 
@@ -271,7 +272,9 @@ def walk(program: Program, state, shots: int, seed: int, readout=None) -> dict[s
         """Give binomial(count, p) shots to side 1 and the rest to side 0.
         Returns the side with fewer shots and its shots; the other side, if
         it has any, is pushed on a copy of the state as entry(side, shots,
-        copy)."""
+        copy). p is rounded to 30 significant bits first, as draw_counts
+        rounds its vector."""
+        p = _round30_float(p)
         k = count if p > 1.0 - _EPS else 0 if p < _EPS else int(rng.binomial(count, p))
         if 0 < k < count:
             side = int(2 * k <= count)

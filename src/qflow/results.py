@@ -7,6 +7,7 @@ measure instruction are sampled over all qubits in the same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,31 @@ from .noise import readout_matrix
 __all__ = ["RunResult", "draw_counts", "sample_marginal", "bitstring"]
 
 _EPS = 1e-12  # a likelihood taken as 0, so that rounding residue is never drawn
+_HALF = np.uint64(1 << 22)  # half of the 23 low mantissa bits a draw does not see
+_KEEP = np.uint64(~((1 << 23) - 1) & ((1 << 64) - 1))
+
+
+def _round30(p: np.ndarray) -> np.ndarray:
+    """p, a contiguous nonnegative float64 array, rounded in place to 30
+    significant bits (to nearest, a tie away from zero) and returned.
+
+    numpy's binomial draw is not continuous in p (it mirrors at p = 1/2), so
+    two evolutions equal but for rounding could draw different counts;
+    probabilities that agree to about 1e-16 round to the same bits unless
+    they straddle a rounding midpoint. Adding half of the dropped bits to
+    the bit pattern and clearing them carries into the exponent exactly
+    as frexp, rounding the mantissa, and ldexp would."""
+    bits = p.view(np.uint64)
+    bits += _HALF
+    bits &= _KEEP
+    return p
+
+
+def _round30_float(p: float) -> float:
+    """One probability rounded as _round30 rounds each entry, for a single
+    draw: m * 2**30 + 0.5 is exact for a mantissa m in [0.5, 1)."""
+    m, e = math.frexp(p)
+    return math.ldexp(math.floor(m * 1073741824.0 + 0.5), e - 30)
 
 
 def bitstring(value: int, n_bits: int) -> str:
@@ -25,8 +51,9 @@ def bitstring(value: int, n_bits: int) -> str:
 
 def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
     """Multinomial draw of ``shots`` outcomes from ``rng`` over a probability
-    vector, each entry below _EPS of the largest taken as 0; counts keyed by
-    index sum to shots."""
+    vector, each entry below _EPS of the largest taken as 0 and the rest
+    rounded to 30 significant bits (see _round30); counts keyed by index sum
+    to shots."""
     p = np.asarray(probabilities, dtype=float).reshape(-1)
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
@@ -40,6 +67,7 @@ def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
         raise SimulationError(f"probabilities sum to {total}, expected 1")
     p = np.clip(p, 0.0, None)
     p[p < _EPS * p.max()] = 0.0
+    p = _round30(p)
     p /= p.sum()
     draws = rng.multinomial(shots, p)
     return {int(i): int(draws[i]) for i in np.nonzero(draws)[0]}

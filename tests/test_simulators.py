@@ -27,6 +27,7 @@ from qflow.gates import unitary_of
 from qflow.noise import depolarizing_kraus, thermal_relaxation_kraus
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
+from qflow.results import _round30, _round30_float, draw_counts
 from qflow.stabilizer import stab_run
 from qflow.statevector import sv_run, sv_statevector
 from qflow.transpile import transpile
@@ -551,16 +552,47 @@ def test_fused_runs_evolve_as_the_unfused_ops(source, name):
     unfused = _barrier_after_each(physical)
     for dev in (device, None):
         assert np.abs(dm_evolve(physical, dev) - dm_evolve(unfused, dev)).max() < 1e-12
-        # the barriers also cover wires dm_run does not hold. Its counts are
-        # compared with the full-width walk of the same circuit: the fused
-        # and unfused rho differ in rounding, and numpy's binomial draw can
-        # move with the last bit of p (it mirrors at p = 1/2, so an even
-        # split rounded to either side draws mirrored counts)
+        # the fused and unfused rho differ in rounding only, which no draw
+        # sees; the barriers also cover wires dm_run does not hold
         result = dm_run(unfused, dev, seed=7, shots=256)
-        full = program.walk(program.Program(unfused), _DensityState(range(device.num_qubits), dev),
-                            256, 7, dev and dev.readout)
-        assert result.counts == full
-        assert result.mem_bytes_estimate == dm_run(physical, dev, shots=1).mem_bytes_estimate
+        fused = dm_run(physical, dev, seed=7, shots=256)
+        assert result.counts == fused.counts
+        assert result.mem_bytes_estimate == fused.mem_bytes_estimate
+
+
+def test_an_even_split_draws_alike_from_either_side_of_one_half():
+    """numpy's binomial mirrors at p = 1/2, so before probabilities were
+    rounded to 30 bits an even split one ulp off it drew mirrored counts."""
+    below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    for seed in range(20):
+        even = draw_counts([0.5, 0.5], 1000, np.random.default_rng(seed))
+        for pair in ([above, below], [below, above]):
+            assert draw_counts(pair, 1000, np.random.default_rng(seed)) == even
+
+    def tilted(tilt):
+        state = statevector._SVState(prog.wires)
+        state.p_one = lambda op: tilt
+        return state
+
+    prog = program.Program(parse_qasm(HEADER + "qreg q[1];\ncreg c[2];\nh q[0];\n"
+                                      "measure q[0] -> c[0];\nh q[0];\nmeasure q[0] -> c[1];\n"))
+    for seed in range(20):
+        even = program.walk(prog, tilted(0.5), 1000, seed)
+        assert program.walk(prog, tilted(below), 1000, seed) == even
+        assert program.walk(prog, tilted(above), 1000, seed) == even
+
+
+def test_one_draw_rounds_as_a_vector_does():
+    """walk's binomial split and draw_counts round alike, ties included
+    (a tie rounds away from zero)."""
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.random(2000) ** 4, [0.0, 1.0, 0.5, 1e-300, 0.5 + 2.0**-31,
+                                                      0.75 - 2.0**-32, 1.0 - 2.0**-31]])
+    rounded = _round30(values.copy())
+    assert [_round30_float(x) for x in values.tolist()] == rounded.tolist()
+    assert rounded[-3:].tolist() == [0.5 + 2.0**-30, 0.75, 1.0]
+    m, e = np.frexp(values[:2000])
+    assert rounded[:2000].tolist() == np.ldexp(np.round(m * 2.0**30) / 2.0**30, e).tolist()
 
 
 def test_a_rounding_residue_draws_no_shots(line5):
