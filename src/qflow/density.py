@@ -25,7 +25,10 @@ gate and the result is exact. Each channel becomes a state-vector kernel
 once, when it is built, and inherits its class from its zero pattern: the
 superoperator of a diagonal unitary is diagonal and that of a permutation
 with phases is a permutation with phases on (ket, bra), so both run as
-slice updates.
+slice updates. Without a device, a general one-wire gate or fused run U on
+the wire at position q is not one 4x4 kernel on wires m apart: its channel
+U (x) conj(U) is applied as two one-wire kernels, U on the ket qubit m+q
+and conj(U) on the bra qubit q, each one contiguous matmul.
 
 Every run goes through the shot walker of qflow.program: ``p_one`` reads
 the diagonal and ``collapse`` zeroes the other outcome on ket and bra; a
@@ -133,17 +136,28 @@ class _DensityState:
         return self.rho.reshape(1 << self.n, 1 << self.n)
 
     def apply(self, op) -> None:
-        key = op.key
-        if key not in self.kernels:
-            s = self._channel(op)
-            if s is None:  # a barrier's wires may be ones rho does not hold
-                self.kernels[key] = None
-            else:
-                local = tuple(self.pos[w] for w in op.wires)
-                self.kernels[key] = Kernel(s, 2 * self.n, tuple(self.n + q for q in local) + local)
-        kernel = self.kernels[key]
-        if kernel is not None:
+        kernels = self.kernels.get(op.key)
+        if kernels is None:
+            kernels = self.kernels[op.key] = self._kernels(op)
+        for kernel in kernels:
             apply_gate(self.rho, kernel)
+
+    def _kernels(self, op) -> tuple:
+        """The kernels that apply the op's channel, in order: U on the ket
+        wire and conj(U) on the bra wire for a noiseless general one-wire
+        gate, else the one kernel of its superoperator (none when the op
+        leaves rho unchanged)."""
+        m = 2 * self.n
+        if self.device is None and op.gate and len(op.wires) == 1:
+            q = self.pos[op.wires[0]]
+            ket = Kernel(op.matrix, m, (self.n + q,))
+            if ket.kind == "general":
+                return ket, Kernel(op.matrix.conj(), m, (q,))
+        s = self._channel(op)
+        if s is None:  # a barrier's wires may be ones rho does not hold
+            return ()
+        local = tuple(self.pos[w] for w in op.wires)
+        return (Kernel(s, m, tuple(self.n + q for q in local) + local),)
 
     def _channel(self, op) -> np.ndarray | None:
         """The op's superoperator with its noise composed after it, or None

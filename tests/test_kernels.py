@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow.density import _superop, dm_run
+from qflow.density import _DensityState, _superop, dm_run
 from qflow.gates import unitary_of
 from qflow.parser import parse_qasm
 from qflow.program import Program
@@ -56,6 +56,65 @@ def test_kernels_match_the_literal_embedding(gate):
     expected = embed_slow(m, wires, n) @ state
     apply_gate(state, kernel)
     np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+
+def test_a_general_kernel_on_one_wire_matches_the_literal_embedding():
+    """Both one-wire forms, a right product over rows on a low wire and a
+    left product per block above it, on every wire of 1 to 7 qubits."""
+    rng = np.random.default_rng(5)
+    forms = set()
+    for n in range(1, 8):
+        for w in range(n):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            kernel = Kernel(m, n, (w,))
+            assert kernel.kind == "general" and kernel.axes is None
+            forms.add(kernel.right is None)
+            expected = embed_slow(m, (w,), n) @ state
+            apply_gate(state, kernel)
+            np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+    assert forms == {True, False}
+
+
+def _random_u3(rng) -> str:
+    return "u3({},{},{})".format(*rng.uniform(-np.pi, np.pi, 3).tolist())
+
+
+def test_a_noiseless_one_wire_channel_is_u_on_the_ket_and_conj_u_on_the_bra():
+    """A gate and a fused run, on every wire of 1 to 5 qubits: the two one-
+    wire kernels give the 4x4 superoperator's result."""
+    rng = np.random.default_rng(6)
+    for n in range(1, 6):
+        for q in range(n):
+            for gates in (1, 2):
+                text = "".join(f"{_random_u3(rng)} q[{q}];\n" for _ in range(gates))
+                op, = Program(parse_qasm(HEADER + f"qreg q[{n}];\n" + text)).run_ops(True)
+                state = _DensityState(range(n), None)
+                state.rho = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+                expected = state.rho.copy()
+                apply_gate(expected, Kernel(_superop([op.matrix]), 2 * n, (n + q, q)))
+                state.apply(op)
+                assert [k.wires for k in state.kernels[op.key]] == [(n + q,), (q,)]
+                np.testing.assert_allclose(state.rho, expected, rtol=0, atol=1e-12)
+
+
+def test_one_wire_general_kernels_move_no_axes(monkeypatch):
+    """The one-wire forms are single matmuls over contiguous blocks: sv and
+    noiseless dm runs of one-wire general gates on every wire, with cx and
+    cz between them, never reach np.moveaxis."""
+    rng = np.random.default_rng(7)
+    text = HEADER + "qreg q[6];\ncreg c[6];\n"
+    for layer in range(3):
+        text += "".join(f"{_random_u3(rng)} q[{q}];\nh q[{q}];\n" for q in range(6))
+        text += "".join(f"cx q[{q}],q[{q + 1}];\ncz q[{q + 1}],q[{q}];\n" for q in range(5))
+    c = parse_qasm(text + "measure q -> c;\n")
+    expected = sv_run(c, seed=3, shots=100).counts, dm_run(c, seed=3, shots=100).counts
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.moveaxis called")
+
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    assert (sv_run(c, seed=3, shots=100).counts, dm_run(c, seed=3, shots=100).counts) == expected
 
 
 def test_a_kernel_on_every_wire_has_no_0d_slice():
