@@ -38,7 +38,7 @@ from typing import NoReturn
 
 from .binio import decode_binary, encode_binary
 from .circuit import Circuit
-from .density import dm_run
+from .density import _program, dm_run
 from .device import DeviceConfig, load_bundled_device, load_device
 from .errors import DeviceConfigError, QasmError, QFlowError, SimulationError, TranspileError
 from .gates import gate_manifest
@@ -198,10 +198,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_fidelity(args) -> int:
     circuit = _load_circuit(args.input)
     device = _load_device_arg(args.device)
-    result = dm_run(circuit, device, seed=args.seed, shots=args.shots)
-    if result.fidelity is None:
+    # refused after dm_run's own checks, before its walk
+    if not _program(circuit, device, args.shots, args.seed).unitary:
         raise SimulationError("fidelity is unavailable for circuits with reset, classical "
                               "conditions or mid-circuit measurement")
+    result = dm_run(circuit, device, seed=args.seed, shots=args.shots)
     sys.stdout.write(_json_text({"fidelity": result.fidelity}))
     return EXIT_OK
 

@@ -410,6 +410,20 @@ def test_dm_with_device_runs_reset_without_fidelity(line5, tmp_path, capsys):
                                        "classical conditions or mid-circuit measurement\n")
 
 
+def test_fidelity_refuses_a_non_unitary_program_before_the_walk(line5, tmp_path, capsys,
+                                                                 monkeypatch):
+    import qflow.density
+
+    walked = []
+    monkeypatch.setattr(qflow.density, "walk", lambda *args: walked.append(args))
+    path = tmp_path / "reuse.qasm"
+    path.write_text(print_qasm(_transpiled_reuse(line5)))
+    assert main(["fidelity", str(path), "--device", "line5", "--shots", "100000"]) == 4
+    assert capsys.readouterr() == ("", "error: fidelity is unavailable for circuits with reset, "
+                                       "classical conditions or mid-circuit measurement\n")
+    assert walked == []
+
+
 _OFF_LINE5 = ("OPENQASM 2.0;\nqreg q[7];\ncreg c[7];\nsx q[6];\ncx q[6],q[5];\n"
               "measure q[6] -> c[6];\n")
 
