@@ -103,7 +103,12 @@ class Kernel:
                 self.axes = [n - 1 - w for w in wires]
             elif (lo := 1 << wires[0]) <= _RIGHT_MAX:
                 self.shape = (-1, 2 * lo)
-                self.right = np.kron(matrix, np.eye(lo)).T.copy()
+                # (matrix (x) I_lo)^T: entry [i*lo + k, j*lo + k] is matrix[j, i];
+                # einsum's repeated index is a writeable view of those entries
+                # (np.kron builds the same about ten times slower)
+                right = np.zeros((2, lo, 2, lo), dtype=complex)
+                np.einsum("ikjk->ijk", right)[...] = matrix.T[:, :, None]
+                self.right = right.reshape(2 * lo, 2 * lo)
             else:
                 self.shape = (-1, 2, lo)
             return
