@@ -13,7 +13,9 @@ one-qubit families and cx natively or via cz:
 
 with rz(0) removed and the sx form collapsed at theta in {0, +-pi/2, pi}.
 Native sets needing two-qubit resynthesis (iswap, Molmer-Sorensen) are out
-of scope.
+of scope. Phi and lam, and the cu3 and rxx angles, meet a sum only after
+``euler.reduce_angle``, so a huge angle rounds no smaller one away, and an
+angle of at most 2*pi keeps its bits.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 
 from .circuit import Instruction
 from .errors import QFlowError, UnsupportedBasisError
-from .euler import angle_sum, normalize_angle, snap_angle
+from .euler import reduce_angle, snap_angle
 from .gates import BasisSet, LIBRARY
 
 __all__ = [
@@ -120,11 +122,7 @@ def _two_q_template(opcode: str, p: tuple) -> list[tuple]:
             ("u3", (0.0, 0.0, lam / 2), (1,)),
         ]
     if opcode == "cu3":
-        theta, phi, lam = p
-        if not (math.isfinite(lam + phi) and math.isfinite(lam - phi)):
-            # a sum overflows: cu3 is 2*pi-periodic in phi and lam, and the
-            # template needs both reduced alike
-            phi, lam = normalize_angle(phi), normalize_angle(lam)
+        theta, phi, lam = p[0], reduce_angle(p[1]), reduce_angle(p[2])
         return [
             ("u3", (0.0, 0.0, (lam + phi) / 2), (0,)),
             ("u3", (0.0, 0.0, (lam - phi) / 2), (1,)),
@@ -136,7 +134,7 @@ def _two_q_template(opcode: str, p: tuple) -> list[tuple]:
     if opcode == "rzz":
         return [cx, ("u3", (0.0, 0.0, p[0]), (1,)), cx]
     if opcode == "rxx":
-        theta = p[0]
+        theta = reduce_angle(p[0])
         return [
             ("u3", (_PI / 2, theta, 0.0), (0,)),
             ("u3", _H3, (1,)),
@@ -196,7 +194,7 @@ def retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
         raise UnsupportedBasisError(f"unknown retarget family '{family}'")
 
     theta = snap_angle(u3_params[0])
-    phi, lam = u3_params[1], u3_params[2]
+    phi, lam = reduce_angle(u3_params[1]), reduce_angle(u3_params[2])
     if theta < 0:  # U3(-t,p,l) = U3(t, p+pi, l+pi) exactly
         theta = -theta
         phi += _PI
@@ -210,12 +208,12 @@ def retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
             seq.append(("rz", (a,)))
 
     if family in ("u3", "u"):
-        if theta == 0.0 and snap_angle(angle_sum(phi, lam)) == 0.0:
+        if theta == 0.0 and snap_angle(phi + lam) == 0.0:
             return []
         return [(family, (theta, snap_angle(phi), snap_angle(lam)))]
 
     if theta == 0.0:
-        rz(angle_sum(phi, lam))
+        rz(phi + lam)
         return seq
 
     if family == "zsx":
@@ -225,7 +223,7 @@ def retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
             rz(phi + _PI / 2)
         elif theta == _PI:
             seq.append(("x", ()))
-            rz(angle_sum(phi, -lam) + _PI)
+            rz(phi - lam + _PI)
         else:
             rz(lam)
             seq.append(("sx", ()))

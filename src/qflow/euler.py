@@ -4,6 +4,11 @@ single-qubit unitaries.
 Angles are normalized to (-pi, pi] and snapped exactly onto the pi/2 lattice
 when within SNAP_TOL = 1e-9 of a lattice point; exact lattice membership is
 what the stabilizer backend and ``decompose.retarget_1q`` key on.
+
+An angle meets a sum only through :func:`reduce_angle`: a huge angle would
+round a smaller one away, and every gate matrix reduces by 2*pi exactly. The
+cut is 2*pi so that the angles of ordinary circuits keep their bits. Only
+this module calls ``fmod``, ``atan2`` or ``remainder``.
 """
 
 from __future__ import annotations
@@ -12,10 +17,9 @@ import cmath
 import math
 
 __all__ = [
-    "angle_sum",
+    "reduce_angle",
     "normalize_angle",
     "snap_angle",
-    "lattice_power",
     "zyz_from_cells",
     "u3_cells",
     "mul2",
@@ -33,30 +37,27 @@ _FMOD_LIMIT = _FMOD_TURNS * _TWO_PI
 _DEGENERATE_TOL = 1e-12
 
 
+def reduce_angle(a: float) -> float:
+    """``a`` if |a| <= 2*pi, else its exact remainder mod 2*pi in [-pi, pi]:
+    its sine and cosine reduce by 2*pi exactly, as every gate matrix does."""
+    if -_TWO_PI <= a <= _TWO_PI:
+        return a
+    return math.atan2(math.sin(a), math.cos(a))
+
+
 def normalize_angle(a: float) -> float:
     """Wrap into (-pi, pi]. ``fmod`` by the double nearest 2*pi drifts from
     the angle by about 2.4e-16 per turn, so an angle of more turns than
-    ``_FMOD_TURNS`` is reduced through its sine and cosine, which reduce by
-    2*pi exactly, as every gate matrix does."""
+    ``_FMOD_TURNS`` is reduced by :func:`reduce_angle` instead."""
     if -_FMOD_LIMIT < a < _FMOD_LIMIT:
         a = math.fmod(a, _TWO_PI)
     else:
-        a = math.atan2(math.sin(a), math.cos(a))
+        a = reduce_angle(a)
     if a > math.pi:
         a -= _TWO_PI
     elif a <= -math.pi:
         a += _TWO_PI
     return a
-
-
-def angle_sum(a: float, b: float) -> float:
-    """``a + b`` as an angle. A sum of two finite angles can overflow to
-    inf; then each is reduced mod 2*pi first, which leaves the angle
-    as it is, and every finite sum is kept bit for bit."""
-    s = a + b
-    if s - s:  # nan for an infinite sum
-        s = normalize_angle(a) + normalize_angle(b)
-    return s
 
 
 def snap_angle(a: float) -> float:
@@ -67,15 +68,6 @@ def snap_angle(a: float) -> float:
     if abs(a - lattice) <= SNAP_TOL:
         return normalize_angle(lattice) if k == -2 else lattice + 0.0
     return a
-
-
-def lattice_power(a: float) -> int | None:
-    """k in {0,1,2,3} with a = k*pi/2 (mod 2*pi) within SNAP_TOL, or None
-    if off-lattice."""
-    k = round(a / _HALF_PI)
-    if abs(a - k * _HALF_PI) > SNAP_TOL:
-        return None
-    return k % 4
 
 
 def zyz_from_cells(
@@ -104,7 +96,7 @@ def u3_cells(t: float, p: float, l: float) -> tuple:
     c = math.cos(t / 2.0)
     s = math.sin(t / 2.0)
     return (c, -cmath.exp(1j * l) * s, cmath.exp(1j * p) * s,
-            cmath.exp(1j * angle_sum(p, l)) * c)
+            cmath.exp(1j * (reduce_angle(p) + reduce_angle(l))) * c)
 
 
 def mul2(m2: tuple, m1: tuple) -> tuple:

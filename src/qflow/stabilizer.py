@@ -53,7 +53,7 @@ import numpy as np
 from .circuit import Circuit
 from .decompose import _two_q_template
 from .errors import NonCliffordError, QFlowError
-from .euler import SNAP_TOL, lattice_power
+from .euler import SNAP_TOL, snap_angle
 from .gates import unitary_of
 from .program import ALWAYS_RUN, Program, _keyed, refusal, walk
 from .results import RunResult
@@ -252,9 +252,10 @@ def _one_q_rule(opcode: str, params: tuple) -> tuple[int, ...]:
 
 def _reject(opcode: str, params: tuple) -> NonCliffordError:
     """Name the first angle off the pi/2 lattice, if any: on the lattice a
-    gate can still be non-Clifford (crx(pi/2)), and no angle is to blame."""
+    gate can still be non-Clifford (crx(pi/2)), and no angle is to blame.
+    A huge angle is judged by its remainder, which snap_angle takes."""
     for angle in params:
-        if lattice_power(angle) is None:
+        if snap_angle(angle) not in (0.0, np.pi / 2, -np.pi / 2, np.pi):
             return NonCliffordError(f"non-Clifford gate '{opcode}' "
                                     f"(angle {float(angle)!r} is not a multiple of pi/2)")
     return NonCliffordError(f"non-Clifford gate '{opcode}'")

@@ -2,14 +2,16 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflow.circuit import Instruction
 from qflow.decompose import decompose_to_u_cx, resolve_1q_family, retarget_1q, retarget_2q
 from qflow.errors import QFlowError, UnsupportedBasisError
-from qflow.euler import angle_sum, lattice_power, normalize_angle, snap_angle, u3_cells, zyz_from_cells
+from qflow.euler import normalize_angle, reduce_angle, snap_angle, u3_cells, zyz_from_cells
 from qflow.gates import LIBRARY, BasisSet, u3_matrix, unitary_of
 
 from oracles import apply_to_columns, phase_distance
@@ -182,14 +184,6 @@ class TestEulerUtilities:
         assert snap_angle(-1e-12) == 0.0
         assert snap_angle(-PI + 1e-12) == PI
 
-    def test_lattice_power(self):
-        assert lattice_power(0.0) == 0
-        assert lattice_power(PI / 2) == 1
-        assert lattice_power(PI) == 2
-        assert lattice_power(-PI / 2) == 3
-        assert lattice_power(2 * PI) == 0
-        assert lattice_power(PI / 4) is None
-
 
 # angles the circuit rule accepts, whose sum or difference overflows a double
 _BIG = 1.7e308
@@ -201,10 +195,21 @@ def _reduced(t: float, p: float, l: float) -> tuple:
     return t, normalize_angle(p), normalize_angle(l)
 
 
-def test_angle_sum_keeps_a_finite_sum_and_reduces_an_overflowing_one():
-    for a, b in [(0.1, 0.2), (1e308, -1.7e308), (-PI, 2.5), (1e308, 7e307)]:
-        assert angle_sum(a, b) == a + b
-    assert angle_sum(_BIG, _BIG) == 2 * normalize_angle(_BIG)
+@given(st.floats(-2 * PI, 2 * PI))
+@settings(max_examples=300, deadline=None)
+def test_reduce_angle_keeps_an_angle_of_one_turn_bit_for_bit(a):
+    assert struct.pack("<d", reduce_angle(a)) == struct.pack("<d", a)
+
+
+@given(st.floats(-1.7976931348623157e308, 1.7976931348623157e308).filter(
+    lambda a: abs(a) > 2 * PI))
+@settings(max_examples=300, deadline=None)
+def test_reduce_angle_reduces_a_larger_angle_exactly(a):
+    """The remainder mod 2*pi, as the gate matrices take it: the phases
+    agree to within 1e-15, which no sum with an unreduced angle keeps."""
+    r = reduce_angle(a)
+    assert -PI <= r <= PI
+    assert abs(cmath.exp(1j * r) - cmath.exp(1j * a)) <= 1e-15
 
 
 @pytest.mark.parametrize("angles", _OVERFLOWING, ids=str)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflow.circuit import Circuit, Instruction, Register
 from qflow.errors import QFlowError
@@ -52,6 +53,19 @@ def test_unitarity_random_parameters():
             dim = 2 ** spec.arity
             err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
             assert err < 1e-12, f"{name}{params}: {err}"
+
+
+@pytest.mark.parametrize("name", [g for g in sorted(LIBRARY) if LIBRARY[g].param_count])
+@given(angles=st.lists(st.floats(-1.7976931348623157e308, 1.7976931348623157e308),
+                       min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_every_gate_is_unitary_at_every_finite_angle(name, angles):
+    """A huge angle meets a sum only after its exact reduction mod 2*pi,
+    so no smaller angle is rounded away in a matrix cell."""
+    spec = LIBRARY[name]
+    u = unitary_of(name, tuple(angles[: spec.param_count]))
+    err = np.max(np.abs(u.conj().T @ u - np.eye(2 ** spec.arity)))
+    assert err <= 1e-14, f"{name}{angles}: {err}"
 
 
 def _definition_unitary(name: str, params: tuple) -> np.ndarray:

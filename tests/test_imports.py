@@ -5,8 +5,8 @@ or a benchmark script or is public for a reason given here, every option of
 an exported function is passed by another qflow function or a benchmark
 script or is settable for a reason given here, only ``circuit.py`` numbers
 the wires, only the library, the parser and ``circuit.py`` read a gate's
-parameter count, only the parser expands macros and only ``program.py``
-sets an attribute of an op."""
+parameter count, only the parser expands macros, only ``program.py``
+sets an attribute of an op and only ``euler.py`` reduces an angle."""
 
 from __future__ import annotations
 
@@ -252,3 +252,19 @@ def test_only_the_parser_expands_macros(path):
     allowed = {"parser.py": ["qelib1", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"],
                "gates.py": ["qelib1"]}
     assert names == allowed.get(path.name, [])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_euler_reduces_angles(path):
+    """An angle is reduced mod 2*pi by one rule, ``euler.reduce_angle``
+    (and ``normalize_angle`` on it); no other module takes a remainder or
+    an angle from a sine and cosine on its own."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reducers = {"fmod", "atan2", "remainder"}
+    uses = sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in reducers
+                  and isinstance(node.value, ast.Name) and node.value.id == "math")
+    uses += sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "math"
+                   and reducers & {alias.name for alias in node.names})
+    assert path.name == "euler.py" or uses == []

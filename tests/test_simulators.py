@@ -228,6 +228,13 @@ def test_noiseless_dm_evolve_is_the_pure_state(name, source):
     np.testing.assert_allclose(dm_evolve(c), np.outer(psi, psi.conj()), atol=1e-10)
 
 
+def test_a_huge_u3_angle_keeps_the_state_normalized():
+    """u3's cell (1, 1) once took exp(i (p + l)) of a sum that rounded l
+    away, so at p = 1e16 the state's norm read 1.0024."""
+    psi = sv_statevector(parse_qasm(HEADER + "qreg q[1];\nh q[0];\nu3(0.5,1e16,0.2) q[0];\n"))
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
+
+
 def _embedded_statevector(c) -> np.ndarray:
     """|0...0> multiplied by one literal embedding per gate."""
     qoff = offsets(c, "q")

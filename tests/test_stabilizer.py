@@ -22,7 +22,7 @@ from qflow.errors import NonCliffordError
 from qflow.gates import LIBRARY, unitary_of
 from qflow.parser import parse_qasm
 from qflow.program import Program
-from qflow.stabilizer import StabilizerTableau, _StabState, stab_run
+from qflow.stabilizer import StabilizerTableau, _reject, _StabState, stab_run
 from qflow.statevector import sv_statevector
 
 from conftest import corpus_sources, ghz_qasm, random_clifford_qasm
@@ -395,6 +395,8 @@ def test_clifford_u3_off_the_lattice_is_accepted(gate):
     ("rz(0.3) q[0];", r"non-Clifford gate 'rz' \(angle 0.3 is not a multiple of pi/2\)"),
     ("u3(pi/2,0.7,0) q[0];", r"non-Clifford gate 'u3' \(angle 0.7 is not a multiple of pi/2\)"),
     ("crz(0.3) q[0],q[1];", r"non-Clifford gate 'crz' \(angle 0.3 is not a multiple of pi/2\)"),
+    # judged by its remainder mod 2*pi, off the lattice
+    ("rz(1e300) q[0];", r"non-Clifford gate 'rz' \(angle 1e\+300 is not a multiple of pi/2\)"),
 ])
 def test_non_clifford_gates_are_rejected(gate, message):
     with pytest.raises(NonCliffordError, match=message):
@@ -414,6 +416,18 @@ def test_non_clifford_gates_are_rejected(gate, message):
 def test_rejection_names_only_an_angle_off_the_lattice(gate, message):
     with pytest.raises(NonCliffordError, match=message):
         stab_run(parse_qasm(HEADER + "qreg q[2];\nh q[0];\n" + gate + "\n"), shots=4)
+
+
+@pytest.mark.parametrize("angle, on_lattice", [
+    (0.0, True), (math.pi / 2, True), (math.pi, True), (-math.pi / 2, True),
+    (2 * math.pi, True), (math.pi / 2 + 5e-10, True), (math.pi / 4, False),
+    # 4300000 * pi/2 past the fmod range, and two huge angles off the
+    # lattice that a check without normalizing took for multiples of pi/2
+    (6754424.205218055, True), (1e16, False), (1e300, False),
+])
+def test_the_lattice_check_snaps_an_angle_first(angle, on_lattice):
+    message = str(_reject("rz", (angle,)))
+    assert ("is not a multiple of pi/2" not in message) == on_lattice
 
 
 def one_gate_tableau(opcode: str, params: tuple) -> tuple:

@@ -448,20 +448,20 @@ def test_report_depth_and_makespan_come_from_one_schedule(devices, device, opt_l
         _BARRIER_DELAY_PINS[device, opt_level]
 
 
-# angles the rule accepts: ordinary ones, and ones whose sums overflow a
-# double; a circuit with these is checked for compliance only, since such
-# an angle keeps no digit of a smaller one added to it
-_HUGE_ANGLES = (1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, -1.7e308, 1e308)
+# angles the rule accepts beyond those of ordinary circuits: ones that a
+# smaller angle added to them would round away, and ones whose sums overflow
+# a double
+_HUGE_ANGLES = (1e12, 1e16, 6.02e23, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+                1.7e308, -1.7e308, 1e308)
 _GATES = sorted(LIBRARY)
 
 
 @st.composite
 def _programs(draw):
     """A circuit over q[n] (n <= 3) and c[2] with gates, measures, resets,
-    ifs, barriers and delays, and whether it holds a huge angle."""
+    ifs, barriers and delays; a gate's angles are ordinary or huge."""
     n = draw(st.integers(1, 3))
-    huge = draw(st.booleans())
-    angle = st.sampled_from(_HUGE_ANGLES) if huge else st.floats(-7.0, 7.0)
+    angle = st.floats(-7.0, 7.0) | st.sampled_from(_HUGE_ANGLES)
     condition = st.none() | st.tuples(st.just("c"), st.integers(0, 3))
     wire = st.integers(0, n - 1).map(lambda i: ("q", i))
     instrs = []
@@ -486,15 +486,14 @@ def _programs(draw):
             instrs.append(Instruction("delay", (draw(st.integers(0, 9)),), (draw(wire),), (),
                                       draw(condition)))
     registers = (Register("q", "q", n), Register("c", "c", 2))
-    return Circuit(registers, tuple(instrs)), huge
+    return Circuit(registers, tuple(instrs))
 
 
-@given(program=_programs())
+@given(circuit=_programs())
 @settings(max_examples=100, deadline=None)
-def test_every_circuit_the_rule_accepts_transpiles_onto_every_device(devices, program):
-    """The output is compliant and sound (huge angles aside), and the
+def test_every_circuit_the_rule_accepts_transpiles_onto_every_device(devices, circuit):
+    """The output is compliant and sound, huge angles included, and the
     resolution the pipeline installs is the one ``resolve`` builds."""
-    circuit, huge = program
     circuit.resolve()
     for name in _DEVICES:
         device = devices[name]
@@ -504,11 +503,36 @@ def test_every_circuit_the_rule_accepts_transpiles_onto_every_device(devices, pr
             except QFlowError:
                 continue
             assert phys.resolve() == Circuit(phys.registers, phys.instructions).resolve()
-            if huge:
-                allowed = set(device.basis_gates) | {"measure", "barrier", "reset", "delay"}
-                assert {i.opcode for i in phys.instructions} <= allowed
-                assert all((i.qubits[0][1], i.qubits[1][1]) in device.directed_edges()
-                           for i in phys.instructions
-                           if i.opcode in LIBRARY and LIBRARY[i.opcode].arity == 2)
-            else:
+            check_transpiled(circuit, phys, report, device)
+
+
+# angles past 2*pi whose sum with an ordinary angle rounds it away
+_GRID_ANGLES = (1e16, -3e12, 6.02e23, -1e300)
+
+
+@pytest.mark.parametrize("name", [g for g in _GATES if LIBRARY[g].param_count])
+def test_every_gate_at_huge_angles_transpiles_soundly(devices, name):
+    """Each parameter takes each huge angle in turn, the others ordinary
+    ones, and then all take it together."""
+    spec = LIBRARY[name]
+    ordinary = (0.5, 0.3, 0.2)[: spec.param_count]
+    grid = [ordinary[:k] + (a,) + ordinary[k + 1:] for k in range(spec.param_count)
+            for a in _GRID_ANGLES] + [(a,) * spec.param_count for a in _GRID_ANGLES]
+    wires = tuple(("q", i) for i in range(spec.arity))
+    for params in dict.fromkeys(grid):
+        circuit = Circuit((Register("q", "q", spec.arity),),
+                          (Instruction(name, params, wires),))
+        for device in devices.values():
+            for opt_level in (0, 1):
+                phys, report = transpile(circuit, device, opt_level=opt_level)
                 check_transpiled(circuit, phys, report, device)
+
+
+@pytest.mark.parametrize("opt_level", [0, 1])
+def test_a_huge_u3_angle_transpiles_soundly_onto_line5(devices, opt_level):
+    """Sums with phi = 1e300 (retarget_1q's phi + pi, u3_cells's p + l)
+    once kept no digit of the smaller angle: |tr(U^dag V)|/2 read 0.995."""
+    circuit = parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                         "u3(0.5,1e300,0.2) q[0];\ncx q[0],q[1];\n")
+    phys, report = transpile(circuit, devices["line5"], opt_level=opt_level)
+    check_transpiled(circuit, phys, report, devices["line5"])
