@@ -473,7 +473,12 @@ class _Parser:
             self.expect(",")
             if self.peek() != "int":
                 self.error("delay cycle count must be a nonnegative integer")
-            params = (self._int(self.next()),)
+            count = self.next()
+            params = (self._int(count),)
+            try:
+                float(params[0])  # Circuit.resolve takes a count finite as a double
+            except OverflowError:
+                self.error(f"delay cycle count of {len(count[1])} digits is out of range", count)
             self.expect(";")
         elif kw == "barrier" and condition is None:
             args = self._comma_list(self._parse_argument)

@@ -46,12 +46,14 @@ of one-qubit gates on a wire as one gate (both dense backends, the density
 matrix under noise too, where a run's channel is the product of its gates'
 noisy channels; not the tableau, which applies gates by name). A run ends
 where a multi-qubit gate, measure, reset, barrier, delay or conditioned op
-touches its wire.
+touches its wire. A run is one :class:`Op` like any other, of opcode
+``fused``, whose ``run`` lists its gates.
 """
 
 from __future__ import annotations
 
 import os
+from functools import reduce
 
 import numpy as np
 
@@ -69,67 +71,48 @@ ALWAYS_RUN = 1 << 20
 
 
 class Op:
-    """One instruction on global wires. ``clbit`` is the global
-    clbit a measure writes, ``condition`` an (offset, mask, value) test on
-    the classical integer, ``gate`` whether the op is a unitary gate and
-    ``deferred`` whether it is a measure drawn at the leaves. An op holds
-    only what its circuit determines; a kernel depends on the wires a state
-    holds too, so each state keeps its own, by ``key``."""
+    """One instruction on global wires. ``clbit`` is the global clbit a
+    measure writes, ``condition`` an (offset, mask, value) test on the
+    classical integer, ``gate`` whether the op is a unitary gate and
+    ``deferred`` whether it is a measure drawn at the leaves. A ``fused`` op
+    has no instruction; its ``run`` holds the ops it multiplies (see
+    :func:`_fuse`), and ``run`` is None for any other op. An op holds only
+    what its circuit determines; a kernel depends on the wires a state holds
+    too, so each state keeps its own, by ``key``."""
 
-    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "deferred", "_matrix")
+    __slots__ = ("instr", "opcode", "wires", "clbit", "condition", "gate", "deferred", "run",
+                 "_matrix", "_key")
 
-    def __init__(self, instr, wires: tuple, clbit: int | None, condition):
+    def __init__(self, instr, wires: tuple, clbit: int | None = None, condition=None, run=None):
         self.instr = instr
-        self.opcode = instr.opcode
+        self.opcode = "fused" if run else instr.opcode
         self.wires = wires
         self.clbit = clbit
         self.condition = condition
-        self.gate = instr.opcode in LIBRARY
+        self.gate = bool(run) or instr.opcode in LIBRARY
         self.deferred = False
-        self._matrix = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The gate's unitary, built on first use and kept with the program."""
-        if self._matrix is None:
-            self._matrix = unitary_of(self.opcode, self.instr.params)
-        return self._matrix
-
-    @property
-    def key(self) -> tuple:
-        """What the op does, for caches shared by ops that repeat it."""
-        return (self.opcode, self.instr.params, self.wires)
-
-
-class _Fused(Op):
-    """A run of unconditioned one-qubit gates on one wire, as one gate whose
-    matrix is their product."""
-
-    __slots__ = ("run", "_key")
-
-    def __init__(self, run: list[Op]):
         self.run = run
-        self.instr = None
-        self.opcode = "fused"
-        self.wires = run[0].wires
-        self.clbit = None
-        self.condition = None
-        self.gate = True
-        self.deferred = False
         self._matrix = None
-        self._key = ("fused", tuple((op.opcode, op.instr.params) for op in run), self.wires)
+        self._key = None
 
     @property
     def matrix(self) -> np.ndarray:
+        """The gate's unitary, or the product of the run's, built on first
+        use and kept with the program."""
         if self._matrix is None:
-            m = self.run[0].matrix
-            for op in self.run[1:]:
-                m = op.matrix @ m
-            self._matrix = m
+            self._matrix = (unitary_of(self.opcode, self.instr.params) if self.run is None else
+                            reduce(lambda m, op: op.matrix @ m, self.run[1:], self.run[0].matrix))
         return self._matrix
 
     @property
     def key(self) -> tuple:
+        """What the op does, for caches shared by ops that repeat it: the
+        opcode, the parameters (for a run, each op's opcode and parameters)
+        and the wires. Built when a state first asks; the tableau never does."""
+        if self._key is None:
+            params = self.instr.params if self.run is None else tuple(
+                (op.opcode, op.instr.params) for op in self.run)
+            self._key = (self.opcode, params, self.wires)
         return self._key
 
 
@@ -144,7 +127,7 @@ def _fuse(ops: list[Op]) -> list[Op]:
     def flush(w: int) -> None:
         run = runs.pop(w, None)
         if run is not None:
-            out.append(run[0] if len(run) == 1 else _Fused(run))
+            out.append(run[0] if len(run) == 1 else Op(None, run[0].wires, run=run))
 
     for op in ops:
         if op.gate and op.condition is None and len(op.wires) == 1:

@@ -7,15 +7,19 @@ everything else takes its duration-table entry (with per-operand overrides).
 The same walk counts the unit-duration ASAP layers, the depth that
 ``metrics.circuit_depth`` reports: every instruction but a barrier takes
 one layer, and a barrier synchronizes its wires without taking one.
-Durations are looked up once per (opcode, wires).
+Durations are looked up once per (opcode, wires). A schedule whose
+makespan overflows a double is refused with ``TranspileError``, so no
+report holds an infinite time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .circuit import Circuit
 from .device import DeviceConfig
+from .errors import TranspileError
 
 __all__ = ["Schedule", "schedule_asap"]
 
@@ -40,7 +44,8 @@ def instruction_duration_ns(instr, wires, device: DeviceConfig) -> float:
 
 
 def schedule_asap(circuit: Circuit, device: DeviceConfig) -> Schedule:
-    """Schedule a physical circuit; raises if a gate has no duration entry."""
+    """Schedule a physical circuit; raises if a gate has no duration entry
+    or the makespan is not finite."""
     n = circuit.n_qubits
     avail = [0.0] * n        # per wire: time it is free
     level = [0] * n          # per wire: unit-duration layer of its last op
@@ -87,4 +92,6 @@ def schedule_asap(circuit: Circuit, device: DeviceConfig) -> Schedule:
             makespan = end
         if layer > depth:
             depth = layer
+    if not math.isfinite(makespan):
+        raise TranspileError("schedule makespan overflows a double (over 1.8e308 ns)")
     return Schedule(tuple(entries), makespan, depth)

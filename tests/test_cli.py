@@ -244,6 +244,33 @@ def test_help_exits_zero_with_the_usage(capsys, argv):
     assert out.startswith("usage: qflow") and err == ""
 
 
+def _strict_json(text: str):
+    """JSON as the standard defines it: no Infinity, -Infinity or NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("exponent, code, makespan", [
+    (305, 0, 1e308), (306, 3, None),
+], ids=["1e308 ns", "1e309 ns"])
+def test_a_schedule_that_overflows_a_double_is_a_transpile_error(tmp_path, capsys, exponent,
+                                                                 code, makespan):
+    """alltoall11's cycle is 1000 ns, so a delay of 10**306 cycles takes
+    1e309 ns, more than a double holds; the report would print Infinity."""
+    src = write_source(tmp_path, f"OPENQASM 2.0;\nqreg q[1];\ndelay q[0], {10 ** exponent};\n"
+                                 "x q[0];\n")
+    out_path = tmp_path / "o.qasm"
+    assert main(["transpile", str(src), "--device", "alltoall11", "-o", str(out_path)]) == code
+    out, err = capsys.readouterr()
+    if makespan is None:
+        assert (out, err) == ("", "error: schedule makespan overflows a double (over 1.8e308 ns)\n")
+        assert not out_path.exists()
+    else:
+        assert err == ""
+        assert _strict_json(out)["makespan_ns"] == makespan
+
+
 _SPLIT = "warning: device 'split5': coupling graph is not connected"
 
 

@@ -232,3 +232,29 @@ def test_an_overflowing_cu3_template_reduces_both_angles_alike(angles):
     want = apply_to_columns(np.eye(4, dtype=complex), unitary_of("cu3", _reduced(*angles)),
                             [0, 1], 2)
     assert phase_distance(want, _compose_instrs(out, 2)) < 1e-9
+
+
+_HUGE = (3e9, 1e16, 1e300, -1.7e308, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("angle", _HUGE, ids=str)
+def test_every_parametrized_builtin_decomposes_soundly_at_a_huge_angle(angle):
+    """Each parameter at the angle in turn (the others ordinary), then all
+    of them: the template is finite u3/cx whose product is the gate's
+    matrix at the same angles up to global phase."""
+    for name, spec in LIBRARY.items():
+        k = spec.param_count
+        if not k:
+            continue
+        ordinary = (0.5, 0.3, 0.2)[:k]
+        cases = [ordinary[:j] + (angle,) + ordinary[j + 1:] for j in range(k)] + [(angle,) * k]
+        qubits = tuple(("q", j) for j in range(spec.arity))
+        for params in cases:
+            out = decompose_to_u_cx(Instruction(name, params, qubits))
+            assert all(i.opcode in ("u3", "cx") for i in out)
+            assert all(math.isfinite(x) for i in out for x in i.params), (name, params)
+            want = apply_to_columns(np.eye(1 << spec.arity, dtype=complex),
+                                    unitary_of(name, params), list(range(spec.arity)),
+                                    spec.arity)
+            dist = phase_distance(want, _compose_instrs(out, spec.arity))
+            assert dist <= 1e-9, f"{name}{params}: {dist}"

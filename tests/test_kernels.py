@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from qflow.density import _DensityState, _superop, dm_run
 from qflow.gates import unitary_of
 from qflow.parser import parse_qasm
-from qflow.program import Program
+from qflow.program import Op, Program
+from qflow.stabilizer import stab_run
 from qflow.statevector import Kernel, apply_gate, sv_run, sv_statevector
 
 from conftest import corpus_sources, qft_qasm, random_general_qasm
@@ -173,6 +174,22 @@ def test_a_one_qubit_run_ends_at_a_boundary(boundary):
     assert [op.opcode for op in wire0] == ["fused", wire0[1].opcode, "fused", "cx", "measure"]
     assert [op.opcode for op in wire0[0].run] == ["h", "t", "ry"]
     assert wire0[2].run[0] is program.ops[program.ops.index(wire0[1]) + 1]
+
+
+def test_an_op_keeps_its_key_and_matrix_and_the_tableau_never_asks(monkeypatch):
+    """A run is one op like any other: its matrix is the product of its
+    gates' and its key names each of them. Each is built once, on first
+    use; the tableau applies gates by name and never asks for a key."""
+    ops = Program(_boundary_circuit("barrier")).run_ops(True)
+    assert all(op.run is None for op in ops if op.opcode != "fused")
+    fused = next(op for op in ops if op.run)
+    assert fused.key == ("fused", (("h", ()), ("t", ()), ("ry", (0.7,))), (0,))
+    h, t, ry = (op.matrix for op in fused.run)
+    assert np.array_equal(fused.matrix, ry @ (t @ h))
+    assert all(op.key is op.key and op.matrix is op.matrix for op in ops if op.gate)
+    monkeypatch.setattr(Op, "key", property(lambda op: pytest.fail("the tableau read a key")))
+    text = HEADER + "qreg q[2];\ncreg c[2];\nh q[0];\ns q[0];\ncx q[0],q[1];\nmeasure q -> c;\n"
+    assert sum(stab_run(parse_qasm(text), seed=3, shots=16).counts.values()) == 16
 
 
 # Counts at seed 11, 64 shots. These programs branch at their mid-circuit

@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import sys
 from dataclasses import fields
 
 import pytest
@@ -200,6 +201,22 @@ def test_an_integer_literal_too_long_for_int_is_a_qasm_error(statement, col, tmp
     path.write_text(_H + statement)
     assert main(["analyze", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_a_delay_count_too_large_for_a_double_is_a_qasm_error(tmp_path, capsys):
+    """Circuit.resolve takes a delay count that is finite as a double, so the
+    parser refuses a larger one at its token."""
+    top = int(sys.float_info.max)
+    assert parse_qasm(_H + f"delay q[0], {top};").resolve().wires == ((0,),)
+    for count in ("9" * 400, str(2 ** 1024)):
+        with pytest.raises(QasmError) as info:
+            parse_qasm(_H + f"delay q[0], {count};")
+        assert str(info.value) == (f"line 4, col 13: delay cycle count of {len(count)} digits "
+                                   "is out of range")
+        path = tmp_path / "delay.qasm"
+        path.write_text(_H + f"delay q[0], {count};")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
 # One malformed input (or more) per error the parser raises, with the full
 # message: the "line L, col C: " prefix is part of what is pinned. A
