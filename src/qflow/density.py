@@ -4,9 +4,10 @@ rho is held as a flat vector of 4**m complex numbers (16 * 4**m bytes) over
 m wires (``dm_run`` the program's, ``dm_evolve`` all; see "Held wires" in
 qflow.program), the row-major (2**m, 2**m) matrix read as a state of 2m
 qubits: the ket bit of the wire at position i is qubit m+i and its bra bit
-is qubit i. A channel with Kraus operators K on some wires is then the one
-matrix sum K (x) conj(K) on (ket wires..., bra wires...), applied by the
-state-vector kernel.
+is qubit i, so the density state is the state-vector state with two
+qubits per wire and rho as its ``amps``. A channel with Kraus operators K
+on some wires is then the one matrix sum K (x) conj(K) on (ket wires...,
+bra wires...), applied by the state-vector kernel.
 
 Per gate, with a device attached: unitary, then a depolarizing channel with
 the gate's error probability on its operands (joint two-qubit channel for
@@ -104,43 +105,36 @@ def _noise_stage(device: DeviceConfig, opcode: str, wires: tuple,
     return s
 
 
-class _DensityState:
-    """rho of one run or branch over the given wires (ascending), driven op
-    by op by qflow.program's walker over its fused ops. Copies share two
-    caches: ``superops``, the channel of each op key and the noise stage of
-    each ("noise", opcode, wires, duration), and ``kernels``, the kernel of
-    each op key, as a state vector's copies do. ``apply`` is its own, so
-    ``bench/tracer.py`` counts its kernel calls as density's."""
+class _DensityState(_SVState):
+    """rho of one run or branch, a state vector of two qubits per wire (see
+    the module docstring). A copy also shares ``device`` and ``superops``,
+    the channel of each op key and the noise stage of each ("noise",
+    opcode, wires, duration). ``apply`` is its own, so ``bench/tracer.py``
+    counts its kernel calls as density's."""
 
-    fuses = True
     splits_reset = False
+    qubits_per_wire = 2
 
-    def __init__(self, wires, device: DeviceConfig | None, rho: np.ndarray | None = None,
-                 superops: dict | None = None, kernels: dict | None = None):
-        self.wires = tuple(wires)
-        self.pos = {w: i for i, w in enumerate(self.wires)}
-        self.n = len(self.wires)
+    def __init__(self, wires, device: DeviceConfig | None):
+        super().__init__(wires)
         self.device = device
-        if rho is None:
-            rho = np.zeros(1 << (2 * self.n), dtype=complex)
-            rho[0] = 1.0
-        self.rho = rho
-        self.superops = {} if superops is None else superops
-        self.kernels = {} if kernels is None else kernels
+        self.superops = {}
 
     def copy(self) -> "_DensityState":
-        return _DensityState(self.wires, self.device, self.rho.copy(), self.superops,
-                             self.kernels)
+        new = super().copy()
+        new.device = self.device
+        new.superops = self.superops
+        return new
 
     def matrix(self) -> np.ndarray:
-        return self.rho.reshape(1 << self.n, 1 << self.n)
+        return self.amps.reshape(1 << self.n, 1 << self.n)
 
     def apply(self, op) -> None:
         kernels = self.kernels.get(op.key)
         if kernels is None:
             kernels = self.kernels[op.key] = self._kernels(op)
         for kernel in kernels:
-            apply_gate(self.rho, kernel)
+            apply_gate(self.amps, kernel)
 
     def _kernels(self, op) -> tuple:
         """The kernels that apply the op's channel, in order: U on the ket
@@ -190,7 +184,7 @@ class _DensityState:
         return s
 
     def _diagonal(self) -> np.ndarray:
-        return self.rho[::(1 << self.n) + 1].real
+        return self.amps[::(1 << self.n) + 1].real
 
     def p_one(self, op) -> float:
         q = self.pos[op.wires[0]]
@@ -201,8 +195,8 @@ class _DensityState:
         # zero the other outcome on the ket (qubit n+q) and bra (qubit q) side
         q = self.pos[op.wires[0]]
         for b in (self.n + q, q):
-            self.rho.reshape(-1, 2, 1 << b)[:, 1 - bit] = 0.0
-        self.rho /= max(float(self._diagonal().sum()), 1e-300)
+            self.amps.reshape(-1, 2, 1 << b)[:, 1 - bit] = 0.0
+        self.amps /= max(float(self._diagonal().sum()), 1e-300)
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
         p = np.maximum(self._diagonal(), 0.0)
@@ -273,5 +267,5 @@ def dm_run(circuit: Circuit, device: DeviceConfig | None = None, seed: int = 42,
         counts=counts,
         fidelity=fid,
         wall_time_ms=wall,
-        mem_bytes_estimate=16 * (1 << (2 * state.n)),
+        mem_bytes_estimate=state.amps.nbytes,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import QFlowError
 from .euler import u3_cells
-from .qelib1 import QELIB1_INC
+from .qelib1 import QELIB1_DEFS
 
 __all__ = [
     "GateSpec",
@@ -103,20 +103,7 @@ class GateSpec:
 
 
 def _spec(name, arity, nparams, builder, clifford=False):
-    return GateSpec(name, arity, nparams, builder, clifford, _QELIB1_DEFS.get(name))
-
-
-def _extract_qelib1_defs() -> dict[str, str]:
-    defs = {}
-    for line in QELIB1_INC.splitlines():
-        line = line.strip()
-        if line.startswith("gate "):
-            name = line[5:].split("(")[0].split()[0].rstrip(",")
-            defs[name] = line
-    return defs
-
-
-_QELIB1_DEFS = _extract_qelib1_defs()
+    return GateSpec(name, arity, nparams, builder, clifford, QELIB1_DEFS.get(name))
 
 LIBRARY: dict[str, GateSpec] = {}
 for spec in [

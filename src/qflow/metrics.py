@@ -24,7 +24,7 @@ incidences and are excluded from the retention maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .circuit import Circuit
 from .gates import LIBRARY
@@ -47,19 +47,7 @@ class MetricsReport:
     basis_histogram: dict
 
     def to_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "n_gates": self.n_gates,
-            "n_1q": self.n_1q,
-            "n_2q": self.n_2q,
-            "n_measure": self.n_measure,
-            "depth": self.depth,
-            "gate_density": self.gate_density,
-            "retention_lifespan": self.retention_lifespan,
-            "entanglement_variance": self.entanglement_variance,
-            "measurement_density": self.measurement_density,
-            "basis_histogram": dict(sorted(self.basis_histogram.items())),
-        }
+        return {**asdict(self), "basis_histogram": dict(sorted(self.basis_histogram.items()))}
 
 
 def _layering(circuit: Circuit):

@@ -60,7 +60,7 @@ from typing import NoReturn
 from .circuit import MAX_REGISTER_SIZE, Circuit, Instruction, Register
 from .errors import QasmError
 from .gates import LIBRARY
-from .qelib1 import QELIB1_INC
+from .qelib1 import QELIB1_DEFS
 
 __all__ = ["parse_qasm", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
 
@@ -97,8 +97,8 @@ _CALL_RE = re.compile(
     """,
     re.VERBOSE | re.ASCII,
 )
-# call name -> (opcode, parameter count, arity), as _parse_call reads a
-# name that no macro shadows
+# call name -> (opcode, parameter count, arity) of U, CX and each library
+# gate; a macro shadows a library name, never U or CX
 _CALLS = {name: (name, spec.param_count, spec.arity) for name, spec in LIBRARY.items()}
 _CALLS.update(U=("u3", 3, 1), CX=("cx", 0, 2))
 
@@ -545,16 +545,11 @@ class _Parser:
         parameter expressions, operands). With no formals in scope every
         expression folds to a float."""
         name = tok[1]
-        if name == "U":
-            opcode, n_params, arity = "u3", 3, 1
-        elif name == "CX":
-            opcode, n_params, arity = "cx", 0, 2
-        elif name in self.macros:
+        if name in self.macros and name not in ("U", "CX"):
             opcode = self.macros[name]
             n_params, arity = len(opcode.params), opcode.arity
-        elif name in LIBRARY:
-            spec = LIBRARY[name]
-            opcode, n_params, arity = name, spec.param_count, spec.arity
+        elif name in _CALLS:
+            opcode, n_params, arity = _CALLS[name]
         else:
             self.error(f"undeclared gate '{name}'", tok)
         exprs = []
@@ -675,7 +670,7 @@ def _defined_macros(text: str) -> tuple:
 # the macros that include "qelib1.inc" defines: its gates outside the
 # library, whose bodies call library gates
 _QELIB1_MACROS = _defined_macros("".join(
-    m[0] for m in re.finditer(r"^gate (\w+).*\n", QELIB1_INC, re.M) if m[1] not in LIBRARY))
+    line + "\n" for name, line in QELIB1_DEFS.items() if name not in LIBRARY))
 
 
 def parse_qasm(text: str) -> Circuit:

@@ -15,7 +15,9 @@ differently (``0.0 == -0.0``, ``1 == 1.0 == True``), so an instruction with
 a parameter that is not a nonzero float bypasses the memo and is printed
 as it would be alone. A memo that holds more than 1024 lines, over half of
 the instructions so far, is dropped: the circuit does not repeat, and
-lookups would cost more than they save.
+lookups would cost more than they save. An instruction with a field that
+cannot be hashed (an ``if`` value of an int subclass without a hash, say)
+bypasses the memo too.
 """
 
 from __future__ import annotations
@@ -72,7 +74,10 @@ def print_qasm(circuit: Circuit) -> str:
                     break
             else:
                 key = (instr.opcode, instr.params, instr.qubits, instr.clbits, instr.condition)
-                line = memo.get(key)
+                try:
+                    line = memo.get(key)
+                except TypeError:  # a field that cannot be hashed
+                    key = None
         if line is None:
             line = _fmt_instruction(instr)
             if key is not None:

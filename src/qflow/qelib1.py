@@ -4,7 +4,11 @@
 read from the filesystem. All one- and two-qubit gates defined here are also
 native library gates (see :mod:`qflow.gates`), so the include adds only the
 three-qubit macros (``ccx``, ``cswap``), which the parser expands.
+``QELIB1_DEFS`` maps each gate name to its definition line, in file order;
+the gate library and the parser read the text through it.
 """
+
+import re
 
 QELIB1_INC = """\
 // standard OpenQASM 2.0 gate library
@@ -44,3 +48,5 @@ gate cu3(theta,phi,lambda) c,t { u1((lambda+phi)/2) c; u1((lambda-phi)/2) t; cx 
 gate rxx(theta) a,b { u3(pi/2,theta,0) a; h b; cx a,b; u1(-theta) b; cx a,b; h b; u2(-pi,pi-theta) a; }
 gate rzz(theta) a,b { cx a,b; u1(theta) b; cx a,b; }
 """
+
+QELIB1_DEFS = {m[1]: m[0] for m in re.finditer(r"^gate (\w+).*$", QELIB1_INC, re.M)}

@@ -35,12 +35,16 @@ shot-major block: the same draws, in the same order, as one
 ``rng.integers(2)`` per random outcome per shot, so seeded counts equal
 those of a per-shot run.
 
-A conditioned circuit goes through the shot walker of qflow.program:
-``p_one`` runs the row elimination once, leaving a random outcome's tableau
-at outcome 0, and ``collapse`` sets the new stabilizer row's sign for 1. A
-leaf draws its shots from the deferred qubits' affine outcomes. No run
-returns its tableau; ``StabilizerTableau.apply`` of each ``Program`` gate op gives it.
-A circuit wider than the fixed cap DEFAULT_STAB_CAP raises SimulationError.
+A conditioned circuit goes through the shot walker of qflow.program, which
+meets a gate only on the branches that reach it; so each gate is first
+applied in program order to a two-qubit tableau, and the first that is not
+Clifford is refused whatever the seed. ``p_one`` runs the row elimination
+once, leaving a random outcome's tableau at outcome 0, and ``collapse``
+sets the new stabilizer row's sign for 1. A leaf draws its shots from the
+deferred qubits' affine outcomes. No run returns its tableau;
+``StabilizerTableau.apply`` of each ``Program`` gate op gives it. A circuit
+wider than the fixed cap DEFAULT_STAB_CAP raises SimulationError. A run
+reports the tableau's size in bytes, ``base_mem``.
 """
 
 from __future__ import annotations
@@ -387,6 +391,10 @@ def stab_run(circuit: Circuit, seed: int = 42, shots: int = 1024) -> RunResult:
     program.check_limits("stabilizer", DEFAULT_STAB_CAP, shots=shots, seed=seed)
     tab = StabilizerTableau(program.n)
     if any(op.condition is not None for op in program.ops):
+        probe = StabilizerTableau(2)
+        for op in program.ops:
+            if op.gate:
+                probe.apply(op.opcode, op.instr.params, (0, 1)[:len(op.wires)])
         counts = walk(program, _StabState(tab, shots), shots, seed)
     else:
         counts = _keyed(_sample_affine(*_affine_outcomes(program, tab), shots,
@@ -404,5 +412,5 @@ def stab_run(circuit: Circuit, seed: int = 42, shots: int = 1024) -> RunResult:
 
 
 def base_mem(n: int) -> int:
-    # x and z blocks plus the sign column
-    return 2 * (2 * n + 1) * n + (2 * n + 1)
+    """Bytes of the tableau: 2n rows of n x bits, n z bits and a sign."""
+    return (2 * n * (2 * n + 1) + 7) // 8

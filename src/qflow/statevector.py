@@ -1,10 +1,10 @@
 """Dense state-vector simulation.
 
-The state is a complex array of length 2**m over the m wires a run holds
-(see "Held wires" in qflow.program), little-endian (qubit 0 is the least
-significant bit of a basis index). One entry point, apply_gate, applies a
-:class:`Kernel` (a matrix on fixed wires of an n-qubit state) in place; the
-density-matrix backend drives it too, with rho as a vector of 2n qubits.
+A state holds ``amps``, a complex array of length 2**m over the m wires a
+run holds (see "Held wires" in qflow.program), little-endian (qubit 0 is
+the least significant bit of a basis index). One entry point, apply_gate,
+applies a :class:`Kernel` (a matrix on fixed wires of an n-qubit state) in
+place; the density-matrix state is a subclass, rho its ``amps`` of 2m qubits.
 
 A kernel is classified once, when it is built, by the exact-zero pattern of
 its matrix, so fused products and superoperators are classified like named
@@ -200,25 +200,31 @@ def apply_gate(state: np.ndarray, kernel: Kernel) -> None:
 # -- state ---------------------------------------------------------------------
 
 class _SVState:
-    """Amplitudes of one branch over the given wires (ascending), driven op
-    by op by qflow.program's walker over its fused ops. Copies share
-    ``kernels``, the kernel of each op key."""
+    """Amplitudes ``amps`` of one branch, ``qubits_per_wire`` qubits per
+    given wire (ascending), driven op by op by qflow.program's walker over
+    its fused ops. A copy owns only its array and shares every other
+    attribute, ``kernels`` (the kernel of each op key) among them."""
 
     fuses = True
     splits_reset = True
+    qubits_per_wire = 1
 
-    def __init__(self, wires, amps: np.ndarray | None = None, kernels: dict | None = None):
+    def __init__(self, wires):
         self.wires = tuple(wires)
         self.pos = {w: i for i, w in enumerate(self.wires)}
         self.n = len(self.wires)
-        if amps is None:
-            amps = np.zeros(1 << self.n, dtype=complex)
-            amps[0] = 1.0
-        self.amps = amps
-        self.kernels = {} if kernels is None else kernels
+        self.amps = np.zeros(1 << (self.qubits_per_wire * self.n), dtype=complex)
+        self.amps[0] = 1.0
+        self.kernels = {}
 
     def copy(self) -> "_SVState":
-        return _SVState(self.wires, self.amps.copy(), self.kernels)
+        new = object.__new__(type(self))
+        new.wires = self.wires
+        new.pos = self.pos
+        new.n = self.n
+        new.kernels = self.kernels
+        new.amps = self.amps.copy()
+        return new
 
     def apply(self, op) -> None:
         if op.gate:
@@ -280,6 +286,6 @@ def sv_run(circuit: Circuit, seed: int = 42, shots: int = 1024) -> RunResult:
         seed=seed,
         counts=counts,
         wall_time_ms=wall,
-        mem_bytes_estimate=16 * (1 << state.n),
+        mem_bytes_estimate=state.amps.nbytes,
         amplitudes=program.expand(state.amps) if program.unitary else None,
     )

@@ -34,7 +34,7 @@ H(target), with the Hadamards realized in the device's one-qubit family.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .circuit import Circuit, Instruction, derived
 from .decompose import _H3, decompose_to_u_cx, resolve_1q_family, retarget_1q, retarget_2q
@@ -65,17 +65,9 @@ class TranspileReport:
     makespan_ns: float
 
     def to_dict(self) -> dict:
-        return {
-            "basis_histogram": dict(sorted(self.basis_histogram.items())),
-            "n_1q": self.n_1q,
-            "n_2q": self.n_2q,
-            "n_swap": self.n_swap,
-            "depth_in": self.depth_in,
-            "depth_out": self.depth_out,
-            "layout_initial": list(self.layout_initial),
-            "layout_final": list(self.layout_final),
-            "makespan_ns": self.makespan_ns,
-        }
+        return {**asdict(self), "basis_histogram": dict(sorted(self.basis_histogram.items())),
+                "layout_initial": list(self.layout_initial),
+                "layout_final": list(self.layout_final)}
 
 
 # -- one-qubit runs ------------------------------------------------------------

@@ -4,6 +4,7 @@ manifests against their JSON schemas, format round trips and exit codes."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from qflow.binio import decode_binary, encode_binary
 from qflow.cli import main
 from qflow.device import bundled_device_names, load_bundled_device
+from qflow.metrics import MetricsReport
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
-from qflow.transpile import transpile
+from qflow.transpile import TranspileReport, transpile
 
 from conftest import bell_qasm, corpus_sources, ghz_qasm, qft_qasm, random_general_qasm
 
@@ -87,6 +89,18 @@ def test_analyze_report_matches_schema(tmp_path, capsys, name, source):
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, schema("metrics_report"))
     assert report["n_qubits"] == parse_qasm(source).n_qubits
+
+
+@pytest.mark.parametrize("command, report_type", [
+    (["transpile", "--device", "grid9"], TranspileReport), (["analyze"], MetricsReport)])
+def test_reports_print_their_keys_in_field_order(tmp_path, capsys, command, report_type):
+    src = write_source(tmp_path, qft_qasm(4) + "creg c[4];\nmeasure q -> c;\n")
+    out = ["-o", str(tmp_path / "out.qasm")] if command[0] == "transpile" else []
+    assert main([command[0], str(src), *command[1:], *out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == [f.name for f in dataclasses.fields(report_type)]
+    assert list(report["basis_histogram"]) == sorted(report["basis_histogram"])
+    assert len(report["basis_histogram"]) > 1
 
 
 @pytest.mark.parametrize("backend, source, device", [

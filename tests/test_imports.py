@@ -6,7 +6,8 @@ an exported function is passed by another qflow function or a benchmark
 script or is settable for a reason given here, only ``circuit.py`` numbers
 the wires, only the library, the parser and ``circuit.py`` read a gate's
 parameter count, only the parser expands macros, only ``program.py``
-sets an attribute of an op and only ``euler.py`` reduces an angle."""
+sets an attribute of an op, only ``euler.py`` reduces an angle and only
+``qelib1.py`` names the text of the include."""
 
 from __future__ import annotations
 
@@ -268,3 +269,16 @@ def test_only_euler_reduces_angles(path):
                    if isinstance(node, ast.ImportFrom) and node.module == "math"
                    and reducers & {alias.name for alias in node.names})
     assert path.name == "euler.py" or uses == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_qelib1_names_the_include_text(path):
+    """``qelib1.py`` reads its text once, into the table ``QELIB1_DEFS`` of
+    each gate's definition line; the library and the parser read that
+    table, so no other module scans the text for its gates again."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "QELIB1_INC")
+    uses += sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and "QELIB1_INC" in {alias.name for alias in node.names})
+    assert path.name == "qelib1.py" or uses == []

@@ -91,12 +91,12 @@ def test_a_noiseless_one_wire_channel_is_u_on_the_ket_and_conj_u_on_the_bra():
                 text = "".join(f"{_random_u3(rng)} q[{q}];\n" for _ in range(gates))
                 op, = Program(parse_qasm(HEADER + f"qreg q[{n}];\n" + text)).run_ops(True)
                 state = _DensityState(range(n), None)
-                state.rho = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
-                expected = state.rho.copy()
+                state.amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+                expected = state.amps.copy()
                 apply_gate(expected, Kernel(_superop([op.matrix]), 2 * n, (n + q, q)))
                 state.apply(op)
                 assert [k.wires for k in state.kernels[op.key]] == [(n + q,), (q,)]
-                np.testing.assert_allclose(state.rho, expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
 
 
 def test_one_wire_general_kernels_move_no_axes(monkeypatch):

@@ -172,3 +172,20 @@ def test_numpy_scalars_print_as_the_numbers_they_hold():
     text = print_qasm(c)
     assert text.splitlines()[-2:] == ["rz(0.5) q[0];", "u3(0.25,2,-1) q[0];"]
     assert parse_qasm(text) == c
+
+
+class _UnhashableInt(int):
+    __hash__ = None
+
+
+def test_an_if_value_that_cannot_be_hashed_prints_and_reads_back():
+    # Circuit.resolve accepts the value, so the printer's memo must skip it
+    regs = (Register("q", "q", 1), Register("c", "c", 1))
+    c = Circuit(registers=regs, instructions=(
+        Instruction("x", (), (("q", 0),), (), ("c", _UnhashableInt(1))),
+        Instruction("x", (), (("q", 0),), (), ("c", 1)),
+    ))
+    c.resolve()
+    text = print_qasm(c)
+    assert text.splitlines()[-2:] == ["if(c==1) x q[0];", "if(c==1) x q[0];"]
+    assert parse_qasm(text) == c

@@ -457,7 +457,7 @@ def test_one_program_evolves_into_states_that_hold_different_wires():
     own: evolving a program into one layout leaves it fit for another."""
     text = HEADER + "qreg q[3];\nh q[1];\ncx q[1],q[2];\nrz(0.3) q[2];\n"
     backends = ((statevector._SVState, lambda state: state.amps),
-                (lambda wires: _DensityState(wires, None), lambda state: state.rho))
+                (lambda wires: _DensityState(wires, None), lambda state: state.amps))
     for make, values in backends:
         prog = program.Program(parse_qasm(text))
         program.evolve(prog, make(prog.wires))
@@ -465,6 +465,25 @@ def test_one_program_evolves_into_states_that_hold_different_wires():
         program.evolve(prog, reused)
         program.evolve(program.Program(parse_qasm(text)), fresh)
         assert values(reused).tobytes() == values(fresh).tobytes()
+
+
+@pytest.mark.parametrize("make, shared", [
+    (statevector._SVState, ("wires", "pos", "n", "kernels")),
+    (lambda wires: _DensityState(wires, load_bundled_device("line5")),
+     ("wires", "pos", "n", "kernels", "device", "superops")),
+])
+def test_a_dense_copy_owns_only_its_array(make, shared):
+    prog = program.Program(parse_qasm(HEADER + "qreg q[3];\nsx q[0];\ncx q[0],q[2];\n"))
+    state = make(prog.wires)
+    program.evolve(prog, state)
+    copy = state.copy()
+    assert type(copy) is type(state)
+    assert sorted(vars(copy)) == sorted(vars(state)) == sorted(shared + ("amps",))
+    for name in shared:
+        assert getattr(copy, name) is getattr(state, name)
+    assert copy.amps is not state.amps and not np.shares_memory(copy.amps, state.amps)
+    assert copy.amps.tobytes() == state.amps.tobytes()
+    assert copy.amps.nbytes == 16 << (len(prog.wires) * (2 if "device" in shared else 1))
 
 
 def test_noisy_dm_run_checks_no_instruction_of_a_transpiled_circuit(line5, monkeypatch):

@@ -418,6 +418,31 @@ def test_rejection_names_only_an_angle_off_the_lattice(gate, message):
         stab_run(parse_qasm(HEADER + "qreg q[2];\nh q[0];\n" + gate + "\n"), shots=4)
 
 
+@pytest.mark.parametrize("shots", [1, 64])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("body", [
+    # the walker meets the t only on the branches that read 1
+    "h q[0];\nmeasure q[0] -> c[0];\nif(c==1) t q[0];\nmeasure q[0] -> c[0];\n",
+    # an if that never holds
+    "measure q[0] -> c[0];\nif(c==1) t q[0];\n",
+    # the first in program order, though each branch meets only one of them
+    "h q[0];\nmeasure q[0] -> c[0];\nif(c==0) t q[0];\nif(c==1) rz(0.3) q[0];\n",
+])
+def test_a_conditioned_non_clifford_gate_is_refused_at_every_seed(body, seed, shots):
+    source = HEADER + "qreg q[1];\ncreg c[1];\n" + body
+    with pytest.raises(NonCliffordError, match="^non-Clifford gate 't'$"):
+        stab_run(parse_qasm(source), seed=seed, shots=shots)
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (50, 1263)])
+@pytest.mark.parametrize("condition", ["", "if(c==1) "])
+def test_a_run_reports_the_bytes_of_its_tableau(n, size, condition):
+    """2n rows of n x bits, n z bits and a sign, rounded up to whole bytes."""
+    source = HEADER + f"qreg q[{n}];\ncreg c[1];\nh q[0];\n{condition}x q[0];\n"
+    result = stab_run(parse_qasm(source), shots=4)
+    assert result.mem_bytes_estimate == size == math.ceil(2 * n * (2 * n + 1) / 8)
+
+
 @pytest.mark.parametrize("angle, on_lattice", [
     (0.0, True), (math.pi / 2, True), (math.pi, True), (-math.pi / 2, True),
     (2 * math.pi, True), (math.pi / 2 + 5e-10, True), (math.pi / 4, False),
