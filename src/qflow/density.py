@@ -14,10 +14,11 @@ the gate's error probability on its operands (joint two-qubit channel for
 two-qubit gates), then thermal relaxation on each operand for the gate's
 duration. A delay applies relaxation only, for cycles * cycle_time_ns. The
 noise is one superoperator per noise stage, keyed by (opcode, wires,
-duration), with each operand's 4x4 relaxation placed on its own (ket, bra)
-pair; a gate's channel is that stage times the gate's superoperator, built
-once per (opcode, params, wires). Every channel and stage is built once per
-run and shared by every op that repeats it and by every branch.
+duration), built from the closed forms of qflow.noise rather than from
+Kraus lists, with each operand's 4x4 relaxation placed on its own (ket,
+bra) pair; a gate's channel is that stage times the gate's superoperator,
+built once per (opcode, params, wires). Every channel and stage is built
+once per run and shared by every op that repeats it and by every branch.
 
 Runs of one-qubit gates are fused, as for the state vector (see
 qflow.program). A run's channel is the product of its gates' 4x4 channels,
@@ -26,10 +27,12 @@ gate and the result is exact. Each channel becomes a state-vector kernel
 once, when it is built, and inherits its class from its zero pattern: the
 superoperator of a diagonal unitary is diagonal and that of a permutation
 with phases is a permutation with phases on (ket, bra), so both run as
-slice updates. Without a device, a general one-wire gate or fused run U on
-the wire at position q is not one 4x4 kernel on wires m apart: its channel
-U (x) conj(U) is applied as two one-wire kernels, U on the ket qubit m+q
-and conj(U) on the bra qubit q, each one contiguous matmul.
+slice updates. A general one-wire gate or fused run U on the wire at
+position q none of whose gates has a noise stage (every gate without a
+device, or on a device that gives it no error and no relaxation) is not one
+4x4 kernel on wires m apart: its channel U (x) conj(U) is applied as two
+one-wire kernels, U on the ket qubit m+q and conj(U) on the bra qubit q,
+each one contiguous matmul.
 
 Every run goes through the shot walker of qflow.program: ``p_one`` reads
 the diagonal and ``collapse`` zeroes the other outcome on ket and bra; a
@@ -55,7 +58,7 @@ import numpy as np
 from .circuit import Circuit
 from .device import DeviceConfig
 from .errors import SimulationError
-from .noise import depolarizing_kraus, thermal_relaxation_kraus
+from .noise import depolarizing_superop, thermal_relaxation_superop
 from .program import Program, evolve, walk
 from .results import RunResult, sample_marginal
 from .schedule import instruction_duration_ns
@@ -89,12 +92,12 @@ def _noise_stage(device: DeviceConfig, opcode: str, wires: tuple,
     s = None
     p = device.error_of(opcode, wires)
     if p > 0.0:
-        s = _superop(depolarizing_kraus(p, k))
+        s = depolarizing_superop(p, k)
     relax = []
     for w in wires if dur > 0.0 else ():
         t1_ns, t2_ns = device.t1_us[w] * 1000.0, device.t2_us[w] * 1000.0
         relax.append(_IDENTITY if math.isinf(t1_ns) and math.isinf(t2_ns)
-                     else _superop(thermal_relaxation_kraus(dur, t1_ns, t2_ns)))
+                     else thermal_relaxation_superop(dur, t1_ns, t2_ns))
     if any(one is not _IDENTITY for one in relax):
         # operand j's 4x4 takes row axes (j, k + j) and column axes (2k + j, 3k + j)
         terms = []
@@ -134,15 +137,16 @@ class _DensityState(_SVState):
         if kernels is None:
             kernels = self.kernels[op.key] = self._kernels(op)
         for kernel in kernels:
-            apply_gate(self.amps, kernel)
+            apply_gate(self.amps, kernel, self.work)
 
     def _kernels(self, op) -> tuple:
         """The kernels that apply the op's channel, in order: U on the ket
-        wire and conj(U) on the bra wire for a noiseless general one-wire
-        gate, else the one kernel of its superoperator (none when the op
-        leaves rho unchanged)."""
+        wire and conj(U) on the bra wire for a general one-wire gate or run
+        none of whose gates has a noise stage, else the one kernel of its
+        superoperator (none when the op leaves rho unchanged)."""
         m = 2 * self.n
-        if self.device is None and op.gate and len(op.wires) == 1:
+        if (op.gate and len(op.wires) == 1
+                and all(self._noise(gate) is None for gate in op.run or (op,))):
             q = self.pos[op.wires[0]]
             ket = Kernel(op.matrix, m, (self.n + q,))
             if ket.kind == "general":
@@ -161,7 +165,6 @@ class _DensityState(_SVState):
         key = op.key
         if key in self.superops:
             return self.superops[key]
-        device = self.device
         if op.opcode == "fused":
             s = self._channel(op.run[0])
             for gate in op.run[1:]:
@@ -172,16 +175,22 @@ class _DensityState(_SVState):
                 s = _superop([op.matrix])
             elif op.opcode == "reset":
                 s = _superop(_RESET_KRAUS)
-            if device is not None and op.opcode != "barrier":
-                dur = instruction_duration_ns(op.instr, op.wires, device)
-                stage = ("noise", op.opcode, op.wires, dur)
-                if stage not in self.superops:
-                    self.superops[stage] = _noise_stage(device, *stage[1:])
-                noise = self.superops[stage]
-                if noise is not None:
-                    s = noise if s is None else noise @ s
+            noise = self._noise(op)
+            if noise is not None:
+                s = noise if s is None else noise @ s
         self.superops[key] = s
         return s
+
+    def _noise(self, op) -> np.ndarray | None:
+        """The noise stage after a non-fused op, None without one; built
+        once per ("noise", opcode, wires, duration)."""
+        if self.device is None or op.opcode == "barrier":
+            return None
+        dur = instruction_duration_ns(op.instr, op.wires, self.device)
+        stage = ("noise", op.opcode, op.wires, dur)
+        if stage not in self.superops:
+            self.superops[stage] = _noise_stage(self.device, *stage[1:])
+        return self.superops[stage]
 
     def _diagonal(self) -> np.ndarray:
         return self.amps[::(1 << self.n) + 1].real

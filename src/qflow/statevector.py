@@ -27,11 +27,17 @@ gates:
     (one BLAS thread, 2-vCPU Xeon VM, best of 30): at 16 qubits 0.20-0.41
     ms right for w <= 4 and 0.26-0.71 ms batched for w >= 5, against
     0.31-1.43 ms for moving the axis to the front;
-  * general on several wires: the wires' axes are moved to the front and
-    one matmul of the matrix against the (2**k, rest) block does the work.
+  * general on several wires: the state viewed with the wires' axes between
+    blocks of the other qubits (as for the slices below) is transposed to
+    bring the wires' axes first and copied into a work buffer; one matmul of
+    the matrix against its (2**k, rest) form writes a second buffer, which is
+    copied back. The two state-sized buffers belong to the state and its
+    copies, allocated by its first such kernel, so a call allocates nothing:
+    fresh state-sized temporaries were page-faulted in again on every call
+    (a noisy dm run of qft9 on alltoall11 in a fresh process took 94k-100k
+    minor faults with them, 2.3k without).
 
-The slices are index tuples into the state viewed with the wires' axes
-between blocks of the other qubits, built once per kernel.
+The slices are index tuples into that view, built once per kernel.
 
 Each run of one-qubit gates on a wire reaches a kernel as one 2x2 product
 (see qflow.program). A kernel depends on the wires the state holds, so the
@@ -80,9 +86,10 @@ class Kernel:
     views the state as ``shape`` and holds ``scales``, (slice, phase) pairs
     multiplied in place, and ``cycles``, (saved slice, moves) pairs whose
     moves write ``dst = phase * src`` in order, ``src`` None standing for
-    the saved copy. A general kernel holds the matrix; on one wire it views
-    the state as ``shape`` and holds ``right``, (matrix (x) I)^T for a low
-    wire, else None; on several wires it holds their ``axes``.
+    the saved copy. A general kernel holds the matrix and views the state
+    as ``shape``; on one wire it holds ``right``, (matrix (x) I)^T for a low
+    wire, else None; on several wires ``axes`` transposes the view to put
+    the wires' axes first, in order, then the blocks.
     """
 
     __slots__ = ("n", "wires", "matrix", "kind", "shape", "scales", "cycles", "axes", "right")
@@ -100,7 +107,11 @@ class Kernel:
             self.kind = "general"
             self.axes = self.right = None
             if len(wires) > 1:
-                self.axes = [n - 1 - w for w in wires]
+                # _slices puts the wires in descending order on the odd axes
+                self.shape = _slices(n, wires)[0]
+                high = sorted(wires, reverse=True)
+                self.axes = (tuple(2 * high.index(w) + 1 for w in wires)
+                             + tuple(range(0, len(self.shape), 2)))
             elif (lo := 1 << wires[0]) <= _RIGHT_MAX:
                 self.shape = (-1, 2 * lo)
                 # (matrix (x) I_lo)^T: entry [i*lo + k, j*lo + k] is matrix[j, i];
@@ -168,8 +179,10 @@ def _slices(n: int, wires: tuple) -> tuple[tuple, tuple]:
     return tuple(shape), tuple(index)
 
 
-def apply_gate(state: np.ndarray, kernel: Kernel) -> None:
-    """Apply a kernel to a flat state of kernel.n qubits, in place."""
+def apply_gate(state: np.ndarray, kernel: Kernel, work: list) -> None:
+    """Apply a kernel to a flat state of kernel.n qubits, in place. ``work``
+    is the state's list of the two buffers of a general kernel on several
+    wires, filled on first use."""
     if kernel.kind == "general":
         if kernel.axes is None:  # one wire: one matmul over contiguous blocks
             view = state.reshape(kernel.shape)
@@ -178,11 +191,14 @@ def apply_gate(state: np.ndarray, kernel: Kernel) -> None:
             else:
                 np.matmul(view, kernel.right, out=view)
             return
-        # axis a of the reshaped state is qubit n-1-a; moving the wires' axes
-        # to the front was measured faster than moving them last
-        k = len(kernel.wires)
-        view = np.moveaxis(state.reshape((2,) * kernel.n), kernel.axes, range(k))
-        view[...] = (kernel.matrix @ view.reshape(1 << k, -1)).reshape(view.shape)
+        if not work:
+            work += (np.empty_like(state), np.empty_like(state))
+        a, b = work
+        view = state.reshape(kernel.shape).transpose(kernel.axes)
+        np.copyto(a.reshape(view.shape), view)
+        rows = 1 << len(kernel.wires)
+        np.matmul(kernel.matrix, a.reshape(rows, -1), out=b.reshape(rows, -1))
+        np.copyto(view, b.reshape(view.shape))
         return
     view = state.reshape(kernel.shape)
     for index, phase in kernel.scales:
@@ -203,7 +219,8 @@ class _SVState:
     """Amplitudes ``amps`` of one branch, ``qubits_per_wire`` qubits per
     given wire (ascending), driven op by op by qflow.program's walker over
     its fused ops. A copy owns only its array and shares every other
-    attribute, ``kernels`` (the kernel of each op key) among them."""
+    attribute, ``kernels`` (the kernel of each op key) and ``work`` (the
+    buffers of apply_gate) among them."""
 
     fuses = True
     splits_reset = True
@@ -216,6 +233,7 @@ class _SVState:
         self.amps = np.zeros(1 << (self.qubits_per_wire * self.n), dtype=complex)
         self.amps[0] = 1.0
         self.kernels = {}
+        self.work = []
 
     def copy(self) -> "_SVState":
         new = object.__new__(type(self))
@@ -223,6 +241,7 @@ class _SVState:
         new.pos = self.pos
         new.n = self.n
         new.kernels = self.kernels
+        new.work = self.work
         new.amps = self.amps.copy()
         return new
 
@@ -233,7 +252,7 @@ class _SVState:
             if kernel is None:
                 kernel = self.kernels[key] = Kernel(op.matrix, self.n,
                                                     [self.pos[w] for w in op.wires])
-            apply_gate(self.amps, kernel)
+            apply_gate(self.amps, kernel, self.work)
 
     def p_one(self, op) -> float:
         ones = self.amps.reshape(-1, 2, 1 << self.pos[op.wires[0]])[:, 1]  # axis 1: the qubit

@@ -28,6 +28,8 @@ PUBLIC_WITHOUT_CALLER = {
     "Resolution": "the type Circuit.resolve returns",
     "sv_statevector": "the documented way to evolve a state vector without sampling",
     "dm_evolve": "the documented way to evolve a density matrix without sampling",
+    "depolarizing_kraus": "the Kraus form of the channel qflow.density builds in closed form",
+    "thermal_relaxation_kraus": "the Kraus form of the channel qflow.density builds in closed form",
     "DEFAULT_SV_CAP": "the qubit cap sv_run applies unless QFLOW_QUBIT_CAP_SV sets another",
     "DEFAULT_DM_CAP": "the qubit cap dm_run applies unless QFLOW_QUBIT_CAP_DM sets another",
     "DEFAULT_STAB_CAP": "the fixed qubit cap of stab_run",
@@ -47,6 +49,7 @@ PUBLIC_WITHOUT_CALLER = {
 # benchmark script passes, each with the reason it is settable
 OPTION_WITHOUT_CALLER = {
     ("dm_evolve", "device"): "the noise model, which the noise checks dm_evolve exists for set",
+    ("depolarizing_kraus", "n_qubits"): "public; the reference the closed form is checked against",
 }
 
 

@@ -1,20 +1,25 @@
 """The dense kernel family and one-qubit fusion: diagonal, monomial and
 general kernels against the literal embedding, the classes superoperators
-inherit, where fusion stops, and amplitudes against the dense unitary."""
+inherit, the work buffers of multi-wire kernels, where a channel splits,
+where fusion stops, and amplitudes against the dense unitary."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow.density import _DensityState, _superop, dm_run
+from qflow.density import _DensityState, _superop, dm_evolve, dm_run
+from qflow.device import load_bundled_device
 from qflow.gates import unitary_of
 from qflow.parser import parse_qasm
 from qflow.program import Op, Program
 from qflow.stabilizer import stab_run
 from qflow.statevector import Kernel, apply_gate, sv_run, sv_statevector
+from qflow.transpile import transpile
 
 from conftest import corpus_sources, qft_qasm, random_general_qasm
 from oracles import circuit_unitary, distribution_problem, embed_slow, exact_distribution
@@ -55,7 +60,7 @@ def test_kernels_match_the_literal_embedding(gate):
     kernel = Kernel(m, n, wires)
     assert kernel.kind == kind
     expected = embed_slow(m, wires, n) @ state
-    apply_gate(state, kernel)
+    apply_gate(state, kernel, [])
     np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
 
@@ -72,7 +77,7 @@ def test_a_general_kernel_on_one_wire_matches_the_literal_embedding():
             assert kernel.kind == "general" and kernel.axes is None
             forms.add(kernel.right is None)
             expected = embed_slow(m, (w,), n) @ state
-            apply_gate(state, kernel)
+            apply_gate(state, kernel, [])
             np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
     assert forms == {True, False}
 
@@ -93,7 +98,7 @@ def test_a_noiseless_one_wire_channel_is_u_on_the_ket_and_conj_u_on_the_bra():
                 state = _DensityState(range(n), None)
                 state.amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
                 expected = state.amps.copy()
-                apply_gate(expected, Kernel(_superop([op.matrix]), 2 * n, (n + q, q)))
+                apply_gate(expected, Kernel(_superop([op.matrix]), 2 * n, (n + q, q)), [])
                 state.apply(op)
                 assert [k.wires for k in state.kernels[op.key]] == [(n + q,), (q,)]
                 np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
@@ -118,14 +123,94 @@ def test_one_wire_general_kernels_move_no_axes(monkeypatch):
     assert (sv_run(c, seed=3, shots=100).counts, dm_run(c, seed=3, shots=100).counts) == expected
 
 
+def test_multi_wire_general_kernels_allocate_no_state_sized_array():
+    """A noisy cx is a general kernel on four wires of a 10-qubit rho. Its
+    first call allocates the state's two work buffers, which a copy shares;
+    a later call allocates less than one state."""
+    op, = Program(parse_qasm(HEADER + "qreg q[5];\ncx q[1],q[2];\n")).run_ops(True)
+    state = _DensityState(range(5), load_bundled_device("line5"))
+    state.apply(op)
+    kernel, = state.kernels[op.key]
+    assert kernel.kind == "general" and len(kernel.wires) == 4
+    assert [a.nbytes for a in state.work] == [state.amps.nbytes] * 2
+    assert state.copy().work is state.work
+    assert _DensityState(range(5), None).work is not state.work
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        state.apply(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < state.amps.nbytes
+
+
+def test_noisy_dm_runs_move_no_axes(monkeypatch):
+    """Multi-wire general kernels, the noisy two-qubit channels included,
+    copy the state's transposed block view into its work buffers. (The
+    programs measure nothing, so no readout confusion is folded into the
+    sampled marginal, which qflow.results does with np.moveaxis.)"""
+    physical = []
+    for name, n in (("line5", 5), ("heavyhex7", 5)):
+        device = load_bundled_device(name)
+        c, _ = transpile(parse_qasm(qft_qasm(n)), device)
+        physical.append((c, device))
+    expected = [dm_run(c, device=d, seed=3, shots=100) for c, d in physical]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.moveaxis called")
+
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    got = [dm_run(c, device=d, seed=3, shots=100) for c, d in physical]
+    assert [(r.counts, r.fidelity) for r in got] == [(r.counts, r.fidelity) for r in expected]
+
+
+def _unsplit_evolve(circuit, device) -> np.ndarray:
+    """dm_evolve with every op applied as the one kernel of its channel."""
+    program = Program(circuit)
+    state = _DensityState(range(program.n), device)
+    n = state.n
+    for op in program.run_ops(True):
+        s = state._channel(op)
+        if s is not None:
+            local = tuple(state.pos[w] for w in op.wires)
+            apply_gate(state.amps, Kernel(s, 2 * n, tuple(n + q for q in local) + local),
+                       state.work)
+    return state.matrix()
+
+
+@pytest.mark.parametrize("name, two, split", [("grid9", "cz", True), ("line5", "cx", False)])
+def test_a_one_wire_channel_splits_where_no_gate_has_noise(name, two, split):
+    """grid9 carries no noise, so every general one-wire channel is U on the
+    ket and conj(U) on the bra; on line5 each such run holds a noisy sx."""
+    device = load_bundled_device(name)
+    text = HEADER + "qreg q[4];\n"
+    for layer in range(3):
+        text += "".join(f"rz({0.3 + q + layer}) q[{q}];\nsx q[{q}];\nrz(0.7) q[{q}];\n"
+                        for q in range(4))
+        text += "".join(f"{two} q[{q}],q[{q + 1}];\n" for q in range(3))
+    circuit = parse_qasm(text + "sx q[3];\nx q[0];\n")
+    np.testing.assert_allclose(dm_evolve(circuit, device), _unsplit_evolve(circuit, device),
+                               rtol=0, atol=1e-12)
+    program = Program(circuit)
+    state = _DensityState(range(program.n), device)
+    general = []
+    for op in program.run_ops(True):
+        state.apply(op)
+        if op.gate and len(op.wires) == 1 and Kernel(op.matrix, 1, (0,)).kind == "general":
+            general.append(len(state.kernels[op.key]))
+    assert general and set(general) == {2 if split else 1}
+
+
 def test_a_kernel_on_every_wire_has_no_0d_slice():
     state = np.arange(8, dtype=complex)
     kernel = Kernel(np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex), 3, (2, 0, 1))
-    apply_gate(state, kernel)
+    apply_gate(state, kernel, [])
     assert kernel.shape == (1, 2, 1, 2, 1, 2, 1)
     np.testing.assert_array_equal(state, [0, 1, 2, 3, 4, 5, 6, -7])
     state = np.arange(4, dtype=complex)
-    apply_gate(state, Kernel(unitary_of("swap"), 2, (1, 0)))
+    apply_gate(state, Kernel(unitary_of("swap"), 2, (1, 0)), [])
     np.testing.assert_array_equal(state, [0, 2, 1, 3])
 
 

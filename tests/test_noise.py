@@ -1,18 +1,23 @@
 """dm_evolve under a small JSON device against the closed forms stated in
 qflow.noise: depolarizing on one qubit and jointly on a pair, T1/T2 decay
-over a delay, and reset; the two-qubit Pauli products against np.kron."""
+over a delay, and reset; the two-qubit Pauli products against np.kron; the
+closed-form superoperators against those of the Kraus operators, and the
+checks they share."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qflow.density import dm_evolve
+from qflow.density import _superop, dm_evolve
 from qflow.device import load_device
-from qflow.noise import depolarizing_kraus
+from qflow.errors import SimulationError
+from qflow.noise import (depolarizing_kraus, depolarizing_superop, thermal_relaxation_kraus,
+                         thermal_relaxation_superop)
 from qflow.parser import parse_qasm
 from qflow.statevector import sv_statevector
 
@@ -114,3 +119,35 @@ def test_each_operand_of_a_two_qubit_gate_relaxes_by_its_own_t1_and_t2():
     coherence = math.sin(theta / 2) * math.cos(theta / 2) * math.exp(-t_ns / t2_ns[1])
     second = np.array([[1 - excited, coherence], [coherence, excited]], dtype=complex)
     np.testing.assert_allclose(got, np.kron(second, first), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [0.0, 1e-3, 1.0])
+def test_depolarizing_in_closed_form_is_the_kraus_superoperator(p, k):
+    np.testing.assert_allclose(depolarizing_superop(p, k), _superop(depolarizing_kraus(p, k)),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t_ns", [0.0, 35.0, math.inf])
+@pytest.mark.parametrize("t1_ns, t2_ns", [
+    (85e3, 110e3), (85e3, 170e3), (math.inf, 110e3), (math.inf, math.inf), (70.0, 140.0)])
+def test_relaxation_in_closed_form_is_the_kraus_superoperator(t_ns, t1_ns, t2_ns):
+    """T2 = 2 T1 is pure amplitude damping; t = inf with T1 = inf must not
+    read inf * 0 as NaN."""
+    np.testing.assert_allclose(thermal_relaxation_superop(t_ns, t1_ns, t2_ns),
+                               _superop(thermal_relaxation_kraus(t_ns, t1_ns, t2_ns)),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"gate_errors": {"cx": 1.5}}, "depolarizing probability 1.5 outside"),
+    ({"t1_us": (1.0, 1.0), "t2_us": (3.0, 1.0)}, "T2 = 3000.0 exceeds 2[*]T1 = 2000.0"),
+])
+def test_a_device_built_in_python_meets_the_channel_checks(change, message):
+    """load_device refuses these values; a DeviceConfig built in Python
+    reaches the noise builders, which refuse them too."""
+    base = dataclasses.replace(device(t1_us=1.0, t2_us=1.0),
+                               gate_durations_ns={"ry": 0.0, "id": 0.0, "cx": 50.0, "x": 0.0})
+    with pytest.raises(SimulationError, match=message):
+        dm_evolve(parse_qasm(HEADER + "x q[0];\ncx q[0],q[1];\n"),
+                  dataclasses.replace(base, **change))

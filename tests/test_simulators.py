@@ -24,7 +24,7 @@ from qflow.density import _DensityState, dm_evolve, dm_run
 from qflow.device import load_bundled_device, load_device
 from qflow.errors import SimulationError
 from qflow.gates import unitary_of
-from qflow.noise import depolarizing_kraus, thermal_relaxation_kraus
+from qflow.noise import depolarizing_superop, thermal_relaxation_superop
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
 from qflow.results import _round30, _round30_float, draw_counts
@@ -468,9 +468,9 @@ def test_one_program_evolves_into_states_that_hold_different_wires():
 
 
 @pytest.mark.parametrize("make, shared", [
-    (statevector._SVState, ("wires", "pos", "n", "kernels")),
+    (statevector._SVState, ("wires", "pos", "n", "kernels", "work")),
     (lambda wires: _DensityState(wires, load_bundled_device("line5")),
-     ("wires", "pos", "n", "kernels", "device", "superops")),
+     ("wires", "pos", "n", "kernels", "work", "device", "superops")),
 ])
 def test_a_dense_copy_owns_only_its_array(make, shared):
     prog = program.Program(parse_qasm(HEADER + "qreg q[3];\nsx q[0];\ncx q[0],q[2];\n"))
@@ -503,13 +503,13 @@ def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):
 
     built, relaxed, channels, kernels, applied = [], [], [], [], []
 
-    def counting_kraus(p, n_qubits=1):
+    def counting_depolarizing(p, n_qubits):
         built.append(n_qubits)
-        return depolarizing_kraus(p, n_qubits)
+        return depolarizing_superop(p, n_qubits)
 
     def counting_relaxation(*args):
         relaxed.append(args)
-        return thermal_relaxation_kraus(*args)
+        return thermal_relaxation_superop(*args)
 
     def counting_kernel(*args):
         kernels.append(args[2])
@@ -527,8 +527,8 @@ def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):
         applied.append(op.key)
         apply(self, op)
 
-    monkeypatch.setattr(qflow.density, "depolarizing_kraus", counting_kraus)
-    monkeypatch.setattr(qflow.density, "thermal_relaxation_kraus", counting_relaxation)
+    monkeypatch.setattr(qflow.density, "depolarizing_superop", counting_depolarizing)
+    monkeypatch.setattr(qflow.density, "thermal_relaxation_superop", counting_relaxation)
     monkeypatch.setattr(qflow.density, "Kernel", counting_kernel)
     monkeypatch.setattr(qflow.density._DensityState, "_channel", recording_channel)
     monkeypatch.setattr(qflow.density._DensityState, "apply", recording_apply)
