@@ -23,16 +23,15 @@ once per run and shared by every op that repeats it and by every branch.
 Runs of one-qubit gates are fused, as for the state vector (see
 qflow.program). A run's channel is the product of its gates' 4x4 channels,
 each with its noise composed after it, so noise still follows each original
-gate and the result is exact. Each channel becomes a state-vector kernel
-once, when it is built, and inherits its class from its zero pattern: the
-superoperator of a diagonal unitary is diagonal and that of a permutation
-with phases is a permutation with phases on (ket, bra), so both run as
-slice updates. A general one-wire gate or fused run U on the wire at
-position q none of whose gates has a noise stage (every gate without a
-device, or on a device that gives it no error and no relaxation) is not one
-4x4 kernel on wires m apart: its channel U (x) conj(U) is applied as two
-one-wire kernels, U on the ket qubit m+q and conj(U) on the bra qubit q,
-each one contiguous matmul.
+gate and the result is exact. Each channel becomes one state-vector kernel
+on (ket wires..., bra wires...) once, when it is built, and inherits its
+class from its zero pattern: the superoperator of a diagonal unitary is
+diagonal and that of a permutation with phases is a permutation with phases
+on (ket, bra), so both run as slice updates. A noiseless one-wire channel
+U (x) conj(U) is one 4x4 kernel too, not U on the ket then conj(U) on the
+bra: the two in-place one-wire matmuls, each making a hidden rho-sized
+copy, took 1.1-1.4x as long per gate as the buffered kernel at 5-10 wires
+(2-vCPU Xeon VM, OpenBLAS on two threads; 1.0-1.3x on one).
 
 Every run goes through the shot walker of qflow.program: ``p_one`` reads
 the diagonal and ``collapse`` zeroes the other outcome on ket and bra; a
@@ -110,10 +109,11 @@ def _noise_stage(device: DeviceConfig, opcode: str, wires: tuple,
 
 class _DensityState(_SVState):
     """rho of one run or branch, a state vector of two qubits per wire (see
-    the module docstring). A copy also shares ``device`` and ``superops``,
-    the channel of each op key and the noise stage of each ("noise",
-    opcode, wires, duration). ``apply`` is its own, so ``bench/tracer.py``
-    counts its kernel calls as density's."""
+    the module docstring). ``kernels`` holds one kernel per op key, or None
+    for an op that leaves rho unchanged. A copy also shares ``device`` and
+    ``superops``, the channel of each op key and the noise stage of each
+    ("noise", opcode, wires, duration). ``apply`` is its own, so
+    ``bench/tracer.py`` counts its kernel calls as density's."""
 
     splits_reset = False
     qubits_per_wire = 2
@@ -133,33 +133,28 @@ class _DensityState(_SVState):
         return self.amps.reshape(1 << self.n, 1 << self.n)
 
     def apply(self, op) -> None:
-        kernels = self.kernels.get(op.key)
-        if kernels is None:
-            kernels = self.kernels[op.key] = self._kernels(op)
-        for kernel in kernels:
+        key = op.key
+        if key in self.kernels:
+            kernel = self.kernels[key]
+        else:
+            kernel = self.kernels[key] = self._kernel(op)
+        if kernel is not None:
             apply_gate(self.amps, kernel, self.work)
 
-    def _kernels(self, op) -> tuple:
-        """The kernels that apply the op's channel, in order: U on the ket
-        wire and conj(U) on the bra wire for a general one-wire gate or run
-        none of whose gates has a noise stage, else the one kernel of its
-        superoperator (none when the op leaves rho unchanged)."""
-        m = 2 * self.n
-        if (op.gate and len(op.wires) == 1
-                and all(self._noise(gate) is None for gate in op.run or (op,))):
-            q = self.pos[op.wires[0]]
-            ket = Kernel(op.matrix, m, (self.n + q,))
-            if ket.kind == "general":
-                return ket, Kernel(op.matrix.conj(), m, (q,))
+    def _kernel(self, op) -> Kernel | None:
+        """The one kernel of the op's superoperator on (ket wires..., bra
+        wires...), None when the op leaves rho unchanged (a barrier's wires
+        may be ones rho does not hold)."""
         s = self._channel(op)
-        if s is None:  # a barrier's wires may be ones rho does not hold
-            return ()
+        if s is None:
+            return None
         local = tuple(self.pos[w] for w in op.wires)
-        return (Kernel(s, m, tuple(self.n + q for q in local) + local),)
+        return Kernel(s, 2 * self.n, tuple(self.n + q for q in local) + local)
 
     def _channel(self, op) -> np.ndarray | None:
         """The op's superoperator with its noise composed after it, or None
-        when the op leaves rho unchanged; built once per op key. A fused
+        when the op leaves rho unchanged; built once per op key, and each
+        noise stage once per ("noise", opcode, wires, duration). A fused
         run is the product of its gates' channels, so noise still follows
         each of them."""
         key = op.key
@@ -175,22 +170,16 @@ class _DensityState(_SVState):
                 s = _superop([op.matrix])
             elif op.opcode == "reset":
                 s = _superop(_RESET_KRAUS)
-            noise = self._noise(op)
-            if noise is not None:
-                s = noise if s is None else noise @ s
+            if self.device is not None and op.opcode != "barrier":
+                dur = instruction_duration_ns(op.instr, op.wires, self.device)
+                stage = ("noise", op.opcode, op.wires, dur)
+                if stage not in self.superops:
+                    self.superops[stage] = _noise_stage(self.device, *stage[1:])
+                noise = self.superops[stage]
+                if noise is not None:
+                    s = noise if s is None else noise @ s
         self.superops[key] = s
         return s
-
-    def _noise(self, op) -> np.ndarray | None:
-        """The noise stage after a non-fused op, None without one; built
-        once per ("noise", opcode, wires, duration)."""
-        if self.device is None or op.opcode == "barrier":
-            return None
-        dur = instruction_duration_ns(op.instr, op.wires, self.device)
-        stage = ("noise", op.opcode, op.wires, dur)
-        if stage not in self.superops:
-            self.superops[stage] = _noise_stage(self.device, *stage[1:])
-        return self.superops[stage]
 
     def _diagonal(self) -> np.ndarray:
         return self.amps[::(1 << self.n) + 1].real

@@ -77,6 +77,17 @@ class DeviceConfig:
     t2_us: tuple = ()
     readout: tuple = ()            # per qubit (P(read 0|0), P(read 1|1))
 
+    def __post_init__(self):
+        # an omitted per-qubit field means noiseless, as in a device file
+        for key, noiseless in (("t1_us", math.inf), ("t2_us", math.inf),
+                               ("readout", (1.0, 1.0))):
+            vals = getattr(self, key)
+            if not vals:
+                object.__setattr__(self, key, (noiseless,) * self.num_qubits)
+            elif len(vals) != self.num_qubits:
+                raise DeviceConfigError(f"device '{self.name}': {key} holds {len(vals)} "
+                                        f"values for {self.num_qubits} qubits")
+
     def topology(self) -> Topology:
         return Topology.from_edges(self.num_qubits, self.coupling_map)
 
@@ -190,9 +201,9 @@ def load_device(json_text: str) -> DeviceConfig:
         if not 0 <= errors[key] <= 1:
             raise DeviceConfigError(message)
 
-    def qubit_list(key: str, default_val: float) -> tuple:
+    def qubit_list(key: str) -> tuple:
         if key not in raw:
-            return (default_val,) * n
+            return ()
         vals = raw[key]
         if not isinstance(vals, list) or len(vals) != n:
             raise DeviceConfigError(f"{path}.{key}: expected a list of {n} values")
@@ -205,14 +216,7 @@ def load_device(json_text: str) -> DeviceConfig:
                 raise DeviceConfigError(message)
         return tuple(out)
 
-    t1 = qubit_list("t1_us", math.inf)
-    t2 = qubit_list("t2_us", math.inf)
-    for q in range(n):
-        if t2[q] > 2 * t1[q]:
-            raise DeviceConfigError(
-                f"{path}.t2_us[{q}]: T2 = {t2[q]} exceeds 2*T1 = {2 * t1[q]}"
-            )
-
+    readout = ()
     if "readout" in raw:
         ro_raw = raw["readout"]
         if not isinstance(ro_raw, list) or len(ro_raw) != n:
@@ -227,8 +231,6 @@ def load_device(json_text: str) -> DeviceConfig:
                 raise DeviceConfigError(message)
             readout.append(pair)
         readout = tuple(readout)
-    else:
-        readout = ((1.0, 1.0),) * n
 
     config = DeviceConfig(
         name=name,
@@ -238,10 +240,13 @@ def load_device(json_text: str) -> DeviceConfig:
         gate_durations_ns=durations,
         cycle_time_ns=cycle,
         gate_errors=errors,
-        t1_us=t1,
-        t2_us=t2,
+        t1_us=qubit_list("t1_us"),
+        t2_us=qubit_list("t2_us"),
         readout=readout,
     )
+    for q, (t1, t2) in enumerate(zip(config.t1_us, config.t2_us)):
+        if t2 > 2 * t1:
+            raise DeviceConfigError(f"{path}.t2_us[{q}]: T2 = {t2} exceeds 2*T1 = {2 * t1}")
     if not config.topology().connected():
         warnings.warn(
             f"device '{name}': coupling graph is not connected", stacklevel=2

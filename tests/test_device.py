@@ -1,5 +1,6 @@
 """Device configuration loading, validation, and topology queries."""
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -7,8 +8,9 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qflow import dm_run, parse_qasm, transpile
+from qflow import dm_evolve, dm_run, parse_qasm, transpile
 from qflow.device import (
+    DeviceConfig,
     Topology,
     bundled_device_names,
     load_bundled_device,
@@ -206,6 +208,41 @@ class TestBundledLibrary:
 
 
 # -- hostile device files ------------------------------------------------------
+
+class TestDeviceBuiltInPython:
+    """A DeviceConfig built in Python, given only its required fields, is
+    noiseless as a file that omits the noise fields is, and refuses a
+    per-qubit tuple of the wrong length."""
+
+    BARE = DeviceConfig("bare", 2, ("u3", "x", "cx"), ((0, 1), (1, 0)),
+                        {"u3": 30.0, "x": 30.0, "cx": 200.0}, 1.0)
+    TEXT = ('OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; creg c[2];'
+            "U(1.2,0.3,0.1) q[0]; CX q[0],q[1];")
+
+    def test_omitted_noise_fields_are_noiseless(self):
+        assert self.BARE.t1_us == self.BARE.t2_us == (math.inf, math.inf)
+        assert self.BARE.readout == ((1.0, 1.0), (1.0, 1.0))
+        c = parse_qasm(self.TEXT + "measure q -> c;")
+        result = dm_run(c, self.BARE, seed=5, shots=200)
+        assert result.counts == dm_run(c, seed=5, shots=200).counts
+        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert dm_evolve(parse_qasm(self.TEXT), self.BARE) == pytest.approx(
+            dm_evolve(parse_qasm(self.TEXT)), abs=1e-15)
+
+    def test_omitted_readout_is_perfect_at_a_mid_circuit_measure(self):
+        device = dataclasses.replace(self.BARE, t1_us=(50.0, 60.0), t2_us=(70.0, 80.0))
+        assert device.readout == ((1.0, 1.0), (1.0, 1.0))
+        c = parse_qasm(self.TEXT + "measure q[0] -> c[0]; x q[1]; measure q -> c;")
+        with_readout = dataclasses.replace(device, readout=((1.0, 1.0),) * 2)
+        assert (dm_run(c, device, seed=5, shots=200).counts
+                == dm_run(c, with_readout, seed=5, shots=200).counts)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t1_us", (50.0,)), ("t2_us", (50.0, 50.0, 50.0)), ("readout", ((1.0, 1.0),))])
+    def test_a_per_qubit_tuple_of_the_wrong_length_is_refused(self, field, value):
+        with pytest.raises(DeviceConfigError, match=f"{field} holds {len(value)} values for 2"):
+            dataclasses.replace(self.BARE, **{field: value})
+
 
 _HOSTILE_VALUES = [math.nan, math.inf, -1, 0, 10**400, "x", [0], {"a": 1}, True]
 _CIRCUIT = parse_qasm('OPENQASM 2.0; include "qelib1.inc"; qreg q[2]; creg c[2];'

@@ -1,7 +1,7 @@
 """The dense kernel family and one-qubit fusion: diagonal, monomial and
 general kernels against the literal embedding, the classes superoperators
-inherit, the work buffers of multi-wire kernels, where a channel splits,
-where fusion stops, and amplitudes against the dense unitary."""
+inherit, the work buffers of multi-wire kernels, one kernel per density-
+matrix op, where fusion stops, and amplitudes against the dense unitary."""
 
 from __future__ import annotations
 
@@ -86,9 +86,9 @@ def _random_u3(rng) -> str:
     return "u3({},{},{})".format(*rng.uniform(-np.pi, np.pi, 3).tolist())
 
 
-def test_a_noiseless_one_wire_channel_is_u_on_the_ket_and_conj_u_on_the_bra():
-    """A gate and a fused run, on every wire of 1 to 5 qubits: the two one-
-    wire kernels give the 4x4 superoperator's result."""
+def test_a_noiseless_one_wire_channel_is_one_kernel_on_its_ket_and_bra():
+    """A gate and a fused run, on every wire of 1 to 5 qubits: the op's one
+    kernel is its 4x4 superoperator on the wire's ket and bra qubit."""
     rng = np.random.default_rng(6)
     for n in range(1, 6):
         for q in range(n):
@@ -100,14 +100,15 @@ def test_a_noiseless_one_wire_channel_is_u_on_the_ket_and_conj_u_on_the_bra():
                 expected = state.amps.copy()
                 apply_gate(expected, Kernel(_superop([op.matrix]), 2 * n, (n + q, q)), [])
                 state.apply(op)
-                assert [k.wires for k in state.kernels[op.key]] == [(n + q,), (q,)]
+                assert state.kernels[op.key].wires == (n + q, q)
                 np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
 
 
 def test_one_wire_general_kernels_move_no_axes(monkeypatch):
-    """The one-wire forms are single matmuls over contiguous blocks: sv and
-    noiseless dm runs of one-wire general gates on every wire, with cx and
-    cz between them, never reach np.moveaxis."""
+    """sv and noiseless dm runs of one-wire general gates on every wire,
+    with cx and cz between them, never reach np.moveaxis: sv applies each
+    gate as a one-wire form, a single matmul over contiguous blocks, and dm
+    as one buffered kernel on the wire's ket and bra qubit."""
     rng = np.random.default_rng(7)
     text = HEADER + "qreg q[6];\ncreg c[6];\n"
     for layer in range(3):
@@ -123,15 +124,22 @@ def test_one_wire_general_kernels_move_no_axes(monkeypatch):
     assert (sv_run(c, seed=3, shots=100).counts, dm_run(c, seed=3, shots=100).counts) == expected
 
 
-def test_multi_wire_general_kernels_allocate_no_state_sized_array():
-    """A noisy cx is a general kernel on four wires of a 10-qubit rho. Its
-    first call allocates the state's two work buffers, which a copy shares;
-    a later call allocates less than one state."""
-    op, = Program(parse_qasm(HEADER + "qreg q[5];\ncx q[1],q[2];\n")).run_ops(True)
-    state = _DensityState(range(5), load_bundled_device("line5"))
+@pytest.mark.parametrize("body, device", [
+    ("cx q[1],q[2];\n", "line5"),
+    ("u3(0.3,0.2,0.1) q[0];\n", None),
+    ("u3(0.3,0.2,0.1) q[2];\n", None),
+    ("u3(0.3,0.2,0.1) q[4];\n", None),
+], ids=["noisy-cx", "u3-q0", "u3-q2", "u3-q4"])
+def test_multi_wire_general_kernels_allocate_no_state_sized_array(body, device):
+    """A noisy cx is a general kernel on four wires of a 10-qubit rho, a
+    noiseless u3 one on two, its wire's ket and bra qubit. The first call
+    allocates the state's two work buffers, which a copy shares; a later
+    call allocates less than one state."""
+    op, = Program(parse_qasm(HEADER + "qreg q[5];\n" + body)).run_ops(True)
+    state = _DensityState(range(5), device and load_bundled_device(device))
     state.apply(op)
-    kernel, = state.kernels[op.key]
-    assert kernel.kind == "general" and len(kernel.wires) == 4
+    kernel = state.kernels[op.key]
+    assert kernel.kind == "general" and len(kernel.wires) == 2 * len(op.wires)
     assert [a.nbytes for a in state.work] == [state.amps.nbytes] * 2
     assert state.copy().work is state.work
     assert _DensityState(range(5), None).work is not state.work
@@ -166,41 +174,28 @@ def test_noisy_dm_runs_move_no_axes(monkeypatch):
     assert [(r.counts, r.fidelity) for r in got] == [(r.counts, r.fidelity) for r in expected]
 
 
-def _unsplit_evolve(circuit, device) -> np.ndarray:
-    """dm_evolve with every op applied as the one kernel of its channel."""
-    program = Program(circuit)
-    state = _DensityState(range(program.n), device)
-    n = state.n
-    for op in program.run_ops(True):
-        s = state._channel(op)
-        if s is not None:
-            local = tuple(state.pos[w] for w in op.wires)
-            apply_gate(state.amps, Kernel(s, 2 * n, tuple(n + q for q in local) + local),
-                       state.work)
-    return state.matrix()
-
-
-@pytest.mark.parametrize("name, two, split", [("grid9", "cz", True), ("line5", "cx", False)])
-def test_a_one_wire_channel_splits_where_no_gate_has_noise(name, two, split):
-    """grid9 carries no noise, so every general one-wire channel is U on the
-    ket and conj(U) on the bra; on line5 each such run holds a noisy sx."""
+@pytest.mark.parametrize("name, two", [("grid9", "cz"), ("line5", "cx")])
+def test_every_dm_op_is_one_kernel_on_the_ket_and_bra_of_its_wires(name, two):
+    """grid9 carries no noise and line5 does; on both, every op, a general
+    one-wire run included, is one kernel on (ket wires..., bra wires...)."""
     device = load_bundled_device(name)
     text = HEADER + "qreg q[4];\n"
     for layer in range(3):
         text += "".join(f"rz({0.3 + q + layer}) q[{q}];\nsx q[{q}];\nrz(0.7) q[{q}];\n"
                         for q in range(4))
         text += "".join(f"{two} q[{q}],q[{q + 1}];\n" for q in range(3))
-    circuit = parse_qasm(text + "sx q[3];\nx q[0];\n")
-    np.testing.assert_allclose(dm_evolve(circuit, device), _unsplit_evolve(circuit, device),
-                               rtol=0, atol=1e-12)
-    program = Program(circuit)
+    program = Program(parse_qasm(text + "sx q[3];\nx q[0];\n"))
     state = _DensityState(range(program.n), device)
-    general = []
+    n = state.n
+    general = set()
     for op in program.run_ops(True):
         state.apply(op)
-        if op.gate and len(op.wires) == 1 and Kernel(op.matrix, 1, (0,)).kind == "general":
-            general.append(len(state.kernels[op.key]))
-    assert general and set(general) == {2 if split else 1}
+        kernel = state.kernels[op.key]
+        local = tuple(state.pos[w] for w in op.wires)
+        assert kernel.wires == tuple(n + q for q in local) + local
+        if kernel.kind == "general":
+            general.add(len(op.wires))
+    assert 1 in general
 
 
 def test_a_kernel_on_every_wire_has_no_0d_slice():
