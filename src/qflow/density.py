@@ -39,6 +39,17 @@ reset stays its Kraus channel and never branches. With a device, readout
 confusion splits the reported bit of a mid-circuit measure, and a leaf
 samples the diagonal's marginal through it.
 
+Pure runs: ``dm_run`` with no device walks a state vector of the held wires
+instead of rho, unless the program resets. With no device there is no
+noise, so every channel is U (x) conj(U); measures are projective and a
+conditioned op is unitary, so each branch stays rho = |psi><psi| and the
+walker forks at the same ops with the same p_one up to rounding, which the
+30-bit rounding of each draw absorbs: the counts are rho's, from 2**m
+amplitudes instead of 4**m entries and their two work buffers. A reset is
+a channel on rho that never branches, while the state vector splits it into
+two branches, which would change the draws, so a program that resets stays
+on rho. ``dm_evolve`` always evolves rho.
+
 The reported fidelity is <psi|rho|psi> against the ideal state-vector run of
 the same program with noise disabled, over the same wires, for a unitary
 program (no reset, condition or mid-circuit measure) run on a device; the
@@ -223,15 +234,21 @@ def dm_evolve(circuit: Circuit, device: DeviceConfig | None = None) -> np.ndarra
 
 
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """State fidelity <psi|rho|psi>, clamped into [0, 1]."""
-    rho = np.asarray(rho)
-    psi = np.asarray(psi).reshape(-1)
+    """State fidelity <psi|rho|psi>, clamped into [0, 1]. An input that is
+    not a numeric array of matching shape, or a value outside [0, 1] by more
+    than 1e-10 (NaN included), raises SimulationError."""
+    try:
+        rho = np.asarray(rho, dtype=complex)
+        psi = np.asarray(psi, dtype=complex).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SimulationError(f"fidelity needs numeric arrays: {e}") from None
     if rho.shape != (psi.size, psi.size):
         raise SimulationError(
             f"dimension mismatch: rho is {rho.shape}, psi has length {psi.size}"
         )
-    value = float(np.real(np.vdot(psi, rho @ psi)))
-    if value < -1e-10 or value > 1.0 + 1e-10:
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN is refused below
+        value = float(np.real(np.vdot(psi, rho @ psi)))
+    if not -1e-10 <= value <= 1.0 + 1e-10:
         raise SimulationError(f"fidelity {value} outside [0, 1] tolerance")
     return min(max(value, 0.0), 1.0)
 
@@ -242,13 +259,20 @@ def dm_run(circuit: Circuit, device: DeviceConfig | None = None, seed: int = 42,
 
     With a device, gate errors, T1/T2 relaxation, delay decoherence, and
     readout confusion all apply; an op on a qubit the device lacks raises
-    SimulationError. Counts come from the shot walker of qflow.program. The
-    fidelity needs a device and a pure reference state, so the result has
-    one only for unitary programs (no reset, condition or mid-circuit
-    measurement), which the walker runs as one leaf."""
+    SimulationError. Counts come from the shot walker of qflow.program.
+    With no device and no reset nothing can mix the state, so the walk runs
+    on a state vector and gives rho's counts; a reset, a channel on rho that
+    the state vector would split into branches, keeps rho (see "Pure runs"
+    in the module docstring). ``mem_bytes_estimate`` is 16 per entry of rho
+    either way. The fidelity needs a device and a pure reference state, so
+    the result has one only for unitary programs (no reset, condition or
+    mid-circuit measurement), which the walker runs as one leaf."""
     t0 = time.perf_counter()
     program = _program(circuit, device, shots, seed)
-    state = _DensityState(program.wires, device)
+    if device is None and all(op.opcode != "reset" for op in program.ops):
+        state = _SVState(program.wires)  # nothing mixes it: rho stays |psi><psi|
+    else:
+        state = _DensityState(program.wires, device)
     counts = walk(program, state, shots, seed, device.readout if device is not None else None)
     fid = None
     if device is not None and program.unitary:
@@ -265,5 +289,5 @@ def dm_run(circuit: Circuit, device: DeviceConfig | None = None, seed: int = 42,
         counts=counts,
         fidelity=fid,
         wall_time_ms=wall,
-        mem_bytes_estimate=state.amps.nbytes,
+        mem_bytes_estimate=16 * 4 ** len(program.wires),
     )

@@ -70,7 +70,8 @@ def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
     p = _round30(p)
     p /= p.sum()
     draws = rng.multinomial(shots, p)
-    return {int(i): int(draws[i]) for i in np.nonzero(draws)[0]}
+    nz = np.flatnonzero(draws)
+    return dict(zip(nz.tolist(), draws[nz].tolist()))
 
 
 def sample_marginal(probs: np.ndarray, wires: tuple, qubits: list[int], count: int, rng,
@@ -96,7 +97,9 @@ class RunResult:
     """Outcome of one simulator run; ``mem_bytes_estimate`` is the size in
     bytes of the state the run held: 16 per amplitude for ``sv``, 16 per
     entry of rho for ``dm``, and the tableau's bits rounded up to whole bytes
-    for ``stab``."""
+    for ``stab``. A ``dm`` run with no device and no reset walks a state
+    vector instead (see qflow.density), so it never allocates rho, yet it
+    reports rho's size, as the density run whose counts it gives would."""
 
     backend: str
     n_qubits: int

@@ -16,7 +16,7 @@ from qflow.density import _DensityState, _superop, dm_evolve, dm_run
 from qflow.device import load_bundled_device
 from qflow.gates import unitary_of
 from qflow.parser import parse_qasm
-from qflow.program import Op, Program
+from qflow.program import Op, Program, walk
 from qflow.stabilizer import stab_run
 from qflow.statevector import Kernel, apply_gate, sv_run, sv_statevector
 from qflow.transpile import transpile
@@ -105,23 +105,32 @@ def test_a_noiseless_one_wire_channel_is_one_kernel_on_its_ket_and_bra():
 
 
 def test_one_wire_general_kernels_move_no_axes(monkeypatch):
-    """sv and noiseless dm runs of one-wire general gates on every wire,
-    with cx and cz between them, never reach np.moveaxis: sv applies each
-    gate as a one-wire form, a single matmul over contiguous blocks, and dm
-    as one buffered kernel on the wire's ket and bra qubit."""
+    """sv runs and noiseless walks over rho of one-wire general gates on
+    every wire, with cx and cz between them, never reach np.moveaxis: sv
+    applies each gate as a one-wire form, a single matmul over contiguous
+    blocks, and rho as one buffered kernel on the wire's ket and bra qubit.
+    (A deviceless dm_run of this program walks a state vector, so the walk
+    over rho is run directly.)"""
     rng = np.random.default_rng(7)
     text = HEADER + "qreg q[6];\ncreg c[6];\n"
     for layer in range(3):
         text += "".join(f"{_random_u3(rng)} q[{q}];\nh q[{q}];\n" for q in range(6))
         text += "".join(f"cx q[{q}],q[{q + 1}];\ncz q[{q + 1}],q[{q}];\n" for q in range(5))
     c = parse_qasm(text + "measure q -> c;\n")
-    expected = sv_run(c, seed=3, shots=100).counts, dm_run(c, seed=3, shots=100).counts
+
+    def runs():
+        program = Program(c)
+        return (sv_run(c, seed=3, shots=100).counts,
+                walk(program, _DensityState(program.wires, None), 100, 3))
+
+    expected = runs()
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.moveaxis called")
 
     monkeypatch.setattr(np, "moveaxis", refuse)
-    assert (sv_run(c, seed=3, shots=100).counts, dm_run(c, seed=3, shots=100).counts) == expected
+    assert runs() == expected
+    assert expected[1] == dm_run(c, seed=3, shots=100).counts
 
 
 @pytest.mark.parametrize("body, device", [

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qflow import program, statevector
 from qflow.circuit import Instruction
 from qflow.cli import main
-from qflow.density import _DensityState, dm_evolve, dm_run
+from qflow.density import _DensityState, dm_evolve, dm_run, fidelity
 from qflow.device import load_bundled_device, load_device
 from qflow.errors import SimulationError
 from qflow.gates import unitary_of
@@ -204,6 +204,13 @@ _READOUT = st.lists(st.tuples(st.sampled_from([1.0, 0.9, 0.6]), st.sampled_from(
                     min_size=6, max_size=6)
 
 
+def _rho_counts(c, seed: int, shots: int) -> dict[str, int]:
+    """Counts of a deviceless walk of c over rho, which dm_run takes only
+    for a program that resets (else it walks a state vector)."""
+    prog = program.Program(c)
+    return program.walk(prog, _DensityState(prog.wires, None), shots, seed)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_branching_programs(), st.integers(0, 2**32), _READOUT)
 def test_backends_match_exact_branch_enumeration(source, seed, readout):
@@ -219,6 +226,9 @@ def test_backends_match_exact_branch_enumeration(source, seed, readout):
         assert sum(counts.values()) == shots
         problem = distribution_problem(counts, want, shots)
         assert problem is None, (backend, problem, counts, want)
+        if backend == "dm":
+            # mid-circuit measures and conditions keep a deviceless run pure
+            assert counts == _rho_counts(c, seed, shots)
 
 
 @pytest.mark.parametrize("name, source", corpus_sources())
@@ -452,6 +462,19 @@ def test_dm_refuses_an_op_on_a_qubit_the_device_lacks(line5, tmp_path, capsys):
     assert dm_evolve(idle, line5).shape == (1 << 7, 1 << 7)
 
 
+@pytest.mark.parametrize("rho, psi", [
+    (np.full((2, 2), np.nan), [1.0, 0.0]),
+    (np.eye(2) / 2, [np.inf, 0.0]),
+    (np.array([["a", "b"], ["c", "d"]]), [1.0, 0.0]),
+    ([[1.0, 0.0], [0.0]], [1.0, 0.0]),
+], ids=["nan-rho", "infinite-psi", "strings", "ragged"])
+def test_fidelity_refuses_an_input_that_is_not_a_state(rho, psi):
+    """NaN passed both range tests and came back as nan, and numpy raised
+    its own errors for strings and ragged lists."""
+    with pytest.raises(SimulationError):
+        fidelity(rho, psi)
+
+
 def test_one_program_evolves_into_states_that_hold_different_wires():
     """A kernel depends on the wires a state holds, so each state keeps its
     own: evolving a program into one layout leaves it fit for another."""
@@ -592,8 +615,8 @@ def test_fused_runs_evolve_as_the_unfused_ops(source, name):
     unfused = _barrier_after_each(physical)
     for dev in (device, None):
         assert np.abs(dm_evolve(physical, dev) - dm_evolve(unfused, dev)).max() < 1e-12
-        # the fused and unfused rho differ in rounding only, which no draw
-        # sees; the barriers also cover wires dm_run does not hold
+        # the fused and unfused states differ in rounding only, which no
+        # draw sees; the barriers also cover wires dm_run does not hold
         result = dm_run(unfused, dev, seed=7, shots=256)
         fused = dm_run(physical, dev, seed=7, shots=256)
         assert result.counts == fused.counts
@@ -636,12 +659,14 @@ def test_one_draw_rounds_as_a_vector_does():
 
 
 def test_a_rounding_residue_draws_no_shots(line5):
-    """Fused, the cancelling cx pair leaves probabilities of order 1e-33
-    where the barrier-separated run has exact zeros; both draw alike."""
+    """Fused, the cancelling cx pair leaves probabilities of order 1e-33 on
+    rho where the barrier-separated run has exact zeros (a state vector
+    leaves such residues on both); all draw alike."""
     physical, _ = transpile(parse_qasm(HEADER + "qreg q[3];\nh q[0];\ncx q[0],q[1];\n"
                                                 "cx q[0],q[1];\nh q[2];\n"), line5)
-    fused = dm_run(physical, seed=7, shots=256).counts
-    assert fused == dm_run(_barrier_after_each(physical), seed=7, shots=256).counts
+    counts = [run(c, seed=7, shots=256) for c in (physical, _barrier_after_each(physical))
+              for run in (_rho_counts, lambda c, **kw: dm_run(c, **kw).counts)]
+    assert all(each == counts[0] for each in counts)
 
 
 def _touched(c) -> list[int]:
@@ -737,6 +762,39 @@ def test_dm_run_passes_a_barrier_over_wires_it_does_not_hold(backend, noisy, lin
     result, full = _run_and_full_width_walk(backend, c, 3, line5 if noisy else None)
     assert result.counts == full
     assert result.mem_bytes_estimate == 16 * _BASE[backend]
+
+
+def test_a_noiseless_dm_run_without_reset_never_holds_rho():
+    """qft10 with no device walks 2**10 amplitudes; a walk over rho and its
+    two work buffers peaks at about 50 MiB. It still reports rho's size."""
+    c = parse_qasm(qft_qasm(10))
+    dm_run(c, shots=16)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        result = dm_run(c, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert result.mem_bytes_estimate == 16 * 4 ** 10
+    assert sum(result.counts.values()) == 1024
+
+
+@pytest.mark.parametrize("body, device, on_rho", [
+    ("sx q[0];\nmeasure q[0] -> c[0];\nif(c==1) x q[1];\n", None, False),
+    ("sx q[0];\nreset q[0];\nmeasure q[0] -> c[0];\n", None, True),
+    ("sx q[0];\nmeasure q[0] -> c[0];\n", "line5", True),
+], ids=["noiseless", "reset", "device"])
+def test_only_a_reset_or_a_device_walks_rho(body, device, on_rho, monkeypatch):
+    applied = []
+    apply = _DensityState.apply
+    monkeypatch.setattr(_DensityState, "apply",
+                        lambda state, op: applied.append(op.opcode) or apply(state, op))
+    c = parse_qasm(HEADER + "qreg q[2];\ncreg c[1];\n" + body)
+    result = dm_run(c, device and load_bundled_device(device), seed=3, shots=100)
+    assert bool(applied) == on_rho
+    assert sum(result.counts.values()) == 100
+    assert result.mem_bytes_estimate == 16 * 4 ** (1 + ("q[1]" in body))
 
 
 def test_sv_run_holds_only_the_wires_a_transpiled_bell_pair_touches():
