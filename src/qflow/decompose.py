@@ -1,10 +1,13 @@
 """Gate decomposition into the {u3, cx} intermediate form and retargeting to
 device basis families.
 
-The intermediate form mirrors the standard qelib1 definitions: every
-one-qubit builtin collapses to a single u3, every two-qubit builtin to a
-fixed u3/cx template. Retargeting realizes u3 in one of three supported
-one-qubit families and cx natively or via cz:
+The intermediate form is read from the standard qelib1 definitions: a
+builtin becomes the u3/cx gates of its qelib1 line, as
+``qflow.parser.gate_template`` flattens it. Every one-qubit builtin is a
+single u3: the line of each is one gate, but for ``sx`` and ``sxdg``,
+whose lines are three gates and which keep a stated one-u3 form here.
+Retargeting realizes u3 in one of three supported one-qubit families and
+cx natively or via cz:
 
     {u3} or {u}    identity retarget
     {rz, sx, x}    U3(t,p,l) = RZ(p+pi) SX RZ(t+pi) SX RZ(l)   (up to phase)
@@ -13,19 +16,24 @@ one-qubit families and cx natively or via cz:
 
 with rz(0) removed and the sx form collapsed at theta in {0, +-pi/2, pi}.
 Native sets needing two-qubit resynthesis (iswap, Molmer-Sorensen) are out
-of scope. Phi and lam, and the cu3 and rxx angles, meet a sum only after
-``euler.reduce_angle``, so a huge angle rounds no smaller one away, and an
-angle of at most 2*pi keeps its bits.
+of scope. Phi and lam meet a sum only after ``euler.reduce_angle``, as
+the cu3 and rxx angles do in their templates, so a huge angle rounds no
+smaller one away, and an angle of at most 2*pi keeps its bits.
+
+The public functions check what they are given and raise
+:class:`QasmError`; the transpiler calls their unchecked forms on a
+circuit that ``Circuit.resolve`` has accepted.
 """
 
 from __future__ import annotations
 
 import math
 
-from .circuit import Instruction
-from .errors import QFlowError, UnsupportedBasisError
+from .circuit import Instruction, instruction_error
+from .errors import QasmError, UnsupportedBasisError
 from .euler import reduce_angle, snap_angle
 from .gates import BasisSet, LIBRARY
+from .parser import gate_template
 
 __all__ = [
     "decompose_to_u_cx",
@@ -35,132 +43,32 @@ __all__ = [
 ]
 
 _PI = math.pi
-_H3 = (_PI / 2, 0.0, _PI)  # u3 parameters of the Hadamard
 
-
-# u3 parameters of the one-qubit gates without parameters of their own
-_FIXED_U3 = {
-    "x": (_PI, 0.0, _PI),
-    "y": (_PI, _PI / 2, _PI / 2),
-    "z": (0.0, 0.0, _PI),
-    "h": _H3,
-    "s": (0.0, 0.0, _PI / 2),
-    "sdg": (0.0, 0.0, -_PI / 2),
-    "t": (0.0, 0.0, _PI / 4),
-    "tdg": (0.0, 0.0, -_PI / 4),
-    "sx": (_PI / 2, -_PI / 2, _PI / 2),
-    "sxdg": (_PI / 2, _PI / 2, -_PI / 2),
-}
-
-
-def _one_q_u3_params(opcode: str, p: tuple) -> tuple:
-    fixed = _FIXED_U3.get(opcode)
-    if fixed is not None:
-        return fixed
-    if opcode in ("u3", "u"):
-        return (p[0], p[1], p[2])
-    if opcode == "u2":
-        return (_PI / 2, p[0], p[1])
-    if opcode in ("u1", "p", "rz"):
-        return (0.0, 0.0, p[0])
-    if opcode in ("id", "u0"):
-        return (0.0, 0.0, 0.0)
-    if opcode == "rx":
-        return (p[0], -_PI / 2, _PI / 2)
-    return (p[0], 0.0, 0.0)  # ry
-
-
-def _two_q_template(opcode: str, p: tuple) -> list[tuple]:
-    """(opcode, params, operand slots) triples; slot 0 = first operand."""
-    cx = ("cx", (), (0, 1))
-    if opcode == "cx":
-        return [cx]
-    if opcode == "cz":
-        return [("u3", _H3, (1,)), cx, ("u3", _H3, (1,))]
-    if opcode == "cy":
-        return [("u3", (0.0, 0.0, -_PI / 2), (1,)), cx, ("u3", (0.0, 0.0, _PI / 2), (1,))]
-    if opcode == "swap":
-        return [cx, ("cx", (), (1, 0)), cx]
-    if opcode == "ch":
-        # qelib1: h b; sdg b; cx; h b; t b; cx; t b; h b; s b; x b; s a;
-        seq = [
-            ("u3", _H3, (1,)),
-            ("u3", (0.0, 0.0, -_PI / 2), (1,)),
-            cx,
-            ("u3", _H3, (1,)),
-            ("u3", (0.0, 0.0, _PI / 4), (1,)),
-            cx,
-            ("u3", (0.0, 0.0, _PI / 4), (1,)),
-            ("u3", _H3, (1,)),
-            ("u3", (0.0, 0.0, _PI / 2), (1,)),
-            ("u3", (_PI, 0.0, _PI), (1,)),
-            ("u3", (0.0, 0.0, _PI / 2), (0,)),
-        ]
-        return seq
-    if opcode == "crx":
-        lam = p[0]
-        return [
-            ("u3", (0.0, 0.0, _PI / 2), (1,)),
-            cx,
-            ("u3", (-lam / 2, 0.0, 0.0), (1,)),
-            cx,
-            ("u3", (lam / 2, -_PI / 2, 0.0), (1,)),
-        ]
-    if opcode == "cry":
-        lam = p[0]
-        return [("u3", (lam / 2, 0.0, 0.0), (1,)), cx, ("u3", (-lam / 2, 0.0, 0.0), (1,)), cx]
-    if opcode == "crz":
-        lam = p[0]
-        return [("u3", (0.0, 0.0, lam / 2), (1,)), cx, ("u3", (0.0, 0.0, -lam / 2), (1,)), cx]
-    if opcode in ("cu1", "cp"):
-        lam = p[0]
-        return [
-            ("u3", (0.0, 0.0, lam / 2), (0,)),
-            cx,
-            ("u3", (0.0, 0.0, -lam / 2), (1,)),
-            cx,
-            ("u3", (0.0, 0.0, lam / 2), (1,)),
-        ]
-    if opcode == "cu3":
-        theta, phi, lam = p[0], reduce_angle(p[1]), reduce_angle(p[2])
-        return [
-            ("u3", (0.0, 0.0, (lam + phi) / 2), (0,)),
-            ("u3", (0.0, 0.0, (lam - phi) / 2), (1,)),
-            cx,
-            ("u3", (-theta / 2, 0.0, -(phi + lam) / 2), (1,)),
-            cx,
-            ("u3", (theta / 2, phi, 0.0), (1,)),
-        ]
-    if opcode == "rzz":
-        return [cx, ("u3", (0.0, 0.0, p[0]), (1,)), cx]
-    if opcode == "rxx":
-        theta = reduce_angle(p[0])
-        return [
-            ("u3", (_PI / 2, theta, 0.0), (0,)),
-            ("u3", _H3, (1,)),
-            cx,
-            ("u3", (0.0, 0.0, -theta), (1,)),
-            cx,
-            ("u3", _H3, (1,)),
-            ("u3", (_PI / 2, -_PI, _PI - theta), (0,)),
-        ]
-    raise QFlowError(f"no u3/cx template for gate '{opcode}'")
+# sx and sxdg as one u3 each; their qelib1 lines are three gates
+_ONE_U3 = {"sx": (_PI / 2, -_PI / 2, _PI / 2), "sxdg": (_PI / 2, _PI / 2, -_PI / 2)}
 
 
 def decompose_to_u_cx(instr: Instruction) -> list[Instruction]:
     """Rewrite one builtin gate instruction as a u3/cx sequence equal to it up
-    to global phase. Conditions are carried onto every emitted instruction."""
-    spec = LIBRARY.get(instr.opcode)
-    if spec is None:
-        raise QFlowError(f"'{instr.opcode}' is not a builtin gate")
-    if spec.arity == 1:
-        params = _one_q_u3_params(instr.opcode, instr.params)
-        return [Instruction("u3", params, instr.qubits, (), instr.condition)]
-    out = []
-    for opcode, params, slots in _two_q_template(instr.opcode, instr.params):
-        qubits = tuple(instr.qubits[s] for s in slots)
-        out.append(Instruction(opcode, params, qubits, (), instr.condition))
-    return out
+    to global phase. Conditions are carried onto every emitted instruction.
+    An instruction that ``Circuit.resolve`` would refuse for its own shape,
+    parameters or condition raises :class:`QasmError`."""
+    why = instruction_error(instr)
+    if why is None and instr.opcode not in LIBRARY:
+        why = f"'{instr.opcode}' is not a builtin gate"
+    if why is not None:
+        raise QasmError(why)
+    return _decompose(instr)
+
+
+def _decompose(instr: Instruction) -> list[Instruction]:
+    """decompose_to_u_cx of a library gate instruction that is not checked."""
+    opcode, qubits, condition = instr.opcode, instr.qubits, instr.condition
+    if len(qubits) == 1:  # the one u3 of its template, or a stated form
+        u3 = _ONE_U3.get(opcode) or gate_template(opcode, instr.params)[0][1]
+        return [Instruction("u3", u3, qubits, (), condition)]
+    return [Instruction(op, params, tuple([qubits[s] for s in slots]), (), condition)
+            for op, params, slots in gate_template(opcode, instr.params)]
 
 
 # -- one-qubit retarget -------------------------------------------------------
@@ -189,10 +97,18 @@ def resolve_1q_family(basis: BasisSet) -> str:
 def retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
     """Minimal-length realization of U3(u3_params) in a one-qubit basis
     family (a name that :func:`resolve_1q_family` gives), as (opcode, params)
-    pairs in circuit order, equal up to global phase."""
+    pairs in circuit order, equal up to global phase. ``u3_params`` must be
+    a tuple of three finite reals, or :class:`QasmError` is raised."""
     if family not in _FAMILIES:
         raise UnsupportedBasisError(f"unknown retarget family '{family}'")
+    why = instruction_error(Instruction("u3", u3_params, (("q", 0),)))
+    if why is not None:
+        raise QasmError(f"u3 parameters {u3_params!r}: {why}")
+    return _retarget_1q(u3_params, family)
 
+
+def _retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
+    """retarget_1q on parameters and a family that are not checked."""
     theta = snap_angle(u3_params[0])
     phi, lam = reduce_angle(u3_params[1]), reduce_angle(u3_params[2])
     if theta < 0:  # U3(-t,p,l) = U3(t, p+pi, l+pi) exactly

@@ -26,7 +26,16 @@ it. An opaque gate cannot be called.
 include path is rejected, and so is an include that would define a macro
 whose name a register or gate already holds. Library gates (everything in
 :data:`qflow.gates.LIBRARY`) are callable whether or not the include is
-present; the include adds its three-qubit macros (``ccx``, ``cswap``).
+present; the include adds its three-qubit macros (``ccx``, ``cswap``),
+whose bodies call library gates.
+
+The lines of the library gates are parsed too, once, at import: each is
+flattened down to U and CX, with the expressions of every nested call
+substituted into its body and each node whose operands are numbers folded
+as a call folds it. :func:`gate_template` evaluates one gate's flattened
+line at a call's parameters; ``decompose_to_u_cx``, the stabilizer
+tableau and the transpiler read a gate's u3/cx form from it, so each
+definition is written once, in ``qelib1.py``.
 
 The text is read statement by statement, by offset. Most statements are
 library gate calls such as ``rz(-pi/4) q[3];`` or ``cx q[0],q[1];``, and
@@ -59,10 +68,11 @@ from typing import NoReturn
 
 from .circuit import MAX_REGISTER_SIZE, Circuit, Instruction, Register
 from .errors import QasmError
+from .euler import reduce_angle
 from .gates import LIBRARY
 from .qelib1 import QELIB1_DEFS
 
-__all__ = ["parse_qasm", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
+__all__ = ["parse_qasm", "gate_template", "MAX_EXPANSION_DEPTH", "MAX_EXPANSION_INSTRUCTIONS"]
 
 # whitespace and comments match ungrouped, so their lastgroup is None
 _TOKEN_RE = re.compile(
@@ -104,7 +114,7 @@ _CALLS.update(U=("u3", 3, 1), CX=("cx", 0, 2))
 
 # an expression node's operator -> what computes it from its operands'
 # values; a node is (operator, operand[, operand]), a leaf a float or the
-# name of a formal parameter, and "neg" negates
+# index of a formal parameter, and "neg" negates
 _FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log,
           "sqrt": math.sqrt}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
@@ -165,13 +175,13 @@ def _apply(op: str, *args: float) -> float:
     return value
 
 
-def _value(expr, env: dict) -> float:
+def _value(expr, env: tuple) -> float:
     """A gate body expression's value under its formals' values ``env``,
     node by node as the parser folds the same expression with the values
     written in."""
     if type(expr) is float:
         return expr
-    if type(expr) is str:
+    if type(expr) is int:
         return env[expr]
     if expr[0] == "neg":
         return -_value(expr[1], env)
@@ -181,9 +191,9 @@ def _value(expr, env: dict) -> float:
 class _Macro:
     """A gate definition: its formal parameter names, its qubit count, and
     its body, or None for an opaque gate. Each body statement is a
-    (library opcode or _Macro, parameter expressions, formal qubit indices)
-    triple. One call emits ``size`` instructions through ``height`` nested
-    macros, itself included."""
+    (library opcode or _Macro, parameter expressions over the formals'
+    indices, formal qubit indices) triple. One call emits ``size``
+    instructions through ``height`` nested macros, itself included."""
 
     __slots__ = ("name", "params", "arity", "body", "size", "height")
 
@@ -531,10 +541,9 @@ class _Parser:
                 continue
             if target.body is None:
                 self.error(f"cannot expand opaque gate '{target.name}' (no body)", tok)
-            env = dict(zip(target.params, params))
             try:
                 for body, exprs, idx in reversed(target.body):
-                    stack.append((body, tuple([_value(e, env) for e in exprs]),
+                    stack.append((body, tuple([_value(e, params) for e in exprs]),
                                   tuple([qubits[i] for i in idx])))
             except QasmError as exc:
                 self.error(f"{exc.message} (in gate '{target.name}')", tok)
@@ -644,7 +653,7 @@ class _Parser:
             return self._fold(tok, arg)
         if text not in formals:
             self.error(f"unknown symbol '{text}' in expression", tok)
-        return text
+        return formals.index(text)
 
     def _fold(self, tok: tuple, *args):
         """The node of the operator or function ``tok`` over ``args``, or
@@ -660,17 +669,78 @@ class _Parser:
             self.error(exc.message, tok)
 
 
-def _defined_macros(text: str) -> tuple:
-    """The gates that ``text``, a list of gate definitions, defines."""
-    parser = _Parser("OPENQASM 2.0;\n" + text)
+def _qelib1_macros(library: bool) -> tuple:
+    """The macros of the qelib1 lines of the library gates, or of the other
+    gates; each set is parsed on its own, so a body of the other gates calls
+    library gates."""
+    parser = _Parser("OPENQASM 2.0;\n" + "".join(
+        line + "\n" for name, line in QELIB1_DEFS.items() if (name in LIBRARY) == library))
     parser.parse_program()
     return tuple(parser.macros.values())
 
 
-# the macros that include "qelib1.inc" defines: its gates outside the
-# library, whose bodies call library gates
-_QELIB1_MACROS = _defined_macros("".join(
-    line + "\n" for name, line in QELIB1_DEFS.items() if name not in LIBRARY))
+# the macros that include "qelib1.inc" defines
+_QELIB1_MACROS = _qelib1_macros(library=False)
+
+
+def _substituted(expr, actuals: tuple):
+    """``expr`` with each formal ``i`` replaced by the expression
+    ``actuals[i]``, every node whose operands are all numbers folded by
+    ``_value``, as a call folds it."""
+    if type(expr) is float:
+        return expr
+    if type(expr) is int:
+        return actuals[expr]
+    node = (expr[0], *[_substituted(e, actuals) for e in expr[1:]])
+    return _value(node, ()) if all(type(e) is float for e in node[1:]) else node
+
+
+def _flattened(macro: _Macro, actuals: tuple, slots: tuple):
+    """The U and CX gates of a call of ``macro`` with parameter expressions
+    ``actuals`` on operand slots ``slots``, in order, as (``"u3"`` or
+    ``"cx"``, parameter expressions, slots) triples."""
+    for target, exprs, idx in macro.body:
+        exprs = tuple([_substituted(e, actuals) for e in exprs])
+        qubits = tuple([slots[i] for i in idx])
+        if type(target) is str:
+            yield target, exprs, qubits
+        else:
+            yield from _flattened(target, exprs, qubits)
+
+
+def _template(macro: _Macro) -> tuple:
+    """(whether every parameter is a number, the flattened body of a call
+    of ``macro`` with its own formals, on slots 0, 1, ...)."""
+    body = tuple(_flattened(macro, tuple(range(len(macro.params))), tuple(range(macro.arity))))
+    return all(type(e) is float for _, exprs, _ in body for e in exprs), body
+
+
+# each library gate's qelib1 line, flattened to U ("u3") and CX ("cx"); a
+# template whose parameters are all numbers is the one answer for its gate
+_TEMPLATES = {macro.name: _template(macro) for macro in _qelib1_macros(library=True)}
+
+# The parameters that euler.reduce_angle reduces before a template reads
+# them: those that meet a sum there, where a huge angle would round the
+# other operand away, and in which the gate repeats every 2*pi. crx, cry,
+# crz and cu3's theta repeat only every 4*pi (crx(a + 2*pi) is crx(a)
+# times a Z on the control), so they are left as they are.
+_REDUCED = {"cu3": (1, 2), "rxx": (0,)}
+
+
+def gate_template(opcode: str, params: tuple) -> tuple:
+    """Library gate ``opcode`` at ``params`` as the U and CX gates of its
+    qelib1 line, equal to it up to global phase: (``"u3"`` or ``"cx"``,
+    parameters, operand slots) triples in circuit order, slot 0 the gate's
+    first operand. ``params`` is not checked."""
+    constant, body = _TEMPLATES[opcode]
+    if constant:
+        return body
+    reduced = _REDUCED.get(opcode)
+    if reduced:
+        params = tuple([reduce_angle(p) if j in reduced else p for j, p in enumerate(params)])
+    return tuple([(op, tuple([e if type(e) is float else params[e] if type(e) is int
+                              else _value(e, params) for e in exprs]), slots)
+                  for op, exprs, slots in body])
 
 
 def parse_qasm(text: str) -> Circuit:

@@ -60,7 +60,7 @@ import numpy as np
 from .circuit import Circuit
 from .errors import SimulationError
 from .gates import LIBRARY, unitary_of
-from .results import _EPS, _round30_float, bitstring
+from .results import _EPS, _round30_float
 
 __all__ = ["Op", "Program", "evolve", "walk"]
 
@@ -235,7 +235,8 @@ def refusal(shots: int, why: str) -> SimulationError:
 
 
 def _keyed(values: dict[int, int], n_bits: int) -> dict[str, int]:
-    return {bitstring(v, n_bits): values[v] for v in sorted(values)}
+    spec = f"0{max(n_bits, 1)}b"
+    return {format(v, spec): values[v] for v in sorted(values)}
 
 
 def walk(program: Program, state, shots: int, seed: int, readout=None) -> dict[str, int]:

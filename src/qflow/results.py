@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SimulationError
 from .noise import readout_matrix
 
-__all__ = ["RunResult", "draw_counts", "sample_marginal", "bitstring"]
+__all__ = ["RunResult", "draw_counts", "sample_marginal"]
 
 _EPS = 1e-12  # a likelihood taken as 0, so that rounding residue is never drawn
 _HALF = np.uint64(1 << 22)  # half of the 23 low mantissa bits a draw does not see
@@ -43,10 +43,6 @@ def _round30_float(p: float) -> float:
     draw: m * 2**30 + 0.5 is exact for a mantissa m in [0.5, 1)."""
     m, e = math.frexp(p)
     return math.ldexp(math.floor(m * 1073741824.0 + 0.5), e - 30)
-
-
-def bitstring(value: int, n_bits: int) -> str:
-    return format(value, f"0{max(n_bits, 1)}b")
 
 
 def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:

@@ -5,12 +5,13 @@ by column: rows 0..n-1 are destabilizers and rows n..2n-1 stabilizers, and
 for each qubit q the Python int ``X[q]`` holds bit i = row i's x bit on q,
 ``Z[q]`` its z bit, while the int ``R`` holds bit i = row i's sign. A gate
 therefore updates every row at once with a few integer operations. cx, cz
-and swap combine two columns; every other two-qubit gate runs as its u3/cx
-template from qflow.decompose. A one-qubit gate U needs no table of names:
-U X U^dag, U Z U^dag and U Y U^dag are each a sign times a Pauli, so a row's
-(x, z) bits on the wire map linearly, and the rows holding X, Z or Y there
-flip sign by the matching sign. These seven bits are read off U's matrix
-and cached per (opcode, params). U is rejected with NonCliffordError when a
+and swap combine two columns; every other two-qubit gate runs as the u3/cx
+gates of its qelib1 line, which ``qflow.parser.gate_template`` gives. A
+one-qubit gate U needs no table of names: U X U^dag, U Z U^dag and U Y
+U^dag are each a sign times a Pauli, so a row's (x, z) bits on the wire
+map linearly, and the rows holding X, Z or Y there flip sign by the
+matching sign. These seven bits are read off U's matrix and cached per
+(opcode, params). U is rejected with NonCliffordError when a
 conjugated Pauli lies further than 3e-9 from every signed Pauli, entry by
 entry; so an angle within about 3e-9 of the pi/2 lattice is accepted, and
 so is an off-lattice u3 that is Clifford, such as u3(0,pi/4,-pi/4).
@@ -55,10 +56,10 @@ import time
 import numpy as np
 
 from .circuit import Circuit
-from .decompose import _two_q_template
 from .errors import NonCliffordError, QFlowError
 from .euler import SNAP_TOL, snap_angle
 from .gates import unitary_of
+from .parser import gate_template
 from .program import ALWAYS_RUN, Program, _keyed, refusal, walk
 from .results import RunResult
 
@@ -224,7 +225,7 @@ class StabilizerTableau:
             return
         # every other gate reduces to u3/cx pieces, each of which must be Clifford
         try:
-            for sub_op, sub_params, slots in _two_q_template(opcode, params):
+            for sub_op, sub_params, slots in gate_template(opcode, params):
                 self.apply(sub_op, sub_params, tuple(wires[s] for s in slots))
         except QFlowError:
             raise _reject(opcode, params) from None

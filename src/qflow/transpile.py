@@ -37,18 +37,20 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .circuit import Circuit, Instruction, derived
-from .decompose import _H3, decompose_to_u_cx, resolve_1q_family, retarget_1q, retarget_2q
+from .decompose import _decompose, _retarget_1q, resolve_1q_family, retarget_2q
 from .device import DeviceConfig
 from .errors import TranspileError
 from .euler import IDENTITY_CELLS, mul2, u3_cells, zyz_from_cells
 from .gates import BasisSet, LIBRARY
 from .layout import initial_mapping
 from .metrics import circuit_depth
+from .parser import gate_template
 from .routing import route
 from .schedule import schedule_asap
 
 __all__ = ["transpile", "TranspileReport"]
 
+_H3 = gate_template("h", ())[0][1]  # u3 parameters of the Hadamard
 _H_CELLS = u3_cells(*_H3)
 
 
@@ -98,7 +100,7 @@ class _Runs:
         cells = self.pending.pop(w, None)
         if cells is not None:
             operand, wires = (self.operand_of[w],), (w,)
-            for name, params in retarget_1q(zyz_from_cells(*cells), self.family):
+            for name, params in _retarget_1q(zyz_from_cells(*cells), self.family):
                 self.out.append(Instruction(name, params, operand))
                 self.wires.append(wires)
 
@@ -126,7 +128,7 @@ def _retarget(
     as 2x2 cells, never as instructions, and each run is emitted once."""
     directed = device.directed_edges()
     native_cx = retarget_2q(basis) == "cx"
-    h_seq = retarget_1q(_H3, family)
+    h_seq = _retarget_1q(_H3, family)
     qreg = next(r.name for r in routed.registers if r.kind == "q")
     operands = [(qreg, w) for w in range(routed.n_qubits)]
     runs = _Runs(family, operands)
@@ -174,7 +176,7 @@ def _retarget(
             if fold and instr.condition is None:
                 runs.merge(w, u3_cells(*instr.params))
             else:
-                emit_1q(retarget_1q(instr.params, family), w, instr.condition)
+                emit_1q(_retarget_1q(instr.params, family), w, instr.condition)
         elif op == "cx":
             emit_cx(instr.qubits[0][1], instr.qubits[1][1], instr.condition)
         elif op == "swap":
@@ -222,7 +224,7 @@ def transpile(
             decomposed_instrs.append(instr)
             wires.append(ws)
             continue
-        parts = decompose_to_u_cx(instr)
+        parts = _decompose(instr)
         decomposed_instrs += parts
         if len(ws) == 1:
             wires += [ws] * len(parts)

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from qflow.circuit import Instruction
 from qflow.decompose import decompose_to_u_cx, resolve_1q_family, retarget_1q, retarget_2q
-from qflow.errors import QFlowError, UnsupportedBasisError
+from qflow.errors import QasmError, QFlowError, UnsupportedBasisError
 from qflow.euler import normalize_angle, reduce_angle, snap_angle, u3_cells, zyz_from_cells
 from qflow.gates import LIBRARY, BasisSet, u3_matrix, unitary_of
+from qflow.parser import gate_template
 
 from oracles import apply_to_columns, phase_distance
 
@@ -59,21 +60,28 @@ class TestDecomposeToUCx:
         )) < 1e-12
 
     def test_every_builtin_sound(self):
+        """Each builtin's qelib1 line, flattened to u3/cx, equals its matrix
+        up to global phase, and so does its decomposition, which is that
+        line but for the stated one-u3 forms of sx and sxdg."""
         rng = np.random.default_rng(77)
         for name, spec in LIBRARY.items():
             for _ in range(100 if spec.param_count else 3):
                 params = tuple(rng.uniform(-2 * PI, 2 * PI, spec.param_count))
                 qubits = tuple(("q", k) for k in range(spec.arity))
                 out = decompose_to_u_cx(Instruction(name, params, qubits))
-                assert all(i.opcode in ("u3", "cx") for i in out)
-                got = _compose_instrs(out, spec.arity)
+                line = [Instruction(op, p, tuple(qubits[s] for s in slots))
+                        for op, p, slots in gate_template(name, params)]
+                assert all(i.opcode in ("u3", "cx") for i in out + line)
                 want = apply_to_columns(
                     np.eye(1 << spec.arity, dtype=complex),
                     unitary_of(name, params),
                     list(range(spec.arity)),
                     spec.arity,
                 )
+                got = _compose_instrs(line, spec.arity)
                 dist = phase_distance(want, got)
+                assert dist < 1e-10, f"{name}{params}: {dist}"
+                dist = phase_distance(got, _compose_instrs(out, spec.arity))
                 assert dist < 1e-10, f"{name}{params}: {dist}"
 
     def test_condition_carried(self):
@@ -83,6 +91,32 @@ class TestDecomposeToUCx:
     def test_non_gate_rejected(self):
         with pytest.raises(QFlowError, match="not a builtin gate"):
             decompose_to_u_cx(Instruction("measure", (), (("q", 0),), (("c", 0),)))
+
+
+_Q1, _Q2 = (("q", 0),), (("q", 0), ("q", 1))
+_NAN, _INF = float("nan"), float("inf")
+_HOSTILE = {
+    "rz_without_its_angle": (decompose_to_u_cx, Instruction("rz", (), _Q1)),
+    "cx_on_one_qubit": (decompose_to_u_cx, Instruction("cx", (), _Q1)),
+    "u3_with_one_angle": (decompose_to_u_cx, Instruction("u3", (1.0,), _Q1)),
+    "crz_without_its_angle": (decompose_to_u_cx, Instruction("crz", (), _Q2)),
+    "h_with_an_angle": (decompose_to_u_cx, Instruction("h", (_NAN,), _Q1)),
+    "rx_of_a_string": (decompose_to_u_cx, Instruction("rx", ("a",), _Q1)),
+    "retarget_nan": (retarget_1q, (_NAN, 0.0, 0.0), "zsx"),
+    "retarget_two_angles": (retarget_1q, (1.0, 2.0), "zsx"),
+    "retarget_a_string": (retarget_1q, ("a", 0.0, 0.0), "u3"),
+    "retarget_inf": (retarget_1q, (_INF, 0.0, 0.0), "zsx"),
+}
+
+
+@pytest.mark.parametrize("call", _HOSTILE.values(), ids=_HOSTILE.keys())
+def test_a_malformed_gate_raises_a_qasm_error(call):
+    """The public gate-level functions check what they are given, so a
+    caller meets only QFlowError subclasses, never an IndexError, a
+    ValueError, a TypeError or a silent NaN."""
+    function, *args = call
+    with pytest.raises(QasmError):
+        function(*args)
 
 
 class TestRetarget1q:

@@ -43,6 +43,7 @@ PUBLIC_WITHOUT_CALLER = {
     "TranspileReport": "the type transpile returns",
     "draw_counts": "the seeded multinomial draw under every backend's counts",
     "StabilizerTableau": "the tableau whose methods the benchmark tracer hooks by name",
+    "retarget_1q": "the checked one-qubit retarget; the transpiler calls its unchecked form",
 }
 
 # (function, parameter) of the options that no qflow function and no
