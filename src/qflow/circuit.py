@@ -48,13 +48,11 @@ instruction.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from numbers import Real
 
 from .errors import QasmError
-from .gates import LIBRARY
+from .gates import LIBRARY, parameter_error
 
 __all__ = ["Register", "Instruction", "Circuit", "Resolution"]
 
@@ -81,15 +79,11 @@ def instruction_error(instr) -> str | None:
     for p in params:
         if type(p) is float and not p - p:  # a finite float, the common case
             continue
-        try:
-            finite = isinstance(p, Real) and math.isfinite(p)
-            # a delay count is an int of its own rule, below
-            exact = finite and (float(p) == p or opcode == "delay")
-        except OverflowError:  # a number too large for a double
-            finite = exact = False
-        if not exact:
-            what = "equal to a double" if finite else "a finite real number"
-            return f"parameter {p!r} is not {what}"
+        why = parameter_error(p)
+        # a delay count is an int of its own rule, below, and need only be
+        # finite as a double
+        if why is not None and not (opcode == "delay" and why.endswith("equal to a double")):
+            return why
     shape = SHAPES.get(opcode) if type(opcode) is str else None
     if shape is None:
         return f"undeclared gate {opcode!r}"

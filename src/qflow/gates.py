@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -32,9 +33,23 @@ __all__ = [
     "BasisSet",
     "LIBRARY",
     "unitary_of",
+    "parameter_error",
     "u3_matrix",
     "gate_manifest",
 ]
+
+
+def parameter_error(p) -> str | None:
+    """Why ``p`` cannot be a gate parameter, or None: a parameter is a
+    finite real equal to the double it converts to."""
+    if type(p) is float and not p - p:  # a finite float, the common case
+        return None
+    try:
+        if isinstance(p, Real) and math.isfinite(p):
+            return None if float(p) == p else f"parameter {p!r} is not equal to a double"
+    except OverflowError:  # a number too large for a double
+        pass
+    return f"parameter {p!r} is not a finite real number"
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -99,6 +114,10 @@ class GateSpec:
             raise QFlowError(
                 f"gate '{self.name}' takes {self.param_count} parameter(s), got {len(params)}"
             )
+        for p in params:
+            why = parameter_error(p)
+            if why is not None:
+                raise QFlowError(f"gate '{self.name}': {why}")
         return self.matrix_builder(*params)
 
 

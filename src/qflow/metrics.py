@@ -24,12 +24,13 @@ incidences and are excluded from the retention maximum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .circuit import Circuit
 from .gates import LIBRARY
 
-__all__ = ["MetricsReport", "analyze", "circuit_depth"]
+__all__ = ["MetricsReport", "analyze", "circuit_depth", "gate_counts"]
 
 
 @dataclass(frozen=True)
@@ -82,29 +83,34 @@ def circuit_depth(circuit: Circuit) -> int:
     return depth
 
 
+def gate_counts(circuit: Circuit) -> tuple[dict, int, int]:
+    """(histogram of the opcodes but barriers, count of one-qubit library
+    gates, count of two-qubit library gates)."""
+    histogram = Counter(instr.opcode for instr in circuit.instructions)
+    histogram.pop("barrier", None)
+    n_1q = n_2q = 0
+    for opcode, count in histogram.items():
+        spec = LIBRARY.get(opcode)
+        if spec is not None:
+            if spec.arity == 1:
+                n_1q += count
+            else:
+                n_2q += count
+    return dict(histogram), n_1q, n_2q
+
+
 def analyze(circuit: Circuit) -> MetricsReport:
     """Compute the metrics report of a circuit."""
     n_qubits = circuit.n_qubits
     depth, first, last = _layering(circuit)
+    histogram, n_1q, n_2q = gate_counts(circuit)
+    n_measure = histogram.get("measure", 0)
 
-    histogram: dict[str, int] = {}
-    n_1q = n_2q = n_measure = 0
     incidence = [0] * n_qubits
     for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
-        if instr.opcode == "barrier":
-            continue
-        histogram[instr.opcode] = histogram.get(instr.opcode, 0) + 1
-        if instr.opcode == "measure":
-            n_measure += 1
-        else:
-            spec = LIBRARY.get(instr.opcode)
-            if spec is not None:
-                if spec.arity == 1:
-                    n_1q += 1
-                else:
-                    n_2q += 1
-                    for w in wires:
-                        incidence[w] += 1
+        if len(wires) == 2 and instr.opcode in LIBRARY:
+            for w in wires:
+                incidence[w] += 1
 
     n_gates = sum(histogram.values())
     cells = depth * n_qubits

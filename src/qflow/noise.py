@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .errors import SimulationError
+from .gates import unitary_of
 
 __all__ = [
     "depolarizing_kraus",
@@ -36,12 +37,7 @@ __all__ = [
     "readout_matrix",
 ]
 
-_PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULIS = {label: unitary_of(gate) for label, gate in zip("IXYZ", ("id", "x", "y", "z"))}
 # the 16 two-qubit Pauli products, first factor on the high qubit
 _PAULIS_2Q = {a + b: np.kron(_PAULIS[a], _PAULIS[b]) for a in _PAULIS for b in _PAULIS}
 

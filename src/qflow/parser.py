@@ -29,13 +29,14 @@ whose name a register or gate already holds. Library gates (everything in
 present; the include adds its three-qubit macros (``ccx``, ``cswap``),
 whose bodies call library gates.
 
-The lines of the library gates are parsed too, once, at import: each is
-flattened down to U and CX, with the expressions of every nested call
-substituted into its body and each node whose operands are numbers folded
-as a call folds it. :func:`gate_template` evaluates one gate's flattened
-line at a call's parameters; ``decompose_to_u_cx``, the stabilizer
-tableau and the transpiler read a gate's u3/cx form from it, so each
-definition is written once, in ``qelib1.py``.
+A formal parameter is the expression node ``("arg", i)`` and only
+numbers are leaves, so one rule folds a node over numbers as it is read, at
+a call and in a template alike. One inliner expands a call, and, once at
+import, each library gate's line down to U and CX with its own formals
+as actuals. :func:`gate_template` evaluates that template at a call's
+parameters; ``decompose_to_u_cx``, the stabilizer tableau and the
+transpiler read a gate's u3/cx form from it, so each definition is
+written once, in ``qelib1.py``.
 
 The text is read statement by statement, by offset. Most statements are
 library gate calls such as ``rz(-pi/4) q[3];`` or ``cx q[0],q[1];``, and
@@ -113,12 +114,12 @@ _CALLS = {name: (name, spec.param_count, spec.arity) for name, spec in LIBRARY.i
 _CALLS.update(U=("u3", 3, 1), CX=("cx", 0, 2))
 
 # an expression node's operator -> what computes it from its operands'
-# values; a node is (operator, operand[, operand]), a leaf a float or the
-# index of a formal parameter, and "neg" negates
+# values; a node is (operator, operand[, operand]), a formal parameter the
+# node ("arg", index), and a leaf a number; "neg" negates
 _FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "ln": math.log,
           "sqrt": math.sqrt}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-        "^": operator.pow, **_FUNCS}
+        "^": operator.pow, "neg": operator.neg, **_FUNCS}
 
 # Nesting bound for parameter expressions. Each level is a few Python
 # frames of recursive descent, so this keeps deep input a QasmError well
@@ -160,11 +161,15 @@ def _argument(text: str) -> float | None:
     return value
 
 
-def _apply(op: str, *args: float) -> float:
-    """``op`` applied to operand values, which must give a finite real.
-    Division by zero, a math domain or range error, an infinite or NaN
-    result and the complex result of a negative base to a fractional power
-    raise :class:`QasmError` without a position."""
+def _node(op: str, args) -> float | tuple:
+    """The node of ``op`` over ``args``, or its value where no operand is a
+    node, which must be a finite real. Division by zero, a math domain or
+    range error, an infinite or NaN result and the complex result of a
+    negative base to a fractional power raise :class:`QasmError` without a
+    position."""
+    for arg in args:
+        if type(arg) is tuple:
+            return (op, *args)
     try:
         value = _OPS[op](*args)
         # math.isfinite raises TypeError on a complex value
@@ -175,25 +180,47 @@ def _apply(op: str, *args: float) -> float:
     return value
 
 
-def _value(expr, env: tuple) -> float:
-    """A gate body expression's value under its formals' values ``env``,
-    node by node as the parser folds the same expression with the values
-    written in."""
-    if type(expr) is float:
+def _substituted(expr, actuals: tuple):
+    """``expr`` with each formal ``("arg", i)`` replaced by ``actuals[i]``
+    and every node over numbers folded by :func:`_node`: a value where the
+    actuals are numbers, as the parser folds the same expression with the
+    values written in, and otherwise an expression over theirs."""
+    if type(expr) is not tuple:
         return expr
-    if type(expr) is int:
-        return env[expr]
-    if expr[0] == "neg":
-        return -_value(expr[1], env)
-    return _apply(expr[0], *[_value(e, env) for e in expr[1:]])
+    if expr[0] == "arg":
+        return actuals[expr[1]]
+    return _node(expr[0], [_substituted(e, actuals) for e in expr[1:]])
+
+
+def _inline(macro: _Macro, params: tuple, qubits: tuple):
+    """The gates of one call of ``macro`` at parameters ``params`` (numbers
+    or expressions) on operands ``qubits``, in body order with each nested
+    call inlined in place, as (library opcode or ``"barrier"``, parameters,
+    operands) triples. An expression that fails, or an opaque gate, raises
+    :class:`QasmError` naming the gate."""
+    stack = [(macro, params, qubits)]
+    while stack:
+        target, params, qubits = stack.pop()
+        if type(target) is str:
+            yield target, params, qubits
+            continue
+        if target.body is None:
+            raise QasmError(f"cannot expand opaque gate '{target.name}' (no body)")
+        try:
+            for body, exprs, idx in reversed(target.body):
+                stack.append((body, tuple([_substituted(e, params) for e in exprs]),
+                              tuple([qubits[i] for i in idx])))
+        except QasmError as exc:
+            raise QasmError(f"{exc.message} (in gate '{target.name}')") from None
 
 
 class _Macro:
     """A gate definition: its formal parameter names, its qubit count, and
     its body, or None for an opaque gate. Each body statement is a
-    (library opcode or _Macro, parameter expressions over the formals'
-    indices, formal qubit indices) triple. One call emits ``size``
-    instructions through ``height`` nested macros, itself included."""
+    (library opcode or _Macro, parameter expressions over the formals
+    ``("arg", i)``, formal qubit indices) triple, which :func:`_inline`
+    expands. One call emits ``size`` instructions through ``height``
+    nested macros, itself included."""
 
     __slots__ = ("name", "params", "arity", "body", "size", "height")
 
@@ -528,25 +555,15 @@ class _Parser:
                 self.instructions.append(Instruction(target, params, qs, cs, condition))
 
     def _expand(self, macro: _Macro, params: tuple, qubits: tuple, condition, tok: tuple):
-        """Append the gates of one call of ``macro`` in body order, each
-        nested call expanded in place."""
+        """Append the gates of one call of ``macro``; a barrier is not a
+        qop, so no if applies to it."""
         add = self.instructions.append
-        stack = [(macro, params, qubits)]
-        while stack:
-            target, params, qubits = stack.pop()
-            if type(target) is str:
-                # a barrier is not a qop, so no if applies to it
+        try:
+            for target, params, qubits in _inline(macro, params, qubits):
                 add(Instruction(target, params, qubits, (),
                                 None if target == "barrier" else condition))
-                continue
-            if target.body is None:
-                self.error(f"cannot expand opaque gate '{target.name}' (no body)", tok)
-            try:
-                for body, exprs, idx in reversed(target.body):
-                    stack.append((body, tuple([_value(e, params) for e in exprs]),
-                                  tuple([qubits[i] for i in idx])))
-            except QasmError as exc:
-                self.error(f"{exc.message} (in gate '{target.name}')", tok)
+        except QasmError as exc:
+            self.error(exc.message, tok)
 
     def _parse_call(self, tok, formals, operand) -> tuple:
         """The gate call ``name(params) args;`` after its name token, at top
@@ -620,8 +637,7 @@ class _Parser:
         self.expr_depth += 1
         if self.peek() == "-":
             self.i += 1
-            node = self._parse_unary(formals)
-            node = -node if type(node) is float else ("neg", node)
+            node = _node("neg", (self._parse_unary(formals),))
         else:
             node = self._parse_atom(formals)
             if self.peek() == "^":
@@ -653,18 +669,13 @@ class _Parser:
             return self._fold(tok, arg)
         if text not in formals:
             self.error(f"unknown symbol '{text}' in expression", tok)
-        return formals.index(text)
+        return ("arg", formals.index(text))
 
     def _fold(self, tok: tuple, *args):
-        """The node of the operator or function ``tok`` over ``args``, or
-        its value where every operand is a number; an evaluation error is
-        located at ``tok``."""
-        op = tok[1]
-        for arg in args:
-            if type(arg) is not float:
-                return (op, *args)
+        """:func:`_node` of the operator or function ``tok`` over ``args``,
+        an evaluation error located at ``tok``."""
         try:
-            return _apply(op, *args)
+            return _node(tok[1], args)
         except QasmError as exc:
             self.error(exc.message, tok)
 
@@ -683,39 +694,15 @@ def _qelib1_macros(library: bool) -> tuple:
 _QELIB1_MACROS = _qelib1_macros(library=False)
 
 
-def _substituted(expr, actuals: tuple):
-    """``expr`` with each formal ``i`` replaced by the expression
-    ``actuals[i]``, every node whose operands are all numbers folded by
-    ``_value``, as a call folds it."""
-    if type(expr) is float:
-        return expr
-    if type(expr) is int:
-        return actuals[expr]
-    node = (expr[0], *[_substituted(e, actuals) for e in expr[1:]])
-    return _value(node, ()) if all(type(e) is float for e in node[1:]) else node
-
-
-def _flattened(macro: _Macro, actuals: tuple, slots: tuple):
-    """The U and CX gates of a call of ``macro`` with parameter expressions
-    ``actuals`` on operand slots ``slots``, in order, as (``"u3"`` or
-    ``"cx"``, parameter expressions, slots) triples."""
-    for target, exprs, idx in macro.body:
-        exprs = tuple([_substituted(e, actuals) for e in exprs])
-        qubits = tuple([slots[i] for i in idx])
-        if type(target) is str:
-            yield target, exprs, qubits
-        else:
-            yield from _flattened(target, exprs, qubits)
-
-
 def _template(macro: _Macro) -> tuple:
-    """(whether every parameter is a number, the flattened body of a call
+    """(whether every parameter is a number, the U and CX gates of a call
     of ``macro`` with its own formals, on slots 0, 1, ...)."""
-    body = tuple(_flattened(macro, tuple(range(len(macro.params))), tuple(range(macro.arity))))
-    return all(type(e) is float for _, exprs, _ in body for e in exprs), body
+    formals = tuple([("arg", i) for i in range(len(macro.params))])
+    body = tuple(_inline(macro, formals, tuple(range(macro.arity))))
+    return all(type(e) is not tuple for _, exprs, _ in body for e in exprs), body
 
 
-# each library gate's qelib1 line, flattened to U ("u3") and CX ("cx"); a
+# each library gate's qelib1 line, inlined to U ("u3") and CX ("cx"); a
 # template whose parameters are all numbers is the one answer for its gate
 _TEMPLATES = {macro.name: _template(macro) for macro in _qelib1_macros(library=True)}
 
@@ -738,8 +725,8 @@ def gate_template(opcode: str, params: tuple) -> tuple:
     reduced = _REDUCED.get(opcode)
     if reduced:
         params = tuple([reduce_angle(p) if j in reduced else p for j, p in enumerate(params)])
-    return tuple([(op, tuple([e if type(e) is float else params[e] if type(e) is int
-                              else _value(e, params) for e in exprs]), slots)
+    return tuple([(op, tuple([e if type(e) is not tuple else params[e[1]] if e[0] == "arg"
+                              else _substituted(e, params) for e in exprs]), slots)
                   for op, exprs, slots in body])
 
 

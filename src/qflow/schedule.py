@@ -36,8 +36,8 @@ class Schedule:
 
 
 def instruction_duration_ns(instr, wires, device: DeviceConfig) -> float:
-    if instr.opcode == "barrier":
-        return 0.0
+    """The duration of a delay or a gate; a barrier has none, and its
+    callers handle it first."""
     if instr.opcode == "delay":
         return float(instr.params[0]) * device.cycle_time_ns
     return device.duration_of(instr.opcode, wires)

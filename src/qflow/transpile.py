@@ -33,7 +33,6 @@ H(target), with the Hadamards realized in the device's one-qubit family.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .circuit import Circuit, Instruction, derived
@@ -43,7 +42,7 @@ from .errors import TranspileError
 from .euler import IDENTITY_CELLS, mul2, u3_cells, zyz_from_cells
 from .gates import BasisSet, LIBRARY
 from .layout import initial_mapping
-from .metrics import circuit_depth
+from .metrics import circuit_depth, gate_counts
 from .parser import gate_template
 from .routing import route
 from .schedule import schedule_asap
@@ -246,19 +245,10 @@ def transpile(
     physical = _retarget(routed, device, basis, family, fold=opt_level >= 1)
     sched = schedule_asap(physical, device)
 
-    histogram = Counter(instr.opcode for instr in physical.instructions)
-    histogram.pop("barrier", None)
-    n_1q = n_2q = 0
-    for opcode, count in histogram.items():
-        spec = LIBRARY.get(opcode)
-        if spec is not None:
-            if spec.arity == 1:
-                n_1q += count
-            else:
-                n_2q += count
+    histogram, n_1q, n_2q = gate_counts(physical)
 
     report = TranspileReport(
-        basis_histogram=dict(histogram),
+        basis_histogram=histogram,
         n_1q=n_1q,
         n_2q=n_2q,
         n_swap=n_swap,

@@ -120,7 +120,7 @@ def test_a_malformed_gate_raises_a_qasm_error(call):
 
 
 class TestRetarget1q:
-    FAMILIES = ("zsx", "zxz", "zyz", "u3")
+    FAMILIES = ("zsx", "zxz", "zyz", "u3", "u")
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_random_angles_sound(self, family):
@@ -154,6 +154,8 @@ class TestRetarget1q:
 
     def test_u3_family_identity(self):
         assert retarget_1q((1.0, 0.5, -0.5), "u3") == [("u3", (1.0, 0.5, -0.5))]
+        assert retarget_1q((1.0, 0.5, -0.5), "u") == [("u", (1.0, 0.5, -0.5))]
+        assert retarget_1q((0.0, 0.5, -0.5), "u3") == []  # the identity
 
     def test_snapping_to_lattice(self):
         eps = 1e-12
@@ -162,6 +164,7 @@ class TestRetarget1q:
 
     def test_family_resolution(self):
         assert resolve_1q_family(BasisSet.from_names(["u3", "cx"])) == "u3"
+        assert resolve_1q_family(BasisSet.from_names(["u", "cx"])) == "u"
         assert resolve_1q_family(BasisSet.from_names(["rz", "sx", "x", "cx"])) == "zsx"
         assert resolve_1q_family(BasisSet.from_names(["rz", "rx", "cz"])) == "zxz"
         assert resolve_1q_family(BasisSet.from_names(["rz", "ry", "cx"])) == "zyz"

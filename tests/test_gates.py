@@ -110,6 +110,21 @@ def test_unknown_gate_and_bad_params():
         unitary_of("u3", (1.0,))
 
 
+@pytest.mark.parametrize("gate, params, why", [
+    ("rz", ("a",), "parameter 'a' is not a finite real number"),
+    ("u3", (math.inf, 0.0, 0.0), "parameter inf is not a finite real number"),
+    ("cu1", (10**400,), "parameter 1000+ is not a finite real number"),
+    ("rz", (math.nan,), "parameter nan is not a finite real number"),
+    ("rz", (2**53 + 1,), "parameter 9007199254740993 is not equal to a double"),
+])
+def test_a_parameter_the_circuit_rule_refuses_is_a_qflow_error(gate, params, why):
+    """unitary_of and GateSpec.matrix take the parameters that
+    Circuit.resolve takes, and refuse any other with QFlowError."""
+    for matrix in (lambda: unitary_of(gate, params), lambda: LIBRARY[gate].matrix(params)):
+        with pytest.raises(QFlowError, match=f"gate '{gate}': {why}"):
+            matrix()
+
+
 def test_basis_set():
     b = BasisSet.from_names(["rz", "sx", "x", "cx"])
     assert b.one_qubit == {"rz", "sx", "x"}

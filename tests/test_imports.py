@@ -5,7 +5,8 @@ or a benchmark script or is public for a reason given here, every option of
 an exported function is passed by another qflow function or a benchmark
 script or is settable for a reason given here, only ``circuit.py`` numbers
 the wires, only the library, the parser and ``circuit.py`` read a gate's
-parameter count, only the parser expands macros, only ``program.py``
+parameter count, only they and ``metrics.py`` read its arity, only the
+parser expands macros, only ``program.py``
 sets an attribute of an op, only ``euler.py`` reduces an angle and only
 ``qelib1.py`` names the text of the include."""
 
@@ -242,6 +243,17 @@ def test_only_the_shape_rule_reads_parameter_counts(path):
     reads = sorted(node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr == "param_count")
     assert path.name in ("gates.py", "parser.py", "circuit.py") or reads == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_gate_count_rule_reads_arities(path):
+    """Gates are counted by arity in ``metrics.gate_counts`` alone, which
+    the transpile report and ``analyze`` share; beside it only the library,
+    the parser and the shape rule read how many qubits a gate takes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "arity")
+    assert path.name in ("gates.py", "parser.py", "circuit.py", "metrics.py") or reads == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

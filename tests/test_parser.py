@@ -780,6 +780,15 @@ def test_expansion_size_is_bounded_before_any_instruction_is_emitted(monkeypatch
     assert len(parse_qasm("\n".join(lines[:12] + ["g10 q[0];"] * 2)).instructions) == 2**11
 
 
+def test_expansion_size_bounds_the_fast_path_statements_at_the_end(monkeypatch):
+    """A library call that one regex match reads expands no macro, so the
+    bound on the output is checked once more at the end of the text."""
+    monkeypatch.setattr(parser, "MAX_EXPANSION_INSTRUCTIONS", 3)
+    assert len(parse_qasm(_H + "x q[0];\nh q[1];\ncx q[0],q[1];\n").instructions) == 3
+    with pytest.raises(QasmError, match="^gate expansion would emit 4 instructions, more than 3$"):
+        parse_qasm(_H + "x q[0];\nh q[1];\ncx q[0],q[1];\nx q[1];\n")
+
+
 def test_parse_leaves_no_reference_cycle():
     text = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
             "gate bell a,b { h a; cx a,b; }\nbell q[0],q[1];\nccx q[0],q[1],q[2];\n"

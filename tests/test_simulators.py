@@ -467,12 +467,23 @@ def test_dm_refuses_an_op_on_a_qubit_the_device_lacks(line5, tmp_path, capsys):
     (np.eye(2) / 2, [np.inf, 0.0]),
     (np.array([["a", "b"], ["c", "d"]]), [1.0, 0.0]),
     ([[1.0, 0.0], [0.0]], [1.0, 0.0]),
-], ids=["nan-rho", "infinite-psi", "strings", "ragged"])
+    (np.eye(4) / 4, [1.0, 0.0]),
+], ids=["nan-rho", "infinite-psi", "strings", "ragged", "mismatched-shapes"])
 def test_fidelity_refuses_an_input_that_is_not_a_state(rho, psi):
     """NaN passed both range tests and came back as nan, and numpy raised
     its own errors for strings and ragged lists."""
     with pytest.raises(SimulationError):
         fidelity(rho, psi)
+
+
+@pytest.mark.parametrize("evolve, body, message", [
+    (sv_statevector, "reset q[0];\n", "found 'reset')"),
+    (sv_statevector, "if(c==1) x q[0];\n", "found 'x' with condition)"),
+    (dm_evolve, "if(c==1) x q[0];\n", "dm_evolve does not evaluate classical conditions"),
+], ids=["sv-reset", "sv-if", "dm-if"])
+def test_an_evolve_without_sampling_refuses_what_it_cannot_evolve(evolve, body, message):
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        evolve(parse_qasm(HEADER + "qreg q[1];\ncreg c[1];\nh q[0];\n" + body))
 
 
 def test_one_program_evolves_into_states_that_hold_different_wires():

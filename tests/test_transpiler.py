@@ -12,7 +12,7 @@ from qflow.device import Topology, load_device
 from qflow.decompose import decompose_to_u_cx, resolve_1q_family
 from qflow.errors import QFlowError, TranspileError
 from qflow.gates import LIBRARY, BasisSet
-from qflow.metrics import circuit_depth
+from qflow.metrics import MetricsReport, analyze, circuit_depth
 from qflow.layout import Layout, initial_mapping
 from qflow.parser import parse_qasm
 from qflow.printer import print_qasm
@@ -110,6 +110,14 @@ class TestRoute:
         measure = [i for i in routed.instructions if i.opcode == "measure"][0]
         assert measure.qubits[0][1] == final.logical_to_physical[0]
         assert measure.clbits == (("c", 0),)
+
+    def test_physical_register_avoids_a_classical_register_named_q(self):
+        c = _decomposed(parse_qasm("OPENQASM 2.0; qreg r[2]; creg q[1]; creg _q[1]; "
+                                   "cx r[0],r[1]; measure r[1] -> q[0];"))
+        routed, _ = route(c, Layout((0, 1, 2), 2), self._line3())
+        assert [(r.name, r.kind) for r in routed.registers] == [
+            ("__q", "q"), ("q", "c"), ("_q", "c")]
+        assert routed.instructions[-1].qubits == (("__q", 1),)
 
     def test_classical_order_preserved(self):
         src = (
@@ -347,6 +355,23 @@ class TestTranspile:
 
         assert report.depth_out == circuit_depth(phys)
 
+    def test_analyze_counts_as_the_report_does(self, devices):
+        """Barriers are left out of the histogram and the gate counts; a
+        circuit of no instructions has zero depth and density."""
+        c = parse_qasm("OPENQASM 2.0; qreg q[2]; creg c[1]; h q[0]; barrier q; cx q[0],q[1]; "
+                       "barrier q[0]; measure q[1] -> c[0];")
+        report = analyze(c)
+        assert report.basis_histogram == {"h": 1, "cx": 1, "measure": 1}
+        assert (report.n_gates, report.n_1q, report.n_2q, report.n_measure, report.depth) == (
+            3, 1, 1, 1, 3)
+        phys, treport = transpile(c, devices["line5"], opt_level=0)
+        report = analyze(phys)
+        assert (report.basis_histogram, report.n_1q, report.n_2q) == (
+            treport.basis_histogram, treport.n_1q, treport.n_2q)
+        assert analyze(c.with_instructions(())) == MetricsReport(2, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0,
+                                                                 0.0, {})
+        assert analyze(Circuit()) == MetricsReport(0, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, {})
+
     def test_conditions_survive(self, devices):
         src = (
             "OPENQASM 2.0; qreg q[2]; creg c[1]; h q[0]; measure q[0] -> c[0]; "
@@ -360,6 +385,10 @@ class TestTranspile:
         c = parse_qasm("OPENQASM 2.0; qreg q[9]; h q[0];")
         with pytest.raises(TranspileError, match="too many qubits"):
             transpile(c, devices["heavyhex7"])
+
+    def test_unsupported_opt_level(self, bell, devices):
+        with pytest.raises(TranspileError, match="unsupported opt_level 2"):
+            transpile(bell, devices["line5"], opt_level=2)
 
     def test_delay_passes_through(self, devices):
         c = parse_qasm("OPENQASM 2.0; qreg q[1]; x q[0]; delay q[0], 64; x q[0];")
