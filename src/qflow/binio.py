@@ -243,9 +243,12 @@ def decode_binary(data: bytes) -> Circuit:
 
     Validates the magic, version, and every string-table and register
     index, then each instruction (``Circuit.resolve``); truncation errors
-    report the failing byte offset.
+    report the failing byte offset. ``data`` is bytes, a bytearray or a
+    memoryview; anything else raises BinaryFormatError.
     """
-    data = bytes(data)
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise BinaryFormatError(f"NWQB data must be bytes-like, got {type(data).__name__}")
+    data = bytes(data)  # a bytes input is not copied
     end = len(data)
     magic, off = _take(data, 0, 4, "magic")
     if magic != MAGIC:

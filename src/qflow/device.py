@@ -104,8 +104,6 @@ class DeviceConfig:
     def duration_of(self, gate: str, qubits=()) -> float:
         dur = self._lookup(self.gate_durations_ns, gate, qubits, None)
         if dur is None:
-            if gate in ("barrier",):
-                return 0.0
             if gate in ("measure", "reset", "id", "u0"):
                 return 0.0
             raise DeviceConfigError(

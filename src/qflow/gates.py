@@ -110,6 +110,9 @@ class GateSpec:
     qelib1_def: str | None = None
 
     def matrix(self, params=()) -> np.ndarray:
+        if not isinstance(params, tuple):
+            raise QFlowError(f"gate '{self.name}': parameters must be a tuple, "
+                             f"got {type(params).__name__}")
         if len(params) != self.param_count:
             raise QFlowError(
                 f"gate '{self.name}' takes {self.param_count} parameter(s), got {len(params)}"

@@ -14,8 +14,10 @@ nothing is measured.
 
 Held wires: ``wires`` lists, ascending, the wires some op other than a
 barrier touches; every other wire stays |0>. Both dense states hold only
-these (position i holds wires[i]) and ``expand`` turns held amplitudes
-into a vector over all n qubits; ops keep global wires for device lookups.
+these, each as a one-qubit factor until an op needs it in the state's
+array; once settled, position i holds wires[i] and ``expand`` turns the
+held amplitudes into a vector over all n qubits. Ops keep global wires for
+device lookups.
 The qubit caps still judge the declared width, so no run is refused or
 allowed that was not before. The tableau keeps the declared width (its
 cost barely depends on idle wires, and a lookup per op would slow its

@@ -1,10 +1,28 @@
 """Dense state-vector simulation.
 
-A state holds ``amps``, a complex array of length 2**m over the m wires a
-run holds (see "Held wires" in qflow.program), little-endian (qubit 0 is
-the least significant bit of a basis index). One entry point, apply_gate,
-applies a :class:`Kernel` (a matrix on fixed wires of an n-qubit state) in
-place; the density-matrix state is a subclass, rho its ``amps`` of 2m qubits.
+A state of the m wires a run holds (see "Held wires" in qflow.program)
+keeps each wire as a one-qubit factor, a 2-vector, until an op needs it in
+``amps``, a complex array over the wires folded in so far, little-endian
+(position 0 is the least significant bit of an index), the leading part of
+``buffer``, which is allocated once at the size of every held wire, as the
+whole state was before factors. ``pos`` maps each folded wire to its
+position. A one-qubit gate on a factor multiplies the
+factor and runs no kernel. An op on several wires first folds in those of
+its wires that are still factors, by one outer product that puts them on
+top, in the op's order, written in place into ``buffer``, so positions
+follow the order in which wires were folded in. A swap relabels: the two wires trade positions or factors, and
+no amplitude moves. ``settle()`` folds in every factor and transposes
+``amps`` once, only when it is not already so, into basis order over the
+held wires (position i holds wires[i]); it runs before anything reads
+amplitudes in that order: the amplitudes of a unitary ``sv_run``,
+``sv_statevector``, and on rho ``matrix()`` and the fidelity reference.
+Nothing else depends on the order. A product state costs nothing until it
+entangles: a 16-qubit QFT prepares each wire alone, folds wire after wire
+into a growing array and swaps by relabelling.
+
+One entry point, apply_gate, applies a :class:`Kernel` (a matrix on fixed
+qubits of a state) in place; the density-matrix state is a subclass, rho its
+``amps`` with two qubits per position.
 
 A kernel is classified once, when it is built, by the exact-zero pattern of
 its matrix, so fused products and superoperators are classified like named
@@ -31,23 +49,28 @@ gates:
     blocks of the other qubits (as for the slices below) is transposed to
     bring the wires' axes first and copied into a work buffer; one matmul of
     the matrix against its (2**k, rest) form writes a second buffer, which is
-    copied back. The two state-sized buffers belong to the state and its
-    copies, allocated by its first such kernel, so a call allocates nothing:
+    copied back. The two buffers belong to the state and its copies,
+    allocated at the size of its ``buffer`` when it builds its first such
+    kernel (a call on fewer folded wires uses their leading part), so a
+    call allocates nothing:
     fresh state-sized temporaries were page-faulted in again on every call
     (a noisy dm run of qft9 on alltoall11 in a fresh process took 94k-100k
     minor faults with them, 2.3k without).
 
 The slices are index tuples into that view, built once per kernel.
 
-Each run of one-qubit gates on a wire reaches a kernel as one 2x2 product
-(see qflow.program). A kernel depends on the wires the state holds, so the
-state keeps it by op key, built on first use and shared with branch copies.
+Each run of one-qubit gates on a wire reaches a kernel, or a factor, as one
+2x2 product (see qflow.program). A kernel depends on the positions of its
+wires, not on how many wires are folded in (the block above its highest
+qubit is -1 in its view), so the state keeps it by (op key, positions),
+built on first use and shared with branch copies.
 
 Every run goes through the shot walker of qflow.program: ``p_one`` is the
 squared norm of the slice where the qubit reads 1, ``collapse`` zeroes the
 other slice and renormalizes (a reset onto 1 then moves the |1> slice onto
-|0>, as an x would), and a leaf samples the marginal of |amps|^2. A unitary
-program is one leaf.
+|0>, as an x would), and a leaf samples the marginal of |amps|^2, in the
+layout's wire order. A measure or reset of a factor's wire reads and
+projects the factor alone. A unitary program is one leaf.
 A circuit wider than the qubit cap, ``QFLOW_QUBIT_CAP_SV`` if set, else
 DEFAULT_SV_CAP, raises SimulationError.
 """
@@ -78,9 +101,9 @@ _RIGHT_MAX = 16
 
 
 class Kernel:
-    """A 2**k x 2**k matrix on k distinct wires of an n-qubit state, local-
-    ordered with the first wire as the high bit, classified once (see the
-    module docstring).
+    """A 2**k x 2**k matrix on k distinct qubits (``wires``) of a state of n
+    or more qubits, local-ordered with the first wire as the high bit,
+    classified once (see the module docstring).
 
     ``kind`` is "diagonal", "monomial" or "general". A structured kernel
     views the state as ``shape`` and holds ``scales``, (slice, phase) pairs
@@ -108,7 +131,7 @@ class Kernel:
             self.axes = self.right = None
             if len(wires) > 1:
                 # _slices puts the wires in descending order on the odd axes
-                self.shape = _slices(n, wires)[0]
+                self.shape = _slices(wires)[0]
                 high = sorted(wires, reverse=True)
                 self.axes = (tuple(2 * high.index(w) + 1 for w in wires)
                              + tuple(range(0, len(self.shape), 2)))
@@ -129,7 +152,7 @@ class Kernel:
         for i, j, value in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
             dest[j], phase[j] = i, value
         self.kind = "diagonal" if dest == list(range(size)) else "monomial"
-        self.shape, index = _slices(n, wires)
+        self.shape, index = _slices(wires)
         self.scales = []
         self.cycles = []
         seen = [False] * size
@@ -153,15 +176,17 @@ class Kernel:
 
 
 @functools.lru_cache(maxsize=4096)
-def _slices(n: int, wires: tuple) -> tuple[tuple, tuple]:
-    """The shape that views an n-qubit state with each wire on an axis of its
-    own between blocks of the other qubits (axis order is qubit n-1 first),
-    and the index tuple of each local basis value of the wires (first wire
-    the high bit). Blocks of size 1 stay, so no slice is ever 0-d."""
+def _slices(wires: tuple) -> tuple[tuple, tuple]:
+    """The shape that views a state with each wire on an axis of its own
+    between blocks of the other qubits (axis order is the highest qubit
+    first), and the index tuple of each local basis value of the wires
+    (first wire the high bit). The block above the highest wire is -1, so
+    one view fits a state of any width that holds the wires; blocks of size
+    1 stay, so no slice is ever 0-d."""
     shape = []
     axis_of = {}
-    block = 1
-    for q in range(n - 1, -1, -1):
+    block = -1
+    for q in range(max(wires), -1, -1):
         if q in wires:
             shape += [block, 2]
             axis_of[q] = len(shape) - 1
@@ -180,9 +205,9 @@ def _slices(n: int, wires: tuple) -> tuple[tuple, tuple]:
 
 
 def apply_gate(state: np.ndarray, kernel: Kernel, work: list) -> None:
-    """Apply a kernel to a flat state of kernel.n qubits, in place. ``work``
-    is the state's list of the two buffers of a general kernel on several
-    wires, filled on first use."""
+    """Apply a kernel to a flat state that holds its qubits, in place.
+    ``work`` is the state's list of the two buffers of a general kernel on
+    several wires, filled on first use; a call uses their leading part."""
     if kernel.kind == "general":
         if kernel.axes is None:  # one wire: one matmul over contiguous blocks
             view = state.reshape(kernel.shape)
@@ -193,7 +218,7 @@ def apply_gate(state: np.ndarray, kernel: Kernel, work: list) -> None:
             return
         if not work:
             work += (np.empty_like(state), np.empty_like(state))
-        a, b = work
+        a, b = work[0][:state.size], work[1][:state.size]
         view = state.reshape(kernel.shape).transpose(kernel.axes)
         np.copyto(a.reshape(view.shape), view)
         rows = 1 << len(kernel.wires)
@@ -216,21 +241,27 @@ def apply_gate(state: np.ndarray, kernel: Kernel, work: list) -> None:
 # -- state ---------------------------------------------------------------------
 
 class _SVState:
-    """Amplitudes ``amps`` of one branch, ``qubits_per_wire`` qubits per
-    given wire (ascending), driven op by op by qflow.program's walker over
-    its fused ops. A copy owns only its array and shares every other
-    attribute, ``kernels`` (the kernel of each op key) and ``work`` (the
-    buffers of apply_gate) among them."""
+    """One branch: ``amps`` over the wires folded in so far, position i
+    (qubit i of ``amps``) holding the wire w with ``pos[w] == i``, and
+    ``factors``, the one-qubit state of each held wire not folded in yet
+    (see the module docstring). Driven op by op by qflow.program's walker
+    over its fused ops. A copy owns its ``buffer`` (so ``amps``), ``pos``
+    and ``factors`` and shares every other attribute, ``kernels`` (each
+    kernel by op key and positions) and ``work`` (the buffers of
+    apply_gate, allocated at the size of ``buffer``) among them."""
 
     fuses = True
     splits_reset = True
-    qubits_per_wire = 1
+    base = 2  # a factor's length: the basis values of one position
 
     def __init__(self, wires):
         self.wires = tuple(wires)
-        self.pos = {w: i for i, w in enumerate(self.wires)}
-        self.n = len(self.wires)
-        self.amps = np.zeros(1 << (self.qubits_per_wire * self.n), dtype=complex)
+        zero = np.zeros(self.base, dtype=complex)
+        zero[0] = 1.0
+        self.factors = dict.fromkeys(self.wires, zero)  # replaced, never written in place
+        self.pos = {}
+        self.buffer = np.zeros(self.base ** len(self.wires), dtype=complex)
+        self.amps = self.buffer[:1]
         self.amps[0] = 1.0
         self.kernels = {}
         self.work = []
@@ -238,37 +269,129 @@ class _SVState:
     def copy(self) -> "_SVState":
         new = object.__new__(type(self))
         new.wires = self.wires
-        new.pos = self.pos
-        new.n = self.n
         new.kernels = self.kernels
         new.work = self.work
-        new.amps = self.amps.copy()
+        new.buffer = self.buffer.copy()
+        new.amps = new.buffer[:self.amps.size]
+        new.pos = self.pos.copy()
+        new.factors = self.factors.copy()
         return new
+
+    def _fold(self, wires) -> None:
+        """Fold the factors of those of ``wires`` that have one into amps by
+        one outer product, each on top of the ones before it. amps grows in
+        place at the front of ``buffer``, which holds every wire."""
+        top = None
+        for w in wires:
+            f = self.factors.pop(w, None)
+            if f is not None:
+                top = f if top is None else np.multiply.outer(f, top).ravel()
+                self.pos[w] = len(self.pos)
+        if top is not None:
+            size = self.amps.size
+            grown = self.buffer[:top.size * size]
+            # block i of the grown array is top[i] * amps; block 0 is amps itself
+            np.multiply.outer(top[1:], self.amps, out=grown[size:].reshape(-1, size))
+            self.amps *= top[0]
+            self.amps = grown
+
+    def settle(self) -> None:
+        """Fold in every factor and put amps in basis order over ``wires``
+        (position i holds wires[i]), transposing only when it is not."""
+        if self.factors:
+            self._fold(sorted(self.factors))
+        order = [self.pos[w] for w in self.wires]
+        m = len(order)
+        if order != list(range(m)):
+            # axis a of the (base,) * m view is position m-1-a
+            axes = [m - 1 - order[m - 1 - a] for a in range(m)]
+            self.buffer = self.amps = self.amps.reshape((self.base,) * m).transpose(axes).reshape(-1)
+            self.pos = {w: i for i, w in enumerate(self.wires)}
+
+    def _qubits(self, places: tuple) -> tuple[int, tuple]:
+        """The qubit count of amps and a kernel's qubits on wires at places."""
+        return len(self.pos), places
+
+    def _kernel(self, op, matrix: np.ndarray | None = None) -> Kernel | None:
+        """``matrix`` (by default the op's) on the op's wires as the kernel
+        at their positions, their factors folded in first; None when the
+        op's one wire is a factor, which then takes the matrix itself."""
+        wires = op.wires
+        factors = self.factors
+        if factors:
+            if len(wires) == 1:
+                f = factors.get(wires[0])
+                if f is not None:
+                    factors[wires[0]] = (op.matrix if matrix is None else matrix).dot(f)
+                    return None
+            else:
+                self._fold(wires)
+        pos = self.pos
+        # (op key, positions...), spelt out for the one- and two-wire ops most runs are
+        if len(wires) == 1:
+            key = (op.key, pos[wires[0]])
+        elif len(wires) == 2:
+            key = (op.key, pos[wires[0]], pos[wires[1]])
+        else:
+            key = (op.key, *[pos[w] for w in wires])
+        kernel = self.kernels.get(key)
+        if kernel is None:
+            kernel = self.kernels[key] = Kernel(op.matrix if matrix is None else matrix,
+                                                *self._qubits(key[1:]))
+            if kernel.kind == "general" and len(kernel.wires) > 1 and not self.work:
+                # the buffers of apply_gate, sized for every wire at once
+                self.work += (np.empty_like(self.buffer), np.empty_like(self.buffer))
+        return kernel
 
     def apply(self, op) -> None:
         if op.gate:
-            key = op.key
-            kernel = self.kernels.get(key)
-            if kernel is None:
-                kernel = self.kernels[key] = Kernel(op.matrix, self.n,
-                                                    [self.pos[w] for w in op.wires])
-            apply_gate(self.amps, kernel, self.work)
+            if op.opcode == "swap":  # a relabel: the wires trade positions or factors
+                a, b = op.wires
+                for table in (self.pos, self.factors):
+                    at_a, at_b = table.pop(a, None), table.pop(b, None)
+                    if at_a is not None:
+                        table[b] = at_a
+                    if at_b is not None:
+                        table[a] = at_b
+                return
+            kernel = self._kernel(op)
+            if kernel is not None:
+                apply_gate(self.amps, kernel, self.work)
 
     def p_one(self, op) -> float:
-        ones = self.amps.reshape(-1, 2, 1 << self.pos[op.wires[0]])[:, 1]  # axis 1: the qubit
+        w = op.wires[0]
+        if w in self.factors:
+            return float(abs(self.factors[w][1]) ** 2)
+        ones = self.amps.reshape(-1, 2, 1 << self.pos[w])[:, 1]  # axis 1: the qubit
         return float(np.vdot(ones, ones).real)
 
     def collapse(self, op, bit: int) -> None:
-        view = self.amps.reshape(-1, 2, 1 << self.pos[op.wires[0]])
+        w = op.wires[0]
+        reset = bit and op.opcode == "reset"
+        if w in self.factors:
+            kept = self.factors[w][bit]
+            f = np.zeros(2, dtype=complex)
+            f[0 if reset else bit] = kept / abs(kept)
+            self.factors[w] = f
+            return
+        view = self.amps.reshape(-1, 2, 1 << self.pos[w])
         view[:, 1 - bit] = 0.0
         self.amps *= 1.0 / math.sqrt(np.vdot(view[:, bit], view[:, bit]).real)
-        if bit and op.opcode == "reset":
+        if reset:
             view[:, 0] = view[:, 1]
             view[:, 1] = 0.0
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
+        # a marginal over every wire costs the one transpose settle() makes,
+        # which a unitary run's amplitudes need anyway; a smaller one is
+        # transposed after the sum, in qflow.results
+        if len(qubits) == len(self.wires):
+            self.settle()
+        elif self.factors:
+            self._fold(sorted(self.factors))
         p = np.abs(self.amps)
-        return sample_marginal(np.square(p, out=p), self.wires, qubits, count, rng, readout)
+        return sample_marginal(np.square(p, out=p), sorted(self.pos, key=self.pos.get), qubits,
+                               count, rng, readout)
 
 
 def sv_statevector(circuit: Circuit) -> np.ndarray:
@@ -282,6 +405,7 @@ def sv_statevector(circuit: Circuit) -> np.ndarray:
                                   f"'{op.opcode}'{' with condition' if op.condition else ''})")
     state = _SVState(program.wires)
     evolve(program, state)
+    state.settle()
     return program.expand(state.amps)
 
 
@@ -297,6 +421,8 @@ def sv_run(circuit: Circuit, seed: int = 42, shots: int = 1024) -> RunResult:
     program.check_limits("state-vector", DEFAULT_SV_CAP, "QFLOW_QUBIT_CAP_SV", shots, seed)
     state = _SVState(program.wires)
     counts = walk(program, state, shots, seed)
+    if program.unitary:
+        state.settle()
     wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         backend="sv",
@@ -305,6 +431,6 @@ def sv_run(circuit: Circuit, seed: int = 42, shots: int = 1024) -> RunResult:
         seed=seed,
         counts=counts,
         wall_time_ms=wall,
-        mem_bytes_estimate=state.amps.nbytes,
+        mem_bytes_estimate=16 << len(program.wires),
         amplitudes=program.expand(state.amps) if program.unitary else None,
     )

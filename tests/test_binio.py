@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -425,3 +426,23 @@ def test_repeated_records_of_one_opcode_and_other_lengths_round_trip():
     )
     circ = Circuit(registers=regs, instructions=block + block[::-1] + block + block[4:5])
     assert decode_binary(encode_binary(circ)) == circ
+
+
+@pytest.mark.parametrize("data", [10**7, 2**70, -1, "NWQB", None],
+                         ids=["int", "huge-int", "negative-int", "str", "none"])
+def test_data_that_is_not_bytes_like_is_refused_before_it_allocates(data):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BinaryFormatError, match="NWQB data must be bytes-like, got "):
+            decode_binary(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bytes_like_data_decodes_alike():
+    blob = encode_binary(parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[1];\n'))
+    want = decode_binary(blob)
+    for data in (bytearray(blob), memoryview(blob)):
+        assert encode_binary(decode_binary(data)) == encode_binary(want)

@@ -145,6 +145,9 @@ class TestLoadDevice:
         dev = load_device(_minimal())
         with pytest.raises(DeviceConfigError, match="no duration entry"):
             dev.duration_of("u3", (0,))
+        # schedule and density take a barrier's zero duration before they ask
+        with pytest.raises(DeviceConfigError, match="no duration entry for gate 'barrier'"):
+            dev.duration_of("barrier", (0,))
 
 
 class TestTopology:

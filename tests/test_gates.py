@@ -125,6 +125,14 @@ def test_a_parameter_the_circuit_rule_refuses_is_a_qflow_error(gate, params, why
             matrix()
 
 
+@pytest.mark.parametrize("params", [None, 0.5, [0.5], np.array([0.5])],
+                         ids=["none", "float", "list", "array"])
+def test_a_parameter_container_that_is_not_a_tuple_is_a_qflow_error(params):
+    for matrix in (lambda: unitary_of("rz", params), lambda: LIBRARY["rz"].matrix(params)):
+        with pytest.raises(QFlowError, match="gate 'rz': parameters must be a tuple, got "):
+            matrix()
+
+
 def test_basis_set():
     b = BasisSet.from_names(["rz", "sx", "x", "cx"])
     assert b.one_qubit == {"rz", "sx", "x"}

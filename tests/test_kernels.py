@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflow import density
 from qflow.density import _DensityState, _superop, dm_evolve, dm_run
 from qflow.device import load_bundled_device
 from qflow.gates import unitary_of
@@ -87,8 +88,9 @@ def _random_u3(rng) -> str:
 
 
 def test_a_noiseless_one_wire_channel_is_one_kernel_on_its_ket_and_bra():
-    """A gate and a fused run, on every wire of 1 to 5 qubits: the op's one
-    kernel is its 4x4 superoperator on the wire's ket and bra qubit."""
+    """A gate and a fused run, on every wire of 1 to 5 qubits of a settled
+    rho: the op's one kernel is its 4x4 superoperator on the wire's ket and
+    bra qubit, 2q + 1 and 2q."""
     rng = np.random.default_rng(6)
     for n in range(1, 6):
         for q in range(n):
@@ -96,11 +98,13 @@ def test_a_noiseless_one_wire_channel_is_one_kernel_on_its_ket_and_bra():
                 text = "".join(f"{_random_u3(rng)} q[{q}];\n" for _ in range(gates))
                 op, = Program(parse_qasm(HEADER + f"qreg q[{n}];\n" + text)).run_ops(True)
                 state = _DensityState(range(n), None)
+                state.settle()
                 state.amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
                 expected = state.amps.copy()
-                apply_gate(expected, Kernel(_superop([op.matrix]), 2 * n, (n + q, q)), [])
+                apply_gate(expected, Kernel(_superop([op.matrix]), 2 * n, (2 * q + 1, 2 * q)), [])
                 state.apply(op)
-                assert state.kernels[op.key].wires == (n + q, q)
+                kernel, = state.kernels.values()
+                assert kernel.wires == (2 * q + 1, 2 * q)
                 np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
 
 
@@ -140,14 +144,15 @@ def test_one_wire_general_kernels_move_no_axes(monkeypatch):
     ("u3(0.3,0.2,0.1) q[4];\n", None),
 ], ids=["noisy-cx", "u3-q0", "u3-q2", "u3-q4"])
 def test_multi_wire_general_kernels_allocate_no_state_sized_array(body, device):
-    """A noisy cx is a general kernel on four wires of a 10-qubit rho, a
-    noiseless u3 one on two, its wire's ket and bra qubit. The first call
-    allocates the state's two work buffers, which a copy shares; a later
-    call allocates less than one state."""
+    """A noisy cx is a general kernel on four wires of a settled 10-qubit
+    rho, a noiseless u3 one on two, its wire's ket and bra qubit. The first
+    call allocates the state's two work buffers, which a copy shares; a
+    later call allocates less than one state."""
     op, = Program(parse_qasm(HEADER + "qreg q[5];\n" + body)).run_ops(True)
     state = _DensityState(range(5), device and load_bundled_device(device))
+    state.settle()
     state.apply(op)
-    kernel = state.kernels[op.key]
+    kernel, = state.kernels.values()
     assert kernel.kind == "general" and len(kernel.wires) == 2 * len(op.wires)
     assert [a.nbytes for a in state.work] == [state.amps.nbytes] * 2
     assert state.copy().work is state.work
@@ -184,9 +189,14 @@ def test_noisy_dm_runs_move_no_axes(monkeypatch):
 
 
 @pytest.mark.parametrize("name, two", [("grid9", "cz"), ("line5", "cx")])
-def test_every_dm_op_is_one_kernel_on_the_ket_and_bra_of_its_wires(name, two):
-    """grid9 carries no noise and line5 does; on both, every op, a general
-    one-wire run included, is one kernel on (ket wires..., bra wires...)."""
+def test_every_dm_op_is_one_kernel_on_the_ket_and_bra_of_its_wires(name, two, monkeypatch):
+    """grid9 carries no noise and line5 does; on both, every op on a settled
+    rho, a general one-wire run included, is one kernel on (ket wires...,
+    bra wires...), qubits 2i + 1 and 2i for the wire at position i."""
+    applied = []
+    monkeypatch.setattr(density, "apply_gate",
+                        lambda amps, kernel, work: applied.append(kernel)
+                        or apply_gate(amps, kernel, work))
     device = load_bundled_device(name)
     text = HEADER + "qreg q[4];\n"
     for layer in range(3):
@@ -195,13 +205,14 @@ def test_every_dm_op_is_one_kernel_on_the_ket_and_bra_of_its_wires(name, two):
         text += "".join(f"{two} q[{q}],q[{q + 1}];\n" for q in range(3))
     program = Program(parse_qasm(text + "sx q[3];\nx q[0];\n"))
     state = _DensityState(range(program.n), device)
-    n = state.n
+    state.settle()
     general = set()
     for op in program.run_ops(True):
+        applied.clear()
         state.apply(op)
-        kernel = state.kernels[op.key]
+        kernel, = applied
         local = tuple(state.pos[w] for w in op.wires)
-        assert kernel.wires == tuple(n + q for q in local) + local
+        assert kernel.wires == tuple(2 * i + 1 for i in local) + tuple(2 * i for i in local)
         if kernel.kind == "general":
             general.add(len(op.wires))
     assert 1 in general
@@ -211,7 +222,7 @@ def test_a_kernel_on_every_wire_has_no_0d_slice():
     state = np.arange(8, dtype=complex)
     kernel = Kernel(np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex), 3, (2, 0, 1))
     apply_gate(state, kernel, [])
-    assert kernel.shape == (1, 2, 1, 2, 1, 2, 1)
+    assert kernel.shape == (-1, 2, 1, 2, 1, 2, 1)
     np.testing.assert_array_equal(state, [0, 1, 2, 3, 4, 5, 6, -7])
     state = np.arange(4, dtype=complex)
     apply_gate(state, Kernel(unitary_of("swap"), 2, (1, 0)), [])

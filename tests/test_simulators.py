@@ -367,8 +367,14 @@ def test_walk_holds_a_logarithmic_number_of_states(monkeypatch):
     for k in range(n - 1):
         lines += [f"h q[{n - 1}];", f"cx q[{n - 1}],q[{k}];", f"measure q[{n - 1}] -> c[{k}];",
                   f"reset q[{n - 1}];"]
-    c = parse_qasm("\n".join(lines + ["measure q -> c;"]) + "\n")
-    sv_run(c, shots=8)  # first-call allocations stay out of the measurement
+    prog = program.Program(parse_qasm("\n".join(lines + ["measure q -> c;"]) + "\n"))
+
+    def run(shots, seed):
+        state = statevector._SVState(prog.wires)
+        state.settle()  # every state holds all n wires
+        return program.walk(prog, state, shots, seed)
+
+    run(8, 42)  # first-call allocations stay out of the measurement
     live = []
     copy = statevector._SVState.copy
 
@@ -381,7 +387,7 @@ def test_walk_holds_a_logarithmic_number_of_states(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sv_run(c, seed=1, shots=shots)
+        run(shots, 1)
     finally:
         tracemalloc.stop()
     # states are live at once right after a copy: the pending ones, the
@@ -502,22 +508,97 @@ def test_one_program_evolves_into_states_that_hold_different_wires():
 
 
 @pytest.mark.parametrize("make, shared", [
-    (statevector._SVState, ("wires", "pos", "n", "kernels", "work")),
+    (statevector._SVState, ("wires", "kernels", "work")),
     (lambda wires: _DensityState(wires, load_bundled_device("line5")),
-     ("wires", "pos", "n", "kernels", "work", "device", "superops")),
+     ("wires", "kernels", "work", "device", "superops")),
 ])
 def test_a_dense_copy_owns_only_its_array(make, shared):
+    """A copy of a settled state shares the kernels and the work buffers
+    and owns its array (``amps`` in its ``buffer``) and its layout, ``pos``
+    and ``factors``."""
     prog = program.Program(parse_qasm(HEADER + "qreg q[3];\nsx q[0];\ncx q[0],q[2];\n"))
     state = make(prog.wires)
     program.evolve(prog, state)
+    state.settle()
     copy = state.copy()
     assert type(copy) is type(state)
-    assert sorted(vars(copy)) == sorted(vars(state)) == sorted(shared + ("amps",))
+    owned = ("amps", "buffer", "pos", "factors")
+    assert sorted(vars(copy)) == sorted(vars(state)) == sorted(shared + owned)
     for name in shared:
         assert getattr(copy, name) is getattr(state, name)
+    for name in ("pos", "factors"):
+        assert getattr(copy, name) == getattr(state, name)
+        assert getattr(copy, name) is not getattr(state, name)
+    assert not np.shares_memory(copy.buffer, state.buffer)
     assert copy.amps is not state.amps and not np.shares_memory(copy.amps, state.amps)
     assert copy.amps.tobytes() == state.amps.tobytes()
     assert copy.amps.nbytes == 16 << (len(prog.wires) * (2 if "device" in shared else 1))
+
+
+@st.composite
+def _layout_programs(draw) -> tuple[int, list[str]]:
+    """Up to 6 qubits, some idle: one- and two-qubit gates, swaps, resets,
+    mid-circuit measures and conditioned gates, each a line of QASM in
+    line5's basis but for the swap."""
+    n = draw(st.integers(1, 6))
+    lines = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["one", "one", "rz", "cx", "swap", "reset", "measure", "if",
+                                     "delay"] if n > 1 else ["one", "rz", "reset", "measure"]))
+        a, b = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+        if kind == "one":
+            lines.append(f"{draw(st.sampled_from(['x', 'sx']))} q[{a}];")
+        elif kind == "rz":
+            lines.append(f"rz({draw(st.floats(-3.2, 3.2, allow_nan=False)):.6f}) q[{a}];")
+        elif kind in ("cx", "swap"):
+            lines.append(f"{kind} q[{a}],q[{b}];")
+        elif kind == "reset":
+            lines.append(f"reset q[{a}];")
+        elif kind == "measure":
+            lines.append(f"measure q[{a}] -> c[{a}];")
+        elif kind == "if":
+            lines.append(f"if(c=={draw(st.integers(0, 3))}) x q[{a}];")
+        else:
+            lines.append(f"delay q[{a}], {draw(st.integers(1, 900))};")
+    return n, lines
+
+
+def _walked(make, prog, settled: bool, shots: int, readout):
+    """Seeded counts of a walk from a fresh state, settled first or not, and
+    the final state of a one-shot walk, settled."""
+    states = [make(prog.wires) for _ in range(2)]
+    if settled:
+        for state in states:
+            state.settle()
+    counts = program.walk(prog, states[0], shots, 7, readout)
+    program.walk(prog, states[1], 1, 7, readout)
+    states[1].settle()
+    final = states[1].matrix() if isinstance(states[1], _DensityState) else states[1].amps
+    return counts, final
+
+
+@given(case=_layout_programs())
+@settings(max_examples=40, deadline=None)
+def test_factors_and_layout_match_a_state_settled_up_front(case):
+    """A state that folds wires in as ops need them, relabels on a swap and
+    keeps untouched wires as factors gives the counts and the final state
+    of one that settles before its first op, on sv, on rho without a
+    device and on rho on line5."""
+    n, lines = case
+    line5 = load_bundled_device("line5")
+    runs = [(statevector._SVState, None), (lambda wires: _DensityState(wires, None), None)]
+    if n <= 5:
+        runs.append((lambda wires: _DensityState(wires, line5), line5))
+    for make, device in runs:
+        text = "\n".join(lines)
+        if device is not None:  # line5 has no swap: its exact three-cx form
+            text = re.sub(r"swap (q\[\d\]),(q\[\d\]);", r"cx \1,\2; cx \2,\1; cx \1,\2;", text)
+        prog = program.Program(parse_qasm(HEADER + f"qreg q[{n}];\ncreg c[{n}];\n{text}\n"))
+        readout = device.readout if device is not None else None
+        lazy, eager = (_walked(make, prog, settled, 64, readout) for settled in (False, True))
+        assert lazy[0] == eager[0]
+        assert lazy[1].shape == eager[1].shape
+        assert np.abs(lazy[1] - eager[1]).max(initial=0.0) < 1e-12
 
 
 def test_noisy_dm_run_checks_no_instruction_of_a_transpiled_circuit(line5, monkeypatch):
@@ -545,9 +626,11 @@ def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):
         relaxed.append(args)
         return thermal_relaxation_superop(*args)
 
+    kernel = statevector.Kernel
+
     def counting_kernel(*args):
         kernels.append(args[2])
-        return statevector.Kernel(*args)
+        return kernel(*args)
 
     channel = qflow.density._DensityState._channel
     apply = qflow.density._DensityState.apply
@@ -563,12 +646,15 @@ def test_noisy_dm_builds_each_distinct_channel_once(line5, monkeypatch):
 
     monkeypatch.setattr(qflow.density, "depolarizing_superop", counting_depolarizing)
     monkeypatch.setattr(qflow.density, "thermal_relaxation_superop", counting_relaxation)
-    monkeypatch.setattr(qflow.density, "Kernel", counting_kernel)
+    monkeypatch.setattr(statevector, "Kernel", counting_kernel)
     monkeypatch.setattr(qflow.density._DensityState, "_channel", recording_channel)
     monkeypatch.setattr(qflow.density._DensityState, "apply", recording_apply)
     text = (HEADER + "qreg q[2];\ncreg c[2];\nsx q[0];\nsx q[0];\nsx q[0];\ncx q[0],q[1];\n"
             "cx q[0],q[1];\nsx q[1];\nsx q[0];\nmeasure q -> c;\n")
-    dm_run(parse_qasm(text), device=line5, shots=10)
+    prog = program.Program(parse_qasm(text))
+    state = qflow.density._DensityState(prog.wires, line5)
+    state.settle()  # every op runs a kernel on rho
+    program.walk(prog, state, 10, 42, line5.readout)
     sx0, sx1, cx = ("sx", (), (0,)), ("sx", (), (1,)), ("cx", (), (0, 1))
     run = ("fused", (("sx", ()),) * 3, (0,))
     # one noise stage each for sx on q[0], cx on (q[0], q[1]) and sx on q[1]:
@@ -764,6 +850,7 @@ def test_touched_wire_counts_equal_the_full_width_walk(source, backend, line5, d
             physical, _ = transpile(c, device)
             state = statevector._SVState(range(device.num_qubits))
             program.evolve(program.Program(physical), state)
+            state.settle()
             assert np.abs(sv_run(physical, shots=1).amplitudes - state.amps).max() < 1e-12
 
 
