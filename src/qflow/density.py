@@ -12,13 +12,14 @@ state vector's outer product, on 4-vectors. A channel with Kraus operators
 K on some wires is the one matrix sum K (x) conj(K) on (ket wires..., bra
 wires...), applied by the state-vector kernel. ``matrix()`` settles the
 state and returns rho as the row-major (2**m, 2**m) matrix in basis order,
-a transposed copy; reads of the diagonal (``p_one``, ``collapse`` and a
-leaf's sample) gather it by position through one index array per width.
-rho holds 16 * 4**m bytes once every wire is folded in. Ket and bra side
-by side beat the ket bits above all the bra bits on a 7-wire rho (one BLAS
-thread, 2-vCPU Xeon VM, best of 7): a 16x16 channel on each of seven wire
-pairs took x0.87 the time in total, and a 4x4 one-wire channel x0.63-0.93
-by wire (x0.76 in total).
+a transposed copy. ``p_one`` and ``collapse`` fold the measured wire in
+and read the diagonal by position, gathered through one index array per
+width, and a leaf settles before it samples. rho holds 16 * 4**m bytes
+once every wire is folded in. Ket and bra side by side beat the ket bits
+above all the bra bits on a 7-wire rho (one BLAS thread, 2-vCPU Xeon VM,
+best of 7): a 16x16 channel on each of seven wire pairs took x0.87 the
+time in total, and a 4x4 one-wire channel x0.63-0.93 by wire (x0.76 in
+total).
 
 Per gate, with a device attached: unitary, then a depolarizing channel with
 the gate's error probability on its operands (joint two-qubit channel for
@@ -222,19 +223,13 @@ class _DensityState(_SVState):
 
     def p_one(self, op) -> float:
         w = op.wires[0]
-        if w in self.factors:
-            ones = float(self.factors[w][3].real)
-        else:
-            ones = float(self._diagonal().reshape(-1, 2, 1 << self.pos[w])[:, 1].sum())
+        self._fold((w,))
+        ones = float(self._diagonal().reshape(-1, 2, 1 << self.pos[w])[:, 1].sum())
         return min(max(ones, 0.0), 1.0)
 
     def collapse(self, op, bit: int) -> None:
         w = op.wires[0]
-        if w in self.factors:
-            f = np.zeros(4, dtype=complex)
-            f[3 * bit] = 1.0
-            self.factors[w] = f
-            return
+        self._fold((w,))
         # zero the other outcome on the ket (qubit 2i + 1) and bra (qubit 2i) side
         i = self.pos[w]
         for b in (2 * i + 1, 2 * i):
@@ -242,11 +237,9 @@ class _DensityState(_SVState):
         self.amps /= max(float(self._diagonal().sum()), 1e-300)
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
-        if self.factors:
-            self._fold(sorted(self.factors))
+        self.settle()
         p = np.maximum(self._diagonal(), 0.0)
-        return sample_marginal(p / p.sum(), sorted(self.pos, key=self.pos.get), qubits,
-                               count, rng, readout)
+        return sample_marginal(p / p.sum(), self.wires, qubits, count, rng, readout)
 
 
 def _program(circuit: Circuit, device: DeviceConfig | None, shots: int = 1,

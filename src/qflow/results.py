@@ -70,21 +70,18 @@ def draw_counts(probabilities, shots: int, rng) -> dict[int, int]:
     return dict(zip(nz.tolist(), draws[nz].tolist()))
 
 
-def sample_marginal(probs: np.ndarray, wires, qubits: list[int], count: int, rng,
+def sample_marginal(probs: np.ndarray, wires: tuple, qubits: list[int], count: int, rng,
                     readout=None) -> dict[int, int]:
     """Counts of ``count`` draws from a basis distribution over ``wires``
-    (in any order; bit i is wires[i]) reduced to ``qubits``, an ascending
-    subset, keyed by value with bit j for qubits[j], through readout
-    confusion when ``readout`` lists (P(0|0), P(1|1)) per qubit."""
+    (ascending; bit i is wires[i]) reduced to ``qubits``, an ascending subset,
+    keyed by value with bit j for qubits[j], through readout confusion when
+    ``readout`` lists (P(0|0), P(1|1)) per qubit."""
     n = len(wires)
     # axis a of the reshaped vector is wire wires[n-1-a]
     dropped = tuple(n - 1 - i for i, w in enumerate(wires) if w not in qubits)
     t = np.reshape(probs, (2,) * n)
     if dropped:
         t = t.sum(axis=dropped)
-    kept = [w for w in reversed(wires) if w in qubits]  # the axes of t
-    if kept != qubits[::-1]:
-        t = t.transpose([kept.index(q) for q in reversed(qubits)])
     for j, q in enumerate(qubits if readout else ()):
         axis = len(qubits) - 1 - j
         t = np.moveaxis(np.tensordot(readout_matrix(*readout[q]), t, axes=([1], [axis])), 0, axis)

@@ -6,19 +6,20 @@ keeps each wire as a one-qubit factor, a 2-vector, until an op needs it in
 (position 0 is the least significant bit of an index), the leading part of
 ``buffer``, which is allocated once at the size of every held wire, as the
 whole state was before factors. ``pos`` maps each folded wire to its
-position. A one-qubit gate on a factor multiplies the
-factor and runs no kernel. An op on several wires first folds in those of
-its wires that are still factors, by one outer product that puts them on
-top, in the op's order, written in place into ``buffer``, so positions
-follow the order in which wires were folded in. A swap relabels: the two wires trade positions or factors, and
-no amplitude moves. ``settle()`` folds in every factor and transposes
-``amps`` once, only when it is not already so, into basis order over the
-held wires (position i holds wires[i]); it runs before anything reads
-amplitudes in that order: the amplitudes of a unitary ``sv_run``,
-``sv_statevector``, and on rho ``matrix()`` and the fidelity reference.
-Nothing else depends on the order. A product state costs nothing until it
-entangles: a 16-qubit QFT prepares each wire alone, folds wire after wire
-into a growing array and swaps by relabelling.
+position. A one-qubit gate on a factor multiplies the factor and runs no
+kernel. An op on several wires, or a measure, first folds in those of its
+wires that are still factors, by one outer product that puts them on top,
+in the op's order, written in place into ``buffer``, so positions follow
+the order in which wires were folded in. A swap relabels: the two wires
+trade positions or factors, and no amplitude moves. ``settle()`` folds in
+every factor and transposes ``amps`` once, only when it is not already so,
+into basis order over the held wires (position i holds wires[i]); it runs
+before anything reads amplitudes in that order: a leaf's sample, the
+amplitudes of a unitary ``sv_run``, ``sv_statevector``, and on rho
+``matrix()`` and the fidelity reference. Nothing else depends on the
+order. A product state costs nothing until it entangles: a 16-qubit QFT
+prepares each wire alone, folds wire after wire into a growing array and
+swaps by relabelling.
 
 One entry point, apply_gate, applies a :class:`Kernel` (a matrix on fixed
 qubits of a state) in place; the density-matrix state is a subclass, rho its
@@ -65,12 +66,12 @@ wires, not on how many wires are folded in (the block above its highest
 qubit is -1 in its view), so the state keeps it by (op key, positions),
 built on first use and shared with branch copies.
 
-Every run goes through the shot walker of qflow.program: ``p_one`` is the
-squared norm of the slice where the qubit reads 1, ``collapse`` zeroes the
-other slice and renormalizes (a reset onto 1 then moves the |1> slice onto
-|0>, as an x would), and a leaf samples the marginal of |amps|^2, in the
-layout's wire order. A measure or reset of a factor's wire reads and
-projects the factor alone. A unitary program is one leaf.
+Every run goes through the shot walker of qflow.program: ``p_one`` and
+``collapse`` fold the measured wire in, ``p_one`` is the squared norm of
+the slice where its qubit reads 1, ``collapse`` zeroes the other slice and
+renormalizes (a reset onto 1 then moves the |1> slice onto |0>, as an x
+would), and a leaf settles and samples the marginal of |amps|^2. A unitary
+program is one leaf.
 A circuit wider than the qubit cap, ``QFLOW_QUBIT_CAP_SV`` if set, else
 DEFAULT_SV_CAP, raises SimulationError.
 """
@@ -204,6 +205,17 @@ def _slices(wires: tuple) -> tuple[tuple, tuple]:
     return tuple(shape), tuple(index)
 
 
+@functools.lru_cache(maxsize=4096)
+def _basis_view(order: tuple, base: int) -> tuple[tuple, tuple] | None:
+    """The shape and axes that transpose a state whose wire i is at
+    position order[i] into basis order, None when it is already in it."""
+    m = len(order)
+    if order == tuple(range(m)):
+        return None
+    # axis a of the (base,) * m view is position m-1-a
+    return (base,) * m, tuple(m - 1 - p for p in reversed(order))
+
+
 def apply_gate(state: np.ndarray, kernel: Kernel, work: list) -> None:
     """Apply a kernel to a flat state that holds its qubits, in place.
     ``work`` is the state's list of the two buffers of a general kernel on
@@ -292,7 +304,8 @@ class _SVState:
             grown = self.buffer[:top.size * size]
             # block i of the grown array is top[i] * amps; block 0 is amps itself
             np.multiply.outer(top[1:], self.amps, out=grown[size:].reshape(-1, size))
-            self.amps *= top[0]
+            if top[0] != 1:  # a wire still |0> scales nothing
+                self.amps *= top[0]
             self.amps = grown
 
     def settle(self) -> None:
@@ -300,12 +313,9 @@ class _SVState:
         (position i holds wires[i]), transposing only when it is not."""
         if self.factors:
             self._fold(sorted(self.factors))
-        order = [self.pos[w] for w in self.wires]
-        m = len(order)
-        if order != list(range(m)):
-            # axis a of the (base,) * m view is position m-1-a
-            axes = [m - 1 - order[m - 1 - a] for a in range(m)]
-            self.buffer = self.amps = self.amps.reshape((self.base,) * m).transpose(axes).reshape(-1)
+        view = _basis_view(tuple(map(self.pos.get, self.wires)), self.base)
+        if view is not None:
+            self.buffer = self.amps = self.amps.reshape(view[0]).transpose(view[1]).reshape(-1)
             self.pos = {w: i for i, w in enumerate(self.wires)}
 
     def _qubits(self, places: tuple) -> tuple[int, tuple]:
@@ -327,13 +337,7 @@ class _SVState:
             else:
                 self._fold(wires)
         pos = self.pos
-        # (op key, positions...), spelt out for the one- and two-wire ops most runs are
-        if len(wires) == 1:
-            key = (op.key, pos[wires[0]])
-        elif len(wires) == 2:
-            key = (op.key, pos[wires[0]], pos[wires[1]])
-        else:
-            key = (op.key, *[pos[w] for w in wires])
+        key = (op.key, *[pos[w] for w in wires])
         kernel = self.kernels.get(key)
         if kernel is None:
             kernel = self.kernels[key] = Kernel(op.matrix if matrix is None else matrix,
@@ -360,38 +364,24 @@ class _SVState:
 
     def p_one(self, op) -> float:
         w = op.wires[0]
-        if w in self.factors:
-            return float(abs(self.factors[w][1]) ** 2)
+        self._fold((w,))
         ones = self.amps.reshape(-1, 2, 1 << self.pos[w])[:, 1]  # axis 1: the qubit
         return float(np.vdot(ones, ones).real)
 
     def collapse(self, op, bit: int) -> None:
         w = op.wires[0]
-        reset = bit and op.opcode == "reset"
-        if w in self.factors:
-            kept = self.factors[w][bit]
-            f = np.zeros(2, dtype=complex)
-            f[0 if reset else bit] = kept / abs(kept)
-            self.factors[w] = f
-            return
+        self._fold((w,))
         view = self.amps.reshape(-1, 2, 1 << self.pos[w])
         view[:, 1 - bit] = 0.0
         self.amps *= 1.0 / math.sqrt(np.vdot(view[:, bit], view[:, bit]).real)
-        if reset:
+        if bit and op.opcode == "reset":
             view[:, 0] = view[:, 1]
             view[:, 1] = 0.0
 
     def sample(self, qubits, count: int, rng, readout) -> dict[int, int]:
-        # a marginal over every wire costs the one transpose settle() makes,
-        # which a unitary run's amplitudes need anyway; a smaller one is
-        # transposed after the sum, in qflow.results
-        if len(qubits) == len(self.wires):
-            self.settle()
-        elif self.factors:
-            self._fold(sorted(self.factors))
+        self.settle()
         p = np.abs(self.amps)
-        return sample_marginal(np.square(p, out=p), sorted(self.pos, key=self.pos.get), qubits,
-                               count, rng, readout)
+        return sample_marginal(np.square(p, out=p), self.wires, qubits, count, rng, readout)
 
 
 def sv_statevector(circuit: Circuit) -> np.ndarray:

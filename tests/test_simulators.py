@@ -367,14 +367,8 @@ def test_walk_holds_a_logarithmic_number_of_states(monkeypatch):
     for k in range(n - 1):
         lines += [f"h q[{n - 1}];", f"cx q[{n - 1}],q[{k}];", f"measure q[{n - 1}] -> c[{k}];",
                   f"reset q[{n - 1}];"]
-    prog = program.Program(parse_qasm("\n".join(lines + ["measure q -> c;"]) + "\n"))
-
-    def run(shots, seed):
-        state = statevector._SVState(prog.wires)
-        state.settle()  # every state holds all n wires
-        return program.walk(prog, state, shots, seed)
-
-    run(8, 42)  # first-call allocations stay out of the measurement
+    c = parse_qasm("\n".join(lines + ["measure q -> c;"]) + "\n")
+    sv_run(c, shots=8)  # first-call allocations stay out of the measurement
     live = []
     copy = statevector._SVState.copy
 
@@ -387,7 +381,7 @@ def test_walk_holds_a_logarithmic_number_of_states(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run(shots, 1)
+        sv_run(c, seed=1, shots=shots)
     finally:
         tracemalloc.stop()
     # states are live at once right after a copy: the pending ones, the
