@@ -166,6 +166,8 @@ def _retarget_1q(u3_params: tuple, family: str) -> list[tuple]:
 def retarget_2q(basis: BasisSet) -> str:
     """The native two-qubit gate that realizes cx on the device: "cx", or
     "cz" (cx = H(target) cz H(target), as the transpiler emits it)."""
+    if not isinstance(basis, BasisSet):
+        raise UnsupportedBasisError(f"basis must be a BasisSet, got {type(basis).__name__}")
     for native in ("cx", "cz"):
         if native in basis.two_qubit:
             return native

@@ -83,7 +83,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .device import DeviceConfig
-from .errors import SimulationError
+from .errors import DeviceConfigError, SimulationError
 from .noise import depolarizing_superop, thermal_relaxation_superop
 from .program import Program, evolve, walk
 from .results import RunResult, sample_marginal
@@ -245,6 +245,8 @@ class _DensityState(_SVState):
 def _program(circuit: Circuit, device: DeviceConfig | None, shots: int = 1,
              seed: int = 0) -> Program:
     """The circuit's program, checked for a run of ``shots`` on ``device``."""
+    if device is not None and not isinstance(device, DeviceConfig):
+        raise DeviceConfigError(f"device must be a DeviceConfig, got {type(device).__name__}")
     program = Program(circuit)
     program.check_limits("density-matrix", DEFAULT_DM_CAP, "QFLOW_QUBIT_CAP_DM", shots, seed)
     if device is not None and program.wires and program.wires[-1] >= device.num_qubits:

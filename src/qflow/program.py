@@ -206,7 +206,11 @@ class Program:
                      shots: int = 1, seed: int = 0) -> None:
         """Reject a run wider than the backend's qubit cap (the ``env``
         variable, else ``default_cap``), with a shot count outside
-        [1, 2**63 - 1] or with a negative seed."""
+        [1, 2**63 - 1] or with a negative seed. ``shots`` and ``seed`` must
+        be of type ``int``: a bool or a numpy integer is refused too."""
+        for name, value in (("shots", shots), ("seed", seed)):
+            if type(value) is not int:
+                raise SimulationError(f"{name} must be an int, got {type(value).__name__}")
         text = os.environ.get(env, "") if env else ""
         try:
             cap = int(text) if text else default_cap

@@ -22,7 +22,8 @@ operands are coupled. Every firing executes a gate, so routing ends on any
 connected device.
 
 Swaps appear in the routed circuit as literal ``swap`` gates; the transpile
-pipeline expands them into three cx.
+pipeline expands each into three cx, or merges it into the cx before it on
+the same pair (see ``qflow.transpile``).
 """
 
 from __future__ import annotations

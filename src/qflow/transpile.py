@@ -1,10 +1,10 @@
 """Logical-to-physical compilation pipeline.
 
 Stages: check -> decompose to {u3, cx} -> initial mapping -> swap routing
--> retarget to the device basis -> ASAP scheduling. The output circuit uses
-only device basis gates plus measure/barrier/reset/delay, every two-qubit
-gate acts on a coupled pair, and the whole pipeline is deterministic for a
-fixed (circuit, device).
+-> swap merge -> retarget to the device basis -> ASAP scheduling. The
+output circuit uses only device basis gates plus measure/barrier/reset/
+delay, every two-qubit gate acts on a coupled pair, and the whole pipeline
+is deterministic for a fixed (circuit, device).
 
 The input is checked once, by ``Circuit.resolve``. The
 stages then build three circuits from it, each instruction once: the
@@ -25,10 +25,16 @@ run. The result has the gate counts and depth of the opt-level-0 output
 gates merged into one product and retargeted; angles may differ in their
 last bits. The schedule walk also gives the output depth.
 
-Swaps cost exactly three cx (no two-qubit resynthesis). A cx whose operands
-are coupled only in the opposite direction is reversed with the standard
-four-Hadamard template; on cz-native devices cx becomes H(target) cz
-H(target), with the Hadamards realized in the device's one-qubit family.
+A swap costs three cx, except where it merges into the cx before it: an
+unconditioned swap(a, b) whose wires last met in an unconditioned cx on
+{a, b}, with only unconditioned u3s on a or b since, turns
+``cx(c,t); u3s; swap(c,t)`` into ``cx(t,c); cx(c,t)`` followed by the u3s
+on the other wire, the same unitary and final layout for 2 cx instead of 4.
+This pass runs at both opt levels; there is no other two-qubit
+resynthesis. A cx whose operands are coupled only in the opposite
+direction is reversed with the standard four-Hadamard template; on
+cz-native devices cx becomes H(target) cz H(target), with the Hadamards
+realized in the device's one-qubit family.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import asdict, dataclass
 from .circuit import Circuit, Instruction, derived
 from .decompose import _decompose, _retarget_1q, resolve_1q_family, retarget_2q
 from .device import DeviceConfig
-from .errors import TranspileError
+from .errors import DeviceConfigError, TranspileError
 from .euler import IDENTITY_CELLS, mul2, u3_cells, zyz_from_cells
 from .gates import BasisSet, LIBRARY
 from .layout import initial_mapping
@@ -55,6 +61,11 @@ _H_CELLS = u3_cells(*_H3)
 
 @dataclass(frozen=True)
 class TranspileReport:
+    """What a transpile produced. ``n_1q`` and ``n_2q`` count the output's
+    one- and two-qubit gates. ``n_swap`` counts the swaps the router
+    inserted, merged ones included: a merged swap adds one two-qubit gate
+    to ``n_2q``, any other swap three."""
+
     basis_histogram: dict
     n_1q: int
     n_2q: int
@@ -117,6 +128,49 @@ class _Runs:
 
 
 # -- pipeline ------------------------------------------------------------------
+
+def _merge_swaps(routed: Circuit) -> Circuit:
+    """Merge each unconditioned swap into the cx before it: when wires a
+    and b last met in an unconditioned cx on {a, b}, with only unconditioned
+    u3s on a or b since, ``cx(c,t); u3s; swap(c,t)`` becomes ``cx(t,c);
+    cx(c,t)`` followed by the u3s on the other wire. The unitary and the
+    final layout are unchanged, and the pair costs 2 cx instead of 4."""
+    out: list = []
+    since: dict[int, tuple] = {}  # wire -> (index in out of its last cx, its u3s since)
+    for instr in routed.instructions:
+        op = instr.opcode
+        if instr.condition is not None or op not in ("u3", "cx", "swap"):
+            for _, w in instr.qubits:
+                since.pop(w, None)
+            out.append(instr)
+            continue
+        if op == "u3":
+            mark = since.get(instr.qubits[0][1])
+            if mark is not None:
+                mark[1].append(len(out))
+            out.append(instr)
+            continue
+        (_, a), (_, b) = instr.qubits
+        moved = []
+        if op == "swap":
+            mark, mark_b = since.pop(a, None), since.pop(b, None)
+            if mark is None or mark is not mark_b:
+                out.append(instr)
+                continue
+            instr = out[mark[0]]  # the cx(c,t) the swap merges into
+            out[mark[0]] = Instruction("cx", (), instr.qubits[::-1])
+            other = {instr.qubits[0]: instr.qubits[1], instr.qubits[1]: instr.qubits[0]}
+            for k in mark[1]:
+                moved.append(Instruction("u3", out[k].params, (other[out[k].qubits[0]],)))
+                out[k] = None
+        mark = (len(out), [])
+        since[a] = since[b] = mark
+        out.append(instr)
+        for u3 in moved:
+            mark[1].append(len(out))
+            out.append(u3)
+    return routed.with_instructions([i for i in out if i is not None])
+
 
 def _retarget(
     routed: Circuit, device: DeviceConfig, basis: BasisSet, family: str, fold: bool
@@ -200,9 +254,13 @@ def transpile(
     Returns the physical circuit and a report (gate histogram, counts,
     depths, layouts, makespan). Raises :class:`TranspileError` when the
     circuit needs more qubits than the device has, the topology cannot host
-    it, or the basis is unsupported. The output does not depend on ``seed``,
-    which is kept so that callers can pass one seed to every stage.
+    it, or the basis is unsupported, and :class:`DeviceConfigError` for a
+    ``device`` that is not a :class:`DeviceConfig`. The output does not
+    depend on ``seed``, which is kept so that callers can pass one seed to
+    every stage.
     """
+    if not isinstance(device, DeviceConfig):
+        raise DeviceConfigError(f"device must be a DeviceConfig, got {type(device).__name__}")
     if opt_level not in (0, 1):
         raise TranspileError(f"unsupported opt_level {opt_level}")
     resolution = circuit.resolve()
@@ -242,7 +300,7 @@ def transpile(
     routed, layout_final = route(decomposed, layout0, topology)
     n_swap = sum(1 for i in routed.instructions if i.opcode == "swap")
 
-    physical = _retarget(routed, device, basis, family, fold=opt_level >= 1)
+    physical = _retarget(_merge_swaps(routed), device, basis, family, fold=opt_level >= 1)
     sched = schedule_asap(physical, device)
 
     histogram, n_1q, n_2q = gate_counts(physical)

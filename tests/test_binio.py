@@ -71,7 +71,7 @@ def test_trailing_garbage(bell):
 
 @pytest.fixture(scope="module")
 def qft8_grid9_blob(devices):
-    """A transpiled QFT-8: 729 records, of which only 109 are distinct."""
+    """A transpiled QFT-8: 715 records, of which only 111 are distinct."""
     from conftest import qft_qasm
 
     return encode_binary(transpile(parse_qasm(qft_qasm(8)), devices["grid9"])[0])
@@ -86,20 +86,20 @@ def test_every_truncation_point_raises(bell, qft8_grid9_blob):
 
 # cut -> message, for cuts that fall after many repeated records
 _QFT8_TRUNCATIONS = {
-    4000: "instruction 341 flags at byte 4000",
-    4001: "instruction 341 param count at byte 4001",
-    4005: "instruction 341 param at byte 4002",
-    4010: "instruction 341 qubit count at byte 4010",
-    4011: "operand register index at byte 4011",
-    4012: "operand wire index at byte 4012",
-    4013: "instruction 341 clbit count at byte 4013",
-    4014: "instruction 342 opcode at byte 4014",
-    8548: "instruction 728 clbit count at byte 8548",
+    4012: "instruction 341 flags at byte 4012",
+    4013: "instruction 341 param count at byte 4013",
+    4017: "instruction 341 param at byte 4014",
+    4022: "instruction 341 qubit count at byte 4022",
+    4023: "operand register index at byte 4023",
+    4024: "operand wire index at byte 4024",
+    4025: "instruction 341 clbit count at byte 4025",
+    4026: "instruction 342 opcode at byte 4026",
+    8394: "instruction 714 clbit count at byte 8394",
 }
 
 
 def test_truncation_messages_after_repeated_records_are_pinned(qft8_grid9_blob):
-    assert len(qft8_grid9_blob) == 8549
+    assert len(qft8_grid9_blob) == 8395
     for cut, what in _QFT8_TRUNCATIONS.items():
         with pytest.raises(BinaryFormatError) as info:
             decode_binary(qft8_grid9_blob[:cut])
@@ -356,18 +356,18 @@ def test_corrupted_blob_raises_only_binary_format_error(edits):
 # corpus (each circuit that fits the device, in corpus order), per device
 # and opt level; computed before the codecs memoized their records
 _OUTPUT_DIGESTS = {
-    ("line5", 0): ("cc1cfc96828b1ac5784b386b30d4795a8fc0f3e288f19dfa5b11a05edd64f091",
-                   "53e6277d1340dd2d40d0930b95f19ab9adfa534c31e20f25bbf48136326bfa3e"),
-    ("line5", 1): ("e92c6c7d93c8edad8d53c6d6a199e285b56dc01d538c7930f405553dce293585",
-                   "d109a8e86bf4093be3b5726d471f9233dc7ef7e1d593b0da95cb346ba61aed8f"),
-    ("heavyhex7", 0): ("8549d41233c2739d8a6ee5cac0a4f574777dfd280b168115e5f3136cd155fd12",
-                       "8c1bc1baf381d2e12e916b3ac0d91bc2a925714c21b2a67ee6a19fcc8079a492"),
-    ("heavyhex7", 1): ("cf3c43ea42243344258d53b9c5ee1fc0ff0a1f5325b70cb394b3397d6794c1a7",
-                       "a86fc5e882dfaca400a9aab12f1b045cc605ca21275eafc9b1a4074ce80d9d83"),
-    ("grid9", 0): ("2d391b105b031a99512880c7539ed40c4a6d9b70eaa8acf2bbcbdd532cf467f9",
-                   "9fec7dc50fbfbb839fb9f16704c993222f085a2f262986e2950549e8aa78fa23"),
-    ("grid9", 1): ("b875e484637984c23d1e8999127cbecd46e53cf8047e4dc4b1dd10fdbda4e509",
-                   "e14522c604cb99ae66208d485375e2a9e7b4b5d30485cfa5c5be67e252c900fb"),
+    ("line5", 0): ("52c2f733376f6a362995059afed4d919192957eebad1d2652aaae355a432d432",
+                   "9c7f442ef630b454c8f7d5ec203014484fa827e40527ef81d1d18c0e2f68e396"),
+    ("line5", 1): ("32079b92f68945d182d178bf76d375d821db558050a903a83028717197eb02dd",
+                   "3c12000ab9a27c36f5f00adf0fc42bcded768ec8b4f1be92752b4292fb338f52"),
+    ("heavyhex7", 0): ("513f66e4d4ba05561ec557651051c19824658d6fc56095c2cc04c3ce0b6012ac",
+                       "10548b3b06a787690156d11dd366ce7d2975723a552dd3cb66d53efaa5dc80c6"),
+    ("heavyhex7", 1): ("d4e20289de2284c63464d8c7cf9fba92abc843d4d2041bc1c4a5a714b519e2d5",
+                       "91a87d729928053bf32a17bfdf598758f456753e5029987f02c5736dd14d00d8"),
+    ("grid9", 0): ("cc00dca26e37b4e22db6f6e82aabaf5b6fce39a3b097c7812cd8f7060ec3c404",
+                   "813806a64d96abf1b3e48b8e9956695190ffc83d6152acdb151d9e39134fe143"),
+    ("grid9", 1): ("998d52528887bdaee22617e421593d6412eba7b03204b2cbc4e4580df693cbde",
+                   "c13dd9f18cad5bb9edb722feaaaf4bdeecec167fd04b61fc18bf9a2bd79ecf80"),
     ("alltoall11", 0): ("45efe11f73fbd105da1dc3626de096c4765dbd5295d422067dce583363e80ea6",
                         "f64b5d67e2b982a640f73732c1d1cc16288860d63ff7b02a31d557c625e930f3"),
     ("alltoall11", 1): ("02627faeb7e342667af98b0af55f84ace5ed2e8f285da41d094ffd73c9210c18",

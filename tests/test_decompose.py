@@ -184,6 +184,12 @@ class TestRetarget2q:
         with pytest.raises(UnsupportedBasisError, match="cx or cz"):
             retarget_2q(BasisSet.from_names(["rz", "sx", "x", "rzz"]))
 
+    @pytest.mark.parametrize("basis", ["cx", ("rz", "sx", "x", "cx"), None])
+    def test_a_basis_that_is_not_a_basis_set_is_refused(self, basis):
+        # once AttributeError: 'str' object has no attribute 'two_qubit'
+        with pytest.raises(UnsupportedBasisError, match="^basis must be a BasisSet, got "):
+            retarget_2q(basis)
+
 
 class TestEulerUtilities:
     def test_zyz_total_including_degenerate(self):

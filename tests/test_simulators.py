@@ -22,7 +22,7 @@ from qflow.circuit import Instruction
 from qflow.cli import main
 from qflow.density import _DensityState, dm_evolve, dm_run, fidelity
 from qflow.device import load_bundled_device, load_device
-from qflow.errors import SimulationError
+from qflow.errors import DeviceConfigError, SimulationError
 from qflow.gates import unitary_of
 from qflow.noise import depolarizing_superop, thermal_relaxation_superop
 from qflow.parser import parse_qasm
@@ -949,6 +949,39 @@ def test_bad_seed_or_shots_is_a_simulation_error(backend, seed, shots, message, 
     args = ["simulate", backend, str(path), "--seed", str(seed), "--shots", str(shots)]
     assert main(args) == 4
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("backend", sorted(RUNS))
+@pytest.mark.parametrize("seed, shots, message", [
+    (None, 8, "seed must be an int, got NoneType"),
+    (1.5, 8, "seed must be an int, got float"),
+    (42, "8", "shots must be an int, got str"),
+    (42, 1.5, "shots must be an int, got float"),
+    (42, 2.5, "shots must be an int, got float"),
+    (True, 8, "seed must be an int, got bool"),
+    (42, True, "shots must be an int, got bool"),
+    (np.int64(1), 8, "seed must be an int, got int64"),
+    (42, np.int64(8), "shots must be an int, got int64"),
+])
+def test_a_seed_or_shot_count_not_of_type_int_is_a_simulation_error(backend, seed, shots,
+                                                                    message):
+    """These once raised TypeError, or, for a float shot count, ran and
+    returned counts summing to its floor."""
+    with pytest.raises(SimulationError, match=f"^{message}$"):
+        RUNS[backend](circuit("bell"), seed=seed, shots=shots)
+
+
+@pytest.mark.parametrize("run", [
+    lambda device: dm_run(circuit("bell"), device=device, shots=8),
+    lambda device: dm_evolve(circuit("bell"), device),
+    lambda device: transpile(circuit("bell"), device),
+], ids=["dm_run", "dm_evolve", "transpile"])
+@pytest.mark.parametrize("device", ["line5", {"num_qubits": 5}, 5])
+def test_a_device_that_is_not_a_device_config_is_a_device_error(run, device):
+    """A str once raised AttributeError: 'str' object has no attribute
+    'num_qubits'."""
+    with pytest.raises(DeviceConfigError, match="^device must be a DeviceConfig, got "):
+        run(device)
 
 
 @pytest.mark.parametrize("flag, value, message", [
