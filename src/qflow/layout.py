@@ -1,26 +1,39 @@
-"""Initial qubit placement.
+"""Initial qubit placement, in up to three stages.
 
-Greedy interaction-graph mapping: logical qubits are sorted by two-qubit
-interaction degree (descending, ties by index), the busiest qubit lands on
-the physical qubit of highest topology degree, and each following qubit
-takes the free physical qubit minimizing the summed distance to its already
-placed interaction partners. All ties break toward the lowest physical
-index, so the result is deterministic.
+1. Greedy interaction-graph mapping: logical qubits are sorted by
+   two-qubit interaction degree (descending, ties by index), the busiest
+   qubit lands on the physical qubit of highest topology degree, and each
+   following qubit takes the free physical qubit minimizing the summed
+   distance to its already placed interaction partners. All ties break
+   toward the lowest physical index, so the result is deterministic. When
+   every interacting pair lands on a coupled pair, this placement stands.
 
-When that placement leaves some interacting pair uncoupled, a subgraph
-search (the depth-first matching of VF2, Cordella et al., IEEE TPAMI 2004)
-looks for a placement that puts every interacting pair on a coupled pair,
-so that routing inserts no swap. The next logical qubit is the one with the
-most placed partners, then the highest degree, then the lowest index; this
-order depends only on the interaction graph, so it is fixed before the
-search. Its candidates are the free neighbours of a placed partner that
-neighbour every other placed partner, in ascending order (every free
-physical qubit for the first qubit of a component). A degree-sequence check
-refuses a graph that cannot fit before the search starts, and a candidate
-needs at least its logical qubit's degree. The search stops after
-``SEARCH_CAP`` placements; if it finds nothing by then, the greedy
-placement stands. Qubits with no partner take the lowest free physical
-qubits, in index order, either way.
+2. Otherwise a subgraph search (the depth-first matching of VF2, Cordella
+   et al., IEEE TPAMI 2004) looks for a placement that puts every
+   interacting pair on a coupled pair, so that routing inserts no swap. It
+   takes the graph's components by edge count, most first, so that the
+   least flexible fails early. Within a component the next logical qubit
+   is the one with the most placed partners, then the highest degree, then
+   the lowest index; this order depends only on the interaction graph, so
+   it is fixed before the search. Its candidates are the free neighbours
+   of a placed partner that neighbour every other placed partner, in
+   ascending order (every free physical qubit for the first qubit of a
+   component). A degree-sequence check refuses a graph that cannot fit
+   before the search starts, and a candidate needs at least its logical
+   qubit's degree.
+
+3. When the whole graph does not embed, the same search places the
+   longest prefix of the circuit's two-qubit gates whose graph does
+   (GraphPlacement in t|ket>, Sivarajah et al., arXiv:2003.10611, also
+   embeds the earliest gates first), found by binary search over the
+   prefix length, since a prefix's graph is a subgraph of every longer
+   prefix's. The other qubits then take their places by the greedy rule
+   of stage 1 around it.
+
+All searches of one placement share a budget of ``SEARCH_CAP`` placements;
+a search that runs it out counts as finding nothing, and if no prefix was
+placed by then the greedy placement stands. Qubits with no partner take
+the lowest free physical qubits, in index order, whatever the stage.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ from .gates import LIBRARY
 
 __all__ = ["Layout", "initial_mapping"]
 
-# placements one search may try before the greedy placement stands
+# placements all the searches of one placement may try together
 SEARCH_CAP = 10_000
 
 
@@ -53,18 +66,23 @@ class Layout:
             raise TranspileError("layout is not injective over logical qubits")
 
 
-def _greedy(partners: list, topology: Topology) -> list:
-    """The greedy placement of the interacting qubits and their partners."""
+def _greedy(partners: list, topology: Topology, assignment: list) -> list:
+    """``assignment`` completed by the greedy rule: the unplaced logical
+    qubits in order of interaction degree (descending, ties by index) each
+    take the free physical qubit with the least summed distance to their
+    placed partners, else the lowest free one; when nothing is placed yet,
+    the first takes the physical qubit of highest degree."""
     n_physical = topology.n
-    assignment = [-1] * len(partners)
     order = sorted(range(len(partners)), key=lambda q: (-len(partners[q]), q))
-    free = set(range(n_physical))
+    free = set(range(n_physical)) - set(assignment)
+    if all(p < 0 for p in assignment):
+        hub = max(range(n_physical), key=lambda p: (len(topology.adjacency[p]), -p))
+        assignment[order[0]] = hub
+        free.discard(hub)
 
-    hub = max(range(n_physical), key=lambda p: (len(topology.adjacency[p]), -p))
-    assignment[order[0]] = hub
-    free.discard(hub)
-
-    for logical in order[1:]:
+    for logical in order:
+        if assignment[logical] >= 0:
+            continue
         placed = [assignment[j] for j in partners[logical] if assignment[j] >= 0]
         if placed:
             def cost(p: int) -> tuple:
@@ -84,32 +102,38 @@ def _greedy(partners: list, topology: Topology) -> list:
 
 def _search_order(partners: list) -> list:
     """The interacting logical qubits in search order, each with its
-    partners placed before it."""
+    partners placed before it: component by component, the components by
+    edge count (descending, ties in the order they are reached)."""
     count = [0] * len(partners)  # placed partners
     heap = [(0, -len(s), q) for q, s in enumerate(partners) if s]
     heapq.heapify(heap)
-    order, done = [], set()
+    components, done = [], set()
     while heap:
         _, _, q = heapq.heappop(heap)
         if q in done:
             continue
         done.add(q)
-        order.append((q, [j for j in partners[q] if j in done]))
+        before = [j for j in partners[q] if j in done]
+        if not before:  # no placed partner: a new component starts
+            components.append([])
+        components[-1].append((q, before))
         for j in partners[q]:
             if j not in done:
                 count[j] += 1
                 heapq.heappush(heap, (-count[j], -len(partners[j]), j))
-    return order
+    components.sort(key=lambda c: -sum(len(before) for _, before in c))
+    return [entry for c in components for entry in c]
 
 
-def _embedding(partners: list, topology: Topology) -> list | None:
-    """A placement that puts every interacting pair on a coupled pair, or
-    None when none exists or the search passes ``SEARCH_CAP`` placements."""
+def _embedding(partners: list, topology: Topology, budget: int) -> tuple:
+    """(a placement that puts every interacting pair on a coupled pair, or
+    None when none exists or the search would pass ``budget`` placements;
+    the placements left of ``budget``)."""
     adjacency, dist = topology.adjacency, topology.dist
     degree = [len(s) for s in partners]
     capacity = sorted((len(a) for a in adjacency), reverse=True)
     if any(d > c for d, c in zip(sorted(degree, reverse=True), capacity)):
-        return None
+        return None, budget
     order = _search_order(partners)
     assignment = [-1] * len(partners)
     used = [False] * topology.n
@@ -126,7 +150,6 @@ def _embedding(partners: list, topology: Topology) -> list | None:
         return [p for p in pool if not used[p] and len(adjacency[p]) >= need]
 
     stack = [iter(candidates(0))]  # per placed depth, its untried candidates
-    budget = SEARCH_CAP
     while stack:
         q = order[len(stack) - 1][0]
         if assignment[q] >= 0:  # take back the last try at this depth
@@ -137,14 +160,46 @@ def _embedding(partners: list, topology: Topology) -> list | None:
             stack.pop()
             continue
         if budget == 0:
-            return None
+            return None, 0
         budget -= 1
         assignment[q] = p
         used[p] = True
         if len(stack) == len(order):
-            return assignment
+            return assignment, budget
         stack.append(iter(candidates(len(stack))))
-    return None
+    return None, budget
+
+
+def _partners(n_logical: int, pairs) -> list:
+    """The interaction graph of ``pairs`` as each logical qubit's partners."""
+    partners: list[set] = [set() for _ in range(n_logical)]
+    for a, b in pairs:
+        partners[a].add(b)
+        partners[b].add(a)
+    return partners
+
+
+def _prefix_placement(pairs: list, n_logical: int, topology: Topology) -> list:
+    """A swap-free placement of the longest prefix of ``pairs`` whose
+    interaction graph embeds, the whole list first; -1 for each qubit
+    outside it. ``pairs`` are the interacting pairs in order of first
+    appearance, so their prefixes have the graphs of the gates' prefixes.
+    Every search draws on one budget of ``SEARCH_CAP`` placements; a
+    prefix whose search runs out counts as not embedding."""
+    found, budget = _embedding(_partners(n_logical, pairs), topology, SEARCH_CAP)
+    if found is not None:
+        return found
+    # a prefix's graph is a subgraph of every longer prefix's, so whether
+    # it embeds falls from true to false once along the list
+    best, lo, hi = [-1] * n_logical, 0, len(pairs)  # lo embeds, hi does not
+    while hi - lo > 1 and budget:
+        mid = (lo + hi) // 2
+        found, budget = _embedding(_partners(n_logical, pairs[:mid]), topology, budget)
+        if found is None:
+            hi = mid
+        else:
+            best, lo = found, mid
+    return best
 
 
 def initial_mapping(circuit: Circuit, topology: Topology) -> Layout:
@@ -160,21 +215,17 @@ def initial_mapping(circuit: Circuit, topology: Topology) -> Layout:
             f"circuit needs {n_logical} qubits but device has {n_physical}"
         )
 
-    partners: list[set] = [set() for _ in range(n_logical)]  # the interaction graph
+    pairs: dict = {}  # the interacting pairs, in order of first appearance
     for instr, wires in zip(circuit.instructions, circuit.resolve().wires):
         if len(wires) == 2 and instr.opcode in LIBRARY:
-            a, b = wires
-            partners[a].add(b)
-            partners[b].add(a)
-    if any(partners):
-        assignment = _greedy(partners, topology)
+            pairs.setdefault((min(wires), max(wires)))
+    if pairs:
+        partners = _partners(n_logical, pairs)
+        assignment = _greedy(partners, topology, [-1] * n_logical)
         dist = topology.dist
-        if any(dist[assignment[a]][assignment[b]] != 1
-               for a in range(n_logical) for b in partners[a]):
-            found = _embedding(partners, topology)
-            if found is not None:
-                free = iter(sorted(set(range(n_physical)) - set(found)))
-                assignment = [p if p >= 0 else next(free) for p in found]
+        if any(dist[assignment[a]][assignment[b]] != 1 for a, b in pairs):
+            assignment = _greedy(partners, topology,
+                                 _prefix_placement(list(pairs), n_logical, topology))
     else:
         assignment = list(range(n_logical))
 

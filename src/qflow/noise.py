@@ -43,9 +43,11 @@ _PAULIS_2Q = {a + b: np.kron(_PAULIS[a], _PAULIS[b]) for a in _PAULIS for b in _
 
 
 def _check_depolarizing(p: float, n_qubits: int) -> None:
+    """Refuse p outside [0, 1] and an ``n_qubits`` other than the int 1 or 2
+    (a bool or a numpy integer too)."""
     if not 0.0 <= p <= 1.0:
         raise SimulationError(f"depolarizing probability {p} outside [0, 1]")
-    if n_qubits not in (1, 2):
+    if type(n_qubits) is not int or n_qubits not in (1, 2):
         raise SimulationError("depolarizing channel supports 1 or 2 qubits")
 
 

@@ -34,7 +34,8 @@ numbers are leaves, so one rule folds a node over numbers as it is read, at
 a call and in a template alike. One inliner expands a call, and, once at
 import, each library gate's line down to U and CX with its own formals
 as actuals. :func:`gate_template` evaluates that template at a call's
-parameters; ``decompose_to_u_cx``, the stabilizer tableau and the
+parameters, through a Python function compiled from the template on the
+gate's first call; ``decompose_to_u_cx``, the stabilizer tableau and the
 transpiler read a gate's u3/cx form from it, so each definition is
 written once, in ``qelib1.py``.
 
@@ -714,6 +715,46 @@ _TEMPLATES = {macro.name: _template(macro) for macro in _qelib1_macros(library=T
 _REDUCED = {"cu3": (1, 2), "rxx": (0,)}
 
 
+# the Python source of each node operator, an operand in each pair of braces
+_SPELLING = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "{} ** {}",
+             "neg": "-{}", **{name: name + "({})" for name in _FUNCS}}
+
+
+def _compile(body: tuple):
+    """A function of the parameters that returns ``body``'s gates at them,
+    each node computed by the same operation on the same operands as
+    :func:`_node`, so the values are the same bit for bit. It returns None
+    where a node is not a finite float, which :func:`_node` may refuse."""
+    lines: list[str] = []
+
+    def spell(expr) -> str:
+        if type(expr) is not tuple:
+            return f"({expr!r})"
+        if expr[0] == "arg":
+            return f"p[{expr[1]}]"
+        value = _SPELLING[expr[0]].format(*map(spell, expr[1:]))
+        lines.append(f"    v{len(lines)} = {value}")
+        return f"v{len(lines) - 1}"
+
+    gates = "".join(f"({op!r}, ({''.join(spell(e) + ', ' for e in exprs)}), {slots!r}), "
+                    for op, exprs, slots in body)
+    source = ["def gates(p):", *lines]
+    if lines:
+        # a sum of finite floats is a finite float or overflows, and a
+        # false alarm only sends the call down the tree walk
+        source += [f"    s = {' + '.join(f'v{i}' for i in range(len(lines)))}",
+                   "    if type(s) is not float or s - s:", "        return None"]
+    source.append(f"    return ({gates})")
+    namespace = dict(_FUNCS)
+    exec("\n".join(source), namespace)
+    return namespace["gates"]
+
+
+# opcode -> the compiled function of its template, built on the gate's
+# first call with parameters
+_COMPILED: dict = {}
+
+
 def gate_template(opcode: str, params: tuple) -> tuple:
     """Library gate ``opcode`` at ``params`` as the U and CX gates of its
     qelib1 line, equal to it up to global phase: (``"u3"`` or ``"cx"``,
@@ -725,6 +766,21 @@ def gate_template(opcode: str, params: tuple) -> tuple:
     reduced = _REDUCED.get(opcode)
     if reduced:
         params = tuple([reduce_angle(p) if j in reduced else p for j, p in enumerate(params)])
+    compiled = _COMPILED.get(opcode)
+    if compiled is None:
+        compiled = _COMPILED[opcode] = _compile(body)
+    try:
+        gates = compiled(params)
+    except (ArithmeticError, ValueError, TypeError):
+        gates = None
+    if gates is None:  # the tree walk raises _node's error, or gives the same gates
+        gates = _evaluated(body, params)
+    return gates
+
+
+def _evaluated(body: tuple, params: tuple) -> tuple:
+    """``body``'s gates at ``params``, each expression tree walked by
+    :func:`_substituted`."""
     return tuple([(op, tuple([e if type(e) is not tuple else params[e[1]] if e[0] == "arg"
                               else _substituted(e, params) for e in exprs]), slots)
                   for op, exprs, slots in body])

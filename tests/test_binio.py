@@ -71,7 +71,7 @@ def test_trailing_garbage(bell):
 
 @pytest.fixture(scope="module")
 def qft8_grid9_blob(devices):
-    """A transpiled QFT-8: 715 records, of which only 111 are distinct."""
+    """A transpiled QFT-8: 670 records, of which only 103 are distinct."""
     from conftest import qft_qasm
 
     return encode_binary(transpile(parse_qasm(qft_qasm(8)), devices["grid9"])[0])
@@ -86,20 +86,20 @@ def test_every_truncation_point_raises(bell, qft8_grid9_blob):
 
 # cut -> message, for cuts that fall after many repeated records
 _QFT8_TRUNCATIONS = {
-    4012: "instruction 341 flags at byte 4012",
-    4013: "instruction 341 param count at byte 4013",
-    4017: "instruction 341 param at byte 4014",
-    4022: "instruction 341 qubit count at byte 4022",
-    4023: "operand register index at byte 4023",
-    4024: "operand wire index at byte 4024",
-    4025: "instruction 341 clbit count at byte 4025",
-    4026: "instruction 342 opcode at byte 4026",
-    8394: "instruction 714 clbit count at byte 8394",
+    4021: "instruction 342 flags at byte 4021",
+    4022: "instruction 342 param count at byte 4022",
+    4026: "instruction 342 param at byte 4023",
+    4031: "instruction 342 qubit count at byte 4031",
+    4032: "operand register index at byte 4032",
+    4033: "operand wire index at byte 4033",
+    4034: "instruction 342 clbit count at byte 4034",
+    4035: "instruction 343 opcode at byte 4035",
+    7867: "instruction 669 clbit count at byte 7867",
 }
 
 
 def test_truncation_messages_after_repeated_records_are_pinned(qft8_grid9_blob):
-    assert len(qft8_grid9_blob) == 8395
+    assert len(qft8_grid9_blob) == 7868
     for cut, what in _QFT8_TRUNCATIONS.items():
         with pytest.raises(BinaryFormatError) as info:
             decode_binary(qft8_grid9_blob[:cut])
@@ -356,18 +356,18 @@ def test_corrupted_blob_raises_only_binary_format_error(edits):
 # corpus (each circuit that fits the device, in corpus order), per device
 # and opt level; computed before the codecs memoized their records
 _OUTPUT_DIGESTS = {
-    ("line5", 0): ("52c2f733376f6a362995059afed4d919192957eebad1d2652aaae355a432d432",
-                   "9c7f442ef630b454c8f7d5ec203014484fa827e40527ef81d1d18c0e2f68e396"),
-    ("line5", 1): ("32079b92f68945d182d178bf76d375d821db558050a903a83028717197eb02dd",
-                   "3c12000ab9a27c36f5f00adf0fc42bcded768ec8b4f1be92752b4292fb338f52"),
-    ("heavyhex7", 0): ("513f66e4d4ba05561ec557651051c19824658d6fc56095c2cc04c3ce0b6012ac",
-                       "10548b3b06a787690156d11dd366ce7d2975723a552dd3cb66d53efaa5dc80c6"),
-    ("heavyhex7", 1): ("d4e20289de2284c63464d8c7cf9fba92abc843d4d2041bc1c4a5a714b519e2d5",
-                       "91a87d729928053bf32a17bfdf598758f456753e5029987f02c5736dd14d00d8"),
-    ("grid9", 0): ("cc00dca26e37b4e22db6f6e82aabaf5b6fce39a3b097c7812cd8f7060ec3c404",
-                   "813806a64d96abf1b3e48b8e9956695190ffc83d6152acdb151d9e39134fe143"),
-    ("grid9", 1): ("998d52528887bdaee22617e421593d6412eba7b03204b2cbc4e4580df693cbde",
-                   "c13dd9f18cad5bb9edb722feaaaf4bdeecec167fd04b61fc18bf9a2bd79ecf80"),
+    ("line5", 0): ("3d15a569be89f8a4e44c87f0969ee02864b5393623e80e270157c8eaf4e0a455",
+                   "79775c7223d93926c06cb2c9c49d089145dc9c998e33e03f52b5f8b788e29d30"),
+    ("line5", 1): ("2454555e2941b8f6a29af0b6010137e9a174ce12e33912144d0f66bf026997d6",
+                   "2b4d96197ebf7f8f6b23ef26a5d4c12194b9f66c86d7d938e05465c633f755be"),
+    ("heavyhex7", 0): ("55873c08b7e05d2e4ef4df116e87cc68e9c7e062164f58663ca36cfe1211cb1d",
+                       "cb3b91ebd9357a32667edfe3917227052db5934cd4e70f37571c831af39dce67"),
+    ("heavyhex7", 1): ("0be31ad99c8124b81759b613ff86907db478c5d265014447d602eb5caa0905a2",
+                       "8683eaa319a1a7475f50ab21e6c784d9be42add16d92fdd0bee7952333412a0f"),
+    ("grid9", 0): ("655dfed8c891d58d090dac4e152515607392b7c855550bb47a45e8bb00e1240b",
+                   "fa7191706227931758aaf8395d759a9c0f87fc31fb1fe81d26f11f2c56ecb017"),
+    ("grid9", 1): ("7cd7cf62f156cd1519c9a65e00ced62005b38dd3501b0cca6698bae10be75dc6",
+                   "acd9d90b90af5545e36b9aac11f0bcab84b7d07bda544e5351a5d3ed3efc86c8"),
     ("alltoall11", 0): ("45efe11f73fbd105da1dc3626de096c4765dbd5295d422067dce583363e80ea6",
                         "f64b5d67e2b982a640f73732c1d1cc16288860d63ff7b02a31d557c625e930f3"),
     ("alltoall11", 1): ("02627faeb7e342667af98b0af55f84ace5ed2e8f285da41d094ffd73c9210c18",

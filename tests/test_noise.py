@@ -128,6 +128,14 @@ def test_depolarizing_in_closed_form_is_the_kraus_superoperator(p, k):
                                rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("build", [depolarizing_kraus, depolarizing_superop])
+@pytest.mark.parametrize("n_qubits", [True, False, np.int64(1), np.int32(2), 1.0, None, "1", 3])
+def test_the_depolarizing_channels_take_only_an_int_qubit_count(build, n_qubits):
+    """True once gave the one-qubit channel, as 1 == True."""
+    with pytest.raises(SimulationError, match="supports 1 or 2 qubits"):
+        build(0.1, n_qubits)
+
+
 @pytest.mark.parametrize("t_ns", [0.0, 35.0, math.inf])
 @pytest.mark.parametrize("t1_ns, t2_ns", [
     (85e3, 110e3), (85e3, 170e3), (math.inf, 110e3), (math.inf, math.inf), (70.0, 140.0)])

@@ -1,6 +1,7 @@
 """Parser behavior: statement forms, expression folding, and errors."""
 
 import gc
+import itertools
 import math
 import re
 import sys
@@ -9,14 +10,14 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflow import parser
+from qflow import euler, parser
 from qflow.binio import encode_binary
 from qflow.circuit import SHAPES, Circuit, Instruction
 from qflow.cli import main
 from qflow.errors import QasmError, QFlowError
 from qflow.gates import LIBRARY
 from qflow.parser import (MAX_EXPANSION_DEPTH, MAX_EXPANSION_INSTRUCTIONS, MAX_EXPR_DEPTH,
-                          parse_qasm)
+                          gate_template, parse_qasm)
 from qflow.printer import print_qasm
 
 from conftest import adder4_qasm, bell_qasm, random_general_qasm
@@ -842,3 +843,42 @@ def test_a_macro_body_expression_evaluates_as_it_folds_at_top_level(expr, a, b):
 def test_a_negative_constant_base_is_bracketed_as_written():
     c = parse_qasm("OPENQASM 2.0;\nqreg r[1];\ngate g(a) r { rz((-2)^a) r; rz(-2^a) r; }\ng(2) r[0];\n")
     assert [i.params for i in c.instructions] == [(4.0,), (-4.0,)]
+
+
+# ordinary angles, signed zeros, multiples of pi (2*pi and beyond are where
+# euler.reduce_angle starts to reduce parameters in parser._REDUCED), huge
+# and non-finite ones
+_TEMPLATE_ANGLES = (0.0, -0.0, 0.3, -1.7, math.pi, -math.pi, math.pi / 2, 2 * math.pi,
+                    -2 * math.pi, 3 * math.pi, 4 * math.pi, 1e16, -3e12, 1.7976931348623157e308,
+                    math.inf, math.nan)
+
+
+def _call_outcome(fn, *args) -> str:
+    """The repr of what ``fn(*args)`` returns, which tells -0.0 from 0.0 and
+    1 from 1.0, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except (QFlowError, ValueError) as exc:  # reduce_angle(inf) is a math domain error
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _walked(body: tuple, reduced: tuple, params: tuple) -> tuple:
+    """gate_template as it was: reduce the parameters in ``reduced``, then
+    walk the trees."""
+    return parser._evaluated(body, tuple(euler.reduce_angle(p) if j in reduced else p
+                                         for j, p in enumerate(params)))
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_a_compiled_template_gives_the_tree_walks_gates_bit_for_bit(name):
+    """gate_template's compiled function against parser._evaluated, the walk
+    of the template's expression trees, at every grid point: the same
+    operations in the same order with the same floats, or the same error."""
+    constant, body = parser._TEMPLATES[name]
+    reduced = parser._REDUCED.get(name, ())
+    count = LIBRARY[name].param_count
+    grid = list(itertools.product(_TEMPLATE_ANGLES, repeat=count))
+    grid += [(1,) * count, (-2,) * count]  # an int stays one where no node divides it
+    for params in grid:
+        want = repr(body) if constant else _call_outcome(_walked, body, reduced, params)
+        assert _call_outcome(gate_template, name, params) == want, (name, params)

@@ -1,11 +1,12 @@
 """Mapping, routing, scheduling, peephole, and the full pipeline."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from qflow.circuit import Circuit, Instruction, Register
 from qflow.device import Topology, load_device
@@ -111,25 +112,107 @@ class TestSwapFreeLayout:
         check_transpiled(parse_qasm(ghz_qasm(5)), phys, report, devices["line5"])
 
     def test_the_search_stops_at_its_cap(self, devices, monkeypatch):
-        # ghz5 on line5 takes 5 placements; with fewer the greedy placement stands
+        """ghz5 on line5 takes 5 placements. With a cap of 4 the first search
+        spends the whole budget, so no prefix is searched and the greedy
+        placement stands."""
         monkeypatch.setattr(layout_module, "SEARCH_CAP", 4)
         _, report = transpile(parse_qasm(ghz_qasm(5)), devices["line5"])
         assert (report.layout_initial, report.n_swap) == ((3, 1, 0, 2, 4), 3)
 
-    @pytest.mark.parametrize("k, greedy", [
-        (5, (4, 1, 0, 3, 5, -1, -1, -1, -1)),
-        (7, (4, 1, 0, 3, 6, 7, 5, -1, -1)),
-        (9, (4, 1, 0, 3, 6, 7, 8, 5, 2)),
+    @pytest.mark.parametrize("k, placed", [
+        (5, (3, 0, 1, 2, 5, -1, -1, -1, -1)),
+        (7, (3, 0, 1, 2, 5, 4, 7, -1, -1)),
+        (9, (2, 1, 0, 3, 4, 5, 8, 7, 6)),
     ])
-    def test_an_odd_cycle_on_grid9_keeps_the_greedy_placement(self, devices, k, greedy):
+    def test_an_odd_cycle_on_grid9_places_its_longest_path_swap_free(self, devices, k, placed):
         """Every degree of an odd cycle fits grid9, but grid9 is bipartite,
-        so no odd cycle embeds. The search ends unaided, well below the cap:
-        after 157, 389 and 613 placements for k = 5, 7 and 9, the last in
-        about 1.5 ms on a 2-vCPU Xeon VM."""
+        so no odd cycle embeds. The search of the whole cycle ends unaided,
+        well below the cap: after 157, 389 and 613 placements for k = 5, 7
+        and 9, the last in about 1.5 ms on a 2-vCPU Xeon VM. The longest
+        prefix that embeds is the path of the first k - 1 gates, so only
+        the closing pair is left uncoupled."""
         cycle = parse_qasm(f"OPENQASM 2.0; qreg q[{k}];"
                            + "".join(f" cx q[{i}],q[{(i + 1) % k}];" for i in range(k)))
-        layout = initial_mapping(_decomposed(cycle), devices["grid9"].topology())
-        assert layout == Layout(greedy, k)
+        topo = devices["grid9"].topology()
+        layout = initial_mapping(_decomposed(cycle), topo)
+        assert layout == Layout(placed, k)
+        assert all(topo.dist[placed[i]][placed[i + 1]] == 1 for i in range(k - 1))
+
+    @pytest.mark.parametrize("n, layout, n_swap, n_2q", [
+        (6, (0, 1, 3, 5, 4, 6, -1), 1, 6),  # the greedy placement: 3 swaps, 14 two-qubit gates
+        (7, (0, 1, 3, 5, 4, 6, 2), 3, 15),  # and 5 swaps, 21 two-qubit gates
+    ])
+    def test_a_ghz_chain_too_long_for_heavyhex7_places_its_longest_prefix(
+            self, devices, n, layout, n_swap, n_2q):
+        """A chain of more than five qubits fails heavyhex7's degree check;
+        the first four gates of ghz6 and ghz7 embed."""
+        circuit = parse_qasm(ghz_qasm(n))
+        phys, report = transpile(circuit, devices["heavyhex7"])
+        assert (report.layout_initial, report.n_swap, report.n_2q) == (layout, n_swap, n_2q)
+        check_transpiled(circuit, phys, report, devices["heavyhex7"])
+
+    @given(case=_connected_case(), data=st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_the_longest_prefix_that_embeds_is_placed_swap_free(self, case, data):
+        """Found by trying every placement: when the first j gates embed but
+        not all of them, the initial layout couples every pair among the
+        first j. At least n gates on all n qubits, so that most graphs do
+        not embed."""
+        n, edges, _, _ = case
+        pairs = [(a, (a + d) % n) for a, d in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=n, max_size=40))]
+        topo = Topology.from_edges(n, edges)
+        longest = max(next((j for j, (a, b) in enumerate(pairs) if topo.dist[p[a]][p[b]] != 1),
+                           len(pairs))
+                      for p in itertools.permutations(range(n)))
+        assume(longest < len(pairs))
+        circ = parse_qasm(f"OPENQASM 2.0; qreg q[{n}];"
+                          + "".join(f" cx q[{a}],q[{b}];" for a, b in pairs))
+        placed = initial_mapping(_decomposed(circ), topo).logical_to_physical
+        assert all(topo.dist[placed[a]][placed[b]] == 1 for a, b in pairs[:longest])
+        dev = load_device(noiseless_device_json(n, edges=sorted(set(edges))))
+        for opt_level in (0, 1):
+            phys, report = transpile(circ, dev, opt_level=opt_level)
+            check_transpiled(circ, phys, report, dev)
+
+    def test_the_search_tries_the_component_with_most_edges_first(self, devices):
+        """The triangle {5, 6, 8} cannot embed in bipartite grid9. Searched
+        after the paths 0-3-7 and 1-2-4, as their order once had it, it cost
+        4069 placements; searched first, 9 for its first qubit and 24 for
+        its second."""
+        partners = layout_module._partners(
+            9, [(0, 3), (3, 7), (1, 2), (2, 4), (5, 6), (6, 8), (5, 8)])
+        found, left = layout_module._embedding(partners, devices["grid9"].topology(), 50)
+        assert (found, 50 - left) == (None, 33)
+
+    @pytest.mark.parametrize("cap", [100, 620, 700, layout_module.SEARCH_CAP])
+    @pytest.mark.parametrize("case", ["9-cycle on grid9", "path and triangle on a 5x5 grid"])
+    def test_one_transpile_searches_at_most_the_cap_in_all(self, devices, monkeypatch, cap, case):
+        """The search of the 9-cycle ends unaided after 613 placements and
+        those of its prefixes take 5, 7, 9 and 81 more, 715 in all; a
+        20-qubit path with a triangle beside it runs any cap out on a 5x5
+        grid. Each search is counted by what it leaves of its budget."""
+        if case == "9-cycle on grid9":
+            n, dev, unaided = 9, devices["grid9"], 715
+            pairs = [(i, (i + 1) % 9) for i in range(9)]
+        else:
+            grid = [(r * 5 + c, r * 5 + c + 1) for r in range(5) for c in range(4)]
+            grid += [(r * 5 + c, r * 5 + c + 5) for r in range(4) for c in range(5)]
+            n, dev, unaided = 23, load_device(noiseless_device_json(25, edges=grid)), math.inf
+            pairs = [(i, i + 1) for i in range(19)] + [(20, 21), (21, 22), (22, 20)]
+        spent = []
+        search = layout_module._embedding
+
+        def counted(partners, topology, budget):
+            found, left = search(partners, topology, budget)
+            spent.append(budget - left)
+            return found, left
+
+        monkeypatch.setattr(layout_module, "SEARCH_CAP", cap)
+        monkeypatch.setattr(layout_module, "_embedding", counted)
+        transpile(parse_qasm(f"OPENQASM 2.0; qreg q[{n}];"
+                             + "".join(f" cx q[{a}],q[{b}];" for a, b in pairs)), dev)
+        assert sum(spent) == min(cap, unaided) <= cap
 
 
 class TestRoute:
@@ -541,9 +624,9 @@ class TestFoldedPeephole:
 # barrier; (depth_out, makespan_ns, n_1q, n_2q) per device and opt level,
 # recorded when the depth came from a second walk over the output.
 _BARRIER_DELAY_PINS = {
-    ("line5", 0): (143, 14595.0, 297, 34), ("line5", 1): (123, 14420.0, 201, 34),
-    ("heavyhex7", 0): (82, 10048.0, 141, 22), ("heavyhex7", 1): (62, 9856.0, 92, 22),
-    ("grid9", 0): (170, 10970.0, 309, 28), ("grid9", 1): (115, 10460.0, 196, 28),
+    ("line5", 0): (123, 12585.0, 249, 27), ("line5", 1): (103, 12445.0, 165, 27),
+    ("heavyhex7", 0): (85, 9778.0, 141, 21), ("heavyhex7", 1): (66, 9650.0, 92, 21),
+    ("grid9", 0): (147, 9200.0, 285, 24), ("grid9", 1): (96, 8810.0, 184, 24),
     ("alltoall11", 0): (50, 3408000.0, 87, 15), ("alltoall11", 1): (41, 3384000.0, 57, 15),
 }
 
